@@ -424,8 +424,8 @@ func benchPatchWithinCellAllocs() float64 {
 
 // benchRouterRefreshAllocs measures a steady-state Router.Refresh within
 // an unchanged link-state epoch on a 64-node grid: the refresh must be a
-// pure memoized copy — version check, cache hit, two buffer copies —
-// with zero allocations.
+// version check and a pin of the shared adjacency snapshot, with zero
+// allocations.
 func benchRouterRefreshAllocs() float64 {
 	eng := sim.NewEngine(1)
 	nw := node.New(eng, node.Config{
@@ -438,6 +438,6 @@ func benchRouterRefreshAllocs() float64 {
 	nw.Start()
 	eng.RunFor(2 * sim.Second) // every router refreshed at least once
 	r := nw.Node(17).Router
-	r.Refresh() // warm this router's double buffers at full view size
+	r.Refresh()
 	return testing.AllocsPerRun(200, r.Refresh)
 }

@@ -107,11 +107,12 @@ type Scenario struct {
 	LinearSpacing float64
 	// MobilitySpeed enables random-waypoint motion at this speed in m/s.
 	MobilitySpeed float64
-	// RoutingOnDemand makes routers lazy (routing.Config.OnDemand): no
-	// eager per-node view, no refresh timers — views materialize at
-	// first NextHop and refresh at use time once UpdatePeriod old. The
-	// huge bench tiers use it so a 10k-node network doesn't build 10k
-	// O(n) views for the handful of nodes that ever see traffic.
+	// RoutingOnDemand moves each router's refresh decision to use time
+	// (routing.Config.OnDemand): no refresh timers — a view is adopted
+	// at first NextHop and refreshed at use time once UpdatePeriod old.
+	// The huge bench tiers use it so a 10k-node network doesn't fire 10k
+	// refresh timers a second for the handful of nodes that ever see
+	// traffic.
 	RoutingOnDemand bool
 	// KernelPartitions, when > 0, runs the scenario on the conservative
 	// parallel kernel with that many spatial partitions
@@ -609,13 +610,14 @@ func (b *BuiltScenario) collectObs(reg *obs.Registry) {
 	reg.Counter("node_drops_ttl").Add(nc.TTLDrops)
 	reg.Counter("node_drops_no_endpoint").Add(nc.NoEndpoint)
 
-	if views := b.nw.Views(); views != nil {
-		fills, computes := views.Fills(), views.Computes()
-		reg.Counter("route_fills").Add(fills)
-		reg.Counter("route_bfs_computes").Add(computes)
-		reg.Counter("route_cache_hits").Add(fills - computes)
-		reg.Counter("route_cache_evictions").Add(views.Evictions())
-	}
+	rs := b.nw.Views().Stats()
+	reg.Counter("route_fills").Add(rs.Fills)
+	reg.Counter("route_bfs_computes").Add(rs.Computes)
+	reg.Counter("route_cache_hits").Add(rs.Hits)
+	reg.Counter("route_cache_evictions").Add(rs.Recycled)
+	reg.Counter("route_views_unconsulted").Add(rs.Unconsulted)
+	reg.Counter("route_adj_captures").Add(rs.Captures)
+	reg.Gauge("route_adj_snapshots").Update(rs.SnapshotsHWM)
 	reg.Counter("link_state_versions").Add(b.nw.LinkVersion())
 
 	gets, puts, misses := b.nw.PacketPool().Stats()

@@ -98,7 +98,7 @@ func TestTelemetryReportCounters(t *testing.T) {
 	wantPositive := []string{
 		"sim_events_scheduled", "sim_events_fired",
 		"mac_enqueues", "mac_tx_attempts", "mac_tx_success",
-		"route_fills", "route_bfs_computes",
+		"route_fills", "route_bfs_computes", "route_adj_captures", "route_adj_snapshots_hwm",
 		"pool_gets", "pool_puts",
 		"energy_tx_nj", "energy_tx_events",
 	}
@@ -116,9 +116,21 @@ func TestTelemetryReportCounters(t *testing.T) {
 		if hwm := c.Telemetry["sim_heap_depth_hwm"]; hwm <= 0 || hwm > 10000 {
 			t.Errorf("cell %v: sim_heap_depth_hwm = %v, not a plausible maximum", c.Cell.Key(), hwm)
 		}
-		// Memoization accounting: hits = fills - computes >= 0.
-		if c.Telemetry["route_cache_hits"] != c.Telemetry["route_fills"]-c.Telemetry["route_bfs_computes"] {
-			t.Errorf("cell %v: route cache accounting inconsistent: %v", c.Cell.Key(), c.Telemetry)
+		// Refresh accounting: a fill is a compute, a hit, unconsulted, or
+		// still pending at the end of the run — never two of them — and the
+		// evictions and the unconsulted count are part of the schema even
+		// when zero.
+		for _, k := range []string{"route_cache_hits", "route_cache_evictions", "route_views_unconsulted"} {
+			if _, ok := c.Telemetry[k]; !ok {
+				t.Errorf("cell %v: %s missing", c.Cell.Key(), k)
+			}
+		}
+		tel := c.Telemetry
+		if tel["route_bfs_computes"]+tel["route_views_unconsulted"]+tel["route_cache_hits"] > tel["route_fills"] {
+			t.Errorf("cell %v: route accounting inconsistent: %v", c.Cell.Key(), tel)
+		}
+		if tel["route_adj_captures"] > tel["route_fills"] || tel["route_adj_snapshots_hwm"] > tel["route_adj_captures"] {
+			t.Errorf("cell %v: snapshot accounting inconsistent: %v", c.Cell.Key(), tel)
 		}
 	}
 	if rep.TelemetryCSV() == "" {

@@ -72,7 +72,7 @@ func checkAgainstBrute(t *testing.T, tag string, eng *sim.Engine, nw *Network) {
 		src := packet.NodeID(i)
 		r := nw.Node(src).Router
 		r.Refresh()
-		ref := routing.New(eng, src, brute, routing.Config{})
+		ref := routing.New(eng, src, routing.NewCache(brute), routing.Config{})
 		ref.Refresh()
 		for j := 0; j < n; j++ {
 			dst := packet.NodeID(j)
@@ -87,11 +87,62 @@ func checkAgainstBrute(t *testing.T, tag string, eng *sim.Engine, nw *Network) {
 	}
 }
 
+// deferredViews is the refresh-now, consult-later half of the property
+// suite: static probe routers pin the network's adjacency at one instant,
+// next to reference views computed on the spot by BFS over the
+// brute-force oracle.
+type deferredViews struct {
+	at     sim.Time
+	probes []*routing.Router
+	refs   []*routing.View
+}
+
+// pinDeferred refreshes one probe per source over the network's shared
+// snapshot cache and takes the brute-force reference views, now.
+func pinDeferred(eng *sim.Engine, nw *Network) deferredViews {
+	d := deferredViews{at: eng.Now()}
+	for i := 0; i < nw.N(); i++ {
+		src := packet.NodeID(i)
+		probe := routing.New(eng, src, nw.Views(), routing.Config{})
+		probe.Start()
+		d.probes = append(d.probes, probe)
+		ref := routing.New(eng, src, routing.NewCache(bruteDir{nw}), routing.Config{})
+		ref.Start()
+		d.refs = append(d.refs, ref.View())
+	}
+	return d
+}
+
+// check consults the probes for the first time — however far link state
+// has moved on since — and requires the views of the refresh instant,
+// stamped with it.
+func (d deferredViews) check(t *testing.T, tag string) {
+	t.Helper()
+	for i, probe := range d.probes {
+		ref := d.refs[i]
+		for j := range d.probes {
+			dst := packet.NodeID(j)
+			gh, wh := probe.HopsTo(dst), ref.Hops(dst)
+			gn, gok := probe.NextHop(dst)
+			wn, wok := ref.NextHop(dst)
+			if gh != wh || gok != wok || (gok && gn != wn) {
+				t.Fatalf("%s: src %d dst %v: deferred hops=%d next=%v,%v; at refresh time hops=%d next=%v,%v",
+					tag, i, dst, gh, gn, gok, wh, wn, wok)
+			}
+		}
+		if at := probe.View().UpdatedAt; at != d.at {
+			t.Fatalf("%s: src %d: deferred view stamped %v, want the refresh time %v", tag, i, at, d.at)
+		}
+	}
+}
+
 // TestEpochCachedViewsMatchUncachedBFS is the seeded property test of
 // the epoch substrate: across topology families and mobility seeds —
 // with node failures and draining energy budgets thrown in — the cached
-// adjacency and the shared view cache must be element-identical to
-// brute-force recomputation.
+// adjacency and the views computed from the shared snapshot cache must be
+// element-identical to brute-force recomputation, both when consulted at
+// the refresh and when first consulted a step later, after mobility,
+// failures and battery deaths have moved the link-state version on.
 func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 	families := []struct {
 		name  string
@@ -128,7 +179,9 @@ func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 				nw.Start()
 				mob.Start()
 				checkAgainstBrute(t, fam.name+"/start", eng, nw)
+				bumped := 0
 				for step := 0; step < 4; step++ {
+					pinned, ver := pinDeferred(eng, nw), nw.Version()
 					eng.RunFor(700 * sim.Millisecond)
 					switch step {
 					case 1:
@@ -141,6 +194,19 @@ func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 						nw.SetDown(packet.NodeID(n-1), false)
 					}
 					checkAgainstBrute(t, fam.name+"/step", eng, nw)
+					if nw.Version() != ver {
+						bumped++
+					}
+					pinned.check(t, fam.name+"/deferred")
+				}
+				if bumped < 3 {
+					t.Fatalf("only %d of 4 steps moved the link-state version; the deferred check needs bumps", bumped)
+				}
+				// Everything pinned was consulted or is released by Stop:
+				// no refresh is left pending, so the accounting closes.
+				nw.Stop()
+				if st := nw.Views().Stats(); st.Computes+st.Hits+st.Unconsulted != st.Fills {
+					t.Fatalf("pins outlive Stop: %+v", st)
 				}
 			})
 		}
@@ -148,8 +214,8 @@ func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 }
 
 // TestAllocsRouterRefreshEpochCached pins the steady-state cost of a
-// router refresh within an unchanged link-state epoch: a version check,
-// a cache hit, and two buffer copies — zero allocations.
+// router refresh within an unchanged link-state epoch: a version check
+// and a pin of the shared snapshot — zero allocations.
 func TestAllocsRouterRefreshEpochCached(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := New(eng, Config{
@@ -163,9 +229,57 @@ func TestAllocsRouterRefreshEpochCached(t *testing.T) {
 	eng.RunFor(2 * sim.Second) // every router refreshed at least once
 	r := nw.Node(10).Router
 	r.Refresh()
-	r.Refresh() // warm both double-buffered views at full size
 	if allocs := testing.AllocsPerRun(200, r.Refresh); allocs != 0 {
 		t.Fatalf("Router.Refresh within an unchanged epoch allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestAllocsRouterTickMoveTickConsult pins the steady state of the
+// deferred path under mobility — a refresh, a move that changes some
+// neighbor set, a refresh that supersedes the unconsulted one and
+// captures the new version's adjacency, and the consult that runs the
+// BFS: recycled snapshot arrays and double-buffered views, zero
+// allocations.
+func TestAllocsRouterTickMoveTickConsult(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tp := topology.GridN(49, 80)
+	nw := New(eng, Config{
+		Topo:    tp,
+		Channel: channel.Defaults(),
+		MAC:     mac.Defaults(),
+		Routing: routing.Defaults(),
+		Energy:  energy.JAVeLEN(),
+	})
+	nw.Start()
+	eng.RunFor(2 * sim.Second)
+	r := nw.Node(10).Router
+	id := packet.NodeID(24)
+	base := tp.Position(id)
+	far := false
+	cycle := func() {
+		r.Refresh()
+		// 80 m lattice, 100 m range: 30 m along the diagonal brings one
+		// diagonal neighbor (113 m away) into range and back out.
+		far = !far
+		p := base
+		if far {
+			p = geom.Point{X: base.X + 30, Y: base.Y + 30}
+		}
+		tp.SetPosition(id, p)
+		r.Refresh()
+		if _, ok := r.NextHop(id); !ok {
+			t.Fatal("no route across the grid")
+		}
+	}
+	before := nw.Views().Stats()
+	for i := 0; i < 4; i++ {
+		cycle() // warm both views and both alternating snapshots
+	}
+	if st := nw.Views().Stats(); st.Captures != before.Captures+4 || st.Computes != before.Computes+4 {
+		t.Fatalf("each cycle must capture and compute once: %+v after %+v", st, before)
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("tick, move, tick, consult allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -153,7 +153,8 @@ type Network struct {
 	// nbrScratch backs the filtered Neighbors result while any node is
 	// down or battery-dead; valid until the next Neighbors call.
 	nbrScratch []packet.NodeID
-	// views is the network-wide routing view cache all routers share.
+	// views is the network-wide adjacency-snapshot cache all routers
+	// compute their views from.
 	views *routing.Cache
 	// owner maps node id → kernel partition when the parallel kernel is
 	// enabled (PartitionKernel); nil in classic serial mode.
@@ -222,8 +223,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		id := packet.NodeID(i)
 		nd := &Node{ID: id, endpoints: make(map[packet.FlowID]Transport), net: nw}
 		nd.MAC = mac.New(eng, id, cfg.MAC, cfg.Energy, &nd.Meter, nw)
-		nd.Router = routing.New(eng, id, nw, cfg.Routing)
-		nd.Router.UseShared(nw.views)
+		nd.Router = routing.New(eng, id, nw.views, cfg.Routing)
 		nd.MAC.Drops = func(fr *mac.Frame, reason mac.DropReason) {
 			nw.traceSeg(id, trace.Drop, fr.Seg, reason.String())
 			if nw.DropHook != nil {
@@ -348,7 +348,8 @@ func (nw *Network) Topology() *topology.Topology { return nw.topo }
 // Scheduler returns the TDMA scheduler.
 func (nw *Network) Scheduler() *mac.Scheduler { return nw.sched }
 
-// Views returns the shared routing view cache (tests and diagnostics).
+// Views returns the shared routing snapshot cache (telemetry, tests and
+// diagnostics).
 func (nw *Network) Views() *routing.Cache { return nw.views }
 
 // Node returns node id's element.
@@ -400,7 +401,7 @@ func (s *linkSnapshot) row(a packet.NodeID) []packet.NodeID {
 // mirrored entries); otherwise it rebuilds from scratch. The link-state
 // version advances only when some row's neighbor SET actually changed —
 // a batch of within-range drift that kept every neighbor set bumps
-// nothing, so routers' memoized views stay valid and no BFS re-runs.
+// nothing, so routers' held views stay valid and no BFS re-runs.
 func (nw *Network) ensureSnap() {
 	epoch := nw.topo.Epoch()
 	if nw.snap.built && nw.snap.epoch == epoch {
@@ -506,7 +507,7 @@ func (nw *Network) refillRowChanged(m packet.NodeID) bool {
 // inserts/removes/quality refreshes into their neighbors' rows restores
 // exactly the state a full rebuild would produce — at O(moved·deg)
 // instead of O(V+E). The link-state version bumps only if some neighbor
-// set changed; pure within-range drift leaves every memoized routing
+// set changed; pure within-range drift leaves every held routing
 // view valid.
 func (nw *Network) patchSnap(epoch uint64, moved []packet.NodeID) {
 	s := &nw.snap
@@ -723,7 +724,7 @@ func (nw *Network) Neighbors(u packet.NodeID) []packet.NodeID {
 // moved (snapshot rebuild), a node failed or revived (SetDown), or the
 // budget-exhaustion bitmap moved (scanned here, O(n), only for
 // budget-constrained networks). Two equal versions guarantee identical
-// views, which is what lets routers share cached BFS results.
+// adjacency, which is what lets routers share one captured snapshot.
 func (nw *Network) Version() uint64 {
 	nw.ensureSnap()
 	// Inside a parallel kernel window the dead-bit rescan is skipped:
@@ -826,7 +827,7 @@ func (nw *Network) SetDown(id packet.NodeID, down bool) {
 		} else {
 			nw.downCount--
 		}
-		// Liveness changed: invalidate memoized routing views.
+		// Liveness changed: held routing views are out of date.
 		nw.linkVer++
 	}
 	if down {

@@ -11,6 +11,10 @@
 // re-encoding of the tolerance field are what keep the end-to-end
 // reliability target intact despite that inaccuracy.
 //
+// A refresh only pins the adjacency of the current link-state version;
+// shortest paths are computed over it the first time a packet consults
+// the view, so a refresh nobody consults costs O(1) (see Cache).
+//
 // The full flooding protocol of [29] is not simulated; its *effect* — a
 // periodically refreshed, possibly stale local view — is. Routing control
 // traffic is excluded from the energy accounting exactly as the paper
@@ -37,9 +41,9 @@ type Directory interface {
 
 // NeighborDirectory is an optional Directory extension for directories
 // that can enumerate a node's current neighbors directly (the node
-// package's epoch-cached adjacency snapshot). BFS over neighbor lists is
-// O(V+E); without the extension it falls back to probing all n
-// candidates per dequeued node, O(V²).
+// package's epoch-cached adjacency snapshot). Capturing the adjacency
+// from neighbor lists is O(V+E); without the extension the capture
+// probes all n candidates per node, O(V²).
 type NeighborDirectory interface {
 	Directory
 	// Neighbors returns u's current neighbors in strictly ascending id
@@ -53,8 +57,9 @@ type NeighborDirectory interface {
 // that can report a link-state version: a counter that changes whenever
 // some Linked answer may have changed (positions moved, a node failed or
 // revived, an energy budget ran out or was reset). Two reads returning
-// the same version guarantee every view built in between is identical,
-// which is what lets the shared Cache memoize views across routers.
+// the same version guarantee the adjacency did not change in between,
+// which is what lets every router refreshing at one version share one
+// captured adjacency snapshot.
 type VersionedDirectory interface {
 	Directory
 	// Version returns the current link-state version. Implementations
@@ -70,9 +75,8 @@ type View struct {
 	UpdatedAt sim.Time
 	next      []packet.NodeID // next[dst], self for dst==self
 	// hops[dst], -1 unreachable. int32 (max path length is bounded by the
-	// uint16 node-id space) so the per-BFS -1 fill and the per-Fill copy
-	// move half the memory an []int would — both are measurable at the
-	// 65536-node bench tier.
+	// uint16 node-id space) so the per-BFS -1 fill moves half the memory
+	// an []int would — measurable at the 65536-node bench tier.
 	hops []int32
 }
 
@@ -93,260 +97,225 @@ func (v *View) Hops(dst packet.NodeID) int {
 	return int(v.hops[dst])
 }
 
-// buildView computes shortest paths from src by BFS over the current
-// adjacency, with neighbors visited in id order for determinism.
-func buildView(dir Directory, src packet.NodeID, at sim.Time) *View {
-	return buildViewInto(nil, nil, dir, src, at)
+// adjacency is the connectivity graph of one link-state version in CSR
+// form: node u's neighbors, ascending, are nbr[off[u]:off[u+1]].
+type adjacency struct {
+	version uint64
+	refs    int // routers (and running Fills) holding it pinned
+	off     []int32
+	nbr     []packet.NodeID
 }
 
-// buildViewInto is buildView with caller-owned buffers: v (the view to
-// overwrite, nil to allocate) and scratch (the BFS queue). Routers
-// double-buffer their views through it so periodic refreshes under
-// mobility stop allocating.
-func buildViewInto(v *View, scratch []packet.NodeID, dir Directory, src packet.NodeID, at sim.Time) *View {
-	n := dir.N()
+// bfs computes shortest paths from src into v (nil allocates), visiting
+// neighbors in ascending id order for determinism; cap(queue) ≥ n.
+func (a *adjacency) bfs(v *View, queue []packet.NodeID, src packet.NodeID, at sim.Time) *View {
+	n := len(a.off) - 1
 	if v == nil {
 		v = &View{}
 	}
 	v.UpdatedAt = at
-	v.next = resizeIDs(v.next, n)
-	v.hops = resizeInts(v.hops, n)
+	if cap(v.next) < n {
+		v.next, v.hops = make([]packet.NodeID, n), make([]int32, n)
+	}
+	v.next, v.hops = v.next[:n], v.hops[:n]
 	for i := range v.hops {
 		v.hops[i] = -1
 	}
-	v.hops[src] = 0
-	v.next[src] = src
-
-	// first hop on the path; computed by BFS outward from src. Both
-	// branches visit candidate neighbors in ascending id order, which is
-	// exactly the deterministic visit order BFS needs — no sort — so a
-	// NeighborDirectory (sorted adjacency lists) produces the identical
-	// view in O(V+E) instead of O(V²).
-	queue := append(scratch[:0], src)
-	if ndir, ok := dir.(NeighborDirectory); ok {
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			for _, id := range ndir.Neighbors(u) {
-				if v.hops[id] >= 0 {
-					continue
-				}
-				v.hops[id] = v.hops[u] + 1
-				if u == src {
-					v.next[id] = id
-				} else {
-					v.next[id] = v.next[u]
-				}
-				queue = append(queue, id)
-			}
-		}
-		return v
-	}
+	v.hops[src], v.next[src] = 0, src
+	queue = append(queue[:0], src)
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		for w := 0; w < n; w++ {
-			id := packet.NodeID(w)
-			if id == u || v.hops[id] >= 0 || !dir.Linked(u, id) {
+		h, first := v.hops[u]+1, v.next[u]
+		for _, id := range a.nbr[a.off[u]:a.off[int(u)+1]] { // u+1 would wrap at the uint16 id ceiling
+			if v.hops[id] >= 0 {
 				continue
 			}
-			v.hops[id] = v.hops[u] + 1
+			v.hops[id] = h
 			if u == src {
-				v.next[id] = id
-			} else {
-				v.next[id] = v.next[u]
+				first = id // first hop on the path is the neighbor itself
 			}
+			v.next[id] = first
 			queue = append(queue, id)
 		}
 	}
 	return v
 }
 
-func resizeIDs(s []packet.NodeID, n int) []packet.NodeID {
-	if cap(s) < n {
-		return make([]packet.NodeID, n)
-	}
-	return s[:n]
+// Stats is the cache's accounting, all exact counts. Every refresh is a
+// fill and ends as exactly one of: a hit (the held view was computed at
+// that version), a compute (a packet consulted it), unconsulted, or — at
+// most one per router — still pending when the run ends.
+type Stats struct {
+	Fills       uint64 // refreshes plus direct Fill calls
+	Computes    uint64 // BFS executions
+	Hits        uint64 // refreshes served by restamping the held view
+	Unconsulted uint64 // refreshes never consulted
+	Captures    uint64 // adjacency snapshots captured from the directory
+	Recycled    uint64 // snapshots released to the free list
+	// SnapshotsHWM is the most snapshots retained at once (the current
+	// version's plus every older one still pinned): the memory bound.
+	SnapshotsHWM uint64
 }
 
-func resizeInts(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// Cache memoizes computed views per source against a shared directory.
-// All routers of one network share one Cache: a view built from a given
-// link-state snapshot is identical regardless of which router computes
-// it, so within one snapshot version the BFS for a source runs once and
-// every later refresh of that source is a plain copy. Ownership rules:
+// Cache holds the adjacency snapshots all routers of one network compute
+// their views from. A router's refresh does not run a BFS: it pins the
+// snapshot of the directory's current link-state version and remembers
+// when; the BFS runs over the pinned snapshot when the view is first
+// consulted. Ownership rules:
 //
-//   - The cache owns the memoized next/hops arrays and rebuilds them in
-//     place when the directory's version moves on; routers therefore
-//     never alias them — Fill copies into the router's double-buffered
-//     view, so a router legitimately holding a stale view (the paper's
-//     staleness semantics) is unaffected by later recomputes.
-//   - Validity is keyed on VersionedDirectory.Version. A directory
-//     without version reporting gets no memoization — every Fill
-//     recomputes — but still benefits from the NeighborDirectory BFS.
+//   - The cache owns every snapshot. One is captured — a single walk of
+//     the directory's neighbor lists — on the first pin of a version,
+//     right after the Version call that reported it, so it is exactly
+//     that version's adjacency; later pins share it by reference count.
+//     Once unpinned and superseded, its arrays go to the free list and
+//     the next capture overwrites them.
+//   - Routers own their views. Every BFS at one version reads the same
+//     adjacency, so a view computed late is element-identical to one
+//     computed at the refresh, whose time it is stamped with; a router
+//     holding a stale view (the paper's semantics) never sees a capture.
+//   - Sharing is keyed on VersionedDirectory.Version. A directory without
+//     version reporting gets a new snapshot per refresh.
 //
-// Fill is serialized by an internal mutex: inside the partitioned
-// kernel's parallel windows (sim/kernel.go), on-demand routers on
-// different partition workers may refresh concurrently, and each Fill
-// both mutates the memo tables and copies out under the lock. The fill
-// itself is a pure function of (directory snapshot, src), so the worker
-// arrival order cannot change any router's adopted view — the lock is
-// for memory safety, not ordering. Stats accessors take the same lock;
-// everything else in the package remains single-goroutine.
+// Pin, unpin and compute are serialized by an internal mutex: inside the
+// partitioned kernel's parallel windows (sim/kernel.go) routers on
+// different partition workers consult — and on-demand ones refresh —
+// concurrently, sharing snapshots, free list and BFS queue. A view is a
+// pure function of (snapshot, src), so arrival order cannot change it:
+// the lock is for memory safety, not ordering. A router's own fields are
+// only touched by its node's events, which never run concurrently.
 type Cache struct {
-	mu   sync.Mutex
-	dir  Directory
-	vdir VersionedDirectory // nil: no memoization
-	ent  []cacheEntry       // per source node
-	// scratch is the shared BFS queue; view is the reusable View header
-	// the BFS writes through (its slices are swapped with the entry's).
-	scratch []packet.NodeID
-	view    View
-	// computes counts BFS executions (tests assert memoization); fills
-	// counts Fill calls, so fills − computes is the memoization hit count.
-	computes uint64
-	fills    uint64
-	// sweepVer is the directory version the entries were last swept at.
-	// When the version moves on, every entry memoized under a superseded
-	// version is evicted — its arrays recycled through the free lists
-	// below — so long mobile runs hold views only for currently-active
-	// sources instead of accumulating one per source ever routed.
-	sweepVer  uint64
-	evictions uint64
-	freeNext  [][]packet.NodeID
-	freeHops  [][]int32
+	mu    sync.Mutex
+	dir   Directory
+	vdir  VersionedDirectory // nil: no sharing across refreshes
+	ndir  NeighborDirectory  // nil: capture probes Linked
+	reads uint64             // version stand-in while vdir is nil
+	// cur is the snapshot of the newest version seen, kept while that
+	// version lasts even with no pins so the next refresh shares it.
+	cur   *adjacency
+	free  []*adjacency
+	queue []packet.NodeID // BFS queue
+	stats Stats
 }
 
-// cacheEntry is one source's memoized view.
-type cacheEntry struct {
-	version uint64
-	valid   bool
-	next    []packet.NodeID
-	hops    []int32
-}
-
-// NewCache returns a view cache over dir.
+// NewCache returns a snapshot cache over dir.
 func NewCache(dir Directory) *Cache {
 	c := &Cache{dir: dir}
 	c.vdir, _ = dir.(VersionedDirectory)
+	c.ndir, _ = dir.(NeighborDirectory)
 	return c
 }
 
-// Computes returns the number of BFS executions the cache has performed;
-// the gap between Computes and Fill calls is the memoization hit count.
-func (c *Cache) Computes() uint64 {
+// Stats returns the cache's accounting so far.
+func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.computes
+	return c.stats
 }
 
-// Fills returns the number of Fill calls served (hits plus recomputes).
-func (c *Cache) Fills() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fills
-}
-
-// Evictions returns the number of memoized views evicted because their
-// link-state version was superseded.
-func (c *Cache) Evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
-
-// sweep evicts every entry memoized under a version other than fresh,
-// recycling its arrays, so cache memory is bounded by the sources active
-// in the current version (plus the free lists, bounded by the peak
-// active-source count) instead of growing with every source ever routed
-// across the run.
-func (c *Cache) sweep(fresh uint64) {
-	for i := range c.ent {
-		e := &c.ent[i]
-		if !e.valid || e.version == fresh {
-			continue
-		}
-		if e.next != nil {
-			c.freeNext = append(c.freeNext, e.next)
-			c.freeHops = append(c.freeHops, e.hops)
-			e.next, e.hops = nil, nil
-		}
-		e.valid = false
-		c.evictions++
+// version reads the directory's link-state version. An unversioned
+// directory gets a new one per read, so no two refreshes share anything.
+func (c *Cache) version() uint64 {
+	if c.vdir == nil {
+		c.reads++
+		return c.reads
 	}
-	c.sweepVer = fresh
+	return c.vdir.Version()
 }
 
-// Fill produces the current view from src into v (allocating one if v is
-// nil) and returns it. v's buffers are reused, so a router double-
-// buffering its views through Fill performs zero steady-state
-// allocations; on a memoized hit the call is a pure copy. UpdatedAt is
-// stamped with at — adoption time is the caller's, not the compute
-// time's, preserving per-router staleness.
+// pin returns the snapshot of version ver — which the directory reported
+// just now — with one more reference, capturing it if this is the
+// version's first pin.
+func (c *Cache) pin(ver uint64) *adjacency {
+	if old := c.cur; old == nil || old.version != ver {
+		if old != nil && old.refs == 0 {
+			c.recycle(old)
+		}
+		c.cur = c.capture(ver)
+	}
+	c.cur.refs++
+	return c.cur
+}
+
+// unpin drops one reference; a snapshot nobody pins any more is recycled
+// unless it is still the current version's.
+func (c *Cache) unpin(a *adjacency) {
+	a.refs--
+	if a.refs == 0 && a != c.cur {
+		c.recycle(a)
+	}
+}
+
+func (c *Cache) recycle(a *adjacency) {
+	c.free = append(c.free, a)
+	c.stats.Recycled++
+}
+
+// capture copies the directory's current adjacency into a recycled (or
+// new) snapshot. Both flavours enumerate each node's neighbors in
+// ascending id order — exactly the deterministic visit order BFS needs.
+func (c *Cache) capture(ver uint64) *adjacency {
+	var a *adjacency
+	if k := len(c.free); k > 0 {
+		a, c.free = c.free[k-1], c.free[:k-1]
+	} else {
+		a = &adjacency{}
+	}
+	n := c.dir.N()
+	a.version = ver
+	a.off = append(a.off[:0], 0)
+	a.nbr = a.nbr[:0]
+	for u := 0; u < n; u++ {
+		if c.ndir != nil {
+			a.nbr = append(a.nbr, c.ndir.Neighbors(packet.NodeID(u))...)
+		} else {
+			for w := 0; w < n; w++ {
+				if w != u && c.dir.Linked(packet.NodeID(u), packet.NodeID(w)) {
+					a.nbr = append(a.nbr, packet.NodeID(w))
+				}
+			}
+		}
+		a.off = append(a.off, int32(len(a.nbr)))
+	}
+	if cap(c.queue) < n {
+		c.queue = make([]packet.NodeID, 0, n)
+	}
+	c.stats.Captures++
+	if live := c.stats.Captures - c.stats.Recycled; live > c.stats.SnapshotsHWM {
+		c.stats.SnapshotsHWM = live
+	}
+	return a
+}
+
+// compute runs the BFS from src over pinned snapshot a and unpins it.
+func (c *Cache) compute(v *View, a *adjacency, src packet.NodeID, at sim.Time) *View {
+	v = a.bfs(v, c.queue, src, at)
+	c.stats.Computes++
+	c.unpin(a)
+	return v
+}
+
+// Fill computes the current view from src into v (nil allocates, buffers
+// are reused) immediately — pin, BFS, unpin — stamped with at.
 func (c *Cache) Fill(v *View, src packet.NodeID, at sim.Time) *View {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.fills++
-	n := c.dir.N()
-	if len(c.ent) < n {
-		c.ent = append(c.ent, make([]cacheEntry, n-len(c.ent))...)
-	}
-	e := &c.ent[int(src)]
-	fresh := e.version
-	if c.vdir != nil {
-		fresh = c.vdir.Version()
-		if fresh != c.sweepVer {
-			c.sweep(fresh)
-		}
-	}
-	if c.vdir == nil || !e.valid || e.version != fresh {
-		// Recompute through the shared view header: borrow the entry's
-		// arrays as the target buffers (refilling evicted entries from the
-		// free lists), BFS, and store them back.
-		if cap(c.scratch) < n {
-			c.scratch = make([]packet.NodeID, 0, n)
-		}
-		if e.next == nil {
-			if k := len(c.freeNext); k > 0 {
-				e.next, c.freeNext = c.freeNext[k-1], c.freeNext[:k-1]
-				e.hops, c.freeHops = c.freeHops[k-1], c.freeHops[:k-1]
-			}
-		}
-		c.view.next, c.view.hops = e.next, e.hops
-		buildViewInto(&c.view, c.scratch, c.dir, src, at)
-		e.next, e.hops = c.view.next, c.view.hops
-		e.version, e.valid = fresh, true
-		c.computes++
-	}
-	if v == nil {
-		v = &View{}
-	}
-	v.UpdatedAt = at
-	v.next = resizeIDs(v.next, n)
-	v.hops = resizeInts(v.hops, n)
-	copy(v.next, e.next)
-	copy(v.hops, e.hops)
-	return v
+	c.stats.Fills++
+	return c.compute(v, c.pin(c.version()), src, at)
 }
 
 // Config parameterizes the routing layer.
 type Config struct {
 	// UpdatePeriod is how often each node refreshes its view. Zero means
-	// static routing: views are computed once at Start.
+	// static routing: views are adopted once at Start.
 	UpdatePeriod sim.Duration
 	// UpdateJitter desynchronizes the refresh timers.
 	UpdateJitter sim.Duration
-	// OnDemand, when true, turns the router lazy: Start computes nothing
-	// and arms no timer; the view materializes on the first NextHop /
-	// HopsTo call and is refreshed in place once it is UpdatePeriod old
-	// (never, if UpdatePeriod is zero). Nodes that neither originate nor
-	// forward traffic then pay no view memory or BFS at all — at 10k+
-	// nodes the eager per-router O(n) views are the dominant cost, and
-	// almost all of them are never consulted. Staleness stays bounded by
+	// OnDemand, when true, moves the refresh *decision* to use time:
+	// Start pins nothing and arms no timer; the view is adopted and
+	// computed at the first NextHop / HopsTo call and refreshed in place
+	// once it is UpdatePeriod old (never, if UpdatePeriod is zero). A node
+	// that neither originates nor forwards traffic then costs nothing — no
+	// timer events, no link-state version reads. Staleness stays bounded by
 	// UpdatePeriod, but refresh happens at use time rather than on a
 	// jittered timer, so only scenarios built for scale opt in.
 	OnDemand bool
@@ -360,30 +329,27 @@ func Defaults() Config {
 
 // Router is one node's routing instance.
 type Router struct {
-	id   packet.NodeID
-	dir  Directory
-	eng  *sim.Engine
-	cfg  Config
-	view *View
-	// spare is the double-buffered view the next Refresh writes into
-	// (readers may hold r.view only until the next refresh); scratch is
-	// the reusable BFS queue.
-	spare   *View
-	scratch []packet.NodeID
-	// shared, when non-nil, is the network-wide view cache Refresh
-	// adopts snapshots from instead of running its own BFS.
-	shared *Cache
+	id    packet.NodeID
+	cache *Cache
+	eng   *sim.Engine
+	cfg   Config
+	// view is the last computed view, at link-state version viewVer; spare
+	// is the double buffer the next compute writes into (readers may hold
+	// view only until then).
+	view, spare *View
+	viewVer     uint64
+	// pend, when non-nil, is the snapshot pinned by a refresh (at pendAt)
+	// that no packet has consulted yet; it supersedes view.
+	pend   *adjacency
+	pendAt sim.Time
 	tick   *sim.Ticker
 }
 
-// New returns a router for node id over the directory.
-func New(eng *sim.Engine, id packet.NodeID, dir Directory, cfg Config) *Router {
-	return &Router{id: id, dir: dir, eng: eng, cfg: cfg}
+// New returns a router for node id over the cache's directory. All
+// routers of one network share one cache.
+func New(eng *sim.Engine, id packet.NodeID, c *Cache, cfg Config) *Router {
+	return &Router{id: id, cache: c, eng: eng, cfg: cfg}
 }
-
-// UseShared attaches the network-wide view cache. Call before Start;
-// all routers sharing a cache must share its directory.
-func (r *Router) UseShared(c *Cache) { r.shared = c }
 
 // SetEngine re-points the router's engine. The node layer calls it when
 // the partitioned kernel is enabled so an on-demand router's refresh
@@ -392,7 +358,7 @@ func (r *Router) UseShared(c *Cache) { r.shared = c }
 // Start.
 func (r *Router) SetEngine(eng *sim.Engine) { r.eng = eng }
 
-// Start computes the initial view and, for a positive update period,
+// Start adopts the initial view and, for a positive update period,
 // begins periodic refresh. An on-demand router does neither — its view
 // materializes at first use (see Config.OnDemand).
 func (r *Router) Start() {
@@ -405,46 +371,66 @@ func (r *Router) Start() {
 	}
 }
 
-// Stop halts periodic refresh.
+// Stop halts periodic refresh and releases a refresh no packet has
+// consulted yet; the router keeps answering from its last computed view.
 func (r *Router) Stop() {
 	if r.tick != nil {
 		r.tick.Stop()
 	}
+	c := r.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r.drop()
 }
 
-// Refresh adopts a fresh snapshot of the directory immediately, reusing
-// the router's spare view buffers. With a shared cache attached, the
-// snapshot comes from the cache (one BFS per source per link-state
-// version, shared across routers); the router still only adopts it now,
-// at its own timer, so UpdatedAt and the staleness semantics are
-// unchanged. Without a cache it runs its own BFS as before.
+// drop releases a pending, never consulted refresh. Cache lock held.
+func (r *Router) drop() {
+	if r.pend != nil {
+		r.cache.stats.Unconsulted++
+		r.cache.unpin(r.pend)
+		r.pend = nil
+	}
+}
+
+// Refresh adopts the directory's current link state now: later consults
+// see the view a BFS at this instant would produce, stamped with this
+// instant. The directory's version is read here, on the timer's schedule,
+// but no BFS runs: a held view computed at this version is restamped,
+// otherwise the version's snapshot is pinned for the first consult.
 func (r *Router) Refresh() {
-	if r.shared != nil {
-		next := r.shared.Fill(r.spare, r.id, r.eng.Now())
-		r.spare = r.view
-		r.view = next
+	now := r.eng.Now()
+	c := r.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.Fills++
+	r.drop()
+	ver := c.version()
+	if r.view != nil && r.viewVer == ver {
+		c.stats.Hits++
+		r.view.UpdatedAt = now
 		return
 	}
-	if r.scratch == nil {
-		r.scratch = make([]packet.NodeID, 0, r.dir.N())
-	}
-	next := buildViewInto(r.spare, r.scratch, r.dir, r.id, r.eng.Now())
-	r.spare = r.view
-	r.view = next
+	r.pend, r.pendAt = c.pin(ver), now
 }
 
-// maybeRefresh materializes or refreshes an on-demand router's view: on
-// first use, and thereafter whenever the held view is at least
-// UpdatePeriod old. Deterministic — it depends only on virtual time.
-func (r *Router) maybeRefresh() {
-	if !r.cfg.OnDemand {
+// settle brings the view a consult is about to read up to date: an
+// on-demand router first decides whether to refresh — on first use, and
+// thereafter whenever the held view is at least UpdatePeriod old, which
+// depends only on virtual time — and a pending refresh is computed.
+func (r *Router) settle() {
+	if r.cfg.OnDemand && (r.view == nil ||
+		(r.cfg.UpdatePeriod > 0 && r.eng.Now().Sub(r.view.UpdatedAt) >= r.cfg.UpdatePeriod)) {
+		r.Refresh()
+	}
+	if r.pend == nil {
 		return
 	}
-	if r.view != nil &&
-		(r.cfg.UpdatePeriod <= 0 || r.eng.Now().Sub(r.view.UpdatedAt) < r.cfg.UpdatePeriod) {
-		return
-	}
-	r.Refresh()
+	c := r.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := c.compute(r.spare, r.pend, r.id, r.pendAt)
+	r.spare, r.view, r.viewVer = r.view, next, r.pend.version
+	r.pend = nil
 }
 
 // NextHop returns the next hop toward dst according to this node's
@@ -453,19 +439,29 @@ func (r *Router) NextHop(dst packet.NodeID) (packet.NodeID, bool) {
 	if dst == r.id {
 		return r.id, true
 	}
-	r.maybeRefresh()
+	if r.pend != nil || r.cfg.OnDemand {
+		r.settle()
+	}
 	return r.view.NextHop(dst)
 }
 
 // HopsTo returns this node's estimate of the remaining path length to
 // dst — the H_i of §3 — or -1 if dst is unreachable in the current view.
 func (r *Router) HopsTo(dst packet.NodeID) int {
-	r.maybeRefresh()
+	if r.pend != nil || r.cfg.OnDemand {
+		r.settle()
+	}
 	return r.view.Hops(dst)
 }
 
-// View returns the current view (for tests and tracing). Views are
-// double-buffered, not immutable: the returned pointer is rewritten in
-// place by the second-next Refresh, so callers comparing routes across
-// refreshes must copy what they need first.
-func (r *Router) View() *View { return r.view }
+// View returns the current view (for tests and tracing), computing it if
+// the last refresh is still pending. Views are double-buffered, not
+// immutable: the returned pointer is restamped by a refresh at an
+// unchanged version and rewritten in place by the second-next compute, so
+// callers comparing routes across refreshes must copy what they need.
+func (r *Router) View() *View {
+	if r.pend != nil {
+		r.settle()
+	}
+	return r.view
+}

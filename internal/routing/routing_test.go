@@ -44,7 +44,7 @@ func chain(n int) *gridDir {
 func TestChainNextHops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := chain(5)
-	r := New(eng, 0, d, Config{})
+	r := New(eng, 0, NewCache(d), Config{})
 	r.Start()
 	nh, ok := r.NextHop(4)
 	if !ok || nh != 1 {
@@ -65,7 +65,7 @@ func TestChainNextHops(t *testing.T) {
 func TestMidChainRouting(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := chain(7)
-	r := New(eng, 3, d, Config{})
+	r := New(eng, 3, NewCache(d), Config{})
 	r.Start()
 	if nh, _ := r.NextHop(0); nh != 2 {
 		t.Fatalf("left next hop = %v", nh)
@@ -82,7 +82,7 @@ func TestUnreachable(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := chain(4)
 	d.unlink(1, 2)
-	r := New(eng, 0, d, Config{})
+	r := New(eng, 0, NewCache(d), Config{})
 	r.Start()
 	if _, ok := r.NextHop(3); ok {
 		t.Fatal("partitioned destination should be unreachable")
@@ -101,7 +101,7 @@ func TestShortestPathPreferred(t *testing.T) {
 	d.link(0, 2)
 	d.link(2, 3)
 	d.link(0, 3)
-	r := New(eng, 0, d, Config{})
+	r := New(eng, 0, NewCache(d), Config{})
 	r.Start()
 	if nh, _ := r.NextHop(3); nh != 3 {
 		t.Fatalf("direct link ignored: next hop %v", nh)
@@ -114,7 +114,7 @@ func TestShortestPathPreferred(t *testing.T) {
 func TestStaleViewUntilRefresh(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := chain(4)
-	r := New(eng, 0, d, Config{}) // static: no periodic refresh
+	r := New(eng, 0, NewCache(d), Config{}) // static: no periodic refresh
 	r.Start()
 	d.unlink(2, 3) // topology changes under the router
 	if h := r.HopsTo(3); h != 3 {
@@ -129,7 +129,7 @@ func TestStaleViewUntilRefresh(t *testing.T) {
 func TestPeriodicRefresh(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := chain(4)
-	r := New(eng, 0, d, Config{UpdatePeriod: sim.Second, UpdateJitter: 100 * sim.Millisecond})
+	r := New(eng, 0, NewCache(d), Config{UpdatePeriod: sim.Second, UpdateJitter: 100 * sim.Millisecond})
 	r.Start()
 	d.unlink(2, 3)
 	eng.RunFor(3 * sim.Second)
@@ -154,7 +154,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 	d.link(1, 3)
 	d.link(2, 3)
 	for i := 0; i < 5; i++ {
-		r := New(eng, 0, d, Config{})
+		r := New(eng, 0, NewCache(d), Config{})
 		r.Start()
 		if nh, _ := r.NextHop(3); nh != 1 {
 			t.Fatalf("tie break not deterministic: %v", nh)
@@ -164,7 +164,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 
 func TestViewSnapshotAccessors(t *testing.T) {
 	eng := sim.NewEngine(1)
-	r := New(eng, 0, chain(3), Config{})
+	r := New(eng, 0, NewCache(chain(3)), Config{})
 	r.Start()
 	v := r.View()
 	if v == nil || v.Hops(2) != 2 {
@@ -201,8 +201,50 @@ func (d *verDir) Neighbors(u packet.NodeID) []packet.NodeID {
 	return d.nbr
 }
 
+// lineDir is an n-node chain with computed neighbor lists, cheap enough
+// to instantiate at the NodeID addressing ceiling.
+type lineDir struct {
+	n   int
+	buf [2]packet.NodeID
+}
+
+func (d *lineDir) N() int          { return d.n }
+func (d *lineDir) Version() uint64 { return 1 }
+func (d *lineDir) Linked(a, b packet.NodeID) bool {
+	return int(a)-int(b) == 1 || int(b)-int(a) == 1
+}
+
+func (d *lineDir) Neighbors(u packet.NodeID) []packet.NodeID {
+	nbr := d.buf[:0]
+	if u > 0 {
+		nbr = append(nbr, u-1)
+	}
+	if int(u)+1 < d.n {
+		nbr = append(nbr, u+1)
+	}
+	return nbr
+}
+
+// TestFullNodeIDSpace runs the BFS at 65536 nodes, where the last id is
+// the uint16 maximum and any id+1 computed in NodeID arithmetic wraps.
+func TestFullNodeIDSpace(t *testing.T) {
+	const n = 1 << 16
+	c := NewCache(&lineDir{n: n})
+	v := c.Fill(nil, 0, 0)
+	if h := v.Hops(n - 1); h != n-1 {
+		t.Fatalf("hops across the full chain = %d, want %d", h, n-1)
+	}
+	v = c.Fill(v, n-1, 0)
+	if nh, ok := v.NextHop(0); !ok || nh != n-2 || v.Hops(0) != n-1 {
+		t.Fatalf("from the last id: next=%v,%v hops=%d", nh, ok, v.Hops(0))
+	}
+}
+
+// live is the number of snapshots the cache currently retains.
+func (c *Cache) live() uint64 { return c.stats.Captures - c.stats.Recycled }
+
 // plainDir hides every optional extension of a directory, forcing the
-// O(V²) reference BFS.
+// O(V²) Linked-probing capture.
 type plainDir struct{ d Directory }
 
 func (p plainDir) N() int                         { return p.d.N() }
@@ -224,9 +266,10 @@ func requireViewsEqual(t *testing.T, tag string, n int, got, want *View) {
 	}
 }
 
-// TestNeighborBFSMatchesScanBFS drives both BFS variants over seeded
-// random graphs: the neighbor-list walk must produce element-identical
-// views to the all-candidates scan, including tie-breaks.
+// TestNeighborBFSMatchesScanBFS drives both capture flavours over seeded
+// random graphs: the snapshot walked from neighbor lists must produce
+// element-identical views to the one probed from Linked, including
+// tie-breaks.
 func TestNeighborBFSMatchesScanBFS(t *testing.T) {
 	eng := sim.NewEngine(1)
 	for seed := int64(1); seed <= 5; seed++ {
@@ -240,53 +283,59 @@ func TestNeighborBFSMatchesScanBFS(t *testing.T) {
 				}
 			}
 		}
+		fastC, refC := NewCache(d), NewCache(plainDir{d})
 		for src := 0; src < n; src++ {
-			fast := buildView(d, packet.NodeID(src), eng.Now())
-			ref := buildView(plainDir{d}, packet.NodeID(src), eng.Now())
+			fast := fastC.Fill(nil, packet.NodeID(src), eng.Now())
+			ref := refC.Fill(nil, packet.NodeID(src), eng.Now())
 			requireViewsEqual(t, "seed", n, fast, ref)
+		}
+		if fs, rs := fastC.Stats(), refC.Stats(); fs.Captures != 1 || rs.Captures != uint64(n) {
+			t.Fatalf("captures: versioned %d (want 1), unversioned %d (want %d)", fs.Captures, rs.Captures, n)
 		}
 	}
 }
 
+// TestCacheMemoizesWithinVersion pins what one link-state version shares:
+// the adjacency is captured once however many sources fill or refresh,
+// a router whose view was computed at the current version is restamped
+// instead of recomputed, and a version bump costs one new capture.
 func TestCacheMemoizesWithinVersion(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := &verDir{gridDir: chain(6)}
 	c := NewCache(d)
 	v1 := c.Fill(nil, 0, eng.Now())
-	if c.Computes() != 1 {
-		t.Fatalf("computes=%d after first fill", c.Computes())
+	c.Fill(nil, 3, eng.Now())
+	if st := c.Stats(); st.Captures != 1 || st.Computes != 2 {
+		t.Fatalf("two fills at one version: %+v, want 1 capture, 2 computes", st)
 	}
-	// Same source, same version: pure copy, and the adoption time is the
-	// caller's.
+	r := New(eng, 0, c, Config{})
+	r.Start()
+	requireViewsEqual(t, "router vs fill", d.N(), r.View(), v1)
+	// Same version: the refresh is a hit — no BFS, the adoption time moves.
 	eng.RunFor(sim.Second)
-	v2 := c.Fill(nil, 0, eng.Now())
-	if c.Computes() != 1 {
-		t.Fatalf("computes=%d after memoized fill, want 1", c.Computes())
+	before := c.Stats()
+	held := r.View()
+	r.Refresh()
+	st := c.Stats()
+	if st.Computes != before.Computes || st.Hits != before.Hits+1 || st.Captures != 1 {
+		t.Fatalf("refresh at an unchanged version: %+v after %+v, want one more hit only", st, before)
 	}
-	if v2.UpdatedAt != eng.Now() || v2.UpdatedAt == v1.UpdatedAt {
-		t.Fatal("memoized fill must stamp the caller's adoption time")
+	if r.View() != held || held.UpdatedAt != eng.Now() {
+		t.Fatal("a hit must restamp the held view with the refresh time")
 	}
-	requireViewsEqual(t, "memo", d.N(), v2, v1)
-	// Another source computes its own view once.
-	c.Fill(nil, 3, eng.Now())
-	c.Fill(nil, 3, eng.Now())
-	if c.Computes() != 2 {
-		t.Fatalf("computes=%d after second source, want 2", c.Computes())
-	}
-	// A version bump invalidates every source.
+	// A version bump is one new capture, and the next consult recomputes.
 	d.unlink(4, 5)
 	d.ver++
-	v3 := c.Fill(nil, 0, eng.Now())
-	if c.Computes() != 3 {
-		t.Fatalf("computes=%d after version bump, want 3", c.Computes())
+	r.Refresh()
+	if h := r.HopsTo(5); h != -1 {
+		t.Fatalf("recompute missed the topology change, hops=%d", h)
 	}
-	if v3.Hops(5) != -1 {
-		t.Fatal("recompute missed the topology change")
+	if st := c.Stats(); st.Captures != 2 || st.Computes != before.Computes+1 {
+		t.Fatalf("after version bump: %+v, want 2 captures and one more compute", st)
 	}
-	// The previously returned views were copies: the recompute must not
-	// have rewritten them in place.
-	if v1.Hops(5) != 5 || v2.Hops(5) != 5 {
-		t.Fatal("cache recompute mutated previously adopted views")
+	// Views handed out by Fill are the caller's: nothing rewrote them.
+	if v1.Hops(5) != 5 {
+		t.Fatal("a later capture mutated a previously filled view")
 	}
 }
 
@@ -297,28 +346,40 @@ func TestCacheWithoutVersioningAlwaysRecomputes(t *testing.T) {
 	c.Fill(nil, 0, eng.Now())
 	d.unlink(3, 4) // no version to bump — next fill must still see it
 	v := c.Fill(nil, 0, eng.Now())
-	if c.Computes() != 2 {
-		t.Fatalf("computes=%d, want recompute on every fill without versioning", c.Computes())
+	if st := c.Stats(); st.Computes != 2 || st.Captures != 2 {
+		t.Fatalf("%+v, want a capture and a compute on every fill without versioning", st)
 	}
 	if v.Hops(4) != -1 {
 		t.Fatal("unversioned cache returned a stale view")
+	}
+	// A router never takes the restamp shortcut without versions.
+	r := New(eng, 0, c, Config{})
+	r.Start()
+	r.HopsTo(4)
+	d.link(3, 4)
+	r.Refresh()
+	if h := r.HopsTo(4); h != 4 {
+		t.Fatalf("unversioned refresh kept a stale view, hops=%d", h)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.SnapshotsHWM != 1 || c.live() != 1 {
+		t.Fatalf("%+v live=%d, want no hits and one snapshot recycled over and over", st, c.live())
 	}
 }
 
 // TestSharedCacheAcrossRouters is the contract of the node package's
 // usage: routers share one cache, each adopting per its own timer, and
-// a router that has not refreshed holds its stale view across cache
-// recomputes.
+// a router that has not refreshed holds its stale view across later
+// captures — whether or not it had consulted that view yet.
 func TestSharedCacheAcrossRouters(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := &verDir{gridDir: chain(5)}
 	c := NewCache(d)
-	r0 := New(eng, 0, d, Config{})
-	r2 := New(eng, 2, d, Config{})
-	r0.UseShared(c)
-	r2.UseShared(c)
-	r0.Start()
-	r2.Start()
+	r0 := New(eng, 0, c, Config{})
+	r2 := New(eng, 2, c, Config{})
+	r4 := New(eng, 4, c, Config{})
+	for _, r := range []*Router{r0, r2, r4} {
+		r.Start()
+	}
 	if nh, _ := r0.NextHop(4); nh != 1 {
 		t.Fatalf("r0 next hop %v", nh)
 	}
@@ -329,6 +390,7 @@ func TestSharedCacheAcrossRouters(t *testing.T) {
 	// the paper's staleness semantics survive the shared cache.
 	d.unlink(2, 3)
 	d.ver++
+	eng.RunFor(sim.Second)
 	r0.Refresh()
 	if h := r0.HopsTo(4); h != -1 {
 		t.Fatalf("r0 refresh missed the partition, hops=%d", h)
@@ -336,53 +398,82 @@ func TestSharedCacheAcrossRouters(t *testing.T) {
 	if h := r2.HopsTo(4); h != 2 {
 		t.Fatalf("r2 should still hold its stale view, hops=%d", h)
 	}
+	// r4 never consulted its start-time view: the deferred BFS must run
+	// over the adjacency of its refresh, not today's, stamped back then.
+	if h := r4.HopsTo(0); h != 4 {
+		t.Fatalf("r4's deferred view saw a later topology, hops=%d", h)
+	}
+	if at := r4.View().UpdatedAt; at != 0 {
+		t.Fatalf("r4's view stamped %v, want its refresh time 0", at)
+	}
 	r2.Refresh()
 	if h := r2.HopsTo(4); h != -1 {
 		t.Fatal("r2 refresh should adopt the new snapshot")
 	}
 }
 
-// TestCacheEvictsSupersededVersions pins the memory bound under
-// mobility: when the link-state version moves on, every view memoized
-// under a superseded version is evicted (its arrays recycled), so the
-// cache holds views only for sources active in the current version
-// instead of one per source ever routed.
+// TestCacheEvictsSupersededVersions pins the snapshot lifetime, the
+// memory bound under mobility: a superseded version's snapshot lives
+// exactly as long as some router still has it pinned, retained snapshots
+// never exceed the distinct versions pinned (plus the current one), a
+// released snapshot's arrays serve the next capture, and Stop releases
+// what a router still holds.
 func TestCacheEvictsSupersededVersions(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := &verDir{gridDir: chain(8)}
 	c := NewCache(d)
+	var rs []*Router
 	for src := 0; src < 4; src++ {
-		c.Fill(nil, packet.NodeID(src), eng.Now())
+		r := New(eng, packet.NodeID(src), c, Config{})
+		r.Start()
+		rs = append(rs, r)
 	}
-	if c.Evictions() != 0 {
-		t.Fatalf("evictions=%d before any version change", c.Evictions())
+	v0 := c.cur
+	if st := c.Stats(); st.Captures != 1 || st.Recycled != 0 || v0.refs != 4 {
+		t.Fatalf("four routers at one version: %+v refs=%d, want one shared snapshot", st, v0.refs)
 	}
-	// Version moves on; the next fill sweeps all four stale entries
-	// (including the refilled source's own).
+	// Three more versions; router i refreshes at version i, so each of
+	// the four versions is pinned by exactly one router.
+	for i := 1; i < 4; i++ {
+		d.ver++
+		rs[i].Refresh()
+	}
+	if st := c.Stats(); c.live() != 4 || st.SnapshotsHWM != 4 || st.Recycled != 0 {
+		t.Fatalf("live=%d %+v, want 4 pinned versions retained", c.live(), st)
+	}
+	// Consulting releases the pin: version 0's snapshot is superseded and
+	// now unpinned, so it is recycled; version 3's is current and stays.
+	if h := rs[0].HopsTo(7); h != 7 {
+		t.Fatalf("hops=%d", h)
+	}
+	rs[3].HopsTo(7)
+	if st := c.Stats(); st.Recycled != 1 || c.live() != 3 || len(c.free) != 1 || c.free[0] != v0 {
+		t.Fatalf("live=%d free=%d %+v, want version 0's snapshot recycled alone", c.live(), len(c.free), st)
+	}
+	// The next capture supersedes version 3's unpinned snapshot and takes
+	// its arrays straight back, and serves correctly.
+	v3 := c.cur
+	d.unlink(6, 7)
 	d.ver++
-	c.Fill(nil, 2, eng.Now())
-	if c.Evictions() != 4 {
-		t.Fatalf("evictions=%d after version bump, want 4", c.Evictions())
+	rs[0].Refresh()
+	if c.cur != v3 || v3.version != d.ver || len(c.free) != 1 || c.Stats().Captures != 5 {
+		t.Fatal("capture did not reuse a recycled snapshot")
 	}
-	live := 0
-	for _, e := range c.ent {
-		if e.valid {
-			live++
-		}
+	if h := rs[0].HopsTo(7); h != -1 {
+		t.Fatalf("recycled-snapshot view wrong: hops(7)=%d", h)
 	}
-	if live != 1 {
-		t.Fatalf("%d live entries after sweep, want only the refilled source", live)
+	// Stop releases the pins of the two routers never consulted (three
+	// start-time refreshes were already superseded unconsulted above): only
+	// the current version's snapshot remains, with no references.
+	for _, r := range rs {
+		r.Stop()
 	}
-	// Recycled arrays must serve recomputes correctly.
-	v := c.Fill(nil, 5, eng.Now())
-	if v.Hops(7) != 2 {
-		t.Fatalf("recycled-buffer view wrong: hops(7)=%d", v.Hops(7))
+	st := c.Stats()
+	if c.live() != 1 || c.cur.refs != 0 || st.Unconsulted != 5 || st.SnapshotsHWM != 4 {
+		t.Fatalf("after Stop: live=%d refs=%d %+v", c.live(), c.cur.refs, st)
 	}
-	// Unchanged version: no further sweeps.
-	ev := c.Evictions()
-	c.Fill(nil, 5, eng.Now())
-	if c.Evictions() != ev {
-		t.Fatalf("evictions moved (%d->%d) without a version change", ev, c.Evictions())
+	if st.Computes+st.Unconsulted+st.Hits != st.Fills {
+		t.Fatalf("every refresh is a compute, a hit or unconsulted once nothing is pending: %+v", st)
 	}
 }
 
@@ -393,20 +484,19 @@ func TestOnDemandRouter(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := &verDir{gridDir: chain(5)}
 	c := NewCache(d)
-	r := New(eng, 0, d, Config{UpdatePeriod: sim.Second, OnDemand: true})
-	r.UseShared(c)
+	r := New(eng, 0, c, Config{UpdatePeriod: sim.Second, OnDemand: true})
 	r.Start()
 	if r.View() != nil {
 		t.Fatal("on-demand Start must not compute a view")
 	}
-	if c.Computes() != 0 {
+	if c.Stats() != (Stats{}) {
 		t.Fatal("on-demand Start must not touch the cache")
 	}
 	if nh, ok := r.NextHop(4); !ok || nh != 1 {
 		t.Fatalf("first use next hop = %v,%v", nh, ok)
 	}
-	if c.Computes() != 1 {
-		t.Fatalf("computes=%d after first use, want 1", c.Computes())
+	if st := c.Stats(); st.Computes != 1 || c.cur.refs != 0 {
+		t.Fatalf("%+v refs=%d after first use, want 1 compute and the pin released", st, c.cur.refs)
 	}
 	// Within the period the held view answers, even if stale.
 	d.unlink(3, 4)
@@ -421,8 +511,7 @@ func TestOnDemandRouter(t *testing.T) {
 		t.Fatalf("past-period use must refresh, hops=%d", h)
 	}
 	// Self-route needs no view at all.
-	r2 := New(eng, 2, d, Config{OnDemand: true})
-	r2.UseShared(c)
+	r2 := New(eng, 2, c, Config{OnDemand: true})
 	r2.Start()
 	if nh, ok := r2.NextHop(2); !ok || nh != 2 {
 		t.Fatalf("self next hop = %v,%v", nh, ok)
@@ -431,13 +520,28 @@ func TestOnDemandRouter(t *testing.T) {
 		t.Fatal("self-route must not materialize a view")
 	}
 	// Zero update period: materialize once, never refresh again.
-	r3 := New(eng, 1, d, Config{OnDemand: true})
-	r3.UseShared(c)
+	r3 := New(eng, 1, c, Config{OnDemand: true})
 	r3.Start()
-	before := c.Fills()
+	before := c.Stats().Fills
 	r3.NextHop(0)
 	r3.NextHop(0)
-	if c.Fills() != before+1 {
-		t.Fatalf("static on-demand router filled %d times, want 1", c.Fills()-before)
+	if got := c.Stats().Fills - before; got != 1 {
+		t.Fatalf("static on-demand router filled %d times, want 1", got)
+	}
+}
+
+var sinkHop packet.NodeID
+
+// BenchmarkRouterNextHop is the consult fast path: a settled periodic
+// router pays one pending/on-demand check before the view read.
+func BenchmarkRouterNextHop(b *testing.B) {
+	eng := sim.NewEngine(1)
+	r := New(eng, 0, NewCache(&verDir{gridDir: chain(64)}), Defaults())
+	r.Start()
+	r.NextHop(63)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkHop, _ = r.NextHop(packet.NodeID(1 + i&31))
 	}
 }
