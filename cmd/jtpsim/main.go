@@ -10,8 +10,6 @@
 //	jtpsim batch -matrix sweep.json    # user-declared scenario matrix
 //	jtpsim gen -family rgg -nodes 20   # dump a generated workload scenario
 //	jtpsim gen -replay dump.json       # replay a dumped scenario exactly
-//	jtpsim bench -out BENCH_PR4.json   # perf harness: fig 9 campaign + alloc guards
-//	jtpsim bench -preset mobile        # perf harness: large-n mobile RGG tier
 //	jtpsim batch -matrix m.json -shard 0/3 -shard-out s0.json
 //	                                   # run one of three campaign shards
 //	jtpsim merge s0.json s1.json s2.json
@@ -25,7 +23,7 @@
 // SIGINT/SIGTERM (rerunning the same command auto-resumes).
 //
 // Every mode accepts -cpuprofile/-memprofile to write pprof profiles of
-// the run. The campaign modes (experiments, batch, bench) also accept
+// the run. The campaign modes (experiments and batch) also accept
 // -telemetry out.jsonl (one JSON line of counters per completed run),
 // -progress (stderr ticker with runs/sec and ETA) and -debug-addr :8484
 // (live net/http/pprof + expvar, including the folded campaign counters
@@ -71,8 +69,8 @@ var par int
 
 // kernelPar is the parallel discrete-event kernel's spatial partition
 // count (-kernel-par flag; 0 = classic serial engine). Figure campaigns
-// 9–11 and the bench presets thread it into every scenario; results are
-// byte-identical at every value.
+// 9–11 thread it into every scenario; results are byte-identical at
+// every value.
 var kernelPar int
 
 // show prints one table in the selected format.
@@ -93,22 +91,33 @@ type experiment struct {
 	run  func(scale float64, seed int64)
 }
 
-func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run dispatches on the first word: a subcommand, or a flag of the
+// figure mode. Any other word is an error — expMain would stop parsing
+// flags at it and silently ignore the rest.
+func run(args []string) int {
+	if len(args) > 0 {
+		switch args[0] {
 		case "batch":
-			os.Exit(batchMain(os.Args[2:]))
+			return batchMain(args[1:])
 		case "gen":
-			os.Exit(genMain(os.Args[2:]))
-		case "bench":
-			os.Exit(benchMain(os.Args[2:]))
+			return genMain(args[1:])
 		case "merge":
-			os.Exit(mergeMain(os.Args[2:]))
+			return mergeMain(args[1:])
 		case "coord":
-			os.Exit(coordMain(os.Args[2:]))
+			return coordMain(args[1:])
+		}
+		if !strings.HasPrefix(args[0], "-") {
+			hint := "want batch, gen, merge or coord, or -exp <id>"
+			if args[0] == "bench" {
+				hint = "the benchmark is: go run -C bench ."
+			}
+			fmt.Fprintf(os.Stderr, "jtpsim: unknown subcommand %q (%s)\n", args[0], hint)
+			return 2
 		}
 	}
-	os.Exit(expMain())
+	return expMain()
 }
 
 // expMain is the classic figure-reproduction mode.
@@ -162,7 +171,6 @@ func expMain() int {
 		}
 		fmt.Fprintln(os.Stderr, "or: jtpsim batch -matrix <file.json> [-par N] [-csv|-json]")
 		fmt.Fprintln(os.Stderr, "or: jtpsim gen [-spec wl.json | -family chain|grid|rgg|star -nodes N] [-seed S] [-run|-replay dump.json] [-proto P] [-trace out.jsonl]")
-		fmt.Fprintln(os.Stderr, "or: jtpsim bench [-preset fig9|mobile|telemetry] [-scale S] [-par N] [-out report.json] [-check]")
 		fmt.Fprintln(os.Stderr, "or: jtpsim merge [-csv|-json] shard0.json shard1.json ...")
 		fmt.Fprintln(os.Stderr, "campaign telemetry: [-telemetry out.jsonl] [-progress] [-debug-addr :8484]")
 		fmt.Fprintln(os.Stderr, "campaign sharding: [-shard i/N] [-shard-out file.json] [-checkpoint ck.json]")

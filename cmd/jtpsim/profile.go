@@ -1,12 +1,11 @@
 package main
 
 // Shared -cpuprofile/-memprofile support for every jtpsim mode, so future
-// perf work can profile figure reproductions, batch campaigns and the
-// bench harness without editing code:
+// perf work can profile figure reproductions and batch campaigns without
+// editing code:
 //
 //	jtpsim -exp fig9 -cpuprofile fig9.cpu.prof
 //	jtpsim batch -matrix sweep.json -memprofile sweep.mem.prof
-//	jtpsim bench -cpuprofile bench.cpu.prof
 
 import (
 	"flag"

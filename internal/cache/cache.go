@@ -123,17 +123,6 @@ func NewWithPolicy(capacity int, policy Policy, seed int64) *Cache {
 // recycled into it. The experiment harness passes the network's pool.
 func (c *Cache) SetPool(p *packet.Pool) { c.pool = p }
 
-// WarmRNG builds the eviction RNG now instead of on the first Random
-// draw. The stream is identical either way; the only difference is when
-// the rand.NewSource warm-up cost is paid. The bench harness uses it to
-// reconstruct the historical eager-construction baseline, where every
-// per-node cache paid the warm-up at network build time.
-func (c *Cache) WarmRNG() {
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.seed))
-	}
-}
-
 // clone copies p for storage, through the pool when one is attached.
 func (c *Cache) clone(p *packet.Packet) *packet.Packet {
 	if c.pool == nil {

@@ -72,12 +72,10 @@ func Fig9Defaults(scale float64) Fig9Config {
 
 // fig9Matrix declares the Fig 9 campaign: the (protocol × size × run)
 // sweep with the historical seed schedule (Seed + run·1009), preserved
-// so results match the original serial implementation exactly. Fig9 and
-// Fig9CampaignBench share it, so the bench always measures the figure's
-// real workload.
-func fig9Matrix(name string, cfg Fig9Config) campaign.Matrix {
+// so results match the original serial implementation exactly.
+func fig9Matrix(cfg Fig9Config) campaign.Matrix {
 	return campaign.Matrix{
-		Name: name,
+		Name: "fig9",
 		Axes: []campaign.Axis{
 			{Name: "proto", Values: protocolValues(cfg.Protocols)},
 			{Name: "netSize", Values: campaign.Ints(cfg.Sizes...)},
@@ -92,7 +90,7 @@ func fig9Matrix(name string, cfg Fig9Config) campaign.Matrix {
 // Fig9 reproduces Fig 9(a) energy/bit and Fig 9(b) goodput for linear
 // topologies on the campaign engine.
 func Fig9(cfg Fig9Config) []*Fig9Point {
-	rep := mustExecute(fig9Matrix("fig9", cfg), cfg.Par, func(spec campaign.RunSpec) campaign.Sample {
+	rep := mustExecute(fig9Matrix(cfg), cfg.Par, func(spec campaign.RunSpec) campaign.Sample {
 		rec := runFig9Once(Protocol(spec.Cell.String("proto")), spec.Cell.Int("netSize"), spec.Seed, cfg)
 		return telemetrySample(campaign.Sample{
 			obsEnergyPerBit: rec.EnergyPerBit(),
@@ -109,28 +107,6 @@ func Fig9(cfg Fig9Config) []*Fig9Point {
 		}
 	}
 	return out
-}
-
-// Fig9CampaignBench executes the Fig 9 campaign exactly as Fig9 does —
-// same matrix, same seed schedule, same worker pool — and additionally
-// accounts kernel events, so the CLI can report runs/sec and events/sec
-// for the canonical campaign workload.
-func Fig9CampaignBench(cfg Fig9Config) Fig9BenchResult {
-	const obsEvents = "bench_events"
-	rep := mustExecute(fig9Matrix("fig9-bench", cfg), cfg.Par, func(spec campaign.RunSpec) campaign.Sample {
-		rec := runFig9Once(Protocol(spec.Cell.String("proto")), spec.Cell.Int("netSize"), spec.Seed, cfg)
-		return telemetrySample(campaign.Sample{
-			obsEnergyPerBit: rec.EnergyPerBit(),
-			obsGoodputBps:   rec.MeanGoodputBps(),
-			obsEvents:       float64(rec.Events),
-		}, rec)
-	})
-	res := Fig9BenchResult{Runs: rep.Runs, Cells: len(rep.Cells)}
-	for _, c := range rep.Cells {
-		r := c.Running(obsEvents)
-		res.Events += uint64(r.Sum())
-	}
-	return res
 }
 
 // runFig9Once runs one (protocol, size, seed) cell: two competing

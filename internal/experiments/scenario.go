@@ -107,13 +107,6 @@ type Scenario struct {
 	LinearSpacing float64
 	// MobilitySpeed enables random-waypoint motion at this speed in m/s.
 	MobilitySpeed float64
-	// RoutingOnDemand moves each router's refresh decision to use time
-	// (routing.Config.OnDemand): no refresh timers — a view is adopted
-	// at first NextHop and refreshed at use time once UpdatePeriod old.
-	// The huge bench tiers use it so a 10k-node network doesn't fire 10k
-	// refresh timers a second for the handful of nodes that ever see
-	// traffic.
-	RoutingOnDemand bool
 	// KernelPartitions, when > 0, runs the scenario on the conservative
 	// parallel kernel with that many spatial partitions
 	// (node.Network.PartitionKernel). Outputs are byte-identical at any
@@ -122,15 +115,6 @@ type Scenario struct {
 	// is disabled in kernel mode (its free-list order would depend on
 	// worker interleaving); transports fall back to plain allocation.
 	KernelPartitions int
-	// LegacyBaseline prices the historical serial engine inside the
-	// current binary, for the bench harness's baseline arm: duplicate
-	// patch-row quality arithmetic (node.Config.LegacyPatchQual) and the
-	// full-adjacency materialization endpoint placement and the
-	// connectivity check used to pay before the lazy grid BFS. Every
-	// result byte is identical either way; only wall-clock differs.
-	// (The third historical cost, eager per-node cache RNG construction,
-	// is priced by ijtp.Config.EagerCacheRNG via IJTPTune.)
-	LegacyBaseline bool
 	// Seconds is the run duration in virtual seconds.
 	Seconds float64
 	// Seed drives all randomness; same seed, same run.
@@ -355,12 +339,6 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 			return nil, fmt.Errorf("experiments: could not build connected random topology n=%d", sc.Nodes)
 		}
 		topo = t
-		if sc.LegacyBaseline {
-			// Historical baseline: Connected used to materialize the full
-			// adjacency for its reachability sweep. Price one build (the
-			// accepted placement's; rejected retries are not re-priced).
-			_ = topology.Adjacency(topo, chCfg.Range)
-		}
 	default:
 		return nil, fmt.Errorf("experiments: unknown topology kind %d", sc.Topo)
 	}
@@ -369,7 +347,6 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 	if sc.MobilitySpeed > 0 {
 		rtCfg = routing.Defaults()
 	}
-	rtCfg.OnDemand = sc.RoutingOnDemand
 
 	nw := node.New(eng, node.Config{
 		Topo:    topo,
@@ -378,8 +355,6 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 		Routing: rtCfg,
 		Energy:  energy.JAVeLEN(),
 		Budgets: sc.EnergyBudgets,
-
-		LegacyPatchQual: sc.LegacyBaseline,
 	})
 
 	// All scenario traffic comes from the built-in drivers, whose
@@ -566,7 +541,6 @@ func (b *BuiltScenario) Run() *metrics.RunRecord {
 		Seconds:       b.sc.Seconds,
 		TotalEnergy:   b.nw.TotalEnergy(),
 		PerNodeEnergy: b.nw.PerNodeEnergy(),
-		Events:        b.eng.Executed,
 		QueueDrops:    b.nw.QueueDrops(),
 	}
 	if len(b.sc.EnergyBudgets) > 0 {
@@ -629,8 +603,7 @@ func (b *BuiltScenario) collectObs(reg *obs.Registry) {
 	// kernel_* key is partition-count-VARIANT by nature (stalls, window
 	// counts, per-partition high-water marks depend on how the node set
 	// was split); the invariance suite strips the prefix before
-	// comparing telemetry across partition counts, and the bench report
-	// surfaces them per run.
+	// comparing telemetry across partition counts.
 	if ks := b.eng.KernelStats(); ks.Partitions > 0 {
 		reg.Counter("kernel_partitions").Add(uint64(ks.Partitions))
 		reg.Counter("kernel_serial_steps").Add(ks.SerialSteps)
@@ -644,8 +617,8 @@ func (b *BuiltScenario) collectObs(reg *obs.Registry) {
 				hwm = p.HeapHWM
 			}
 			// Per-partition lookahead stalls and heap-depth high-water
-			// marks, keyed by partition index (the fold order), so the
-			// bench report can show where the conservative windows lose
+			// marks, keyed by partition index (the fold order), so
+			// -telemetry shows where the conservative windows lose
 			// progress.
 			reg.Counter(fmt.Sprintf("kernel_p%d_stalls", i)).Add(p.Stalls)
 			reg.Gauge(fmt.Sprintf("kernel_p%d_heap_depth", i)).Update(p.HeapHWM)
@@ -700,12 +673,6 @@ func pickEndpoints(spec FlowSpec, sc Scenario, eng *sim.Engine, topo *topology.T
 		b := r.Intn(sc.Nodes)
 		if a == b {
 			continue
-		}
-		if sc.LegacyBaseline {
-			// Historical baseline: HopDistance used to materialize (and
-			// sort) the full adjacency before its BFS. Price that build;
-			// the distance itself is unchanged.
-			_ = topology.Adjacency(topo, rng)
 		}
 		if topology.HopDistance(topo, rng, packet.NodeID(a), packet.NodeID(b)) >= 1 {
 			return a, b

@@ -59,11 +59,6 @@ type Config struct {
 	// Strategy selects how per-hop success targets are derived from the
 	// loss tolerance.
 	Strategy TargetStrategy
-	// EagerCacheRNG constructs the cache's eviction RNG at build time
-	// rather than on first use. Results are identical; only setup cost
-	// moves. The bench harness sets it to reconstruct the historical
-	// serial baseline where every node paid the rand warm-up up front.
-	EagerCacheRNG bool
 }
 
 // TargetStrategy selects the per-link success-target computation of §3.
@@ -168,17 +163,13 @@ func New(id packet.NodeID, cfg Config, view PathView, forward Forwarder) *Plugin
 	if !cfg.CacheEnabled {
 		capacity = 0
 	}
-	pl := &Plugin{
+	return &Plugin{
 		id:      id,
 		cfg:     cfg,
 		view:    view,
 		forward: forward,
 		cache:   cache.NewWithPolicy(capacity, cfg.CachePolicy, int64(id)+1),
 	}
-	if cfg.EagerCacheRNG {
-		pl.cache.WarmRNG()
-	}
-	return pl
 }
 
 // Cache exposes the node's cache (tests and metrics).

@@ -89,9 +89,6 @@ type RunRecord struct {
 	// BudgetDeadNodes counts nodes whose energy budget was exhausted by
 	// the end of the run.
 	BudgetDeadNodes int
-	// Events counts simulation-kernel handler executions for the run
-	// (perf accounting: the bench harness reports events/sec).
-	Events uint64
 	// QueueDrops counts MAC queue overflows across the system.
 	QueueDrops uint64
 	// EnergyBudgetDrops counts packets dropped for exceeding budget.

@@ -364,23 +364,84 @@ func TestPatchedSnapshotQualityMatchesRebuild(t *testing.T) {
 		for step := 0; step < 5; step++ {
 			eng.RunFor(500 * sim.Millisecond)
 			nw.Version() // bring the snapshot current via the patch path
-			fresh := New(sim.NewEngine(1), Config{
-				Topo:    tp.Clone(),
-				Channel: channel.Defaults(),
-				MAC:     mac.Defaults(),
-				Routing: routing.Defaults(),
-				Energy:  energy.JAVeLEN(),
-			})
-			n := nw.N()
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					a, b := packet.NodeID(i), packet.NodeID(j)
-					if got, want := nw.LinkQuality(a, b), fresh.LinkQuality(a, b); got != want {
-						t.Fatalf("seed %d step %d: LinkQuality(%v,%v)=%v patched, %v rebuilt",
-							seed, step, a, b, got, want)
-					}
-				}
+			checkQualityAgainstRebuild(t, nw, seed, step)
+		}
+	}
+}
+
+// checkQualityAgainstRebuild compares every LinkQuality(a,b) of a
+// patched network bit-exact against a network built fresh at the same
+// positions.
+func checkQualityAgainstRebuild(t *testing.T, nw *Network, seed int64, step int) {
+	t.Helper()
+	fresh := New(sim.NewEngine(1), Config{
+		Topo:    nw.Topology().Clone(),
+		Channel: channel.Defaults(),
+		MAC:     mac.Defaults(),
+		Routing: routing.Defaults(),
+		Energy:  energy.JAVeLEN(),
+	})
+	n := nw.N()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a, b := packet.NodeID(i), packet.NodeID(j)
+			if got, want := nw.LinkQuality(a, b), fresh.LinkQuality(a, b); got != want {
+				t.Fatalf("seed %d step %d: LinkQuality(%v,%v)=%v patched, %v rebuilt",
+					seed, step, a, b, got, want)
 			}
+		}
+	}
+}
+
+// TestPartiallyPatchedSnapshotQualityMatchesRebuild is the quality-plane
+// check for patchRow alone. Random-waypoint mobility moves (nearly)
+// every node each tick in 2.5 m steps, so the test above goes through
+// the whole-row refill whenever no node pauses and hardly ever crosses a
+// grid cell. Here a handful of nodes jump per step (up to ±75 m on 100 m
+// cells, so cells are crossed and edges appear and vanish) and every
+// step is on the merge-walk path: the mover's own row, filled from the
+// qualities the walk collected, and every mirrored neighbor entry must
+// be bit-equal to a fresh build.
+func TestPartiallyPatchedSnapshotQualityMatchesRebuild(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tp, ok := topology.Random(60, 100, rng, 200)
+		if !ok {
+			t.Fatal("rgg generation failed")
+		}
+		nw := New(sim.NewEngine(seed), Config{
+			Topo:    tp,
+			Channel: channel.Defaults(),
+			MAC:     mac.Defaults(),
+			Routing: routing.Defaults(),
+			Energy:  energy.JAVeLEN(),
+		})
+		reg := obs.New()
+		nw.Observe(reg)
+		v0 := nw.Version()
+		moved := 0
+		for step := 0; step < 40; step++ {
+			// Distinct ids, so the fold's delta is exactly k rows.
+			k := 1 + rng.Intn(7)
+			for _, i := range rng.Perm(nw.N())[:k] {
+				id := packet.NodeID(i)
+				p := tp.Position(id)
+				tp.SetPosition(id, geom.Point{
+					X: p.X + 150*rng.Float64() - 75,
+					Y: p.Y + 150*rng.Float64() - 75,
+				})
+			}
+			moved += k
+			nw.Version()
+			checkQualityAgainstRebuild(t, nw, seed, step)
+		}
+		snap := reg.Snapshot()
+		if snap["linkstate_full_rebuilds"] != 1 || snap["linkstate_rows_patched"] != uint64(moved) {
+			t.Fatalf("seed %d: %v full rebuilds, %v rows patched; want 1 and %d (every step on the patch path)",
+				seed, snap["linkstate_full_rebuilds"], snap["linkstate_rows_patched"], moved)
+		}
+		if nw.Version() == v0 {
+			t.Fatalf("seed %d: no step changed a neighbor set; the case needs edge inserts and removes", seed)
 		}
 	}
 }

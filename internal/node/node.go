@@ -68,14 +68,6 @@ type Config struct {
 	// dead battery: it stops transmitting, receiving and routing, like a
 	// failed node. Spent energy therefore never exceeds the budget.
 	Budgets []float64
-	// LegacyPatchQual reconstructs the historical row-patch arithmetic:
-	// patchRow recomputing every merged neighbor's distance and quality a
-	// second time when refilling the moved node's own row, instead of
-	// reusing the qualities the merge walk already produced. Results are
-	// identical either way. The bench harness's serial baseline arm sets
-	// it (alongside ijtp.Config.EagerCacheRNG) to price the
-	// pre-optimization engine inside the current binary.
-	LegacyPatchQual bool
 	// MaxHops drops segments that traversed more than this many hops
 	// (loop backstop). Zero defaults to 4×N.
 	MaxHops int
@@ -517,7 +509,7 @@ func (nw *Network) patchSnap(epoch uint64, moved []packet.NodeID) {
 		s.grid.Move(id)
 	}
 	changed := false
-	if len(moved) == s.n && !nw.cfg.LegacyPatchQual {
+	if len(moved) == s.n {
 		// Whole-network folds (random-waypoint moves every node every
 		// tick) re-derive every row below, so the mirrored bookkeeping
 		// patchRow does per edge — find the neighbor's row, splice or
@@ -603,17 +595,7 @@ func (nw *Network) patchRow(m packet.NodeID) bool {
 	// Overwrite m's own row from the merged set.
 	row := &s.rows[int(m)]
 	row.nbr = append(row.nbr[:0], cand...)
-	if nw.cfg.LegacyPatchQual {
-		// Historical baseline: recompute each distance and quality from
-		// scratch (see Config.LegacyPatchQual). Same values, twice the
-		// arithmetic.
-		row.qual = row.qual[:0]
-		for _, n := range cand {
-			row.qual = append(row.qual, channel.Quality(pm.Dist(pos[int(n)]), rng))
-		}
-	} else {
-		row.qual = append(row.qual[:0], qcand...)
-	}
+	row.qual = append(row.qual[:0], qcand...)
 	return changed
 }
 
