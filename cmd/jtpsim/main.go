@@ -36,10 +36,7 @@
 //
 // The multi-run experiments (figs 9–11) and batch mode execute on the
 // internal/campaign worker pool; -par sets the pool size (default: all
-// CPUs). Results are byte-identical for every -par value. Orthogonally,
-// -kernel-par N runs each figure-campaign simulation on the parallel
-// discrete-event kernel with N spatial partitions (0 = classic serial
-// engine); outputs are byte-identical at any partition count.
+// CPUs). Results are byte-identical for every -par value.
 //
 // Batch mode reads a JSON matrix (see experiments.BatchSpec) crossing
 // protocol × network size × mobility speed × loss tolerance × cache
@@ -66,12 +63,6 @@ var asCSV bool
 
 // par is the campaign worker-pool size (-par flag; 0 = all CPUs).
 var par int
-
-// kernelPar is the parallel discrete-event kernel's spatial partition
-// count (-kernel-par flag; 0 = classic serial engine). Figure campaigns
-// 9–11 thread it into every scenario; results are byte-identical at
-// every value.
-var kernelPar int
 
 // show prints one table in the selected format.
 func show(t *metrics.Table) {
@@ -130,7 +121,6 @@ func expMain() int {
 	)
 	flag.BoolVar(&asCSV, "csv", false, "emit tables as CSV (for plotting)")
 	flag.IntVar(&par, "par", 0, "campaign worker-pool size (0 = all CPUs)")
-	flag.IntVar(&kernelPar, "kernel-par", 0, "parallel-kernel spatial partitions per scenario, figs 9-11 (0 = classic serial; results identical)")
 	addProfileFlags(flag.CommandLine)
 	addTelemetryFlags(flag.CommandLine)
 	addShardFlags(flag.CommandLine)
@@ -421,7 +411,6 @@ func registry() []experiment {
 				cfg.Seed = seed
 			}
 			cfg.Par = par
-			cfg.KernelPartitions = kernelPar
 			a, b := experiments.Fig9Table(experiments.Fig9(cfg))
 			show(a)
 			fmt.Println()
@@ -433,7 +422,6 @@ func registry() []experiment {
 				cfg.Seed = seed
 			}
 			cfg.Par = par
-			cfg.KernelPartitions = kernelPar
 			a, b := experiments.Fig10Tables(experiments.Fig10(cfg))
 			show(a)
 			fmt.Println()
@@ -445,7 +433,6 @@ func registry() []experiment {
 				cfg.Seed = seed
 			}
 			cfg.Par = par
-			cfg.KernelPartitions = kernelPar
 			a, b, c := experiments.Fig11Tables(experiments.Fig11(cfg))
 			show(a)
 			fmt.Println()

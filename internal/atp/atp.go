@@ -234,7 +234,7 @@ func NewSender(nw *node.Network, cfg Config) *Sender {
 	s := &Sender{
 		cfg:    cfg,
 		net:    nw,
-		eng:    nw.EngineFor(cfg.Src),
+		eng:    nw.Engine(),
 		rate:   cfg.InitialRate,
 		inPend: make(map[uint32]bool),
 	}
@@ -447,7 +447,7 @@ func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 	return &Receiver{
 		cfg:      cfg,
 		net:      nw,
-		eng:      nw.EngineFor(cfg.Dst),
+		eng:      nw.Engine(),
 		received: make(map[uint32]bool),
 	}
 }

@@ -339,7 +339,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 
 	ticker := time.NewTicker(c.cfg.poll())
 	defer ticker.Stop()
-	var supErr error  // first infrastructure error (journal write), fatal
+	var supErr error   // first infrastructure error (journal write), fatal
 	cancelled := false // ctx cancelled before the campaign finished
 
 loop:

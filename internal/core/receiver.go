@@ -105,7 +105,7 @@ func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 	r := &Receiver{
 		cfg:          cfg,
 		net:          nw,
-		eng:          nw.EngineFor(cfg.Dst),
+		eng:          nw.Engine(),
 		pool:         nw.PacketPool(),
 		received:     make(map[uint32]bool),
 		missedAt:     make(map[uint32]sim.Time),

@@ -74,7 +74,7 @@ func NewSender(nw *node.Network, cfg Config) *Sender {
 	s := &Sender{
 		cfg:          cfg,
 		net:          nw,
-		eng:          nw.EngineFor(cfg.Src),
+		eng:          nw.Engine(),
 		pool:         nw.PacketPool(),
 		rate:         cfg.InitialRate,
 		energyBudget: cfg.InitialEnergyBudget,

@@ -29,10 +29,6 @@ type Fig10Config struct {
 	Seed      int64
 	// Par is the campaign worker-pool size (0 = GOMAXPROCS).
 	Par int
-	// KernelPartitions runs every scenario on the parallel kernel with
-	// that many spatial partitions (0 = classic serial). Results are
-	// identical for every partition count.
-	KernelPartitions int
 }
 
 // Fig10Defaults returns the paper's parameters at the given scale.
@@ -104,14 +100,13 @@ func runFig10Once(proto Protocol, n int, seed int64, cfg Fig10Config) *metrics.R
 		}
 	}
 	return must(Run(Scenario{
-		Name:             "fig10",
-		Proto:            proto,
-		Topo:             Random,
-		Nodes:            n,
-		Seconds:          cfg.Seconds,
-		Seed:             seed,
-		Flows:            flows,
-		KernelPartitions: cfg.KernelPartitions,
+		Name:    "fig10",
+		Proto:   proto,
+		Topo:    Random,
+		Nodes:   n,
+		Seconds: cfg.Seconds,
+		Seed:    seed,
+		Flows:   flows,
 	}))
 }
 

@@ -33,10 +33,6 @@ type Fig11Config struct {
 	Seed      int64
 	// Par is the campaign worker-pool size (0 = GOMAXPROCS).
 	Par int
-	// KernelPartitions runs every scenario on the parallel kernel with
-	// that many spatial partitions (0 = classic serial). Results are
-	// identical for every partition count.
-	KernelPartitions int
 }
 
 // Fig11Defaults returns the paper's parameters at the given scale.
@@ -113,15 +109,14 @@ func runFig11Once(proto Protocol, speed float64, seed int64, cfg Fig11Config) *m
 		flows[i] = FlowSpec{Src: -1, Dst: -1, StartAt: cfg.Warmup + float64(i)*10}
 	}
 	return must(Run(Scenario{
-		Name:             "fig11",
-		Proto:            proto,
-		Topo:             Random,
-		Nodes:            cfg.Nodes,
-		MobilitySpeed:    speed,
-		Seconds:          cfg.Seconds,
-		Seed:             seed,
-		Flows:            flows,
-		KernelPartitions: cfg.KernelPartitions,
+		Name:          "fig11",
+		Proto:         proto,
+		Topo:          Random,
+		Nodes:         cfg.Nodes,
+		MobilitySpeed: speed,
+		Seconds:       cfg.Seconds,
+		Seed:          seed,
+		Flows:         flows,
 	}))
 }
 

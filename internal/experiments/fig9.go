@@ -36,10 +36,6 @@ type Fig9Config struct {
 	// Par is the worker-pool size for the campaign engine
 	// (0 = GOMAXPROCS). Results are identical for every Par value.
 	Par int
-	// KernelPartitions runs every scenario on the parallel kernel with
-	// that many spatial partitions (0 = classic serial). Results are
-	// identical for every partition count.
-	KernelPartitions int
 }
 
 // Fig9Defaults returns the paper's parameters, scaled by the given
@@ -116,13 +112,12 @@ func runFig9Once(proto Protocol, n int, seed int64, cfg Fig9Config) *metrics.Run
 	jitter1 := float64(seed%97) / 97.0 * 100
 	jitter2 := float64(seed%89) / 89.0 * 100
 	return must(Run(Scenario{
-		Name:             "fig9",
-		Proto:            proto,
-		Topo:             Linear,
-		Nodes:            n,
-		Seconds:          cfg.Seconds,
-		Seed:             seed,
-		KernelPartitions: cfg.KernelPartitions,
+		Name:    "fig9",
+		Proto:   proto,
+		Topo:    Linear,
+		Nodes:   n,
+		Seconds: cfg.Seconds,
+		Seed:    seed,
 		Flows: []FlowSpec{
 			{Src: 0, Dst: n - 1, StartAt: cfg.Warmup + jitter1},
 			{Src: n - 1, Dst: 0, StartAt: cfg.Warmup + jitter2},

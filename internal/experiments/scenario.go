@@ -107,14 +107,6 @@ type Scenario struct {
 	LinearSpacing float64
 	// MobilitySpeed enables random-waypoint motion at this speed in m/s.
 	MobilitySpeed float64
-	// KernelPartitions, when > 0, runs the scenario on the conservative
-	// parallel kernel with that many spatial partitions
-	// (node.Network.PartitionKernel). Outputs are byte-identical at any
-	// partition count — the partition-invariance suite enforces it —
-	// so the knob trades nothing but wall-clock. The shared packet pool
-	// is disabled in kernel mode (its free-list order would depend on
-	// worker interleaving); transports fall back to plain allocation.
-	KernelPartitions int
 	// Seconds is the run duration in virtual seconds.
 	Seconds float64
 	// Seed drives all randomness; same seed, same run.
@@ -244,28 +236,16 @@ func Run(sc Scenario) (*metrics.RunRecord, error) { return RunWithHooks(sc, Hook
 // back to the pool for the worker's next run. Runs with hooks — figure
 // probes may retain connections — keep their engine for the GC.
 func RunWithHooks(sc Scenario, hooks Hooks) (*metrics.RunRecord, error) {
-	// Campaign-wide telemetry: attach a pooled registry unless the caller
-	// brought their own. The registry is snapshotted into the record by
-	// Run and returned to the pool reset, so per-run overhead is the
-	// counter writes plus one snapshot.
-	var pooled *obs.Registry
+	// Campaign-wide telemetry: attach a fresh registry unless the caller
+	// brought their own; a recycled one would carry earlier runs' keys.
 	if campaignHooks.Telemetry && sc.Obs == nil {
-		pooled = obsPool.Get().(*obs.Registry)
-		sc.Obs = pooled
+		sc.Obs = obs.New()
 	}
 	b, err := BuildScenario(sc, hooks)
 	if err != nil {
-		if pooled != nil {
-			pooled.Reset()
-			obsPool.Put(pooled)
-		}
 		return nil, err
 	}
 	rec := b.Run()
-	if pooled != nil {
-		pooled.Reset()
-		obsPool.Put(pooled)
-	}
 	if hooks.empty() {
 		eng := b.eng
 		b.eng = nil
@@ -359,13 +339,8 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 
 	// All scenario traffic comes from the built-in drivers, whose
 	// endpoints obey the free-list ownership rules, so harness runs are
-	// pooled — except under the parallel kernel, where partition workers
-	// would interleave Get/Put nondeterministically.
-	if sc.KernelPartitions > 0 {
-		nw.PartitionKernel(sc.KernelPartitions)
-	} else {
-		nw.EnablePacketPool()
-	}
+	// pooled.
+	nw.EnablePacketPool()
 	if sc.Obs != nil {
 		nw.Observe(sc.Obs)
 	}
@@ -598,36 +573,6 @@ func (b *BuiltScenario) collectObs(reg *obs.Registry) {
 	reg.Counter("pool_gets").Add(gets)
 	reg.Counter("pool_puts").Add(puts)
 	reg.Counter("pool_misses").Add(misses)
-
-	// Parallel-kernel accounting, folded in partition index order. Every
-	// kernel_* key is partition-count-VARIANT by nature (stalls, window
-	// counts, per-partition high-water marks depend on how the node set
-	// was split); the invariance suite strips the prefix before
-	// comparing telemetry across partition counts.
-	if ks := b.eng.KernelStats(); ks.Partitions > 0 {
-		reg.Counter("kernel_partitions").Add(uint64(ks.Partitions))
-		reg.Counter("kernel_serial_steps").Add(ks.SerialSteps)
-		reg.Counter("kernel_parallel_windows").Add(ks.ParallelWindows)
-		var fired, stalls, boundary, hwm uint64
-		for i, p := range ks.Parts {
-			fired += p.Fired
-			stalls += p.Stalls
-			boundary += p.Boundary
-			if p.HeapHWM > hwm {
-				hwm = p.HeapHWM
-			}
-			// Per-partition lookahead stalls and heap-depth high-water
-			// marks, keyed by partition index (the fold order), so
-			// -telemetry shows where the conservative windows lose
-			// progress.
-			reg.Counter(fmt.Sprintf("kernel_p%d_stalls", i)).Add(p.Stalls)
-			reg.Gauge(fmt.Sprintf("kernel_p%d_heap_depth", i)).Update(p.HeapHWM)
-		}
-		reg.Counter("kernel_window_events").Add(fired)
-		reg.Counter("kernel_stalls").Add(stalls)
-		reg.Counter("kernel_boundary_msgs").Add(boundary)
-		reg.Gauge("kernel_part_heap_depth").Update(hwm)
-	}
 
 	// Energy by activity, exported uniformly in nanojoules so telemetry
 	// stays integral (obs counters are uint64).

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/obs"
 )
 
 // CampaignHooks configures campaign-wide telemetry for every figure and
@@ -16,7 +14,7 @@ import (
 // it, so no per-campaign plumbing (and no API churn across the figure
 // functions) is needed.
 type CampaignHooks struct {
-	// Telemetry attaches a pooled obs.Registry to every campaign run;
+	// Telemetry attaches an obs.Registry to every campaign run;
 	// each run's snapshot rides its Sample under campaign.TelemetryPrefix
 	// and folds into the report's Telemetry aggregates. The observable
 	// aggregates — and therefore tables, CSVs and goldens — are
@@ -82,12 +80,6 @@ var campaignHooks CampaignHooks
 // SetCampaignHooks installs the process-wide campaign telemetry
 // configuration. Call before executing campaigns, never during one.
 func SetCampaignHooks(h CampaignHooks) { campaignHooks = h }
-
-// obsPool recycles per-run telemetry registries across campaign runs,
-// mirroring enginePool: after warm-up a worker's runs re-use registries
-// whose handle maps are already built, so enabling telemetry adds no
-// steady-state allocation churn.
-var obsPool = sync.Pool{New: func() any { return obs.New() }}
 
 // telemetrySample merges a run's telemetry snapshot into its campaign
 // sample under campaign.TelemetryPrefix. Every figure campaign's sample

@@ -3,6 +3,10 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/javelen/jtp/internal/campaign"
@@ -36,7 +40,7 @@ func fig9TelemetryCSV(par int) []byte {
 }
 
 // TestTelemetryGoldenByteIdentity is the PR's core acceptance check:
-// enabling telemetry collection (pooled obs registries attached to every
+// enabling telemetry collection (a per-run obs registry attached to every
 // engine, MAC, router and pool on the hot path) must not move a single
 // byte of the scientific output, at any worker count. The collected
 // counters ride the campaign stream under the tel/ prefix and are folded
@@ -176,4 +180,81 @@ func TestTelemetryRunDeterminism(t *testing.T) {
 		// least occasionally; this is informational, not fatal.
 		t.Logf("note: drops occurred but no cache serves: %v", a)
 	}
+}
+
+// TestTelemetryKeysIndependentOfRunHistory pins that a campaign-attached
+// registry is the run's own: a TCP run that follows a JTP run in the same
+// process reports exactly the keys (and values) it reports on an explicit
+// fresh registry — none of the JTP run's cache_*/ijtp_* instruments leak
+// in as zeros — and the same seed twice gives equal snapshots. The
+// scenario is mobile, multi-flow and budget-constrained, the fullest
+// exercise of the lazily folded link substrate.
+func TestTelemetryKeysIndependentOfRunHistory(t *testing.T) {
+	scenario := func(proto Protocol) Scenario {
+		budgets := make([]float64, 12)
+		for i := range budgets {
+			budgets[i] = 0.8 // joules; tight enough that deaths occur
+		}
+		return Scenario{
+			Name:          "tel-history",
+			Proto:         proto,
+			Topo:          Random,
+			Nodes:         12,
+			MobilitySpeed: 1,
+			Seconds:       300,
+			Seed:          7,
+			EnergyBudgets: budgets,
+			Flows: []FlowSpec{
+				{Src: -1, Dst: -1, StartAt: 20},
+				{Src: -1, Dst: -1, StartAt: 30},
+				{Src: -1, Dst: -1, StartAt: 40},
+			},
+		}
+	}
+	run := func(sc Scenario) map[string]uint64 {
+		t.Helper()
+		rec, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Telemetry) == 0 {
+			t.Fatal("no telemetry on RunRecord")
+		}
+		return rec.Telemetry
+	}
+	fresh := scenario(TCP)
+	fresh.Obs = obs.New()
+	want := run(fresh)
+
+	withTelemetryHooks(t, nil, func() {
+		jtp := run(scenario(JTP))
+		if _, ok := jtp["ijtp_cache_served"]; !ok {
+			t.Fatal("JTP run exported no ijtp_cache_served; the leak this test guards against cannot show")
+		}
+		for i := 0; i < 2; i++ {
+			got := run(scenario(TCP))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("TCP run %d after a JTP run differs from the same run on a fresh registry:\n%s", i, telemetryDiff(want, got))
+			}
+		}
+	})
+}
+
+// telemetryDiff renders the keys on which two snapshots disagree, sorted.
+func telemetryDiff(want, got map[string]uint64) string {
+	var lines []string
+	for k, v := range want {
+		if g, ok := got[k]; !ok {
+			lines = append(lines, fmt.Sprintf("  %s: want %d, key absent", k, v))
+		} else if g != v {
+			lines = append(lines, fmt.Sprintf("  %s: want %d, got %d", k, v, g))
+		}
+	}
+	for k, g := range got {
+		if _, ok := want[k]; !ok {
+			lines = append(lines, fmt.Sprintf("  %s: unexpected key (value %d)", k, g))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }

@@ -148,9 +148,6 @@ type Network struct {
 	// views is the network-wide adjacency-snapshot cache all routers
 	// compute their views from.
 	views *routing.Cache
-	// owner maps node id → kernel partition when the parallel kernel is
-	// enabled (PartitionKernel); nil in classic serial mode.
-	owner []int32
 
 	// pool, when enabled, is the engine-wide packet free-list transports
 	// draw from and terminal consumers recycle into (see packet.Pool for
@@ -231,67 +228,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 
 // Engine returns the simulation engine the network runs on.
 func (nw *Network) Engine() *sim.Engine { return nw.eng }
-
-// PartitionKernel switches the network onto the conservative parallel
-// kernel (sim/kernel.go) with the given partition count: nodes are
-// assigned to partitions by spatial-grid cell (topology.PartitionByCell
-// over the radio range), the engine is configured with the lookahead
-// bound the channel and MAC timing admit
-// (topology.MinCrossPartitionLatency), per-node routers are re-pointed
-// at their partition's view so on-demand refreshes read the exact event
-// time, and a barrier hook pre-folds the lazy link substrate (snapshot
-// epoch, dead-bit sweep) before every parallel window so window
-// handlers only read it. parts <= 0 restores classic serial mode.
-//
-// Call after New and before Start / transport attachment: per-endpoint
-// transports must capture EngineFor(node) so their timers land in their
-// node's partition queue.
-func (nw *Network) PartitionKernel(parts int) {
-	if parts <= 0 {
-		nw.owner = nil
-		nw.eng.ConfigurePartitions(0, 0)
-		return
-	}
-	if n := nw.topo.N(); parts > n {
-		parts = n
-	}
-	nw.owner = topology.PartitionByCell(nw.topo, nw.cfg.Channel.Range, parts)
-	la := topology.MinCrossPartitionLatency(0, nw.cfg.MAC.SlotDuration)
-	nw.eng.ConfigurePartitions(parts, la)
-	// Version() brings the snapshot to the current epoch and rescans the
-	// budget dead bits — the two lazily-folded pieces of shared state a
-	// window handler may read.
-	nw.eng.SetBarrierHook(func() { nw.Version() })
-	// Only on-demand routers move onto partition views: their refresh
-	// decisions are pure functions of virtual time, so reading the
-	// partition clock gives exact event times inside windows. Periodic
-	// routers stay on the root — their jittered tickers draw from the
-	// engine RNG, which must remain a single globally-ordered stream.
-	if nw.cfg.Routing.OnDemand {
-		for i, nd := range nw.nodes {
-			nd.Router.SetEngine(nw.eng.PartitionView(int(nw.owner[i])))
-		}
-	}
-}
-
-// EngineFor returns the engine a per-node actor must schedule against:
-// the node's partition view under the parallel kernel, the root engine
-// otherwise. Transports capture it at attach time.
-func (nw *Network) EngineFor(id packet.NodeID) *sim.Engine {
-	if nw.owner == nil {
-		return nw.eng
-	}
-	return nw.eng.PartitionView(int(nw.owner[int(id)]))
-}
-
-// PartitionOf returns the node's kernel partition, or -1 in classic
-// serial mode.
-func (nw *Network) PartitionOf(id packet.NodeID) int {
-	if nw.owner == nil {
-		return -1
-	}
-	return int(nw.owner[int(id)])
-}
 
 // EnablePacketPool switches the network's transports onto the shared
 // packet free-list. The experiment harness enables it for every scenario
@@ -709,13 +645,7 @@ func (nw *Network) Neighbors(u packet.NodeID) []packet.NodeID {
 // adjacency, which is what lets routers share one captured snapshot.
 func (nw *Network) Version() uint64 {
 	nw.ensureSnap()
-	// Inside a parallel kernel window the dead-bit rescan is skipped:
-	// energy meters only move in globally-ordered events (MAC transmit
-	// and receive), and the kernel's barrier hook re-runs Version before
-	// every window, so the bitmap a window reads is already current —
-	// and rescanning here would be a shared write from partition
-	// workers.
-	if len(nw.budgets) > 0 && !nw.eng.InParallelWindow() {
+	if len(nw.budgets) > 0 {
 		nw.refreshDeadBits()
 	}
 	return nw.linkVer
@@ -841,12 +771,6 @@ func (nw *Network) TransmitsAllowed(id packet.NodeID) bool {
 // the route (mac.Env).
 func (nw *Network) DeliverUp(at packet.NodeID, fr *mac.Frame) {
 	nd := nw.nodes[int(at)]
-	if nw.owner != nil && nw.owner[int(fr.From)] != nw.owner[int(at)] {
-		// Cross-partition delivery: the frame was sent from another
-		// partition and arrives here through a globally-ordered slot
-		// tick — the kernel's inter-partition message channel.
-		nw.eng.NoteBoundary(int(nw.owner[int(at)]))
-	}
 	nd.MAC.Receive(fr)
 	seg := fr.Seg
 	if seg.Dest() == at {

@@ -12,13 +12,10 @@
 //   - Every handle method is a no-op on a nil receiver, and a nil
 //     *Registry hands out nil handles, so uninstrumented runs execute
 //     the exact disabled path with no configuration plumbing.
-//   - Values are updated atomically: the partitioned simulation kernel
-//     (sim/kernel.go) lets partition workers share one registry's handles
-//     inside parallel windows. Every exported aggregate is commutative —
+//   - Values are updated atomically. Every exported aggregate is commutative:
 //     counters and histogram counts/sums add, gauges and histogram maxima
-//     take maxima — so concurrent updates fold to partition-count-
-//     invariant values no matter how workers interleave. Campaign workers
-//     still each own a private Registry; per-run Snapshots are merged by
+//     take maxima, so snapshots merge in any order. Campaign workers
+//     each own a private Registry; per-run Snapshots are merged by
 //     the campaign's deterministic in-order fold, which is what makes
 //     concurrent readers (expvar) race-free — they only ever see folded
 //     aggregates.
@@ -171,9 +168,7 @@ func (h *Histogram) Bucket(i int) uint64 {
 // value is unusable; construct with New. A nil *Registry hands out nil
 // handles, so callers wire telemetry unconditionally and pay nothing
 // when it is off. Handle creation and snapshotting are not safe for
-// concurrent use — one registry belongs to one run — but the handles
-// themselves may be written from the partitioned kernel's parallel
-// windows (see the package comment).
+// concurrent use: one registry belongs to one run.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -229,30 +224,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Reset zeroes every instrument but keeps the handles, so a pooled
-// registry can be reused across runs while instrumented code retains
-// its resolved pointers.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-		g.hwm.Store(0)
-	}
-	for _, h := range r.hists {
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.max.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-	}
 }
 
 // Snapshot flattens the registry into a name → value map: counters by

@@ -28,7 +28,6 @@ func TestNilSafety(t *testing.T) {
 	if r.Snapshot() != nil || r.Names() != nil {
 		t.Fatal("nil registry snapshot must be nil")
 	}
-	r.Reset()
 	r.SnapshotInto(map[string]uint64{})
 }
 
@@ -86,29 +85,6 @@ func TestSnapshotAndNames(t *testing.T) {
 	wantNames := []string{"a", "att_count", "att_max", "att_sum", "q_hwm"}
 	if got := r.Names(); !reflect.DeepEqual(got, wantNames) {
 		t.Fatalf("names = %v, want %v", got, wantNames)
-	}
-}
-
-// Reset must zero values but keep the resolved handles live, so pooled
-// registries can be reused without re-wiring instrumented code.
-func TestResetKeepsHandles(t *testing.T) {
-	r := New()
-	c := r.Counter("a")
-	g := r.Gauge("q")
-	h := r.Histogram("att")
-	c.Add(3)
-	g.Update(5)
-	h.Observe(9)
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || g.HighWater() != 0 || h.Count() != 0 {
-		t.Fatal("Reset must zero all instruments")
-	}
-	if r.Counter("a") != c || r.Gauge("q") != g || r.Histogram("att") != h {
-		t.Fatal("Reset must keep handles")
-	}
-	c.Inc()
-	if r.Snapshot()["a"] != 1 {
-		t.Fatal("handle must stay wired after Reset")
 	}
 }
 

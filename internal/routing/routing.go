@@ -23,8 +23,6 @@
 package routing
 
 import (
-	"sync"
-
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/sim"
 )
@@ -175,16 +173,7 @@ type Stats struct {
 //     holding a stale view (the paper's semantics) never sees a capture.
 //   - Sharing is keyed on VersionedDirectory.Version. A directory without
 //     version reporting gets a new snapshot per refresh.
-//
-// Pin, unpin and compute are serialized by an internal mutex: inside the
-// partitioned kernel's parallel windows (sim/kernel.go) routers on
-// different partition workers consult — and on-demand ones refresh —
-// concurrently, sharing snapshots, free list and BFS queue. A view is a
-// pure function of (snapshot, src), so arrival order cannot change it:
-// the lock is for memory safety, not ordering. A router's own fields are
-// only touched by its node's events, which never run concurrently.
 type Cache struct {
-	mu    sync.Mutex
 	dir   Directory
 	vdir  VersionedDirectory // nil: no sharing across refreshes
 	ndir  NeighborDirectory  // nil: capture probes Linked
@@ -207,8 +196,6 @@ func NewCache(dir Directory) *Cache {
 
 // Stats returns the cache's accounting so far.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.stats
 }
 
@@ -297,8 +284,6 @@ func (c *Cache) compute(v *View, a *adjacency, src packet.NodeID, at sim.Time) *
 // Fill computes the current view from src into v (nil allocates, buffers
 // are reused) immediately — pin, BFS, unpin — stamped with at.
 func (c *Cache) Fill(v *View, src packet.NodeID, at sim.Time) *View {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.stats.Fills++
 	return c.compute(v, c.pin(c.version()), src, at)
 }
@@ -310,15 +295,6 @@ type Config struct {
 	UpdatePeriod sim.Duration
 	// UpdateJitter desynchronizes the refresh timers.
 	UpdateJitter sim.Duration
-	// OnDemand, when true, moves the refresh *decision* to use time:
-	// Start pins nothing and arms no timer; the view is adopted and
-	// computed at the first NextHop / HopsTo call and refreshed in place
-	// once it is UpdatePeriod old (never, if UpdatePeriod is zero). A node
-	// that neither originates nor forwards traffic then costs nothing — no
-	// timer events, no link-state version reads. Staleness stays bounded by
-	// UpdatePeriod, but refresh happens at use time rather than on a
-	// jittered timer, so only scenarios built for scale opt in.
-	OnDemand bool
 }
 
 // Defaults returns 1 s refresh with 200 ms jitter (mobile scenarios);
@@ -351,20 +327,9 @@ func New(eng *sim.Engine, id packet.NodeID, c *Cache, cfg Config) *Router {
 	return &Router{id: id, cache: c, eng: eng, cfg: cfg}
 }
 
-// SetEngine re-points the router's engine. The node layer calls it when
-// the partitioned kernel is enabled so an on-demand router's refresh
-// decisions read its own partition's clock (the exact current event
-// time inside parallel windows) instead of the root clock. Call before
-// Start.
-func (r *Router) SetEngine(eng *sim.Engine) { r.eng = eng }
-
 // Start adopts the initial view and, for a positive update period,
-// begins periodic refresh. An on-demand router does neither — its view
-// materializes at first use (see Config.OnDemand).
+// begins periodic refresh.
 func (r *Router) Start() {
-	if r.cfg.OnDemand {
-		return
-	}
 	r.Refresh()
 	if r.cfg.UpdatePeriod > 0 {
 		r.tick = r.eng.NewJitteredTicker(r.cfg.UpdatePeriod, r.cfg.UpdateJitter, r.Refresh)
@@ -377,13 +342,10 @@ func (r *Router) Stop() {
 	if r.tick != nil {
 		r.tick.Stop()
 	}
-	c := r.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	r.drop()
 }
 
-// drop releases a pending, never consulted refresh. Cache lock held.
+// drop releases a pending, never consulted refresh.
 func (r *Router) drop() {
 	if r.pend != nil {
 		r.cache.stats.Unconsulted++
@@ -400,8 +362,6 @@ func (r *Router) drop() {
 func (r *Router) Refresh() {
 	now := r.eng.Now()
 	c := r.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.stats.Fills++
 	r.drop()
 	ver := c.version()
@@ -413,22 +373,9 @@ func (r *Router) Refresh() {
 	r.pend, r.pendAt = c.pin(ver), now
 }
 
-// settle brings the view a consult is about to read up to date: an
-// on-demand router first decides whether to refresh — on first use, and
-// thereafter whenever the held view is at least UpdatePeriod old, which
-// depends only on virtual time — and a pending refresh is computed.
+// settle computes the pending refresh a consult is about to read.
 func (r *Router) settle() {
-	if r.cfg.OnDemand && (r.view == nil ||
-		(r.cfg.UpdatePeriod > 0 && r.eng.Now().Sub(r.view.UpdatedAt) >= r.cfg.UpdatePeriod)) {
-		r.Refresh()
-	}
-	if r.pend == nil {
-		return
-	}
-	c := r.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next := c.compute(r.spare, r.pend, r.id, r.pendAt)
+	next := r.cache.compute(r.spare, r.pend, r.id, r.pendAt)
 	r.spare, r.view, r.viewVer = r.view, next, r.pend.version
 	r.pend = nil
 }
@@ -439,7 +386,7 @@ func (r *Router) NextHop(dst packet.NodeID) (packet.NodeID, bool) {
 	if dst == r.id {
 		return r.id, true
 	}
-	if r.pend != nil || r.cfg.OnDemand {
+	if r.pend != nil {
 		r.settle()
 	}
 	return r.view.NextHop(dst)
@@ -448,7 +395,7 @@ func (r *Router) NextHop(dst packet.NodeID) (packet.NodeID, bool) {
 // HopsTo returns this node's estimate of the remaining path length to
 // dst — the H_i of §3 — or -1 if dst is unreachable in the current view.
 func (r *Router) HopsTo(dst packet.NodeID) int {
-	if r.pend != nil || r.cfg.OnDemand {
+	if r.pend != nil {
 		r.settle()
 	}
 	return r.view.Hops(dst)

@@ -477,63 +477,10 @@ func TestCacheEvictsSupersededVersions(t *testing.T) {
 	}
 }
 
-// TestOnDemandRouter pins Config.OnDemand: Start computes nothing, the
-// view materializes at first use, stays within a refresh period, and
-// refreshes once the held view is UpdatePeriod old.
-func TestOnDemandRouter(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := &verDir{gridDir: chain(5)}
-	c := NewCache(d)
-	r := New(eng, 0, c, Config{UpdatePeriod: sim.Second, OnDemand: true})
-	r.Start()
-	if r.View() != nil {
-		t.Fatal("on-demand Start must not compute a view")
-	}
-	if c.Stats() != (Stats{}) {
-		t.Fatal("on-demand Start must not touch the cache")
-	}
-	if nh, ok := r.NextHop(4); !ok || nh != 1 {
-		t.Fatalf("first use next hop = %v,%v", nh, ok)
-	}
-	if st := c.Stats(); st.Computes != 1 || c.cur.refs != 0 {
-		t.Fatalf("%+v refs=%d after first use, want 1 compute and the pin released", st, c.cur.refs)
-	}
-	// Within the period the held view answers, even if stale.
-	d.unlink(3, 4)
-	d.ver++
-	eng.RunFor(sim.Second / 2)
-	if h := r.HopsTo(4); h != 4 {
-		t.Fatalf("within-period use must keep the stale view, hops=%d", h)
-	}
-	// Past the period the next use refreshes.
-	eng.RunFor(sim.Second)
-	if h := r.HopsTo(4); h != -1 {
-		t.Fatalf("past-period use must refresh, hops=%d", h)
-	}
-	// Self-route needs no view at all.
-	r2 := New(eng, 2, c, Config{OnDemand: true})
-	r2.Start()
-	if nh, ok := r2.NextHop(2); !ok || nh != 2 {
-		t.Fatalf("self next hop = %v,%v", nh, ok)
-	}
-	if r2.View() != nil {
-		t.Fatal("self-route must not materialize a view")
-	}
-	// Zero update period: materialize once, never refresh again.
-	r3 := New(eng, 1, c, Config{OnDemand: true})
-	r3.Start()
-	before := c.Stats().Fills
-	r3.NextHop(0)
-	r3.NextHop(0)
-	if got := c.Stats().Fills - before; got != 1 {
-		t.Fatalf("static on-demand router filled %d times, want 1", got)
-	}
-}
-
 var sinkHop packet.NodeID
 
 // BenchmarkRouterNextHop is the consult fast path: a settled periodic
-// router pays one pending/on-demand check before the view read.
+// router pays one pending check before the view read.
 func BenchmarkRouterNextHop(b *testing.B) {
 	eng := sim.NewEngine(1)
 	r := New(eng, 0, NewCache(&verDir{gridDir: chain(64)}), Defaults())

@@ -19,12 +19,6 @@
 // Pending stay safe after the slot has been recycled. Engine.Reset rewinds
 // an engine for reuse across runs (campaign workers) without reallocating
 // the slab.
-//
-// An engine can also run partitioned (see kernel.go): ConfigurePartitions
-// splits the event population across per-partition queues — each exposed
-// as a lightweight partition view that is itself an *Engine — and
-// RunUntil alternates globally-ordered serial steps with conservative
-// parallel windows bounded by the next global event.
 package sim
 
 import (
@@ -125,10 +119,7 @@ func (r EventRef) Pending() bool {
 	return ev.gen == r.gen && ev.pos >= 0
 }
 
-// Engine is a discrete-event simulation engine. One engine (and, in
-// partitioned mode, each of its partition views) is owned by a single
-// goroutine at a time; the partitioned run loop in kernel.go is what
-// hands views to workers, always separated by barriers.
+// Engine is a discrete-event simulation engine; one goroutine owns it.
 type Engine struct {
 	now     Time
 	seed    int64
@@ -138,17 +129,8 @@ type Engine struct {
 	q eventQueue
 
 	// Executed counts handlers run; useful for progress reporting and to
-	// bound runaway simulations in tests. On a partitioned engine the
-	// root's count folds in every view's executed events at each barrier.
+	// bound runaway simulations in tests.
 	Executed uint64
-
-	// Partitioned-kernel state (kernel.go). kern is non-nil on a root
-	// engine running partitioned; master is non-nil on a partition view
-	// and points back at the root.
-	kern   *kernel
-	master *Engine
-	part   int32
-	ks     kstats
 
 	// Telemetry handles (see Observe). All nil when telemetry is off, so
 	// the hot path pays one nil-check per site and nothing else. Never
@@ -162,7 +144,7 @@ type Engine struct {
 // NewEngine returns an engine whose random source is seeded with seed.
 // The same seed always reproduces the same run.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), part: -1}
+	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Reset rewinds the engine to the state NewEngine(seed) would produce,
@@ -170,9 +152,7 @@ func NewEngine(seed int64) *Engine {
 // workers can reuse one engine across many runs without reallocating.
 // Every still-pending event is cancelled (its slot generation is bumped,
 // so EventRefs held across the reset turn inert) and all handler
-// references are dropped. A partitioned engine keeps its partition views
-// (and their capacity) but rewinds each of them too; the partition
-// assignment itself is cleared by ConfigurePartitions(0, nil).
+// references are dropped.
 func (e *Engine) Reset(seed int64) {
 	e.q.reset()
 	e.now = 0
@@ -184,9 +164,6 @@ func (e *Engine) Reset(seed int64) {
 	e.obsFired = nil
 	e.obsStopped = nil
 	e.obsHeapDepth = nil
-	if e.kern != nil {
-		e.kern.reset()
-	}
 	e.seed = seed
 	e.rng.Seed(seed)
 }
@@ -194,38 +171,20 @@ func (e *Engine) Reset(seed int64) {
 // Observe attaches kernel telemetry to reg: counters for events
 // scheduled, fired and stopped, and a high-water gauge for heap depth.
 // Observing a nil registry detaches (all handles become no-ops). Reset
-// also detaches, so pooled engines start each run silent. In partitioned
-// mode the counters are shared with every partition view (obs handles are
-// atomic, so parallel windows fold in race-free) while the heap-depth
-// gauge is sampled by the root at deterministic barrier points only.
+// also detaches, so pooled engines start each run silent.
 func (e *Engine) Observe(reg *obs.Registry) {
 	e.obsScheduled = reg.Counter("sim_events_scheduled")
 	e.obsFired = reg.Counter("sim_events_fired")
 	e.obsStopped = reg.Counter("sim_events_stopped")
 	e.obsHeapDepth = reg.Gauge("sim_heap_depth")
-	if e.kern != nil {
-		e.kern.observe(e)
-	}
 }
 
-// Now returns the current virtual time. On a partition view this is the
-// view's own clock, which trails the root's during serial phases — the
-// max of the two is always the caller's correct present.
-func (e *Engine) Now() Time {
-	if e.master != nil && e.master.now > e.now {
-		return e.master.now
-	}
-	return e.now
-}
+// Now returns the current virtual time.
+func (e *Engine) Now() Time { return e.now }
 
 // Rand exposes the engine's deterministic random source. All stochastic
 // simulation decisions (link loss draws, jitter, placement) must come from
-// this source to keep runs reproducible. Partition views carry their own
-// deterministically-derived stream (seeded from the root seed and the
-// partition index); note that the partition-invariance contract requires
-// handlers that run inside parallel windows to draw nothing — every
-// stochastic model in this repository (channel, MAC schedule, mobility)
-// runs in the globally-ordered serial phase.
+// this source to keep runs reproducible.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero
@@ -241,20 +200,7 @@ func (e *Engine) Schedule(d Duration, fn Handler) EventRef {
 // ScheduleAt runs fn at absolute virtual time at. Times in the past are
 // clamped to the current instant. Steady-state scheduling is
 // allocation-free: slots released by fired or cancelled events are
-// recycled before the slab grows. On a partition view the event joins the
-// view's own queue; on the root it joins the global queue.
-//
-// Sequence numbers form one virtual global scheduling order across all
-// queues, so same-time ties pop exactly as the classic serial engine
-// would have popped them: scheduling from globally-ordered execution
-// (root events, and root handlers targeting a view) draws from the root
-// counter, while window handlers draw from their view's counter — which
-// the kernel seeds from the root counter at window open and folds back
-// at the barrier (runPartitioned). Every root event pending when a
-// window opens therefore precedes every event the window schedules, the
-// relative order classic scheduling would have produced; seq collisions
-// exist only between different views at the same instant, where the
-// window contract makes order irrelevant.
+// recycled before the slab grows.
 func (e *Engine) ScheduleAt(at Time, fn Handler) EventRef {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil handler")
@@ -262,19 +208,9 @@ func (e *Engine) ScheduleAt(at Time, fn Handler) EventRef {
 	if now := e.Now(); at < now {
 		at = now
 	}
-	var seq uint64
-	if r := e.master; r != nil && (r.kern == nil || !r.kern.inWindow) {
-		r.q.seq++
-		seq = r.q.seq
-	} else {
-		e.q.seq++
-		seq = e.q.seq
-	}
-	slot := e.q.push(at, fn, seq)
+	slot := e.q.push(at, fn)
 	e.obsScheduled.Inc()
-	if e.master == nil && e.kern == nil {
-		e.obsHeapDepth.Update(uint64(len(e.q.heap)))
-	}
+	e.obsHeapDepth.Update(uint64(len(e.q.heap)))
 	return EventRef{eng: e, slot: slot, gen: e.q.slab[slot].gen}
 }
 
@@ -301,9 +237,7 @@ func (e *Engine) cancel(slot int32, gen uint32) bool {
 // executing (or the next one entered before any event fires — a Stop
 // issued between runs is erased by the next run's entry). Pending events
 // remain queued and a subsequent RunUntil resumes them; only Reset
-// discards them. TestEngineStopSemantics pins this contract. Stop must be
-// called from the run goroutine (a globally-ordered handler), never from
-// inside a parallel partition window.
+// discards them. TestEngineStopSemantics pins this contract.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called since the last run (or
@@ -313,14 +247,8 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // RunUntil executes events in order until the queue is empty or the next
 // event is later than end. Virtual time is left at end (or at the last
 // event's time, whichever is larger) so repeated calls advance monotonically.
-// On a partitioned engine this is the conservative windowed run loop —
-// see kernel.go.
 func (e *Engine) RunUntil(end Time) {
 	e.stopped = false
-	if e.kern != nil {
-		e.runPartitioned(end)
-		return
-	}
 	for len(e.q.heap) > 0 && !e.stopped {
 		top := e.q.heap[0]
 		if top.at > end {
@@ -352,23 +280,20 @@ const DrainEventCap = 50_000_000
 // DrainEventCap events. Intended for tests; production runs should bound
 // time with RunUntil. It returns an error if the cap is reached, leaving
 // the remaining events queued.
-func (e *Engine) Drain() error {
+func (e *Engine) Drain() error { return e.drain(DrainEventCap) }
+
+// drain is Drain with the cap as a parameter, so a test can reach it.
+func (e *Engine) drain(limit uint64) error {
 	e.stopped = false
 	var executed uint64
-	for !e.stopped {
-		top, q := e.q.peek(), &e.q
-		if e.kern != nil {
-			top, q = e.kern.peekMin(e)
+	for len(e.q.heap) > 0 && !e.stopped {
+		if executed >= limit {
+			return fmt.Errorf("sim: Drain exceeded %d events with %d still pending (self-rescheduling handler?)", limit, e.PendingEvents())
 		}
-		if q == nil || top.slot < 0 {
-			return nil
-		}
-		if executed >= DrainEventCap {
-			return fmt.Errorf("sim: Drain exceeded %d events with %d still pending (self-rescheduling handler?)", DrainEventCap, e.PendingEvents())
-		}
-		q.popRoot()
-		fn := q.slab[top.slot].fn
-		q.release(top.slot)
+		top := e.q.heap[0]
+		e.q.popRoot()
+		fn := e.q.slab[top.slot].fn
+		e.q.release(top.slot)
 		e.now = top.at
 		e.Executed++
 		executed++
@@ -380,16 +305,8 @@ func (e *Engine) Drain() error {
 
 // PendingEvents reports the number of scheduled, uncancelled events.
 // Cancellation removes events eagerly, so this is exactly the queue
-// length (summed over partition queues on a partitioned engine).
-func (e *Engine) PendingEvents() int {
-	n := len(e.q.heap)
-	if e.kern != nil {
-		for _, v := range e.kern.views {
-			n += len(v.q.heap)
-		}
-	}
-	return n
-}
+// length.
+func (e *Engine) PendingEvents() int { return len(e.q.heap) }
 
 // ---- event queue: 4-ary min-heap over (at, seq) ----------------------
 //
@@ -397,8 +314,7 @@ func (e *Engine) PendingEvents() int {
 // layout halves tree depth versus binary, trading slightly wider sibling
 // scans (cache-friendly: 4 entries are contiguous) for fewer swaps. The
 // comparator is the strict total order (at, seq) — seq is unique per
-// queue — so pop order is independent of heap shape. Each queue owns its
-// slab, so a partitioned engine's queues never contend.
+// queue — so pop order is independent of heap shape.
 
 type eventQueue struct {
 	slab []event
@@ -407,11 +323,9 @@ type eventQueue struct {
 	seq  uint64
 }
 
-// push claims a slot for (at, fn) under the given sequence number and
-// heaps it, returning the slot index. The caller supplies seq so the
-// partitioned engine can keep one virtual global ordering across all
-// queues (see ScheduleAt); the classic engine just passes ++q.seq.
-func (q *eventQueue) push(at Time, fn Handler, seq uint64) int32 {
+// push claims a slot for (at, fn) under the next sequence number and
+// heaps it, returning the slot index.
+func (q *eventQueue) push(at Time, fn Handler) int32 {
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -423,18 +337,10 @@ func (q *eventQueue) push(at Time, fn Handler, seq uint64) int32 {
 	ev := &q.slab[slot]
 	ev.fn = fn
 	ev.at = at
-	ev.seq = seq
-	q.heapPush(heapEntry{at: at, seq: seq, slot: slot})
+	q.seq++
+	ev.seq = q.seq
+	q.heapPush(heapEntry{at: at, seq: q.seq, slot: slot})
 	return slot
-}
-
-// peek returns the minimum entry without removing it; slot is -1 when the
-// queue is empty.
-func (q *eventQueue) peek() heapEntry {
-	if len(q.heap) == 0 {
-		return heapEntry{slot: -1}
-	}
-	return q.heap[0]
 }
 
 // release recycles a slab slot onto the free-list, dropping the handler

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/javelen/jtp/internal/obs"
@@ -193,6 +194,111 @@ func TestDrain(t *testing.T) {
 	}
 	if e.PendingEvents() != 0 {
 		t.Fatalf("pending after drain: %d", e.PendingEvents())
+	}
+}
+
+// TestEngineStopSemantics pins the documented Stop contract: the flag is
+// not sticky across runs — RunUntil and Drain clear it on entry — and
+// pending events survive a Stop to be resumed by the next run.
+func TestEngineStopSemantics(t *testing.T) {
+	e := NewEngine(1)
+	var fired []int
+	e.Schedule(1*Second, func() { fired = append(fired, 1); e.Stop() })
+	e.Schedule(2*Second, func() { fired = append(fired, 2) })
+
+	e.RunUntil(Time(10 * Second))
+	if len(fired) != 1 || fired[0] != 1 {
+		t.Fatalf("fired = %v, want [1] (Stop halts the loop)", fired)
+	}
+	if !e.Stopped() {
+		t.Fatal("Stopped() = false immediately after a stopped run")
+	}
+	if e.PendingEvents() != 1 {
+		t.Fatalf("PendingEvents = %d, want 1 (Stop leaves events queued)", e.PendingEvents())
+	}
+
+	// A fresh run clears the flag and resumes the queued event.
+	e.RunUntil(Time(10 * Second))
+	if len(fired) != 2 || fired[1] != 2 {
+		t.Fatalf("fired = %v, want [1 2] (next run resumes pending events)", fired)
+	}
+	if e.Stopped() {
+		t.Fatal("Stopped() = true after a run that was never stopped")
+	}
+
+	// A Stop issued between runs is erased by the next run's entry.
+	e.Stop()
+	ran := false
+	e.Schedule(1*Second, func() { ran = true })
+	e.RunUntil(Time(20 * Second))
+	if !ran {
+		t.Fatal("a between-runs Stop must not survive RunUntil's entry")
+	}
+}
+
+// TestDrainEventCap pins the two Drain exits that stay below the cap: a
+// finite queue drains to nil, and a Stop inside a self-rescheduling chain
+// ends the drain with nil (not the cap error) and the chain's next link
+// still queued. TestDrainCapReturnsError covers the cap itself.
+func TestDrainEventCap(t *testing.T) {
+	e := NewEngine(1)
+	n := 0
+	e.Schedule(Millisecond, func() { n++ })
+	if err := e.Drain(); err != nil {
+		t.Fatalf("Drain on a finite queue: %v", err)
+	}
+	if n != 1 {
+		t.Fatalf("n = %d, want 1", n)
+	}
+	var reschedule func()
+	count := 0
+	reschedule = func() {
+		count++
+		if count == 1000 {
+			e.Stop()
+		}
+		e.Schedule(Millisecond, reschedule)
+	}
+	e.Schedule(Millisecond, reschedule)
+	if err := e.Drain(); err != nil {
+		t.Fatalf("stopped Drain must not report the cap: %v", err)
+	}
+	if count != 1000 {
+		t.Fatalf("count = %d, want 1000", count)
+	}
+	if e.PendingEvents() != 1 {
+		t.Fatalf("PendingEvents = %d, want 1 (the chain's next link stays queued)", e.PendingEvents())
+	}
+}
+
+// TestDrainCapReturnsError reaches the cap: a handler that always
+// reschedules itself makes drain return the cap error after exactly cap
+// events, with the chain's next link still queued for a later run.
+func TestDrainCapReturnsError(t *testing.T) {
+	e := NewEngine(1)
+	count := 0
+	var reschedule func()
+	reschedule = func() {
+		count++
+		e.Schedule(Millisecond, reschedule)
+	}
+	e.Schedule(Millisecond, reschedule)
+	err := e.drain(1000)
+	if err == nil {
+		t.Fatal("drain past its cap returned nil")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "exceeded 1000 events") || !strings.Contains(msg, "1 still pending") {
+		t.Fatalf("cap error = %q, want \"exceeded 1000 events … 1 still pending\"", msg)
+	}
+	if count != 1000 || e.Executed != 1000 {
+		t.Fatalf("executed %d handlers (Executed = %d), want exactly 1000", count, e.Executed)
+	}
+	if e.PendingEvents() != 1 {
+		t.Fatalf("PendingEvents = %d, want 1", e.PendingEvents())
+	}
+	e.RunUntil(e.Now().Add(Millisecond))
+	if count != 1001 {
+		t.Fatalf("count = %d after RunUntil, want 1001 (the queued link resumes)", count)
 	}
 }
 

@@ -258,7 +258,7 @@ func NewSender(nw *node.Network, cfg Config) *Sender {
 	s := &Sender{
 		cfg:      cfg,
 		net:      nw,
-		eng:      nw.EngineFor(cfg.Src),
+		eng:      nw.Engine(),
 		inflight: make(map[uint32]*sentInfo),
 		inPend:   make(map[uint32]bool),
 		rate:     cfg.InitialRate,
@@ -587,7 +587,7 @@ func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 	r := &Receiver{
 		cfg:      cfg,
 		net:      nw,
-		eng:      nw.EngineFor(cfg.Dst),
+		eng:      nw.Engine(),
 		received: make(map[uint32]bool),
 	}
 	r.delayFn = func() {
