@@ -142,6 +142,94 @@ func TestGoldenFig11ParByteIdentity(t *testing.T) {
 	checkGolden(t, "fig11.csv", p8)
 }
 
+// The goldens below pin the figures whose sweeps were hand-written serial
+// loops, in the shapes of TestFig*Shape and TestTable2Smoke. Fig 4 is
+// pinned twice: with its per-node chain length among the swept sizes and
+// without it.
+
+func fig3GoldenCfg() Fig3Config {
+	return Fig3Config{
+		Sizes:           []int{4, 6},
+		Tolerances:      []float64{0, 0.20},
+		TransferPackets: 120,
+		Runs:            3,
+		Seconds:         3000,
+		Seed:            31,
+	}
+}
+
+func fig4GoldenCfgs() []Fig4Config {
+	out := []Fig4Config{{
+		Sizes:           []int{3, 8},
+		TransferPackets: 120,
+		Runs:            3,
+		Seconds:         4000,
+		Seed:            41,
+		PerNodeSize:     7,
+	}}
+	in := out[0]
+	in.Sizes = []int{3, 7}
+	return append(out, in)
+}
+
+func fig6GoldenCfg() Fig6Config {
+	return Fig6Config{
+		Sizes:           []int{6},
+		CacheSizes:      []int{1, 8, 64},
+		ConstantRates:   []float64{0.1},
+		TransferPackets: 150,
+		Runs:            3,
+		Seconds:         4000,
+		Seed:            61,
+	}
+}
+
+func fig7GoldenCfg() Fig7Config {
+	cfg := Fig7Defaults(0.3)
+	cfg.Rates = []float64{0.05, 0.5}
+	return cfg
+}
+
+func table2GoldenCfg() Table2Config {
+	return Table2Config{
+		Nodes:          14,
+		Seconds:        400,
+		MeanInterarriv: 400,
+		TransferKB:     40,
+		Runs:           2,
+		Protocols:      []Protocol{JTP, ATP, TCP},
+		Seed:           201,
+	}
+}
+
+func TestGoldenFig3(t *testing.T) {
+	cfg := fig3GoldenCfg()
+	a, b := Fig3Tables(Fig3(cfg), cfg.TransferPackets)
+	checkGolden(t, "fig3.csv", tablesCSV(a, b))
+}
+
+func TestGoldenFig4(t *testing.T) {
+	var got []byte
+	for _, cfg := range fig4GoldenCfgs() {
+		a, b := Fig4Tables(Fig4(cfg), Fig4b(cfg))
+		got = append(got, tablesCSV(a, b)...)
+	}
+	checkGolden(t, "fig4.csv", got)
+}
+
+func TestGoldenFig6(t *testing.T) {
+	checkGolden(t, "fig6.csv", tablesCSV(Fig6Table(Fig6(fig6GoldenCfg()))))
+}
+
+func TestGoldenFig7(t *testing.T) {
+	a, b := Fig7Tables(Fig7(fig7GoldenCfg()))
+	checkGolden(t, "fig7.csv", tablesCSV(a, b))
+}
+
+func TestGoldenTable2(t *testing.T) {
+	checkGolden(t, "table2.csv", tablesCSV(Table2Table(Table2(table2GoldenCfg()))))
+}
+
 // TestGoldenWorkloadCampaign pins a full generated-workload campaign:
 // every registered driver over all four topology families, including a
 // budget-constrained churning star. The CSV must be byte-identical at
