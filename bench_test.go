@@ -1,17 +1,15 @@
 package jtp_test
 
-// The benchmark harness: one testing.B benchmark per table and figure of
-// the paper (DESIGN.md §3), ablation benchmarks for the design choices
-// DESIGN.md §4 calls out, and micro-benchmarks for the hot data
-// structures. Each figure benchmark runs a scaled-down instance of the
-// experiment per iteration and reports the paper's metric(s) via
-// b.ReportMetric, so
+// Ablation benchmarks for the design choices DESIGN.md §4 calls out, and
+// micro-benchmarks for the hot data structures. Each ablation runs both
+// arms of one scenario per iteration and reports the paper's metric(s)
+// via b.ReportMetric:
 //
 //	go test -bench=. -benchmem
 //
-// regenerates the qualitative content of the whole evaluation section.
-// Absolute values use the simulated JAVeLEN-class radio (see DESIGN.md);
-// the paper-vs-measured comparison lives in EXPERIMENTS.md.
+// The figures themselves are tested in internal/experiments; absolute
+// values use the simulated JAVeLEN-class radio (see DESIGN.md) and the
+// paper-vs-measured comparison lives in EXPERIMENTS.md.
 
 import (
 	"testing"
@@ -34,229 +32,6 @@ func mustRun(sc experiments.Scenario) *metrics.RunRecord {
 		panic(err)
 	}
 	return rec
-}
-
-// ---- Figure/Table benchmarks -----------------------------------------
-
-// BenchmarkFig3Reliability regenerates Fig 3(a)/(b): total energy and
-// data delivered at loss tolerance 0%, 10%, 20%.
-func BenchmarkFig3Reliability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig3Config{
-			Sizes:           []int{4, 6},
-			Tolerances:      []float64{0, 0.10, 0.20},
-			TransferPackets: 120,
-			Runs:            2,
-			Seconds:         3000,
-			Seed:            31 + int64(i),
-		}
-		points := experiments.Fig3(cfg)
-		for _, p := range points {
-			if p.LossTolerance == 0 && p.Nodes == 6 {
-				b.ReportMetric(p.EnergyJ.Mean(), "jtp0-J")
-			}
-			if p.LossTolerance == 0.20 && p.Nodes == 6 {
-				b.ReportMetric(p.EnergyJ.Mean(), "jtp20-J")
-			}
-		}
-	}
-}
-
-// BenchmarkFig3cAttemptControl regenerates Fig 3(c): the per-packet
-// link-layer attempt budget at a mid-path node.
-func BenchmarkFig3cAttemptControl(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results := experiments.Fig3c(120, 33+int64(i))
-		sum, n := 0, 0
-		for _, res := range results {
-			for _, s := range res.Samples {
-				sum += s.Attempts
-				n++
-			}
-		}
-		if n > 0 {
-			b.ReportMetric(float64(sum)/float64(n), "avg-attempts")
-		}
-	}
-}
-
-// BenchmarkFig4Caching regenerates Fig 4: energy per delivered bit for
-// JTP vs JNC (no in-network caching).
-func BenchmarkFig4Caching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig4Config{
-			Sizes:           []int{8},
-			TransferPackets: 120,
-			Runs:            2,
-			Seconds:         4000,
-			Seed:            41 + int64(i),
-			PerNodeSize:     7,
-		}
-		points := experiments.Fig4(cfg)
-		var jtpE, jncE float64
-		for _, p := range points {
-			if p.Proto == experiments.JTP {
-				jtpE = p.EnergyPerBit.Mean()
-			} else {
-				jncE = p.EnergyPerBit.Mean()
-			}
-		}
-		b.ReportMetric(jtpE*1e6, "jtp-uJ/bit")
-		b.ReportMetric(jncE*1e6, "jnc-uJ/bit")
-		if jtpE > 0 {
-			b.ReportMetric(jncE/jtpE, "jnc/jtp")
-		}
-	}
-}
-
-// BenchmarkFig5Backoff regenerates Fig 5: fairness of two competing
-// flows with and without the §4.2 source back-off.
-func BenchmarkFig5Backoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig5(experiments.Fig5Config{
-			Nodes: 6, Seconds: 1200, BinSeconds: 20, Seed: 51 + int64(i),
-		})
-		for _, r := range res {
-			ratio := 0.0
-			if r.MeanRate[0] > 0 {
-				ratio = r.MeanRate[1] / r.MeanRate[0]
-			}
-			if r.Backoff {
-				b.ReportMetric(ratio, "flow2/flow1-backoff")
-			} else {
-				b.ReportMetric(ratio, "flow2/flow1-nobackoff")
-			}
-		}
-	}
-}
-
-// BenchmarkFig6CacheSize regenerates Fig 6: source retransmissions vs
-// cache size.
-func BenchmarkFig6CacheSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points := experiments.Fig6(experiments.Fig6Config{
-			Sizes:           []int{6},
-			CacheSizes:      []int{1, 64},
-			TransferPackets: 150,
-			Runs:            2,
-			Seconds:         4000,
-			Seed:            61 + int64(i),
-		})
-		for _, p := range points {
-			if p.FeedbackLabel != "variable" {
-				continue
-			}
-			switch p.CacheSize {
-			case 1:
-				b.ReportMetric(p.SourceRtx.Mean(), "srcRtx-cache1")
-			case 64:
-				b.ReportMetric(p.SourceRtx.Mean(), "srcRtx-cache64")
-			}
-		}
-	}
-}
-
-// BenchmarkFig7Feedback regenerates Fig 7: energy and queue drops vs
-// feedback rate, with the variable-feedback reference.
-func BenchmarkFig7Feedback(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig7Defaults(0.2)
-		cfg.Rates = []float64{0.05, 0.5}
-		cfg.Seed = 71 + int64(i)
-		points := experiments.Fig7(cfg)
-		for _, p := range points {
-			switch p.FeedbackRate {
-			case 0:
-				b.ReportMetric(p.EnergyPerBit.Mean()*1e6, "variable-uJ/bit")
-			case 0.05:
-				b.ReportMetric(p.QueueDrops.Mean(), "drops@0.05/s")
-				b.ReportMetric(p.EnergyPerBit.Mean()*1e6, "uJ/bit@0.05/s")
-			case 0.5:
-				b.ReportMetric(p.EnergyPerBit.Mean()*1e6, "uJ/bit@0.5/s")
-			}
-		}
-	}
-}
-
-// BenchmarkFig8RateAdapt regenerates Fig 8: flow 1's adaptation while a
-// short-lived flow 2 comes and goes.
-func BenchmarkFig8RateAdapt(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig8Config{
-			Nodes: 6, Flow2Start: 400, Flow2End: 650,
-			Seconds: 900, BinSeconds: 10, Seed: 81 + int64(i),
-		}
-		res := experiments.Fig8(cfg)
-		before := res.Throughput[0].Between(200, cfg.Flow2Start).Mean()
-		during := res.Throughput[0].Between(cfg.Flow2Start+50, cfg.Flow2End).Mean()
-		b.ReportMetric(before, "flow1-before-pps")
-		b.ReportMetric(during, "flow1-during-pps")
-		b.ReportMetric(float64(len(res.Shifts)), "monitor-shifts")
-	}
-}
-
-// BenchmarkFig9Linear regenerates Fig 9: energy/bit and goodput for
-// jtp/atp/tcp over linear chains.
-func BenchmarkFig9Linear(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points := experiments.Fig9(experiments.Fig9Config{
-			Sizes: []int{8}, Runs: 2, Seconds: 900, Warmup: 100,
-			Protocols: []experiments.Protocol{experiments.JTP, experiments.ATP, experiments.TCP},
-			Seed:      42 + int64(i),
-		})
-		for _, p := range points {
-			b.ReportMetric(p.EnergyPerBit.Mean()*1e6, string(p.Proto)+"-uJ/bit")
-		}
-	}
-}
-
-// BenchmarkFig10Random regenerates Fig 10: static random topologies.
-func BenchmarkFig10Random(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points := experiments.Fig10(experiments.Fig10Config{
-			Sizes: []int{15}, Flows: 5, Runs: 2, Seconds: 600, Warmup: 60,
-			Protocols: []experiments.Protocol{experiments.JTP, experiments.TCP},
-			Seed:      101 + int64(i),
-		})
-		for _, p := range points {
-			b.ReportMetric(p.GoodputBps.Mean()/1e3, string(p.Proto)+"-kbps")
-		}
-	}
-}
-
-// BenchmarkFig11Mobility regenerates Fig 11: the mobile 15-node network.
-func BenchmarkFig11Mobility(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points := experiments.Fig11(experiments.Fig11Config{
-			Nodes: 15, Speeds: []float64{1}, Flows: 4, Runs: 2,
-			Seconds: 600, Warmup: 60,
-			Protocols: []experiments.Protocol{experiments.JTP},
-			Seed:      111 + int64(i),
-		})
-		for _, p := range points {
-			b.ReportMetric(p.EnergyPerBit.Mean()*1e6, "jtp-uJ/bit")
-			b.ReportMetric(p.CacheHitsPerKB.Mean(), "cacheHits/kB")
-			b.ReportMetric(p.SourceRtxPerKB.Mean(), "srcRtx/kB")
-		}
-	}
-}
-
-// BenchmarkTable2Testbed regenerates Table 2: the stable-link testbed
-// scenario.
-func BenchmarkTable2Testbed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points := experiments.Table2(experiments.Table2Config{
-			Nodes: 14, Seconds: 500, MeanInterarriv: 400, TransferKB: 40,
-			Runs: 2,
-			Protocols: []experiments.Protocol{
-				experiments.JTP, experiments.ATP, experiments.TCP,
-			},
-			Seed: 201 + int64(i),
-		})
-		for _, p := range points {
-			b.ReportMetric(p.EnergyPerBit.Mean()*1e6, string(p.Proto)+"-uJ/bit")
-		}
-	}
 }
 
 // ---- Ablation benchmarks (DESIGN.md §4) -------------------------------

@@ -64,6 +64,10 @@ func coordMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "jtpsim coord: exactly one of -matrix or -exp is required")
 		return 2
 	}
+	if e, ok := lookupExperiment(*expID); *expID != "" && (!ok || e.figure == nil) {
+		fmt.Fprintf(os.Stderr, "jtpsim coord: -exp %s is not a campaign; want one of: %s\n", *expID, campaignIDs())
+		return 2
+	}
 	if *shards < 1 {
 		fmt.Fprintln(os.Stderr, "jtpsim coord: -shards N (>= 1) is required")
 		return 2

@@ -15,28 +15,31 @@
 //	jtpsim merge s0.json s1.json s2.json
 //	                                   # fold shard results into one report
 //
-// The campaign modes (experiments and batch) shard and resume: -shard
-// i/N executes one deterministic cell-granular slice of the sweep,
-// -shard-out writes the slice's versioned result file, `jtpsim merge`
-// folds a complete shard set into a report byte-identical to the
-// unsharded run's, and -checkpoint makes progress durable across
-// SIGINT/SIGTERM (rerunning the same command auto-resumes).
+// Every multi-run figure (figs 3, 4, 6, 7, 9, 10, 11 and table2) is a
+// campaign on the internal/campaign worker pool, and so is batch mode;
+// table1, fig3c, fig5 and fig8 are single runs. -par sets the pool size
+// of every campaign (default: all CPUs); results are byte-identical for
+// every -par value.
+//
+// Every campaign shards and resumes: -shard i/N executes one
+// deterministic cell-granular slice of the sweep, -shard-out writes the
+// slice's versioned result file, `jtpsim merge` folds a complete shard
+// set into a report byte-identical to the unsharded run's, and
+// -checkpoint makes progress durable across SIGINT/SIGTERM (rerunning
+// the same command auto-resumes).
 //
 // Every mode accepts -cpuprofile/-memprofile to write pprof profiles of
-// the run. The campaign modes (experiments and batch) also accept
-// -telemetry out.jsonl (one JSON line of counters per completed run),
-// -progress (stderr ticker with runs/sec and ETA) and -debug-addr :8484
-// (live net/http/pprof + expvar, including the folded campaign counters
-// at /debug/vars) — none of which change any result byte.
+// the run. Every campaign also accepts -telemetry out.jsonl (one JSON
+// line of counters per completed run), -progress (stderr ticker with
+// runs/sec and ETA) and -debug-addr :8484 (live net/http/pprof +
+// expvar, including the folded campaign counters at /debug/vars) — none
+// of which change any result byte. The campaign-only flags on a
+// single-run experiment are a usage error (exit 2).
 //
 // Scale multiplies run counts, durations and transfer sizes relative to
 // the paper's full setup (scale 1 reproduces the paper's run counts:
 // 20 runs × 2500 s for Fig 9, etc.). The shapes are stable well below
 // full scale; the defaults here favor minutes over hours.
-//
-// The multi-run experiments (figs 9–11) and batch mode execute on the
-// internal/campaign worker pool; -par sets the pool size (default: all
-// CPUs). Results are byte-identical for every -par value.
 //
 // Batch mode reads a JSON matrix (see experiments.BatchSpec) crossing
 // protocol × network size × mobility speed × loss tolerance × cache
@@ -76,10 +79,14 @@ func show(t *metrics.Table) {
 	fmt.Print(t)
 }
 
+// experiment is one -exp id: exactly one of run, a single-run
+// experiment printing its own output, and figure, a campaign projected
+// onto the paper's tables, is set.
 type experiment struct {
-	id   string
-	desc string
-	run  func(scale float64, seed int64)
+	id     string
+	desc   string
+	run    func(scale float64, seed int64)
+	figure func(scale float64, seed int64) experiments.Figure
 }
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -108,50 +115,24 @@ func run(args []string) int {
 			return 2
 		}
 	}
-	return expMain()
+	return expMain(args)
 }
 
 // expMain is the classic figure-reproduction mode.
-func expMain() int {
+func expMain(args []string) int {
+	fs := flag.NewFlagSet("jtpsim", flag.ExitOnError)
 	var (
-		expID = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		scale = flag.Float64("scale", 0.25, "fraction of the paper's full run counts/durations (0..1]")
-		seed  = flag.Int64("seed", 0, "base seed override (0 = experiment default)")
-		list  = flag.Bool("list", false, "list experiment ids and exit")
+		expID = fs.String("exp", "", "experiment id (see -list), or 'all'")
+		scale = fs.Float64("scale", 0.25, "fraction of the paper's full run counts/durations (0..1]")
+		seed  = fs.Int64("seed", 0, "base seed override (0 = experiment default)")
+		list  = fs.Bool("list", false, "list experiment ids and exit")
 	)
-	flag.BoolVar(&asCSV, "csv", false, "emit tables as CSV (for plotting)")
-	flag.IntVar(&par, "par", 0, "campaign worker-pool size (0 = all CPUs)")
-	addProfileFlags(flag.CommandLine)
-	addTelemetryFlags(flag.CommandLine)
-	addShardFlags(flag.CommandLine)
-	flag.Parse()
-	defer stopProfiles()
-	if err := startProfiles(); err != nil {
-		fmt.Fprintf(os.Stderr, "jtpsim: %v\n", err)
-		return 1
-	}
-	// Shard state (slice selection, checkpoint frontier, shard-out) is
-	// per campaign; "all" runs many.
-	if shardingRequested() && *expID == "all" {
-		fmt.Fprintln(os.Stderr, "jtpsim: -shard/-shard-out/-checkpoint need a single -exp, not 'all'")
-		return 2
-	}
-	if err := applyShardFlags(); err != nil {
-		fmt.Fprintf(os.Stderr, "jtpsim: %v\n", err)
-		return 2
-	}
-	// SIGINT/SIGTERM cancel the running campaign; with -checkpoint the
-	// fold frontier is persisted first, so rerunning resumes. A second
-	// signal force-quits (exit 130).
-	ctx, stopSignals := watchSignals(context.Background())
-	defer stopSignals()
-	cliHooks.Ctx = ctx
-	cliHooks.OnInterrupted = expInterrupted
-	defer stopTelemetry()
-	if err := startTelemetry(); err != nil {
-		fmt.Fprintf(os.Stderr, "jtpsim: %v\n", err)
-		return 1
-	}
+	fs.BoolVar(&asCSV, "csv", false, "emit tables as CSV (for plotting)")
+	fs.IntVar(&par, "par", 0, "campaign worker-pool size (0 = all CPUs)")
+	addProfileFlags(fs)
+	addTelemetryFlags(fs)
+	addShardFlags(fs)
+	fs.Parse(args)
 
 	exps := registry()
 	if *list || *expID == "" {
@@ -173,23 +154,102 @@ func expMain() int {
 		return 0
 	}
 
-	if *expID == "all" {
-		for _, e := range exps {
+	all := *expID == "all"
+	selected := exps
+	switch e, ok := lookupExperiment(*expID); {
+	case all && shardingRequested():
+		// Shard state (slice selection, checkpoint frontier, shard-out) is
+		// per campaign; "all" runs many.
+		fmt.Fprintln(os.Stderr, "jtpsim: -shard/-shard-out/-checkpoint need a single -exp, not 'all'")
+		return 2
+	case all:
+	case !ok:
+		fmt.Fprintf(os.Stderr, "jtpsim: unknown experiment %q (try -list)\n", *expID)
+		return 2
+	case e.figure == nil && campaignFlagsSet():
+		fmt.Fprintf(os.Stderr, "jtpsim: -exp %s is a single run; -shard/-shard-out/-checkpoint/-status/-telemetry/-progress need a campaign: %s\n",
+			e.id, campaignIDs())
+		return 2
+	default:
+		selected = []experiment{e}
+	}
+
+	defer stopProfiles()
+	if err := startProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "jtpsim: %v\n", err)
+		return 1
+	}
+	defer stopTelemetry()
+	opt, err := campaignOptions()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jtpsim: %v\n", err)
+		return 1
+	}
+	// SIGINT/SIGTERM cancel the running campaign; with -checkpoint the
+	// fold frontier is persisted first, so rerunning resumes. A second
+	// signal force-quits (exit 130).
+	ctx, stopSignals := watchSignals(context.Background())
+	defer stopSignals()
+
+	for _, e := range selected {
+		if all {
 			fmt.Printf("==== %s: %s ====\n", e.id, e.desc)
+		}
+		if e.figure == nil {
 			e.run(*scale, *seed)
+		} else if err := runFigure(ctx, e.figure(*scale, *seed), opt); err != nil {
+			fmt.Fprintf(os.Stderr, "jtpsim: %v\n", err)
+			if ctx.Err() != nil && checkpointFlag != "" {
+				fmt.Fprintf(os.Stderr, "jtpsim: checkpoint saved to %s; rerun the same command to resume\n",
+					checkpointFlag)
+			}
+			return 1
+		}
+		if all {
 			fmt.Println()
 		}
-		return 0
 	}
-	id := strings.ToLower(*expID)
-	for _, e := range exps {
-		if e.id == id {
-			e.run(*scale, *seed)
-			return 0
+	return 0
+}
+
+// runFigure executes a figure campaign under opt and prints its tables.
+func runFigure(ctx context.Context, f experiments.Figure, opt experiments.Options) error {
+	rep, err := f.Report(ctx, opt)
+	if err != nil && rep != nil && ctx.Err() != nil {
+		return fmt.Errorf("cancelled: %w (%d runs folded, %d discarded)", err, rep.Runs, rep.Interrupted)
+	}
+	if err != nil {
+		return err
+	}
+	for i, t := range f.Tables(rep) {
+		if i > 0 {
+			fmt.Println()
 		}
+		show(t)
 	}
-	fmt.Fprintf(os.Stderr, "jtpsim: unknown experiment %q (try -list)\n", *expID)
-	return 2
+	return nil
+}
+
+// campaignOptions builds the options of every campaign the process runs
+// from the -par, sharding, -status and telemetry flags, opening the
+// sinks they name. Call stopTelemetry (deferred) to close them.
+func campaignOptions() (experiments.Options, error) {
+	opt := experiments.Options{Options: campaign.Options{
+		Workers:            par,
+		Shard:              shard,
+		Checkpoint:         checkpointFlag,
+		ShardOut:           shardOutFlag,
+		CheckpointInterval: checkpointIvFlag,
+		// Non-fatal campaign diagnostics (e.g. a corrupt checkpoint being
+		// discarded for a cold start) surface on stderr.
+		Warn: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "jtpsim: warning: "+format+"\n", args...)
+		},
+	}}
+	if err := startStatusWriter(&opt); err != nil {
+		return opt, err
+	}
+	return opt, startTelemetry(&opt)
 }
 
 // batchMain runs a user-declared scenario matrix: jtpsim batch -matrix
@@ -215,12 +275,9 @@ func batchMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", err)
 		return 1
 	}
-	if err := applyShardFlags(); err != nil {
-		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", err)
-		return 2
-	}
 	defer stopTelemetry()
-	if err := startTelemetry(); err != nil {
+	opt, err := campaignOptions()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", err)
 		return 1
 	}
@@ -256,10 +313,10 @@ func batchMain(args []string) int {
 	m := spec.Matrix()
 	fmt.Fprintf(os.Stderr, "jtpsim batch: %s: %d cells × %d runs = %d simulations\n",
 		spec.Name, m.NumCells(), spec.Runs, m.NumRuns())
-	if cliHooks.Shard.Enabled() {
-		lo, hi := cliHooks.Shard.CellRange(m.NumCells())
+	if opt.Shard.Enabled() {
+		lo, hi := opt.Shard.CellRange(m.NumCells())
 		fmt.Fprintf(os.Stderr, "jtpsim batch: shard %s: cells [%d,%d), %d simulations\n",
-			cliHooks.Shard, lo, hi, (hi-lo)*spec.Runs)
+			opt.Shard, lo, hi, (hi-lo)*spec.Runs)
 	}
 
 	// Ctrl-C cancels the campaign; the partial report is still emitted
@@ -268,10 +325,9 @@ func batchMain(args []string) int {
 	ctx, stop := watchSignals(context.Background())
 	defer stop()
 
-	var onResult func(campaign.RunSpec, campaign.Sample, error)
 	if *verbose {
 		total := m.NumRuns()
-		onResult = func(s campaign.RunSpec, _ campaign.Sample, err error) {
+		opt.OnResult = func(s campaign.RunSpec, _ campaign.Sample, err error) {
 			status := "ok"
 			if err != nil {
 				status = "FAIL: " + err.Error()
@@ -281,7 +337,7 @@ func batchMain(args []string) int {
 		}
 	}
 
-	rep, err := spec.Execute(ctx, par, onResult)
+	rep, err := spec.Execute(ctx, opt)
 	if err != nil && rep == nil {
 		// Pre-execution failure (bad spec, unresumable checkpoint, ...).
 		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", err)
@@ -324,21 +380,15 @@ func batchMain(args []string) int {
 
 func registry() []experiment {
 	exps := []experiment{
-		{"table1", "default parameter values", func(_ float64, _ int64) {
+		{id: "table1", desc: "default parameter values", run: func(_ float64, _ int64) {
 			show(experiments.Defaults())
 		}},
-		{"fig3", "adjustable reliability: energy & data delivered (jtp0/10/20)", func(s float64, seed int64) {
+		{id: "fig3", desc: "adjustable reliability: energy & data delivered (jtp0/10/20)", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig3Defaults(s)
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			points := experiments.Fig3(cfg)
-			a, b := experiments.Fig3Tables(points, cfg.TransferPackets)
-			show(a)
-			fmt.Println()
-			show(b)
+			seeded(&cfg.Seed, seed)
+			return experiments.Fig3(cfg)
 		}},
-		{"fig3c", "per-packet link-layer attempt budget at a mid-path node", func(s float64, seed int64) {
+		{id: "fig3c", desc: "per-packet link-layer attempt budget at a mid-path node", run: func(s float64, seed int64) {
 			if seed == 0 {
 				seed = 33
 			}
@@ -353,19 +403,12 @@ func registry() []experiment {
 				fmt.Println()
 			}
 		}},
-		{"fig4", "in-network caching gain: JTP vs JNC", func(s float64, seed int64) {
+		{id: "fig4", desc: "in-network caching gain: JTP vs JNC", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig4Defaults(s)
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			points := experiments.Fig4(cfg)
-			perNode := experiments.Fig4b(cfg)
-			a, b := experiments.Fig4Tables(points, perNode)
-			show(a)
-			fmt.Println()
-			show(b)
+			seeded(&cfg.Seed, seed)
+			return experiments.Fig4(cfg)
 		}},
-		{"fig5", "source back-off fairness for locally recovered packets", func(s float64, seed int64) {
+		{id: "fig5", desc: "source back-off fairness for locally recovered packets", run: func(s float64, seed int64) {
 			cfg := experiments.Fig5Defaults()
 			if s < 1 {
 				cfg.Seconds *= s * 2
@@ -373,83 +416,80 @@ func registry() []experiment {
 					cfg.Seconds = 600
 				}
 			}
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			show(experiments.Fig5Table(experiments.Fig5(cfg)))
+			seeded(&cfg.Seed, seed)
+			show(experiments.Fig5Summary(experiments.Fig5(cfg)))
 		}},
-		{"fig6", "source retransmissions vs cache size", func(s float64, seed int64) {
+		{id: "fig6", desc: "source retransmissions vs cache size", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig6Defaults(s)
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			show(experiments.Fig6Table(experiments.Fig6(cfg)))
+			seeded(&cfg.Seed, seed)
+			return experiments.Fig6(cfg)
 		}},
-		{"fig7", "constant vs variable feedback: energy & queue drops", func(s float64, seed int64) {
+		{id: "fig7", desc: "constant vs variable feedback: energy & queue drops", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig7Defaults(s)
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			a, b := experiments.Fig7Tables(experiments.Fig7(cfg))
-			show(a)
-			fmt.Println()
-			show(b)
+			seeded(&cfg.Seed, seed)
+			return experiments.Fig7(cfg)
 		}},
-		{"fig8", "PI2/MD rate adaptation of two competing flows", func(s float64, seed int64) {
+		{id: "fig8", desc: "PI2/MD rate adaptation of two competing flows", run: func(s float64, seed int64) {
 			cfg := experiments.Fig8Defaults()
-			if seed != 0 {
-				cfg.Seed = seed
-			}
+			seeded(&cfg.Seed, seed)
 			res := experiments.Fig8(cfg)
-			show(experiments.Fig8Table(res, cfg))
+			show(experiments.Fig8Summary(res, cfg))
 			fmt.Printf("\nmonitor shifts at: %.0fs (flow2 lifetime %.0f-%.0fs)\n",
 				res.Shifts, cfg.Flow2Start, cfg.Flow2End)
 		}},
-		{"fig9", "linear topologies: energy/bit & goodput (jtp/atp/tcp)", func(s float64, seed int64) {
+		{id: "fig9", desc: "linear topologies: energy/bit & goodput (jtp/atp/tcp)", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig9Defaults(s)
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			cfg.Par = par
-			a, b := experiments.Fig9Table(experiments.Fig9(cfg))
-			show(a)
-			fmt.Println()
-			show(b)
+			seeded(&cfg.Seed, seed)
+			return experiments.Fig9(cfg)
 		}},
-		{"fig10", "static random topologies: energy/bit & goodput", func(s float64, seed int64) {
+		{id: "fig10", desc: "static random topologies: energy/bit & goodput", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig10Defaults(s)
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			cfg.Par = par
-			a, b := experiments.Fig10Tables(experiments.Fig10(cfg))
-			show(a)
-			fmt.Println()
-			show(b)
+			seeded(&cfg.Seed, seed)
+			return experiments.Fig10(cfg)
 		}},
-		{"fig11", "mobility: energy/bit, goodput, local vs e2e recovery", func(s float64, seed int64) {
+		{id: "fig11", desc: "mobility: energy/bit, goodput, local vs e2e recovery", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig11Defaults(s)
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			cfg.Par = par
-			a, b, c := experiments.Fig11Tables(experiments.Fig11(cfg))
-			show(a)
-			fmt.Println()
-			show(b)
-			fmt.Println()
-			show(c)
+			seeded(&cfg.Seed, seed)
+			return experiments.Fig11(cfg)
 		}},
-		{"table2", "JAVeLEN testbed scenario (stable links, Poisson flows)", func(s float64, seed int64) {
+		{id: "table2", desc: "JAVeLEN testbed scenario (stable links, Poisson flows)", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Table2Defaults(s)
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			show(experiments.Table2Table(experiments.Table2(cfg)))
+			seeded(&cfg.Seed, seed)
+			return experiments.Table2(cfg)
 		}},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].id < exps[j].id })
 	return exps
+}
+
+// seeded applies the -seed override (0 keeps the experiment default).
+func seeded(dst *int64, seed int64) {
+	if seed != 0 {
+		*dst = seed
+	}
+}
+
+// lookupExperiment finds an -exp id, case-insensitively.
+func lookupExperiment(id string) (experiment, bool) {
+	id = strings.ToLower(id)
+	for _, e := range registry() {
+		if e.id == id {
+			return e, true
+		}
+	}
+	return experiment{}, false
+}
+
+// campaignIDs lists the ids of the campaign experiments, the ones the
+// campaign-only flags and `jtpsim coord -exp` accept.
+func campaignIDs() string {
+	var ids []string
+	for _, e := range registry() {
+		if e.figure != nil {
+			ids = append(ids, e.id)
+		}
+	}
+	return strings.Join(ids, ", ")
 }
 
 // sparkline renders the Fig 3(c) attempt trace as rows of packet-index

@@ -1,9 +1,11 @@
 package main
 
-// Sharding & checkpointing for the campaign modes:
+// Sharding & checkpointing for every campaign (batch and the multi-run
+// figures):
 //
 //	jtpsim batch -matrix m.json -shard 0/3 -shard-out s0.json \
 //	             -checkpoint s0.ck.json
+//	jtpsim -exp fig4 -shard 1/3 -shard-out fig4.s1.json
 //	jtpsim merge s0.json s1.json s2.json        # fold shard results
 //
 // -shard i/N executes only the i-th of N deterministic, cell-granular
@@ -27,7 +29,7 @@ import (
 )
 
 var (
-	shardFlag        string
+	shard            campaign.Shard
 	shardOutFlag     string
 	checkpointFlag   string
 	checkpointIvFlag time.Duration
@@ -36,49 +38,26 @@ var (
 
 // addShardFlags registers the sharding flags on a campaign-mode FlagSet.
 func addShardFlags(fs *flag.FlagSet) {
-	fs.StringVar(&shardFlag, "shard", "", "execute only shard i/N of the campaign (e.g. 0/3)")
+	shard = campaign.Shard{}
+	fs.Func("shard", "execute only shard i/N of the campaign (e.g. 0/3)", func(v string) (err error) {
+		shard, err = campaign.ParseShard(v)
+		return err
+	})
 	fs.StringVar(&shardOutFlag, "shard-out", "", "write this shard's result file here on completion (fold with 'jtpsim merge')")
 	fs.StringVar(&checkpointFlag, "checkpoint", "", "durable checkpoint file; auto-resumes when it already exists")
 	fs.DurationVar(&checkpointIvFlag, "checkpoint-interval", 0, "max wall clock between periodic checkpoints (0 = campaign default)")
 	fs.StringVar(&statusFlag, "status", "", "append heartbeat frames (fold frontier, rate) to this file for a supervising coordinator")
 }
 
-// applyShardFlags parses the shard flags into the process-wide campaign
-// hooks (installed by startTelemetry).
-func applyShardFlags() error {
-	if shardFlag != "" {
-		sh, err := campaign.ParseShard(shardFlag)
-		if err != nil {
-			return err
-		}
-		cliHooks.Shard = sh
-	}
-	cliHooks.Checkpoint = checkpointFlag
-	cliHooks.ShardOut = shardOutFlag
-	cliHooks.CheckpointInterval = checkpointIvFlag
-	// Non-fatal campaign diagnostics (e.g. a corrupt checkpoint being
-	// discarded for a cold start) surface on stderr.
-	cliHooks.Warn = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "jtpsim: warning: "+format+"\n", args...)
-	}
-	return startStatusWriter()
-}
-
 // shardingRequested reports whether any sharding flag is in play.
 func shardingRequested() bool {
-	return shardFlag != "" || shardOutFlag != "" || checkpointFlag != "" || statusFlag != ""
+	return shard.Of != 0 || shardOutFlag != "" || checkpointFlag != "" || statusFlag != ""
 }
 
-// expInterrupted handles a cancelled figure campaign: report what was
-// saved and exit without surfacing the mustExecute panic.
-func expInterrupted(rep *campaign.Report, err error) {
-	fmt.Fprintf(os.Stderr, "jtpsim: cancelled: %v (%d runs folded, %d discarded)\n",
-		err, rep.Runs, rep.Interrupted)
-	if checkpointFlag != "" {
-		fmt.Fprintf(os.Stderr, "jtpsim: checkpoint saved to %s; rerun the same command to resume\n",
-			checkpointFlag)
-	}
-	os.Exit(1)
+// campaignFlagsSet reports whether any flag that only a campaign honors
+// is in play.
+func campaignFlagsSet() bool {
+	return shardingRequested() || telemetryPath != "" || progressFlag
 }
 
 // mergeMain folds shard result files into one report: jtpsim merge

@@ -23,6 +23,7 @@ import (
 
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/coordinator"
+	"github.com/javelen/jtp/internal/experiments"
 )
 
 var (
@@ -36,9 +37,9 @@ var (
 const statusFrameInterval = 250 * time.Millisecond
 
 // startStatusWriter opens the -status sink, arms the chaos knob, and
-// chains the heartbeat hook onto cliHooks.OnProgress ahead of
-// startTelemetry (which composes rather than replaces a present hook).
-func startStatusWriter() error {
+// chains the heartbeat hook onto opt.OnProgress ahead of startTelemetry
+// (which composes rather than replaces a present hook).
+func startStatusWriter(opt *experiments.Options) error {
 	if statusFlag == "" {
 		return nil
 	}
@@ -47,11 +48,11 @@ func startStatusWriter() error {
 		return fmt.Errorf("status: %w", err)
 	}
 	statusFile = f
-	if err := armChaosExit(); err != nil {
+	if err := armChaosExit(opt.Shard.Index); err != nil {
 		return err
 	}
-	prev := cliHooks.OnProgress
-	cliHooks.OnProgress = func(p campaign.Progress) {
+	prev := opt.OnProgress
+	opt.OnProgress = func(p campaign.Progress) {
 		if prev != nil {
 			prev(p)
 		}
@@ -62,7 +63,7 @@ func startStatusWriter() error {
 
 // armChaosExit parses JTPSIM_CHAOS_EXIT_AT ("SEQ" or "SHARD:SEQ") into
 // chaosExitAt for this worker's shard.
-func armChaosExit() error {
+func armChaosExit(shardIndex int) error {
 	v := os.Getenv(coordinator.EnvChaosExitAt)
 	if v == "" {
 		return nil
@@ -73,7 +74,7 @@ func armChaosExit() error {
 		if err != nil {
 			return fmt.Errorf("%s: bad shard in %q", coordinator.EnvChaosExitAt, v)
 		}
-		if shard != cliHooks.Shard.Index {
+		if shard != shardIndex {
 			return nil // aimed at a different shard
 		}
 		target = v[i+1:]

@@ -1,6 +1,6 @@
 package main
 
-// Live campaign telemetry for every jtpsim mode, riding the deterministic
+// Live campaign telemetry for every jtpsim campaign, riding the deterministic
 // in-order progress stream of the campaign engine:
 //
 //	jtpsim -exp fig9 -telemetry fig9.tel.jsonl   # one JSON line per run
@@ -60,12 +60,6 @@ var (
 	expvarPublishOnce sync.Once
 )
 
-// cliHooks accumulates the process-wide campaign configuration the CLI
-// assembles from its flags — telemetry sinks here, shard/checkpoint
-// selection in shard.go, the signal context in the mode mains — before
-// startTelemetry installs it for every campaign the process runs.
-var cliHooks experiments.CampaignHooks
-
 // addTelemetryFlags registers the telemetry flags on a FlagSet.
 func addTelemetryFlags(fs *flag.FlagSet) {
 	fs.StringVar(&telemetryPath, "telemetry", "", "write per-run telemetry as JSON lines to this file")
@@ -86,11 +80,9 @@ type telemetryLine struct {
 	Counters    map[string]float64 `json:"counters,omitempty"`
 }
 
-// startTelemetry opens the sinks selected by the flags and installs the
-// accumulated campaign hooks (telemetry and sharding alike — it always
-// installs, so shard/checkpoint flags work without any telemetry flag).
-// Call stopTelemetry (deferred) to flush.
-func startTelemetry() error {
+// startTelemetry opens the sinks selected by the flags and wires them
+// into opt. Call stopTelemetry (deferred) to flush.
+func startTelemetry(opt *experiments.Options) error {
 	if telemetryPath != "" {
 		f, err := os.Create(telemetryPath)
 		if err != nil {
@@ -109,27 +101,25 @@ func startTelemetry() error {
 	// Counter collection is only worth its (small) cost when something
 	// consumes the counters; a bare -progress ticker needs just the
 	// stream itself.
-	cliHooks.Telemetry = telemetryPath != "" || debugAddr != ""
+	opt.Telemetry = telemetryPath != "" || debugAddr != ""
 	if telemetryPath != "" || progressFlag || debugAddr != "" {
 		// Compose with any hook already chained (the -status heartbeat
 		// writer); telemetry first, so a chaos suicide in the status hook
 		// still sees this run's telemetry line flushed.
-		if prev := cliHooks.OnProgress; prev != nil {
-			cliHooks.OnProgress = func(p campaign.Progress) {
+		if prev := opt.OnProgress; prev != nil {
+			opt.OnProgress = func(p campaign.Progress) {
 				onCampaignProgress(p)
 				prev(p)
 			}
 		} else {
-			cliHooks.OnProgress = onCampaignProgress
+			opt.OnProgress = onCampaignProgress
 		}
 	}
-	experiments.SetCampaignHooks(cliHooks)
 	return nil
 }
 
 // stopTelemetry flushes and closes the sinks.
 func stopTelemetry() {
-	experiments.SetCampaignHooks(experiments.CampaignHooks{})
 	if telemetryFile != nil {
 		telemetryFile.Close()
 		fmt.Fprintf(os.Stderr, "jtpsim: wrote telemetry %s\n", telemetryPath)

@@ -344,35 +344,16 @@ func (b *BatchSpec) scenario(cell campaign.Cell, seed int64) (Scenario, error) {
 	return sc, nil
 }
 
-// Execute runs the campaign on par workers (0 = GOMAXPROCS), honoring
-// ctx cancellation. Individual run failures are recorded per cell, not
-// fatal, so one impossible corner of a matrix doesn't waste the rest.
-// Specs constructed in code (not via ParseBatchSpec) are defaulted and
+// Execute runs the campaign under opt, honoring ctx cancellation.
+// Individual run failures are recorded per cell, not fatal, so one
+// impossible corner of a matrix doesn't waste the rest. Specs
+// constructed in code (not via ParseBatchSpec) are defaulted and
 // validated here too, so a bad axis value fails loudly instead of
 // silently running a different scenario.
-func (b *BatchSpec) Execute(ctx context.Context, par int, onResult func(campaign.RunSpec, campaign.Sample, error)) (*campaign.Report, error) {
+func (b *BatchSpec) Execute(ctx context.Context, opt Options) (*campaign.Report, error) {
 	b.applyDefaults()
 	if err := b.validate(); err != nil {
 		return nil, err
 	}
-	opt := campaignHooks.options(par)
-	opt.OnResult = onResult
-	return campaign.Execute(ctx, b.Matrix(), opt,
-		func(ctx context.Context, spec campaign.RunSpec) (campaign.Sample, error) {
-			// Bail before simulating when the campaign was cancelled: the
-			// run is then classified interrupted (rerun on resume), not
-			// recorded as a cell failure.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			sc, err := b.scenario(spec.Cell, spec.Seed)
-			if err != nil {
-				return nil, err
-			}
-			rec, err := Run(sc)
-			if err != nil {
-				return nil, err
-			}
-			return runRecordSample(rec), nil
-		})
+	return execute(ctx, b.Matrix(), opt, b.scenario, runRecordSample)
 }

@@ -31,7 +31,7 @@ func workloadBatchSpec() *BatchSpec {
 func TestWorkloadBatchWorkerInvariance(t *testing.T) {
 	var outs []string
 	for _, par := range []int{1, 8} {
-		rep, err := workloadBatchSpec().Execute(context.Background(), par, nil)
+		rep, err := workloadBatchSpec().Execute(context.Background(), workers(par))
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strconv"
 	"testing"
 )
 
@@ -20,29 +19,25 @@ func TestCalibrationFig9Mini(t *testing.T) {
 		Protocols: []Protocol{JTP, ATP, TCP},
 		Seed:      7,
 	}
-	points := Fig9(cfg)
-	et, gt := Fig9Table(points)
-	t.Logf("\n%s\n%s", et, gt)
+	fig := Fig9(cfg)
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
 
-	byKey := map[string]*Fig9Point{}
-	for _, p := range points {
-		byKey[string(p.Proto)+"-"+strconv.Itoa(p.Nodes)] = p
-	}
 	for _, n := range cfg.Sizes {
-		jtp := byKey["jtp-"+strconv.Itoa(n)]
-		atp := byKey["atp-"+strconv.Itoa(n)]
-		tcp := byKey["tcp-"+strconv.Itoa(n)]
-		if jtp.EnergyPerBit.Mean() >= tcp.EnergyPerBit.Mean() {
+		jtp := findCell(t, rep, "proto", string(JTP), "netSize", n)
+		atp := findCell(t, rep, "proto", string(ATP), "netSize", n)
+		tcp := findCell(t, rep, "proto", string(TCP), "netSize", n)
+		if mean(jtp, obsEnergyPerBit) >= mean(tcp, obsEnergyPerBit) {
 			t.Errorf("n=%d: jtp energy/bit %.3g >= tcp %.3g (expected jtp cheaper)",
-				n, jtp.EnergyPerBit.Mean(), tcp.EnergyPerBit.Mean())
+				n, mean(jtp, obsEnergyPerBit), mean(tcp, obsEnergyPerBit))
 		}
-		if jtp.EnergyPerBit.Mean() >= atp.EnergyPerBit.Mean() {
+		if mean(jtp, obsEnergyPerBit) >= mean(atp, obsEnergyPerBit) {
 			t.Errorf("n=%d: jtp energy/bit %.3g >= atp %.3g (expected jtp cheaper)",
-				n, jtp.EnergyPerBit.Mean(), atp.EnergyPerBit.Mean())
+				n, mean(jtp, obsEnergyPerBit), mean(atp, obsEnergyPerBit))
 		}
-		if jtp.GoodputBps.Mean() <= tcp.GoodputBps.Mean() {
+		if mean(jtp, obsGoodputBps) <= mean(tcp, obsGoodputBps) {
 			t.Errorf("n=%d: jtp goodput %.3g <= tcp %.3g (expected jtp higher)",
-				n, jtp.GoodputBps.Mean(), tcp.GoodputBps.Mean())
+				n, mean(jtp, obsGoodputBps), mean(tcp, obsGoodputBps))
 		}
 	}
 }

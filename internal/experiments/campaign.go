@@ -5,6 +5,7 @@ import (
 
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/metrics"
+	"github.com/javelen/jtp/internal/obs"
 )
 
 // Observable names shared by the figure campaigns and batch mode.
@@ -19,7 +20,90 @@ const (
 	obsQueueDrops     = "queue_drops"       // MAC queue overflows
 	obsRetryDrops     = "retry_drops"       // link-layer retry exhaustion
 	obsBudgetDead     = "budget_dead_nodes" // nodes whose energy budget ran out
+	obsEnergyJ        = "energy_J"          // total system energy
+	obsCompleted      = "completed"         // 1 when the run's transfer finished
 )
+
+// Options configures one campaign execution: the engine's options plus
+// run telemetry. Every campaign in this package takes its options as an
+// argument, so campaigns with different options can share a process.
+type Options struct {
+	campaign.Options
+	// Telemetry attaches a fresh obs.Registry to every run; each run's
+	// snapshot rides its Sample under campaign.TelemetryPrefix and folds
+	// into the report's Telemetry aggregates. The observable aggregates —
+	// and therefore tables, CSVs and goldens — are byte-identical either
+	// way.
+	Telemetry bool
+}
+
+// Figure is a paper figure declared as a campaign: the sweep, the
+// scenario each run simulates, the observables each run reports and the
+// projection of the aggregate report onto the paper's tables.
+type Figure struct {
+	Matrix   campaign.Matrix
+	Scenario func(cell campaign.Cell, seed int64) Scenario
+	Sample   func(rec *metrics.RunRecord) campaign.Sample
+	Tables   func(rep *campaign.Report) []*metrics.Table
+}
+
+// Report executes the figure's campaign under opt. Figure scenarios are
+// valid by construction, so any failed run is returned as an error. On
+// cancellation the partial report is returned with ctx's error.
+func (f Figure) Report(ctx context.Context, opt Options) (*campaign.Report, error) {
+	rep, err := execute(ctx, f.Matrix, opt, func(cell campaign.Cell, seed int64) (Scenario, error) {
+		return f.Scenario(cell, seed), nil
+	}, f.Sample)
+	if err != nil {
+		return rep, err
+	}
+	return rep, rep.Err()
+}
+
+// execute is the one run path of every campaign in this package: each run
+// builds its scenario, simulates it and reports its sample.
+func execute(ctx context.Context, m campaign.Matrix, opt Options,
+	scenario func(campaign.Cell, int64) (Scenario, error),
+	sample func(*metrics.RunRecord) campaign.Sample) (*campaign.Report, error) {
+	return campaign.Execute(ctx, m, opt.Options, func(ctx context.Context, spec campaign.RunSpec) (campaign.Sample, error) {
+		// A run admitted after cancellation bails before simulating: it is
+		// classified interrupted (rerun on resume), never failed.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sc, err := scenario(spec.Cell, spec.Seed)
+		if err != nil {
+			return nil, err
+		}
+		if opt.Telemetry {
+			// A registry of the run's own: a recycled one would export the
+			// instruments of earlier runs as zeros.
+			sc.Obs = obs.New()
+		}
+		rec, err := Run(sc)
+		if err != nil {
+			return nil, err
+		}
+		return telemetrySample(sample(rec), rec), nil
+	})
+}
+
+// telemetrySample merges a run's telemetry snapshot into its campaign
+// sample under campaign.TelemetryPrefix; with telemetry off (rec.Telemetry
+// nil) it is an identity.
+func telemetrySample(s campaign.Sample, rec *metrics.RunRecord) campaign.Sample {
+	for k, v := range rec.Telemetry {
+		s[campaign.TelemetryPrefix+k] = float64(v)
+	}
+	return s
+}
+
+// runSeeds is the seed schedule the figures kept from their serial
+// loops: run r of every cell uses base + r·stride, so all cells of one
+// run index see the same seed.
+func runSeeds(base, stride int64) campaign.SeedFunc {
+	return func(_ campaign.Cell, _, run int) int64 { return base + int64(run)*stride }
+}
 
 // protocolValues converts a protocol list into campaign axis values.
 func protocolValues(ps []Protocol) []any {
@@ -30,33 +114,27 @@ func protocolValues(ps []Protocol) []any {
 	return out
 }
 
-// mustExecute runs a figure campaign with par workers and panics on any
-// failed run, preserving the panic-on-bad-scenario behavior the serial
-// figure loops had. Execution honors the process-wide campaignHooks:
-// context (cancellation), shard selection, checkpoint/resume and the
-// shard result file. A cancelled campaign is routed to OnInterrupted
-// (when set) before the panic, so the CLI can exit cleanly instead.
-func mustExecute(m campaign.Matrix, par int, run func(spec campaign.RunSpec) campaign.Sample) *campaign.Report {
-	ctx := campaignHooks.ctx()
-	rep, err := campaign.Execute(ctx, m, campaignHooks.options(par),
-		func(ctx context.Context, spec campaign.RunSpec) (campaign.Sample, error) {
-			// A run admitted after cancellation bails immediately and is
-			// classified interrupted, never failed.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return run(spec), nil
-		})
-	if err != nil {
-		if ctx.Err() != nil && campaignHooks.OnInterrupted != nil {
-			campaignHooks.OnInterrupted(rep, err)
-		}
-		panic("experiments: " + err.Error())
+// energyGoodputSample reports the paper's two headline observables.
+func energyGoodputSample(rec *metrics.RunRecord) campaign.Sample {
+	return campaign.Sample{
+		obsEnergyPerBit: rec.EnergyPerBit(),
+		obsGoodputBps:   rec.MeanGoodputBps(),
 	}
-	if err := rep.Err(); err != nil {
-		panic("experiments: " + err.Error())
+}
+
+// energyGoodputTables projects a proto × x campaign onto the paired
+// energy-per-bit and goodput panels of Figs 9–11; x is the axis the
+// figure sweeps, headed xHeader.
+func energyGoodputTables(rep *campaign.Report, x, xHeader, energyTitle, goodputTitle string) []*metrics.Table {
+	energyTbl := metrics.NewTable(energyTitle, xHeader, "proto", "uJ/bit", "±CI")
+	goodputTbl := metrics.NewTable(goodputTitle, xHeader, "proto", "kbps", "±CI")
+	for _, c := range rep.Cells {
+		xv, _ := c.Cell.Get(x)
+		e, g := c.Running(obsEnergyPerBit), c.Running(obsGoodputBps)
+		energyTbl.AddRow(xv, c.Cell.String("proto"), e.Mean()*1e6, e.CI95()*1e6)
+		goodputTbl.AddRow(xv, c.Cell.String("proto"), g.Mean()/1e3, g.CI95()/1e3)
 	}
-	return rep
+	return []*metrics.Table{energyTbl, goodputTbl}
 }
 
 // runRecordSample extracts the standard campaign observables from one
@@ -78,5 +156,5 @@ func runRecordSample(rec *metrics.RunRecord) campaign.Sample {
 	if rec.EnergyBudgets != nil {
 		s[obsBudgetDead] = float64(rec.BudgetDeadNodes)
 	}
-	return telemetrySample(s, rec)
+	return s
 }

@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
 
 // benchFig9Cfg is a reduced Fig 9 sweep (12 cells × 3 runs) sized so a
 // single benchmark iteration is seconds, not minutes.
-func benchFig9Cfg(par int) Fig9Config {
+func benchFig9Cfg() Fig9Config {
 	return Fig9Config{
 		Sizes:     []int{2, 4, 6, 8},
 		Runs:      3,
@@ -15,7 +16,6 @@ func benchFig9Cfg(par int) Fig9Config {
 		Warmup:    100,
 		Protocols: []Protocol{JTP, ATP, TCP},
 		Seed:      42,
-		Par:       par,
 	}
 }
 
@@ -28,8 +28,11 @@ func benchFig9Cfg(par int) Fig9Config {
 func BenchmarkFig9Campaign(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
+			opt := workers(par)
 			for i := 0; i < b.N; i++ {
-				Fig9(benchFig9Cfg(par))
+				if _, err := Fig9(benchFig9Cfg()).Report(context.Background(), opt); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/stats"
 )
 
@@ -21,19 +20,38 @@ func equivFig9Cfg() Fig9Config {
 	}
 }
 
+// serialCell is one (protocol, netSize) cell of the serial reference.
+type serialCell struct {
+	proto                    Protocol
+	nodes                    int
+	energyPerBit, goodputBps stats.Running
+}
+
 // serialFig9 is the pre-campaign reference implementation: the exact
 // nested loops (protocol outer, size inner, runs innermost, seed
-// schedule Seed + run·1009) that Fig9 used before the refactor.
-func serialFig9(cfg Fig9Config) []*Fig9Point {
-	var out []*Fig9Point
+// schedule Seed + run·1009) and run scenario that Fig9 used before the
+// refactor.
+func serialFig9(cfg Fig9Config) []*serialCell {
+	var out []*serialCell
 	for _, proto := range cfg.Protocols {
 		for _, n := range cfg.Sizes {
-			pt := &Fig9Point{Proto: proto, Nodes: n}
+			pt := &serialCell{proto: proto, nodes: n}
 			for run := 0; run < cfg.Runs; run++ {
 				seed := cfg.Seed + int64(run)*1009
-				rec := runFig9Once(proto, n, seed, cfg)
-				pt.EnergyPerBit.Add(rec.EnergyPerBit())
-				pt.GoodputBps.Add(rec.MeanGoodputBps())
+				rec := must(Run(Scenario{
+					Name:    "fig9",
+					Proto:   proto,
+					Topo:    Linear,
+					Nodes:   n,
+					Seconds: cfg.Seconds,
+					Seed:    seed,
+					Flows: []FlowSpec{
+						{Src: 0, Dst: n - 1, StartAt: cfg.Warmup + float64(seed%97)/97.0*100},
+						{Src: n - 1, Dst: 0, StartAt: cfg.Warmup + float64(seed%89)/89.0*100},
+					},
+				}))
+				pt.energyPerBit.Add(rec.EnergyPerBit())
+				pt.goodputBps.Add(rec.MeanGoodputBps())
 			}
 			out = append(out, pt)
 		}
@@ -58,18 +76,17 @@ func TestFig9CampaignMatchesSerial(t *testing.T) {
 	cfg := equivFig9Cfg()
 	want := serialFig9(cfg)
 	for _, par := range []int{1, 4} {
-		cfg.Par = par
-		got := Fig9(cfg)
+		got := figureReport(t, Fig9(cfg), workers(par)).Cells
 		if len(got) != len(want) {
-			t.Fatalf("par=%d: %d points, want %d", par, len(got), len(want))
+			t.Fatalf("par=%d: %d cells, want %d", par, len(got), len(want))
 		}
-		for i := range want {
-			if got[i].Proto != want[i].Proto || got[i].Nodes != want[i].Nodes {
-				t.Fatalf("par=%d: point %d is (%s,%d), want (%s,%d)",
-					par, i, got[i].Proto, got[i].Nodes, want[i].Proto, want[i].Nodes)
+		for i, w := range want {
+			c := got[i]
+			if Protocol(c.Cell.String("proto")) != w.proto || c.Cell.Int("netSize") != w.nodes {
+				t.Fatalf("par=%d: cell %d is %s, want (%s,%d)", par, i, c.Cell.Key(), w.proto, w.nodes)
 			}
-			requireRunningEqual(t, string(got[i].Proto), got[i].EnergyPerBit, want[i].EnergyPerBit)
-			requireRunningEqual(t, string(got[i].Proto), got[i].GoodputBps, want[i].GoodputBps)
+			requireRunningEqual(t, string(w.proto), c.Running(obsEnergyPerBit), w.energyPerBit)
+			requireRunningEqual(t, string(w.proto), c.Running(obsGoodputBps), w.goodputBps)
 		}
 	}
 }
@@ -83,16 +100,7 @@ func TestFig10SeedScheduleUnchanged(t *testing.T) {
 		Seconds: 100, Warmup: 20,
 		Protocols: []Protocol{JTP, TCP}, Seed: 101,
 	}
-	m := campaign.Matrix{
-		Axes: []campaign.Axis{
-			{Name: "proto", Values: protocolValues(cfg.Protocols)},
-			{Name: "netSize", Values: campaign.Ints(cfg.Sizes...)},
-		},
-		Runs: cfg.Runs,
-		SeedFn: func(cell campaign.Cell, _, run int) int64 {
-			return cfg.Seed + int64(run)*8123 + int64(cell.Int("netSize"))
-		},
-	}
+	m := Fig10(cfg).Matrix
 	seeds := map[string]map[int]int64{} // netSize/run -> proto -> seed
 	for _, spec := range m.Expand() {
 		key := spec.Cell.String("netSize")
@@ -157,7 +165,7 @@ func TestBatchExecuteSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := b.Execute(context.Background(), 4, nil)
+	rep, err := b.Execute(context.Background(), workers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +187,7 @@ func TestBatchExecuteSmoke(t *testing.T) {
 	}
 	// Determinism across worker counts holds for real simulations too,
 	// not just the synthetic campaign tests.
-	rep1, err := b.Execute(context.Background(), 1, nil)
+	rep1, err := b.Execute(context.Background(), workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

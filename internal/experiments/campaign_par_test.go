@@ -4,6 +4,8 @@ import (
 	"os"
 	"strconv"
 	"testing"
+
+	"github.com/javelen/jtp/internal/campaign"
 )
 
 // campaignPars returns the worker counts the invariance tests exercise.
@@ -35,31 +37,29 @@ func TestFig10WorkerCountInvarianceCampaign(t *testing.T) {
 		Seconds: 200, Warmup: 30,
 		Protocols: []Protocol{JTP, TCP, ATP}, Seed: 77,
 	}
-	var base []*Fig10Point
+	requireWorkerCountInvariance(t, Fig10(cfg), obsEnergyPerBit, obsGoodputBps)
+}
+
+// requireWorkerCountInvariance executes the figure at each worker count
+// of campaignPars and requires every named observable of every cell to
+// equal the first count's bit for bit.
+func requireWorkerCountInvariance(t *testing.T, f Figure, observables ...string) {
+	t.Helper()
+	var base *campaign.Report
 	for _, par := range campaignPars(t) {
-		cfg.Par = par
-		got := Fig10(cfg)
+		got := figureReport(t, f, workers(par))
 		if base == nil {
 			base = got
 			continue
 		}
-		requireFig10Equal(t, par, got, base)
-	}
-}
-
-func requireFig10Equal(t *testing.T, par int, got, want []*Fig10Point) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("par=%d: %d points, want %d", par, len(got), len(want))
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.Proto != w.Proto || g.Nodes != w.Nodes {
-			t.Fatalf("par=%d: point %d is (%s,%d), want (%s,%d)",
-				par, i, g.Proto, g.Nodes, w.Proto, w.Nodes)
+		if len(got.Cells) != len(base.Cells) {
+			t.Fatalf("par=%d: %d cells, want %d", par, len(got.Cells), len(base.Cells))
 		}
-		requireRunningEqual(t, string(g.Proto), g.EnergyPerBit, w.EnergyPerBit)
-		requireRunningEqual(t, string(g.Proto), g.GoodputBps, w.GoodputBps)
+		for i, w := range base.Cells {
+			for _, o := range observables {
+				requireRunningEqual(t, w.Cell.Key()+" "+o, got.Cells[i].Running(o), w.Running(o))
+			}
+		}
 	}
 }
 
@@ -75,22 +75,6 @@ func TestFig11WorkerCountInvarianceCampaign(t *testing.T) {
 		Seconds: 150, Warmup: 30,
 		Protocols: []Protocol{JTP, TCP}, Seed: 55,
 	}
-	var base []*Fig11Point
-	for _, par := range campaignPars(t) {
-		cfg.Par = par
-		got := Fig11(cfg)
-		if base == nil {
-			base = got
-			continue
-		}
-		if len(got) != len(base) {
-			t.Fatalf("par=%d: %d points, want %d", par, len(got), len(base))
-		}
-		for i := range base {
-			requireRunningEqual(t, string(base[i].Proto), got[i].EnergyPerBit, base[i].EnergyPerBit)
-			requireRunningEqual(t, string(base[i].Proto), got[i].GoodputBps, base[i].GoodputBps)
-			requireRunningEqual(t, string(base[i].Proto), got[i].SourceRtxPerKB, base[i].SourceRtxPerKB)
-			requireRunningEqual(t, string(base[i].Proto), got[i].CacheHitsPerKB, base[i].CacheHitsPerKB)
-		}
-	}
+	requireWorkerCountInvariance(t, Fig11(cfg),
+		obsEnergyPerBit, obsGoodputBps, obsSourceRtxPerKB, obsCacheHitsPerKB)
 }

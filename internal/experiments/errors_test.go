@@ -66,7 +66,7 @@ func TestWorkloadCellErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spec should parse (generation, not parsing, fails): %v", err)
 	}
-	rep, execErr := spec.Execute(t.Context(), 1, nil)
+	rep, execErr := spec.Execute(t.Context(), workers(1))
 	if execErr != nil {
 		t.Fatalf("Execute: %v", execErr)
 	}

@@ -3,27 +3,12 @@ package experiments
 import (
 	"strconv"
 
+	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/core"
 	"github.com/javelen/jtp/internal/ijtp"
 	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/packet"
-	"github.com/javelen/jtp/internal/stats"
 )
-
-// Fig3Point is one (lossTolerance, netSize) cell of Figs 3(a)/(b): total
-// energy spent and data delivered for a fixed-size transfer at the given
-// reliability level.
-type Fig3Point struct {
-	LossTolerance float64
-	Nodes         int
-	// EnergyJ is the total system energy across runs.
-	EnergyJ stats.Running
-	// DeliveredKB is application data delivered across runs.
-	DeliveredKB stats.Running
-	// Completed counts runs whose transfer finished.
-	Completed int
-	Runs      int
-}
 
 // Fig3Config parameterizes the adjustable-reliability experiment (§3):
 // one bulk transfer per run over linear chains at loss tolerance 0%
@@ -67,37 +52,65 @@ func Fig3Defaults(scale float64) Fig3Config {
 }
 
 // Fig3 reproduces Figs 3(a) and 3(b): energy and data delivered for
-// transfers of different reliability levels.
-func Fig3(cfg Fig3Config) []*Fig3Point {
-	var out []*Fig3Point
-	for _, lt := range cfg.Tolerances {
-		for _, n := range cfg.Sizes {
-			pt := &Fig3Point{LossTolerance: lt, Nodes: n, Runs: cfg.Runs}
-			for run := 0; run < cfg.Runs; run++ {
-				rec := must(Run(Scenario{
-					Name:    "fig3",
-					Proto:   JTP,
-					Topo:    Linear,
-					Nodes:   n,
-					Seconds: cfg.Seconds,
-					Seed:    cfg.Seed + int64(run)*7919,
-					Flows: []FlowSpec{{
-						Src: 0, Dst: n - 1, StartAt: 50,
-						TotalPackets:  cfg.TransferPackets,
-						LossTolerance: lt,
-					}},
-				}))
-				f := rec.Flows[0]
-				pt.EnergyJ.Add(rec.TotalEnergy)
-				pt.DeliveredKB.Add(float64(f.DeliveredBytes) / 1e3)
-				if f.Completed {
-					pt.Completed++
-				}
+// transfers of different reliability levels, one bulk transfer per run.
+func Fig3(cfg Fig3Config) Figure {
+	return Figure{
+		Matrix: campaign.Matrix{
+			Name: "fig3",
+			Axes: []campaign.Axis{
+				{Name: "lossTol", Values: campaign.Floats(cfg.Tolerances...)},
+				{Name: "netSize", Values: campaign.Ints(cfg.Sizes...)},
+			},
+			Runs:   cfg.Runs,
+			SeedFn: runSeeds(cfg.Seed, 7919),
+		},
+		Scenario: func(cell campaign.Cell, seed int64) Scenario {
+			n := cell.Int("netSize")
+			return Scenario{
+				Name:    "fig3",
+				Proto:   JTP,
+				Topo:    Linear,
+				Nodes:   n,
+				Seconds: cfg.Seconds,
+				Seed:    seed,
+				Flows: []FlowSpec{{
+					Src: 0, Dst: n - 1, StartAt: 50,
+					TotalPackets:  cfg.TransferPackets,
+					LossTolerance: cell.Float("lossTol"),
+				}},
 			}
-			out = append(out, pt)
-		}
+		},
+		Sample: func(rec *metrics.RunRecord) campaign.Sample {
+			completed := 0.0
+			if rec.Flows[0].Completed {
+				completed = 1
+			}
+			return campaign.Sample{
+				obsEnergyJ:     rec.TotalEnergy,
+				obsDeliveredKB: float64(rec.DeliveredBytes()) / 1e3,
+				obsCompleted:   completed,
+			}
+		},
+		Tables: func(rep *campaign.Report) []*metrics.Table {
+			payload := core.DefaultPayloadLen
+			energyTbl := metrics.NewTable(
+				"Fig 3(a): total energy per transfer vs netSize (J)",
+				"netSize", "jtp-lt", "energy(J)", "±CI", "completed")
+			dataTbl := metrics.NewTable(
+				"Fig 3(b): data delivered to application vs netSize (kB)",
+				"netSize", "jtp-lt", "delivered(kB)", "required(kB)")
+			for _, c := range rep.Cells {
+				n, lt := c.Cell.Int("netSize"), c.Cell.Float("lossTol")
+				energy, completed := c.Running(obsEnergyJ), c.Running(obsCompleted)
+				delivered := c.Running(obsDeliveredKB)
+				energyTbl.AddRow(n, lt, energy.Mean(), energy.CI95(),
+					strconv.Itoa(int(completed.Sum()))+"/"+strconv.Itoa(cfg.Runs))
+				required := float64(cfg.TransferPackets) * (1 - lt) * float64(payload) / 1e3
+				dataTbl.AddRow(n, lt, delivered.Mean(), required)
+			}
+			return []*metrics.Table{energyTbl, dataTbl}
+		},
 	}
-	return out
 }
 
 // Fig3RtxSample is one observation of the per-packet link-layer attempt
@@ -155,23 +168,4 @@ func Fig3c(transferPackets int, seed int64) []*Fig3cResult {
 		out = append(out, res)
 	}
 	return out
-}
-
-// Fig3Tables renders Fig 3(a) and 3(b).
-func Fig3Tables(points []*Fig3Point, transferPackets int) (energyTbl, dataTbl *metrics.Table) {
-	payload := core.DefaultPayloadLen
-	energyTbl = metrics.NewTable(
-		"Fig 3(a): total energy per transfer vs netSize (J)",
-		"netSize", "jtp-lt", "energy(J)", "±CI", "completed")
-	dataTbl = metrics.NewTable(
-		"Fig 3(b): data delivered to application vs netSize (kB)",
-		"netSize", "jtp-lt", "delivered(kB)", "required(kB)")
-	for _, p := range points {
-		energyTbl.AddRow(p.Nodes, p.LossTolerance,
-			p.EnergyJ.Mean(), p.EnergyJ.CI95(),
-			strconv.Itoa(p.Completed)+"/"+strconv.Itoa(p.Runs))
-		required := float64(transferPackets) * (1 - p.LossTolerance) * float64(payload) / 1e3
-		dataTbl.AddRow(p.Nodes, p.LossTolerance, p.DeliveredKB.Mean(), required)
-	}
-	return energyTbl, dataTbl
 }

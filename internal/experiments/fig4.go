@@ -2,18 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
+	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/stats"
 )
-
-// Fig4Point is one (protocol, netSize) cell of Fig 4(a): energy per
-// delivered bit for JTP vs JNC (no caching).
-type Fig4Point struct {
-	Proto        Protocol
-	Nodes        int
-	EnergyPerBit stats.Running
-}
 
 // Fig4Config parameterizes the caching-gain comparison (§4.1).
 type Fig4Config struct {
@@ -55,93 +49,92 @@ func Fig4Defaults(scale float64) Fig4Config {
 	}
 }
 
-// Fig4 reproduces Fig 4(a): energy per delivered bit for JTP with and
-// without in-network caching over linear chains.
-func Fig4(cfg Fig4Config) []*Fig4Point {
-	var out []*Fig4Point
-	for _, proto := range []Protocol{JTP, JNC} {
-		for _, n := range cfg.Sizes {
-			pt := &Fig4Point{Proto: proto, Nodes: n}
-			for run := 0; run < cfg.Runs; run++ {
-				rec := runFig4Once(proto, n, cfg, cfg.Seed+int64(run)*6143)
-				pt.EnergyPerBit.Add(rec.EnergyPerBit())
-			}
-			out = append(out, pt)
-		}
+// Fig4 reproduces Fig 4: (a) energy per delivered bit for JTP with and
+// without in-network caching over linear chains, and (b) per-node energy
+// on the PerNodeSize chain, where caching should spread retransmission
+// effort more evenly over mid-path nodes ("23% ... more fair allocation
+// to midpath nodes"). Panel (b) reads the PerNodeSize cells of the same
+// campaign; that size joins the sweep only when Sizes lacks it, and only
+// panel (b) shows it then.
+func Fig4(cfg Fig4Config) Figure {
+	perNode := cfg.PerNodeSize
+	if perNode <= 0 {
+		perNode = 7
 	}
-	return out
+	sizes := cfg.Sizes
+	if !slices.Contains(sizes, perNode) {
+		sizes = append(slices.Clip(sizes), perNode)
+	}
+	return Figure{
+		Matrix: campaign.Matrix{
+			Name: "fig4",
+			Axes: []campaign.Axis{
+				{Name: "proto", Values: protocolValues([]Protocol{JTP, JNC})},
+				{Name: "netSize", Values: campaign.Ints(sizes...)},
+			},
+			Runs:   cfg.Runs,
+			SeedFn: runSeeds(cfg.Seed, 6143),
+		},
+		Scenario: func(cell campaign.Cell, seed int64) Scenario {
+			n := cell.Int("netSize")
+			return Scenario{
+				Name:    "fig4",
+				Proto:   Protocol(cell.String("proto")),
+				Topo:    Linear,
+				Nodes:   n,
+				Seconds: cfg.Seconds,
+				Seed:    seed,
+				Flows: []FlowSpec{{
+					Src: 0, Dst: n - 1, StartAt: 50,
+					TotalPackets: cfg.TransferPackets,
+				}},
+			}
+		},
+		Sample: func(rec *metrics.RunRecord) campaign.Sample {
+			s := campaign.Sample{obsEnergyPerBit: rec.EnergyPerBit()}
+			if len(rec.PerNodeEnergy) == perNode {
+				for i, e := range rec.PerNodeEnergy {
+					s[nodeEnergyObs(i)] = e
+				}
+			}
+			return s
+		},
+		Tables: func(rep *campaign.Report) []*metrics.Table {
+			a := metrics.NewTable(
+				"Fig 4(a): energy per delivered bit, JTP vs JNC (uJ/bit)",
+				"netSize", "proto", "uJ/bit", "±CI", "jnc/jtp")
+			jtpMean := map[int]float64{}
+			perNodeCells := map[Protocol]*campaign.CellResult{}
+			for _, c := range rep.Cells {
+				n, proto := c.Cell.Int("netSize"), Protocol(c.Cell.String("proto"))
+				if n == perNode {
+					perNodeCells[proto] = c
+				}
+				if !slices.Contains(cfg.Sizes, n) {
+					continue
+				}
+				e := c.Running(obsEnergyPerBit)
+				ratio := ""
+				if proto == JTP {
+					jtpMean[n] = e.Mean()
+				} else if jtp := jtpMean[n]; jtp > 0 {
+					ratio = fmtRatio(e.Mean() / jtp)
+				}
+				a.AddRow(n, string(proto), e.Mean()*1e6, e.CI95()*1e6, ratio)
+			}
+			b := metrics.NewTable(
+				"Fig 4(b): per-node energy, linear chain (mJ)",
+				"node", "jtp(mJ)", "jnc(mJ)")
+			for i := 0; i < perNode; i++ {
+				jtp, jnc := perNodeCells[JTP].Running(nodeEnergyObs(i)), perNodeCells[JNC].Running(nodeEnergyObs(i))
+				b.AddRow(i+1, jtp.Mean()*1e3, jnc.Mean()*1e3)
+			}
+			return []*metrics.Table{a, b}
+		},
+	}
 }
 
-func runFig4Once(proto Protocol, n int, cfg Fig4Config, seed int64) *metrics.RunRecord {
-	return must(Run(Scenario{
-		Name:    "fig4",
-		Proto:   proto,
-		Topo:    Linear,
-		Nodes:   n,
-		Seconds: cfg.Seconds,
-		Seed:    seed,
-		Flows: []FlowSpec{{
-			Src: 0, Dst: n - 1, StartAt: 50,
-			TotalPackets: cfg.TransferPackets,
-		}},
-	}))
-}
-
-// Fig4b reproduces Fig 4(b): per-node energy in a linear chain
-// (paper: 7 nodes), averaged over runs, for JTP and JNC. The caching
-// variant should spread retransmission effort more evenly over mid-path
-// nodes ("23% ... more fair allocation to midpath nodes").
-func Fig4b(cfg Fig4Config) map[Protocol][]stats.Running {
-	out := make(map[Protocol][]stats.Running)
-	n := cfg.PerNodeSize
-	if n <= 0 {
-		n = 7
-	}
-	for _, proto := range []Protocol{JTP, JNC} {
-		per := make([]stats.Running, n)
-		for run := 0; run < cfg.Runs; run++ {
-			rec := runFig4Once(proto, n, cfg, cfg.Seed+int64(run)*6143)
-			for i, e := range rec.PerNodeEnergy {
-				per[i].Add(e)
-			}
-		}
-		out[proto] = per
-	}
-	return out
-}
-
-// Fig4Tables renders both panels.
-func Fig4Tables(points []*Fig4Point, perNode map[Protocol][]stats.Running) (a, b *metrics.Table) {
-	a = metrics.NewTable(
-		"Fig 4(a): energy per delivered bit, JTP vs JNC (uJ/bit)",
-		"netSize", "proto", "uJ/bit", "±CI", "jnc/jtp")
-	byNodes := map[int]map[Protocol]*Fig4Point{}
-	for _, p := range points {
-		if byNodes[p.Nodes] == nil {
-			byNodes[p.Nodes] = map[Protocol]*Fig4Point{}
-		}
-		byNodes[p.Nodes][p.Proto] = p
-	}
-	for _, p := range points {
-		ratio := ""
-		if p.Proto == JNC {
-			if jtpPt := byNodes[p.Nodes][JTP]; jtpPt != nil && jtpPt.EnergyPerBit.Mean() > 0 {
-				ratio = fmtRatio(p.EnergyPerBit.Mean() / jtpPt.EnergyPerBit.Mean())
-			}
-		}
-		a.AddRow(p.Nodes, string(p.Proto), p.EnergyPerBit.Mean()*1e6, p.EnergyPerBit.CI95()*1e6, ratio)
-	}
-	b = metrics.NewTable(
-		"Fig 4(b): per-node energy, linear chain (mJ)",
-		"node", "jtp(mJ)", "jnc(mJ)")
-	if perNode != nil {
-		jtpPer := perNode[JTP]
-		jncPer := perNode[JNC]
-		for i := range jtpPer {
-			b.AddRow(i+1, jtpPer[i].Mean()*1e3, jncPer[i].Mean()*1e3)
-		}
-	}
-	return a, b
-}
+// nodeEnergyObs names node i's energy observable in Fig 4(b) runs.
+func nodeEnergyObs(i int) string { return "node" + strconv.Itoa(i+1) + "_energy_J" }
 
 func fmtRatio(r float64) string { return fmt.Sprintf("%.2fx", r) }

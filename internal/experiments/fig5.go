@@ -121,10 +121,10 @@ func cumulativeRate(s *stats.Series) *stats.Series {
 	return out
 }
 
-// Fig5Table summarizes both runs: mean reception rates and the
+// Fig5Summary summarizes both runs: mean reception rates and the
 // fairness gap (flow2/flow1 long-term ratio). Without back-off, flow 2's
 // effective share exceeds its fair allocation.
-func Fig5Table(results []*Fig5Result) *metrics.Table {
+func Fig5Summary(results []*Fig5Result) *metrics.Table {
 	t := metrics.NewTable(
 		"Fig 5: reception rate of two competing flows, with/without source back-off (pps)",
 		"backoff", "flow1(pps)", "flow2(pps)", "flow2/flow1")

@@ -3,21 +3,9 @@ package experiments
 import (
 	"strconv"
 
+	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/stats"
 )
-
-// Fig6Point is one (netSize, feedback, cacheSize) cell: the number of
-// source (end-to-end) retransmissions for a fixed transfer.
-type Fig6Point struct {
-	Nodes int
-	// FeedbackLabel names the feedback regime ("variable" or a constant
-	// rate like "0.1/s").
-	FeedbackLabel string
-	CacheSize     int
-	SourceRtx     stats.Running
-	CacheHits     stats.Running
-}
 
 // Fig6Config parameterizes the cache-size sweep (§5.1, Fig 6): source
 // retransmissions drop sharply once caches are large enough to hold
@@ -57,58 +45,62 @@ func Fig6Defaults(scale float64) Fig6Config {
 }
 
 // Fig6 reproduces Fig 6: source retransmissions vs cache size for
-// several network sizes and feedback regimes.
-func Fig6(cfg Fig6Config) []*Fig6Point {
-	type regime struct {
-		label string
-		rate  float64 // 0 = variable
-	}
-	regimes := []regime{{label: "variable"}}
-	for _, r := range cfg.ConstantRates {
-		regimes = append(regimes, regime{label: fmtRate(r), rate: r})
-	}
-	var out []*Fig6Point
-	for _, n := range cfg.Sizes {
-		for _, reg := range regimes {
-			for _, cs := range cfg.CacheSizes {
-				pt := &Fig6Point{Nodes: n, FeedbackLabel: reg.label, CacheSize: cs}
-				for run := 0; run < cfg.Runs; run++ {
-					rec := must(Run(Scenario{
-						Name:          "fig6",
-						Proto:         JTP,
-						Topo:          Linear,
-						Nodes:         n,
-						Seconds:       cfg.Seconds,
-						Seed:          cfg.Seed + int64(run)*3571,
-						CacheCapacity: cs,
-						Flows: []FlowSpec{{
-							Src: 0, Dst: n - 1, StartAt: 50,
-							TotalPackets:         cfg.TransferPackets,
-							ConstantFeedbackRate: reg.rate,
-						}},
-					}))
-					pt.SourceRtx.Add(float64(rec.Flows[0].SourceRetransmissions))
-					pt.CacheHits.Add(float64(rec.CacheHits))
-				}
-				out = append(out, pt)
+// several network sizes and feedback regimes (variable feedback, then
+// each constant rate).
+func Fig6(cfg Fig6Config) Figure {
+	return Figure{
+		Matrix: campaign.Matrix{
+			Name: "fig6",
+			Axes: []campaign.Axis{
+				{Name: "netSize", Values: campaign.Ints(cfg.Sizes...)},
+				{Name: "feedback", Values: campaign.Floats(append([]float64{0}, cfg.ConstantRates...)...)},
+				{Name: "cacheSize", Values: campaign.Ints(cfg.CacheSizes...)},
+			},
+			Runs:   cfg.Runs,
+			SeedFn: runSeeds(cfg.Seed, 3571),
+		},
+		Scenario: func(cell campaign.Cell, seed int64) Scenario {
+			n := cell.Int("netSize")
+			return Scenario{
+				Name:          "fig6",
+				Proto:         JTP,
+				Topo:          Linear,
+				Nodes:         n,
+				Seconds:       cfg.Seconds,
+				Seed:          seed,
+				CacheCapacity: cell.Int("cacheSize"),
+				Flows: []FlowSpec{{
+					Src: 0, Dst: n - 1, StartAt: 50,
+					TotalPackets:         cfg.TransferPackets,
+					ConstantFeedbackRate: cell.Float("feedback"),
+				}},
 			}
-		}
+		},
+		Sample: func(rec *metrics.RunRecord) campaign.Sample {
+			return campaign.Sample{
+				obsSourceRtx: float64(rec.SourceRetransmissions()),
+				obsCacheHits: float64(rec.CacheHits),
+			}
+		},
+		Tables: func(rep *campaign.Report) []*metrics.Table {
+			t := metrics.NewTable(
+				"Fig 6: source retransmissions vs cache size (packets)",
+				"netSize", "feedback", "cacheSize", "sourceRtx", "±CI", "cacheHits")
+			for _, c := range rep.Cells {
+				rtx, hits := c.Running(obsSourceRtx), c.Running(obsCacheHits)
+				t.AddRow(c.Cell.Int("netSize"), feedbackLabel(c.Cell.Float("feedback")), c.Cell.Int("cacheSize"),
+					rtx.Mean(), rtx.CI95(), hits.Mean())
+			}
+			return []*metrics.Table{t}
+		},
 	}
-	return out
 }
 
-func fmtRate(r float64) string {
-	return strconv.FormatFloat(r, 'g', -1, 64) + "/s"
-}
-
-// Fig6Table renders the sweep.
-func Fig6Table(points []*Fig6Point) *metrics.Table {
-	t := metrics.NewTable(
-		"Fig 6: source retransmissions vs cache size (packets)",
-		"netSize", "feedback", "cacheSize", "sourceRtx", "±CI", "cacheHits")
-	for _, p := range points {
-		t.AddRow(p.Nodes, p.FeedbackLabel, p.CacheSize,
-			p.SourceRtx.Mean(), p.SourceRtx.CI95(), p.CacheHits.Mean())
+// feedbackLabel names a feedback regime: a constant rate in packets/s,
+// or "variable" for a rate that is not positive.
+func feedbackLabel(rate float64) string {
+	if rate <= 0 {
+		return "variable"
 	}
-	return t
+	return strconv.FormatFloat(rate, 'g', -1, 64) + "/s"
 }

@@ -1,27 +1,12 @@
 package experiments
 
 import (
+	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/core"
 	"github.com/javelen/jtp/internal/mac"
 	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/sim"
-	"github.com/javelen/jtp/internal/stats"
 )
-
-// Fig7Point is one feedback-rate cell: total energy and queue drops with
-// a long-lived flow competing against short-lived flows on an 8-node
-// chain.
-type Fig7Point struct {
-	// FeedbackRate is the constant feedback rate in packets/s; 0 marks
-	// the variable-feedback reference.
-	FeedbackRate float64
-	EnergyJ      stats.Running
-	// EnergyPerBit normalizes by delivered data: feedback packets are
-	// pure overhead, so waste shows regardless of how much capacity the
-	// feedback stream itself stole from data.
-	EnergyPerBit stats.Running
-	QueueDrops   stats.Running
-}
 
 // Fig7Config parameterizes the feedback-rate experiment (§5.1, Fig 7):
 // high constant feedback wastes ACK energy; low constant feedback reacts
@@ -76,25 +61,49 @@ func Fig7Defaults(scale float64) Fig7Config {
 }
 
 // Fig7 reproduces Fig 7: total energy (a) and queue drops (b) as a
-// function of the feedback rate, plus the variable-feedback reference
-// point (FeedbackRate == 0 in the returned slice).
-func Fig7(cfg Fig7Config) []*Fig7Point {
-	rates := append([]float64{0}, cfg.Rates...) // 0 = variable reference
-	var out []*Fig7Point
-	for _, rate := range rates {
-		pt := &Fig7Point{FeedbackRate: rate}
-		for run := 0; run < cfg.Runs; run++ {
-			rec := runFig7Once(cfg, rate, cfg.Seed+int64(run)*2711)
-			pt.EnergyJ.Add(rec.TotalEnergy)
-			pt.EnergyPerBit.Add(rec.EnergyPerBit())
-			pt.QueueDrops.Add(float64(rec.QueueDrops))
-		}
-		out = append(out, pt)
+// function of the long-lived flow's feedback rate, after the
+// variable-feedback reference (feedback 0), the horizontal line of the
+// paper's plots.
+func Fig7(cfg Fig7Config) Figure {
+	return Figure{
+		Matrix: campaign.Matrix{
+			Name:   "fig7",
+			Axes:   []campaign.Axis{{Name: "feedback", Values: campaign.Floats(append([]float64{0}, cfg.Rates...)...)}},
+			Runs:   cfg.Runs,
+			SeedFn: runSeeds(cfg.Seed, 2711),
+		},
+		Scenario: func(cell campaign.Cell, seed int64) Scenario {
+			return fig7Scenario(cfg, cell.Float("feedback"), seed)
+		},
+		Sample: func(rec *metrics.RunRecord) campaign.Sample {
+			return campaign.Sample{
+				obsEnergyJ:      rec.TotalEnergy,
+				obsEnergyPerBit: rec.EnergyPerBit(),
+				obsQueueDrops:   float64(rec.QueueDrops),
+			}
+		},
+		Tables: func(rep *campaign.Report) []*metrics.Table {
+			energyTbl := metrics.NewTable(
+				"Fig 7(a): energy vs feedback rate",
+				"feedback", "energy(mJ)", "±CI", "uJ/bit", "±CI")
+			dropsTbl := metrics.NewTable(
+				"Fig 7(b): queue drops vs feedback rate",
+				"feedback", "drops", "±CI")
+			for _, c := range rep.Cells {
+				label := feedbackLabel(c.Cell.Float("feedback"))
+				energy, perBit, drops := c.Running(obsEnergyJ), c.Running(obsEnergyPerBit), c.Running(obsQueueDrops)
+				energyTbl.AddRow(label, energy.Mean()*1e3, energy.CI95()*1e3,
+					perBit.Mean()*1e6, perBit.CI95()*1e6)
+				dropsTbl.AddRow(label, drops.Mean(), drops.CI95())
+			}
+			return []*metrics.Table{energyTbl, dropsTbl}
+		},
 	}
-	return out
 }
 
-func runFig7Once(cfg Fig7Config, fbRate float64, seed int64) *metrics.RunRecord {
+// fig7Scenario is one run: a long-lived transfer whose feedback regime
+// is fbRate, against short-lived flows arriving in overlapping pairs.
+func fig7Scenario(cfg Fig7Config, fbRate float64, seed int64) Scenario {
 	n := cfg.Nodes
 	// Only the long-lived flow's feedback regime is varied (the paper
 	// varies "the rate of constant-rate feedback" of the flow whose
@@ -134,7 +143,7 @@ func runFig7Once(cfg Fig7Config, fbRate float64, seed int64) *metrics.RunRecord 
 	if cfg.QueueCap > 0 {
 		macCfg.QueueCap = cfg.QueueCap
 	}
-	return must(Run(Scenario{
+	return Scenario{
 		Name:    "fig7",
 		Proto:   JTP,
 		Topo:    Linear,
@@ -150,26 +159,5 @@ func runFig7Once(cfg Fig7Config, fbRate float64, seed int64) *metrics.RunRecord 
 			c.MaxRate = 1.6
 			c.InitialRate = 1.6
 		},
-	}))
-}
-
-// Fig7Tables renders both panels; the variable-feedback row is the
-// horizontal reference line of the paper's plots.
-func Fig7Tables(points []*Fig7Point) (energyTbl, dropsTbl *metrics.Table) {
-	energyTbl = metrics.NewTable(
-		"Fig 7(a): energy vs feedback rate",
-		"feedback", "energy(mJ)", "±CI", "uJ/bit", "±CI")
-	dropsTbl = metrics.NewTable(
-		"Fig 7(b): queue drops vs feedback rate",
-		"feedback", "drops", "±CI")
-	for _, p := range points {
-		label := "variable"
-		if p.FeedbackRate > 0 {
-			label = fmtRate(p.FeedbackRate)
-		}
-		energyTbl.AddRow(label, p.EnergyJ.Mean()*1e3, p.EnergyJ.CI95()*1e3,
-			p.EnergyPerBit.Mean()*1e6, p.EnergyPerBit.CI95()*1e6)
-		dropsTbl.AddRow(label, p.QueueDrops.Mean(), p.QueueDrops.CI95())
 	}
-	return energyTbl, dropsTbl
 }

@@ -95,10 +95,10 @@ func Fig8(cfg Fig8Config) *Fig8Result {
 	return res
 }
 
-// Fig8Table summarizes the adaptation: flow 1's throughput before,
+// Fig8Summary summarizes the adaptation: flow 1's throughput before,
 // during and after flow 2, plus monitor shift count around the two
 // transitions.
-func Fig8Table(res *Fig8Result, cfg Fig8Config) *metrics.Table {
+func Fig8Summary(res *Fig8Result, cfg Fig8Config) *metrics.Table {
 	t := metrics.NewTable(
 		"Fig 8: rate adaptation of two competing JTP flows (pps)",
 		"window", "flow1(pps)", "flow2(pps)", "monitor shifts")

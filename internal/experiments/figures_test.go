@@ -1,12 +1,55 @@
 package experiments
 
 import (
+	"context"
 	"testing"
+
+	"github.com/javelen/jtp/internal/campaign"
 )
 
 // The tests in this file run scaled-down versions of every experiment and
 // assert the paper's qualitative shapes — the reproduction criteria of
 // DESIGN.md §3 — rather than absolute numbers.
+
+// workers is the Options of a plain campaign on n workers (0 = all
+// CPUs).
+func workers(n int) Options { return Options{Options: campaign.Options{Workers: n}} }
+
+// figureReport executes a figure campaign under opt, failing the test on
+// any error.
+func figureReport(t *testing.T, f Figure, opt Options) *campaign.Report {
+	t.Helper()
+	rep, err := f.Report(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// findCell returns the report's cell whose axes take the given values,
+// passed as alternating axis names and values.
+func findCell(t *testing.T, rep *campaign.Report, axisValues ...any) *campaign.CellResult {
+	t.Helper()
+	for _, c := range rep.Cells {
+		match := true
+		for i := 0; i < len(axisValues); i += 2 {
+			if c.Cell.String(axisValues[i].(string)) != campaign.FormatValue(axisValues[i+1]) {
+				match = false
+			}
+		}
+		if match {
+			return c
+		}
+	}
+	t.Fatalf("no cell %v in campaign %s", axisValues, rep.Name)
+	return nil
+}
+
+// mean is the mean of one observable over a cell's runs.
+func mean(c *campaign.CellResult, observable string) float64 {
+	r := c.Running(observable)
+	return r.Mean()
+}
 
 func TestFig3ReliabilityShape(t *testing.T) {
 	cfg := Fig3Config{
@@ -17,34 +60,25 @@ func TestFig3ReliabilityShape(t *testing.T) {
 		Seconds:         3000,
 		Seed:            31,
 	}
-	points := Fig3(cfg)
-	et, dt := Fig3Tables(points, cfg.TransferPackets)
-	t.Logf("\n%s\n%s", et, dt)
+	fig := Fig3(cfg)
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
 
-	get := func(lt float64, n int) *Fig3Point {
-		for _, p := range points {
-			if p.LossTolerance == lt && p.Nodes == n {
-				return p
-			}
-		}
-		t.Fatalf("missing point lt=%v n=%d", lt, n)
-		return nil
-	}
 	for _, n := range cfg.Sizes {
-		full := get(0, n)
-		loose := get(0.20, n)
-		if full.EnergyJ.Mean() <= loose.EnergyJ.Mean() {
+		full := findCell(t, rep, "lossTol", 0.0, "netSize", n)
+		loose := findCell(t, rep, "lossTol", 0.20, "netSize", n)
+		if mean(full, obsEnergyJ) <= mean(loose, obsEnergyJ) {
 			t.Errorf("n=%d: jtp0 energy %.4f <= jtp20 %.4f (higher reliability must cost more)",
-				n, full.EnergyJ.Mean(), loose.EnergyJ.Mean())
+				n, mean(full, obsEnergyJ), mean(loose, obsEnergyJ))
 		}
 		// Application requirement: delivered >= (1-lt)*total payload.
 		reqKB := float64(cfg.TransferPackets) * 0.8 * 772 / 1e3
-		if loose.DeliveredKB.Mean() < reqKB {
+		if mean(loose, obsDeliveredKB) < reqKB {
 			t.Errorf("n=%d: jtp20 delivered %.1fkB < required %.1fkB",
-				n, loose.DeliveredKB.Mean(), reqKB)
+				n, mean(loose, obsDeliveredKB), reqKB)
 		}
-		if full.Completed != full.Runs {
-			t.Errorf("n=%d: jtp0 completed %d/%d transfers", n, full.Completed, full.Runs)
+		if completed := full.Running(obsCompleted); int(completed.Sum()) != cfg.Runs {
+			t.Errorf("n=%d: jtp0 completed %v/%d transfers", n, completed.Sum(), cfg.Runs)
 		}
 	}
 }
@@ -97,30 +131,21 @@ func TestFig4CachingShape(t *testing.T) {
 		Seed:            41,
 		PerNodeSize:     7,
 	}
-	points := Fig4(cfg)
-	perNode := Fig4b(cfg)
-	a, b := Fig4Tables(points, perNode)
-	t.Logf("\n%s\n%s", a, b)
+	fig := Fig4(cfg)
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
 
-	get := func(proto Protocol, n int) *Fig4Point {
-		for _, p := range points {
-			if p.Proto == proto && p.Nodes == n {
-				return p
-			}
-		}
-		t.Fatalf("missing %s n=%d", proto, n)
-		return nil
+	energy := func(proto Protocol, n int) float64 {
+		return mean(findCell(t, rep, "proto", string(proto), "netSize", n), obsEnergyPerBit)
 	}
 	// Caching must not hurt, and must help on long paths.
-	jtp8, jnc8 := get(JTP, 8), get(JNC, 8)
-	if jnc8.EnergyPerBit.Mean() <= jtp8.EnergyPerBit.Mean() {
-		t.Errorf("n=8: jnc e/bit %.3g <= jtp %.3g (caching should save energy)",
-			jnc8.EnergyPerBit.Mean(), jtp8.EnergyPerBit.Mean())
+	jtp8, jnc8 := energy(JTP, 8), energy(JNC, 8)
+	if jnc8 <= jtp8 {
+		t.Errorf("n=8: jnc e/bit %.3g <= jtp %.3g (caching should save energy)", jnc8, jtp8)
 	}
 	// The caching gain should grow with path length (§4.1).
-	jtp3, jnc3 := get(JTP, 3), get(JNC, 3)
-	r3 := jnc3.EnergyPerBit.Mean() / jtp3.EnergyPerBit.Mean()
-	r8 := jnc8.EnergyPerBit.Mean() / jtp8.EnergyPerBit.Mean()
+	r3 := energy(JNC, 3) / energy(JTP, 3)
+	r8 := jnc8 / jtp8
 	if r8 < r3 {
 		t.Errorf("jnc/jtp ratio shrank with path length: %.3f@3 -> %.3f@8", r3, r8)
 	}
@@ -129,7 +154,7 @@ func TestFig4CachingShape(t *testing.T) {
 func TestFig5BackoffShape(t *testing.T) {
 	cfg := Fig5Config{Nodes: 6, Seconds: 1200, BinSeconds: 20, Seed: 51}
 	results := Fig5(cfg)
-	t.Logf("\n%s", Fig5Table(results))
+	t.Logf("\n%s", Fig5Summary(results))
 	var with, without *Fig5Result
 	for _, r := range results {
 		if r.Backoff {
@@ -160,56 +185,41 @@ func TestFig6CacheSizeShape(t *testing.T) {
 		Seconds:         4000,
 		Seed:            61,
 	}
-	points := Fig6(cfg)
-	t.Logf("\n%s", Fig6Table(points))
-	get := func(cs int) *Fig6Point {
-		for _, p := range points {
-			if p.CacheSize == cs && p.FeedbackLabel == "variable" {
-				return p
-			}
-		}
-		t.Fatalf("missing cache size %d", cs)
-		return nil
+	fig := Fig6(cfg)
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
+	rtx := func(cs int) float64 {
+		return mean(findCell(t, rep, "feedback", 0.0, "cacheSize", cs), obsSourceRtx)
 	}
-	small, large := get(1), get(64)
-	if small.SourceRtx.Mean() <= large.SourceRtx.Mean() {
-		t.Errorf("source rtx did not drop with cache size: cache1=%.1f cache64=%.1f",
-			small.SourceRtx.Mean(), large.SourceRtx.Mean())
+	if small, large := rtx(1), rtx(64); small <= large {
+		t.Errorf("source rtx did not drop with cache size: cache1=%.1f cache64=%.1f", small, large)
 	}
 }
 
 func TestFig7FeedbackShape(t *testing.T) {
 	cfg := Fig7Defaults(0.3)
 	cfg.Rates = []float64{0.05, 0.5}
-	points := Fig7(cfg)
-	et, dt := Fig7Tables(points)
-	t.Logf("\n%s\n%s", et, dt)
-	var variable, low, high *Fig7Point
-	for _, p := range points {
-		switch p.FeedbackRate {
-		case 0:
-			variable = p
-		case 0.05:
-			low = p
-		case 0.5:
-			high = p
-		}
-	}
+	fig := Fig7(cfg)
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
+	variable := findCell(t, rep, "feedback", 0.0)
+	low := findCell(t, rep, "feedback", 0.05)
+	high := findCell(t, rep, "feedback", 0.5)
 	// Frequent constant feedback wastes energy per delivered bit.
-	if high.EnergyPerBit.Mean() <= low.EnergyPerBit.Mean() {
+	if mean(high, obsEnergyPerBit) <= mean(low, obsEnergyPerBit) {
 		t.Errorf("energy/bit did not grow with feedback rate: 0.5/s=%.3g <= 0.05/s=%.3g",
-			high.EnergyPerBit.Mean(), low.EnergyPerBit.Mean())
+			mean(high, obsEnergyPerBit), mean(low, obsEnergyPerBit))
 	}
 	// Variable feedback must stay near the cheap end on energy...
-	if variable.EnergyPerBit.Mean() >= high.EnergyPerBit.Mean() {
+	if mean(variable, obsEnergyPerBit) >= mean(high, obsEnergyPerBit) {
 		t.Errorf("variable e/bit %.3g >= 0.5/s %.3g",
-			variable.EnergyPerBit.Mean(), high.EnergyPerBit.Mean())
+			mean(variable, obsEnergyPerBit), mean(high, obsEnergyPerBit))
 	}
 	// ...without the slow-reaction drop penalty of the lowest constant
 	// rate (allowing noise headroom).
-	if variable.QueueDrops.Mean() > low.QueueDrops.Mean()*1.5 {
+	if mean(variable, obsQueueDrops) > mean(low, obsQueueDrops)*1.5 {
 		t.Errorf("variable drops %.1f much worse than 0.05/s %.1f",
-			variable.QueueDrops.Mean(), low.QueueDrops.Mean())
+			mean(variable, obsQueueDrops), mean(low, obsQueueDrops))
 	}
 }
 
@@ -223,7 +233,7 @@ func TestFig8RateAdaptationShape(t *testing.T) {
 		Seed:       81,
 	}
 	res := Fig8(cfg)
-	t.Logf("\n%s", Fig8Table(res, cfg))
+	t.Logf("\n%s", Fig8Summary(res, cfg))
 	before := res.Throughput[0].Between(200, cfg.Flow2Start).Mean()
 	during := res.Throughput[0].Between(cfg.Flow2Start+50, cfg.Flow2End).Mean()
 	after := res.Throughput[0].Between(cfg.Flow2End+100, cfg.Seconds).Mean()
@@ -248,12 +258,12 @@ func TestFig10RandomSmoke(t *testing.T) {
 		Protocols: []Protocol{JTP, TCP},
 		Seed:      101,
 	}
-	points := Fig10(cfg)
-	et, gt := Fig10Tables(points)
-	t.Logf("\n%s\n%s", et, gt)
-	for _, p := range points {
-		if p.GoodputBps.Mean() <= 0 {
-			t.Errorf("%s n=%d: zero goodput", p.Proto, p.Nodes)
+	fig := Fig10(cfg)
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
+	for _, c := range rep.Cells {
+		if mean(c, obsGoodputBps) <= 0 {
+			t.Errorf("%s: zero goodput", c.Cell.Key())
 		}
 	}
 }
@@ -269,12 +279,12 @@ func TestFig11MobilitySmoke(t *testing.T) {
 		Protocols: []Protocol{JTP},
 		Seed:      111,
 	}
-	points := Fig11(cfg)
-	et, gt, rt := Fig11Tables(points)
-	t.Logf("\n%s\n%s\n%s", et, gt, rt)
-	for _, p := range points {
-		if p.GoodputBps.Mean() <= 0 {
-			t.Errorf("%s speed=%.1f: zero goodput under mobility", p.Proto, p.Speed)
+	fig := Fig11(cfg)
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
+	for _, c := range rep.Cells {
+		if mean(c, obsGoodputBps) <= 0 {
+			t.Errorf("%s: zero goodput under mobility", c.Cell.Key())
 		}
 	}
 }
@@ -289,20 +299,16 @@ func TestTable2Smoke(t *testing.T) {
 		Protocols:      []Protocol{JTP, ATP, TCP},
 		Seed:           201,
 	}
-	points := Table2(cfg)
-	t.Logf("\n%s", Table2Table(points))
-	var jtpE, tcpE float64
-	for _, p := range points {
-		if p.GoodputBps.Mean() <= 0 {
-			t.Errorf("%s: zero goodput on testbed scenario", p.Proto)
-		}
-		switch p.Proto {
-		case JTP:
-			jtpE = p.EnergyPerBit.Mean()
-		case TCP:
-			tcpE = p.EnergyPerBit.Mean()
+	fig := Table2(cfg)
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
+	for _, c := range rep.Cells {
+		if mean(c, obsGoodputBps) <= 0 {
+			t.Errorf("%s: zero goodput on testbed scenario", c.Cell.Key())
 		}
 	}
+	jtpE := mean(findCell(t, rep, "proto", string(JTP)), obsEnergyPerBit)
+	tcpE := mean(findCell(t, rep, "proto", string(TCP)), obsEnergyPerBit)
 	if jtpE >= tcpE {
 		t.Errorf("testbed: jtp e/bit %.3g >= tcp %.3g", jtpE, tcpE)
 	}

@@ -51,6 +51,13 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// figureCSV renders a figure campaign's tables, executed under opt, as
+// one CSV document.
+func figureCSV(t *testing.T, f Figure, opt Options) []byte {
+	t.Helper()
+	return tablesCSV(f.Tables(figureReport(t, f, opt))...)
+}
+
 // tablesCSV renders tables as one deterministic CSV document.
 func tablesCSV(tables ...*metrics.Table) []byte {
 	var b bytes.Buffer
@@ -72,13 +79,12 @@ func TestGoldenFig9(t *testing.T) {
 		Protocols: []Protocol{JTP, ATP, TCP},
 		Seed:      42,
 	}
-	a, b := Fig9Table(Fig9(cfg))
-	checkGolden(t, "fig9.csv", tablesCSV(a, b))
+	checkGolden(t, "fig9.csv", figureCSV(t, Fig9(cfg), Options{}))
 }
 
 // fig10GoldenCSV renders the canonical small-scale Fig 10 campaign at
 // the given worker count.
-func fig10GoldenCSV(par int) []byte {
+func fig10GoldenCSV(t *testing.T, par int) []byte {
 	cfg := Fig10Config{
 		Sizes:     []int{10},
 		Flows:     3,
@@ -87,15 +93,13 @@ func fig10GoldenCSV(par int) []byte {
 		Warmup:    100,
 		Protocols: []Protocol{JTP, ATP, TCP},
 		Seed:      101,
-		Par:       par,
 	}
-	a, b := Fig10Tables(Fig10(cfg))
-	return tablesCSV(a, b)
+	return figureCSV(t, Fig10(cfg), workers(par))
 }
 
 // fig11GoldenCSV renders the canonical small-scale Fig 11 campaign
 // (mobility) at the given worker count.
-func fig11GoldenCSV(par int) []byte {
+func fig11GoldenCSV(t *testing.T, par int) []byte {
 	cfg := Fig11Config{
 		Nodes:     10,
 		Speeds:    []float64{1},
@@ -105,18 +109,16 @@ func fig11GoldenCSV(par int) []byte {
 		Warmup:    100,
 		Protocols: []Protocol{JTP, ATP, TCP},
 		Seed:      111,
-		Par:       par,
 	}
-	a, b, c := Fig11Tables(Fig11(cfg))
-	return tablesCSV(a, b, c)
+	return figureCSV(t, Fig11(cfg), workers(par))
 }
 
 func TestGoldenFig10(t *testing.T) {
-	checkGolden(t, "fig10.csv", fig10GoldenCSV(0))
+	checkGolden(t, "fig10.csv", fig10GoldenCSV(t, 0))
 }
 
 func TestGoldenFig11(t *testing.T) {
-	checkGolden(t, "fig11.csv", fig11GoldenCSV(0))
+	checkGolden(t, "fig11.csv", fig11GoldenCSV(t, 0))
 }
 
 // TestGoldenFig10ParByteIdentity and its Fig 11 twin prove the shared
@@ -127,7 +129,7 @@ func TestGoldenFig11(t *testing.T) {
 // exercise the epoch/invalidation machinery continuously. CI runs both
 // under the race detector.
 func TestGoldenFig10ParByteIdentity(t *testing.T) {
-	p1, p8 := fig10GoldenCSV(1), fig10GoldenCSV(8)
+	p1, p8 := fig10GoldenCSV(t, 1), fig10GoldenCSV(t, 8)
 	if !bytes.Equal(p1, p8) {
 		t.Fatalf("fig10 CSV differs between par 1 and par 8:\n--- par1 ---\n%s\n--- par8 ---\n%s", p1, p8)
 	}
@@ -135,17 +137,16 @@ func TestGoldenFig10ParByteIdentity(t *testing.T) {
 }
 
 func TestGoldenFig11ParByteIdentity(t *testing.T) {
-	p1, p8 := fig11GoldenCSV(1), fig11GoldenCSV(8)
+	p1, p8 := fig11GoldenCSV(t, 1), fig11GoldenCSV(t, 8)
 	if !bytes.Equal(p1, p8) {
 		t.Fatalf("fig11 CSV differs between par 1 and par 8:\n--- par1 ---\n%s\n--- par8 ---\n%s", p1, p8)
 	}
 	checkGolden(t, "fig11.csv", p8)
 }
 
-// The goldens below pin the figures whose sweeps were hand-written serial
-// loops, in the shapes of TestFig*Shape and TestTable2Smoke. Fig 4 is
-// pinned twice: with its per-node chain length among the swept sizes and
-// without it.
+// The goldens below pin figs 3, 4, 6, 7 and table 2 in the shapes of
+// TestFig*Shape and TestTable2Smoke. Fig 4 is pinned twice: with its
+// per-node chain length among the swept sizes and without it.
 
 func fig3GoldenCfg() Fig3Config {
 	return Fig3Config{
@@ -203,31 +204,27 @@ func table2GoldenCfg() Table2Config {
 }
 
 func TestGoldenFig3(t *testing.T) {
-	cfg := fig3GoldenCfg()
-	a, b := Fig3Tables(Fig3(cfg), cfg.TransferPackets)
-	checkGolden(t, "fig3.csv", tablesCSV(a, b))
+	checkGolden(t, "fig3.csv", figureCSV(t, Fig3(fig3GoldenCfg()), Options{}))
 }
 
 func TestGoldenFig4(t *testing.T) {
 	var got []byte
 	for _, cfg := range fig4GoldenCfgs() {
-		a, b := Fig4Tables(Fig4(cfg), Fig4b(cfg))
-		got = append(got, tablesCSV(a, b)...)
+		got = append(got, figureCSV(t, Fig4(cfg), Options{})...)
 	}
 	checkGolden(t, "fig4.csv", got)
 }
 
 func TestGoldenFig6(t *testing.T) {
-	checkGolden(t, "fig6.csv", tablesCSV(Fig6Table(Fig6(fig6GoldenCfg()))))
+	checkGolden(t, "fig6.csv", figureCSV(t, Fig6(fig6GoldenCfg()), Options{}))
 }
 
 func TestGoldenFig7(t *testing.T) {
-	a, b := Fig7Tables(Fig7(fig7GoldenCfg()))
-	checkGolden(t, "fig7.csv", tablesCSV(a, b))
+	checkGolden(t, "fig7.csv", figureCSV(t, Fig7(fig7GoldenCfg()), Options{}))
 }
 
 func TestGoldenTable2(t *testing.T) {
-	checkGolden(t, "table2.csv", tablesCSV(Table2Table(Table2(table2GoldenCfg()))))
+	checkGolden(t, "table2.csv", figureCSV(t, Table2(table2GoldenCfg()), Options{}))
 }
 
 // TestGoldenWorkloadCampaign pins a full generated-workload campaign:
@@ -250,7 +247,7 @@ func TestGoldenWorkloadCampaign(t *testing.T) {
 		Runs: 2,
 		Seed: 9,
 	}
-	rep, err := spec.Execute(context.Background(), 0, nil)
+	rep, err := spec.Execute(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

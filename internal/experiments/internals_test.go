@@ -117,9 +117,9 @@ func TestScenarioStopAt(t *testing.T) {
 
 func TestTable2FlowCountScaling(t *testing.T) {
 	// 14 nodes × 400 s run / 400 s interarrival ⇒ ~14 transfers.
-	rec := runTable2Once(JTP, Table2Config{
+	rec := must(Run(table2Scenario(JTP, Table2Config{
 		Nodes: 14, Seconds: 400, MeanInterarriv: 400, TransferKB: 20,
-	}, 9)
+	}, 9)))
 	if len(rec.Flows) != 14 {
 		t.Fatalf("flow count = %d, want 14", len(rec.Flows))
 	}

@@ -152,9 +152,8 @@ type Scenario struct {
 	// collection (routing cache, packet pool, energy, iJTP caches) before
 	// snapshotting it into RunRecord.Telemetry. Telemetry never touches
 	// the engine RNG, so an instrumented run is bit-identical to a bare
-	// one. Campaign runs get a pooled registry automatically when
-	// telemetry is enabled via SetCampaignHooks; Obs is for direct
-	// callers (tests, probes).
+	// one. Campaign runs get a fresh registry each when their Options
+	// enable telemetry; Obs is for direct callers (tests, probes).
 	Obs *obs.Registry
 }
 
@@ -236,11 +235,6 @@ func Run(sc Scenario) (*metrics.RunRecord, error) { return RunWithHooks(sc, Hook
 // back to the pool for the worker's next run. Runs with hooks — figure
 // probes may retain connections — keep their engine for the GC.
 func RunWithHooks(sc Scenario, hooks Hooks) (*metrics.RunRecord, error) {
-	// Campaign-wide telemetry: attach a fresh registry unless the caller
-	// brought their own; a recycled one would carry earlier runs' keys.
-	if campaignHooks.Telemetry && sc.Obs == nil {
-		sc.Obs = obs.New()
-	}
 	b, err := BuildScenario(sc, hooks)
 	if err != nil {
 		return nil, err

@@ -26,14 +26,10 @@ func shardSpec() *BatchSpec {
 	}
 }
 
-// execWithHooks runs the batch spec with the given process-wide campaign
-// hooks installed, restoring the previous hooks afterwards.
-func execWithHooks(t *testing.T, h CampaignHooks, par int) *campaign.Report {
+// execShardSpec runs the batch spec under the given campaign options.
+func execShardSpec(t *testing.T, opt campaign.Options) *campaign.Report {
 	t.Helper()
-	prev := campaignHooks
-	SetCampaignHooks(h)
-	defer SetCampaignHooks(prev)
-	rep, err := shardSpec().Execute(context.Background(), par, nil)
+	rep, err := shardSpec().Execute(context.Background(), Options{Options: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +40,10 @@ func execWithHooks(t *testing.T, h CampaignHooks, par int) *campaign.Report {
 }
 
 // TestBatchShardMergeMatchesUnsharded executes a real batch campaign as
-// three shards via the hooks plumbing the CLI uses, merges the shard
-// files, and requires the merged CSV and JSON to be byte-identical to
+// three shards, merges the shard files, and requires the merged CSV and JSON to be byte-identical to
 // the unsharded run's.
 func TestBatchShardMergeMatchesUnsharded(t *testing.T) {
-	base := execWithHooks(t, CampaignHooks{}, 4)
+	base := execShardSpec(t, campaign.Options{Workers: 4})
 	wantCSV := base.CSV()
 	wantJSON, err := base.JSON()
 	if err != nil {
@@ -60,10 +55,11 @@ func TestBatchShardMergeMatchesUnsharded(t *testing.T) {
 	files := make([]*campaign.ShardFile, of)
 	for i := 0; i < of; i++ {
 		out := filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
-		execWithHooks(t, CampaignHooks{
+		execShardSpec(t, campaign.Options{
+			Workers:  2,
 			Shard:    campaign.Shard{Index: i, Of: of},
 			ShardOut: out,
-		}, 2)
+		})
 		if files[i], err = campaign.ReadShardFile(out); err != nil {
 			t.Fatal(err)
 		}
@@ -89,15 +85,15 @@ func TestBatchShardMergeMatchesUnsharded(t *testing.T) {
 // the memoized report must match the clean run byte-for-byte without
 // simulating anything again (the second Execute dispatches zero runs).
 func TestBatchCheckpointResumeMatchesClean(t *testing.T) {
-	base := execWithHooks(t, CampaignHooks{}, 4)
+	base := execShardSpec(t, campaign.Options{Workers: 4})
 	wantCSV := base.CSV()
 
 	ck := filepath.Join(t.TempDir(), "ck.json")
-	first := execWithHooks(t, CampaignHooks{Checkpoint: ck}, 4)
+	first := execShardSpec(t, campaign.Options{Workers: 4, Checkpoint: ck})
 	if got := first.CSV(); got != wantCSV {
 		t.Fatalf("checkpointed run differs from plain run:\n%s\nvs\n%s", got, wantCSV)
 	}
-	resumed := execWithHooks(t, CampaignHooks{Checkpoint: ck}, 4)
+	resumed := execShardSpec(t, campaign.Options{Workers: 4, Checkpoint: ck})
 	if got := resumed.CSV(); got != wantCSV {
 		t.Fatalf("resumed run differs from plain run:\n%s\nvs\n%s", got, wantCSV)
 	}

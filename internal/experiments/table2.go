@@ -1,18 +1,10 @@
 package experiments
 
 import (
+	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/channel"
 	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/stats"
 )
-
-// Table2Point is one protocol row of Table 2: the JAVeLEN-system
-// (testbed) results.
-type Table2Point struct {
-	Proto        Protocol
-	EnergyPerBit stats.Running // J/bit
-	GoodputBps   stats.Running
-}
 
 // Table2Config parameterizes the testbed scenario (§6.2): 14 nodes,
 // 30-minute experiments, flows generated at each node with ~400 s mean
@@ -58,22 +50,47 @@ func Table2Defaults(scale float64) Table2Config {
 }
 
 // Table2 reproduces Table 2: energy per delivered bit and average
-// goodput on the (simulated) JAVeLEN testbed.
-func Table2(cfg Table2Config) []*Table2Point {
-	var out []*Table2Point
-	for _, proto := range cfg.Protocols {
-		pt := &Table2Point{Proto: proto}
-		for run := 0; run < cfg.Runs; run++ {
-			rec := runTable2Once(proto, cfg, cfg.Seed+int64(run)*9677)
-			pt.EnergyPerBit.Add(rec.EnergyPerBit())
-			pt.GoodputBps.Add(rec.MeanGoodputBps())
-		}
-		out = append(out, pt)
+// goodput on the (simulated) JAVeLEN testbed, in paper-style rows
+// (mJ/bit is the paper's unit; our radio model is far cheaper per bit,
+// so the relative column is the comparison that matters).
+func Table2(cfg Table2Config) Figure {
+	return Figure{
+		Matrix: campaign.Matrix{
+			Name:   "table2",
+			Axes:   []campaign.Axis{{Name: "proto", Values: protocolValues(cfg.Protocols)}},
+			Runs:   cfg.Runs,
+			SeedFn: runSeeds(cfg.Seed, 9677),
+		},
+		Scenario: func(cell campaign.Cell, seed int64) Scenario {
+			return table2Scenario(Protocol(cell.String("proto")), cfg, seed)
+		},
+		Sample: energyGoodputSample,
+		Tables: func(rep *campaign.Report) []*metrics.Table {
+			t := metrics.NewTable(
+				"Table 2: JAVeLEN system results (simulated testbed)",
+				"proto", "energy/bit(uJ)", "goodput(kbps)", "vs jtp energy")
+			var jtpE float64
+			for _, c := range rep.Cells {
+				if Protocol(c.Cell.String("proto")) == JTP {
+					e := c.Running(obsEnergyPerBit)
+					jtpE = e.Mean()
+				}
+			}
+			for _, c := range rep.Cells {
+				e, g := c.Running(obsEnergyPerBit), c.Running(obsGoodputBps)
+				rel := ""
+				if jtpE > 0 {
+					rel = fmtRatio(e.Mean() / jtpE)
+				}
+				t.AddRow(c.Cell.String("proto"), e.Mean()*1e6, g.Mean()/1e3, rel)
+			}
+			return []*metrics.Table{t}
+		},
 	}
-	return out
 }
 
-func runTable2Once(proto Protocol, cfg Table2Config, seed int64) *metrics.RunRecord {
+// table2Scenario is one testbed run.
+func table2Scenario(proto Protocol, cfg Table2Config, seed int64) Scenario {
 	ch := channel.Testbed()
 	// Poisson-ish flow arrivals: with N nodes and mean interarrival T per
 	// node, the system sees about N·seconds/T transfers; spread their
@@ -93,7 +110,7 @@ func runTable2Once(proto Protocol, cfg Table2Config, seed int64) *metrics.RunRec
 			TotalPackets: pkts,
 		}
 	}
-	return must(Run(Scenario{
+	return Scenario{
 		Name:    "table2",
 		Proto:   proto,
 		Topo:    Random,
@@ -102,30 +119,7 @@ func runTable2Once(proto Protocol, cfg Table2Config, seed int64) *metrics.RunRec
 		Seed:    seed,
 		Channel: &ch,
 		Flows:   flows,
-	}))
-}
-
-// Table2Table renders the paper-style rows (mJ/bit is the paper's unit;
-// our radio model is far cheaper per bit, so the relative column is the
-// comparison that matters).
-func Table2Table(points []*Table2Point) *metrics.Table {
-	t := metrics.NewTable(
-		"Table 2: JAVeLEN system results (simulated testbed)",
-		"proto", "energy/bit(uJ)", "goodput(kbps)", "vs jtp energy")
-	var jtpE float64
-	for _, p := range points {
-		if p.Proto == JTP {
-			jtpE = p.EnergyPerBit.Mean()
-		}
 	}
-	for _, p := range points {
-		rel := ""
-		if jtpE > 0 {
-			rel = fmtRatio(p.EnergyPerBit.Mean() / jtpE)
-		}
-		t.AddRow(string(p.Proto), p.EnergyPerBit.Mean()*1e6, p.GoodputBps.Mean()/1e3, rel)
-	}
-	return t
 }
 
 // Defaults renders Table 1: the default parameter values.

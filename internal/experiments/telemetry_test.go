@@ -10,22 +10,20 @@ import (
 	"testing"
 
 	"github.com/javelen/jtp/internal/campaign"
+	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/workload"
 )
 
-// withTelemetryHooks runs fn with campaign telemetry enabled, restoring
-// the process-global hooks afterwards.
-func withTelemetryHooks(t *testing.T, p func(campaign.Progress), fn func()) {
-	t.Helper()
-	SetCampaignHooks(CampaignHooks{Telemetry: true, OnProgress: p})
-	defer SetCampaignHooks(CampaignHooks{})
-	fn()
+// withTelemetry returns opt with run telemetry enabled.
+func withTelemetry(opt Options) Options {
+	opt.Telemetry = true
+	return opt
 }
 
-// fig9TelemetryCSV renders the canonical small fig9 campaign at the
-// given worker count (same shape as TestGoldenFig9).
-func fig9TelemetryCSV(par int) []byte {
+// fig9TelemetryCSV renders the canonical small fig9 campaign under opt
+// (same shape as TestGoldenFig9).
+func fig9TelemetryCSV(t *testing.T, opt Options) []byte {
 	cfg := Fig9Config{
 		Sizes:     []int{2, 4},
 		Runs:      2,
@@ -33,10 +31,8 @@ func fig9TelemetryCSV(par int) []byte {
 		Warmup:    60,
 		Protocols: []Protocol{JTP, ATP, TCP},
 		Seed:      42,
-		Par:       par,
 	}
-	a, b := Fig9Table(Fig9(cfg))
-	return tablesCSV(a, b)
+	return figureCSV(t, Fig9(cfg), opt)
 }
 
 // TestTelemetryGoldenByteIdentity is the PR's core acceptance check:
@@ -47,16 +43,16 @@ func fig9TelemetryCSV(par int) []byte {
 // outside the observable aggregates, and nothing in the instrumented
 // code may touch the engine RNG or event order.
 func TestTelemetryGoldenByteIdentity(t *testing.T) {
-	plain := fig9TelemetryCSV(1)
+	plain := fig9TelemetryCSV(t, workers(1))
 	var ticks int
-	withTelemetryHooks(t, func(campaign.Progress) { ticks++ }, func() {
-		for _, par := range []int{1, 8} {
-			got := fig9TelemetryCSV(par)
-			if !bytes.Equal(got, plain) {
-				t.Fatalf("fig9 CSV changed with telemetry on at par %d:\n--- telemetry ---\n%s\n--- plain ---\n%s", par, got, plain)
-			}
+	for _, par := range []int{1, 8} {
+		opt := withTelemetry(workers(par))
+		opt.OnProgress = func(campaign.Progress) { ticks++ }
+		got := fig9TelemetryCSV(t, opt)
+		if !bytes.Equal(got, plain) {
+			t.Fatalf("fig9 CSV changed with telemetry on at par %d:\n--- telemetry ---\n%s\n--- plain ---\n%s", par, got, plain)
 		}
-	})
+	}
 	// 2 cells × 2 runs × 3 protocols × 2 worker counts.
 	if ticks != 24 {
 		t.Fatalf("progress ticks = %d, want 24", ticks)
@@ -81,14 +77,11 @@ func TestTelemetryReportCounters(t *testing.T) {
 			Seed: 7,
 		}
 	}
-	plainRep, err := spec().Execute(context.Background(), 1, nil)
+	plainRep, err := spec().Execute(context.Background(), workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep *campaign.Report
-	withTelemetryHooks(t, nil, func() {
-		rep, err = spec().Execute(context.Background(), 8, nil)
-	})
+	rep, err := spec().Execute(context.Background(), withTelemetry(workers(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +89,7 @@ func TestTelemetryReportCounters(t *testing.T) {
 		t.Fatalf("batch CSV changed with telemetry on:\n%s\nvs\n%s", got, want)
 	}
 	if plainRep.TelemetryNames() != nil {
-		t.Fatal("telemetry collected while hooks were off")
+		t.Fatal("telemetry collected while it was off")
 	}
 
 	wantPositive := []string{
@@ -183,10 +176,11 @@ func TestTelemetryRunDeterminism(t *testing.T) {
 }
 
 // TestTelemetryKeysIndependentOfRunHistory pins that a campaign-attached
-// registry is the run's own: a TCP run that follows a JTP run in the same
-// process reports exactly the keys (and values) it reports on an explicit
-// fresh registry — none of the JTP run's cache_*/ijtp_* instruments leak
-// in as zeros — and the same seed twice gives equal snapshots. The
+// registry is the run's own: a TCP run that follows a JTP run on the same
+// campaign worker reports exactly the keys (and values) it reports on an
+// explicit fresh registry — none of the JTP run's cache_*/ijtp_*
+// instruments leak in as zeros — and the same seed twice gives equal
+// snapshots. The
 // scenario is mobile, multi-flow and budget-constrained, the fullest
 // exercise of the lazily folded link substrate.
 func TestTelemetryKeysIndependentOfRunHistory(t *testing.T) {
@@ -211,48 +205,69 @@ func TestTelemetryKeysIndependentOfRunHistory(t *testing.T) {
 			},
 		}
 	}
-	run := func(sc Scenario) map[string]uint64 {
-		t.Helper()
-		rec, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rec.Telemetry) == 0 {
-			t.Fatal("no telemetry on RunRecord")
-		}
-		return rec.Telemetry
-	}
 	fresh := scenario(TCP)
 	fresh.Obs = obs.New()
-	want := run(fresh)
+	rec, err := Run(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{}
+	for k, v := range rec.Telemetry {
+		want[k] = float64(v)
+	}
 
-	withTelemetryHooks(t, nil, func() {
-		jtp := run(scenario(JTP))
-		if _, ok := jtp["ijtp_cache_served"]; !ok {
-			t.Fatal("JTP run exported no ijtp_cache_served; the leak this test guards against cannot show")
+	// One worker runs the JTP cell twice, then the TCP cell twice.
+	opt := withTelemetry(workers(1))
+	got := map[string][]map[string]float64{}
+	opt.OnResult = func(spec campaign.RunSpec, s campaign.Sample, err error) {
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		for i := 0; i < 2; i++ {
-			got := run(scenario(TCP))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("TCP run %d after a JTP run differs from the same run on a fresh registry:\n%s", i, telemetryDiff(want, got))
+		tel := map[string]float64{}
+		for k, v := range s {
+			if name, ok := strings.CutPrefix(k, campaign.TelemetryPrefix); ok {
+				tel[name] = v
 			}
 		}
-	})
+		proto := spec.Cell.String("proto")
+		got[proto] = append(got[proto], tel)
+	}
+	m := campaign.Matrix{
+		Name: "tel-history",
+		Axes: []campaign.Axis{{Name: "proto", Values: protocolValues([]Protocol{JTP, TCP})}},
+		Runs: 2,
+	}
+	if _, err := execute(context.Background(), m, opt,
+		func(cell campaign.Cell, _ int64) (Scenario, error) {
+			return scenario(Protocol(cell.String("proto"))), nil
+		},
+		func(*metrics.RunRecord) campaign.Sample { return campaign.Sample{} }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := got[string(JTP)][0]["ijtp_cache_served"]; !ok {
+		t.Fatal("JTP run exported no ijtp_cache_served; the leak this test guards against cannot show")
+	}
+	for i, tel := range got[string(TCP)] {
+		if !reflect.DeepEqual(tel, want) {
+			t.Fatalf("TCP run %d after a JTP run differs from the same run on a fresh registry:\n%s", i, telemetryDiff(want, tel))
+		}
+	}
 }
 
 // telemetryDiff renders the keys on which two snapshots disagree, sorted.
-func telemetryDiff(want, got map[string]uint64) string {
+func telemetryDiff(want, got map[string]float64) string {
 	var lines []string
 	for k, v := range want {
 		if g, ok := got[k]; !ok {
-			lines = append(lines, fmt.Sprintf("  %s: want %d, key absent", k, v))
+			lines = append(lines, fmt.Sprintf("  %s: want %v, key absent", k, v))
 		} else if g != v {
-			lines = append(lines, fmt.Sprintf("  %s: want %d, got %d", k, v, g))
+			lines = append(lines, fmt.Sprintf("  %s: want %v, got %v", k, v, g))
 		}
 	}
 	for k, g := range got {
 		if _, ok := want[k]; !ok {
-			lines = append(lines, fmt.Sprintf("  %s: unexpected key (value %d)", k, g))
+			lines = append(lines, fmt.Sprintf("  %s: unexpected key (value %v)", k, g))
 		}
 	}
 	sort.Strings(lines)

@@ -122,25 +122,6 @@ func TestSpatialGridAdjacencyElementIdentical(t *testing.T) {
 	}
 }
 
-// TestAdjacencyHelperMatchesBruteForce pins the one-shot Adjacency
-// helper (grid-backed since the spatial-hash rewrite) to the oracle,
-// including its nil-row convention for isolated nodes.
-func TestAdjacencyHelperMatchesBruteForce(t *testing.T) {
-	for _, seed := range []int64{3, 11} {
-		for name, tp := range gridTestFamilies(seed) {
-			for _, r := range []float64{0, 50, 100, 400} {
-				requireSameAdjacency(t, name, Adjacency(tp, r), bruteAdjacency(tp, r))
-			}
-		}
-	}
-	tp := Linear(3, 1000) // fully isolated at range 100
-	for i, row := range Adjacency(tp, 100) {
-		if row != nil {
-			t.Fatalf("isolated node %d row = %v, want nil", i, row)
-		}
-	}
-}
-
 // TestEpochFoldAndLastDelta pins the read-triggered fold contract now
 // that per-node deltas ride along: SetPosition never advances the epoch
 // itself; an arbitrarily large batch folds into exactly one bump at the

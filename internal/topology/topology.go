@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"github.com/javelen/jtp/internal/geom"
 	"github.com/javelen/jtp/internal/packet"
@@ -262,40 +261,6 @@ func Random(n int, radioRange float64, rng *rand.Rand, maxTries int) (*Topology,
 		}
 	}
 	return t, false
-}
-
-// Adjacency returns the unit-disk adjacency lists under the given range,
-// each list in ascending id order (nil for an isolated node). It gathers
-// candidates through a spatial-hash grid, so the cost is O(V+E) rather
-// than the O(n²) all-pairs distance pass — the difference between
-// instant and minutes when generating 10k–65k-node random fields.
-func Adjacency(t *Topology, radioRange float64) [][]packet.NodeID {
-	n := t.N()
-	adj := make([][]packet.NodeID, n)
-	if n == 0 {
-		return adj
-	}
-	g := NewSpatialGrid(t, gridSideFor(radioRange))
-	r2 := radioRange * radioRange
-	var cand []packet.NodeID
-	for i := 0; i < n; i++ {
-		id := packet.NodeID(i)
-		cand = g.AppendCandidates(cand[:0], id)
-		k := 0
-		for _, j := range cand {
-			if j != id && t.Pos[i].Dist2(t.Pos[int(j)]) <= r2 {
-				cand[k] = j
-				k++
-			}
-		}
-		if k == 0 {
-			continue
-		}
-		cand = cand[:k]
-		slices.Sort(cand)
-		adj[i] = append([]packet.NodeID(nil), cand...)
-	}
-	return adj
 }
 
 // Connected reports whether the unit-disk graph under the given range is

@@ -50,7 +50,7 @@ func TestAdjacencySymmetric(t *testing.T) {
 	if !ok {
 		t.Fatal("could not build connected random topology")
 	}
-	adj := Adjacency(tp, 100)
+	adj := bruteAdjacency(tp, 100)
 	for i, nbrs := range adj {
 		for _, j := range nbrs {
 			found := false
@@ -139,7 +139,7 @@ func TestStarHubAdjacency(t *testing.T) {
 	if tp.N() != 8 {
 		t.Fatalf("Star(8) placed %d nodes", tp.N())
 	}
-	adj := Adjacency(tp, 100)
+	adj := bruteAdjacency(tp, 100)
 	if len(adj[0]) != 7 {
 		t.Fatalf("hub has %d neighbors, want all 7 leaves", len(adj[0]))
 	}
