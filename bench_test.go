@@ -1,8 +1,8 @@
 package jtp_test
 
 // Ablation benchmarks for the design choices DESIGN.md §4 calls out, and
-// micro-benchmarks for the hot data structures. Each ablation runs both
-// arms of one scenario per iteration and reports the paper's metric(s)
+// micro-benchmarks for the hot data structures. Each ablation runs every
+// arm of one scenario per iteration and reports the paper's metric(s)
 // via b.ReportMetric:
 //
 //	go test -bench=. -benchmem

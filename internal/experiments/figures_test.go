@@ -52,14 +52,7 @@ func mean(c *campaign.CellResult, observable string) float64 {
 }
 
 func TestFig3ReliabilityShape(t *testing.T) {
-	cfg := Fig3Config{
-		Sizes:           []int{4, 6},
-		Tolerances:      []float64{0, 0.20},
-		TransferPackets: 120,
-		Runs:            3,
-		Seconds:         3000,
-		Seed:            31,
-	}
+	cfg := fig3GoldenCfg()
 	fig := Fig3(cfg)
 	rep := figureReport(t, fig, Options{})
 	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
@@ -123,15 +116,7 @@ func TestFig3cAttemptControl(t *testing.T) {
 }
 
 func TestFig4CachingShape(t *testing.T) {
-	cfg := Fig4Config{
-		Sizes:           []int{3, 8},
-		TransferPackets: 120,
-		Runs:            3,
-		Seconds:         4000,
-		Seed:            41,
-		PerNodeSize:     7,
-	}
-	fig := Fig4(cfg)
+	fig := Fig4(fig4GoldenCfgs()[0])
 	rep := figureReport(t, fig, Options{})
 	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
 
@@ -177,15 +162,7 @@ func TestFig5BackoffShape(t *testing.T) {
 }
 
 func TestFig6CacheSizeShape(t *testing.T) {
-	cfg := Fig6Config{
-		Sizes:           []int{6},
-		CacheSizes:      []int{1, 8, 64},
-		TransferPackets: 150,
-		Runs:            3,
-		Seconds:         4000,
-		Seed:            61,
-	}
-	fig := Fig6(cfg)
+	fig := Fig6(fig6GoldenCfg())
 	rep := figureReport(t, fig, Options{})
 	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
 	rtx := func(cs int) float64 {
@@ -197,9 +174,7 @@ func TestFig6CacheSizeShape(t *testing.T) {
 }
 
 func TestFig7FeedbackShape(t *testing.T) {
-	cfg := Fig7Defaults(0.3)
-	cfg.Rates = []float64{0.05, 0.5}
-	fig := Fig7(cfg)
+	fig := Fig7(fig7GoldenCfg())
 	rep := figureReport(t, fig, Options{})
 	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
 	variable := findCell(t, rep, "feedback", 0.0)
@@ -290,16 +265,7 @@ func TestFig11MobilitySmoke(t *testing.T) {
 }
 
 func TestTable2Smoke(t *testing.T) {
-	cfg := Table2Config{
-		Nodes:          14,
-		Seconds:        400,
-		MeanInterarriv: 400,
-		TransferKB:     40,
-		Runs:           2,
-		Protocols:      []Protocol{JTP, ATP, TCP},
-		Seed:           201,
-	}
-	fig := Table2(cfg)
+	fig := Table2(table2GoldenCfg())
 	rep := figureReport(t, fig, Options{})
 	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
 	for _, c := range rep.Cells {

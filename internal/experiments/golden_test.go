@@ -144,9 +144,9 @@ func TestGoldenFig11ParByteIdentity(t *testing.T) {
 	checkGolden(t, "fig11.csv", p8)
 }
 
-// The goldens below pin figs 3, 4, 6, 7 and table 2 in the shapes of
-// TestFig*Shape and TestTable2Smoke. Fig 4 is pinned twice: with its
-// per-node chain length among the swept sizes and without it.
+// The goldens below pin figs 3, 4, 6, 7 and table 2 on the configs whose
+// shapes TestFig*Shape and TestTable2Smoke assert. Fig 4 is pinned twice:
+// with its per-node chain length among the swept sizes and without it.
 
 func fig3GoldenCfg() Fig3Config {
 	return Fig3Config{
