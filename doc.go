@@ -25,9 +25,12 @@
 //
 // The paper's full evaluation (every table and figure) lives in
 // internal/experiments and is runnable through cmd/jtpsim and the
-// repository benchmarks. Multi-run sweeps (Figs 9-11 and arbitrary
-// `jtpsim batch` scenario matrices) execute on the internal/campaign
-// engine: a declarative axis cross product run on a parallel,
+// repository benchmarks. NewSim builds its network with the same code
+// the evaluation runs on (experiments.Assemble), so a Sim and a figure
+// scenario with equal settings are the same network. Multi-run sweeps
+// (every multi-run figure and arbitrary `jtpsim batch` scenario
+// matrices) execute on the internal/campaign engine: a declarative
+// axis cross product run on a parallel,
 // deterministic worker pool whose aggregates are byte-identical for
 // every worker count. See DESIGN.md for the system inventory and
 // EXPERIMENTS.md for paper-vs-measured results and batch CLI usage.

@@ -160,6 +160,9 @@ func (b *BatchSpec) validate() error {
 		if n < 2 {
 			return fmt.Errorf("batch: network size %d too small (min 2)", n)
 		}
+		if n > maxNodes {
+			return fmt.Errorf("batch: network size %d too large (max %d, the node id space)", n, maxNodes)
+		}
 	}
 	for _, lt := range b.LossTolerances {
 		if lt < 0 || lt >= 1 {

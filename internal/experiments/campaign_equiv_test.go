@@ -135,6 +135,7 @@ func TestBatchSpecDefaultsAndValidation(t *testing.T) {
 		`{"protocols":["quic"]}`,
 		`{"topology":"mesh"}`,
 		`{"nodes":[1]}`,
+		`{"nodes":[6, 65537]}`,
 		`{"lossTolerances":[1.5]}`,
 		`{"mobilitySpeeds":[-1]}`,
 		`{"cachePolicies":["mru"]}`,
@@ -145,6 +146,10 @@ func TestBatchSpecDefaultsAndValidation(t *testing.T) {
 		if _, err := ParseBatchSpec([]byte(js)); err == nil {
 			t.Errorf("spec %s accepted, want error", js)
 		}
+	}
+	// The whole 16-bit node id space is usable.
+	if _, err := ParseBatchSpec([]byte(`{"nodes":[65536]}`)); err != nil {
+		t.Errorf("65536 nodes rejected: %v", err)
 	}
 }
 

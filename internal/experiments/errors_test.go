@@ -22,6 +22,10 @@ func TestScenarioValidationErrors(t *testing.T) {
 		want string
 	}{
 		{"too few nodes", func(sc *Scenario) { sc.Nodes = 1 }, "nodes"},
+		{"beyond node id space", func(sc *Scenario) {
+			sc.Nodes = 1<<16 + 1
+			sc.Flows[0].Src, sc.Flows[0].Dst = 1<<16-1, 1<<16
+		}, "nodes"},
 		{"zero seconds", func(sc *Scenario) { sc.Seconds = 0 }, "seconds"},
 		{"negative speed", func(sc *Scenario) { sc.MobilitySpeed = -1 }, "mobilitySpeed"},
 		{"endpoint out of range", func(sc *Scenario) { sc.Flows[0].Dst = 9 }, "endpoints"},
@@ -51,6 +55,40 @@ func TestScenarioValidationErrors(t *testing.T) {
 	// The base scenario itself must be fine.
 	if _, err := Run(base()); err != nil {
 		t.Fatalf("valid base scenario rejected: %v", err)
+	}
+}
+
+// TestAssemble: Assemble applies the network half of the validation
+// (the public facade relies on it) and returns a network with its
+// driver attached but nothing scheduled until Start.
+func TestAssemble(t *testing.T) {
+	for _, c := range []struct {
+		sc   Scenario
+		want string
+	}{
+		{Scenario{Proto: JTP, Nodes: 1<<16 + 1}, "nodes"},
+		{Scenario{Proto: JTP, Nodes: 4, MobilitySpeed: -1}, "mobilitySpeed"},
+		{Scenario{Proto: JTP, Nodes: 4, EnergyBudgets: []float64{1}}, "energyBudgets"},
+		{Scenario{Proto: JTP, Nodes: 4, Topo: TopoKind(9)}, "topology kind"},
+	} {
+		if _, err := Assemble(c.sc); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Assemble(%+v) = %v, want an error naming %q", c.sc, err, c.want)
+		}
+	}
+
+	sub, err := Assemble(Scenario{Proto: TCP, Topo: Random, Nodes: 8, MobilitySpeed: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Driver.Name() != "tcp" || sub.Network.N() != 8 {
+		t.Fatalf("substrate: driver %q, %d nodes", sub.Driver.Name(), sub.Network.N())
+	}
+	if n := sub.Engine.PendingEvents(); n != 0 {
+		t.Fatalf("%d events pending before Start", n)
+	}
+	sub.Start()
+	if sub.Engine.PendingEvents() == 0 {
+		t.Fatal("Start scheduled nothing")
 	}
 }
 

@@ -204,10 +204,31 @@ func (s *scheduledFlow) start() {
 // attached, flows dialed and scheduled. Run advances time and collects.
 type BuiltScenario struct {
 	sc    Scenario
-	eng   *sim.Engine
-	nw    *node.Network
-	drv   transport.Driver
+	sub   *Substrate
 	flows []*scheduledFlow
+}
+
+// Substrate is an assembled network that has not started: the engine,
+// the network with the scenario's protocol driver attached, and the
+// mobility model armed but idle. Assemble builds it; Start launches it.
+type Substrate struct {
+	Engine  *sim.Engine
+	Network *node.Network
+	// Driver is the scenario protocol's driver, attached to Network
+	// with NetConfig; further drivers may attach with the same config.
+	Driver    transport.Driver
+	NetConfig transport.NetConfig
+
+	mob        *mobility.Model
+	radioRange float64 // the configured channel range, for endpoint picks
+}
+
+// Start launches routing and the TDMA schedule, then mobility.
+func (s *Substrate) Start() {
+	s.Network.Start()
+	if s.mob != nil {
+		s.mob.Start()
+	}
 }
 
 // enginePool recycles simulation engines (and their event slabs) across
@@ -241,8 +262,8 @@ func RunWithHooks(sc Scenario, hooks Hooks) (*metrics.RunRecord, error) {
 	}
 	rec := b.Run()
 	if hooks.empty() {
-		eng := b.eng
-		b.eng = nil
+		eng := b.sub.Engine
+		b.sub = nil
 		// Drop the pending-event handlers now, not at the next acquire:
 		// they close over the whole finished network graph, which would
 		// otherwise stay reachable while the engine sits in the pool.
@@ -262,10 +283,13 @@ func must(rec *metrics.RunRecord, err error) *metrics.RunRecord {
 	return rec
 }
 
-// BuildScenario assembles the substrate, attaches the protocol driver
-// from the transport registry, and dials + schedules every flow. The
-// returned BuiltScenario is ready to Run.
-func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
+// Assemble builds the scenario's network without starting it: it
+// resolves the protocol driver from the transport registry, validates
+// the network fields, lays out the topology, builds the nodes, attaches
+// the driver and arms mobility. It is the one place a network is
+// assembled; BuildScenario and the public jtp facade both call it. The
+// run fields (Seconds, Flows, Events) are BuildScenario's to check.
+func Assemble(sc Scenario) (*Substrate, error) {
 	// The driver is resolved first so an unknown protocol fails before
 	// any simulation state exists.
 	drv, err := transport.New(string(sc.Proto))
@@ -275,7 +299,7 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 	if sc.Explicit != nil {
 		sc.Nodes = sc.Explicit.N()
 	}
-	if err := sc.validate(); err != nil {
+	if err := sc.validateNetwork(); err != nil {
 		return nil, err
 	}
 
@@ -330,11 +354,6 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 		Energy:  energy.JAVeLEN(),
 		Budgets: sc.EnergyBudgets,
 	})
-
-	// All scenario traffic comes from the built-in drivers, whose
-	// endpoints obey the free-list ownership rules, so harness runs are
-	// pooled.
-	nw.EnablePacketPool()
 	if sc.Obs != nil {
 		nw.Observe(sc.Obs)
 	}
@@ -356,6 +375,29 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 	if err := drv.Attach(nw, netCfg); err != nil {
 		return nil, fmt.Errorf("experiments: scenario %q: attaching %s: %w", sc.Name, drv.Name(), err)
 	}
+
+	sub := &Substrate{Engine: eng, Network: nw, Driver: drv, NetConfig: netCfg, radioRange: chCfg.Range}
+	if sc.MobilitySpeed > 0 {
+		sub.mob = mobility.New(eng, topo, topo.Field, mobility.Defaults(sc.MobilitySpeed))
+	}
+	return sub, nil
+}
+
+// BuildScenario validates the scenario, assembles and starts its
+// network, schedules the node events, and dials + schedules every flow.
+// The returned BuiltScenario is ready to Run.
+func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
+	if sc.Explicit != nil {
+		sc.Nodes = sc.Explicit.N()
+	}
+	if err := sc.validate(); err != nil {
+		return nil, err
+	}
+	sub, err := Assemble(sc)
+	if err != nil {
+		return nil, err
+	}
+	eng, nw, drv := sub.Engine, sub.Network, sub.Driver
 	if hooks.Plugin != nil {
 		if pp, ok := drv.(interface{ Plugins() []*ijtp.Plugin }); ok {
 			for _, pl := range pp.Plugins() {
@@ -364,15 +406,7 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 		}
 	}
 
-	var mob *mobility.Model
-	if sc.MobilitySpeed > 0 {
-		mob = mobility.New(eng, topo, topo.Field, mobility.Defaults(sc.MobilitySpeed))
-	}
-
-	nw.Start()
-	if mob != nil {
-		mob.Start()
-	}
+	sub.Start()
 	for _, ev := range sc.Events {
 		ev := ev
 		eng.Schedule(sim.DurationOf(ev.At), func() {
@@ -384,9 +418,9 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 	}
 
 	// ---- Flows -------------------------------------------------------
-	b := &BuiltScenario{sc: sc, eng: eng, nw: nw, drv: drv}
+	b := &BuiltScenario{sc: sc, sub: sub}
 	for i, spec := range sc.Flows {
-		src, dst := pickEndpoints(spec, sc, eng, topo, chCfg.Range)
+		src, dst := pickEndpoints(spec, sc, eng, nw.Topology(), sub.radioRange)
 		spec.Src, spec.Dst = src, dst
 
 		tSpec := transport.FlowSpec{
@@ -434,23 +468,13 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 // inside the substrate — as an index panic, or worse, as a silently
 // empty run. Every error names the offending field. It runs after the
 // Explicit-topology override, so Nodes is always the real node count.
+// The network fields are checked first, by the validator Assemble uses.
 func (sc *Scenario) validate() error {
-	if sc.Nodes < 2 {
-		return fmt.Errorf("experiments: scenario %q: nodes: %d too small (min 2)", sc.Name, sc.Nodes)
+	if err := sc.validateNetwork(); err != nil {
+		return err
 	}
 	if sc.Seconds <= 0 {
 		return fmt.Errorf("experiments: scenario %q: seconds: %g not positive (the run would be empty)", sc.Name, sc.Seconds)
-	}
-	if sc.MobilitySpeed < 0 {
-		return fmt.Errorf("experiments: scenario %q: mobilitySpeed: negative %g", sc.Name, sc.MobilitySpeed)
-	}
-	if n := len(sc.EnergyBudgets); n != 0 && n != sc.Nodes {
-		return fmt.Errorf("experiments: scenario %q: energyBudgets: %d entries for %d nodes", sc.Name, n, sc.Nodes)
-	}
-	for i, b := range sc.EnergyBudgets {
-		if b < 0 {
-			return fmt.Errorf("experiments: scenario %q: energyBudgets[%d]: negative %g", sc.Name, i, b)
-		}
 	}
 	for i, f := range sc.Flows {
 		if f.Src < -1 || f.Src >= sc.Nodes || f.Dst < -1 || f.Dst >= sc.Nodes {
@@ -485,8 +509,34 @@ func (sc *Scenario) validate() error {
 	return nil
 }
 
+// maxNodes is the size of the 16-bit node id space (packet.NodeID); a
+// larger network would alias node ids.
+const maxNodes = 1 << 16
+
+// validateNetwork checks the fields Assemble builds a network from.
+func (sc *Scenario) validateNetwork() error {
+	if sc.Nodes < 2 {
+		return fmt.Errorf("experiments: scenario %q: nodes: %d too small (min 2)", sc.Name, sc.Nodes)
+	}
+	if sc.Nodes > maxNodes {
+		return fmt.Errorf("experiments: scenario %q: nodes: %d too large (max %d, the node id space)", sc.Name, sc.Nodes, maxNodes)
+	}
+	if sc.MobilitySpeed < 0 {
+		return fmt.Errorf("experiments: scenario %q: mobilitySpeed: negative %g", sc.Name, sc.MobilitySpeed)
+	}
+	if n := len(sc.EnergyBudgets); n != 0 && n != sc.Nodes {
+		return fmt.Errorf("experiments: scenario %q: energyBudgets: %d entries for %d nodes", sc.Name, n, sc.Nodes)
+	}
+	for i, b := range sc.EnergyBudgets {
+		if b < 0 {
+			return fmt.Errorf("experiments: scenario %q: energyBudgets[%d]: negative %g", sc.Name, i, b)
+		}
+	}
+	return nil
+}
+
 // Engine returns the scenario's simulation engine (perf harness probes).
-func (b *BuiltScenario) Engine() *sim.Engine { return b.eng }
+func (b *BuiltScenario) Engine() *sim.Engine { return b.sub.Engine }
 
 // Flows returns the dialed transport flows in scenario order.
 func (b *BuiltScenario) Flows() []transport.Flow {
@@ -501,26 +551,26 @@ func (b *BuiltScenario) Flows() []transport.Flow {
 // RunRecord from the network, the driver's in-network counters, and the
 // per-flow records.
 func (b *BuiltScenario) Run() *metrics.RunRecord {
-	b.eng.RunUntil(sim.Time(sim.DurationOf(b.sc.Seconds)))
+	b.sub.Engine.RunUntil(sim.Time(sim.DurationOf(b.sc.Seconds)))
 
 	rec := &metrics.RunRecord{
 		Name:          b.sc.Name,
 		Proto:         string(b.sc.Proto),
 		Nodes:         b.sc.Nodes,
 		Seconds:       b.sc.Seconds,
-		TotalEnergy:   b.nw.TotalEnergy(),
-		PerNodeEnergy: b.nw.PerNodeEnergy(),
-		QueueDrops:    b.nw.QueueDrops(),
+		TotalEnergy:   b.sub.Network.TotalEnergy(),
+		PerNodeEnergy: b.sub.Network.PerNodeEnergy(),
+		QueueDrops:    b.sub.Network.QueueDrops(),
 	}
 	if len(b.sc.EnergyBudgets) > 0 {
 		rec.EnergyBudgets = b.sc.EnergyBudgets
-		rec.BudgetDeadNodes = b.nw.ExhaustedNodes()
+		rec.BudgetDeadNodes = b.sub.Network.ExhaustedNodes()
 	}
-	for _, nd := range b.nw.Nodes() {
+	for _, nd := range b.sub.Network.Nodes() {
 		_, _, _, _, retryDrops, _ := nd.MAC.Counters()
 		rec.RetryDrops += retryDrops
 	}
-	if nr, ok := b.drv.(transport.NetReporter); ok {
+	if nr, ok := b.sub.Driver.(transport.NetReporter); ok {
 		ns := nr.NetStats()
 		rec.EnergyBudgetDrops = ns.EnergyBudgetDrops
 		rec.CacheHits = ns.CacheHits
@@ -542,18 +592,18 @@ func (b *BuiltScenario) Run() *metrics.RunRecord {
 // cache stats). These reads happen once per run, after time stops, so
 // they cost the hot path nothing.
 func (b *BuiltScenario) collectObs(reg *obs.Registry) {
-	for _, nd := range b.nw.Nodes() {
+	for _, nd := range b.sub.Network.Nodes() {
 		txAttempts, txSuccess, rxFrames, _, _, _ := nd.MAC.Counters()
 		reg.Counter("mac_tx_attempts").Add(txAttempts)
 		reg.Counter("mac_tx_success").Add(txSuccess)
 		reg.Counter("mac_rx_frames").Add(rxFrames)
 	}
-	nc := b.nw.Counters()
+	nc := b.sub.Network.Counters()
 	reg.Counter("node_drops_no_route").Add(nc.NoRoute)
 	reg.Counter("node_drops_ttl").Add(nc.TTLDrops)
 	reg.Counter("node_drops_no_endpoint").Add(nc.NoEndpoint)
 
-	rs := b.nw.Views().Stats()
+	rs := b.sub.Network.Views().Stats()
 	reg.Counter("route_fills").Add(rs.Fills)
 	reg.Counter("route_bfs_computes").Add(rs.Computes)
 	reg.Counter("route_cache_hits").Add(rs.Hits)
@@ -561,9 +611,9 @@ func (b *BuiltScenario) collectObs(reg *obs.Registry) {
 	reg.Counter("route_views_unconsulted").Add(rs.Unconsulted)
 	reg.Counter("route_adj_captures").Add(rs.Captures)
 	reg.Gauge("route_adj_snapshots").Update(rs.SnapshotsHWM)
-	reg.Counter("link_state_versions").Add(b.nw.LinkVersion())
+	reg.Counter("link_state_versions").Add(b.sub.Network.LinkVersion())
 
-	gets, puts, misses := b.nw.PacketPool().Stats()
+	gets, puts, misses := b.sub.Network.PacketPool().Stats()
 	reg.Counter("pool_gets").Add(gets)
 	reg.Counter("pool_puts").Add(puts)
 	reg.Counter("pool_misses").Add(misses)
@@ -572,7 +622,7 @@ func (b *BuiltScenario) collectObs(reg *obs.Registry) {
 	// stays integral (obs counters are uint64).
 	var txJ, rxJ float64
 	var txN, rxN uint64
-	for _, nd := range b.nw.Nodes() {
+	for _, nd := range b.sub.Network.Nodes() {
 		txJ += nd.Meter.Tx()
 		rxJ += nd.Meter.Rx()
 		txN += nd.Meter.TxCount()
@@ -584,7 +634,7 @@ func (b *BuiltScenario) collectObs(reg *obs.Registry) {
 	reg.Counter("energy_rx_events").Add(rxN)
 
 	// iJTP soft state, per cache replacement policy (JTP/JNC runs only).
-	if pp, ok := b.drv.(interface{ Plugins() []*ijtp.Plugin }); ok {
+	if pp, ok := b.sub.Driver.(interface{ Plugins() []*ijtp.Plugin }); ok {
 		for _, pl := range pp.Plugins() {
 			c := pl.Counters()
 			reg.Counter("ijtp_cache_served").Add(c.CacheServed)

@@ -149,11 +149,9 @@ type Network struct {
 	// compute their views from.
 	views *routing.Cache
 
-	// pool, when enabled, is the engine-wide packet free-list transports
-	// draw from and terminal consumers recycle into (see packet.Pool for
-	// the ownership rules). Nil unless EnablePacketPool was called; a nil
-	// pool degrades every pooled path to plain heap allocation, which
-	// keeps hand-built test networks oblivious to pooling.
+	// pool is the network's packet free-list: transports draw from it
+	// and terminal consumers recycle into it (see packet.Pool for the
+	// ownership rules). New always creates it.
 	pool *packet.Pool
 
 	// DropHook, when non-nil, observes every MAC-level frame drop.
@@ -201,6 +199,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		chann:    channel.New(eng, cfg.Channel),
 		budgets:  cfg.Budgets,
 		maxEvent: cfg.Energy.TxCost(maxEventBytes),
+		pool:     new(packet.Pool),
 	}
 	n := cfg.Topo.N()
 	nw.down = make([]bool, n)
@@ -229,19 +228,8 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Engine returns the simulation engine the network runs on.
 func (nw *Network) Engine() *sim.Engine { return nw.eng }
 
-// EnablePacketPool switches the network's transports onto the shared
-// packet free-list. The experiment harness enables it for every scenario
-// run; hand-built networks (unit tests, user assemblies) stay unpooled
-// unless they opt in.
-func (nw *Network) EnablePacketPool() {
-	if nw.pool == nil {
-		nw.pool = new(packet.Pool)
-	}
-}
-
-// PacketPool returns the network's packet free-list, or nil when pooling
-// is disabled. All pool methods are nil-receiver safe, so callers use the
-// result unconditionally.
+// PacketPool returns the network's packet free-list, shared by every
+// transport attached to the network.
 func (nw *Network) PacketPool() *packet.Pool { return nw.pool }
 
 // Observe attaches MAC-layer telemetry to reg: one shared handle bundle

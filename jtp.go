@@ -8,19 +8,14 @@ import (
 	"github.com/javelen/jtp/internal/cache"
 	"github.com/javelen/jtp/internal/channel"
 	"github.com/javelen/jtp/internal/core"
-	"github.com/javelen/jtp/internal/energy"
+	"github.com/javelen/jtp/internal/experiments"
 	"github.com/javelen/jtp/internal/geom"
-	"github.com/javelen/jtp/internal/mac"
 	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/mobility"
-	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/packet"
-	"github.com/javelen/jtp/internal/routing"
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/topology"
 	"github.com/javelen/jtp/internal/trace"
 	"github.com/javelen/jtp/internal/transport"
-	_ "github.com/javelen/jtp/internal/transport/drivers" // register built-in protocols
 )
 
 // TopologyKind selects how nodes are laid out.
@@ -75,7 +70,7 @@ type Position struct {
 // SimConfig assembles a simulated JAVeLEN network.
 type SimConfig struct {
 	// Nodes is the network size (required unless Positions is set,
-	// >= 2).
+	// 2 to 65536, the 16-bit node id space).
 	Nodes int
 	// Topology selects the layout (default LinearTopology).
 	Topology TopologyKind
@@ -88,7 +83,8 @@ type SimConfig struct {
 	// (default 80; radio range is 100).
 	Spacing float64
 	// MobilitySpeed, when positive, moves nodes under random waypoint
-	// motion at this many m/s (47 m mean legs, 100 s mean pauses).
+	// motion at this many m/s (47 m mean legs, 100 s mean pauses);
+	// negative is ErrBadConfig.
 	MobilitySpeed float64
 	// Channel selects the link model (default LossyChannel).
 	Channel ChannelProfile
@@ -155,10 +151,7 @@ type FlowConfig struct {
 // Sim is a simulated JAVeLEN network; flows of any registered transport
 // protocol run on it (JTP by default).
 type Sim struct {
-	eng      *sim.Engine
-	nw       *node.Network
-	mob      *mobility.Model
-	netCfg   transport.NetConfig
+	sub      *experiments.Substrate
 	proto    string                      // default flow protocol
 	drivers  map[string]transport.Driver // attached drivers by name
 	flows    []*Flow
@@ -183,68 +176,17 @@ var (
 // NewSim builds a network per the configuration. The returned Sim is
 // idle; open flows and call Run.
 func NewSim(cfg SimConfig) (*Sim, error) {
-	if len(cfg.Positions) > 0 {
-		cfg.Nodes = len(cfg.Positions)
-	}
-	if cfg.Nodes < 2 {
-		return nil, fmt.Errorf("%w: need at least 2 nodes, got %d", ErrBadConfig, cfg.Nodes)
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	eng := sim.NewEngine(seed)
-
-	chCfg := channel.Defaults()
-	if cfg.Channel == StableChannel {
-		chCfg = channel.Testbed()
-	}
-	spacing := cfg.Spacing
-	if spacing <= 0 {
-		spacing = 80
-	}
-	var topo *topology.Topology
-	switch {
-	case len(cfg.Positions) > 0:
-		pts := make([]geom.Point, len(cfg.Positions))
-		for i, p := range cfg.Positions {
-			pts[i] = geom.Point{X: p.X, Y: p.Y}
-		}
-		topo = topology.FromPositions(pts, chCfg.Range/2)
-		if !topology.Connected(topo, chCfg.Range) {
-			return nil, fmt.Errorf("%w: explicit positions are not connected at radio range %g m", ErrBadConfig, chCfg.Range)
-		}
-	case cfg.Topology == LinearTopology:
-		topo = topology.Linear(cfg.Nodes, spacing)
-	case cfg.Topology == RandomTopology:
-		t, ok := topology.Random(cfg.Nodes, chCfg.Range, eng.Rand(), 200)
-		if !ok {
-			return nil, fmt.Errorf("%w: could not place %d connected nodes", ErrBadConfig, cfg.Nodes)
-		}
-		topo = t
-	default:
-		return nil, fmt.Errorf("%w: unknown topology kind %d", ErrBadConfig, cfg.Topology)
-	}
-
-	macCfg := mac.Defaults()
-	if cfg.MaxAttempts > 0 {
-		macCfg.MaxAttempts = cfg.MaxAttempts
-	}
-	rtCfg := routing.Config{}
-	if cfg.MobilitySpeed > 0 {
-		rtCfg = routing.Defaults()
-	}
-	nw := node.New(eng, node.Config{
-		Topo:    topo,
-		Channel: chCfg,
-		MAC:     macCfg,
-		Routing: rtCfg,
-		Energy:  energy.JAVeLEN(),
-	})
-
 	proto := cfg.Protocol
 	if proto == "" {
 		proto = "jtp"
+	}
+	chCfg := channel.Defaults()
+	if cfg.Channel == StableChannel {
+		chCfg = channel.Testbed()
 	}
 	policy := cache.LRU
 	switch cfg.CachePolicy {
@@ -255,26 +197,40 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	case CacheEnergyAware:
 		policy = cache.EnergyAware
 	}
-	s := &Sim{
-		eng:   eng,
-		nw:    nw,
-		proto: proto,
-		netCfg: transport.NetConfig{
-			MaxAttempts:   macCfg.MaxAttempts,
-			CacheCapacity: cfg.CacheCapacity,
-			CachePolicy:   policy,
-		},
-		drivers:  make(map[string]transport.Driver),
+	// TopologyKind numbers its layouts exactly as experiments.TopoKind.
+	sc := experiments.Scenario{
+		Name:          "NewSim",
+		Proto:         experiments.Protocol(proto),
+		Topo:          experiments.TopoKind(cfg.Topology),
+		Nodes:         cfg.Nodes,
+		LinearSpacing: cfg.Spacing,
+		MobilitySpeed: cfg.MobilitySpeed,
+		Seed:          seed,
+		Channel:       &chCfg,
+		CacheCapacity: cfg.CacheCapacity,
+		CachePolicy:   policy,
+		MaxAttempts:   cfg.MaxAttempts,
+	}
+	if len(cfg.Positions) > 0 {
+		pts := make([]geom.Point, len(cfg.Positions))
+		for i, p := range cfg.Positions {
+			pts[i] = geom.Point{X: p.X, Y: p.Y}
+		}
+		sc.Explicit = topology.FromPositions(pts, chCfg.Range/2)
+		if !topology.Connected(sc.Explicit, chCfg.Range) {
+			return nil, fmt.Errorf("%w: explicit positions are not connected at radio range %g m", ErrBadConfig, chCfg.Range)
+		}
+	}
+	sub, err := experiments.Assemble(sc)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	return &Sim{
+		sub:      sub,
+		proto:    proto,
+		drivers:  map[string]transport.Driver{proto: sub.Driver},
 		nextFlow: 1,
-	}
-	if _, err := s.driver(proto); err != nil {
-		return nil, err
-	}
-
-	if cfg.MobilitySpeed > 0 {
-		s.mob = mobility.New(eng, topo, topo.Field, mobility.Defaults(cfg.MobilitySpeed))
-	}
-	return s, nil
+	}, nil
 }
 
 // driver returns the attached driver for a protocol, instantiating and
@@ -299,7 +255,7 @@ func (s *Sim) driver(name string) (transport.Driver, error) {
 			}
 		}
 	}
-	if err := d.Attach(s.nw, s.netCfg); err != nil {
+	if err := d.Attach(s.sub.Network, s.sub.NetConfig); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	s.drivers[name] = d
@@ -312,10 +268,7 @@ func (s *Sim) start() {
 		return
 	}
 	s.started = true
-	s.nw.Start()
-	if s.mob != nil {
-		s.mob.Start()
-	}
+	s.sub.Start()
 }
 
 // OpenFlow opens a transport connection — the Sim's default protocol,
@@ -323,7 +276,7 @@ func (s *Sim) start() {
 // first time has its driver attached on demand, so a JTP network and a
 // TCP-SACK baseline flow coexist on one substrate.
 func (s *Sim) OpenFlow(cfg FlowConfig) (*Flow, error) {
-	n := s.nw.N()
+	n := s.sub.Network.N()
 	if cfg.Src < 0 || cfg.Src >= n || cfg.Dst < 0 || cfg.Dst >= n || cfg.Src == cfg.Dst {
 		return nil, fmt.Errorf("%w: endpoints %d->%d of %d nodes", ErrBadConfig, cfg.Src, cfg.Dst, n)
 	}
@@ -339,7 +292,7 @@ func (s *Sim) OpenFlow(cfg FlowConfig) (*Flow, error) {
 		return nil, err
 	}
 	s.start()
-	if _, ok := s.nw.Node(packet.NodeID(cfg.Src)).Router.NextHop(packet.NodeID(cfg.Dst)); !ok {
+	if _, ok := s.sub.Network.Node(packet.NodeID(cfg.Src)).Router.NextHop(packet.NodeID(cfg.Dst)); !ok {
 		return nil, fmt.Errorf("%w: no route %d->%d", ErrUnreachable, cfg.Src, cfg.Dst)
 	}
 
@@ -347,7 +300,7 @@ func (s *Sim) OpenFlow(cfg FlowConfig) (*Flow, error) {
 		Flow:                   s.nextFlow,
 		Src:                    packet.NodeID(cfg.Src),
 		Dst:                    packet.NodeID(cfg.Dst),
-		StartAt:                s.eng.Now().Seconds() + cfg.StartAt,
+		StartAt:                s.sub.Engine.Now().Seconds() + cfg.StartAt,
 		TotalPackets:           cfg.TotalPackets,
 		LossTolerance:          cfg.LossTolerance,
 		DisableBackoff:         cfg.DisableBackoff,
@@ -364,7 +317,7 @@ func (s *Sim) OpenFlow(cfg FlowConfig) (*Flow, error) {
 	f := &Flow{tf: tf, proto: proto, cfg: cfg, sim: s}
 	s.flows = append(s.flows, f)
 	if cfg.StartAt > 0 {
-		s.eng.Schedule(sim.DurationOf(cfg.StartAt), tf.Start)
+		s.sub.Engine.Schedule(sim.DurationOf(cfg.StartAt), tf.Start)
 	} else {
 		tf.Start()
 	}
@@ -375,7 +328,7 @@ func (s *Sim) OpenFlow(cfg FlowConfig) (*Flow, error) {
 // all events. It may be called repeatedly.
 func (s *Sim) Run(seconds float64) {
 	s.start()
-	s.eng.RunFor(sim.DurationOf(seconds))
+	s.sub.Engine.RunFor(sim.DurationOf(seconds))
 }
 
 // RunUntilDone advances time until every fixed-size flow completes or
@@ -383,12 +336,12 @@ func (s *Sim) Run(seconds float64) {
 func (s *Sim) RunUntilDone(maxSeconds float64) bool {
 	s.start()
 	const step = 50.0
-	deadline := s.eng.Now().Add(sim.DurationOf(maxSeconds))
-	for s.eng.Now() < deadline {
+	deadline := s.sub.Engine.Now().Add(sim.DurationOf(maxSeconds))
+	for s.sub.Engine.Now() < deadline {
 		if s.allDone() {
 			return true
 		}
-		s.eng.RunFor(sim.DurationOf(step))
+		s.sub.Engine.RunFor(sim.DurationOf(step))
 	}
 	return s.allDone()
 }
@@ -403,67 +356,67 @@ func (s *Sim) allDone() bool {
 }
 
 // Now returns the current virtual time in seconds.
-func (s *Sim) Now() float64 { return s.eng.Now().Seconds() }
+func (s *Sim) Now() float64 { return s.sub.Engine.Now().Seconds() }
 
 // FailNode takes a node's radio down: it stops transmitting, receiving
 // and routing, and its queued packets are lost. Routes re-form at the
 // next link-state refresh; in-flight transfers recover through caches
 // and end-to-end retransmission (§2's "intermediate node failure").
 func (s *Sim) FailNode(id int) error {
-	if id < 0 || id >= s.nw.N() {
-		return fmt.Errorf("%w: node %d of %d", ErrBadConfig, id, s.nw.N())
+	if id < 0 || id >= s.sub.Network.N() {
+		return fmt.Errorf("%w: node %d of %d", ErrBadConfig, id, s.sub.Network.N())
 	}
-	s.nw.SetDown(packet.NodeID(id), true)
+	s.sub.Network.SetDown(packet.NodeID(id), true)
 	return nil
 }
 
 // ReviveNode brings a failed node back.
 func (s *Sim) ReviveNode(id int) error {
-	if id < 0 || id >= s.nw.N() {
-		return fmt.Errorf("%w: node %d of %d", ErrBadConfig, id, s.nw.N())
+	if id < 0 || id >= s.sub.Network.N() {
+		return fmt.Errorf("%w: node %d of %d", ErrBadConfig, id, s.sub.Network.N())
 	}
-	s.nw.SetDown(packet.NodeID(id), false)
+	s.sub.Network.SetDown(packet.NodeID(id), false)
 	return nil
 }
 
 // At schedules fn to run at the given virtual time in seconds (for
 // scripting failures and load changes in examples and tests).
 func (s *Sim) At(seconds float64, fn func()) {
-	s.eng.ScheduleAt(sim.Time(sim.DurationOf(seconds)), fn)
+	s.sub.Engine.ScheduleAt(sim.Time(sim.DurationOf(seconds)), fn)
 }
 
 // EnableTrace starts recording the last n packet-lifecycle events
 // (origination, forwarding, delivery, drops with reasons).
 func (s *Sim) EnableTrace(n int) {
-	s.nw.Tracer = trace.New(n)
+	s.sub.Network.Tracer = trace.New(n)
 }
 
 // DumpTrace writes the recorded events to w, one per line, and returns
 // the number of events written. EnableTrace must have been called.
 func (s *Sim) DumpTrace(w io.Writer) (int, error) {
-	if s.nw.Tracer == nil {
+	if s.sub.Network.Tracer == nil {
 		return 0, fmt.Errorf("%w: tracing not enabled", ErrBadConfig)
 	}
-	if err := s.nw.Tracer.Dump(w); err != nil {
+	if err := s.sub.Network.Tracer.Dump(w); err != nil {
 		return 0, err
 	}
-	return s.nw.Tracer.Len(), nil
+	return s.sub.Network.Tracer.Len(), nil
 }
 
 // TraceSummary returns per-event-kind counts of the recorded trace, or
 // an empty string when tracing is disabled.
 func (s *Sim) TraceSummary() string {
-	if s.nw.Tracer == nil {
+	if s.sub.Network.Tracer == nil {
 		return ""
 	}
-	return s.nw.Tracer.Summary()
+	return s.sub.Network.Tracer.Summary()
 }
 
 // TotalEnergy returns system-wide joules spent on transport packets.
-func (s *Sim) TotalEnergy() float64 { return s.nw.TotalEnergy() }
+func (s *Sim) TotalEnergy() float64 { return s.sub.Network.TotalEnergy() }
 
 // PerNodeEnergy returns joules by node index.
-func (s *Sim) PerNodeEnergy() []float64 { return s.nw.PerNodeEnergy() }
+func (s *Sim) PerNodeEnergy() []float64 { return s.sub.Network.PerNodeEnergy() }
 
 // EnergyPerBit returns system joules per delivered application bit
 // across all flows — the paper's headline metric.
@@ -482,7 +435,7 @@ func (s *Sim) EnergyPerBit() float64 {
 func (s *Sim) Protocol() string { return s.proto }
 
 // QueueDrops returns MAC queue overflow drops across the network.
-func (s *Sim) QueueDrops() uint64 { return s.nw.QueueDrops() }
+func (s *Sim) QueueDrops() uint64 { return s.sub.Network.QueueDrops() }
 
 // CacheHits returns in-network cache recoveries across the network.
 func (s *Sim) CacheHits() uint64 {

@@ -2,6 +2,7 @@ package jtp
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -11,6 +12,13 @@ func TestNewSimValidation(t *testing.T) {
 	}
 	if _, err := NewSim(SimConfig{Nodes: 5, Topology: TopologyKind(99)}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("bad topology kind: %v", err)
+	}
+	// Node ids are 16 bits: a 65537th node would alias node 0.
+	if _, err := NewSim(SimConfig{Nodes: 1<<16 + 1}); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "nodes") {
+		t.Fatalf("65537 nodes: %v", err)
+	}
+	if _, err := NewSim(SimConfig{Nodes: 5, MobilitySpeed: -1}); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "mobilitySpeed") {
+		t.Fatalf("negative mobility speed: %v", err)
 	}
 }
 
