@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/workload"
-)
+import "github.com/javelen/jtp/internal/workload"
 
 // FromWorkload converts a generated workload scenario into a runnable
 // Scenario for the given protocol. The generated value is fully
@@ -36,15 +33,4 @@ func FromWorkload(g *workload.Generated, proto Protocol) Scenario {
 		EnergyBudgets: g.Budgets,
 		Events:        events,
 	}
-}
-
-// RunWorkload generates the spec at the given seed and runs it under
-// the given protocol — the one-call path behind `jtpsim gen -run` and
-// the invariant suite.
-func RunWorkload(spec *workload.Spec, proto Protocol, seed int64) (*metrics.RunRecord, error) {
-	g, err := workload.Generate(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	return Run(FromWorkload(g, proto))
 }
