@@ -68,8 +68,6 @@ func TestAssemble(t *testing.T) {
 	}{
 		{Scenario{Proto: JTP, Nodes: 1<<16 + 1}, "nodes"},
 		{Scenario{Proto: JTP, Nodes: 4, MobilitySpeed: -1}, "mobilitySpeed"},
-		{Scenario{Proto: JTP, Nodes: 4, EnergyBudgets: []float64{1}}, "energyBudgets"},
-		{Scenario{Proto: JTP, Nodes: 4, Topo: TopoKind(9)}, "topology kind"},
 	} {
 		if _, err := Assemble(c.sc); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Assemble(%+v) = %v, want an error naming %q", c.sc, err, c.want)

@@ -588,8 +588,8 @@ func (p *Packet) DecodeInto(buf []byte) (int, error) {
 // Pool is not safe for concurrent use; like the Engine it belongs to a
 // single simulation goroutine. The zero value is ready to use, and a nil
 // *Pool is valid: Get falls back to the heap and Put discards, so code
-// holding no pool needs no special path. (internal/pool.FreeList is the generic
-// sibling for transports with standalone segment types; Pool stays
+// holding no pool needs no branch. (internal/pool.FreeList is the
+// generic sibling for transports with standalone segment types; Pool stays
 // hand-rolled because it recycles a paired Packet+AckInfo with detach
 // logic and Decode-parity constraints on the range slices.)
 type Pool struct {
