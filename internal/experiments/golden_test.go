@@ -70,8 +70,9 @@ func tablesCSV(tables ...*metrics.Table) []byte {
 	return b.Bytes()
 }
 
-func TestGoldenFig9(t *testing.T) {
-	cfg := Fig9Config{
+// fig9GoldenCfg is the canonical small-scale Fig 9 campaign.
+func fig9GoldenCfg() Fig9Config {
+	return Fig9Config{
 		Sizes:     []int{2, 4},
 		Runs:      2,
 		Seconds:   300,
@@ -79,7 +80,20 @@ func TestGoldenFig9(t *testing.T) {
 		Protocols: []Protocol{JTP, ATP, TCP},
 		Seed:      42,
 	}
-	checkGolden(t, "fig9.csv", figureCSV(t, Fig9(cfg), Options{}))
+}
+
+func TestGoldenFig9(t *testing.T) {
+	checkGolden(t, "fig9.csv", figureCSV(t, Fig9(fig9GoldenCfg()), Options{}))
+}
+
+// TestGoldenFig9Telemetry pins the values of the canonical Fig 9
+// campaign's telemetry, not just its key set: kernel events scheduled,
+// fired and stopped, the heap-depth high-water mark, and every MAC,
+// routing, pool and energy count. A kernel change that claims byte
+// identity must leave these unchanged too.
+func TestGoldenFig9Telemetry(t *testing.T) {
+	rep := figureReport(t, Fig9(fig9GoldenCfg()), withTelemetry(Options{}))
+	checkGolden(t, "fig9.telemetry.csv", []byte(rep.TelemetryCSV()))
 }
 
 // fig10GoldenCSV renders the canonical small-scale Fig 10 campaign at

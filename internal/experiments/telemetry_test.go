@@ -21,18 +21,9 @@ func withTelemetry(opt Options) Options {
 	return opt
 }
 
-// fig9TelemetryCSV renders the canonical small fig9 campaign under opt
-// (same shape as TestGoldenFig9).
+// fig9TelemetryCSV renders the canonical small fig9 campaign under opt.
 func fig9TelemetryCSV(t *testing.T, opt Options) []byte {
-	cfg := Fig9Config{
-		Sizes:     []int{2, 4},
-		Runs:      2,
-		Seconds:   300,
-		Warmup:    60,
-		Protocols: []Protocol{JTP, ATP, TCP},
-		Seed:      42,
-	}
-	return figureCSV(t, Fig9(cfg), opt)
+	return figureCSV(t, Fig9(fig9GoldenCfg()), opt)
 }
 
 // TestTelemetryGoldenByteIdentity is the PR's core acceptance check:

@@ -490,13 +490,20 @@ func TestHeapOrderRandomized(t *testing.T) {
 
 // TestResetReproducesFreshEngine pins Engine.Reset: a reset engine must be
 // indistinguishable from a new one — same RNG stream, same event order,
-// same clock — while stale refs from before the reset stay inert.
+// same clock — while stale refs from before the reset stay inert. The
+// engine is reset after a stopped ticker run and a capped drain, and the
+// tickers created after the reset must trace (clock, RNG draw, Executed,
+// PendingEvents) as they do on a fresh engine.
 func TestResetReproducesFreshEngine(t *testing.T) {
 	trace := func(e *Engine) []float64 {
 		var vals []float64
-		e.NewJitteredTicker(Second, 300*Millisecond, func() { vals = append(vals, e.Rand().Float64()) })
+		e.NewJitteredTicker(Second, 300*Millisecond, func() { vals = append(vals, e.Now().Seconds(), e.Rand().Float64()) })
+		e.NewTicker(700*Millisecond, func() { vals = append(vals, -e.Now().Seconds()) })
 		e.Schedule(5*Second, func() { vals = append(vals, -1) })
-		e.RunUntil(Time(10 * Second))
+		for _, end := range []Time{Time(3500 * Millisecond), Time(7 * Second), Time(10 * Second)} {
+			e.RunUntil(end)
+			vals = append(vals, float64(e.Executed), float64(e.PendingEvents()))
+		}
 		return vals
 	}
 	fresh := trace(NewEngine(42))
@@ -504,6 +511,16 @@ func TestResetReproducesFreshEngine(t *testing.T) {
 	reused := NewEngine(7)
 	leftover := reused.Schedule(500*Second, func() {})
 	trace(reused) // dirty the slab and RNG
+	n := 0
+	reused.NewTicker(Millisecond, func() {
+		if n++; n == 10 {
+			reused.Stop()
+		}
+	})
+	reused.RunUntil(Time(20 * Second)) // stopped inside a tick
+	if err := reused.drain(100); err == nil {
+		t.Fatal("drain of a live ticker returned nil")
+	}
 	reused.Reset(42)
 	if reused.Now() != 0 || reused.PendingEvents() != 0 || reused.Executed != 0 {
 		t.Fatalf("Reset left state: now=%v pending=%d executed=%d",
@@ -557,21 +574,6 @@ func TestAllocsScheduleStopChurn(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("stop/re-schedule churn allocates %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestAllocsTicker guards the periodic path: a running ticker must not
-// allocate per tick.
-func TestAllocsTicker(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	e.NewTicker(Millisecond, func() { n++ })
-	e.RunFor(Second) // steady state
-	allocs := testing.AllocsPerRun(100, func() {
-		e.RunFor(10 * Millisecond)
-	})
-	if allocs != 0 {
-		t.Fatalf("ticker steady state allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
