@@ -6,8 +6,8 @@
 // which iJTP performs its hop-by-hop soft-state operations (Algorithms 1
 // and 2).
 //
-// Model: time is divided into fixed slots. A global Scheduler owns one
-// simulator event per slot and hands the slot to one node, chosen by a
+// Model: time is divided into fixed slots. A global Scheduler runs one
+// sim.Ticker tick per slot and hands the slot to one node, chosen by a
 // pseudo-random permutation refreshed every frame (a frame is one
 // tx-opportunity for every node). The slot owner transmits the head of its
 // queue; everyone else's radio is off — this is what makes the system
@@ -635,7 +635,7 @@ func (m *MAC) receive(fr *Frame) {
 // destination MAC of a hop.
 func (m *MAC) Receive(fr *Frame) { m.receive(fr) }
 
-// Scheduler owns the global TDMA schedule: one event per slot, slot owner
+// Scheduler owns the global TDMA schedule: one tick per slot, slot owner
 // drawn from a pseudo-random permutation refreshed every frame, giving
 // every node exactly one transmit opportunity per frame without
 // collisions — the JAVeLEN MAC's pseudo-random schedules (§2).

@@ -1,10 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel is the substrate on which the whole JTP reproduction runs: the
-// TDMA MAC schedules one event per slot, transports schedule pacing and
+// TDMA MAC runs one Ticker tick per slot, transports schedule pacing and
 // timeout events, the mobility model schedules waypoint changes, and so on.
 // Events execute in strict (time, sequence) order, so a run is a pure
 // function of its configuration and random seed.
+//
+// A Ticker runs a tick that no queued event can precede inline, without a
+// heap round trip, and counts it exactly as a queued one (see fireInline).
 //
 // Virtual time is an int64 nanosecond count (type Time). Using integer
 // nanoseconds instead of float64 seconds makes event ordering exact and
@@ -23,6 +26,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/javelen/jtp/internal/obs"
@@ -132,6 +136,12 @@ type Engine struct {
 	// bound runaway simulations in tests.
 	Executed uint64
 
+	// The bounds of the run in progress, for inline ticks: RunUntil's end,
+	// or Drain's unbounded horizon and the Executed count at its cap.
+	// Reset clears them.
+	horizon Time
+	execCap uint64
+
 	// Telemetry handles (see Observe). All nil when telemetry is off, so
 	// the hot path pays one nil-check per site and nothing else. Never
 	// touches the RNG and never influences event order.
@@ -158,6 +168,7 @@ func (e *Engine) Reset(seed int64) {
 	e.now = 0
 	e.stopped = false
 	e.Executed = 0
+	e.horizon, e.execCap = 0, 0
 	// Pooled engines outlive the registry they were observed with; detach
 	// so a recycled engine never writes into a previous run's telemetry.
 	e.obsScheduled = nil
@@ -249,6 +260,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // event's time, whichever is larger) so repeated calls advance monotonically.
 func (e *Engine) RunUntil(end Time) {
 	e.stopped = false
+	e.horizon, e.execCap = end, math.MaxUint64
 	for len(e.q.heap) > 0 && !e.stopped {
 		top := e.q.heap[0]
 		if top.at > end {
@@ -277,17 +289,17 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 const DrainEventCap = 50_000_000
 
 // Drain executes all remaining events regardless of time, up to
-// DrainEventCap events. Intended for tests; production runs should bound
-// time with RunUntil. It returns an error if the cap is reached, leaving
-// the remaining events queued.
+// DrainEventCap events (inline ticks included). Intended for tests;
+// production runs should bound time with RunUntil. It returns an error if
+// the cap is reached, leaving the remaining events queued.
 func (e *Engine) Drain() error { return e.drain(DrainEventCap) }
 
 // drain is Drain with the cap as a parameter, so a test can reach it.
 func (e *Engine) drain(limit uint64) error {
 	e.stopped = false
-	var executed uint64
+	e.horizon, e.execCap = math.MaxInt64, e.Executed+limit
 	for len(e.q.heap) > 0 && !e.stopped {
-		if executed >= limit {
+		if e.Executed >= e.execCap {
 			return fmt.Errorf("sim: Drain exceeded %d events with %d still pending (self-rescheduling handler?)", limit, e.PendingEvents())
 		}
 		top := e.q.heap[0]
@@ -296,11 +308,30 @@ func (e *Engine) drain(limit uint64) error {
 		e.q.release(top.slot)
 		e.now = top.at
 		e.Executed++
-		executed++
 		e.obsFired.Inc()
 		fn()
 	}
 	return nil
+}
+
+// fireInline lets a tick due at `at` run now, in its ticker's handler,
+// when nothing can precede it: the run is not stopped, at lies within the
+// run's horizon and event budget, and every queued event is strictly
+// later (one at the same instant has the lower sequence number and wins,
+// so the tick goes through the queue). It accounts the tick as a push and
+// a pop would and advances the clock.
+func (e *Engine) fireInline(at Time) bool {
+	if e.stopped || at > e.horizon || e.Executed >= e.execCap ||
+		len(e.q.heap) > 0 && e.q.heap[0].at <= at {
+		return false
+	}
+	e.q.seq++
+	e.obsScheduled.Inc()
+	e.obsHeapDepth.Update(uint64(len(e.q.heap) + 1))
+	e.now = at
+	e.Executed++
+	e.obsFired.Inc()
+	return true
 }
 
 // PendingEvents reports the number of scheduled, uncancelled events.
@@ -486,21 +517,26 @@ func (e *Engine) NewJitteredTicker(period, jitter Duration, fn Handler) *Ticker 
 	}
 	t := &Ticker{engine: e, period: period, jitter: jitter, fn: fn}
 	// One closure for the ticker's lifetime; re-arming reuses it, so a
-	// ticking simulation allocates nothing per period.
+	// ticking simulation allocates nothing per period. Ticks that nothing
+	// can precede run in this loop instead of through the queue.
 	t.tick = func() {
-		if t.done {
-			return
-		}
-		t.fn()
-		if !t.done {
-			t.arm()
+		for !t.done {
+			t.fn()
+			if t.done {
+				return
+			}
+			if at := t.next(); !e.fireInline(at) {
+				t.ref = e.ScheduleAt(at, t.tick)
+				return
+			}
 		}
 	}
-	t.arm()
+	t.ref = e.ScheduleAt(t.next(), t.tick)
 	return t
 }
 
-func (t *Ticker) arm() {
+// next draws the time of the ticker's next tick.
+func (t *Ticker) next() Time {
 	d := t.period
 	if t.jitter > 0 {
 		d += Duration(t.engine.rng.Int63n(int64(t.jitter))) - t.jitter/2
@@ -508,7 +544,7 @@ func (t *Ticker) arm() {
 			d = 1
 		}
 	}
-	t.ref = t.engine.Schedule(d, t.tick)
+	return t.engine.now.Add(d)
 }
 
 // Stop cancels future ticks.

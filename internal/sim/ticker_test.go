@@ -326,6 +326,37 @@ func TestDrainCapCountsTicks(t *testing.T) {
 	}
 }
 
+// TestUncontendedTicksSkipHeap pins the fast path: 1,000 ticks of a lone
+// ticker inside one run take one slot from the heap and give one back
+// (the first tick's pop, the re-arm past the horizon), yet consume 1,000
+// sequence numbers, as many as the heap path would.
+func TestUncontendedTicksSkipHeap(t *testing.T) {
+	e := NewEngine(1)
+	n := 0
+	e.NewTicker(Millisecond, func() { n++ })
+	e.RunUntil(Time(Millisecond))
+	gens := func() (sum uint64) {
+		for _, ev := range e.q.slab {
+			sum += uint64(ev.gen)
+		}
+		return sum
+	}
+	gen0, seq0 := gens(), e.q.seq
+	e.RunUntil(Time(1001 * Millisecond))
+	if n != 1001 {
+		t.Fatalf("ticks = %d, want 1001", n)
+	}
+	if released := gens() - gen0; released != 1 {
+		t.Fatalf("1,000 uncontended ticks released %d heap slots, want 1", released)
+	}
+	if seqs := e.q.seq - seq0; seqs != 1000 {
+		t.Fatalf("1,000 ticks consumed %d sequence numbers, want 1000", seqs)
+	}
+	if e.PendingEvents() != 1 {
+		t.Fatalf("PendingEvents = %d, want 1 (the tick past the horizon)", e.PendingEvents())
+	}
+}
+
 // TestAllocsTickerUncontended guards the periodic path when nothing else
 // is queued: a running ticker must not allocate per tick.
 func TestAllocsTickerUncontended(t *testing.T) {
