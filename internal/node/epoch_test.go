@@ -2,6 +2,7 @@ package node
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/javelen/jtp/internal/channel"
@@ -364,7 +365,28 @@ func TestPatchedSnapshotQualityMatchesRebuild(t *testing.T) {
 		for step := 0; step < 5; step++ {
 			eng.RunFor(500 * sim.Millisecond)
 			nw.Version() // bring the snapshot current via the patch path
+			checkRowsAgainstRebuild(t, nw, seed, step)
 			checkQualityAgainstRebuild(t, nw, seed, step)
+		}
+	}
+}
+
+// checkRowsAgainstRebuild compares every node's Neighbors row of a
+// patched network element-identical against a network built fresh at the
+// same positions.
+func checkRowsAgainstRebuild(t *testing.T, nw *Network, seed int64, step int) {
+	t.Helper()
+	fresh := New(sim.NewEngine(1), Config{
+		Topo:    nw.Topology().Clone(),
+		Channel: channel.Defaults(),
+		MAC:     mac.Defaults(),
+		Routing: routing.Defaults(),
+		Energy:  energy.JAVeLEN(),
+	})
+	for i := 0; i < nw.N(); i++ {
+		a := packet.NodeID(i)
+		if got, want := nw.Neighbors(a), fresh.Neighbors(a); !slices.Equal(got, want) {
+			t.Fatalf("seed %d step %d: Neighbors(%v)=%v patched, %v rebuilt", seed, step, a, got, want)
 		}
 	}
 }
@@ -433,6 +455,7 @@ func TestPartiallyPatchedSnapshotQualityMatchesRebuild(t *testing.T) {
 			}
 			moved += k
 			nw.Version()
+			checkRowsAgainstRebuild(t, nw, seed, step)
 			checkQualityAgainstRebuild(t, nw, seed, step)
 		}
 		snap := reg.Snapshot()

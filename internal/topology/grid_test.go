@@ -46,6 +46,37 @@ func gridRows(g *SpatialGrid, tp *Topology, radioRange float64) [][]packet.NodeI
 	return rows
 }
 
+// mapWalkCandidates is the reference gather: the 3×3 neighborhood of
+// id's cell, computed from its position and walked through the cell map
+// in (dx, dy) order, with no cached state.
+func mapWalkCandidates(g *SpatialGrid, id packet.NodeID) []packet.NodeID {
+	p := g.t.Pos[int(id)]
+	cx, cy := cellCoord(p.X, g.side), cellCoord(p.Y, g.side)
+	var out []packet.NodeID
+	for dx := int32(-1); dx <= 1; dx++ {
+		for dy := int32(-1); dy <= 1; dy++ {
+			if bi, ok := g.cells[packCell(cx+dx, cy+dy)]; ok {
+				out = append(out, g.buckets[bi].nodes...)
+			}
+		}
+	}
+	return out
+}
+
+// requireMapWalkOrder pins every node's AppendCandidates to the map walk
+// element for element, in order — not just as a set.
+func requireMapWalkOrder(t *testing.T, label string, g *SpatialGrid) {
+	t.Helper()
+	var buf []packet.NodeID
+	for i := range g.t.Pos {
+		id := packet.NodeID(i)
+		buf = g.AppendCandidates(buf[:0], id)
+		if want := mapWalkCandidates(g, id); !slices.Equal(buf, want) {
+			t.Fatalf("%s: node %d candidates %v, map walk %v", label, i, buf, want)
+		}
+	}
+}
+
 func requireSameAdjacency(t *testing.T, label string, got, want [][]packet.NodeID) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -83,7 +114,10 @@ func gridTestFamilies(seed int64) map[string]*Topology {
 // magnitude, matching the squared-distance predicate), ranges that put
 // lattice nodes exactly on cell boundaries, and random-waypoint-style
 // mobility steps maintained through incremental Move calls rather than
-// rebuilds.
+// rebuilds. Every gather must also equal the uncached map walk in exact
+// sequence, including around a cell that empties and is re-occupied and
+// a never-seen cell opening beside a node whose neighborhood was already
+// gathered.
 func TestSpatialGridAdjacencyElementIdentical(t *testing.T) {
 	ranges := []float64{0, -100, 25, 80, 100, 250, 1e9}
 	for _, seed := range []int64{1, 7, 42} {
@@ -91,6 +125,7 @@ func TestSpatialGridAdjacencyElementIdentical(t *testing.T) {
 			for _, r := range ranges {
 				g := NewSpatialGrid(tp, gridSideFor(r))
 				requireSameAdjacency(t, name, gridRows(g, tp, r), bruteAdjacency(tp, r))
+				requireMapWalkOrder(t, name, g)
 
 				// Mobility: jitter a third of the nodes per step, snapping
 				// some onto exact cell-boundary coordinates, and keep the
@@ -116,9 +151,59 @@ func TestSpatialGridAdjacencyElementIdentical(t *testing.T) {
 					}
 					requireSameAdjacency(t, name,
 						gridRows(g, tp, r), bruteAdjacency(tp, r))
+					requireMapWalkOrder(t, name, g)
 				}
 			}
 		}
+	}
+
+	// Cell (1,0) holds only node 1. It empties (node 1 joins node 3 in
+	// (1,1)) and is re-occupied, with no other cell opening, so nodes 0
+	// and 2 must see it empty and then full again. The third batch empties
+	// it while node 2 opens a never-seen cell far away, and the fourth
+	// re-occupies both (1,0) and (2,0).
+	runGridScript(t, "reoccupied",
+		[]geom.Point{{X: 50, Y: 50}, {X: 150, Y: 50}, {X: 250, Y: 50}, {X: 150, Y: 150}},
+		[][]gridMove{
+			{{1, geom.Point{X: 160, Y: 160}}},
+			{{1, geom.Point{X: 140, Y: 60}}},
+			{{1, geom.Point{X: 160, Y: 160}}, {2, geom.Point{X: 250, Y: 850}}},
+			{{1, geom.Point{X: 199, Y: 0}}, {2, geom.Point{X: 200, Y: 99}}},
+		})
+
+	// Node 0's neighborhood is gathered while cell (1,0) has never been
+	// seen; node 1 then opens it, 100 m from node 0 (exactly in range).
+	runGridScript(t, "opened",
+		[]geom.Point{{X: 50, Y: 50}, {X: 550, Y: 550}},
+		[][]gridMove{
+			{{1, geom.Point{X: 150, Y: 50}}},
+			{{1, geom.Point{X: 50, Y: 150}}},
+		})
+}
+
+// gridMove is one scripted position write.
+type gridMove struct {
+	id packet.NodeID
+	p  geom.Point
+}
+
+// runGridScript applies batches of moves on 100 m cells through Move. The
+// rows and every gather sequence are checked at the start and after each
+// batch, so each neighborhood has been gathered before the next batch
+// changes the cells around it.
+func runGridScript(t *testing.T, label string, pos []geom.Point, batches [][]gridMove) {
+	t.Helper()
+	tp := &Topology{Pos: pos}
+	g := NewSpatialGrid(tp, gridSideFor(100))
+	for step := 0; step <= len(batches); step++ {
+		if step > 0 {
+			for _, mv := range batches[step-1] {
+				tp.SetPosition(mv.id, mv.p)
+				g.Move(mv.id)
+			}
+		}
+		requireSameAdjacency(t, label, gridRows(g, tp, 100), bruteAdjacency(tp, 100))
+		requireMapWalkOrder(t, label, g)
 	}
 }
 
