@@ -14,8 +14,6 @@
 package channel
 
 import (
-	"math"
-
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/sim"
 )
@@ -225,16 +223,4 @@ func (c *Channel) ExpectedLoss() float64 {
 		return c.cfg.GoodLoss
 	}
 	return c.cfg.BadFraction*c.cfg.BadLoss + (1-c.cfg.BadFraction)*c.cfg.GoodLoss
-}
-
-// SNR-style helper: Quality maps distance to a coarse link metric in
-// [0, 1] (1 at zero distance, 0 at the edge of range). Routing uses it to
-// prefer short links under mobility, mimicking the pathloss-aware metric
-// of the JAVeLEN routing layer.
-func Quality(dist, rng float64) float64 {
-	if rng <= 0 || dist >= rng {
-		return 0
-	}
-	q := 1 - dist/rng
-	return math.Min(1, math.Max(0, q))
 }

@@ -103,21 +103,6 @@ func TestInRange(t *testing.T) {
 	}
 }
 
-func TestQuality(t *testing.T) {
-	if Quality(0, 100) != 1 {
-		t.Fatal("zero distance quality should be 1")
-	}
-	if Quality(100, 100) != 0 || Quality(150, 100) != 0 {
-		t.Fatal("edge/beyond quality should be 0")
-	}
-	if q := Quality(50, 100); q != 0.5 {
-		t.Fatalf("mid quality = %v", q)
-	}
-	if Quality(10, 0) != 0 {
-		t.Fatal("zero range quality should be 0")
-	}
-}
-
 func TestMeanBadPeriod(t *testing.T) {
 	// Measure mean sojourn length in the bad state over a long run.
 	eng := sim.NewEngine(8)

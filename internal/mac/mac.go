@@ -100,11 +100,6 @@ type LinkInfo struct {
 	// LossRate is the MAC's current loss-probability estimate for this
 	// link (Algorithm 1's getLinkLossRate).
 	LossRate float64
-	// Quality is the distance-based link quality in [0, 1] from the
-	// network's epoch-cached link-state snapshot (channel.Quality): 1 at
-	// zero distance, 0 at the edge of range or when the link is gone.
-	// Plugins read it instead of recomputing positions and distances.
-	Quality float64
 	// AvailRate is this node's effective available transmission rate in
 	// packets/s, already normalized by the average number of link-layer
 	// attempts per packet (§2.1.1's getAvailableRate / AvLinkLayerAttempts).
@@ -230,11 +225,6 @@ type Env interface {
 	// Reachable reports whether to is currently within radio range of
 	// from (under mobility this changes over time).
 	Reachable(from, to packet.NodeID) bool
-	// LinkQuality returns the distance-based quality of the from→to link
-	// in [0, 1], 0 when unlinked. The node layer answers from its
-	// epoch-cached link-state snapshot, so per-attempt reads cost no
-	// distance computation.
-	LinkQuality(from, to packet.NodeID) float64
 	// TransmitsAllowed reports whether the node's radio is operational;
 	// a failed node's owned slots are wasted.
 	TransmitsAllowed(id packet.NodeID) bool
@@ -495,7 +485,6 @@ func (m *MAC) linkInfo(fr *Frame) LinkInfo {
 		FirstAttempt: fr.Attempts == 0,
 		AttemptCost:  m.model.TxCost(size) + m.model.RxCost(size),
 		LossRate:     fr.ls.loss.Value(),
-		Quality:      m.env.LinkQuality(m.id, fr.To),
 		AvailRate:    m.EffectiveAvailRate(),
 		SlotShare:    m.ownSlotRate,
 	}
@@ -622,7 +611,6 @@ func (m *MAC) receive(fr *Frame) {
 		To:          m.id,
 		AttemptCost: m.model.TxCost(fr.Seg.Size()) + m.model.RxCost(fr.Seg.Size()),
 		LossRate:    m.LinkLossRate(fr.From),
-		Quality:     m.env.LinkQuality(fr.From, m.id),
 		AvailRate:   m.EffectiveAvailRate(),
 		SlotShare:   m.ownSlotRate,
 	}

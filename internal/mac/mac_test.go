@@ -44,13 +44,6 @@ func (e *stubEnv) TransmitOK(from, to packet.NodeID) bool {
 
 func (e *stubEnv) Reachable(from, to packet.NodeID) bool { return !e.unreached[to] }
 
-func (e *stubEnv) LinkQuality(from, to packet.NodeID) float64 {
-	if e.unreached[to] {
-		return 0
-	}
-	return 1
-}
-
 func (e *stubEnv) TransmitsAllowed(packet.NodeID) bool { return true }
 
 func (e *stubEnv) DeliverUp(at packet.NodeID, fr *Frame) {

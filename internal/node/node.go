@@ -122,11 +122,10 @@ type Network struct {
 	maxEvent float64
 
 	// snap is the epoch-cached link-state substrate: a spatial-hash grid
-	// over positions plus per-node neighbor rows with per-link channel
-	// quality, O(V+E) memory, brought current lazily once per topology
-	// position epoch — by patching only the moved rows when the epoch
-	// advanced by exactly one, else by a full grid rebuild. See
-	// ensureSnap.
+	// over positions plus per-node neighbor rows, O(V+E) memory, brought
+	// current lazily once per topology position epoch — by patching only
+	// the moved rows when the epoch advanced by exactly one, else by a
+	// full grid rebuild. See ensureSnap.
 	snap linkSnapshot
 	// obs handles for the incremental link-state path (nil-safe no-ops
 	// until Observe attaches a registry): rows patched across all patch
@@ -277,15 +276,6 @@ func (nw *Network) Nodes() []*Node { return nw.nodes }
 // N returns the node count (routing.Directory).
 func (nw *Network) N() int { return nw.topo.N() }
 
-// linkRow is one node's geometric neighbor list (ascending id order)
-// with the distance-based channel quality of each link, aligned by
-// index. Rows are patched in place as nodes move, so a row's slices
-// reach a steady-state capacity and stop allocating.
-type linkRow struct {
-	nbr  []packet.NodeID
-	qual []float64
-}
-
 // linkSnapshot is the per-epoch link-state cache: a spatial-hash grid
 // (cell side = radio range) bucketing node positions, and per-node
 // neighbor rows derived from it. Memory is O(V+E) — there is no n×n
@@ -301,14 +291,16 @@ type linkSnapshot struct {
 	epoch uint64 // topology.Epoch the snapshot was built at
 	n     int
 	grid  *topology.SpatialGrid
-	rows  []linkRow
-	cand  []packet.NodeID // scratch: grid candidates of the row in rebuild
-	qcand []float64       // scratch: merged-row qualities, aligned with cand
+	// rows holds each node's geometric neighbor list in ascending id
+	// order. Rows are patched in place as nodes move, so they reach a
+	// steady-state capacity and stop allocating.
+	rows [][]packet.NodeID
+	cand []packet.NodeID // scratch: gatherRow's candidates and result
 }
 
 // row returns a's geometric neighbor list.
 func (s *linkSnapshot) row(a packet.NodeID) []packet.NodeID {
-	return s.rows[int(a)].nbr
+	return s.rows[int(a)]
 }
 
 // ensureSnap brings the link snapshot to the topology's current position
@@ -344,12 +336,12 @@ func (nw *Network) rebuildSnap(epoch uint64) {
 		s.grid.Rebuild()
 	}
 	if cap(s.rows) < n {
-		s.rows = make([]linkRow, n)
+		s.rows = make([][]packet.NodeID, n)
 	} else {
 		s.rows = s.rows[:n]
 	}
 	for i := 0; i < n; i++ {
-		nw.refillRow(packet.NodeID(i))
+		s.rows[i] = append(s.rows[i][:0], nw.gatherRow(packet.NodeID(i))...)
 	}
 	s.built = true
 	s.epoch = epoch
@@ -357,13 +349,13 @@ func (nw *Network) rebuildSnap(epoch uint64) {
 	nw.obsSnapRebuilds.Inc()
 }
 
-// refillRow recomputes node m's neighbor row from the grid: gather the
-// 3×3 cell candidates, keep the in-range ones, sort ascending, fill the
-// aligned qualities. The membership predicate (squared distance against
-// the squared range) and the quality formula (channel.Quality over the
-// Euclidean distance) are exactly the ones the all-pairs rebuild used,
-// so rows are element-identical to the brute-force O(n²) pass.
-func (nw *Network) refillRow(m packet.NodeID) {
+// gatherRow derives node m's neighbor set from the grid into the scratch
+// buffer: gather the 3×3 cell candidates, keep the in-range ones, sort
+// ascending. The membership predicate (squared distance against the
+// squared range) is exactly the one an all-pairs pass uses, so rows are
+// element-identical to the brute-force O(n²) derivation. The result is
+// valid until the next gatherRow.
+func (nw *Network) gatherRow(m packet.NodeID) []packet.NodeID {
 	s := &nw.snap
 	pos := nw.topo.Pos
 	pm := pos[int(m)]
@@ -378,51 +370,15 @@ func (nw *Network) refillRow(m packet.NodeID) {
 	cand = cand[:k]
 	slices.Sort(cand)
 	s.cand = cand
-	row := &s.rows[int(m)]
-	row.nbr = append(row.nbr[:0], cand...)
-	row.qual = row.qual[:0]
-	rng := nw.chann.Range()
-	for _, j := range cand {
-		row.qual = append(row.qual, channel.Quality(pm.Dist(pos[int(j)]), rng))
-	}
-}
-
-// refillRowChanged is refillRow plus set-change detection: it reports
-// whether m's neighbor SET differs from the previous epoch's row. Used
-// by the whole-network fold fast path, where every row is refilled and
-// the mirror updates would be dead stores.
-func (nw *Network) refillRowChanged(m packet.NodeID) bool {
-	s := &nw.snap
-	pos := nw.topo.Pos
-	pm := pos[int(m)]
-	cand := s.grid.AppendCandidates(s.cand[:0], m)
-	k := 0
-	for _, j := range cand {
-		if j != m && nw.chann.InRange(pm.Dist2(pos[int(j)])) {
-			cand[k] = j
-			k++
-		}
-	}
-	cand = cand[:k]
-	slices.Sort(cand)
-	s.cand = cand
-	row := &s.rows[int(m)]
-	changed := !slices.Equal(row.nbr, cand)
-	row.nbr = append(row.nbr[:0], cand...)
-	row.qual = row.qual[:0]
-	rng := nw.chann.Range()
-	for _, j := range cand {
-		row.qual = append(row.qual, channel.Quality(pm.Dist(pos[int(j)]), rng))
-	}
-	return changed
+	return cand
 }
 
 // patchSnap brings the snapshot one epoch forward by re-deriving only
 // the moved nodes' rows. Every changed edge has a moved endpoint, so
 // re-bucketing the movers, refilling their rows, and mirroring the
-// inserts/removes/quality refreshes into their neighbors' rows restores
-// exactly the state a full rebuild would produce — at O(moved·deg)
-// instead of O(V+E). The link-state version bumps only if some neighbor
+// inserts and removes into their neighbors' rows restores exactly the
+// state a full rebuild would produce — at O(moved·deg) instead of
+// O(V+E). The link-state version bumps only if some neighbor
 // set changed; pure within-range drift leaves every held routing
 // view valid.
 func (nw *Network) patchSnap(epoch uint64, moved []packet.NodeID) {
@@ -436,14 +392,16 @@ func (nw *Network) patchSnap(epoch uint64, moved []packet.NodeID) {
 	if len(moved) == s.n {
 		// Whole-network folds (random-waypoint moves every node every
 		// tick) re-derive every row below, so the mirrored bookkeeping
-		// patchRow does per edge — find the neighbor's row, splice or
-		// refresh the reverse entry — is overwritten the moment that
-		// neighbor's own refill runs. Refill each row directly and detect
-		// set changes by comparing against the previous row: the final
-		// state and the version-bump verdict are exactly the mirror
-		// path's, without any findNbr searches or row splices.
+		// patchRow does per edge — find the neighbor's row, splice the
+		// reverse entry — is overwritten the moment that neighbor's own
+		// refill runs. Refill each row directly and detect set changes by
+		// comparing against the previous row: the final state and the
+		// version-bump verdict are exactly the mirror path's, without any
+		// findNbr searches or row splices.
 		for _, id := range moved {
-			if nw.refillRowChanged(id) {
+			cand := nw.gatherRow(id)
+			if row := s.rows[int(id)]; !slices.Equal(row, cand) {
+				s.rows[int(id)] = append(row[:0], cand...)
 				changed = true
 			}
 		}
@@ -467,31 +425,12 @@ func (nw *Network) patchSnap(epoch uint64, moved []packet.NodeID) {
 // neighbor set changed (m's or a neighbor's — they change together).
 func (nw *Network) patchRow(m packet.NodeID) bool {
 	s := &nw.snap
-	pos := nw.topo.Pos
-	pm := pos[int(m)]
-	rng := nw.chann.Range()
-
-	// New neighbor set, ascending, into the scratch buffer.
-	cand := s.grid.AppendCandidates(s.cand[:0], m)
-	k := 0
-	for _, j := range cand {
-		if j != m && nw.chann.InRange(pm.Dist2(pos[int(j)])) {
-			cand[k] = j
-			k++
-		}
-	}
-	cand = cand[:k]
-	slices.Sort(cand)
-	s.cand = cand
+	cand := nw.gatherRow(m)
 
 	// Merge-walk old vs new: removed neighbors lose their mirrored entry,
-	// added ones gain it, kept ones get their mirrored quality refreshed
-	// (m moved, so every incident distance changed). The merge visits every
-	// surviving neighbor exactly once, in ascending (= cand) order, so the
-	// qualities it computes double as m's own row — collected in qcand and
-	// copied below instead of recomputing each distance and quality.
-	old := s.rows[int(m)].nbr
-	qcand := s.qcand[:0]
+	// added ones gain it, and a neighbor in both sets costs nothing. m's
+	// own row is rewritten only when its set changed.
+	old := s.rows[int(m)]
 	changed := false
 	i, j := 0, 0
 	for i < len(old) || j < len(cand) {
@@ -501,25 +440,17 @@ func (nw *Network) patchRow(m packet.NodeID) bool {
 			changed = true
 			i++
 		case i == len(old) || cand[j] < old[i]:
-			q := channel.Quality(pm.Dist(pos[int(cand[j])]), rng)
-			s.insertEdge(cand[j], m, q)
-			qcand = append(qcand, q)
+			s.insertEdge(cand[j], m)
 			changed = true
 			j++
 		default:
-			q := channel.Quality(pm.Dist(pos[int(old[i])]), rng)
-			s.setQual(old[i], m, q)
-			qcand = append(qcand, q)
 			i++
 			j++
 		}
 	}
-	s.qcand = qcand
-
-	// Overwrite m's own row from the merged set.
-	row := &s.rows[int(m)]
-	row.nbr = append(row.nbr[:0], cand...)
-	row.qual = append(row.qual[:0], qcand...)
+	if changed {
+		s.rows[int(m)] = append(old[:0], cand...)
+	}
 	return changed
 }
 
@@ -529,7 +460,7 @@ func (nw *Network) patchRow(m packet.NodeID) bool {
 // predicted loop beats binary search's data-dependent branches — findNbr
 // is the patch path's hottest leaf at the 65k bench tier.
 func (s *linkSnapshot) findNbr(a, b packet.NodeID) int {
-	for i, id := range s.rows[int(a)].nbr {
+	for i, id := range s.rows[int(a)] {
 		if id >= b {
 			if id == b {
 				return i
@@ -540,43 +471,17 @@ func (s *linkSnapshot) findNbr(a, b packet.NodeID) int {
 	return -1
 }
 
-// insertEdge adds b (with quality q) to a's sorted row.
-func (s *linkSnapshot) insertEdge(a, b packet.NodeID, q float64) {
-	row := &s.rows[int(a)]
-	lo, hi := 0, len(row.nbr)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if row.nbr[mid] < b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	row.nbr = append(row.nbr, 0)
-	copy(row.nbr[lo+1:], row.nbr[lo:])
-	row.nbr[lo] = b
-	row.qual = append(row.qual, 0)
-	copy(row.qual[lo+1:], row.qual[lo:])
-	row.qual[lo] = q
+// insertEdge adds b to a's sorted row.
+func (s *linkSnapshot) insertEdge(a, b packet.NodeID) {
+	row := s.rows[int(a)]
+	i, _ := slices.BinarySearch(row, b)
+	s.rows[int(a)] = slices.Insert(row, i, b)
 }
 
 // removeEdge deletes b from a's sorted row.
 func (s *linkSnapshot) removeEdge(a, b packet.NodeID) {
-	i := s.findNbr(a, b)
-	if i < 0 {
-		return
-	}
-	row := &s.rows[int(a)]
-	copy(row.nbr[i:], row.nbr[i+1:])
-	row.nbr = row.nbr[:len(row.nbr)-1]
-	copy(row.qual[i:], row.qual[i+1:])
-	row.qual = row.qual[:len(row.qual)-1]
-}
-
-// setQual refreshes the quality of the existing a→b entry.
-func (s *linkSnapshot) setQual(a, b packet.NodeID, q float64) {
 	if i := s.findNbr(a, b); i >= 0 {
-		s.rows[int(a)].qual[i] = q
+		s.rows[int(a)] = slices.Delete(s.rows[int(a)], i, i+1)
 	}
 }
 
@@ -670,20 +575,6 @@ func (nw *Network) refreshDeadBits() {
 	if changed {
 		nw.linkVer++
 	}
-}
-
-// LinkQuality returns the cached distance-based quality of the a→b link
-// in [0, 1] (channel.Quality over the epoch snapshot), 0 when the nodes
-// are not currently linked (mac.Env).
-func (nw *Network) LinkQuality(a, b packet.NodeID) float64 {
-	if a == b || !nw.aliveNow(a) || !nw.aliveNow(b) {
-		return 0
-	}
-	nw.ensureSnap()
-	if i := nw.snap.findNbr(a, b); i >= 0 {
-		return nw.snap.rows[int(a)].qual[i]
-	}
-	return 0
 }
 
 // BudgetExhausted reports whether a node's battery can no longer afford

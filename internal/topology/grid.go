@@ -16,36 +16,47 @@ package topology
 
 import (
 	"math"
+	"slices"
 
-	"github.com/javelen/jtp/internal/geom"
 	"github.com/javelen/jtp/internal/packet"
 )
 
 // SpatialGrid is a spatial hash over a topology's positions. It indexes the
 // topology it was built from; after any SetPosition the caller must
 // Move (or Rebuild) before querying, since the grid does not observe
-// position writes on its own. Cells are sparse — only occupied cells
-// hold a bucket — so memory is O(V), independent of the field size.
+// position writes on its own. Cells are sparse — only cells that have
+// held a node since the last Rebuild have a bucket — so memory is
+// O(V + cells visited since the last Rebuild), not O(field area).
 type SpatialGrid struct {
 	t    *Topology
 	side float64
 
-	cells   map[uint64]int32 // packed cell coords -> bucket index
+	// cells maps packed cell coords to a bucket index. An emptied cell
+	// keeps its entry and bucket until Rebuild, so len(cells) counts the
+	// cells ever opened and a cached bucket index never dangles.
+	cells   map[uint64]int32
 	buckets []gridBucket
-	free    []int32 // indices of empty buckets available for reuse
-
-	// Per-node bucket bookkeeping: the packed cell key, the bucket
-	// index, and the node's slot within the bucket, so Move and remove
-	// are O(1) with no searching.
-	cellKey []uint64
-	bucket  []int32
-	slot    []int32
+	nodes   []gridNode
 }
 
 // gridBucket holds the ids currently bucketed in one cell, unordered
 // (consumers that need determinism sort their gathered candidates).
 type gridBucket struct {
 	nodes []packet.NodeID
+}
+
+// gridNode is one node's bookkeeping: its packed cell key, bucket index
+// and slot within the bucket, so Move and remove are O(1) with no
+// searching, plus its cached 3×3 neighborhood.
+type gridNode struct {
+	cellKey      uint64
+	bucket, slot int32
+	// nbhd holds the bucket index of each cell around the node's cell in
+	// AppendCandidates' (dx, dy) order, −1 where a cell has no bucket. It
+	// is valid while nbhdCells equals len(cells): the node has not changed
+	// cell (insert sets −1) and no cell has opened since it was resolved.
+	nbhd      [9]int32
+	nbhdCells int32
 }
 
 // gridSideFor maps a radio range to a cell side: the range's magnitude,
@@ -80,12 +91,10 @@ func NewSpatialGrid(t *Topology, side float64) *SpatialGrid {
 	}
 	n := t.N()
 	g := &SpatialGrid{
-		t:       t,
-		side:    side,
-		cells:   make(map[uint64]int32, n/2+1),
-		cellKey: make([]uint64, n),
-		bucket:  make([]int32, n),
-		slot:    make([]int32, n),
+		t:     t,
+		side:  side,
+		cells: make(map[uint64]int32, n/2+1),
+		nodes: make([]gridNode, n),
 	}
 	g.Rebuild()
 	return g
@@ -95,58 +104,51 @@ func NewSpatialGrid(t *Topology, side float64) *SpatialGrid {
 func (g *SpatialGrid) Side() float64 { return g.side }
 
 // Rebuild re-buckets every node from the topology's current positions,
-// reusing the existing buckets and map.
+// reusing the existing buckets and map. It forgets every cell, emptied or
+// not, and every cached neighborhood.
 func (g *SpatialGrid) Rebuild() {
 	clear(g.cells)
-	g.free = g.free[:0]
 	for i := range g.buckets {
 		g.buckets[i].nodes = g.buckets[i].nodes[:0]
-		g.free = append(g.free, int32(i))
 	}
+	g.buckets = g.buckets[:0]
 	for i := range g.t.Pos {
 		g.insert(packet.NodeID(i))
 	}
 }
 
-// insert buckets id at its current position.
+// insert buckets id at its current position, opening the cell if it has
+// no bucket, and marks id's cached neighborhood stale.
 func (g *SpatialGrid) insert(id packet.NodeID) {
 	p := g.t.Pos[int(id)]
 	key := packCell(cellCoord(p.X, g.side), cellCoord(p.Y, g.side))
 	bi, ok := g.cells[key]
 	if !ok {
-		if n := len(g.free); n > 0 {
-			bi = g.free[n-1]
-			g.free = g.free[:n-1]
-		} else {
-			g.buckets = append(g.buckets, gridBucket{})
-			bi = int32(len(g.buckets) - 1)
-		}
+		// Within capacity this re-exposes a bucket Rebuild emptied, with
+		// its storage.
+		bi = int32(len(g.buckets))
+		g.buckets = slices.Grow(g.buckets, 1)[:bi+1]
 		g.cells[key] = bi
 	}
 	b := &g.buckets[bi]
-	g.cellKey[int(id)] = key
-	g.bucket[int(id)] = bi
-	g.slot[int(id)] = int32(len(b.nodes))
+	nd := &g.nodes[int(id)]
+	nd.cellKey, nd.bucket, nd.slot = key, bi, int32(len(b.nodes))
+	nd.nbhdCells = -1
 	b.nodes = append(b.nodes, id)
 }
 
-// remove unbuckets id (swap-delete; an emptied cell returns its bucket
-// to the free list and leaves the map).
+// remove unbuckets id (swap-delete). An emptied cell keeps its bucket
+// and map entry.
 func (g *SpatialGrid) remove(id packet.NodeID) {
-	bi := g.bucket[int(id)]
-	b := &g.buckets[bi]
-	i := g.slot[int(id)]
+	nd := &g.nodes[int(id)]
+	b := &g.buckets[nd.bucket]
 	last := int32(len(b.nodes) - 1)
-	if i != last {
+	if nd.slot != last {
 		moved := b.nodes[last]
-		b.nodes[i] = moved
-		g.slot[int(moved)] = i
+		b.nodes[nd.slot] = moved
+		g.nodes[int(moved)].slot = nd.slot
 	}
 	b.nodes = b.nodes[:last]
-	if last == 0 {
-		delete(g.cells, g.cellKey[int(id)])
-		g.free = append(g.free, bi)
-	}
 }
 
 // Move re-buckets id after a position change and reports whether its
@@ -156,7 +158,7 @@ func (g *SpatialGrid) remove(id packet.NodeID) {
 func (g *SpatialGrid) Move(id packet.NodeID) bool {
 	p := g.t.Pos[int(id)]
 	key := packCell(cellCoord(p.X, g.side), cellCoord(p.Y, g.side))
-	if key == g.cellKey[int(id)] {
+	if key == g.nodes[int(id)].cellKey {
 		return false
 	}
 	g.remove(id)
@@ -168,30 +170,28 @@ func (g *SpatialGrid) Move(id packet.NodeID) bool {
 // neighborhood of id's current cell — a complete superset of id's
 // in-range neighbors, id itself included — to buf and returns it.
 // Order is bucket order (arbitrary); callers filter by distance and
-// sort.
+// sort. The nine map lookups run once per node and are then reused until
+// the node changes cell or some cell opens.
 func (g *SpatialGrid) AppendCandidates(buf []packet.NodeID, id packet.NodeID) []packet.NodeID {
-	key := g.cellKey[int(id)]
-	cx, cy := int32(uint32(key>>32)), int32(uint32(key))
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			if bi, ok := g.cells[packCell(cx+dx, cy+dy)]; ok {
-				buf = append(buf, g.buckets[bi].nodes...)
+	nd := &g.nodes[int(id)]
+	if nd.nbhdCells != int32(len(g.cells)) {
+		cx, cy := int32(uint32(nd.cellKey>>32)), int32(uint32(nd.cellKey))
+		k := 0
+		for dx := int32(-1); dx <= 1; dx++ {
+			for dy := int32(-1); dy <= 1; dy++ {
+				bi, ok := g.cells[packCell(cx+dx, cy+dy)]
+				if !ok {
+					bi = -1
+				}
+				nd.nbhd[k] = bi
+				k++
 			}
 		}
+		nd.nbhdCells = int32(len(g.cells))
 	}
-	return buf
-}
-
-// AppendCandidatesAt is AppendCandidates for an arbitrary position
-// (flow placement probes, tests): every node bucketed within the 3×3
-// neighborhood of p's cell.
-func (g *SpatialGrid) AppendCandidatesAt(buf []packet.NodeID, p geom.Point) []packet.NodeID {
-	cx, cy := cellCoord(p.X, g.side), cellCoord(p.Y, g.side)
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			if bi, ok := g.cells[packCell(cx+dx, cy+dy)]; ok {
-				buf = append(buf, g.buckets[bi].nodes...)
-			}
+	for _, bi := range nd.nbhd {
+		if bi >= 0 {
+			buf = append(buf, g.buckets[bi].nodes...)
 		}
 	}
 	return buf
