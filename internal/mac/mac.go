@@ -86,8 +86,9 @@ const (
 	Drop
 )
 
-// LinkInfo is the cross-layer context handed to plugins: the MAC-layer
-// estimates iJTP needs for Algorithms 1 and 2.
+// LinkInfo is the cross-layer context handed to plugins: the hop and the
+// MAC-layer estimates iJTP needs for Algorithms 1 and 2, all of them the
+// MAC's own state and the energy model's costs.
 type LinkInfo struct {
 	// From and To identify the single hop being attempted.
 	From, To packet.NodeID
@@ -217,8 +218,9 @@ func Defaults() Config {
 	}
 }
 
-// Env is the environment the MAC needs from the network: link loss draws
-// and reachability. The node package provides it.
+// Env is the environment the MAC needs from the network: link loss draws,
+// reachability, whether a radio is up, and delivery of received frames
+// upward. The node package provides it.
 type Env interface {
 	// TransmitOK draws one Bernoulli loss trial for a transmission.
 	TransmitOK(from, to packet.NodeID) bool
