@@ -374,11 +374,11 @@ func TestAllocsLinkPatchCellCrossing(t *testing.T) {
 	v := nw.Version() // build the snapshot
 	for i := 0; i < 4; i++ {
 		move() // warm delta buffers, scratch and row capacities
-		if nv := nw.Version(); nv == v {
+		nv := nw.Version()
+		if nv == v {
 			t.Fatalf("move %d kept every neighbor set; the case needs edges to change", i)
-		} else {
-			v = nv
 		}
+		v = nv
 		if linked := slices.Contains(nw.Neighbors(id), 16); linked == far {
 			t.Fatalf("move %d: node 16 linked=%v with node 17 far=%v", i, linked, far)
 		}

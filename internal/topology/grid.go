@@ -3,10 +3,10 @@ package topology
 // The spatial-hash grid: positions bucketed into square cells whose side
 // is the radio range, so a node's candidate neighbor set is the 3×3 cell
 // neighborhood around its own cell instead of all n−1 other nodes. The
-// grid is the substrate of both the one-shot adjacency helpers
-// (Connected, HopDistance) and the node package's
-// incrementally-patched link-state snapshot: Move re-buckets one node in
-// O(1), so a mobility delta of k nodes costs O(k·deg) instead of O(n²).
+// grid is the substrate of both the one-shot helpers Connected and
+// HopDistance and the node package's incrementally-patched link-state
+// snapshot: Move re-buckets one node in O(1), so a mobility delta of k
+// nodes costs O(k·deg) instead of O(n²).
 //
 // Correctness hinges on one inequality: with cell side ≥ range, two
 // nodes within range differ by at most one cell index per axis
