@@ -186,3 +186,27 @@ func TestSegmentInterfaces(t *testing.T) {
 	_ = s.String()
 	_ = fb.String()
 }
+
+// TestSenderRefusesUnsentTail pins that the ATP source retransmits only
+// SNACKed sequences it has already sent: a stalled receiver's tail
+// requests beyond nextSeq stay with the first-transmission path (unlike
+// JTP, core.TestSenderQueuesSnackedTail).
+func TestSenderRefusesUnsentTail(t *testing.T) {
+	eng, nw := testNet(t, 3, clean(), 8)
+	cfg := Defaults(1, 0, 2)
+	cfg.TotalPackets = 100
+	s := NewSender(nw, cfg)
+	s.Start()
+	defer s.Stop()
+	eng.RunFor(3500 * sim.Millisecond)
+	next := s.nextSeq
+	if next < 3 {
+		t.Fatalf("only %d packets out", next)
+	}
+	s.Deliver(&Segment{Kind: Feedback, Src: 2, Dst: 0, Flow: 1, CumAck: 0, FbRate: cfg.InitialRate,
+		Snack: []packet.SeqRange{{First: 1, Last: 1}, {First: next + 5, Last: next + 7}}}, 1)
+	eng.RunFor(10 * sim.Second)
+	if rtx := s.Stats().Retransmissions; rtx != 1 {
+		t.Fatalf("%d retransmissions, want 1 (seq 1 only)", rtx)
+	}
+}

@@ -375,3 +375,74 @@ func TestStrings(t *testing.T) {
 		t.Fatal("config accessor")
 	}
 }
+
+// dataPkt is an unstamped DATA packet for driving a receiver directly.
+func dataPkt(seq uint32) *packet.Packet {
+	return &packet.Packet{Type: packet.Data, Src: 0, Dst: 2, Flow: 1, Seq: seq,
+		AvailRate: packet.InitialAvailRate, PayloadLen: 10}
+}
+
+// TestForgivenThenLateCountsOnce pins the loss-tolerance hazard of the
+// receiver's sequence bookkeeping: a sequence forgiven below the
+// cumulative point that arrives late is a unique delivery, and a second
+// copy of it is a duplicate.
+func TestForgivenThenLateCountsOnce(t *testing.T) {
+	_, nw := testNet(t, 3, cleanChannel(), 14)
+	cfg := Defaults(1, 0, 2)
+	cfg.LossTolerance = 0.5
+	r := NewReceiver(nw, cfg)
+	r.Start()
+	defer r.Stop()
+	for _, seq := range []uint32{0, 1, 5} {
+		r.Deliver(dataPkt(seq), 1)
+	}
+	r.sendFeedback(false) // allowance int(0.5·6) = 3 forgives 2, 3, 4
+	if rs := r.Stats(); rs.Forgiven != 3 {
+		t.Fatalf("forgave %d, want 3", rs.Forgiven)
+	}
+	steps := []struct {
+		seq         uint32
+		unique, dup uint64
+	}{
+		{3, 4, 0}, // forgiven, then late: unique
+		{3, 4, 1}, // its second copy: duplicate
+		{1, 4, 2}, // received below the cumulative point: duplicate
+		{4, 5, 2}, // another forgiven sequence arriving late
+		{6, 6, 2}, // next in order
+		{2, 7, 2}, // the last forgiven one
+		{2, 7, 3},
+	}
+	for _, st := range steps {
+		r.Deliver(dataPkt(st.seq), 1)
+		if rs := r.Stats(); rs.UniqueReceived != st.unique || rs.Duplicates != st.dup {
+			t.Fatalf("after seq %d: unique %d dup %d, want %d and %d",
+				st.seq, rs.UniqueReceived, rs.Duplicates, st.unique, st.dup)
+		}
+	}
+}
+
+// TestSenderQueuesSnackedTail pins that the JTP source queues every
+// SNACKed sequence at or above its cumulative ACK, including a stalled
+// receiver's tail requests beyond nextSeq (sent as retransmissions). The
+// ATP source refuses those (atp.TestSenderRefusesUnsentTail).
+func TestSenderQueuesSnackedTail(t *testing.T) {
+	eng, nw := testNet(t, 3, cleanChannel(), 15)
+	cfg := Defaults(1, 0, 2)
+	cfg.TotalPackets = 100
+	s := NewSender(nw, cfg)
+	s.Start()
+	defer s.Stop()
+	eng.RunFor(3500 * sim.Millisecond)
+	next := s.nextSeq
+	if next < 3 {
+		t.Fatalf("only %d packets out", next)
+	}
+	s.Deliver(&packet.Packet{Type: packet.Ack, Src: 2, Dst: 0, Flow: 1, Ack: &packet.AckInfo{
+		CumAck: 0, Rate: cfg.InitialRate,
+		Snack: []packet.SeqRange{{First: 1, Last: 1}, {First: next + 5, Last: next + 7}},
+	}}, 1)
+	eng.RunFor(10 * sim.Second)
+	if rtx := s.Stats().SourceRetransmissions; rtx != 4 {
+		t.Fatalf("%d source retransmissions, want 4 (seq 1 and the three-packet tail)", rtx)
+	}
+}

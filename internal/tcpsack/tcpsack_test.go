@@ -2,6 +2,7 @@ package tcpsack
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -139,20 +140,21 @@ func TestLossyTransferCompletes(t *testing.T) {
 func TestRTOBackoffResets(t *testing.T) {
 	eng, nw := testNet(t, 3, clean(), 4)
 	cfg := Defaults(1, 0, 2)
-	s := NewSender(nw, cfg)
+	cfg.TotalPackets = 3
+	s := NewSender(nw, cfg) // no receiver: nothing is ever acknowledged
 	s.Start()
 	defer s.Stop()
 	eng.RunFor(2 * sim.Second)
 	base := s.rto()
-	s.rtoBackoff = 3
-	if s.rto() <= base {
-		t.Fatal("backoff did not raise RTO")
+	eng.RunFor(60 * sim.Second)
+	if s.Stats().RTOs == 0 || s.rto() <= base {
+		t.Fatalf("%d RTOs moved the RTO from %.1f s to %.1f s; backoff did not raise it",
+			s.Stats().RTOs, base, s.rto())
 	}
 	if s.rto() > 16 {
 		t.Fatal("RTO cap exceeded")
 	}
-	// Cumulative progress resets the backoff.
-	s.inflight[0] = &sentInfo{sentAt: eng.Now()}
+	// Cumulative progress over a segment really sent resets the backoff.
 	s.Deliver(&Segment{Kind: Ack, Src: 2, Dst: 0, Flow: 1, CumAck: 1}, 1)
 	if s.rtoBackoff != 0 {
 		t.Fatal("cumAck progress did not reset RTO backoff")
@@ -162,28 +164,61 @@ func TestRTOBackoffResets(t *testing.T) {
 func TestSackTriggersFastRetransmit(t *testing.T) {
 	eng, nw := testNet(t, 3, clean(), 5)
 	cfg := Defaults(1, 0, 2)
-	s := NewSender(nw, cfg)
+	s := NewSender(nw, cfg) // no receiver: the test plays its ACKs
 	s.Start()
 	defer s.Stop()
-	eng.RunFor(30 * sim.Second) // a few packets out
-	// Fake: cum at 0 (seq 0 lost) but 1..3 SACKed.
-	for seq := uint32(0); seq < 4; seq++ {
-		if s.inflight[seq] == nil {
-			s.inflight[seq] = &sentInfo{sentAt: eng.Now()}
-		}
+	eng.RunFor(3500 * sim.Millisecond) // seqs 0..3 out, one per second
+	if s.nextSeq != 4 || s.Stats().Retransmissions != 0 {
+		t.Fatalf("nextSeq %d after %d retransmissions, want 4 and 0", s.nextSeq, s.Stats().Retransmissions)
 	}
+	// Seq 0 lost, 1..3 SACKed: the hole is retransmitted at the next
+	// pacing slot, well before the RTO.
 	s.Deliver(&Segment{
 		Kind: Ack, Src: 2, Dst: 0, Flow: 1, CumAck: 0,
 		Sack: []packet.SeqRange{{First: 1, Last: 3}},
 	}, 1)
-	found := false
-	for _, seq := range s.pending {
-		if seq == 0 {
-			found = true
+	eng.RunFor(sim.Second)
+	if rtx, rtos := s.Stats().Retransmissions, s.Stats().RTOs; rtx != 1 || rtos != 0 {
+		t.Fatalf("%d retransmissions and %d RTOs, want 1 fast retransmission", rtx, rtos)
+	}
+}
+
+// inflightSeqs lists the sender's in-flight sequence numbers, ascending.
+func inflightSeqs(s *Sender) []uint32 {
+	seqs := make([]uint32, 0, len(s.inflight))
+	for seq := range s.inflight {
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	return seqs
+}
+
+// TestInflightSpansUnacked pins the sender's in-flight invariant through
+// a lossy transfer: the tracked sequences are exactly [cumAck, nextSeq).
+func TestInflightSpansUnacked(t *testing.T) {
+	eng, nw := testNet(t, 4, channel.Defaults(), 3)
+	cfg := Defaults(1, 0, 3)
+	cfg.TotalPackets = 30
+	conn := Dial(nw, cfg)
+	conn.Start()
+	s := conn.Sender
+	for eng.Now() < sim.Time(3000*sim.Second) && !conn.Done() {
+		eng.RunFor(20 * sim.Millisecond)
+		got := inflightSeqs(s)
+		if len(got) != int(s.nextSeq-s.cumAck) {
+			t.Fatalf("at %v: in flight %v, want [%d, %d)", eng.Now(), got, s.cumAck, s.nextSeq)
+		}
+		for i, seq := range got {
+			if seq != s.cumAck+uint32(i) {
+				t.Fatalf("at %v: in flight %v, want [%d, %d)", eng.Now(), got, s.cumAck, s.nextSeq)
+			}
 		}
 	}
-	if !found && !s.inPend[0] {
-		t.Fatal("hole below SACKed block not queued for fast retransmit")
+	if !conn.Done() {
+		t.Fatal("lossy transfer incomplete")
+	}
+	if s.Stats().Retransmissions == 0 {
+		t.Fatal("no loss exercised")
 	}
 }
 
