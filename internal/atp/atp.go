@@ -18,12 +18,29 @@ import (
 	"fmt"
 
 	"github.com/javelen/jtp/internal/mac"
+	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/pool"
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/stats"
+	"github.com/javelen/jtp/internal/transport"
 )
+
+// The ATP driver installs the per-node rate stampers; flows are
+// end-to-end reliable, so the FlowSpec reliability knobs are ignored.
+func init() {
+	transport.MustRegister("atp", func() transport.Driver {
+		return transport.NewDriver("atp", InstallStampers, func(nw *node.Network, spec transport.FlowSpec) transport.Flow {
+			cfg := Defaults(spec.Flow, spec.Src, spec.Dst)
+			cfg.TotalPackets = spec.TotalPackets
+			if spec.Tune != nil {
+				spec.Tune(&cfg)
+			}
+			return transport.NewFlow("atp", spec, Dial(nw, cfg))
+		})
+	})
+}
 
 // Kind discriminates ATP segment types.
 type Kind uint8
@@ -109,9 +126,8 @@ type segPool = pool.FreeList[Segment]
 
 func newSegPool() *segPool {
 	return pool.New(func(s *Segment) {
-		// Snack capacity is retained for a future in-place feedback
-		// builder; today sendFeedback overwrites it with snack()'s
-		// fresh ranges (feedback is a cold, per-epoch path).
+		// Keep the Snack array: sendFeedback appends the next ranges
+		// into it.
 		*s = Segment{Snack: s.Snack[:0]}
 	})
 }
@@ -212,8 +228,7 @@ type Sender struct {
 	nextSeq uint32
 	cumAck  uint32
 	rate    float64
-	pending []uint32
-	inPend  map[uint32]bool
+	retx    transport.RetxQueue
 
 	paceRef    sim.EventRef
 	timeoutRef sim.EventRef
@@ -232,11 +247,10 @@ type Sender struct {
 func NewSender(nw *node.Network, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
 	s := &Sender{
-		cfg:    cfg,
-		net:    nw,
-		eng:    nw.Engine(),
-		rate:   cfg.InitialRate,
-		inPend: make(map[uint32]bool),
+		cfg:  cfg,
+		net:  nw,
+		eng:  nw.Engine(),
+		rate: cfg.InitialRate,
 	}
 	s.paceFn = s.pace
 	s.timeoutFn = s.onTimeout
@@ -302,13 +316,8 @@ func (s *Sender) pace() {
 }
 
 func (s *Sender) nextToSend() (uint32, bool, bool) {
-	for len(s.pending) > 0 {
-		seq := s.pending[0]
-		s.pending = s.pending[1:]
-		delete(s.inPend, seq)
-		if seq >= s.cumAck {
-			return seq, true, true
-		}
+	if seq, ok := s.retx.Pop(s.cumAck); ok {
+		return seq, true, true
 	}
 	if s.cfg.TotalPackets > 0 && int(s.nextSeq) >= s.cfg.TotalPackets {
 		return 0, false, false
@@ -347,22 +356,12 @@ func (s *Sender) processFeedback(fb *Segment) {
 		s.complete()
 		return
 	}
-	for _, r := range fb.Snack {
-		for q := r.First; ; q++ {
-			// Only sequences actually transmitted (q < nextSeq) are
-			// retransmissions. A stalled receiver also SNACKs the unseen
-			// tail it has never been sent; those stay with the normal
-			// first-transmission path so DataSent counts every unique
-			// packet exactly once (delivered ≤ sent stays an invariant).
-			if q >= s.cumAck && q < s.nextSeq && !s.inPend[q] {
-				s.pending = append(s.pending, q)
-				s.inPend[q] = true
-			}
-			if q == r.Last {
-				break
-			}
-		}
-	}
+	// Only sequences actually transmitted (below nextSeq) are
+	// retransmissions. A stalled receiver also SNACKs the unseen tail it
+	// has never been sent; those stay with the normal first-transmission
+	// path so DataSent counts every unique packet exactly once
+	// (delivered ≤ sent stays an invariant).
+	s.retx.PushRanges(fb.Snack, s.cumAck, s.nextSeq)
 	if !s.paceRef.Pending() {
 		s.schedulePace(0)
 	}
@@ -405,6 +404,12 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
+// Record adds the source's counters to a flow record (transport.Endpoint).
+func (s *Sender) Record(fr *metrics.FlowRecord) {
+	fr.DataSent = s.stats.DataSent
+	fr.SourceRetransmissions = s.stats.Retransmissions
+}
+
 // ReceiverStats tallies destination-side activity.
 type ReceiverStats struct {
 	DataReceived   uint64
@@ -423,8 +428,7 @@ type Receiver struct {
 	net *node.Network
 	eng *sim.Engine
 
-	received   map[uint32]bool
-	cum        uint32
+	got        transport.Window // received; Lo is the cumulative ACK
 	highest    uint32
 	gotAny     bool
 	lastDataAt sim.Time
@@ -444,12 +448,7 @@ type Receiver struct {
 // NewReceiver builds the sink.
 func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 	cfg = cfg.withDefaults()
-	return &Receiver{
-		cfg:      cfg,
-		net:      nw,
-		eng:      nw.Engine(),
-		received: make(map[uint32]bool),
-	}
+	return &Receiver{cfg: cfg, net: nw, eng: nw.Engine()}
 }
 
 // Stats returns a copy of the counters.
@@ -492,11 +491,11 @@ func (r *Receiver) processData(d *Segment) {
 	if d.RateStamp < packet.InitialAvailRate {
 		r.epoch.Add(d.RateStamp)
 	}
-	if r.received[d.Seq] {
+	if r.got.Has(d.Seq) {
 		r.stats.Duplicates++
 		return
 	}
-	r.received[d.Seq] = true
+	r.got.Add(d.Seq)
 	r.stats.UniqueReceived++
 	r.stats.DeliveredBytes += uint64(d.PayloadLen)
 	r.recSeri.Add(r.eng.Now().Seconds(), 1)
@@ -504,10 +503,8 @@ func (r *Receiver) processData(d *Segment) {
 		r.highest = d.Seq
 		r.gotAny = true
 	}
-	for r.received[r.cum] {
-		r.cum++
-	}
-	if r.cfg.TotalPackets > 0 && int(r.cum) >= r.cfg.TotalPackets && !r.done {
+	cum := r.got.Slide()
+	if r.cfg.TotalPackets > 0 && int(cum) >= r.cfg.TotalPackets && !r.done {
 		r.done = true
 		r.stats.Completed = true
 		r.stats.CompletedAt = r.eng.Now()
@@ -527,33 +524,30 @@ func (r *Receiver) onEpoch() {
 	r.sendFeedback()
 }
 
-// snack lists every miss below the highest received (full reliability,
-// end-to-end only). When a fixed-size transfer stalls, the unseen tail is
-// requested too, since a lost final packet creates no gap to report.
-func (r *Receiver) snack() []packet.SeqRange {
+// snack appends to rs every miss below the highest received, at most 64
+// ranges (full reliability, end-to-end only). When a fixed-size transfer
+// stalls, the unseen tail is requested too, since a lost final packet
+// creates no gap to report.
+func (r *Receiver) snack(rs []packet.SeqRange) []packet.SeqRange {
 	if !r.gotAny {
-		return nil
+		return rs
 	}
-	var misses []uint32
-	for seq := r.cum; seq < r.highest; seq++ {
-		if !r.received[seq] {
-			misses = append(misses, seq)
+	const maxRanges = 64
+	for first, last := range r.got.Runs(r.got.Lo(), r.highest, false) {
+		if len(rs) == maxRanges {
+			return rs
 		}
+		rs = append(rs, packet.SeqRange{First: first, Last: last})
 	}
 	if r.cfg.TotalPackets > 0 && !r.done &&
 		r.eng.Now().Sub(r.lastDataAt).Seconds() > r.cfg.FeedbackPeriod {
 		const tailChunk = 32
 		hi := uint32(r.cfg.TotalPackets) - 1
 		for q, n := r.highest+1, 0; q <= hi && n < tailChunk; q, n = q+1, n+1 {
-			misses = append(misses, q)
+			rs = transport.AppendSeq(rs, q, maxRanges)
 		}
 	}
-	ranges := packet.RangesFromSeqs(misses)
-	const maxRanges = 64
-	if len(ranges) > maxRanges {
-		ranges = ranges[:maxRanges]
-	}
-	return ranges
+	return rs
 }
 
 func (r *Receiver) sendFeedback() {
@@ -568,8 +562,8 @@ func (r *Receiver) sendFeedback() {
 	fb.Src = r.cfg.Dst
 	fb.Dst = r.cfg.Src
 	fb.Flow = r.cfg.Flow
-	fb.CumAck = r.cum
-	fb.Snack = r.snack()
+	fb.CumAck = r.got.Lo()
+	fb.Snack = r.snack(fb.Snack)
 	fb.FbRate = rate
 	if r.done {
 		fb.CumAck = uint32(r.cfg.TotalPackets)
@@ -578,11 +572,21 @@ func (r *Receiver) sendFeedback() {
 	r.stats.FeedbackSent++
 }
 
-// Connection bundles both ATP endpoints.
-type Connection struct {
-	Sender   *Sender
-	Receiver *Receiver
+// Record adds the sink's counters to a flow record (transport.Endpoint).
+func (r *Receiver) Record(fr *metrics.FlowRecord) {
+	fr.AcksSent = r.stats.FeedbackSent
+	fr.UniqueDelivered = r.stats.UniqueReceived
+	fr.DeliveredBytes = r.stats.DeliveredBytes
+	fr.Duplicates = r.stats.Duplicates
+	fr.Completed = r.stats.Completed
+	fr.Reception = &r.recSeri
+	if r.stats.Completed {
+		fr.CompletedAt = r.stats.CompletedAt.Seconds()
+	}
 }
+
+// Connection bundles both ATP endpoints.
+type Connection = transport.Conn[*Sender, *Receiver]
 
 // Dial builds both endpoints, sharing one segment free-list between them
 // (the receiver recycles the sender's DATA, the sender the receiver's
@@ -594,21 +598,6 @@ func Dial(nw *node.Network, cfg Config) *Connection {
 	c.Receiver.segs = pool
 	return c
 }
-
-// Start starts receiver then sender.
-func (c *Connection) Start() {
-	c.Receiver.Start()
-	c.Sender.Start()
-}
-
-// Stop stops both ends.
-func (c *Connection) Stop() {
-	c.Sender.Stop()
-	c.Receiver.Stop()
-}
-
-// Done reports end-to-end completion.
-func (c *Connection) Done() bool { return c.Sender.Done() && c.Receiver.Done() }
 
 // InstallStampers installs the ATP rate-stamping plugin on every node of
 // the network (the experiments call this once per ATP run).

@@ -147,7 +147,7 @@ func TestSnackListsGaps(t *testing.T) {
 	for _, seq := range []uint32{0, 1, 4, 5} {
 		r.Deliver(&Segment{Kind: Data, Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}, 1)
 	}
-	sn := r.snack()
+	sn := r.snack(nil)
 	if !packet.RangesContain(sn, 2) || !packet.RangesContain(sn, 3) {
 		t.Fatalf("snack = %v, want gaps 2,3", sn)
 	}

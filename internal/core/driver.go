@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/javelen/jtp/internal/ijtp"
-	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/transport"
@@ -112,52 +111,5 @@ func (d *driver) OpenFlow(spec transport.FlowSpec) (transport.Flow, error) {
 	if spec.MaxRate > 0 {
 		cfg.MaxRate = spec.MaxRate
 	}
-	return &flow{proto: d.name, spec: spec, conn: Dial(d.nw, cfg), nw: d.nw}, nil
-}
-
-// flow adapts a core.Connection to the transport.Flow interface.
-type flow struct {
-	proto string
-	spec  transport.FlowSpec
-	conn  *Connection
-	nw    *node.Network
-}
-
-func (f *flow) Start()     { f.conn.Start() }
-func (f *flow) Stop()      { f.conn.Stop() }
-func (f *flow) Done() bool { return f.conn.Done() }
-
-// Conn exposes the underlying connection for JTP-specific probes.
-func (f *flow) Conn() *Connection { return f.conn }
-
-func (f *flow) Delivered() uint64 { return f.conn.Receiver.Stats().UniqueReceived }
-func (f *flow) SourceRtx() uint64 { return f.conn.Sender.Stats().SourceRetransmissions }
-
-func (f *flow) Goodput() float64 {
-	return transport.GoodputNow(f.Stats(), f.nw.Engine().Now().Seconds())
-}
-
-func (f *flow) Stats() *metrics.FlowRecord {
-	ss := f.conn.Sender.Stats()
-	rs := f.conn.Receiver.Stats()
-	fr := &metrics.FlowRecord{
-		Proto:                 f.proto,
-		Flow:                  uint16(f.spec.Flow),
-		Src:                   uint16(f.spec.Src),
-		Dst:                   uint16(f.spec.Dst),
-		StartAt:               f.spec.StartAt,
-		DataSent:              ss.DataSent,
-		SourceRetransmissions: ss.SourceRetransmissions,
-		CacheRecovered:        rs.CacheRecoveredSeen,
-		AcksSent:              rs.AcksSent,
-		UniqueDelivered:       rs.UniqueReceived,
-		DeliveredBytes:        rs.DeliveredBytes,
-		Duplicates:            rs.Duplicates,
-		Completed:             rs.Completed,
-		Reception:             f.conn.Receiver.Reception(),
-	}
-	if rs.Completed {
-		fr.CompletedAt = rs.CompletedAt.Seconds()
-	}
-	return fr
+	return transport.NewFlow(d.name, spec, Dial(d.nw, cfg)), nil
 }

@@ -2,14 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/javelen/jtp/internal/flipflop"
 	"github.com/javelen/jtp/internal/mac"
+	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/stats"
+	"github.com/javelen/jtp/internal/transport"
 )
 
 // ReceiverStats tallies one connection's destination-side activity.
@@ -61,16 +63,21 @@ type Receiver struct {
 	net *node.Network
 	eng *sim.Engine
 
-	received    map[uint32]bool
-	missedAt    map[uint32]sim.Time // when each gap was first noticed
-	requestedAt map[uint32]sim.Time // when each miss was last SNACKed
-	forgiven    map[uint32]bool
-	highest     uint32 // highest seq seen (valid once gotAny)
-	gotAny      bool
-	cum         uint32 // next needed seq: all needed below are satisfied
-	doneFlag    bool
-	startedAt   sim.Time
-	lastDataAt  sim.Time
+	// got holds the satisfied sequence numbers, received or forgiven. Its
+	// Lo is the cumulative point: everything needed below it is
+	// satisfied, and the needed misses are its non-members below highest.
+	got transport.Window
+	// owed lists, ascending, the forgiven sequence numbers below the
+	// cumulative point that never arrived: a late copy of one is still a
+	// unique delivery.
+	owed []uint32
+	// snackHold holds, per miss, when it may next be SNACKed (zero: now).
+	snackHold  transport.Ring[sim.Time]
+	highest    uint32 // highest seq seen (valid once gotAny)
+	gotAny     bool
+	doneFlag   bool
+	startedAt  sim.Time
+	lastDataAt sim.Time
 
 	rate         float64 // controller output, packets/s
 	energyBudget float64
@@ -107,10 +114,6 @@ func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 		net:          nw,
 		eng:          nw.Engine(),
 		pool:         nw.PacketPool(),
-		received:     make(map[uint32]bool),
-		missedAt:     make(map[uint32]sim.Time),
-		requestedAt:  make(map[uint32]sim.Time),
-		forgiven:     make(map[uint32]bool),
 		rate:         cfg.InitialRate,
 		energyBudget: cfg.InitialEnergyBudget,
 		rateMon:      flipflop.New(cfg.RateMonitor),
@@ -200,13 +203,15 @@ func (r *Receiver) processData(p *packet.Packet) {
 		r.timerRunning = true
 	}
 
-	if r.received[p.Seq] {
+	i, late := slices.BinarySearch(r.owed, p.Seq)
+	if r.got.Has(p.Seq) && !late {
 		r.stats.Duplicates++
 		return
 	}
-	r.received[p.Seq] = true
-	delete(r.missedAt, p.Seq)
-	delete(r.requestedAt, p.Seq)
+	if late {
+		r.owed = slices.Delete(r.owed, i, i+1)
+	}
+	r.got.Add(p.Seq)
 	r.stats.UniqueReceived++
 	r.stats.DeliveredBytes += uint64(p.PayloadLen)
 	r.reception.Add(now.Seconds(), 1)
@@ -214,19 +219,7 @@ func (r *Receiver) processData(p *packet.Packet) {
 		r.OnDeliver(p.Seq, now)
 	}
 
-	// Note newly visible gaps.
 	if !r.gotAny || p.Seq > r.highest {
-		lo := uint32(0)
-		if r.gotAny {
-			lo = r.highest + 1
-		}
-		for q := lo; q < p.Seq; q++ {
-			if !r.received[q] {
-				if _, seen := r.missedAt[q]; !seen {
-					r.missedAt[q] = now
-				}
-			}
-		}
 		r.highest = p.Seq
 		r.gotAny = true
 	}
@@ -269,11 +262,7 @@ func (r *Receiver) observeEnergy(sample float64) {
 // advanceCum moves the cumulative pointer past received or forgiven
 // sequence numbers.
 func (r *Receiver) advanceCum() {
-	for r.received[r.cum] || r.forgiven[r.cum] {
-		delete(r.missedAt, r.cum)
-		delete(r.requestedAt, r.cum)
-		r.cum++
-	}
+	r.snackHold.Advance(r.got.Slide())
 }
 
 // allowance returns how many misses the application tolerates so far (§3).
@@ -288,35 +277,16 @@ func (r *Receiver) allowance() int {
 }
 
 // forgive writes off the oldest misses within the loss-tolerance
-// allowance, advancing the cumulative pointer past them. Returns the
-// remaining (needed) misses in ascending order.
-func (r *Receiver) forgiveAndCollectMisses() []uint32 {
-	if !r.gotAny {
-		return nil
+// allowance, advancing the cumulative pointer past them. The misses are
+// the gaps below the highest arrival, so the oldest is always the
+// cumulative point itself.
+func (r *Receiver) forgive() {
+	for budget := r.allowance() - int(r.stats.Forgiven); budget > 0 && r.got.Lo() < r.highest; budget-- {
+		r.owed = append(r.owed, r.got.Lo())
+		r.got.Add(r.got.Lo())
+		r.stats.Forgiven++
+		r.advanceCum()
 	}
-	misses := make([]uint32, 0, len(r.missedAt))
-	for q := range r.missedAt {
-		if !r.received[q] && !r.forgiven[q] {
-			misses = append(misses, q)
-		}
-	}
-	sort.Slice(misses, func(i, j int) bool { return misses[i] < misses[j] })
-
-	budget := r.allowance() - int(r.stats.Forgiven)
-	if budget > 0 && len(misses) > 0 {
-		nf := budget
-		if nf > len(misses) {
-			nf = len(misses)
-		}
-		for _, q := range misses[:nf] {
-			r.forgiven[q] = true
-			delete(r.missedAt, q)
-			r.stats.Forgiven++
-		}
-		misses = misses[nf:]
-	}
-	r.advanceCum()
-	return misses
 }
 
 // snackGrace is how far below the highest received sequence a miss must
@@ -324,54 +294,43 @@ func (r *Receiver) forgiveAndCollectMisses() []uint32 {
 // retransmissions jump the queue).
 const snackGrace = 2
 
-// buildSnack compresses the needed misses into ranges, respecting the
-// reordering grace and the wire limit. When the flow has stalled short of
-// a known transfer size, the grace is waived and the unseen tail is
-// requested too — otherwise a lost final packet could never be recovered
-// (the SNACK field only describes gaps below the highest arrival).
-func (r *Receiver) buildSnack(misses []uint32) []packet.SeqRange {
+// buildSnack compresses the needed misses into ranges appended to rs,
+// respecting the reordering grace and the wire limit. When the flow has
+// stalled short of a known transfer size, the grace is waived and the
+// unseen tail is requested too — otherwise a lost final packet could
+// never be recovered (the SNACK field only describes gaps below the
+// highest arrival).
+func (r *Receiver) buildSnack(rs []packet.SeqRange) []packet.SeqRange {
 	if !r.cfg.RequestRetransmissions {
-		return nil
+		return rs
 	}
+	const maxSnackRanges = 64
 	now := r.eng.Now()
+	until := now.Add(sim.DurationOf(r.cfg.SnackRetry))
+	// request asks for q unless it was asked for too recently: the
+	// previous request needs time to be served (by a cache or the
+	// source), or every traversing ACK would trigger duplicate recoveries.
+	request := func(q uint32) {
+		if hold := r.snackHold.Extend(q); now >= *hold {
+			*hold = until
+			rs = transport.AppendSeq(rs, q, maxSnackRanges)
+		}
+	}
 	stalled := r.stalled()
-	retry := sim.DurationOf(r.cfg.SnackRetry)
-	eligible := misses[:0]
-	for _, q := range misses {
-		if !stalled && q+snackGrace > r.highest {
-			continue
+	for first, last := range r.got.Runs(r.got.Lo(), r.highest, false) {
+		for q := first; q <= last && (stalled || q+snackGrace <= r.highest); q++ {
+			request(q)
 		}
-		// Re-request only after the previous request had time to be
-		// served (by a cache or the source); otherwise every traversing
-		// ACK would trigger duplicate recoveries.
-		if at, ok := r.requestedAt[q]; ok && now.Sub(at) < retry {
-			continue
-		}
-		eligible = append(eligible, q)
 	}
 	if stalled && r.cfg.TotalPackets > 0 && r.gotAny {
 		// Request the unseen tail, a bounded chunk at a time.
 		const tailChunk = 32
 		hi := uint32(r.cfg.TotalPackets) - 1
 		for q, n := r.highest+1, 0; q <= hi && n < tailChunk; q, n = q+1, n+1 {
-			if at, ok := r.requestedAt[q]; ok && now.Sub(at) < retry {
-				continue
-			}
-			eligible = append(eligible, q)
+			request(q)
 		}
 	}
-	if len(eligible) == 0 {
-		return nil
-	}
-	for _, q := range eligible {
-		r.requestedAt[q] = now
-	}
-	ranges := packet.RangesFromSeqs(eligible)
-	const maxSnackRanges = 64
-	if len(ranges) > maxSnackRanges {
-		ranges = ranges[:maxSnackRanges]
-	}
-	return ranges
+	return rs
 }
 
 // stalled reports whether a fixed-size transfer has stopped making
@@ -453,9 +412,10 @@ func (r *Receiver) updateControllers() {
 func (r *Receiver) sendFeedback(early bool) {
 	now := r.eng.Now()
 	r.updateControllers()
-	misses := r.forgiveAndCollectMisses()
-	snack := r.buildSnack(misses)
-	for _, rg := range snack {
+	r.forgive()
+	info := r.pool.GetAck()
+	info.Snack = r.buildSnack(info.Snack)
+	for _, rg := range info.Snack {
 		r.stats.SnackRequested += uint64(rg.Count())
 	}
 	t := r.feedbackInterval()
@@ -469,18 +429,13 @@ func (r *Receiver) sendFeedback(early bool) {
 	// (LossTol stays zero).
 	ack.AvailRate = packet.InitialAvailRate
 	ack.Pad = r.cfg.AckPad
-	info := r.pool.GetAck()
-	info.CumAck = r.cum
+	info.CumAck = r.cumAck()
 	info.Rate = r.rate
 	info.EnergyBudget = r.energyBudget
 	info.SenderTimeout = t
-	info.Snack = snack
 	ack.Ack = info
 	if early {
 		ack.Flags |= packet.FlagEarlyFeedback
-	}
-	if r.doneFlag {
-		ack.Ack.CumAck = uint32(r.cfg.TotalPackets)
 	}
 	r.net.SendFrom(r.cfg.Dst, ack)
 	r.stats.AcksSent++
@@ -500,7 +455,6 @@ func (r *Receiver) checkDone() {
 	r.doneFlag = true
 	r.stats.Completed = true
 	r.stats.CompletedAt = r.eng.Now()
-	r.cum = uint32(r.cfg.TotalPackets)
 	// Final ACK tells the source the transfer is complete.
 	r.sendFeedback(false)
 	r.feedbackRef.Stop()
@@ -509,17 +463,38 @@ func (r *Receiver) checkDone() {
 	}
 }
 
+// cumAck is the cumulative ACK to report: a completed transfer reports
+// its full size.
+func (r *Receiver) cumAck() uint32 {
+	if r.doneFlag {
+		return uint32(r.cfg.TotalPackets)
+	}
+	return r.got.Lo()
+}
+
+// Record adds the destination's counters to a flow record
+// (transport.Endpoint).
+func (r *Receiver) Record(fr *metrics.FlowRecord) {
+	fr.CacheRecovered = r.stats.CacheRecoveredSeen
+	fr.AcksSent = r.stats.AcksSent
+	fr.UniqueDelivered = r.stats.UniqueReceived
+	fr.DeliveredBytes = r.stats.DeliveredBytes
+	fr.Duplicates = r.stats.Duplicates
+	fr.Completed = r.stats.Completed
+	fr.Reception = &r.reception
+	if r.stats.Completed {
+		fr.CompletedAt = r.stats.CompletedAt.Seconds()
+	}
+}
+
 // String summarizes the receiver.
 func (r *Receiver) String() string {
 	return fmt.Sprintf("jtp-receiver(flow=%d %v<-%v got=%d cum=%d rate=%.2f)",
-		r.cfg.Flow, r.cfg.Dst, r.cfg.Src, r.stats.UniqueReceived, r.cum, r.rate)
+		r.cfg.Flow, r.cfg.Dst, r.cfg.Src, r.stats.UniqueReceived, r.cumAck(), r.rate)
 }
 
-// Connection bundles both ends of a JTP connection for convenience.
-type Connection struct {
-	Sender   *Sender
-	Receiver *Receiver
-}
+// Connection bundles both ends of a JTP connection.
+type Connection = transport.Conn[*Sender, *Receiver]
 
 // Dial builds both endpoints of a connection over the network.
 func Dial(nw *node.Network, cfg Config) *Connection {
@@ -528,19 +503,3 @@ func Dial(nw *node.Network, cfg Config) *Connection {
 		Receiver: NewReceiver(nw, cfg),
 	}
 }
-
-// Start starts receiver then sender (so the first packet finds the
-// receiver bound).
-func (c *Connection) Start() {
-	c.Receiver.Start()
-	c.Sender.Start()
-}
-
-// Stop stops both endpoints.
-func (c *Connection) Stop() {
-	c.Sender.Stop()
-	c.Receiver.Stop()
-}
-
-// Done reports whether a fixed-size transfer completed end to end.
-func (c *Connection) Done() bool { return c.Receiver.Done() && c.Sender.Done() }

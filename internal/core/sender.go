@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/javelen/jtp/internal/mac"
+	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/sim"
+	"github.com/javelen/jtp/internal/transport"
 )
 
 // SenderStats tallies one connection's source-side activity.
@@ -44,8 +47,7 @@ type Sender struct {
 	energyBudget float64
 	nextSeq      uint32
 	cumAck       uint32
-	pending      []uint32        // end-to-end retransmission queue
-	inPending    map[uint32]bool // dedupe for pending
+	retx         transport.RetxQueue // end-to-end retransmissions
 	backoffUntil sim.Time
 	started      bool
 	done         bool
@@ -79,7 +81,6 @@ func NewSender(nw *node.Network, cfg Config) *Sender {
 		rate:         cfg.InitialRate,
 		energyBudget: cfg.InitialEnergyBudget,
 		feedbackT:    cfg.TLowerBound,
-		inPending:    make(map[uint32]bool),
 	}
 	s.paceFn = s.pace
 	s.timeoutFn = s.onTimeout
@@ -164,14 +165,8 @@ func (s *Sender) pace() {
 // nextToSend picks the next sequence number: pending end-to-end
 // retransmissions take priority over new data.
 func (s *Sender) nextToSend() (seq uint32, retransmit, ok bool) {
-	for len(s.pending) > 0 {
-		seq = s.pending[0]
-		s.pending = s.pending[1:]
-		delete(s.inPending, seq)
-		if seq >= s.cumAck {
-			return seq, true, true
-		}
-		// Already acknowledged while queued; skip.
+	if seq, ok = s.retx.Pop(s.cumAck); ok {
+		return seq, true, true
 	}
 	if s.cfg.TotalPackets > 0 && int(s.nextSeq) >= s.cfg.TotalPackets {
 		return 0, false, false
@@ -253,18 +248,10 @@ func (s *Sender) processAck(ack *packet.Packet) {
 
 	// End-to-end retransmissions: only what no cache recovered ("When
 	// the source of the transfer receives an ACK, it will only
-	// retransmit packets that remain in the SNACK field", §4).
-	for _, r := range info.Snack {
-		for q := r.First; ; q++ {
-			if q >= s.cumAck && !s.inPending[q] {
-				s.pending = append(s.pending, q)
-				s.inPending[q] = true
-			}
-			if q == r.Last {
-				break
-			}
-		}
-	}
+	// retransmit packets that remain in the SNACK field", §4). That
+	// includes a stalled receiver's requests for the unseen tail, which
+	// go out ahead of new data as retransmissions.
+	s.retx.PushRanges(info.Snack, s.cumAck, math.MaxUint32)
 
 	// §4.2 fairness back-off for in-network retransmissions done on the
 	// source's behalf: t_b = Σ s_j / r(t). Packet sizes are uniform here,
@@ -333,15 +320,19 @@ func (s *Sender) onTimeout() {
 	// may have lost the final ACK: probe with a retransmission of the
 	// oldest unacknowledged packet to solicit fresh feedback.
 	if s.cfg.TotalPackets > 0 && int(s.nextSeq) >= s.cfg.TotalPackets &&
-		len(s.pending) == 0 && s.cumAck < uint32(s.cfg.TotalPackets) {
-		probe := s.cumAck
-		s.pending = append(s.pending, probe)
-		s.inPending[probe] = true
+		s.retx.Len() == 0 && s.cumAck < uint32(s.cfg.TotalPackets) {
+		s.retx.Push(s.cumAck)
 		if !s.paceRef.Pending() {
 			s.schedulePace(0)
 		}
 	}
 	s.armTimeout()
+}
+
+// Record adds the source's counters to a flow record (transport.Endpoint).
+func (s *Sender) Record(fr *metrics.FlowRecord) {
+	fr.DataSent = s.stats.DataSent
+	fr.SourceRetransmissions = s.stats.SourceRetransmissions
 }
 
 func clamp(v, lo, hi float64) float64 {

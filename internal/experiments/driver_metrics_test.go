@@ -66,20 +66,20 @@ func TestEveryDriverPopulatesFlowRecord(t *testing.T) {
 				t.Errorf("CompletedAt %g not after StartAt %g", fr.CompletedAt, fr.StartAt)
 			}
 
-			// The transport.Flow accessors must agree with the record.
+			// A fresh snapshot of the live flow must agree with the run's
+			// record, and the goodput the public API derives from it with
+			// the delivered bytes.
 			fl := b.Flows()[0]
-			if fl.Delivered() != fr.UniqueDelivered {
-				t.Errorf("Flow.Delivered() = %d, record says %d", fl.Delivered(), fr.UniqueDelivered)
-			}
-			if fl.SourceRtx() != fr.SourceRetransmissions {
-				t.Errorf("Flow.SourceRtx() = %d, record says %d", fl.SourceRtx(), fr.SourceRetransmissions)
+			if now := fl.Stats(); now.UniqueDelivered != fr.UniqueDelivered ||
+				now.SourceRetransmissions != fr.SourceRetransmissions {
+				t.Errorf("Flow.Stats() delivered %d, source rtx %d; record says %d, %d",
+					now.UniqueDelivered, now.SourceRetransmissions, fr.UniqueDelivered, fr.SourceRetransmissions)
 			}
 			if fl.Done() != fr.Completed {
 				t.Errorf("Flow.Done() = %v, record says %v", fl.Done(), fr.Completed)
 			}
-			if (fl.Goodput() > 0) != (fr.DeliveredBytes > 0) {
-				t.Errorf("Flow.Goodput() = %g inconsistent with %d delivered bytes",
-					fl.Goodput(), fr.DeliveredBytes)
+			if g := transport.GoodputNow(fl.Stats(), rec.Seconds); (g > 0) != (fr.DeliveredBytes > 0) {
+				t.Errorf("goodput %g inconsistent with %d delivered bytes", g, fr.DeliveredBytes)
 			}
 		})
 	}

@@ -13,15 +13,33 @@ package tcpsack
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/javelen/jtp/internal/mac"
+	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/pool"
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/stats"
+	"github.com/javelen/jtp/internal/transport"
 )
+
+// TCP is purely end-to-end: its driver installs no in-network machinery,
+// and the reliability knobs of a FlowSpec are ignored (the baseline is
+// always fully reliable).
+func init() {
+	transport.MustRegister("tcp", func() transport.Driver {
+		return transport.NewDriver("tcp", nil, func(nw *node.Network, spec transport.FlowSpec) transport.Flow {
+			cfg := Defaults(spec.Flow, spec.Src, spec.Dst)
+			cfg.TotalPackets = spec.TotalPackets
+			if spec.Tune != nil {
+				spec.Tune(&cfg)
+			}
+			return transport.NewFlow("tcp", spec, Dial(nw, cfg))
+		})
+	})
+}
 
 // Kind discriminates TCP segment types.
 type Kind uint8
@@ -105,9 +123,7 @@ type segPool = pool.FreeList[Segment]
 
 func newSegPool() *segPool {
 	return pool.New(func(s *Segment) {
-		// Sack capacity is retained for a future in-place SACK builder;
-		// today sendAck overwrites it with sackBlocks()'s fresh ranges
-		// (one small allocation per delayed ACK, a cold path).
+		// Keep the Sack array: sendAck appends the next blocks into it.
 		*s = Segment{Sack: s.Sack[:0]}
 	})
 }
@@ -228,9 +244,8 @@ type Sender struct {
 
 	nextSeq  uint32
 	cumAck   uint32
-	inflight map[uint32]*sentInfo
-	pending  []uint32 // retransmission queue
-	inPend   map[uint32]bool
+	inflight transport.Ring[sentInfo] // spans [cumAck, nextSeq)
+	retx     transport.RetxQueue
 
 	srtt       float64
 	rttvar     float64
@@ -256,12 +271,10 @@ type Sender struct {
 func NewSender(nw *node.Network, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
 	s := &Sender{
-		cfg:      cfg,
-		net:      nw,
-		eng:      nw.Engine(),
-		inflight: make(map[uint32]*sentInfo),
-		inPend:   make(map[uint32]bool),
-		rate:     cfg.InitialRate,
+		cfg:  cfg,
+		net:  nw,
+		eng:  nw.Engine(),
+		rate: cfg.InitialRate,
 	}
 	s.lossEst = *stats.NewEWMA(0.1)
 	s.lossEst.Set(0.01)
@@ -318,14 +331,9 @@ func (s *Sender) pace() {
 }
 
 func (s *Sender) nextToSend() (uint32, bool, bool) {
-	for len(s.pending) > 0 {
-		seq := s.pending[0]
-		s.pending = s.pending[1:]
-		delete(s.inPend, seq)
-		if seq >= s.cumAck {
-			if fi := s.inflight[seq]; fi == nil || !fi.sacked {
-				return seq, true, true
-			}
+	for seq, ok := s.retx.Pop(s.cumAck); ok; seq, ok = s.retx.Pop(s.cumAck) {
+		if fi := s.inflight.At(seq); fi == nil || !fi.sacked {
+			return seq, true, true
 		}
 	}
 	if s.cfg.TotalPackets > 0 && int(s.nextSeq) >= s.cfg.TotalPackets {
@@ -338,11 +346,7 @@ func (s *Sender) nextToSend() (uint32, bool, bool) {
 
 func (s *Sender) sendData(seq uint32, retx bool) {
 	now := s.eng.Now()
-	fi := s.inflight[seq]
-	if fi == nil {
-		fi = &sentInfo{}
-		s.inflight[seq] = fi
-	}
+	fi := s.inflight.Extend(seq)
 	fi.sentAt = now
 	if retx {
 		fi.retx = true
@@ -394,7 +398,7 @@ func (s *Sender) armRTO() {
 }
 
 func (s *Sender) onRTO() {
-	if s.done || len(s.inflight) == 0 {
+	if s.done || s.inflight.Len() == 0 {
 		return
 	}
 	// Timeout: SACK state for the outstanding window is no longer
@@ -402,15 +406,10 @@ func (s *Sender) onRTO() {
 	// retransmission, oldest first, and back the timer off.
 	s.stats.RTOs++
 	s.noteLoss()
-	seqs := make([]uint32, 0, len(s.inflight))
-	for seq, fi := range s.inflight {
-		if !fi.sacked {
-			seqs = append(seqs, seq)
+	for seq := s.cumAck; seq < s.nextSeq; seq++ {
+		if !s.inflight.At(seq).sacked {
+			s.queueRetx(seq)
 		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		s.queueRetx(seq)
 	}
 	s.rtoBackoff++
 	s.updateRate()
@@ -421,11 +420,9 @@ func (s *Sender) onRTO() {
 }
 
 func (s *Sender) queueRetx(seq uint32) {
-	if seq < s.cumAck || s.inPend[seq] {
-		return
+	if seq >= s.cumAck {
+		s.retx.Push(seq)
 	}
-	s.pending = append(s.pending, seq)
-	s.inPend[seq] = true
 }
 
 // updateRate applies the Padhye equation with current estimates.
@@ -466,13 +463,12 @@ func (s *Sender) processAck(ack *Segment) {
 	// (Karn's rule).
 	if ack.CumAck > s.cumAck {
 		for seq := s.cumAck; seq < ack.CumAck; seq++ {
-			fi := s.inflight[seq]
-			if fi != nil && !fi.retx {
+			if fi := s.inflight.At(seq); fi != nil && !fi.retx {
 				s.sampleRTT(now.Sub(fi.sentAt).Seconds())
 			}
-			delete(s.inflight, seq)
 			s.noteDelivery()
 		}
+		s.inflight.Advance(ack.CumAck)
 		s.cumAck = ack.CumAck
 		s.rtoBackoff = 0
 	}
@@ -480,12 +476,10 @@ func (s *Sender) processAck(ack *Segment) {
 	// SACK processing: mark blocks, find holes.
 	highestSacked := s.cumAck
 	for _, b := range ack.Sack {
+		highestSacked = max(highestSacked, b.Last)
 		for seq := b.First; ; seq++ {
-			if fi := s.inflight[seq]; fi != nil {
+			if fi := s.inflight.At(seq); fi != nil {
 				fi.sacked = true
-			}
-			if seq > highestSacked {
-				highestSacked = seq
 			}
 			if seq == b.Last {
 				break
@@ -496,7 +490,7 @@ func (s *Sender) processAck(ack *Segment) {
 	// per RTO interval per segment.
 	if highestSacked > s.cumAck {
 		for seq := s.cumAck; seq < highestSacked; seq++ {
-			fi := s.inflight[seq]
+			fi := s.inflight.At(seq)
 			if fi == nil || fi.sacked {
 				continue
 			}
@@ -515,7 +509,7 @@ func (s *Sender) processAck(ack *Segment) {
 	if !s.paceRef.Pending() {
 		s.schedulePace(0)
 	}
-	if len(s.inflight) > 0 {
+	if s.inflight.Len() > 0 {
 		s.armRTO()
 	}
 }
@@ -546,6 +540,12 @@ func (s *Sender) complete() {
 	}
 }
 
+// Record adds the source's counters to a flow record (transport.Endpoint).
+func (s *Sender) Record(fr *metrics.FlowRecord) {
+	fr.DataSent = s.stats.DataSent
+	fr.SourceRetransmissions = s.stats.Retransmissions
+}
+
 // ReceiverStats tallies destination-side activity.
 type ReceiverStats struct {
 	DataReceived   uint64
@@ -563,10 +563,9 @@ type Receiver struct {
 	net *node.Network
 	eng *sim.Engine
 
-	received map[uint32]bool
-	cum      uint32
-	highest  uint32
-	gotAny   bool
+	got     transport.Window // received; Lo is the cumulative ACK
+	highest uint32
+	gotAny  bool
 
 	pendingAcks int
 	delayRef    sim.EventRef
@@ -584,12 +583,7 @@ type Receiver struct {
 // NewReceiver builds the sink.
 func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 	cfg = cfg.withDefaults()
-	r := &Receiver{
-		cfg:      cfg,
-		net:      nw,
-		eng:      nw.Engine(),
-		received: make(map[uint32]bool),
-	}
+	r := &Receiver{cfg: cfg, net: nw, eng: nw.Engine()}
 	r.delayFn = func() {
 		if r.pendingAcks > 0 {
 			r.sendAck()
@@ -629,12 +623,12 @@ func (r *Receiver) Deliver(seg mac.Segment, _ packet.NodeID) {
 
 func (r *Receiver) processData(d *Segment) {
 	r.stats.DataReceived++
-	outOfOrder := r.gotAny && d.Seq != r.highest+1 && d.Seq != r.cum
-	if r.received[d.Seq] {
+	outOfOrder := r.gotAny && d.Seq != r.highest+1 && d.Seq != r.got.Lo()
+	if r.got.Has(d.Seq) {
 		r.stats.Duplicates++
 		outOfOrder = true
 	} else {
-		r.received[d.Seq] = true
+		r.got.Add(d.Seq)
 		r.stats.UniqueReceived++
 		r.stats.DeliveredBytes += uint64(d.PayloadLen)
 		r.reception.Add(r.eng.Now().Seconds(), 1)
@@ -642,12 +636,10 @@ func (r *Receiver) processData(d *Segment) {
 			r.highest = d.Seq
 			r.gotAny = true
 		}
-		for r.received[r.cum] {
-			r.cum++
-		}
+		r.got.Slide()
 	}
 
-	if r.cfg.TotalPackets > 0 && int(r.cum) >= r.cfg.TotalPackets && !r.done {
+	if r.cfg.TotalPackets > 0 && int(r.got.Lo()) >= r.cfg.TotalPackets && !r.done {
 		r.done = true
 		r.stats.Completed = true
 		r.stats.CompletedAt = r.eng.Now()
@@ -671,25 +663,18 @@ func (r *Receiver) processData(d *Segment) {
 	}
 }
 
-// sackBlocks builds up to three SACK ranges covering received blocks
-// above the cumulative point, most recent first.
-func (r *Receiver) sackBlocks() []packet.SeqRange {
-	if !r.gotAny || r.highest < r.cum {
-		return nil
+// sackBlocks appends to rs up to three SACK ranges covering received
+// blocks above the cumulative point, most recent first (classic SACK
+// option space).
+func (r *Receiver) sackBlocks(rs []packet.SeqRange) []packet.SeqRange {
+	if !r.gotAny {
+		return rs
 	}
-	var above []uint32
-	for seq := r.cum; seq <= r.highest; seq++ {
-		if r.received[seq] {
-			above = append(above, seq)
-		}
+	for first, last := range r.got.Runs(r.got.Lo(), r.highest+1, true) {
+		rs = append(rs, packet.SeqRange{First: first, Last: last})
 	}
-	ranges := packet.RangesFromSeqs(above)
-	// Most recent first, limit 3 (classic SACK option space).
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].First > ranges[j].First })
-	if len(ranges) > 3 {
-		ranges = ranges[:3]
-	}
-	return ranges
+	slices.Reverse(rs)
+	return rs[:min(len(rs), 3)]
 }
 
 func (r *Receiver) sendAck() {
@@ -700,17 +685,27 @@ func (r *Receiver) sendAck() {
 	ack.Src = r.cfg.Dst
 	ack.Dst = r.cfg.Src
 	ack.Flow = r.cfg.Flow
-	ack.CumAck = r.cum
-	ack.Sack = r.sackBlocks()
+	ack.CumAck = r.got.Lo()
+	ack.Sack = r.sackBlocks(ack.Sack)
 	r.net.SendFrom(r.cfg.Dst, ack)
 	r.stats.AcksSent++
 }
 
-// Connection bundles both TCP endpoints.
-type Connection struct {
-	Sender   *Sender
-	Receiver *Receiver
+// Record adds the sink's counters to a flow record (transport.Endpoint).
+func (r *Receiver) Record(fr *metrics.FlowRecord) {
+	fr.AcksSent = r.stats.AcksSent
+	fr.UniqueDelivered = r.stats.UniqueReceived
+	fr.DeliveredBytes = r.stats.DeliveredBytes
+	fr.Duplicates = r.stats.Duplicates
+	fr.Completed = r.stats.Completed
+	fr.Reception = &r.reception
+	if r.stats.Completed {
+		fr.CompletedAt = r.stats.CompletedAt.Seconds()
+	}
 }
+
+// Connection bundles both TCP endpoints.
+type Connection = transport.Conn[*Sender, *Receiver]
 
 // Dial builds both endpoints, sharing one segment free-list between them
 // (the receiver recycles the sender's DATA, the sender the receiver's
@@ -722,18 +717,3 @@ func Dial(nw *node.Network, cfg Config) *Connection {
 	c.Receiver.segs = pool
 	return c
 }
-
-// Start starts receiver then sender.
-func (c *Connection) Start() {
-	c.Receiver.Start()
-	c.Sender.Start()
-}
-
-// Stop stops both ends.
-func (c *Connection) Stop() {
-	c.Sender.Stop()
-	c.Receiver.Stop()
-}
-
-// Done reports end-to-end completion.
-func (c *Connection) Done() bool { return c.Sender.Done() && c.Receiver.Done() }

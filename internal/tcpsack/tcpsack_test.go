@@ -2,7 +2,6 @@ package tcpsack
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -185,11 +184,10 @@ func TestSackTriggersFastRetransmit(t *testing.T) {
 
 // inflightSeqs lists the sender's in-flight sequence numbers, ascending.
 func inflightSeqs(s *Sender) []uint32 {
-	seqs := make([]uint32, 0, len(s.inflight))
-	for seq := range s.inflight {
-		seqs = append(seqs, seq)
+	var seqs []uint32
+	for i := 0; i < s.inflight.Len(); i++ {
+		seqs = append(seqs, s.inflight.Lo()+uint32(i))
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	return seqs
 }
 
@@ -247,7 +245,7 @@ func TestSackBlocksMostRecentFirst(t *testing.T) {
 	for _, seq := range []uint32{0, 2, 5, 9} {
 		r.Deliver(&Segment{Kind: Data, Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}, 1)
 	}
-	blocks := r.sackBlocks()
+	blocks := r.sackBlocks(nil)
 	if len(blocks) != 3 {
 		t.Fatalf("sack blocks = %v", blocks)
 	}

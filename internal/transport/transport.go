@@ -14,6 +14,11 @@
 //
 // Protocol packages register their drivers from init; importing
 // internal/transport/drivers pulls in every built-in protocol.
+//
+// The package also holds what the protocols share: Window, Ring and
+// RetxQueue, the bounded sequence bookkeeping of every endpoint; and
+// Conn, NewFlow and NewDriver, which turn a protocol's two endpoints
+// into a Flow and a Driver.
 package transport
 
 import (
@@ -80,7 +85,9 @@ type NetConfig struct {
 }
 
 // Flow is one transport connection under test: uniform lifecycle control
-// plus protocol-independent metrics.
+// plus protocol-independent metrics. Every figure derived from the
+// flow's counters (delivered packets, goodput, retransmissions) is read
+// from Stats, so the record is the one source of truth.
 type Flow interface {
 	// Start begins (or resumes) transmission.
 	Start()
@@ -88,12 +95,6 @@ type Flow interface {
 	Stop()
 	// Done reports whether a fixed-size transfer completed.
 	Done() bool
-	// Delivered returns unique packets delivered to the application.
-	Delivered() uint64
-	// Goodput returns delivered bits per second of active time so far.
-	Goodput() float64
-	// SourceRtx returns end-to-end retransmissions by the source.
-	SourceRtx() uint64
 	// Stats snapshots the flow as a protocol-independent record.
 	Stats() *metrics.FlowRecord
 }
@@ -146,7 +147,6 @@ type Exclusive interface {
 // as of the given virtual time, 0 when the flow has not been active
 // (the public API's historical semantics, as opposed to
 // FlowRecord.GoodputBps's epsilon clamp for run-end aggregation).
-// Driver Flow implementations share it for their Goodput method.
 func GoodputNow(fr *metrics.FlowRecord, now float64) float64 {
 	end := now
 	if fr.Completed && fr.CompletedAt > 0 {

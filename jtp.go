@@ -459,7 +459,7 @@ func (f *Flow) Stats() *metrics.FlowRecord { return f.tf.Stats() }
 
 // Delivered returns the number of unique packets delivered to the
 // application.
-func (f *Flow) Delivered() uint64 { return f.tf.Delivered() }
+func (f *Flow) Delivered() uint64 { return f.Stats().UniqueDelivered }
 
 // DeliveredBytes returns unique application payload bytes delivered.
 func (f *Flow) DeliveredBytes() uint64 { return f.Stats().DeliveredBytes }
@@ -472,11 +472,13 @@ func (f *Flow) Completed() bool { return f.tf.Done() }
 func (f *Flow) CompletedAt() float64 { return f.Stats().CompletedAt }
 
 // GoodputBps returns delivered bits per second of active time.
-func (f *Flow) GoodputBps() float64 { return f.tf.Goodput() }
+func (f *Flow) GoodputBps() float64 {
+	return transport.GoodputNow(f.Stats(), f.sim.sub.Engine.Now().Seconds())
+}
 
 // SourceRetransmissions returns end-to-end retransmissions performed by
 // the source.
-func (f *Flow) SourceRetransmissions() uint64 { return f.tf.SourceRtx() }
+func (f *Flow) SourceRetransmissions() uint64 { return f.Stats().SourceRetransmissions }
 
 // CacheRecovered returns packets recovered by in-network caches on this
 // flow's behalf, as observed at the receiver. Zero for protocols
