@@ -446,3 +446,41 @@ func TestSenderQueuesSnackedTail(t *testing.T) {
 		t.Fatalf("%d source retransmissions, want 4 (seq 1 and the three-packet tail)", rtx)
 	}
 }
+
+// TestCompletionAckCarriesNoSnack pins §3's "neither overachieving nor
+// underachieving" at the end of a transfer: once the needed packet count
+// arrived, the final ACK (and any repeat of it) requests nothing, even
+// when misses below the highest arrival are left that the loss tolerance
+// can no longer cover. A SNACK there would make in-network caches serve
+// a receiver that is already done.
+func TestCompletionAckCarriesNoSnack(t *testing.T) {
+	eng, nw := testNet(t, 3, cleanChannel(), 16)
+	cfg := Defaults(1, 0, 2)
+	cfg.TotalPackets = 10
+	cfg.LossTolerance = 0.2 // allowance 2, 8 packets needed
+	r := NewReceiver(nw, cfg)
+	r.Start()
+	defer r.Stop()
+	for _, seq := range []uint32{0, 1, 3} {
+		r.Deliver(dataPkt(seq), 1)
+	}
+	r.sendFeedback(false) // forgives 2
+	for _, seq := range []uint32{2, 4, 5, 8} {
+		r.Deliver(dataPkt(seq), 1) // 2 arrives late; 6 and 7 never do
+	}
+	before := r.Stats()
+	if before.Forgiven != 1 || before.Completed {
+		t.Fatalf("set-up: forgiven %d, completed %v", before.Forgiven, before.Completed)
+	}
+	r.Deliver(dataPkt(9), 1) // the eighth unique packet completes the transfer
+	if rs := r.Stats(); !rs.Completed || rs.SnackRequested != before.SnackRequested {
+		t.Fatalf("completion ACK requested %d packets (completed %v), want none",
+			rs.SnackRequested-before.SnackRequested, rs.Completed)
+	}
+	eng.RunFor(sim.DurationOf(cfg.SnackRetry + cfg.MinFeedbackGap))
+	r.Deliver(dataPkt(5), 1) // a duplicate re-sends the final ACK
+	if rs := r.Stats(); rs.AcksSent != before.AcksSent+2 || rs.SnackRequested != before.SnackRequested {
+		t.Fatalf("%d ACKs after completion requested %d packets, want 2 ACKs requesting none",
+			rs.AcksSent-before.AcksSent, rs.SnackRequested-before.SnackRequested)
+	}
+}

@@ -412,9 +412,13 @@ func (r *Receiver) updateControllers() {
 func (r *Receiver) sendFeedback(early bool) {
 	now := r.eng.Now()
 	r.updateControllers()
-	r.forgive()
 	info := r.pool.GetAck()
-	info.Snack = r.buildSnack(info.Snack)
+	if !r.doneFlag {
+		// A completed transfer needs nothing more: its final ACK, and
+		// any repeat of it, neither forgives nor requests (§3).
+		r.forgive()
+		info.Snack = r.buildSnack(info.Snack)
+	}
 	for _, rg := range info.Snack {
 		r.stats.SnackRequested += uint64(rg.Count())
 	}
