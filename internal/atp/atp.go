@@ -454,9 +454,6 @@ func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 // Stats returns a copy of the counters.
 func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
-// Reception returns the unique-delivery time series.
-func (r *Receiver) Reception() *stats.Series { return &r.recSeri }
-
 // Done reports completion.
 func (r *Receiver) Done() bool { return r.done }
 

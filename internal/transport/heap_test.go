@@ -10,6 +10,7 @@ import (
 	"github.com/javelen/jtp/internal/core"
 	"github.com/javelen/jtp/internal/energy"
 	"github.com/javelen/jtp/internal/mac"
+	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/routing"
@@ -17,6 +18,7 @@ import (
 	"github.com/javelen/jtp/internal/stats"
 	"github.com/javelen/jtp/internal/tcpsack"
 	"github.com/javelen/jtp/internal/topology"
+	"github.com/javelen/jtp/internal/transport"
 )
 
 // streamOrder is the arrival order of the packets of one 64-packet
@@ -50,8 +52,7 @@ func receiverHeap(t *testing.T, proto string, n int) float64 {
 	})
 	nw.Start()
 	var deliver func(seq uint32)
-	var reception *stats.Series
-	var receiver any
+	var receiver transport.Endpoint
 	switch proto {
 	case "jtp":
 		r := core.NewReceiver(nw, core.Defaults(1, 0, 2))
@@ -62,34 +63,36 @@ func receiverHeap(t *testing.T, proto string, n int) float64 {
 			p.AvailRate, p.PayloadLen = packet.InitialAvailRate, 10
 			r.Deliver(p, 1)
 		}
-		reception, receiver = r.Reception(), r
+		receiver = r
 	case "atp":
 		r := atp.NewReceiver(nw, atp.Defaults(1, 0, 2))
 		r.Start()
 		deliver = func(seq uint32) {
 			r.Deliver(&atp.Segment{Kind: atp.Data, Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}, 1)
 		}
-		reception, receiver = r.Reception(), r
+		receiver = r
 	case "tcp":
 		r := tcpsack.NewReceiver(nw, tcpsack.Defaults(1, 0, 2))
 		r.Start()
 		deliver = func(seq uint32) {
 			r.Deliver(&tcpsack.Segment{Kind: tcpsack.Data, Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}, 1)
 		}
-		reception, receiver = r.Reception(), r
+		receiver = r
 	}
 	for i := 0; i < n; i++ {
 		deliver(streamOrder(i))
 	}
-	if reception.Len() != n {
-		t.Fatalf("%s: %d unique deliveries of %d", proto, reception.Len(), n)
+	var fr metrics.FlowRecord
+	receiver.Record(&fr)
+	if fr.UniqueDelivered != uint64(n) || fr.Reception.Len() != n {
+		t.Fatalf("%s: %d unique deliveries of %d", proto, fr.UniqueDelivered, n)
 	}
 
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(nw)
 	runtime.KeepAlive(receiver)
-	series := float64(cap(reception.Samples)) * float64(unsafe.Sizeof(stats.Sample{}))
+	series := float64(cap(fr.Reception.Samples)) * float64(unsafe.Sizeof(stats.Sample{}))
 	return float64(after.HeapAlloc) - float64(before.HeapAlloc) - series
 }
 
