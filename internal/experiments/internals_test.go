@@ -156,3 +156,38 @@ func TestAllocsIdleChainSecond(t *testing.T) {
 		})
 	}
 }
+
+// TestAllocsWarmFlowSecond pins each transport's steady state: one
+// virtual second of a warm, unbounded flow on a 4-node default-channel
+// chain allocates no more than it did when the endpoints first shared a
+// paced source and a counting sink. Pacing, feedback and segment
+// recycling must not add a closure or an interface boxing per packet.
+// The ceilings are the integer floor of testing.AllocsPerRun. ATP's
+// one comes from segments the lossy channel drops, which no endpoint
+// gets back to recycle, and from SNACK lists outgrowing their array.
+func TestAllocsWarmFlowSecond(t *testing.T) {
+	for _, tc := range []struct {
+		proto Protocol
+		max   float64
+	}{{JTP, 0}, {ATP, 1}, {TCP, 0}} {
+		t.Run(string(tc.proto), func(t *testing.T) {
+			b, err := BuildScenario(Scenario{
+				Name:    "warm-flow",
+				Proto:   tc.proto,
+				Topo:    Linear,
+				Nodes:   4,
+				Seconds: 3600,
+				Seed:    1,
+				Flows:   []FlowSpec{{Src: 0, Dst: 3, StartAt: 1}},
+			}, Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := b.Engine()
+			eng.RunUntil(sim.Time(600 * sim.Second))
+			if allocs := testing.AllocsPerRun(100, func() { eng.RunFor(sim.Second) }); allocs > tc.max {
+				t.Fatalf("a warm %s flow second allocates %.1f/op, want ≤ %g", tc.proto, allocs, tc.max)
+			}
+		})
+	}
+}

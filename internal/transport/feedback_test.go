@@ -8,6 +8,7 @@ import (
 
 	"github.com/javelen/jtp/internal/atp"
 	"github.com/javelen/jtp/internal/channel"
+	"github.com/javelen/jtp/internal/core"
 	"github.com/javelen/jtp/internal/energy"
 	"github.com/javelen/jtp/internal/mac"
 	"github.com/javelen/jtp/internal/node"
@@ -63,9 +64,78 @@ func (ft *feedbackTap) PreXmit(fr *mac.Frame, _ mac.LinkInfo) mac.Verdict {
 
 func (ft *feedbackTap) PostRcv(*mac.Frame, mac.LinkInfo) {}
 
+// dataTap is a MAC plugin on the data source's node that hashes every
+// DATA packet the source originates, at its first transmission attempt:
+// the time, the sequence number, the retransmission flag and the
+// on-air size.
+type dataTap struct {
+	at  packet.NodeID
+	eng *sim.Engine
+	h   hash.Hash
+	n   int
+}
+
+func (dt *dataTap) PreXmit(fr *mac.Frame, _ mac.LinkInfo) mac.Verdict {
+	if fr.Attempts > 0 || fr.Seg.Source() != dt.at {
+		return mac.Continue
+	}
+	var seq uint32
+	var retx bool
+	switch s := fr.Seg.(type) {
+	case *packet.Packet:
+		if s.Type != packet.Data {
+			return mac.Continue
+		}
+		seq, retx = s.Seq, s.Flags&packet.FlagRetransmit != 0
+	case *atp.Segment:
+		if s.Kind != atp.Data {
+			return mac.Continue
+		}
+		seq, retx = s.Seq, s.Retx
+	case *tcpsack.Segment:
+		if s.Kind != tcpsack.Data {
+			return mac.Continue
+		}
+		seq, retx = s.Seq, s.Retx
+	default:
+		return mac.Continue
+	}
+	dt.n++
+	fmt.Fprintf(dt.h, "%d %d %t %d\n", dt.eng.Now(), seq, retx, fr.Seg.Size())
+	return mac.Continue
+}
+
+func (dt *dataTap) PostRcv(*mac.Frame, mac.LinkInfo) {}
+
+// senderCompletedAt returns when the flow's source learned its transfer
+// completed.
+func senderCompletedAt(t *testing.T, fl transport.Flow) sim.Time {
+	t.Helper()
+	switch c := fl.(type) {
+	case interface{ Conn() *core.Connection }:
+		return c.Conn().Sender.Stats().CompletedAt
+	case interface{ Conn() *atp.Connection }:
+		return c.Conn().Sender.Stats().CompletedAt
+	case interface{ Conn() *tcpsack.Connection }:
+		return c.Conn().Sender.Stats().CompletedAt
+	}
+	t.Fatalf("flow %T exposes no known connection", fl)
+	return 0
+}
+
 // feedbackDigest runs one fixed-size transfer over a lossy chain
 // and returns the digest of every feedback packet the receiver sent.
 func feedbackDigest(t *testing.T, proto string, lossTolerance float64, nodes, packets int) (string, int) {
+	t.Helper()
+	fb, _, n, _ := transferDigests(t, proto, lossTolerance, nodes, packets)
+	return fb, n
+}
+
+// transferDigests runs one fixed-size transfer over a lossy chain and
+// returns the digests of every feedback packet the receiver sent and of
+// every DATA packet the source sent (closed by the source's completion
+// time), with their counts.
+func transferDigests(t *testing.T, proto string, lossTolerance float64, nodes, packets int) (fbDigest, dataDigest string, fbN, dataN int) {
 	t.Helper()
 	eng := sim.NewEngine(3)
 	nw := node.New(eng, node.Config{
@@ -85,6 +155,8 @@ func feedbackDigest(t *testing.T, proto string, lossTolerance float64, nodes, pa
 	dst := packet.NodeID(nodes - 1)
 	tap := &feedbackTap{at: dst, eng: eng, h: sha256.New()}
 	nw.Node(dst).MAC.AddPlugin(tap)
+	data := &dataTap{at: 0, eng: eng, h: sha256.New()}
+	nw.Node(0).MAC.AddPlugin(data)
 	nw.Start()
 	fl, err := drv.OpenFlow(transport.FlowSpec{Flow: 1, Src: 0, Dst: dst, TotalPackets: packets, LossTolerance: lossTolerance})
 	if err != nil {
@@ -95,7 +167,8 @@ func feedbackDigest(t *testing.T, proto string, lossTolerance float64, nodes, pa
 	if !fl.Done() {
 		t.Fatalf("%s: transfer incomplete: %+v", proto, fl.Stats())
 	}
-	return fmt.Sprintf("%x", tap.h.Sum(nil)), tap.n
+	fmt.Fprintf(data.h, "completed %d\n", senderCompletedAt(t, fl))
+	return fmt.Sprintf("%x", tap.h.Sum(nil)), fmt.Sprintf("%x", data.h.Sum(nil)), tap.n, data.n
 }
 
 // TestFeedbackDigest pins, per protocol, every feedback packet's
@@ -123,6 +196,34 @@ func TestFeedbackDigest(t *testing.T) {
 		got, n := feedbackDigest(t, tc.proto, tc.lt, tc.nodes, tc.packets)
 		if got != tc.want || n != tc.acks {
 			t.Errorf("%s lt=%g: %d feedback packets digest %s, want %d digest %s", tc.proto, tc.lt, n, got, tc.acks, tc.want)
+		}
+	}
+}
+
+// TestDataDigest pins, on the chains of TestFeedbackDigest, every DATA
+// packet the source sent — when, which sequence number, whether as a
+// retransmission, and its on-air size — and when the source learned the
+// transfer completed. Pacing, retransmission choice and completion may
+// be restructured freely; the source's transmissions may not move.
+func TestDataDigest(t *testing.T) {
+	for _, tc := range []struct {
+		proto   string
+		lt      float64
+		nodes   int
+		packets int
+		sent    int
+		want    string
+	}{
+		{"jtp", 0, 6, 300, 306, "3ec8a60b2d12ffb8bea2943587d0183758ed2c70c92e7606218fae58c049f326"},
+		{"jtp", 0.1, 6, 300, 306, "8ac29028a5b31d4747cfa4f25c8219dc28d822b5b2cc97e6a7aa1b61d7b496f1"},
+		{"jnc", 0.2, 8, 500, 637, "509b9bbe3b283a3080ebfa27445a45e71b15c5fc69ded832437ed0b2694d05f5"},
+		{"atp", 0, 6, 300, 533, "f202d0e2749503e792dacc3e8427812f89a39270ef9716bd4db3d5b45488bf7b"},
+		{"tcp", 0, 4, 60, 107, "7e463aec5095b8ae9d758a4e57f4e56c92bec50267610c276077cae04cba46f4"},
+		{"tcp", 0, 3, 150, 192, "328b9d3839e448b96cd3d63185b6c4278c139d2414c6afe33a3cd86057ff1694"},
+	} {
+		_, got, _, n := transferDigests(t, tc.proto, tc.lt, tc.nodes, tc.packets)
+		if got != tc.want || n != tc.sent {
+			t.Errorf("%s lt=%g: %d DATA packets digest %s, want %d digest %s", tc.proto, tc.lt, n, got, tc.sent, tc.want)
 		}
 	}
 }
