@@ -11,6 +11,7 @@ import (
 	"github.com/javelen/jtp/internal/routing"
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/topology"
+	"github.com/javelen/jtp/internal/transport"
 )
 
 func testNet(t *testing.T, n int, ch channel.Config, seed int64) (*sim.Engine, *node.Network) {
@@ -56,7 +57,7 @@ func TestRateStamperTakesMin(t *testing.T) {
 
 func TestCleanTransfer(t *testing.T) {
 	eng, nw := testNet(t, 4, clean(), 1)
-	cfg := Defaults(1, 0, 3)
+	cfg := transport.Defaults(1, 0, 3)
 	cfg.TotalPackets = 40
 	conn := Dial(nw, cfg)
 	conn.Start()
@@ -68,16 +69,16 @@ func TestCleanTransfer(t *testing.T) {
 
 func TestSenderAdoptsFeedbackRate(t *testing.T) {
 	eng, nw := testNet(t, 3, clean(), 2)
-	cfg := Defaults(1, 0, 2)
-	s := NewSender(nw, cfg)
+	cfg := transport.Defaults(1, 0, 2)
+	s := NewSender(nw, cfg, nil)
 	s.Start()
 	defer s.Stop()
-	s.Deliver(&Segment{Kind: Feedback, Src: 2, Dst: 0, Flow: 1, FbRate: 4.5}, 1)
+	s.Deliver(&Segment{Kind: Feedback, Wire: transport.Wire{Src: 2, Dst: 0, Flow: 1}, FbRate: 4.5}, 1)
 	if s.Rate() != 4.5 {
 		t.Fatalf("rate = %v, want 4.5 adopted directly", s.Rate())
 	}
 	// Clamping.
-	s.Deliver(&Segment{Kind: Feedback, Src: 2, Dst: 0, Flow: 1, FbRate: 1e9}, 1)
+	s.Deliver(&Segment{Kind: Feedback, Wire: transport.Wire{Src: 2, Dst: 0, Flow: 1}, FbRate: 1e9}, 1)
 	if s.Rate() > cfg.MaxRate {
 		t.Fatal("rate not clamped")
 	}
@@ -86,13 +87,13 @@ func TestSenderAdoptsFeedbackRate(t *testing.T) {
 
 func TestFeedbackSilenceHalvesRate(t *testing.T) {
 	eng, nw := testNet(t, 2, clean(), 3)
-	cfg := Defaults(1, 0, 1)
+	cfg := transport.Defaults(1, 0, 1)
 	cfg.InitialRate = 8
-	s := NewSender(nw, cfg)
+	s := NewSender(nw, cfg, nil)
 	s.Start()
 	defer s.Stop()
 	// No receiver bound: no feedback ever arrives.
-	eng.RunFor(sim.DurationOf(cfg.FeedbackPeriod * 6))
+	eng.RunFor(sim.DurationOf(FeedbackPeriod * 6))
 	if s.Rate() >= 8 {
 		t.Fatalf("silent feedback path: rate still %v", s.Rate())
 	}
@@ -103,7 +104,7 @@ func TestFeedbackSilenceHalvesRate(t *testing.T) {
 
 func TestConstantFeedbackClock(t *testing.T) {
 	eng, nw := testNet(t, 3, clean(), 4)
-	cfg := Defaults(1, 0, 2)
+	cfg := transport.Defaults(1, 0, 2)
 	conn := Dial(nw, cfg)
 	conn.Start()
 	eng.RunFor(100 * sim.Second)
@@ -116,14 +117,14 @@ func TestConstantFeedbackClock(t *testing.T) {
 
 func TestEpochAverageInFeedback(t *testing.T) {
 	_, nw := testNet(t, 3, clean(), 5)
-	cfg := Defaults(1, 0, 2)
-	r := NewReceiver(nw, cfg)
+	cfg := transport.Defaults(1, 0, 2)
+	r := NewReceiver(nw, cfg, nil)
 	r.Start()
 	defer r.Stop()
 	for i, stamp := range []float64{4, 6} {
 		r.Deliver(&Segment{
-			Kind: Data, Src: 0, Dst: 2, Flow: 1, Seq: uint32(i),
-			PayloadLen: 10, RateStamp: stamp,
+			Kind: Data, Wire: transport.Wire{Src: 0, Dst: 2, Flow: 1, Seq: uint32(i), PayloadLen: 10},
+			RateStamp: stamp,
 		}, 1)
 	}
 	r.sendFeedback()
@@ -139,13 +140,13 @@ func TestEpochAverageInFeedback(t *testing.T) {
 
 func TestSnackListsGaps(t *testing.T) {
 	_, nw := testNet(t, 3, clean(), 6)
-	cfg := Defaults(1, 0, 2)
+	cfg := transport.Defaults(1, 0, 2)
 	cfg.TotalPackets = 10
-	r := NewReceiver(nw, cfg)
+	r := NewReceiver(nw, cfg, nil)
 	r.Start()
 	defer r.Stop()
 	for _, seq := range []uint32{0, 1, 4, 5} {
-		r.Deliver(&Segment{Kind: Data, Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}, 1)
+		r.Deliver(&Segment{Kind: Data, Wire: transport.Wire{Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}}, 1)
 	}
 	sn := r.snack(nil)
 	if !packet.RangesContain(sn, 2) || !packet.RangesContain(sn, 3) {
@@ -155,7 +156,7 @@ func TestSnackListsGaps(t *testing.T) {
 
 func TestLossyTransferCompletes(t *testing.T) {
 	eng, nw := testNet(t, 4, channel.Defaults(), 7)
-	cfg := Defaults(1, 0, 3)
+	cfg := transport.Defaults(1, 0, 3)
 	cfg.TotalPackets = 30
 	conn := Dial(nw, cfg)
 	conn.Start()
@@ -169,18 +170,18 @@ func TestLossyTransferCompletes(t *testing.T) {
 }
 
 func TestSegmentInterfaces(t *testing.T) {
-	s := &Segment{Kind: Data, Flow: 3, PayloadLen: DefaultPayloadLen}
+	s := &Segment{Kind: Data, Wire: transport.Wire{Flow: 3, PayloadLen: PayloadLen}}
 	if s.Size() != 800 {
 		t.Fatalf("size = %d", s.Size())
 	}
-	if s.FlowID() != 3 || s.Label() != "atp-DATA" {
+	if s.FlowID() != 3 {
 		t.Fatal("interfaces")
 	}
 	if s.AddHop() != 1 {
 		t.Fatal("hops")
 	}
-	fb := &Segment{Kind: Feedback, Snack: []packet.SeqRange{{First: 1, Last: 1}}}
-	if fb.Size() != HeaderSize+RangeSize {
+	fb := &Segment{Kind: Feedback, Wire: transport.Wire{Ranges: []packet.SeqRange{{First: 1, Last: 1}}}}
+	if fb.Size() != transport.HeaderSize+transport.RangeSize {
 		t.Fatalf("fb size = %d", fb.Size())
 	}
 	_ = s.String()
@@ -193,18 +194,18 @@ func TestSegmentInterfaces(t *testing.T) {
 // JTP, core.TestSenderQueuesSnackedTail).
 func TestSenderRefusesUnsentTail(t *testing.T) {
 	eng, nw := testNet(t, 3, clean(), 8)
-	cfg := Defaults(1, 0, 2)
+	cfg := transport.Defaults(1, 0, 2)
 	cfg.TotalPackets = 100
-	s := NewSender(nw, cfg)
+	s := NewSender(nw, cfg, nil)
 	s.Start()
 	defer s.Stop()
 	eng.RunFor(3500 * sim.Millisecond)
-	next := s.nextSeq
+	next := s.NextSeq
 	if next < 3 {
 		t.Fatalf("only %d packets out", next)
 	}
-	s.Deliver(&Segment{Kind: Feedback, Src: 2, Dst: 0, Flow: 1, CumAck: 0, FbRate: cfg.InitialRate,
-		Snack: []packet.SeqRange{{First: 1, Last: 1}, {First: next + 5, Last: next + 7}}}, 1)
+	s.Deliver(&Segment{Kind: Feedback, FbRate: cfg.InitialRate, Wire: transport.Wire{Src: 2, Dst: 0, Flow: 1, CumAck: 0,
+		Ranges: []packet.SeqRange{{First: 1, Last: 1}, {First: next + 5, Last: next + 7}}}}, 1)
 	eng.RunFor(10 * sim.Second)
 	if rtx := s.Stats().Retransmissions; rtx != 1 {
 		t.Fatalf("%d retransmissions, want 1 (seq 1 only)", rtx)

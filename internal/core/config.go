@@ -16,20 +16,17 @@ package core
 import (
 	"github.com/javelen/jtp/internal/flipflop"
 	"github.com/javelen/jtp/internal/packet"
+	"github.com/javelen/jtp/internal/transport"
 )
 
 // Config parameterizes one JTP connection. Zero-valued fields take the
 // Table 1 / §5 defaults via Defaults and withDefaults.
 type Config struct {
-	// Flow identifies the connection; both endpoints bind it.
-	Flow packet.FlowID
-	// Src and Dst are the connection's endpoints.
-	Src, Dst packet.NodeID
+	// Config holds the flow, its endpoints, the transfer length
+	// (unbounded streams are the long-lived flows of the competing-flow
+	// experiments) and the initial and maximum rates.
+	transport.Config
 
-	// TotalPackets is the transfer length in packets; 0 means an
-	// unbounded stream (long-lived flows in the competing-flow
-	// experiments).
-	TotalPackets int
 	// PayloadLen is the application payload per packet in bytes. The
 	// default makes the on-air data packet 800 bytes (Table 1) including
 	// the 28-byte header.
@@ -38,11 +35,8 @@ type Config struct {
 	// [0,1] (§3): 0 = fully reliable, 0.10 = jtp10, 0.20 = jtp20.
 	LossTolerance float64
 
-	// InitialRate is the sending rate in packets/s before the first
-	// feedback arrives.
-	InitialRate float64
-	// MinRate and MaxRate clamp the controller output.
-	MinRate, MaxRate float64
+	// MinRate floors the controller output, as MaxRate caps it.
+	MinRate float64
 	// KI is the PI² increase gain (Eq 9): r += KI·Ā/r, 0 < KI < 1.
 	KI float64
 	// KD is the multiplicative decrease factor (Eq 10), 0 < KD < 1.
@@ -135,13 +129,9 @@ const (
 // given endpoints. Fully reliable (loss tolerance 0), unbounded stream.
 func Defaults(flow packet.FlowID, src, dst packet.NodeID) Config {
 	return Config{
-		Flow:                   flow,
-		Src:                    src,
-		Dst:                    dst,
+		Config:                 transport.Defaults(flow, src, dst),
 		PayloadLen:             DefaultPayloadLen,
-		InitialRate:            1.0,
 		MinRate:                0.1,
-		MaxRate:                200,
 		KI:                     0.3,
 		KD:                     0.85,
 		Delta:                  0.5,

@@ -97,8 +97,8 @@ func TestCleanPathTransfer(t *testing.T) {
 		t.Fatalf("clean transfer incomplete: %v / %v", conn.Sender, conn.Receiver)
 	}
 	ss, rs := conn.Sender.Stats(), conn.Receiver.Stats()
-	if ss.SourceRetransmissions != 0 {
-		t.Fatalf("clean path caused %d source rtx", ss.SourceRetransmissions)
+	if ss.Retransmissions != 0 {
+		t.Fatalf("clean path caused %d source rtx", ss.Retransmissions)
 	}
 	if rs.UniqueReceived != 30 || rs.Duplicates != 0 {
 		t.Fatalf("recv: %+v", rs)
@@ -240,8 +240,8 @@ func TestUDPLikeFlowNeverSnacks(t *testing.T) {
 	if rs.SnackRequested != 0 {
 		t.Fatalf("UDP-like flow requested %d retransmissions", rs.SnackRequested)
 	}
-	if ss := conn.Sender.Stats(); ss.SourceRetransmissions != 0 {
-		t.Fatalf("UDP-like flow source-retransmitted %d", ss.SourceRetransmissions)
+	if ss := conn.Sender.Stats(); ss.Retransmissions != 0 {
+		t.Fatalf("UDP-like flow source-retransmitted %d", ss.Retransmissions)
 	}
 	if rs.UniqueReceived == 0 {
 		t.Fatal("nothing delivered")
@@ -297,7 +297,7 @@ func TestEnergyBudgetPropagates(t *testing.T) {
 	if wantMin <= 0 {
 		t.Fatal("no energy samples")
 	}
-	if conn.Sender.rate <= 0 {
+	if conn.Sender.Rate() <= 0 {
 		t.Fatal("sender rate lost")
 	}
 	if conn.Sender.energyBudget == cfg.InitialEnergyBudget {
@@ -433,7 +433,7 @@ func TestSenderQueuesSnackedTail(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 	eng.RunFor(3500 * sim.Millisecond)
-	next := s.nextSeq
+	next := s.NextSeq
 	if next < 3 {
 		t.Fatalf("only %d packets out", next)
 	}
@@ -442,7 +442,7 @@ func TestSenderQueuesSnackedTail(t *testing.T) {
 		Snack: []packet.SeqRange{{First: 1, Last: 1}, {First: next + 5, Last: next + 7}},
 	}}, 1)
 	eng.RunFor(10 * sim.Second)
-	if rtx := s.Stats().SourceRetransmissions; rtx != 4 {
+	if rtx := s.Stats().Retransmissions; rtx != 4 {
 		t.Fatalf("%d source retransmissions, want 4 (seq 1 and the three-packet tail)", rtx)
 	}
 }

@@ -10,20 +10,12 @@ import (
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/sim"
-	"github.com/javelen/jtp/internal/stats"
 	"github.com/javelen/jtp/internal/transport"
 )
 
 // ReceiverStats tallies one connection's destination-side activity.
 type ReceiverStats struct {
-	// DataReceived counts DATA packet arrivals including duplicates.
-	DataReceived uint64
-	// UniqueReceived counts distinct sequence numbers delivered.
-	UniqueReceived uint64
-	// Duplicates counts repeated sequence numbers.
-	Duplicates uint64
-	// DeliveredBytes is the application payload delivered (unique).
-	DeliveredBytes uint64
+	transport.SinkStats
 	// CacheRecoveredSeen counts arrivals flagged as in-network cache
 	// retransmissions (Fig 11(c) "cache hits").
 	CacheRecoveredSeen uint64
@@ -38,10 +30,6 @@ type ReceiverStats struct {
 	SnackRequested uint64
 	// Forgiven counts misses written off under the loss tolerance (§3).
 	Forgiven uint64
-	// Completed reports whether a fixed-size transfer finished, at
-	// CompletedAt.
-	Completed   bool
-	CompletedAt sim.Time
 }
 
 // MonitorSample is one path-monitor observation, exported for the Fig 8
@@ -59,25 +47,19 @@ type MonitorSample struct {
 // feedback scheduler all live here (§5: "the receiver is fully
 // responsible for controlling all transmission parameters").
 type Receiver struct {
+	// Sink's Got holds the satisfied sequence numbers, received or
+	// forgiven. Its Lo is the cumulative point: everything needed below
+	// it is satisfied, and the needed misses are its non-members below
+	// Highest.
+	transport.Sink
 	cfg Config
-	net *node.Network
-	eng *sim.Engine
 
-	// got holds the satisfied sequence numbers, received or forgiven. Its
-	// Lo is the cumulative point: everything needed below it is
-	// satisfied, and the needed misses are its non-members below highest.
-	got transport.Window
 	// owed lists, ascending, the forgiven sequence numbers below the
 	// cumulative point that never arrived: a late copy of one is still a
 	// unique delivery.
 	owed []uint32
 	// snackHold holds, per miss, when it may next be SNACKed (zero: now).
-	snackHold  transport.Ring[sim.Time]
-	highest    uint32 // highest seq seen (valid once gotAny)
-	gotAny     bool
-	doneFlag   bool
-	startedAt  sim.Time
-	lastDataAt sim.Time
+	snackHold transport.Ring[sim.Time]
 
 	rate         float64 // controller output, packets/s
 	energyBudget float64
@@ -95,15 +77,12 @@ type Receiver struct {
 	pool       *packet.Pool
 	feedbackFn sim.Handler
 
-	stats     ReceiverStats
-	reception stats.Series // one sample per unique delivery (V=1)
+	stats ReceiverStats
 
 	// OnRateSample observes every path-monitor observation (Fig 8).
 	OnRateSample func(MonitorSample)
 	// OnDeliver fires on every unique in-order-agnostic delivery.
 	OnDeliver func(seq uint32, at sim.Time)
-	// OnComplete fires once when a fixed-size transfer completes.
-	OnComplete func(at sim.Time)
 }
 
 // NewReceiver builds (but does not start) the destination side.
@@ -111,14 +90,13 @@ func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 	cfg = cfg.withDefaults()
 	r := &Receiver{
 		cfg:          cfg,
-		net:          nw,
-		eng:          nw.Engine(),
 		pool:         nw.PacketPool(),
 		rate:         cfg.InitialRate,
 		energyBudget: cfg.InitialEnergyBudget,
 		rateMon:      flipflop.New(cfg.RateMonitor),
 		energyMon:    flipflop.New(cfg.EnergyMonitor),
 	}
+	r.Open(nw, cfg.Config, r, &r.stats.SinkStats)
 	r.feedbackFn = r.regularFeedback
 	return r
 }
@@ -132,29 +110,16 @@ func (r *Receiver) Stats() ReceiverStats { return r.stats }
 // Rate returns the controller's current mandated sending rate.
 func (r *Receiver) Rate() float64 { return r.rate }
 
-// Done reports whether a fixed transfer completed.
-func (r *Receiver) Done() bool { return r.doneFlag }
-
 // RateMonitor exposes the path monitor (tests, Fig 8).
 func (r *Receiver) RateMonitor() *flipflop.Filter { return r.rateMon }
 
 // EnergyMonitor exposes the per-packet energy monitor.
 func (r *Receiver) EnergyMonitor() *flipflop.Filter { return r.energyMon }
 
-// Reception returns the delivery time series (one sample per unique
-// packet) for throughput plots.
-func (r *Receiver) Reception() *stats.Series { return &r.reception }
-
-// Start binds the receiver to its node.
-func (r *Receiver) Start() {
-	r.net.Bind(r.cfg.Dst, r.cfg.Flow, r)
-	r.startedAt = r.eng.Now()
-}
-
 // Stop halts feedback and unbinds.
 func (r *Receiver) Stop() {
 	r.feedbackRef.Stop()
-	r.net.Unbind(r.cfg.Dst, r.cfg.Flow)
+	r.Sink.Stop()
 }
 
 // Deliver handles an arriving DATA packet (node.Transport). The final
@@ -171,9 +136,8 @@ func (r *Receiver) Deliver(seg mac.Segment, _ packet.NodeID) {
 }
 
 func (r *Receiver) processData(p *packet.Packet) {
-	now := r.eng.Now()
-	r.stats.DataReceived++
-	r.lastDataAt = now
+	now := r.Eng.Now()
+	r.Arrive()
 	if p.Flags&packet.FlagCacheRecovered != 0 {
 		r.stats.CacheRecoveredSeen++
 	}
@@ -183,8 +147,8 @@ func (r *Receiver) processData(p *packet.Packet) {
 
 	// A completed transfer still answering data means the source missed
 	// the final ACK; re-send it (rate-limited) so the connection closes.
-	if r.doneFlag {
-		r.stats.Duplicates++
+	if r.Done() {
+		r.Duplicate()
 		if now.Sub(r.lastFeedback).Seconds() >= r.cfg.MinFeedbackGap {
 			r.sendFeedback(false)
 		}
@@ -204,26 +168,17 @@ func (r *Receiver) processData(p *packet.Packet) {
 	}
 
 	i, late := slices.BinarySearch(r.owed, p.Seq)
-	if r.got.Has(p.Seq) && !late {
-		r.stats.Duplicates++
+	if r.Got.Has(p.Seq) && !late {
+		r.Duplicate()
 		return
 	}
 	if late {
 		r.owed = slices.Delete(r.owed, i, i+1)
 	}
-	r.got.Add(p.Seq)
-	r.stats.UniqueReceived++
-	r.stats.DeliveredBytes += uint64(p.PayloadLen)
-	r.reception.Add(now.Seconds(), 1)
+	r.Take(p.Seq, p.PayloadLen)
 	if r.OnDeliver != nil {
 		r.OnDeliver(p.Seq, now)
 	}
-
-	if !r.gotAny || p.Seq > r.highest {
-		r.highest = p.Seq
-		r.gotAny = true
-	}
-
 	r.advanceCum()
 	r.checkDone()
 }
@@ -262,18 +217,18 @@ func (r *Receiver) observeEnergy(sample float64) {
 // advanceCum moves the cumulative pointer past received or forgiven
 // sequence numbers.
 func (r *Receiver) advanceCum() {
-	r.snackHold.Advance(r.got.Slide())
+	r.snackHold.Advance(r.Got.Slide())
 }
 
 // allowance returns how many misses the application tolerates so far (§3).
 func (r *Receiver) allowance() int {
-	if r.cfg.TotalPackets > 0 {
-		return int(r.cfg.LossTolerance * float64(r.cfg.TotalPackets))
+	if r.TotalPackets > 0 {
+		return int(r.cfg.LossTolerance * float64(r.TotalPackets))
 	}
-	if !r.gotAny {
+	if !r.GotAny {
 		return 0
 	}
-	return int(r.cfg.LossTolerance * float64(r.highest+1))
+	return int(r.cfg.LossTolerance * float64(r.Highest+1))
 }
 
 // forgive writes off the oldest misses within the loss-tolerance
@@ -281,9 +236,9 @@ func (r *Receiver) allowance() int {
 // the gaps below the highest arrival, so the oldest is always the
 // cumulative point itself.
 func (r *Receiver) forgive() {
-	for budget := r.allowance() - int(r.stats.Forgiven); budget > 0 && r.got.Lo() < r.highest; budget-- {
-		r.owed = append(r.owed, r.got.Lo())
-		r.got.Add(r.got.Lo())
+	for budget := r.allowance() - int(r.stats.Forgiven); budget > 0 && r.Got.Lo() < r.Highest; budget-- {
+		r.owed = append(r.owed, r.Got.Lo())
+		r.Got.Add(r.Got.Lo())
 		r.stats.Forgiven++
 		r.advanceCum()
 	}
@@ -305,7 +260,7 @@ func (r *Receiver) buildSnack(rs []packet.SeqRange) []packet.SeqRange {
 		return rs
 	}
 	const maxSnackRanges = 64
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	until := now.Add(sim.DurationOf(r.cfg.SnackRetry))
 	// request asks for q unless it was asked for too recently: the
 	// previous request needs time to be served (by a cache or the
@@ -317,16 +272,16 @@ func (r *Receiver) buildSnack(rs []packet.SeqRange) []packet.SeqRange {
 		}
 	}
 	stalled := r.stalled()
-	for first, last := range r.got.Runs(r.got.Lo(), r.highest, false) {
-		for q := first; q <= last && (stalled || q+snackGrace <= r.highest); q++ {
+	for first, last := range r.Got.Runs(r.Got.Lo(), r.Highest, false) {
+		for q := first; q <= last && (stalled || q+snackGrace <= r.Highest); q++ {
 			request(q)
 		}
 	}
-	if stalled && r.cfg.TotalPackets > 0 && r.gotAny {
+	if stalled && r.TotalPackets > 0 && r.GotAny {
 		// Request the unseen tail, a bounded chunk at a time.
 		const tailChunk = 32
-		hi := uint32(r.cfg.TotalPackets) - 1
-		for q, n := r.highest+1, 0; q <= hi && n < tailChunk; q, n = q+1, n+1 {
+		hi := uint32(r.TotalPackets) - 1
+		for q, n := r.Highest+1, 0; q <= hi && n < tailChunk; q, n = q+1, n+1 {
 			request(q)
 		}
 	}
@@ -337,14 +292,14 @@ func (r *Receiver) buildSnack(rs []packet.SeqRange) []packet.SeqRange {
 // progress: data flowed, the transfer is incomplete, and nothing arrived
 // for a pacing-aware stall window.
 func (r *Receiver) stalled() bool {
-	if r.cfg.TotalPackets <= 0 || r.doneFlag || !r.gotAny {
+	if r.TotalPackets <= 0 || r.Done() || !r.GotAny {
 		return false
 	}
 	window := 4 / r.rate
 	if window < 2 {
 		window = 2
 	}
-	return r.eng.Now().Sub(r.lastDataAt).Seconds() > window
+	return r.Eng.Now().Sub(r.LastDataAt).Seconds() > window
 }
 
 // feedbackInterval computes T = max(T_LowerBound, n·1/rate) (§5.1).
@@ -362,11 +317,11 @@ func (r *Receiver) feedbackInterval() float64 {
 // scheduleFeedback arms the next regular feedback.
 func (r *Receiver) scheduleFeedback() {
 	r.feedbackRef.Stop()
-	r.feedbackRef = r.eng.Schedule(sim.DurationOf(r.feedbackInterval()), r.feedbackFn)
+	r.feedbackRef = r.Eng.Schedule(sim.DurationOf(r.feedbackInterval()), r.feedbackFn)
 }
 
 func (r *Receiver) regularFeedback() {
-	if r.doneFlag {
+	if r.Done() {
 		return
 	}
 	r.sendFeedback(false)
@@ -376,10 +331,10 @@ func (r *Receiver) regularFeedback() {
 // earlyFeedback sends monitor-triggered feedback, rate-limited by
 // MinFeedbackGap, and only in variable-feedback mode.
 func (r *Receiver) earlyFeedback() {
-	if r.doneFlag || r.cfg.ConstantFeedbackRate > 0 {
+	if r.Done() || r.cfg.ConstantFeedbackRate > 0 {
 		return
 	}
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	if r.stats.AcksSent > 0 && now.Sub(r.lastFeedback).Seconds() < r.cfg.MinFeedbackGap {
 		return
 	}
@@ -398,7 +353,7 @@ func (r *Receiver) updateControllers() {
 		} else {
 			r.rate *= r.cfg.KD
 		}
-		r.rate = clamp(r.rate, r.cfg.MinRate, r.cfg.MaxRate)
+		r.rate = transport.Clamp(r.rate, r.cfg.MinRate, r.MaxRate)
 	}
 	if r.energyMon.Primed() {
 		r.energyBudget = r.cfg.Beta * r.energyMon.UCL()
@@ -410,10 +365,10 @@ func (r *Receiver) updateControllers() {
 
 // sendFeedback assembles and transmits one ACK.
 func (r *Receiver) sendFeedback(early bool) {
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	r.updateControllers()
 	info := r.pool.GetAck()
-	if !r.doneFlag {
+	if !r.Done() {
 		// A completed transfer needs nothing more: its final ACK, and
 		// any repeat of it, neither forgives nor requests (§3).
 		r.forgive()
@@ -426,9 +381,9 @@ func (r *Receiver) sendFeedback(early bool) {
 
 	ack := r.pool.Get()
 	ack.Type = packet.Ack
-	ack.Src = r.cfg.Dst
-	ack.Dst = r.cfg.Src
-	ack.Flow = r.cfg.Flow
+	ack.Src = r.Dst
+	ack.Dst = r.Src
+	ack.Flow = r.Flow
 	// ACKs are precious and rare: request full per-link effort
 	// (LossTol stays zero).
 	ack.AvailRate = packet.InitialAvailRate
@@ -441,7 +396,7 @@ func (r *Receiver) sendFeedback(early bool) {
 	if early {
 		ack.Flags |= packet.FlagEarlyFeedback
 	}
-	r.net.SendFrom(r.cfg.Dst, ack)
+	r.Net.SendFrom(r.Dst, ack)
 	r.stats.AcksSent++
 	r.lastFeedback = now
 }
@@ -450,51 +405,40 @@ func (r *Receiver) sendFeedback(early bool) {
 // packet count is satisfied (§3: neither overachieving nor
 // underachieving).
 func (r *Receiver) checkDone() {
-	if r.doneFlag || r.cfg.TotalPackets <= 0 {
+	if r.Done() || r.TotalPackets <= 0 {
 		return
 	}
-	if int(r.stats.UniqueReceived) < r.cfg.neededPackets(r.cfg.TotalPackets) {
+	if int(r.stats.UniqueReceived) < r.cfg.neededPackets(r.TotalPackets) {
 		return
 	}
-	r.doneFlag = true
-	r.stats.Completed = true
-	r.stats.CompletedAt = r.eng.Now()
-	// Final ACK tells the source the transfer is complete.
-	r.sendFeedback(false)
-	r.feedbackRef.Stop()
-	if r.OnComplete != nil {
-		r.OnComplete(r.stats.CompletedAt)
-	}
+	r.Complete(func() {
+		// Final ACK tells the source the transfer is complete.
+		r.sendFeedback(false)
+		r.feedbackRef.Stop()
+	})
 }
 
 // cumAck is the cumulative ACK to report: a completed transfer reports
 // its full size.
 func (r *Receiver) cumAck() uint32 {
-	if r.doneFlag {
-		return uint32(r.cfg.TotalPackets)
+	if r.Done() {
+		return uint32(r.TotalPackets)
 	}
-	return r.got.Lo()
+	return r.Got.Lo()
 }
 
 // Record adds the destination's counters to a flow record
 // (transport.Endpoint).
 func (r *Receiver) Record(fr *metrics.FlowRecord) {
+	r.Sink.Record(fr)
 	fr.CacheRecovered = r.stats.CacheRecoveredSeen
 	fr.AcksSent = r.stats.AcksSent
-	fr.UniqueDelivered = r.stats.UniqueReceived
-	fr.DeliveredBytes = r.stats.DeliveredBytes
-	fr.Duplicates = r.stats.Duplicates
-	fr.Completed = r.stats.Completed
-	fr.Reception = &r.reception
-	if r.stats.Completed {
-		fr.CompletedAt = r.stats.CompletedAt.Seconds()
-	}
 }
 
 // String summarizes the receiver.
 func (r *Receiver) String() string {
 	return fmt.Sprintf("jtp-receiver(flow=%d %v<-%v got=%d cum=%d rate=%.2f)",
-		r.cfg.Flow, r.cfg.Dst, r.cfg.Src, r.stats.UniqueReceived, r.cumAck(), r.rate)
+		r.Flow, r.Dst, r.Src, r.stats.UniqueReceived, r.cumAck(), r.rate)
 }
 
 // Connection bundles both ends of a JTP connection.

@@ -98,6 +98,29 @@ func TestScenarioFlowOverrides(t *testing.T) {
 	if f.UniqueDelivered < 250 {
 		t.Fatalf("initial-rate override ineffective: %d delivered", f.UniqueDelivered)
 	}
+
+	// Every protocol honours both overrides: the first two seconds go
+	// out at the initial rate, and no rate the protocol adopts paces
+	// faster than the ceiling (one packet per 0.25 s, ends included).
+	for _, proto := range []Protocol{JTP, ATP, TCP} {
+		b, err := BuildScenario(Scenario{
+			Name: "override", Proto: proto, Topo: Linear, Nodes: 3, Seconds: 120, Seed: 5,
+			Flows: []FlowSpec{{Src: 0, Dst: 2, StartAt: 1, InitialRate: 4, MaxRate: 4}},
+		}, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, fl := b.Engine(), b.Flows()[0]
+		for _, secs := range []uint64{2, 120} {
+			eng.RunUntil(sim.Time(sim.Duration(1+secs) * sim.Second))
+			fr := fl.Stats()
+			if sent := fr.DataSent + fr.SourceRetransmissions; sent > 4*secs+1 {
+				t.Errorf("%s: %d transmissions in %d s, above the 4 pps ceiling", proto, sent, secs)
+			} else if secs == 2 && sent < 7 {
+				t.Errorf("%s: %d transmissions in the first 2 s, want ≥ 7 at the 4 pps initial rate", proto, sent)
+			}
+		}
+	}
 }
 
 func TestScenarioStopAt(t *testing.T) {

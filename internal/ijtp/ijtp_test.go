@@ -356,4 +356,3 @@ type otherSeg struct{}
 func (otherSeg) Size() int             { return 10 }
 func (otherSeg) Source() packet.NodeID { return 0 }
 func (otherSeg) Dest() packet.NodeID   { return 1 }
-func (otherSeg) Label() string         { return "other" }

@@ -71,8 +71,6 @@ type Segment interface {
 	Source() packet.NodeID
 	// Dest returns the end-to-end destination node.
 	Dest() packet.NodeID
-	// Label returns a short tag for tracing and metrics attribution.
-	Label() string
 }
 
 // Verdict is a plugin's decision about an imminent transmission.

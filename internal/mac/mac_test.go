@@ -18,7 +18,6 @@ type stubSeg struct {
 func (s *stubSeg) Size() int             { return s.size }
 func (s *stubSeg) Source() packet.NodeID { return s.src }
 func (s *stubSeg) Dest() packet.NodeID   { return s.dst }
-func (s *stubSeg) Label() string         { return "stub" }
 
 // stubEnv controls loss deterministically and records deliveries.
 type stubEnv struct {

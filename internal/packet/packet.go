@@ -257,9 +257,6 @@ func (p *Packet) Source() NodeID { return p.Src }
 // Dest returns the final destination (Segment interface).
 func (p *Packet) Dest() NodeID { return p.Dst }
 
-// Label returns a short tag for tracing (Segment interface).
-func (p *Packet) Label() string { return "jtp-" + p.Type.String() }
-
 // Clone returns a deep copy; caches hand out clones so later header
 // rewrites don't corrupt cached state.
 func (p *Packet) Clone() *Packet {

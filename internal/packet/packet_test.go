@@ -381,9 +381,6 @@ func TestStrings(t *testing.T) {
 	if (SeqRange{2, 5}).String() != "[2..5]" {
 		t.Fatal("range format")
 	}
-	if samplePacket().Label() != "jtp-DATA" {
-		t.Fatal("label")
-	}
 	_ = samplePacket().String()
 	_ = sampleAck().String()
 }

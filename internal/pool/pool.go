@@ -1,13 +1,15 @@
 // Package pool provides the tiny LIFO free-list behind per-connection
-// segment recycling (internal/atp, internal/tcpsack). It complements
-// packet.Pool (the engine-wide JTP packet free-list) for transports with
-// their own segment types: the endpoint that terminally consumes a
-// segment puts it back, the endpoint that originates draws from it.
+// segment recycling. transport.Dial builds one per end-to-end baseline
+// connection (internal/atp, internal/tcpsack) and hands it to both
+// ends. It complements packet.Pool (the engine-wide JTP packet
+// free-list) for transports with their own segment types: the endpoint
+// that terminally consumes a segment puts it back, the endpoint that
+// originates draws from it.
 //
 // Free-lists are not safe for concurrent use — like everything engine-
 // coupled they belong to one simulation goroutine. A nil *FreeList is
 // valid and degrades to plain heap allocation, so recycling is strictly
-// opt-in for hand-built endpoints.
+// opt-in for endpoints built without transport.Dial.
 package pool
 
 // FreeList recycles *T values. Construct with New.

@@ -25,21 +25,7 @@ import (
 	"github.com/javelen/jtp/internal/transport"
 )
 
-// TCP is purely end-to-end: its driver installs no in-network machinery,
-// and the reliability knobs of a FlowSpec are ignored (the baseline is
-// always fully reliable).
-func init() {
-	transport.MustRegister("tcp", func() transport.Driver {
-		return transport.NewDriver("tcp", nil, func(nw *node.Network, spec transport.FlowSpec) transport.Flow {
-			cfg := Defaults(spec.Flow, spec.Src, spec.Dst)
-			cfg.TotalPackets = spec.TotalPackets
-			if spec.Tune != nil {
-				spec.Tune(&cfg)
-			}
-			return transport.NewFlow("tcp", spec, Dial(nw, cfg))
-		})
-	})
-}
+func init() { transport.RegisterBaseline("tcp", nil, Dial) }
 
 // Kind discriminates TCP segment types.
 type Kind uint8
@@ -51,61 +37,33 @@ const (
 	Ack
 )
 
-// Header sizes: a TCP/IP header is 40 bytes; each SACK block costs 8.
+// The §6.1 TCP-SACK parameters.
 const (
-	HeaderSize    = 40
-	SackBlockSize = 8
-	// DefaultSegmentSize keeps parity with JTP's 800-byte packets.
-	DefaultSegmentSize = 800
-	// DefaultPayloadLen is the payload that makes an 800-byte segment.
-	DefaultPayloadLen = DefaultSegmentSize - HeaderSize
+	// PayloadLen keeps parity with JTP's 800-byte packets on a 40-byte
+	// TCP/IP header.
+	PayloadLen = 800 - transport.HeaderSize
+	// MinRate floors the equation-based rate in packets/s.
+	MinRate = 0.02
+	// DelayedAckCount is the b of the throughput equation: one ACK per
+	// b data packets, as the paper uses.
+	DelayedAckCount = 2
+	// DelayedAckTimeout flushes a pending delayed ACK (seconds).
+	DelayedAckTimeout = 0.5
+	// MinRTO floors the retransmission timeout (seconds).
+	MinRTO = 1.0
 )
 
-// Segment is a TCP segment as carried by the MAC.
+// Segment is a TCP segment as carried by the MAC; its ranges are SACK
+// blocks.
 type Segment struct {
-	Kind       Kind
-	Src, Dst   packet.NodeID
-	Flow       packet.FlowID
-	Seq        uint32
-	CumAck     uint32
-	Sack       []packet.SeqRange
-	PayloadLen int
-	Retx       bool
-	hops       int
-}
-
-// Size returns the on-air size (mac.Segment).
-func (s *Segment) Size() int {
-	return HeaderSize + s.PayloadLen + SackBlockSize*len(s.Sack)
-}
-
-// Source returns the originating endpoint (mac.Segment).
-func (s *Segment) Source() packet.NodeID { return s.Src }
-
-// Dest returns the destination endpoint (mac.Segment).
-func (s *Segment) Dest() packet.NodeID { return s.Dst }
-
-// Label returns a trace tag (mac.Segment).
-func (s *Segment) Label() string {
-	if s.Kind == Ack {
-		return "tcp-ACK"
-	}
-	return "tcp-DATA"
-}
-
-// FlowID returns the flow (node.FlowKeyed).
-func (s *Segment) FlowID() packet.FlowID { return s.Flow }
-
-// AddHop increments the loop-backstop hop counter.
-func (s *Segment) AddHop() int {
-	s.hops++
-	return s.hops
+	transport.Wire
+	Kind Kind
 }
 
 // String formats the segment for traces.
 func (s *Segment) String() string {
 	if s.Kind == Ack {
-		return fmt.Sprintf("tcp-ACK %v->%v cum=%d sack=%v", s.Src, s.Dst, s.CumAck, s.Sack)
+		return fmt.Sprintf("tcp-ACK %v->%v cum=%d sack=%v", s.Src, s.Dst, s.CumAck, s.Ranges)
 	}
 	return fmt.Sprintf("tcp-DATA %v->%v seq=%d", s.Src, s.Dst, s.Seq)
 }
@@ -113,83 +71,6 @@ func (s *Segment) String() string {
 var _ mac.Segment = (*Segment)(nil)
 var _ node.Transport = (*Sender)(nil)
 var _ node.Transport = (*Receiver)(nil)
-
-// segPool is a per-connection segment free-list. TCP segments have one
-// terminal consumer each — DATA at the receiver, ACKs at the sender;
-// nothing in the network retains them — so each endpoint recycles what it
-// is delivered and both ends draw from the shared pool. A nil pool
-// (endpoints built without Dial) degrades to heap allocation.
-type segPool = pool.FreeList[Segment]
-
-func newSegPool() *segPool {
-	return pool.New(func(s *Segment) {
-		// Keep the Sack array: sendAck appends the next blocks into it.
-		*s = Segment{Sack: s.Sack[:0]}
-	})
-}
-
-// Config parameterizes a TCP-SACK connection.
-type Config struct {
-	Flow     packet.FlowID
-	Src, Dst packet.NodeID
-	// TotalPackets is the transfer length; 0 = unbounded.
-	TotalPackets int
-	// PayloadLen per segment (default 760 → 800-byte segments).
-	PayloadLen int
-	// MinRate/MaxRate clamp the equation-based rate (packets/s).
-	MinRate, MaxRate float64
-	// InitialRate applies before the first RTT/loss estimates exist.
-	InitialRate float64
-	// DelayedAckCount is the b of the throughput equation (1 ACK per b
-	// data packets; paper uses 2).
-	DelayedAckCount int
-	// DelayedAckTimeout flushes a pending delayed ACK (seconds).
-	DelayedAckTimeout float64
-	// MinRTO floors the retransmission timeout (seconds).
-	MinRTO float64
-}
-
-// Defaults returns the §6.1 baseline parameters.
-func Defaults(flow packet.FlowID, src, dst packet.NodeID) Config {
-	return Config{
-		Flow:              flow,
-		Src:               src,
-		Dst:               dst,
-		PayloadLen:        DefaultPayloadLen,
-		MinRate:           0.02,
-		MaxRate:           200,
-		InitialRate:       1.0,
-		DelayedAckCount:   2,
-		DelayedAckTimeout: 0.5,
-		MinRTO:            1.0,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := Defaults(c.Flow, c.Src, c.Dst)
-	if c.PayloadLen <= 0 {
-		c.PayloadLen = d.PayloadLen
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = d.MinRate
-	}
-	if c.MaxRate <= 0 {
-		c.MaxRate = d.MaxRate
-	}
-	if c.InitialRate <= 0 {
-		c.InitialRate = d.InitialRate
-	}
-	if c.DelayedAckCount <= 0 {
-		c.DelayedAckCount = d.DelayedAckCount
-	}
-	if c.DelayedAckTimeout <= 0 {
-		c.DelayedAckTimeout = d.DelayedAckTimeout
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = d.MinRTO
-	}
-	return c
-}
 
 // PadhyeRate returns the TCP throughput equation of [24] in packets/s:
 //
@@ -221,12 +102,9 @@ func PadhyeRate(rtt, rto, p float64, b int) float64 {
 
 // SenderStats tallies source-side activity.
 type SenderStats struct {
-	DataSent        uint64
-	Retransmissions uint64
-	AcksReceived    uint64
-	RTOs            uint64
-	Completed       bool
-	CompletedAt     sim.Time
+	transport.SourceStats
+	AcksReceived uint64
+	RTOs         uint64
 }
 
 type sentInfo struct {
@@ -238,134 +116,61 @@ type sentInfo struct {
 
 // Sender is the TCP-SACK source.
 type Sender struct {
-	cfg Config
-	net *node.Network
-	eng *sim.Engine
-
-	nextSeq  uint32
-	cumAck   uint32
-	inflight transport.Ring[sentInfo] // spans [cumAck, nextSeq)
-	retx     transport.RetxQueue
+	transport.Source
+	inflight transport.Ring[sentInfo] // spans [CumAck, NextSeq)
 
 	srtt       float64
 	rttvar     float64
 	rttOK      bool
 	lossEst    stats.EWMA
-	rate       float64
 	rtoBackoff int // consecutive RTOs without cumulative progress
 
-	paceRef sim.EventRef
-	rtoRef  sim.EventRef
-	done    bool
-	stats   SenderStats
-
-	segs   *segPool
-	paceFn sim.Handler
-	rtoFn  sim.Handler
-
-	// OnComplete fires when a fixed transfer finishes.
-	OnComplete func(at sim.Time)
+	stats SenderStats
+	segs  *pool.FreeList[Segment]
 }
 
-// NewSender builds the source side.
-func NewSender(nw *node.Network, cfg Config) *Sender {
-	cfg = cfg.withDefaults()
-	s := &Sender{
-		cfg:  cfg,
-		net:  nw,
-		eng:  nw.Engine(),
-		rate: cfg.InitialRate,
-	}
+// NewSender builds the source side; it draws its DATA segments from segs
+// (nil: the heap).
+func NewSender(nw *node.Network, cfg transport.Config, segs *pool.FreeList[Segment]) *Sender {
+	s := &Sender{segs: segs}
+	s.Open(nw, cfg, MinRate, s, &s.stats.SourceStats)
 	s.lossEst = *stats.NewEWMA(0.1)
 	s.lossEst.Set(0.01)
-	s.paceFn = s.pace
-	s.rtoFn = s.onRTO
 	return s
 }
 
 // Stats returns a copy of the counters.
 func (s *Sender) Stats() SenderStats { return s.stats }
 
-// Rate returns the current equation-based rate.
-func (s *Sender) Rate() float64 { return s.rate }
+// Ready lets the source send whenever pacing fires (transport.Sender).
+func (s *Sender) Ready() bool { return true }
 
-// Done reports completion of a fixed transfer.
-func (s *Sender) Done() bool { return s.done }
-
-// Start binds and begins pacing.
-func (s *Sender) Start() {
-	s.net.Bind(s.cfg.Src, s.cfg.Flow, s)
-	s.schedulePace(0)
-}
-
-// Stop tears the sender down.
-func (s *Sender) Stop() {
-	s.paceRef.Stop()
-	s.rtoRef.Stop()
-	s.net.Unbind(s.cfg.Src, s.cfg.Flow)
-}
-
-func (s *Sender) schedulePace(d sim.Duration) {
-	s.paceRef.Stop()
-	s.paceRef = s.eng.Schedule(d, s.paceFn)
-}
-
-func (s *Sender) interPacket() sim.Duration {
-	r := s.rate
-	if r < s.cfg.MinRate {
-		r = s.cfg.MinRate
+// Emit sends one DATA segment and re-arms the RTO (transport.Sender). A
+// queued retransmission the receiver has SACKed meanwhile is passed
+// over.
+func (s *Sender) Emit(seq uint32, retx bool) bool {
+	if fi := s.inflight.At(seq); retx && fi != nil && fi.sacked {
+		return false
 	}
-	return sim.DurationOf(1 / r)
-}
-
-func (s *Sender) pace() {
-	if s.done {
-		return
-	}
-	seq, retx, ok := s.nextToSend()
-	if !ok {
-		return // all data out; RTO timer drives recovery
-	}
-	s.sendData(seq, retx)
-	s.schedulePace(s.interPacket())
-}
-
-func (s *Sender) nextToSend() (uint32, bool, bool) {
-	for seq, ok := s.retx.Pop(s.cumAck); ok; seq, ok = s.retx.Pop(s.cumAck) {
-		if fi := s.inflight.At(seq); fi == nil || !fi.sacked {
-			return seq, true, true
-		}
-	}
-	if s.cfg.TotalPackets > 0 && int(s.nextSeq) >= s.cfg.TotalPackets {
-		return 0, false, false
-	}
-	seq := s.nextSeq
-	s.nextSeq++
-	return seq, false, true
-}
-
-func (s *Sender) sendData(seq uint32, retx bool) {
-	now := s.eng.Now()
+	now := s.Eng.Now()
 	fi := s.inflight.Extend(seq)
 	fi.sentAt = now
 	if retx {
 		fi.retx = true
 		fi.rtxLast = now
-		s.stats.Retransmissions++
 		s.noteLoss()
-	} else {
-		s.stats.DataSent++
 	}
 	seg := s.segs.Get()
 	seg.Kind = Data
-	seg.Src = s.cfg.Src
-	seg.Dst = s.cfg.Dst
-	seg.Flow = s.cfg.Flow
+	seg.Src = s.Src
+	seg.Dst = s.Dst
+	seg.Flow = s.Flow
 	seg.Seq = seq
-	seg.PayloadLen = s.cfg.PayloadLen
+	seg.PayloadLen = PayloadLen
 	seg.Retx = retx
-	s.net.SendFrom(s.cfg.Src, seg)
+	s.Net.SendFrom(s.Src, seg)
 	s.armRTO()
+	return true
 }
 
 // noteLoss/noteDelivery feed the loss-event estimator: the fraction of
@@ -376,11 +181,11 @@ func (s *Sender) noteDelivery() { s.lossEst.Add(0) }
 // rto returns the current retransmission timeout, with exponential
 // backoff after consecutive expirations (RFC 6298 style, capped).
 func (s *Sender) rto() float64 {
-	base := 3 * s.cfg.MinRTO
+	base := 3 * MinRTO
 	if s.rttOK {
 		base = s.srtt + 4*s.rttvar
-		if base < s.cfg.MinRTO {
-			base = s.cfg.MinRTO
+		if base < MinRTO {
+			base = MinRTO
 		}
 	}
 	for i := 0; i < s.rtoBackoff && base < 16; i++ {
@@ -392,13 +197,11 @@ func (s *Sender) rto() float64 {
 	return base
 }
 
-func (s *Sender) armRTO() {
-	s.rtoRef.Stop()
-	s.rtoRef = s.eng.Schedule(sim.DurationOf(s.rto()), s.rtoFn)
-}
+func (s *Sender) armRTO() { s.ArmTimer(sim.DurationOf(s.rto())) }
 
-func (s *Sender) onRTO() {
-	if s.done || s.inflight.Len() == 0 {
+// Timeout handles an RTO expiry (transport.Sender).
+func (s *Sender) Timeout() {
+	if s.Done() || s.inflight.Len() == 0 {
 		return
 	}
 	// Timeout: SACK state for the outstanding window is no longer
@@ -406,22 +209,20 @@ func (s *Sender) onRTO() {
 	// retransmission, oldest first, and back the timer off.
 	s.stats.RTOs++
 	s.noteLoss()
-	for seq := s.cumAck; seq < s.nextSeq; seq++ {
+	for seq := s.CumAck; seq < s.NextSeq; seq++ {
 		if !s.inflight.At(seq).sacked {
 			s.queueRetx(seq)
 		}
 	}
 	s.rtoBackoff++
 	s.updateRate()
-	if !s.paceRef.Pending() {
-		s.schedulePace(0)
-	}
+	s.Resume()
 	s.armRTO()
 }
 
 func (s *Sender) queueRetx(seq uint32) {
-	if seq >= s.cumAck {
-		s.retx.Push(seq)
+	if seq >= s.CumAck {
+		s.Retx.Push(seq)
 	}
 }
 
@@ -431,14 +232,7 @@ func (s *Sender) updateRate() {
 	if !s.rttOK {
 		rtt = 1.0
 	}
-	r := PadhyeRate(rtt, s.rto(), s.lossEst.Value(), s.cfg.DelayedAckCount)
-	if math.IsInf(r, 1) || r > s.cfg.MaxRate {
-		r = s.cfg.MaxRate
-	}
-	if r < s.cfg.MinRate {
-		r = s.cfg.MinRate
-	}
-	s.rate = r
+	s.SetRate(PadhyeRate(rtt, s.rto(), s.lossEst.Value(), DelayedAckCount))
 }
 
 // Deliver processes an ACK (node.Transport) and recycles it: the source
@@ -453,29 +247,29 @@ func (s *Sender) Deliver(seg mac.Segment, _ packet.NodeID) {
 }
 
 func (s *Sender) processAck(ack *Segment) {
-	if s.done {
+	if s.Done() {
 		return
 	}
-	now := s.eng.Now()
+	now := s.Eng.Now()
 	s.stats.AcksReceived++
 
 	// RTT sampling from newly cum-acked, never-retransmitted segments
 	// (Karn's rule).
-	if ack.CumAck > s.cumAck {
-		for seq := s.cumAck; seq < ack.CumAck; seq++ {
+	if ack.CumAck > s.CumAck {
+		for seq := s.CumAck; seq < ack.CumAck; seq++ {
 			if fi := s.inflight.At(seq); fi != nil && !fi.retx {
 				s.sampleRTT(now.Sub(fi.sentAt).Seconds())
 			}
 			s.noteDelivery()
 		}
 		s.inflight.Advance(ack.CumAck)
-		s.cumAck = ack.CumAck
+		s.CumAck = ack.CumAck
 		s.rtoBackoff = 0
 	}
 
 	// SACK processing: mark blocks, find holes.
-	highestSacked := s.cumAck
-	for _, b := range ack.Sack {
+	highestSacked := s.CumAck
+	for _, b := range ack.Ranges {
 		highestSacked = max(highestSacked, b.Last)
 		for seq := b.First; ; seq++ {
 			if fi := s.inflight.At(seq); fi != nil {
@@ -488,8 +282,8 @@ func (s *Sender) processAck(ack *Segment) {
 	}
 	// Fast retransmit: holes below the highest SACKed block, at most once
 	// per RTO interval per segment.
-	if highestSacked > s.cumAck {
-		for seq := s.cumAck; seq < highestSacked; seq++ {
+	if highestSacked > s.CumAck {
+		for seq := s.CumAck; seq < highestSacked; seq++ {
 			fi := s.inflight.At(seq)
 			if fi == nil || fi.sacked {
 				continue
@@ -501,14 +295,11 @@ func (s *Sender) processAck(ack *Segment) {
 		}
 	}
 
-	if s.cfg.TotalPackets > 0 && int(s.cumAck) >= s.cfg.TotalPackets {
-		s.complete()
+	if s.Finish() {
 		return
 	}
 	s.updateRate()
-	if !s.paceRef.Pending() {
-		s.schedulePace(0)
-	}
+	s.Resume()
 	if s.inflight.Len() > 0 {
 		s.armRTO()
 	}
@@ -529,61 +320,27 @@ func (s *Sender) sampleRTT(sample float64) {
 	s.srtt = (1-alpha)*s.srtt + alpha*sample
 }
 
-func (s *Sender) complete() {
-	s.done = true
-	s.stats.Completed = true
-	s.stats.CompletedAt = s.eng.Now()
-	s.paceRef.Stop()
-	s.rtoRef.Stop()
-	if s.OnComplete != nil {
-		s.OnComplete(s.stats.CompletedAt)
-	}
-}
-
-// Record adds the source's counters to a flow record (transport.Endpoint).
-func (s *Sender) Record(fr *metrics.FlowRecord) {
-	fr.DataSent = s.stats.DataSent
-	fr.SourceRetransmissions = s.stats.Retransmissions
-}
-
 // ReceiverStats tallies destination-side activity.
 type ReceiverStats struct {
-	DataReceived   uint64
-	UniqueReceived uint64
-	Duplicates     uint64
-	DeliveredBytes uint64
-	AcksSent       uint64
-	Completed      bool
-	CompletedAt    sim.Time
+	transport.SinkStats
+	AcksSent uint64
 }
 
 // Receiver is the TCP-SACK sink with delayed ACKs and SACK generation.
 type Receiver struct {
-	cfg Config
-	net *node.Network
-	eng *sim.Engine
-
-	got     transport.Window // received; Lo is the cumulative ACK
-	highest uint32
-	gotAny  bool
-
+	transport.Sink
 	pendingAcks int
 	delayRef    sim.EventRef
-	done        bool
 	stats       ReceiverStats
-	reception   stats.Series
-
-	segs    *segPool
-	delayFn sim.Handler
-
-	// OnComplete fires when the fixed transfer is fully received.
-	OnComplete func(at sim.Time)
+	segs        *pool.FreeList[Segment]
+	delayFn     sim.Handler
 }
 
-// NewReceiver builds the sink.
-func NewReceiver(nw *node.Network, cfg Config) *Receiver {
-	cfg = cfg.withDefaults()
-	r := &Receiver{cfg: cfg, net: nw, eng: nw.Engine()}
+// NewReceiver builds the sink; it draws its ACK segments from segs (nil:
+// the heap).
+func NewReceiver(nw *node.Network, cfg transport.Config, segs *pool.FreeList[Segment]) *Receiver {
+	r := &Receiver{segs: segs}
+	r.Open(nw, cfg, r, &r.stats.SinkStats)
 	r.delayFn = func() {
 		if r.pendingAcks > 0 {
 			r.sendAck()
@@ -595,16 +352,10 @@ func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 // Stats returns a copy of the counters.
 func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
-// Done reports completion.
-func (r *Receiver) Done() bool { return r.done }
-
-// Start binds the receiver.
-func (r *Receiver) Start() { r.net.Bind(r.cfg.Dst, r.cfg.Flow, r) }
-
 // Stop unbinds.
 func (r *Receiver) Stop() {
 	r.delayRef.Stop()
-	r.net.Unbind(r.cfg.Dst, r.cfg.Flow)
+	r.Sink.Stop()
 }
 
 // Deliver processes a DATA segment (node.Transport) and recycles it: the
@@ -619,31 +370,15 @@ func (r *Receiver) Deliver(seg mac.Segment, _ packet.NodeID) {
 }
 
 func (r *Receiver) processData(d *Segment) {
-	r.stats.DataReceived++
-	outOfOrder := r.gotAny && d.Seq != r.highest+1 && d.Seq != r.got.Lo()
-	if r.got.Has(d.Seq) {
-		r.stats.Duplicates++
-		outOfOrder = true
+	outOfOrder := r.GotAny && d.Seq != r.Highest+1 && d.Seq != r.Got.Lo()
+	if r.Accept(d.Seq, d.PayloadLen) {
+		r.Got.Slide()
 	} else {
-		r.got.Add(d.Seq)
-		r.stats.UniqueReceived++
-		r.stats.DeliveredBytes += uint64(d.PayloadLen)
-		r.reception.Add(r.eng.Now().Seconds(), 1)
-		if !r.gotAny || d.Seq > r.highest {
-			r.highest = d.Seq
-			r.gotAny = true
-		}
-		r.got.Slide()
+		outOfOrder = true
 	}
 
-	if r.cfg.TotalPackets > 0 && int(r.got.Lo()) >= r.cfg.TotalPackets && !r.done {
-		r.done = true
-		r.stats.Completed = true
-		r.stats.CompletedAt = r.eng.Now()
-		r.sendAck() // final ACK, immediate
-		if r.OnComplete != nil {
-			r.OnComplete(r.stats.CompletedAt)
-		}
+	if r.Covered() && !r.Done() {
+		r.Complete(r.sendAck) // final ACK, immediate
 		return
 	}
 
@@ -651,12 +386,12 @@ func (r *Receiver) processData(d *Segment) {
 	// immediately for out-of-order arrivals (to trigger fast
 	// retransmit).
 	r.pendingAcks++
-	if outOfOrder || r.pendingAcks >= r.cfg.DelayedAckCount {
+	if outOfOrder || r.pendingAcks >= DelayedAckCount {
 		r.sendAck()
 		return
 	}
 	if !r.delayRef.Pending() {
-		r.delayRef = r.eng.Schedule(sim.DurationOf(r.cfg.DelayedAckTimeout), r.delayFn)
+		r.delayRef = r.Eng.Schedule(sim.DurationOf(DelayedAckTimeout), r.delayFn)
 	}
 }
 
@@ -664,10 +399,10 @@ func (r *Receiver) processData(d *Segment) {
 // blocks above the cumulative point, most recent first (classic SACK
 // option space).
 func (r *Receiver) sackBlocks(rs []packet.SeqRange) []packet.SeqRange {
-	if !r.gotAny {
+	if !r.GotAny {
 		return rs
 	}
-	for first, last := range r.got.Runs(r.got.Lo(), r.highest+1, true) {
+	for first, last := range r.Got.Runs(r.Got.Lo(), r.Highest+1, true) {
 		rs = append(rs, packet.SeqRange{First: first, Last: last})
 	}
 	slices.Reverse(rs)
@@ -679,38 +414,25 @@ func (r *Receiver) sendAck() {
 	r.pendingAcks = 0
 	ack := r.segs.Get()
 	ack.Kind = Ack
-	ack.Src = r.cfg.Dst
-	ack.Dst = r.cfg.Src
-	ack.Flow = r.cfg.Flow
-	ack.CumAck = r.got.Lo()
-	ack.Sack = r.sackBlocks(ack.Sack)
-	r.net.SendFrom(r.cfg.Dst, ack)
+	ack.Src = r.Dst
+	ack.Dst = r.Src
+	ack.Flow = r.Flow
+	ack.CumAck = r.Got.Lo()
+	ack.Ranges = r.sackBlocks(ack.Ranges)
+	r.Net.SendFrom(r.Dst, ack)
 	r.stats.AcksSent++
 }
 
 // Record adds the sink's counters to a flow record (transport.Endpoint).
 func (r *Receiver) Record(fr *metrics.FlowRecord) {
+	r.Sink.Record(fr)
 	fr.AcksSent = r.stats.AcksSent
-	fr.UniqueDelivered = r.stats.UniqueReceived
-	fr.DeliveredBytes = r.stats.DeliveredBytes
-	fr.Duplicates = r.stats.Duplicates
-	fr.Completed = r.stats.Completed
-	fr.Reception = &r.reception
-	if r.stats.Completed {
-		fr.CompletedAt = r.stats.CompletedAt.Seconds()
-	}
 }
 
 // Connection bundles both TCP endpoints.
 type Connection = transport.Conn[*Sender, *Receiver]
 
-// Dial builds both endpoints, sharing one segment free-list between them
-// (the receiver recycles the sender's DATA, the sender the receiver's
-// ACKs).
-func Dial(nw *node.Network, cfg Config) *Connection {
-	c := &Connection{Sender: NewSender(nw, cfg), Receiver: NewReceiver(nw, cfg)}
-	pool := newSegPool()
-	c.Sender.segs = pool
-	c.Receiver.segs = pool
-	return c
+// Dial builds both endpoints over one segment free-list (transport.Dial).
+func Dial(nw *node.Network, cfg transport.Config) *Connection {
+	return transport.Dial(nw, cfg, NewSender, NewReceiver)
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/javelen/jtp/internal/routing"
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/topology"
+	"github.com/javelen/jtp/internal/transport"
 )
 
 func testNet(t *testing.T, n int, ch channel.Config, seed int64) (*sim.Engine, *node.Network) {
@@ -73,16 +74,13 @@ func TestPadhyeMonotoneProperty(t *testing.T) {
 }
 
 func TestSegmentSizes(t *testing.T) {
-	d := &Segment{Kind: Data, PayloadLen: DefaultPayloadLen}
+	d := &Segment{Kind: Data, Wire: transport.Wire{PayloadLen: PayloadLen}}
 	if d.Size() != 800 {
 		t.Fatalf("data segment = %d bytes", d.Size())
 	}
-	a := &Segment{Kind: Ack, Sack: []packet.SeqRange{{First: 1, Last: 2}, {First: 4, Last: 4}}}
-	if a.Size() != HeaderSize+2*SackBlockSize {
+	a := &Segment{Kind: Ack, Wire: transport.Wire{Ranges: []packet.SeqRange{{First: 1, Last: 2}, {First: 4, Last: 4}}}}
+	if a.Size() != transport.HeaderSize+2*transport.RangeSize {
 		t.Fatalf("ack size = %d", a.Size())
-	}
-	if d.Label() != "tcp-DATA" || a.Label() != "tcp-ACK" {
-		t.Fatal("labels")
 	}
 	_ = d.String()
 	_ = a.String()
@@ -90,7 +88,7 @@ func TestSegmentSizes(t *testing.T) {
 
 func TestCleanTransfer(t *testing.T) {
 	eng, nw := testNet(t, 4, clean(), 1)
-	cfg := Defaults(1, 0, 3)
+	cfg := transport.Defaults(1, 0, 3)
 	cfg.TotalPackets = 40
 	conn := Dial(nw, cfg)
 	conn.Start()
@@ -105,7 +103,7 @@ func TestCleanTransfer(t *testing.T) {
 
 func TestDelayedAckRatio(t *testing.T) {
 	eng, nw := testNet(t, 3, clean(), 2)
-	cfg := Defaults(1, 0, 2)
+	cfg := transport.Defaults(1, 0, 2)
 	cfg.TotalPackets = 60
 	conn := Dial(nw, cfg)
 	conn.Start()
@@ -122,7 +120,7 @@ func TestDelayedAckRatio(t *testing.T) {
 
 func TestLossyTransferCompletes(t *testing.T) {
 	eng, nw := testNet(t, 4, channel.Defaults(), 3)
-	cfg := Defaults(1, 0, 3)
+	cfg := transport.Defaults(1, 0, 3)
 	cfg.TotalPackets = 30
 	conn := Dial(nw, cfg)
 	conn.Start()
@@ -138,9 +136,9 @@ func TestLossyTransferCompletes(t *testing.T) {
 
 func TestRTOBackoffResets(t *testing.T) {
 	eng, nw := testNet(t, 3, clean(), 4)
-	cfg := Defaults(1, 0, 2)
+	cfg := transport.Defaults(1, 0, 2)
 	cfg.TotalPackets = 3
-	s := NewSender(nw, cfg) // no receiver: nothing is ever acknowledged
+	s := NewSender(nw, cfg, nil) // no receiver: nothing is ever acknowledged
 	s.Start()
 	defer s.Stop()
 	eng.RunFor(2 * sim.Second)
@@ -154,7 +152,7 @@ func TestRTOBackoffResets(t *testing.T) {
 		t.Fatal("RTO cap exceeded")
 	}
 	// Cumulative progress over a segment really sent resets the backoff.
-	s.Deliver(&Segment{Kind: Ack, Src: 2, Dst: 0, Flow: 1, CumAck: 1}, 1)
+	s.Deliver(&Segment{Kind: Ack, Wire: transport.Wire{Src: 2, Dst: 0, Flow: 1, CumAck: 1}}, 1)
 	if s.rtoBackoff != 0 {
 		t.Fatal("cumAck progress did not reset RTO backoff")
 	}
@@ -162,20 +160,20 @@ func TestRTOBackoffResets(t *testing.T) {
 
 func TestSackTriggersFastRetransmit(t *testing.T) {
 	eng, nw := testNet(t, 3, clean(), 5)
-	cfg := Defaults(1, 0, 2)
-	s := NewSender(nw, cfg) // no receiver: the test plays its ACKs
+	cfg := transport.Defaults(1, 0, 2)
+	s := NewSender(nw, cfg, nil) // no receiver: the test plays its ACKs
 	s.Start()
 	defer s.Stop()
 	eng.RunFor(3500 * sim.Millisecond) // seqs 0..3 out, one per second
-	if s.nextSeq != 4 || s.Stats().Retransmissions != 0 {
-		t.Fatalf("nextSeq %d after %d retransmissions, want 4 and 0", s.nextSeq, s.Stats().Retransmissions)
+	if s.NextSeq != 4 || s.Stats().Retransmissions != 0 {
+		t.Fatalf("nextSeq %d after %d retransmissions, want 4 and 0", s.NextSeq, s.Stats().Retransmissions)
 	}
 	// Seq 0 lost, 1..3 SACKed: the hole is retransmitted at the next
 	// pacing slot, well before the RTO.
-	s.Deliver(&Segment{
-		Kind: Ack, Src: 2, Dst: 0, Flow: 1, CumAck: 0,
-		Sack: []packet.SeqRange{{First: 1, Last: 3}},
-	}, 1)
+	s.Deliver(&Segment{Kind: Ack, Wire: transport.Wire{
+		Src: 2, Dst: 0, Flow: 1, CumAck: 0,
+		Ranges: []packet.SeqRange{{First: 1, Last: 3}},
+	}}, 1)
 	eng.RunFor(sim.Second)
 	if rtx, rtos := s.Stats().Retransmissions, s.Stats().RTOs; rtx != 1 || rtos != 0 {
 		t.Fatalf("%d retransmissions and %d RTOs, want 1 fast retransmission", rtx, rtos)
@@ -195,7 +193,7 @@ func inflightSeqs(s *Sender) []uint32 {
 // a lossy transfer: the tracked sequences are exactly [cumAck, nextSeq).
 func TestInflightSpansUnacked(t *testing.T) {
 	eng, nw := testNet(t, 4, channel.Defaults(), 3)
-	cfg := Defaults(1, 0, 3)
+	cfg := transport.Defaults(1, 0, 3)
 	cfg.TotalPackets = 30
 	conn := Dial(nw, cfg)
 	conn.Start()
@@ -203,12 +201,12 @@ func TestInflightSpansUnacked(t *testing.T) {
 	for eng.Now() < sim.Time(3000*sim.Second) && !conn.Done() {
 		eng.RunFor(20 * sim.Millisecond)
 		got := inflightSeqs(s)
-		if len(got) != int(s.nextSeq-s.cumAck) {
-			t.Fatalf("at %v: in flight %v, want [%d, %d)", eng.Now(), got, s.cumAck, s.nextSeq)
+		if len(got) != int(s.NextSeq-s.CumAck) {
+			t.Fatalf("at %v: in flight %v, want [%d, %d)", eng.Now(), got, s.CumAck, s.NextSeq)
 		}
 		for i, seq := range got {
-			if seq != s.cumAck+uint32(i) {
-				t.Fatalf("at %v: in flight %v, want [%d, %d)", eng.Now(), got, s.cumAck, s.nextSeq)
+			if seq != s.CumAck+uint32(i) {
+				t.Fatalf("at %v: in flight %v, want [%d, %d)", eng.Now(), got, s.CumAck, s.NextSeq)
 			}
 		}
 	}
@@ -222,14 +220,14 @@ func TestInflightSpansUnacked(t *testing.T) {
 
 func TestReceiverImmediateAckOnOutOfOrder(t *testing.T) {
 	eng, nw := testNet(t, 3, clean(), 6)
-	cfg := Defaults(1, 0, 2)
-	r := NewReceiver(nw, cfg)
+	cfg := transport.Defaults(1, 0, 2)
+	r := NewReceiver(nw, cfg, nil)
 	r.Start()
 	defer r.Stop()
-	r.Deliver(&Segment{Kind: Data, Src: 0, Dst: 2, Flow: 1, Seq: 0, PayloadLen: 10}, 1)
+	r.Deliver(&Segment{Kind: Data, Wire: transport.Wire{Src: 0, Dst: 2, Flow: 1, Seq: 0, PayloadLen: 10}}, 1)
 	acks0 := r.Stats().AcksSent
 	// Gap: seq 2 arrives before 1 → immediate dup-ack-style feedback.
-	r.Deliver(&Segment{Kind: Data, Src: 0, Dst: 2, Flow: 1, Seq: 2, PayloadLen: 10}, 1)
+	r.Deliver(&Segment{Kind: Data, Wire: transport.Wire{Src: 0, Dst: 2, Flow: 1, Seq: 2, PayloadLen: 10}}, 1)
 	if r.Stats().AcksSent != acks0+1 {
 		t.Fatal("out-of-order arrival should ACK immediately")
 	}
@@ -238,12 +236,12 @@ func TestReceiverImmediateAckOnOutOfOrder(t *testing.T) {
 
 func TestSackBlocksMostRecentFirst(t *testing.T) {
 	_, nw := testNet(t, 3, clean(), 7)
-	cfg := Defaults(1, 0, 2)
-	r := NewReceiver(nw, cfg)
+	cfg := transport.Defaults(1, 0, 2)
+	r := NewReceiver(nw, cfg, nil)
 	r.Start()
 	defer r.Stop()
 	for _, seq := range []uint32{0, 2, 5, 9} {
-		r.Deliver(&Segment{Kind: Data, Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}, 1)
+		r.Deliver(&Segment{Kind: Data, Wire: transport.Wire{Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}}, 1)
 	}
 	blocks := r.sackBlocks(nil)
 	if len(blocks) != 3 {
@@ -255,7 +253,7 @@ func TestSackBlocksMostRecentFirst(t *testing.T) {
 }
 
 func TestFlowIDAndHops(t *testing.T) {
-	s := &Segment{Flow: 7}
+	s := &Segment{Wire: transport.Wire{Flow: 7}}
 	if s.FlowID() != 7 {
 		t.Fatal("flow id")
 	}

@@ -1,11 +1,6 @@
 package transport
 
-import (
-	"fmt"
-
-	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/node"
-)
+import "github.com/javelen/jtp/internal/metrics"
 
 // Endpoint is one end of a connection.
 type Endpoint interface {
@@ -68,39 +63,4 @@ func (f *connFlow[S, R]) Stats() *metrics.FlowRecord {
 	f.conn.Sender.Record(fr)
 	f.conn.Receiver.Record(fr)
 	return fr
-}
-
-// NewDriver returns the Driver of a purely end-to-end protocol: Attach
-// runs install (when non-nil) once on the network, and OpenFlow hands
-// each spec to open. The reliability knobs of a FlowSpec are open's to
-// honour or ignore.
-func NewDriver(name string, install func(*node.Network), open func(*node.Network, FlowSpec) Flow) Driver {
-	return &e2eDriver{name: name, install: install, open: open}
-}
-
-type e2eDriver struct {
-	name    string
-	install func(*node.Network)
-	open    func(*node.Network, FlowSpec) Flow
-	nw      *node.Network
-}
-
-func (d *e2eDriver) Name() string { return d.name }
-
-func (d *e2eDriver) Attach(nw *node.Network, _ NetConfig) error {
-	if d.nw != nil {
-		return fmt.Errorf("transport: driver %q already attached", d.name)
-	}
-	d.nw = nw
-	if d.install != nil {
-		d.install(nw)
-	}
-	return nil
-}
-
-func (d *e2eDriver) OpenFlow(spec FlowSpec) (Flow, error) {
-	if d.nw == nil {
-		return nil, fmt.Errorf("transport: driver %q not attached", d.name)
-	}
-	return d.open(d.nw, spec), nil
 }

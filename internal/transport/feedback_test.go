@@ -48,12 +48,12 @@ func (ft *feedbackTap) PreXmit(fr *mac.Frame, _ mac.LinkInfo) mac.Verdict {
 		if s.Kind != atp.Feedback {
 			return mac.Continue
 		}
-		cum, ranges = s.CumAck, s.Snack
+		cum, ranges = s.CumAck, s.Ranges
 	case *tcpsack.Segment:
 		if s.Kind != tcpsack.Ack {
 			return mac.Continue
 		}
-		cum, ranges = s.CumAck, s.Sack
+		cum, ranges = s.CumAck, s.Ranges
 	default:
 		return mac.Continue
 	}

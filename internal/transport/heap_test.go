@@ -65,17 +65,17 @@ func receiverHeap(t *testing.T, proto string, n int) float64 {
 		}
 		receiver = r
 	case "atp":
-		r := atp.NewReceiver(nw, atp.Defaults(1, 0, 2))
+		r := atp.NewReceiver(nw, transport.Defaults(1, 0, 2), nil)
 		r.Start()
 		deliver = func(seq uint32) {
-			r.Deliver(&atp.Segment{Kind: atp.Data, Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}, 1)
+			r.Deliver(&atp.Segment{Kind: atp.Data, Wire: transport.Wire{Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}}, 1)
 		}
 		receiver = r
 	case "tcp":
-		r := tcpsack.NewReceiver(nw, tcpsack.Defaults(1, 0, 2))
+		r := tcpsack.NewReceiver(nw, transport.Defaults(1, 0, 2), nil)
 		r.Start()
 		deliver = func(seq uint32) {
-			r.Deliver(&tcpsack.Segment{Kind: tcpsack.Data, Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}, 1)
+			r.Deliver(&tcpsack.Segment{Kind: tcpsack.Data, Wire: transport.Wire{Src: 0, Dst: 2, Flow: 1, Seq: seq, PayloadLen: 10}}, 1)
 		}
 		receiver = r
 	}

@@ -15,10 +15,12 @@
 // Protocol packages register their drivers from init; importing
 // internal/transport/drivers pulls in every built-in protocol.
 //
-// The package also holds what the protocols share: Window, Ring and
-// RetxQueue, the bounded sequence bookkeeping of every endpoint; and
-// Conn, NewFlow and NewDriver, which turn a protocol's two endpoints
-// into a Flow and a Driver.
+// The package also holds what the protocols share: Source and Sink, the
+// paced sending end and the counting receiving end every protocol's
+// endpoints embed; Window, Ring and RetxQueue, their bounded sequence
+// bookkeeping; Conn and NewFlow, which turn two endpoints into a Flow;
+// and, for the end-to-end baselines, the Wire segment format, Dial and
+// RegisterBaseline.
 package transport
 
 import (
@@ -58,10 +60,10 @@ type FlowSpec struct {
 	// DeadlineAfter, when positive, marks packets worthless this many
 	// seconds after first transmission.
 	DeadlineAfter float64
-	// Tune, when non-nil, receives a pointer to the driver's concrete
-	// connection config just before dialing; callers type-assert to the
-	// protocol they know they selected. Applied after the spec fields
-	// above, before the rate overrides.
+	// Tune, when non-nil, receives a pointer to JTP's connection config
+	// (*core.Config, for "jtp" and "jnc") just before dialing, after the
+	// spec fields above and before the rate overrides. The baselines
+	// have no tunable config: their §6.1 parameters are constants.
 	Tune func(cfg any)
 }
 
