@@ -167,9 +167,7 @@ func (s *Sender) processFeedback(fb *Segment) {
 	if fb.FbRate > 0 {
 		s.SetRate(fb.FbRate * LossFactor)
 	}
-	if fb.CumAck > s.CumAck {
-		s.CumAck = fb.CumAck
-	}
+	s.CumAck = max(s.CumAck, fb.CumAck)
 	if s.Finish() {
 		return
 	}

@@ -151,10 +151,7 @@ func (s *Sender) processAck(ack *packet.Packet) {
 	}
 	s.armTimeout()
 
-	// Cumulative progress.
-	if info.CumAck > s.CumAck {
-		s.CumAck = info.CumAck
-	}
+	s.CumAck = max(s.CumAck, info.CumAck)
 	if s.Finish() {
 		return
 	}
