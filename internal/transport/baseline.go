@@ -22,11 +22,11 @@ const (
 type Wire struct {
 	Src, Dst   packet.NodeID
 	Flow       packet.FlowID
+	Retx       bool
 	Seq        uint32
 	CumAck     uint32
 	Ranges     []packet.SeqRange // SACK or SNACK ranges
 	PayloadLen int
-	Retx       bool
 	hops       int
 }
 
