@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,20 +11,63 @@ import (
 // runCaptured runs the CLI on args and returns its exit code and stderr.
 func runCaptured(t *testing.T, args []string) (int, string) {
 	t.Helper()
-	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	code, _, msg := runOutputs(t, args)
+	return code, msg
+}
+
+// runOutputs runs the CLI on args and returns its exit code, stdout and
+// stderr.
+func runOutputs(t *testing.T, args []string) (code int, stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	outF, err := os.Create(filepath.Join(dir, "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := os.Stderr
-	os.Stderr = f
-	code := run(args)
-	os.Stderr = saved
-	f.Close()
-	msg, err := os.ReadFile(f.Name())
+	errF, err := os.Create(filepath.Join(dir, "stderr"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return code, string(msg)
+	savedOut, savedErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outF, errF
+	code = run(args)
+	os.Stdout, os.Stderr = savedOut, savedErr
+	outF.Close()
+	errF.Close()
+	out, err := os.ReadFile(outF.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := os.ReadFile(errF.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out), string(msg)
+}
+
+// TestExpAllGolden pins the stdout of `jtpsim -exp all -scale 0.05`, as
+// tables and as CSV: every experiment, end to end through the CLI. To
+// regenerate after an intended change:
+//
+//	go run ./cmd/jtpsim -exp all -scale 0.05 > cmd/jtpsim/testdata/exp-all.txt
+//	go run ./cmd/jtpsim -exp all -scale 0.05 -csv > cmd/jtpsim/testdata/exp-all.csv
+func TestExpAllGolden(t *testing.T) {
+	for _, tc := range []struct{ golden, args string }{
+		{"exp-all.txt", "-exp all -scale 0.05"},
+		{"exp-all.csv", "-exp all -scale 0.05 -csv"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out, msg := runOutputs(t, strings.Fields(tc.args))
+		if code != 0 {
+			t.Fatalf("jtpsim %s: exit %d: %s", tc.args, code, msg)
+		}
+		if !bytes.Equal([]byte(out), want) {
+			t.Errorf("jtpsim %s drifted from testdata/%s:\n--- got ---\n%s", tc.args, tc.golden, out)
+		}
+	}
 }
 
 // TestUnknownSubcommandExits2 pins the dispatch contract: a first word
