@@ -111,7 +111,8 @@ func (c Cell) String(name string) string {
 }
 
 // Float returns the named axis value as a float64 (0 if absent or not
-// numeric).
+// numeric). A numeric string parses: a cell rebuilt from shard files
+// carries its values as their canonical strings, which round-trip.
 func (c Cell) Float(name string) float64 {
 	v, _ := c.Get(name)
 	switch x := v.(type) {
@@ -121,6 +122,10 @@ func (c Cell) Float(name string) float64 {
 		return float64(x)
 	case int64:
 		return float64(x)
+	case string:
+		if f, err := strconv.ParseFloat(x, 64); err == nil {
+			return f
+		}
 	}
 	return 0
 }

@@ -41,8 +41,8 @@ func TestFormatValue(t *testing.T) {
 
 func TestCellFloatIntCoercions(t *testing.T) {
 	cell := Cell{
-		names:  []string{"f", "i", "i64", "s", "b"},
-		values: []any{2.5, 3, int64(1 << 33), "nope", true},
+		names:  []string{"f", "i", "i64", "s", "b", "fs", "is"},
+		values: []any{2.5, 3, int64(1 << 33), "nope", true, "0.1", "42"},
 	}
 	floatCases := []struct {
 		name string
@@ -53,6 +53,7 @@ func TestCellFloatIntCoercions(t *testing.T) {
 		{"int widens", "i", 3},
 		{"int64 widens", "i64", float64(int64(1) << 33)},
 		{"string is not numeric", "s", 0},
+		{"numeric string parses", "fs", 0.1},
 		{"bool is not numeric", "b", 0},
 		{"absent axis", "missing", 0},
 	}
@@ -72,6 +73,7 @@ func TestCellFloatIntCoercions(t *testing.T) {
 		{"int round-trips", "i", 3},
 		{"int64 converts", "i64", 1 << 33},
 		{"string is not numeric", "s", 0},
+		{"numeric string parses", "is", 42},
 		{"absent axis", "missing", 0},
 	}
 	for _, tc := range intCases {
