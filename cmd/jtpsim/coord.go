@@ -29,10 +29,12 @@ import (
 	"time"
 
 	"github.com/javelen/jtp/internal/coordinator"
+	"github.com/javelen/jtp/internal/experiments"
 	"github.com/javelen/jtp/internal/obs"
 )
 
 func coordMain(args []string) int {
+	var o options
 	fs := flag.NewFlagSet("coord", flag.ExitOnError)
 	var (
 		matrixPath = fs.String("matrix", "", "JSON scenario matrix to shard (batch mode)")
@@ -55,18 +57,25 @@ func coordMain(args []string) int {
 		asJSON     = fs.Bool("json", false, "emit the merged report as JSON")
 		quiet      = fs.Bool("q", false, "suppress the per-event supervision log on stderr")
 	)
-	fs.BoolVar(&asCSV, "csv", false, "emit the merged report as CSV")
-	fs.IntVar(&par, "par", 1, "campaign worker-pool size inside each worker process")
-	fs.StringVar(&debugAddr, "debug-addr", "", "serve pprof/expvar with live coordinator state (jtpsim_coord) on this address")
+	fs.BoolVar(&o.csv, "csv", false, "emit the merged report as CSV")
+	fs.IntVar(&o.par, "par", 1, "campaign worker-pool size inside each worker process")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve pprof/expvar with live coordinator state (jtpsim_coord) on this address")
 	fs.Parse(args)
 
 	if (*matrixPath == "") == (*expID == "") {
 		fmt.Fprintln(os.Stderr, "jtpsim coord: exactly one of -matrix or -exp is required")
 		return 2
 	}
-	if e, ok := lookupExperiment(*expID); *expID != "" && (!ok || e.figure == nil) {
-		fmt.Fprintf(os.Stderr, "jtpsim coord: -exp %s is not a campaign; want one of: %s\n", *expID, campaignIDs())
-		return 2
+	// With -exp the merged report is rendered as the figure's tables.
+	var fig *experiments.Figure
+	if *expID != "" {
+		e, ok := lookupExperiment(*expID)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "jtpsim coord: unknown experiment %q (try jtpsim -list)\n", *expID)
+			return 2
+		}
+		f := e.figure(*scale, *seed)
+		fig = &f
 	}
 	if *shards < 1 {
 		fmt.Fprintln(os.Stderr, "jtpsim coord: -shards N (>= 1) is required")
@@ -101,7 +110,7 @@ func coordMain(args []string) int {
 		workerArgs = append(workerArgs, "-seed", fmt.Sprint(*seed))
 	}
 	workerArgs = append(workerArgs,
-		"-par", fmt.Sprint(par),
+		"-par", fmt.Sprint(o.par),
 		"-checkpoint-interval", ckInterval.String(),
 	)
 
@@ -130,8 +139,8 @@ func coordMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "jtpsim coord: %v\n", err)
 		return 1
 	}
-	if debugAddr != "" {
-		bound, derr := startDebugServer(debugAddr)
+	if o.debugAddr != "" {
+		bound, derr := startDebugServer(o.debugAddr, &o.state)
 		if derr != nil {
 			fmt.Fprintf(os.Stderr, "jtpsim coord: debug-addr: %v\n", derr)
 			return 1
@@ -168,7 +177,10 @@ func coordMain(args []string) int {
 				return 1
 			}
 			fmt.Println(string(js))
-		case asCSV:
+		case fig != nil && !res.Degraded():
+			// A partial report lacks cells the figure's tables read.
+			o.show(fig.Tables(res.Report)...)
+		case o.csv:
 			fmt.Print(res.Report.CSV())
 		default:
 			title := fmt.Sprintf("campaign %s (%d shards, %d runs, %d failures)",
@@ -177,7 +189,7 @@ func coordMain(args []string) int {
 				title = fmt.Sprintf("campaign %s (PARTIAL: %d/%d shards, %d runs, %d failures)",
 					res.Report.Name, len(res.Done), *shards, res.Report.Runs, res.Report.Failures)
 			}
-			show(res.Report.Table(title))
+			o.show(res.Report.Table(title))
 		}
 	}
 	if res.Degraded() {

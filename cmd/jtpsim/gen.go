@@ -23,6 +23,7 @@ import (
 //	jtpsim gen -spec wl.json -seed 7 -run -proto tcp  # generate + run
 //	jtpsim gen -replay dump.json -proto jtp           # run a dump
 func genMain(args []string) int {
+	var o options
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	var (
 		specPath = fs.String("spec", "", "workload spec JSON file (alternative to the inline flags)")
@@ -39,10 +40,10 @@ func genMain(args []string) int {
 		proto    = fs.String("proto", "jtp", "transport driver for -run/-replay (see -list)")
 		tracePth = fs.String("trace", "", "with -run/-replay: write the packet-event trace as JSON lines to this file")
 	)
-	addProfileFlags(fs)
+	o.profileFlags(fs)
 	fs.Parse(args)
-	defer stopProfiles()
-	if err := startProfiles(); err != nil {
+	defer o.stopProfiles()
+	if err := o.startProfiles(); err != nil {
 		fmt.Fprintf(os.Stderr, "jtpsim gen: %v\n", err)
 		return 1
 	}
@@ -136,7 +137,7 @@ func genMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "jtpsim gen: wrote trace %s (%d events retained, %d recorded)\n",
 			*tracePth, tr.Len(), tr.Total())
 	}
-	show(genTable(g, rec))
+	o.show(genTable(g, rec))
 	fmt.Printf("\ntotal energy %.4g J, %.4g uJ/bit", rec.TotalEnergy, rec.EnergyPerBit()*1e6)
 	if rec.EnergyBudgets != nil {
 		fmt.Printf(", %d/%d nodes battery-dead", rec.BudgetDeadNodes, rec.Nodes)

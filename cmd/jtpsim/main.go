@@ -15,11 +15,10 @@
 //	jtpsim merge s0.json s1.json s2.json
 //	                                   # fold shard results into one report
 //
-// Every multi-run figure (figs 3, 4, 6, 7, 9, 10, 11 and table2) is a
-// campaign on the internal/campaign worker pool, and so is batch mode;
-// table1, fig3c, fig5 and fig8 are single runs. -par sets the pool size
-// of every campaign (default: all CPUs); results are byte-identical for
-// every -par value.
+// Every experiment — figs 3, 3c, 4, 5, 6, 7, 8, 9, 10, 11 and tables 1
+// and 2 — is a campaign on the internal/campaign worker pool, and so is
+// batch mode. -par sets the pool size of every campaign (default: all
+// CPUs); results are byte-identical for every -par value.
 //
 // Every campaign shards and resumes: -shard i/N executes one
 // deterministic cell-granular slice of the sweep, -shard-out writes the
@@ -33,8 +32,7 @@
 // line of counters per completed run), -progress (stderr ticker with
 // runs/sec and ETA) and -debug-addr :8484 (live net/http/pprof +
 // expvar, including the folded campaign counters at /debug/vars) — none
-// of which change any result byte. The campaign-only flags on a
-// single-run experiment are a usage error (exit 2).
+// of which change any result byte.
 //
 // Scale multiplies run counts, durations and transfer sizes relative to
 // the paper's full setup (scale 1 reproduces the paper's run counts:
@@ -50,42 +48,134 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/experiments"
 	"github.com/javelen/jtp/internal/metrics"
 )
 
-// asCSV switches table output to CSV (-csv flag).
-var asCSV bool
+// options is one invocation's configuration — the flags of its mode —
+// and the sinks those flags open. The command keeps no other state, so
+// one process can run it many times.
+type options struct {
+	csv bool // -csv: emit tables as CSV
+	par int  // -par: campaign worker-pool size (0 = all CPUs)
 
-// par is the campaign worker-pool size (-par flag; 0 = all CPUs).
-var par int
+	cpuProfile, memProfile string // -cpuprofile, -memprofile
+	cpuFile                *os.File
 
-// show prints one table in the selected format.
-func show(t *metrics.Table) {
-	if asCSV {
+	shard        campaign.Shard // -shard i/N
+	shardOut     string         // -shard-out
+	checkpoint   string         // -checkpoint
+	checkpointIv time.Duration  // -checkpoint-interval
+	status       string         // -status
+
+	statusFile      *os.File
+	statusLastWrite time.Time
+	chaosArmed      bool
+	chaosExitAt     int // the fold seq an armed worker dies at
+
+	telemetry string // -telemetry
+	progress  bool   // -progress
+	debugAddr string // -debug-addr
+
+	telemetryFile     *os.File
+	telemetryEnc      *json.Encoder
+	lastProgressPrint time.Time
+	state             campaignState // folded counters served at /debug/vars
+}
+
+// campaignFlags registers the flags of the campaign modes, figures and
+// batch.
+func (o *options) campaignFlags(fs *flag.FlagSet) {
+	fs.BoolVar(&o.csv, "csv", false, "emit tables as CSV (for plotting)")
+	fs.IntVar(&o.par, "par", 0, "campaign worker-pool size (0 = all CPUs)")
+	o.profileFlags(fs)
+	fs.StringVar(&o.telemetry, "telemetry", "", "write per-run telemetry as JSON lines to this file")
+	fs.BoolVar(&o.progress, "progress", false, "print campaign progress and ETA to stderr")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :8484)")
+	fs.Func("shard", "execute only shard i/N of the campaign (e.g. 0/3)", func(v string) (err error) {
+		o.shard, err = campaign.ParseShard(v)
+		return err
+	})
+	fs.StringVar(&o.shardOut, "shard-out", "", "write this shard's result file here on completion (fold with 'jtpsim merge')")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "durable checkpoint file; auto-resumes when it already exists")
+	fs.DurationVar(&o.checkpointIv, "checkpoint-interval", 0, "max wall clock between periodic checkpoints (0 = campaign default)")
+	fs.StringVar(&o.status, "status", "", "append heartbeat frames (fold frontier, rate) to this file for a supervising coordinator")
+}
+
+// start opens what the campaign flags ask for — the profiles, the
+// -status and telemetry sinks — and watches SIGINT/SIGTERM. It returns
+// the campaign options and a context the first signal cancels (with
+// -checkpoint the fold frontier is persisted first, so rerunning
+// resumes; a second signal force-quits, exit 130). stop, which start
+// returns even on error, closes everything.
+func (o *options) start() (opt experiments.Options, ctx context.Context, stop func(), err error) {
+	opt = experiments.Options{Options: campaign.Options{
+		Workers:            o.par,
+		Shard:              o.shard,
+		Checkpoint:         o.checkpoint,
+		ShardOut:           o.shardOut,
+		CheckpointInterval: o.checkpointIv,
+		// Non-fatal campaign diagnostics (e.g. a corrupt checkpoint being
+		// discarded for a cold start) surface on stderr.
+		Warn: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "jtpsim: warning: "+format+"\n", args...)
+		},
+	}}
+	ctx, stopSignals := watchSignals(context.Background())
+	stop = func() {
+		stopSignals()
+		o.stopSinks()
+		o.stopProfiles()
+	}
+	if err = o.startProfiles(); err == nil {
+		if err = o.startStatusWriter(&opt); err == nil {
+			err = o.startTelemetry(&opt)
+		}
+	}
+	return opt, ctx, stop, err
+}
+
+// cancelled reports a campaign the first signal interrupted: how much
+// of its total was folded and, with -checkpoint, how to resume.
+func (o *options) cancelled(prog string, err error, rep *campaign.Report, total int) {
+	fmt.Fprintf(os.Stderr, "%s: cancelled: %v (%d/%d runs aggregated, %d discarded)\n",
+		prog, err, rep.Runs, total, rep.Interrupted)
+	if o.checkpoint != "" {
+		fmt.Fprintf(os.Stderr, "%s: checkpoint saved to %s; rerun the same command to resume\n", prog, o.checkpoint)
+	}
+}
+
+// show prints tables in the selected format, a blank line apart.
+func (o *options) show(tables ...*metrics.Table) {
+	for i, t := range tables {
+		if i > 0 {
+			fmt.Println()
+		}
+		if !o.csv {
+			fmt.Print(t)
+			continue
+		}
 		if t.Title != "" {
 			fmt.Printf("# %s\n", t.Title)
 		}
 		fmt.Print(t.CSV())
-		return
 	}
-	fmt.Print(t)
 }
 
-// experiment is one -exp id: exactly one of run, a single-run
-// experiment printing its own output, and figure, a campaign projected
-// onto the paper's tables, is set.
+// experiment is one -exp id: a paper figure or table at a scale and a
+// base seed (0 keeps the experiment's default).
 type experiment struct {
 	id     string
 	desc   string
-	run    func(scale float64, seed int64)
 	figure func(scale float64, seed int64) experiments.Figure
 }
 
@@ -120,6 +210,7 @@ func run(args []string) int {
 
 // expMain is the classic figure-reproduction mode.
 func expMain(args []string) int {
+	var o options
 	fs := flag.NewFlagSet("jtpsim", flag.ExitOnError)
 	var (
 		expID = fs.String("exp", "", "experiment id (see -list), or 'all'")
@@ -127,17 +218,12 @@ func expMain(args []string) int {
 		seed  = fs.Int64("seed", 0, "base seed override (0 = experiment default)")
 		list  = fs.Bool("list", false, "list experiment ids and exit")
 	)
-	fs.BoolVar(&asCSV, "csv", false, "emit tables as CSV (for plotting)")
-	fs.IntVar(&par, "par", 0, "campaign worker-pool size (0 = all CPUs)")
-	addProfileFlags(fs)
-	addTelemetryFlags(fs)
-	addShardFlags(fs)
+	o.campaignFlags(fs)
 	fs.Parse(args)
 
-	exps := registry()
 	if *list || *expID == "" {
 		fmt.Fprintln(os.Stderr, "experiments (pass -exp <id>):")
-		for _, e := range exps {
+		for _, e := range registry() {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.id, e.desc)
 		}
 		fmt.Fprintln(os.Stderr, "or: jtpsim batch -matrix <file.json> [-par N] [-csv|-json]")
@@ -155,9 +241,9 @@ func expMain(args []string) int {
 	}
 
 	all := *expID == "all"
-	selected := exps
+	selected := registry()
 	switch e, ok := lookupExperiment(*expID); {
-	case all && shardingRequested():
+	case all && o.sharded():
 		// Shard state (slice selection, checkpoint frontier, shard-out) is
 		// per campaign; "all" runs many.
 		fmt.Fprintln(os.Stderr, "jtpsim: -shard/-shard-out/-checkpoint need a single -exp, not 'all'")
@@ -166,45 +252,31 @@ func expMain(args []string) int {
 	case !ok:
 		fmt.Fprintf(os.Stderr, "jtpsim: unknown experiment %q (try -list)\n", *expID)
 		return 2
-	case e.figure == nil && campaignFlagsSet():
-		fmt.Fprintf(os.Stderr, "jtpsim: -exp %s is a single run; -shard/-shard-out/-checkpoint/-status/-telemetry/-progress need a campaign: %s\n",
-			e.id, campaignIDs())
-		return 2
 	default:
 		selected = []experiment{e}
 	}
 
-	defer stopProfiles()
-	if err := startProfiles(); err != nil {
-		fmt.Fprintf(os.Stderr, "jtpsim: %v\n", err)
-		return 1
-	}
-	defer stopTelemetry()
-	opt, err := campaignOptions()
+	opt, ctx, stop, err := o.start()
+	defer stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jtpsim: %v\n", err)
 		return 1
 	}
-	// SIGINT/SIGTERM cancel the running campaign; with -checkpoint the
-	// fold frontier is persisted first, so rerunning resumes. A second
-	// signal force-quits (exit 130).
-	ctx, stopSignals := watchSignals(context.Background())
-	defer stopSignals()
-
 	for _, e := range selected {
 		if all {
 			fmt.Printf("==== %s: %s ====\n", e.id, e.desc)
 		}
-		if e.figure == nil {
-			e.run(*scale, *seed)
-		} else if err := runFigure(ctx, e.figure(*scale, *seed), opt); err != nil {
+		f := e.figure(*scale, *seed)
+		rep, err := f.Report(ctx, opt)
+		switch {
+		case err != nil && rep != nil && ctx.Err() != nil:
+			o.cancelled("jtpsim", err, rep, f.Matrix.NumRuns())
+			return 1
+		case err != nil:
 			fmt.Fprintf(os.Stderr, "jtpsim: %v\n", err)
-			if ctx.Err() != nil && checkpointFlag != "" {
-				fmt.Fprintf(os.Stderr, "jtpsim: checkpoint saved to %s; rerun the same command to resume\n",
-					checkpointFlag)
-			}
 			return 1
 		}
+		o.show(f.Tables(rep)...)
 		if all {
 			fmt.Println()
 		}
@@ -212,49 +284,10 @@ func expMain(args []string) int {
 	return 0
 }
 
-// runFigure executes a figure campaign under opt and prints its tables.
-func runFigure(ctx context.Context, f experiments.Figure, opt experiments.Options) error {
-	rep, err := f.Report(ctx, opt)
-	if err != nil && rep != nil && ctx.Err() != nil {
-		return fmt.Errorf("cancelled: %w (%d runs folded, %d discarded)", err, rep.Runs, rep.Interrupted)
-	}
-	if err != nil {
-		return err
-	}
-	for i, t := range f.Tables(rep) {
-		if i > 0 {
-			fmt.Println()
-		}
-		show(t)
-	}
-	return nil
-}
-
-// campaignOptions builds the options of every campaign the process runs
-// from the -par, sharding, -status and telemetry flags, opening the
-// sinks they name. Call stopTelemetry (deferred) to close them.
-func campaignOptions() (experiments.Options, error) {
-	opt := experiments.Options{Options: campaign.Options{
-		Workers:            par,
-		Shard:              shard,
-		Checkpoint:         checkpointFlag,
-		ShardOut:           shardOutFlag,
-		CheckpointInterval: checkpointIvFlag,
-		// Non-fatal campaign diagnostics (e.g. a corrupt checkpoint being
-		// discarded for a cold start) surface on stderr.
-		Warn: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "jtpsim: warning: "+format+"\n", args...)
-		},
-	}}
-	if err := startStatusWriter(&opt); err != nil {
-		return opt, err
-	}
-	return opt, startTelemetry(&opt)
-}
-
 // batchMain runs a user-declared scenario matrix: jtpsim batch -matrix
 // file.json [-par N] [-runs N] [-seconds S] [-csv|-json] [-v].
 func batchMain(args []string) int {
+	var o options
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	var (
 		matrixPath = fs.String("matrix", "", "path to the JSON scenario matrix (required)")
@@ -264,23 +297,8 @@ func batchMain(args []string) int {
 		asJSON     = fs.Bool("json", false, "emit the aggregate report as JSON")
 		verbose    = fs.Bool("v", false, "log each completed run to stderr")
 	)
-	fs.BoolVar(&asCSV, "csv", false, "emit the aggregate report as CSV")
-	fs.IntVar(&par, "par", 0, "campaign worker-pool size (0 = all CPUs)")
-	addProfileFlags(fs)
-	addTelemetryFlags(fs)
-	addShardFlags(fs)
+	o.campaignFlags(fs)
 	fs.Parse(args)
-	defer stopProfiles()
-	if err := startProfiles(); err != nil {
-		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", err)
-		return 1
-	}
-	defer stopTelemetry()
-	opt, err := campaignOptions()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", err)
-		return 1
-	}
 
 	if *matrixPath == "" {
 		fmt.Fprintln(os.Stderr, "jtpsim batch: -matrix <file.json> is required")
@@ -310,6 +328,12 @@ func batchMain(args []string) int {
 		spec.Seed = *seed
 	}
 
+	opt, ctx, stop, err := o.start()
+	defer stop()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", err)
+		return 1
+	}
 	m := spec.Matrix()
 	fmt.Fprintf(os.Stderr, "jtpsim batch: %s: %d cells × %d runs = %d simulations\n",
 		spec.Name, m.NumCells(), spec.Runs, m.NumRuns())
@@ -318,13 +342,6 @@ func batchMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "jtpsim batch: shard %s: cells [%d,%d), %d simulations\n",
 			opt.Shard, lo, hi, (hi-lo)*spec.Runs)
 	}
-
-	// Ctrl-C cancels the campaign; the partial report is still emitted
-	// after the final checkpoint write. A second Ctrl-C force-quits
-	// (exit 130).
-	ctx, stop := watchSignals(context.Background())
-	defer stop()
-
 	if *verbose {
 		total := m.NumRuns()
 		opt.OnResult = func(s campaign.RunSpec, _ campaign.Sample, err error) {
@@ -337,6 +354,8 @@ func batchMain(args []string) int {
 		}
 	}
 
+	// On cancellation the partial report is still emitted, after the
+	// final checkpoint write.
 	rep, err := spec.Execute(ctx, opt)
 	if err != nil && rep == nil {
 		// Pre-execution failure (bad spec, unresumable checkpoint, ...).
@@ -344,12 +363,7 @@ func batchMain(args []string) int {
 		return 1
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "jtpsim batch: cancelled: %v (%d/%d runs aggregated, %d discarded)\n",
-			err, rep.Runs, m.NumRuns(), rep.Interrupted)
-		if checkpointFlag != "" {
-			fmt.Fprintf(os.Stderr, "jtpsim batch: checkpoint saved to %s; rerun the same command to resume\n",
-				checkpointFlag)
-		}
+		o.cancelled("jtpsim batch", err, rep, m.NumRuns())
 	}
 
 	switch {
@@ -360,13 +374,12 @@ func batchMain(args []string) int {
 			return 1
 		}
 		fmt.Println(string(js))
-	case asCSV:
+	case o.csv:
 		fmt.Print(rep.CSV())
 	default:
 		// No observable list: render every observable the cells report
 		// (energy, goodput, cache hits, rtx, drops, ...).
-		title := fmt.Sprintf("campaign %s (%d runs, %d failures)", rep.Name, rep.Runs, rep.Failures)
-		show(rep.Table(title))
+		o.show(rep.Table(fmt.Sprintf("campaign %s (%d runs, %d failures)", rep.Name, rep.Runs, rep.Failures)))
 	}
 	if rep.Failures > 0 {
 		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", rep.Err())
@@ -380,44 +393,28 @@ func batchMain(args []string) int {
 
 func registry() []experiment {
 	exps := []experiment{
-		{id: "table1", desc: "default parameter values", run: func(_ float64, _ int64) {
-			show(experiments.Defaults())
+		{id: "table1", desc: "default parameter values", figure: func(float64, int64) experiments.Figure {
+			return experiments.Table1()
 		}},
 		{id: "fig3", desc: "adjustable reliability: energy & data delivered (jtp0/10/20)", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig3Defaults(s)
 			seeded(&cfg.Seed, seed)
 			return experiments.Fig3(cfg)
 		}},
-		{id: "fig3c", desc: "per-packet link-layer attempt budget at a mid-path node", run: func(s float64, seed int64) {
-			if seed == 0 {
-				seed = 33
-			}
-			pkts := int(300 * s)
-			if pkts < 100 {
-				pkts = 100
-			}
-			for _, res := range experiments.Fig3c(pkts, seed) {
-				fmt.Printf("Fig 3(c): max link-layer transmissions per packet, node %d, jtp%d\n",
-					res.NodeIndex+1, int(res.LossTolerance*100))
-				fmt.Print(sparkline(res))
-				fmt.Println()
-			}
+		{id: "fig3c", desc: "per-packet link-layer attempt budget at a mid-path node", figure: func(s float64, seed int64) experiments.Figure {
+			cfg := experiments.Fig3cDefaults(s)
+			seeded(&cfg.Seed, seed)
+			return experiments.Fig3c(cfg)
 		}},
 		{id: "fig4", desc: "in-network caching gain: JTP vs JNC", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig4Defaults(s)
 			seeded(&cfg.Seed, seed)
 			return experiments.Fig4(cfg)
 		}},
-		{id: "fig5", desc: "source back-off fairness for locally recovered packets", run: func(s float64, seed int64) {
-			cfg := experiments.Fig5Defaults()
-			if s < 1 {
-				cfg.Seconds *= s * 2
-				if cfg.Seconds < 600 {
-					cfg.Seconds = 600
-				}
-			}
+		{id: "fig5", desc: "source back-off fairness for locally recovered packets", figure: func(s float64, seed int64) experiments.Figure {
+			cfg := experiments.Fig5Defaults(s)
 			seeded(&cfg.Seed, seed)
-			show(experiments.Fig5Summary(experiments.Fig5(cfg)))
+			return experiments.Fig5(cfg)
 		}},
 		{id: "fig6", desc: "source retransmissions vs cache size", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig6Defaults(s)
@@ -429,13 +426,10 @@ func registry() []experiment {
 			seeded(&cfg.Seed, seed)
 			return experiments.Fig7(cfg)
 		}},
-		{id: "fig8", desc: "PI2/MD rate adaptation of two competing flows", run: func(s float64, seed int64) {
-			cfg := experiments.Fig8Defaults()
+		{id: "fig8", desc: "PI2/MD rate adaptation of two competing flows", figure: func(s float64, seed int64) experiments.Figure {
+			cfg := experiments.Fig8Defaults(s)
 			seeded(&cfg.Seed, seed)
-			res := experiments.Fig8(cfg)
-			show(experiments.Fig8Summary(res, cfg))
-			fmt.Printf("\nmonitor shifts at: %.0fs (flow2 lifetime %.0f-%.0fs)\n",
-				res.Shifts, cfg.Flow2Start, cfg.Flow2End)
+			return experiments.Fig8(cfg)
 		}},
 		{id: "fig9", desc: "linear topologies: energy/bit & goodput (jtp/atp/tcp)", figure: func(s float64, seed int64) experiments.Figure {
 			cfg := experiments.Fig9Defaults(s)
@@ -478,45 +472,4 @@ func lookupExperiment(id string) (experiment, bool) {
 		}
 	}
 	return experiment{}, false
-}
-
-// campaignIDs lists the ids of the campaign experiments, the ones the
-// campaign-only flags and `jtpsim coord -exp` accept.
-func campaignIDs() string {
-	var ids []string
-	for _, e := range registry() {
-		if e.figure != nil {
-			ids = append(ids, e.id)
-		}
-	}
-	return strings.Join(ids, ", ")
-}
-
-// sparkline renders the Fig 3(c) attempt trace as rows of packet-index
-// ranges per attempt level.
-func sparkline(res *experiments.Fig3cResult) string {
-	var b strings.Builder
-	counts := map[int]int{}
-	for _, s := range res.Samples {
-		counts[s.Attempts]++
-	}
-	for lvl := 1; lvl <= 5; lvl++ {
-		if counts[lvl] == 0 {
-			continue
-		}
-		bar := strings.Repeat("#", scaleBar(counts[lvl], len(res.Samples)))
-		fmt.Fprintf(&b, "  %d attempts | %-50s (%d pkts)\n", lvl, bar, counts[lvl])
-	}
-	return b.String()
-}
-
-func scaleBar(n, total int) int {
-	if total == 0 {
-		return 0
-	}
-	w := n * 50 / total
-	if w == 0 && n > 0 {
-		w = 1
-	}
-	return w
 }

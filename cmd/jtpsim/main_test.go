@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,28 +86,37 @@ func TestUnknownSubcommandExits2(t *testing.T) {
 	}
 }
 
-// TestCampaignFlagsOnSingleRunExit2: a flag only a campaign honors, given
-// to a single-run experiment (or `coord -exp` naming one), is a usage
-// error that lists the campaign ids — raised before any file is opened
-// or any worker spawned, instead of the flag being silently ignored.
-func TestCampaignFlagsOnSingleRunExit2(t *testing.T) {
-	const ids = "fig10, fig11, fig3, fig4, fig6, fig7, fig9, table2"
-	for _, args := range []string{
-		"-exp fig8 -scale 0.05 -shard 0/2 -shard-out DIR/s0.json",
-		"-exp table1 -telemetry DIR/t.jsonl -cpuprofile DIR/cpu.prof",
-		"-exp fig3c -checkpoint DIR/ck.json",
-		"-exp fig5 -status DIR/status.jsonl",
-		"-exp table1 -progress",
-		"coord -exp table1 -shards 2 -out DIR/d",
-		"coord -exp nosuch -shards 2 -out DIR/d",
-	} {
-		dir := t.TempDir()
-		code, msg := runCaptured(t, strings.Fields(strings.ReplaceAll(args, "DIR", dir)))
-		if code != 2 || !strings.HasSuffix(msg, ids+"\n") {
-			t.Errorf("jtpsim %s: exit %d, stderr %q; want exit 2 and the campaign ids", args, code, msg)
+// TestExpAllCSVParses: with -csv, every block of `-exp all` — the
+// lines between blank lines, less the "====" experiment headers — is a
+// "# title" line followed by a table that encoding/csv reads as rows of
+// equal width, so a plotting script can split and load the output.
+func TestExpAllCSVParses(t *testing.T) {
+	code, out, msg := runOutputs(t, strings.Fields("-exp all -scale 0.05 -csv"))
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, msg)
+	}
+	blocks := 0
+	for _, block := range strings.Split(out, "\n\n") {
+		lines := strings.Split(strings.TrimSpace(block), "\n")
+		if strings.HasPrefix(lines[0], "==== ") {
+			lines = lines[1:]
 		}
-		if left, _ := os.ReadDir(dir); len(left) != 0 {
-			t.Errorf("jtpsim %s: created %s before refusing", args, left[0].Name())
+		if len(lines) == 0 || lines[0] == "" {
+			continue
 		}
+		if !strings.HasPrefix(lines[0], "# ") {
+			t.Errorf("block does not open with a # title:\n%s", block)
+			continue
+		}
+		rows, err := csv.NewReader(strings.NewReader(strings.Join(lines[1:], "\n"))).ReadAll()
+		if err != nil || len(rows) < 2 {
+			t.Errorf("%s: %d rows, %v", lines[0], len(rows), err)
+		}
+		blocks++
+	}
+	// fig3, fig3c, fig4, fig7, fig9 and fig10 have two tables, fig11
+	// three, and fig5, fig6, fig8, table1 and table2 one each.
+	if blocks != 20 {
+		t.Errorf("%d tables, want 20", blocks)
 	}
 }

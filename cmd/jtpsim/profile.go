@@ -15,26 +15,19 @@ import (
 	"runtime/pprof"
 )
 
-var (
-	cpuProfilePath string
-	memProfilePath string
-	cpuProfileFile *os.File
-)
-
-// addProfileFlags registers the profiling flags on a FlagSet (subcommand
-// modes) — the default flag.CommandLine registers via flag directly.
-func addProfileFlags(fs *flag.FlagSet) {
-	fs.StringVar(&cpuProfilePath, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&memProfilePath, "memprofile", "", "write an allocation profile to this file on exit")
+// profileFlags registers the profiling flags (figures, batch and gen).
+func (o *options) profileFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile to this file on exit")
 }
 
 // startProfiles begins CPU profiling when requested. Call stopProfiles
 // (deferred) to flush both profiles.
-func startProfiles() error {
-	if cpuProfilePath == "" {
+func (o *options) startProfiles() error {
+	if o.cpuProfile == "" {
 		return nil
 	}
-	f, err := os.Create(cpuProfilePath)
+	f, err := os.Create(o.cpuProfile)
 	if err != nil {
 		return fmt.Errorf("cpuprofile: %w", err)
 	}
@@ -42,22 +35,22 @@ func startProfiles() error {
 		f.Close()
 		return fmt.Errorf("cpuprofile: %w", err)
 	}
-	cpuProfileFile = f
+	o.cpuFile = f
 	return nil
 }
 
 // stopProfiles flushes the CPU profile and writes the heap profile.
-func stopProfiles() {
-	if cpuProfileFile != nil {
+func (o *options) stopProfiles() {
+	if o.cpuFile != nil {
 		pprof.StopCPUProfile()
-		cpuProfileFile.Close()
-		cpuProfileFile = nil
-		fmt.Fprintf(os.Stderr, "jtpsim: wrote CPU profile %s\n", cpuProfilePath)
+		o.cpuFile.Close()
+		o.cpuFile = nil
+		fmt.Fprintf(os.Stderr, "jtpsim: wrote CPU profile %s\n", o.cpuProfile)
 	}
-	if memProfilePath == "" {
+	if o.memProfile == "" {
 		return
 	}
-	f, err := os.Create(memProfilePath)
+	f, err := os.Create(o.memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jtpsim: memprofile: %v\n", err)
 		return
@@ -68,5 +61,5 @@ func stopProfiles() {
 		fmt.Fprintf(os.Stderr, "jtpsim: memprofile: %v\n", err)
 		return
 	}
-	fmt.Fprintf(os.Stderr, "jtpsim: wrote allocation profile %s\n", memProfilePath)
+	fmt.Fprintf(os.Stderr, "jtpsim: wrote allocation profile %s\n", o.memProfile)
 }

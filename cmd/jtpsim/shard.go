@@ -1,7 +1,7 @@
 package main
 
-// Sharding & checkpointing for every campaign (batch and the multi-run
-// figures):
+// Sharding & checkpointing for every campaign (batch and every
+// experiment):
 //
 //	jtpsim batch -matrix m.json -shard 0/3 -shard-out s0.json \
 //	             -checkpoint s0.ck.json
@@ -23,41 +23,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"github.com/javelen/jtp/internal/campaign"
 )
 
-var (
-	shard            campaign.Shard
-	shardOutFlag     string
-	checkpointFlag   string
-	checkpointIvFlag time.Duration
-	statusFlag       string
-)
-
-// addShardFlags registers the sharding flags on a campaign-mode FlagSet.
-func addShardFlags(fs *flag.FlagSet) {
-	shard = campaign.Shard{}
-	fs.Func("shard", "execute only shard i/N of the campaign (e.g. 0/3)", func(v string) (err error) {
-		shard, err = campaign.ParseShard(v)
-		return err
-	})
-	fs.StringVar(&shardOutFlag, "shard-out", "", "write this shard's result file here on completion (fold with 'jtpsim merge')")
-	fs.StringVar(&checkpointFlag, "checkpoint", "", "durable checkpoint file; auto-resumes when it already exists")
-	fs.DurationVar(&checkpointIvFlag, "checkpoint-interval", 0, "max wall clock between periodic checkpoints (0 = campaign default)")
-	fs.StringVar(&statusFlag, "status", "", "append heartbeat frames (fold frontier, rate) to this file for a supervising coordinator")
-}
-
-// shardingRequested reports whether any sharding flag is in play.
-func shardingRequested() bool {
-	return shard.Of != 0 || shardOutFlag != "" || checkpointFlag != "" || statusFlag != ""
-}
-
-// campaignFlagsSet reports whether any flag that only a campaign honors
-// is in play.
-func campaignFlagsSet() bool {
-	return shardingRequested() || telemetryPath != "" || progressFlag
+// sharded reports whether any sharding flag is in play.
+func (o *options) sharded() bool {
+	return o.shard.Of != 0 || o.shardOut != "" || o.checkpoint != "" || o.status != ""
 }
 
 // mergeMain folds shard result files into one report: jtpsim merge
@@ -65,9 +37,10 @@ func campaignFlagsSet() bool {
 // byte-identical to the one a single unsharded process would have
 // emitted (see campaign.MergeReports for the determinism contract).
 func mergeMain(args []string) int {
+	var o options
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit the merged report as JSON")
-	fs.BoolVar(&asCSV, "csv", false, "emit the merged report as CSV")
+	fs.BoolVar(&o.csv, "csv", false, "emit the merged report as CSV")
 	fs.Parse(args)
 	paths := fs.Args()
 	if len(paths) == 0 {
@@ -98,12 +71,11 @@ func mergeMain(args []string) int {
 			return 1
 		}
 		fmt.Println(string(js))
-	case asCSV:
+	case o.csv:
 		fmt.Print(rep.CSV())
 	default:
-		title := fmt.Sprintf("campaign %s (%d shards, %d runs, %d failures)",
-			rep.Name, len(files), rep.Runs, rep.Failures)
-		show(rep.Table(title))
+		o.show(rep.Table(fmt.Sprintf("campaign %s (%d shards, %d runs, %d failures)",
+			rep.Name, len(files), rep.Runs, rep.Failures)))
 	}
 	if rep.Failures > 0 {
 		fmt.Fprintf(os.Stderr, "jtpsim merge: %v\n", rep.Err())

@@ -26,12 +26,6 @@ import (
 	"github.com/javelen/jtp/internal/experiments"
 )
 
-var (
-	statusFile      *os.File
-	statusLastWrite time.Time
-	chaosExitAt     = -1 // fold seq to die at; -1 = disabled
-)
-
 // statusFrameInterval rate-limits heartbeat appends; the final frame
 // (Done == Total) always writes.
 const statusFrameInterval = 250 * time.Millisecond
@@ -39,16 +33,16 @@ const statusFrameInterval = 250 * time.Millisecond
 // startStatusWriter opens the -status sink, arms the chaos knob, and
 // chains the heartbeat hook onto opt.OnProgress ahead of startTelemetry
 // (which composes rather than replaces a present hook).
-func startStatusWriter(opt *experiments.Options) error {
-	if statusFlag == "" {
+func (o *options) startStatusWriter(opt *experiments.Options) error {
+	if o.status == "" {
 		return nil
 	}
-	f, err := os.OpenFile(statusFlag, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(o.status, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("status: %w", err)
 	}
-	statusFile = f
-	if err := armChaosExit(opt.Shard.Index); err != nil {
+	o.statusFile = f
+	if err := o.armChaosExit(opt.Shard.Index); err != nil {
 		return err
 	}
 	prev := opt.OnProgress
@@ -56,14 +50,14 @@ func startStatusWriter(opt *experiments.Options) error {
 		if prev != nil {
 			prev(p)
 		}
-		onStatusProgress(p)
+		o.onStatusProgress(p)
 	}
 	return nil
 }
 
 // armChaosExit parses JTPSIM_CHAOS_EXIT_AT ("SEQ" or "SHARD:SEQ") into
 // chaosExitAt for this worker's shard.
-func armChaosExit(shardIndex int) error {
+func (o *options) armChaosExit(shardIndex int) error {
 	v := os.Getenv(coordinator.EnvChaosExitAt)
 	if v == "" {
 		return nil
@@ -83,17 +77,17 @@ func armChaosExit(shardIndex int) error {
 	if err != nil || seq < 0 {
 		return fmt.Errorf("%s: bad fold seq in %q", coordinator.EnvChaosExitAt, v)
 	}
-	chaosExitAt = seq
+	o.chaosArmed, o.chaosExitAt = true, seq
 	return nil
 }
 
 // onStatusProgress appends one heartbeat frame per interval (and always
 // the final one), then fires the armed chaos suicide.
-func onStatusProgress(p campaign.Progress) {
+func (o *options) onStatusProgress(p campaign.Progress) {
 	now := time.Now()
-	if p.Done == p.Total || now.Sub(statusLastWrite) >= statusFrameInterval {
-		statusLastWrite = now
-		if err := coordinator.AppendFrame(statusFile, coordinator.StatusFrame{
+	if p.Done == p.Total || now.Sub(o.statusLastWrite) >= statusFrameInterval {
+		o.statusLastWrite = now
+		if err := coordinator.AppendFrame(o.statusFile, coordinator.StatusFrame{
 			Seq:        p.Done,
 			Total:      p.Total,
 			Failures:   p.Failures,
@@ -102,16 +96,16 @@ func onStatusProgress(p campaign.Progress) {
 			fmt.Fprintf(os.Stderr, "jtpsim: status: %v\n", err)
 		}
 	}
-	if chaosExitAt >= 0 && p.Done >= chaosExitAt {
-		chaosSuicide(p.Done)
+	if o.chaosArmed && p.Done >= o.chaosExitAt {
+		o.chaosSuicide(p.Done)
 	}
 }
 
 // chaosSuicide dies abruptly at the armed fold seq, once per shard: the
 // O_EXCL stamp file next to the status file records that this shard's
 // injected crash already happened, so the relaunched worker survives.
-func chaosSuicide(seq int) {
-	stamp := statusFlag + ".chaos-fired"
+func (o *options) chaosSuicide(seq int) {
+	stamp := o.status + ".chaos-fired"
 	f, err := os.OpenFile(stamp, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return // stamp exists: this shard already crashed once

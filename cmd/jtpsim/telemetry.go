@@ -18,7 +18,6 @@ package main
 import (
 	"encoding/json"
 	"expvar"
-	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -26,6 +25,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/javelen/jtp/internal/campaign"
@@ -33,38 +33,27 @@ import (
 	"github.com/javelen/jtp/internal/obs"
 )
 
-var (
-	telemetryPath string
-	progressFlag  bool
-	debugAddr     string
+// campaignState is the folded campaign aggregate -debug-addr serves.
+// Progress ticks arrive one at a time (the campaign aggregator
+// serializes them), but the debug HTTP goroutine reads concurrently.
+type campaignState struct {
+	sync.Mutex
+	Campaign   string
+	Done       int
+	Total      int
+	Failures   int
+	RunsPerSec float64
+	ETASeconds float64
+	Elapsed    float64
+	Counters   map[string]float64
+}
 
-	telemetryFile *os.File
-	telemetryEnc  *json.Encoder
-
-	// telState is the folded aggregate served via expvar. OnProgress
-	// ticks arrive one at a time (the campaign aggregator serializes
-	// them), but the debug HTTP goroutine reads concurrently.
-	telState struct {
-		sync.Mutex
-		Campaign   string
-		Done       int
-		Total      int
-		Failures   int
-		RunsPerSec float64
-		ETASeconds float64
-		Elapsed    float64
-		Counters   map[string]float64
-	}
-
-	lastProgressPrint time.Time
-	expvarPublishOnce sync.Once
-)
-
-// addTelemetryFlags registers the telemetry flags on a FlagSet.
-func addTelemetryFlags(fs *flag.FlagSet) {
-	fs.StringVar(&telemetryPath, "telemetry", "", "write per-run telemetry as JSON lines to this file")
-	fs.BoolVar(&progressFlag, "progress", false, "print campaign progress and ETA to stderr")
-	fs.StringVar(&debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :8484)")
+// debugVars is the process-wide expvar publication "jtpsim_campaign".
+// expvar names are global to the process and publish once, so the
+// variable serves the state of the latest debug server started.
+var debugVars struct {
+	once  sync.Once
+	state atomic.Pointer[campaignState]
 }
 
 // telemetryLine is one JSONL record: the run's identity within the
@@ -81,18 +70,18 @@ type telemetryLine struct {
 }
 
 // startTelemetry opens the sinks selected by the flags and wires them
-// into opt. Call stopTelemetry (deferred) to flush.
-func startTelemetry(opt *experiments.Options) error {
-	if telemetryPath != "" {
-		f, err := os.Create(telemetryPath)
+// into opt. Call stopSinks (deferred) to flush.
+func (o *options) startTelemetry(opt *experiments.Options) error {
+	if o.telemetry != "" {
+		f, err := os.Create(o.telemetry)
 		if err != nil {
 			return fmt.Errorf("telemetry: %w", err)
 		}
-		telemetryFile = f
-		telemetryEnc = json.NewEncoder(f)
+		o.telemetryFile = f
+		o.telemetryEnc = json.NewEncoder(f)
 	}
-	if debugAddr != "" {
-		bound, err := startDebugServer(debugAddr)
+	if o.debugAddr != "" {
+		bound, err := startDebugServer(o.debugAddr, &o.state)
 		if err != nil {
 			return fmt.Errorf("debug-addr: %w", err)
 		}
@@ -101,40 +90,44 @@ func startTelemetry(opt *experiments.Options) error {
 	// Counter collection is only worth its (small) cost when something
 	// consumes the counters; a bare -progress ticker needs just the
 	// stream itself.
-	opt.Telemetry = telemetryPath != "" || debugAddr != ""
-	if telemetryPath != "" || progressFlag || debugAddr != "" {
+	opt.Telemetry = o.telemetry != "" || o.debugAddr != ""
+	if opt.Telemetry || o.progress {
 		// Compose with any hook already chained (the -status heartbeat
 		// writer); telemetry first, so a chaos suicide in the status hook
 		// still sees this run's telemetry line flushed.
 		if prev := opt.OnProgress; prev != nil {
 			opt.OnProgress = func(p campaign.Progress) {
-				onCampaignProgress(p)
+				o.onCampaignProgress(p)
 				prev(p)
 			}
 		} else {
-			opt.OnProgress = onCampaignProgress
+			opt.OnProgress = o.onCampaignProgress
 		}
 	}
 	return nil
 }
 
-// stopTelemetry flushes and closes the sinks.
-func stopTelemetry() {
-	if telemetryFile != nil {
-		telemetryFile.Close()
-		fmt.Fprintf(os.Stderr, "jtpsim: wrote telemetry %s\n", telemetryPath)
-		telemetryFile = nil
-		telemetryEnc = nil
+// stopSinks flushes and closes the telemetry and -status sinks.
+func (o *options) stopSinks() {
+	if o.telemetryFile != nil {
+		o.telemetryFile.Close()
+		fmt.Fprintf(os.Stderr, "jtpsim: wrote telemetry %s\n", o.telemetry)
+		o.telemetryFile = nil
+		o.telemetryEnc = nil
+	}
+	if o.statusFile != nil {
+		o.statusFile.Close()
+		o.statusFile = nil
 	}
 }
 
 // onCampaignProgress consumes one tick of the deterministic progress
 // stream: emit the JSONL record, fold into the expvar aggregate, and
 // rate-limit the stderr ticker.
-func onCampaignProgress(p campaign.Progress) {
+func (o *options) onCampaignProgress(p campaign.Progress) {
 	counters := telemetryCounters(p.Sample)
 
-	if telemetryEnc != nil {
+	if o.telemetryEnc != nil {
 		line := telemetryLine{
 			Campaign:    p.Campaign,
 			Index:       p.Spec.Index,
@@ -147,36 +140,37 @@ func onCampaignProgress(p campaign.Progress) {
 		if p.Err != nil {
 			line.Error = p.Err.Error()
 		}
-		if err := telemetryEnc.Encode(line); err != nil {
+		if err := o.telemetryEnc.Encode(line); err != nil {
 			fmt.Fprintf(os.Stderr, "jtpsim: telemetry: %v\n", err)
 		}
 	}
 
-	telState.Lock()
-	telState.Campaign = p.Campaign
-	telState.Done, telState.Total, telState.Failures = p.Done, p.Total, p.Failures
-	telState.RunsPerSec, telState.ETASeconds, telState.Elapsed = p.RunsPerSec, p.ETASeconds, p.ElapsedSeconds
-	if telState.Counters == nil {
-		telState.Counters = map[string]float64{}
+	st := &o.state
+	st.Lock()
+	st.Campaign = p.Campaign
+	st.Done, st.Total, st.Failures = p.Done, p.Total, p.Failures
+	st.RunsPerSec, st.ETASeconds, st.Elapsed = p.RunsPerSec, p.ETASeconds, p.ElapsedSeconds
+	if st.Counters == nil {
+		st.Counters = map[string]float64{}
 	}
 	for k, v := range counters {
 		if obs.IsMax(k) {
-			if v > telState.Counters[k] {
-				telState.Counters[k] = v
-			} else if _, ok := telState.Counters[k]; !ok {
-				telState.Counters[k] = v
+			if v > st.Counters[k] {
+				st.Counters[k] = v
+			} else if _, ok := st.Counters[k]; !ok {
+				st.Counters[k] = v
 			}
 		} else {
-			telState.Counters[k] += v
+			st.Counters[k] += v
 		}
 	}
-	telState.Unlock()
+	st.Unlock()
 
-	if progressFlag {
+	if o.progress {
 		now := time.Now()
 		final := p.Done == p.Total
-		if final || now.Sub(lastProgressPrint) >= 500*time.Millisecond {
-			lastProgressPrint = now
+		if final || now.Sub(o.lastProgressPrint) >= 500*time.Millisecond {
+			o.lastProgressPrint = now
 			fmt.Fprintf(os.Stderr, "jtpsim: %s %d/%d runs (%.1f runs/s, ETA %s, failures %d)\n",
 				p.Campaign, p.Done, p.Total, p.RunsPerSec, formatETA(p.ETASeconds), p.Failures)
 		}
@@ -206,31 +200,33 @@ func formatETA(sec float64) string {
 	return d.String()
 }
 
-// startDebugServer binds addr, publishes the campaign aggregate as the
-// expvar "jtpsim_campaign", and serves the default mux (which carries
+// startDebugServer binds addr, publishes state as the expvar
+// "jtpsim_campaign", and serves the default mux (which carries
 // /debug/pprof from net/http/pprof and /debug/vars from expvar) in the
 // background. Returns the bound address so ":0" works in tests.
-func startDebugServer(addr string) (string, error) {
+func startDebugServer(addr string, state *campaignState) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	expvarPublishOnce.Do(func() {
+	debugVars.state.Store(state)
+	debugVars.once.Do(func() {
 		expvar.Publish("jtpsim_campaign", expvar.Func(func() any {
-			telState.Lock()
-			defer telState.Unlock()
-			counters := make(map[string]float64, len(telState.Counters))
-			for k, v := range telState.Counters {
+			st := debugVars.state.Load()
+			st.Lock()
+			defer st.Unlock()
+			counters := make(map[string]float64, len(st.Counters))
+			for k, v := range st.Counters {
 				counters[k] = v
 			}
 			return map[string]any{
-				"campaign":     telState.Campaign,
-				"done":         telState.Done,
-				"total":        telState.Total,
-				"failures":     telState.Failures,
-				"runs_per_sec": telState.RunsPerSec,
-				"eta_seconds":  telState.ETASeconds,
-				"elapsed":      telState.Elapsed,
+				"campaign":     st.Campaign,
+				"done":         st.Done,
+				"total":        st.Total,
+				"failures":     st.Failures,
+				"runs_per_sec": st.RunsPerSec,
+				"eta_seconds":  st.ETASeconds,
+				"elapsed":      st.Elapsed,
 				"counters":     counters,
 			}
 		}))

@@ -15,7 +15,8 @@ import (
 // exposes the folded campaign state the way a mid-campaign curl would
 // see it (the PR's acceptance probe).
 func TestDebugServerServesCampaignState(t *testing.T) {
-	onCampaignProgress(campaign.Progress{
+	var o options
+	o.onCampaignProgress(campaign.Progress{
 		Campaign: "debug-test",
 		Sample: campaign.Sample{
 			"goodput": 1,
@@ -24,7 +25,7 @@ func TestDebugServerServesCampaignState(t *testing.T) {
 		},
 		Done: 3, Total: 10, RunsPerSec: 5, ETASeconds: 1.4,
 	})
-	onCampaignProgress(campaign.Progress{
+	o.onCampaignProgress(campaign.Progress{
 		Campaign: "debug-test",
 		Sample: campaign.Sample{
 			campaign.TelemetryPrefix + "sim_events_fired":    500,
@@ -33,7 +34,7 @@ func TestDebugServerServesCampaignState(t *testing.T) {
 		Done: 4, Total: 10, RunsPerSec: 6, ETASeconds: 1.0,
 	})
 
-	addr, err := startDebugServer("127.0.0.1:0")
+	addr, err := startDebugServer("127.0.0.1:0", &o.state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestDebugServerServesCampaignState(t *testing.T) {
 
 	// expvar.Publish panics on duplicate names; a second server (e.g. a
 	// retried -debug-addr) must reuse the registration.
-	if _, err := startDebugServer("127.0.0.1:0"); err != nil {
+	if _, err := startDebugServer("127.0.0.1:0", &o.state); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,7 +93,7 @@ func TestDebugServerServesCampaignState(t *testing.T) {
 		defer wg.Done()
 		http.Get("http://" + addr + "/debug/vars")
 	}()
-	onCampaignProgress(campaign.Progress{Campaign: "debug-test", Done: 5, Total: 10})
+	o.onCampaignProgress(campaign.Progress{Campaign: "debug-test", Done: 5, Total: 10})
 	wg.Wait()
 }
 

@@ -68,7 +68,8 @@ func (d *driver) Attach(nw *node.Network, nc transport.NetConfig) error {
 	return nil
 }
 
-// Plugins exposes the installed iJTP plugins for probes (Hooks.Plugin).
+// Plugins exposes the installed iJTP plugins, in node id order, for the
+// harness's end-of-run collection.
 func (d *driver) Plugins() []*ijtp.Plugin { return d.plugins }
 
 // ExclusiveKey marks the iJTP plugin set: "jtp" and "jnc" both install

@@ -32,16 +32,6 @@ type ReceiverStats struct {
 	Forgiven uint64
 }
 
-// MonitorSample is one path-monitor observation, exported for the Fig 8
-// time-series plots.
-type MonitorSample struct {
-	T        float64 // seconds
-	Reported float64 // the raw sample (min available rate stamped in header)
-	Mean     float64 // EWMA after folding the sample in
-	LCL, UCL float64 // control limits before the sample
-	Event    flipflop.Event
-}
-
 // Receiver is the destination side of a JTP connection: the path monitor,
 // the PI²/MD rate controller, the energy-budget controller, and the
 // feedback scheduler all live here (§5: "the receiver is fully
@@ -66,6 +56,9 @@ type Receiver struct {
 
 	rateMon   *flipflop.Filter
 	energyMon *flipflop.Filter
+	// shifts are the instants, in seconds, at which the rate monitor
+	// declared a persistent change (Fig 8).
+	shifts []float64
 
 	feedbackRef  sim.EventRef
 	lastFeedback sim.Time
@@ -79,8 +72,6 @@ type Receiver struct {
 
 	stats ReceiverStats
 
-	// OnRateSample observes every path-monitor observation (Fig 8).
-	OnRateSample func(MonitorSample)
 	// OnDeliver fires on every unique in-order-agnostic delivery.
 	OnDeliver func(seq uint32, at sim.Time)
 }
@@ -110,7 +101,7 @@ func (r *Receiver) Stats() ReceiverStats { return r.stats }
 // Rate returns the controller's current mandated sending rate.
 func (r *Receiver) Rate() float64 { return r.rate }
 
-// RateMonitor exposes the path monitor (tests, Fig 8).
+// RateMonitor exposes the path monitor (tests).
 func (r *Receiver) RateMonitor() *flipflop.Filter { return r.rateMon }
 
 // EnergyMonitor exposes the per-packet energy monitor.
@@ -190,15 +181,8 @@ func (r *Receiver) observeRate(sample float64, now sim.Time) {
 		// no iJTP in between would leave the sentinel; ignore).
 		return
 	}
-	lcl, ucl := r.rateMon.Limits()
-	ev := r.rateMon.Observe(sample)
-	if r.OnRateSample != nil {
-		r.OnRateSample(MonitorSample{
-			T: now.Seconds(), Reported: sample, Mean: r.rateMon.Mean(),
-			LCL: lcl, UCL: ucl, Event: ev,
-		})
-	}
-	if ev == flipflop.Shift {
+	if r.rateMon.Observe(sample) == flipflop.Shift {
+		r.shifts = append(r.shifts, now.Seconds())
 		r.earlyFeedback()
 	}
 }
@@ -433,6 +417,7 @@ func (r *Receiver) Record(fr *metrics.FlowRecord) {
 	r.Sink.Record(fr)
 	fr.CacheRecovered = r.stats.CacheRecoveredSeen
 	fr.AcksSent = r.stats.AcksSent
+	fr.RateShifts = r.shifts
 }
 
 // String summarizes the receiver.

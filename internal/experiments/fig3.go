@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/core"
-	"github.com/javelen/jtp/internal/ijtp"
 	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/packet"
 )
 
 // Fig3Config parameterizes the adjustable-reliability experiment (§3):
@@ -113,59 +113,98 @@ func Fig3(cfg Fig3Config) Figure {
 	}
 }
 
-// Fig3RtxSample is one observation of the per-packet link-layer attempt
-// budget set by iJTP at a mid-path node — exactly what Fig 3(c) plots.
-type Fig3RtxSample struct {
-	T        float64 // seconds
-	Attempts int
-	Seq      uint32
+// Fig3cConfig parameterizes the attempt-budget trace of Fig 3(c): one
+// bulk transfer per loss tolerance over a 4-node chain.
+type Fig3cConfig struct {
+	// TransferPackets is the transfer size in packets.
+	TransferPackets int
+	// Seed is the seed of every run.
+	Seed int64
 }
 
-// Fig3cResult is the Fig 3(c) trace for one reliability level.
-type Fig3cResult struct {
-	LossTolerance float64
-	NodeIndex     int
-	Samples       []Fig3RtxSample
-}
-
-// Fig3c traces the maximum number of link-layer transmissions iJTP sets
-// for each packet at the third node of a 4-node chain, for jtp10 and
-// jtp20. (jtp0 is omitted as in the paper: it always gets MAX_ATTEMPTS.)
-func Fig3c(transferPackets int, seed int64) []*Fig3cResult {
-	var out []*Fig3cResult
-	const nodeIdx = 2 // third node on the path (0-based), as in the paper
-	for _, lt := range []float64{0.10, 0.20} {
-		res := &Fig3cResult{LossTolerance: lt, NodeIndex: nodeIdx}
-		must(RunWithHooks(Scenario{
-			Name:    "fig3c",
-			Proto:   JTP,
-			Topo:    Linear,
-			Nodes:   4,
-			Seconds: 3000,
-			Seed:    seed,
-			Flows: []FlowSpec{{
-				Src: 0, Dst: 3, StartAt: 50,
-				TotalPackets:  transferPackets,
-				LossTolerance: lt,
-			}},
-		}, Hooks{
-			Plugin: func(id packet.NodeID, pl *ijtp.Plugin) {
-				if int(id) != nodeIdx {
-					return
-				}
-				pl.OnSetAttempts = func(p *packet.Packet, attempts int) {
-					if p.Type != packet.Data {
-						return
-					}
-					res.Samples = append(res.Samples, Fig3RtxSample{
-						T:        float64(p.Seq), // indexed by packet as a proxy for time
-						Attempts: attempts,
-						Seq:      p.Seq,
-					})
-				}
-			},
-		}))
-		out = append(out, res)
+// Fig3cDefaults returns the experiment at the given scale.
+func Fig3cDefaults(scale float64) Fig3cConfig {
+	pkts := int(300 * scale)
+	if pkts < 100 {
+		pkts = 100
 	}
-	return out
+	return Fig3cConfig{TransferPackets: pkts, Seed: 33}
+}
+
+// fig3cNode is the node Fig 3(c) watches: the third on the path, as in
+// the paper.
+const fig3cNode = 2
+
+// attemptsObs names the observable counting the DATA packets granted m
+// attempts at the watched node.
+func attemptsObs(m int) string { return "attempts_" + strconv.Itoa(m) }
+
+// Fig3c reproduces Fig 3(c): the number of link-layer transmissions
+// iJTP allows each packet at the third node of a 4-node chain, for jtp10
+// and jtp20, as a histogram over the transfer. (jtp0 is omitted as in
+// the paper: it always gets MAX_ATTEMPTS.)
+func Fig3c(cfg Fig3cConfig) Figure {
+	return Figure{
+		Matrix: campaign.Matrix{
+			Name:   "fig3c",
+			Axes:   []campaign.Axis{{Name: "lossTol", Values: campaign.Floats(0.10, 0.20)}},
+			SeedFn: runSeeds(cfg.Seed, 0),
+		},
+		Scenario: func(cell campaign.Cell, seed int64) Scenario {
+			return Scenario{
+				Name:    "fig3c",
+				Proto:   JTP,
+				Topo:    Linear,
+				Nodes:   4,
+				Seconds: 3000,
+				Seed:    seed,
+				Flows: []FlowSpec{{
+					Src: 0, Dst: 3, StartAt: 50,
+					TotalPackets:  cfg.TransferPackets,
+					LossTolerance: cell.Float("lossTol"),
+				}},
+			}
+		},
+		Sample: func(rec *metrics.RunRecord) campaign.Sample {
+			s := campaign.Sample{}
+			for m, n := range rec.AttemptBudgets[fig3cNode] {
+				if m > 0 {
+					s[attemptsObs(m)] = float64(n)
+				}
+			}
+			return s
+		},
+		Tables: func(rep *campaign.Report) []*metrics.Table {
+			var out []*metrics.Table
+			for _, c := range rep.Cells {
+				t := metrics.NewTable(
+					fmt.Sprintf("Fig 3(c): max link-layer transmissions per packet, node %d, jtp%d",
+						fig3cNode+1, int(c.Cell.Float("lossTol")*100)),
+					"attempts", "bar", "pkts")
+				counts := make([]int, len(c.Observables())+1)
+				total := 0
+				for m := 1; m < len(counts); m++ {
+					r := c.Running(attemptsObs(m))
+					counts[m] = int(r.Sum())
+					total += counts[m]
+				}
+				for m, n := range counts {
+					if n > 0 {
+						t.AddRow(m, bar(n, total), n)
+					}
+				}
+				out = append(out, t)
+			}
+			return out
+		},
+	}
+}
+
+// bar draws n of total as a row of up to 50 '#', at least one when n > 0.
+func bar(n, total int) string {
+	w := n * 50 / total
+	if w == 0 && n > 0 {
+		w = 1
+	}
+	return strings.Repeat("#", w)
 }

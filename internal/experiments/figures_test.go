@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/javelen/jtp/internal/campaign"
+	"github.com/javelen/jtp/internal/ijtp"
 )
 
 // The tests in this file run scaled-down versions of every experiment and
@@ -76,41 +77,40 @@ func TestFig3ReliabilityShape(t *testing.T) {
 	}
 }
 
+// fig3cTestCfg is the Fig 3(c) configuration of the shape and
+// equivalence tests.
+func fig3cTestCfg() Fig3cConfig { return Fig3cConfig{TransferPackets: 150, Seed: 33} }
+
 func TestFig3cAttemptControl(t *testing.T) {
-	results := Fig3c(150, 33)
-	if len(results) != 2 {
-		t.Fatalf("want 2 traces, got %d", len(results))
-	}
-	for _, res := range results {
-		if len(res.Samples) == 0 {
-			t.Fatalf("lt=%.2f: no attempt samples at node %d", res.LossTolerance, res.NodeIndex)
-		}
-		min, max := 99, 0
-		for _, s := range res.Samples {
-			if s.Attempts < min {
-				min = s.Attempts
+	fig := Fig3c(fig3cTestCfg())
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
+	// avg is the mean attempt budget granted at the watched node.
+	avg := make(map[float64]float64)
+	for _, c := range rep.Cells {
+		lt := c.Cell.Float("lossTol")
+		var levels, pkts, sum float64
+		for m := 1; m < len(ijtp.Counters{}.Granted); m++ {
+			r := c.Running(attemptsObs(m))
+			if n := r.Sum(); n > 0 {
+				if m > 5 {
+					t.Errorf("lt=%.2f: %v packets granted %d attempts, beyond MAX_ATTEMPTS", lt, n, m)
+				}
+				levels++
+				pkts += n
+				sum += n * float64(m)
 			}
-			if s.Attempts > max {
-				max = s.Attempts
-			}
 		}
-		t.Logf("lt=%.2f: %d samples, attempts range [%d,%d]", res.LossTolerance, len(res.Samples), min, max)
-		if min < 1 || max > 5 {
-			t.Errorf("lt=%.2f: attempts out of [1,MAX_ATTEMPTS]: [%d,%d]", res.LossTolerance, min, max)
+		if pkts == 0 {
+			t.Fatalf("lt=%.2f: no attempt budgets granted at node %d", lt, fig3cNode)
 		}
-		if max == min {
-			t.Errorf("lt=%.2f: attempts never varied (link-quality adaptation not visible)", res.LossTolerance)
+		if levels < 2 {
+			t.Errorf("lt=%.2f: attempts never varied (link-quality adaptation not visible)", lt)
 		}
+		avg[lt] = sum / pkts
 	}
 	// Higher tolerance must not request more effort on average.
-	avg := func(r *Fig3cResult) float64 {
-		sum := 0.0
-		for _, s := range r.Samples {
-			sum += float64(s.Attempts)
-		}
-		return sum / float64(len(r.Samples))
-	}
-	if a10, a20 := avg(results[0]), avg(results[1]); a10 < a20 {
+	if a10, a20 := avg[0.10], avg[0.20]; a10 < a20 {
 		t.Errorf("jtp10 avg attempts %.2f < jtp20 %.2f (lower tolerance should work at least as hard)", a10, a20)
 	}
 }
@@ -136,25 +136,21 @@ func TestFig4CachingShape(t *testing.T) {
 	}
 }
 
+// fig5TestCfg is the Fig 5 configuration of the shape and equivalence
+// tests.
+func fig5TestCfg() Fig5Config { return Fig5Config{Nodes: 6, Seconds: 1200, BinSeconds: 20, Seed: 51} }
+
 func TestFig5BackoffShape(t *testing.T) {
-	cfg := Fig5Config{Nodes: 6, Seconds: 1200, BinSeconds: 20, Seed: 51}
-	results := Fig5(cfg)
-	t.Logf("\n%s", Fig5Summary(results))
-	var with, without *Fig5Result
-	for _, r := range results {
-		if r.Backoff {
-			with = r
-		} else {
-			without = r
-		}
-	}
-	if with == nil || without == nil {
-		t.Fatal("missing backoff variants")
+	fig := Fig5(fig5TestCfg())
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
+	ratio := func(backoff bool) float64 {
+		c := findCell(t, rep, "backoff", backoff)
+		return mean(c, obsFlow2PPS) / mean(c, obsFlow1PPS)
 	}
 	// Without back-off the reliable flow (flow 2) grabs a larger share
 	// relative to the UDP-like flow than with back-off.
-	ratioWith := with.MeanRate[1] / with.MeanRate[0]
-	ratioWithout := without.MeanRate[1] / without.MeanRate[0]
+	ratioWith, ratioWithout := ratio(true), ratio(false)
 	t.Logf("flow2/flow1 with backoff %.3f, without %.3f", ratioWith, ratioWithout)
 	if ratioWithout <= ratioWith {
 		t.Errorf("backoff had no fairness effect: with=%.3f without=%.3f", ratioWith, ratioWithout)
@@ -198,28 +194,26 @@ func TestFig7FeedbackShape(t *testing.T) {
 	}
 }
 
+// fig8TestCfg is the Fig 8 configuration of the shape and equivalence
+// tests: flow 2 lives from 400 to 650 s of a 900 s run.
+func fig8TestCfg() Fig8Config {
+	return Fig8Config{Nodes: 6, Flow2Start: 400, Flow2End: 650, Seconds: 900, BinSeconds: 10, Seed: 81}
+}
+
 func TestFig8RateAdaptationShape(t *testing.T) {
-	cfg := Fig8Config{
-		Nodes:      6,
-		Flow2Start: 400,
-		Flow2End:   650,
-		Seconds:    900,
-		BinSeconds: 10,
-		Seed:       81,
-	}
-	res := Fig8(cfg)
-	t.Logf("\n%s", Fig8Summary(res, cfg))
-	before := res.Throughput[0].Between(200, cfg.Flow2Start).Mean()
-	during := res.Throughput[0].Between(cfg.Flow2Start+50, cfg.Flow2End).Mean()
-	after := res.Throughput[0].Between(cfg.Flow2End+100, cfg.Seconds).Mean()
+	fig := Fig8(fig8TestCfg())
+	rep := figureReport(t, fig, Options{})
+	t.Logf("\n%s", tablesCSV(fig.Tables(rep)...))
+	c := rep.Cells[0]
+	before, during, after := mean(c, obsFlow1PPS+"_before"), mean(c, obsFlow1PPS+"_during"), mean(c, obsFlow1PPS+"_after")
 	if during >= before {
-		t.Errorf("flow1 did not back off while flow2 active: before=%.2f during=%.2f", before, during)
+		t.Errorf("flow1 did not back off while flow2 active: before=%.3f during=%.3f", before, during)
 	}
 	if after <= during {
-		t.Errorf("flow1 did not recover after flow2 ended: during=%.2f after=%.2f", during, after)
+		t.Errorf("flow1 did not recover after flow2 ended: during=%.3f after=%.3f", during, after)
 	}
-	if res.Reported.Len() == 0 || res.Mean.Len() == 0 {
-		t.Error("monitor series empty")
+	if mean(c, "shifts_before")+mean(c, "shifts_during")+mean(c, "shifts_after") == 0 {
+		t.Error("the rate monitor never shifted")
 	}
 }
 

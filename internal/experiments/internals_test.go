@@ -55,19 +55,6 @@ func TestRateBin(t *testing.T) {
 	}
 }
 
-func TestCumulativeRate(t *testing.T) {
-	s := &stats.Series{}
-	for i := 0; i <= 10; i++ {
-		s.Add(float64(i), 1)
-	}
-	c := cumulativeRate(s)
-	last := c.Samples[len(c.Samples)-1]
-	// 11 deliveries over 10 s ≈ 1.1 pps.
-	if math.Abs(last.V-1.1) > 0.01 {
-		t.Fatalf("long-term rate = %v", last.V)
-	}
-}
-
 func TestScenarioDeterminism(t *testing.T) {
 	run := func() (float64, uint64) {
 		rec := must(Run(Scenario{

@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§3–§6). Each FigN/TableN function builds the scenario the
-// paper describes, runs it on the simulated JAVeLEN substrate, and
-// returns paper-style rows/series. The cmd/jtpsim CLI and the repository
-// benchmarks are thin wrappers over this package.
+// evaluation (§3–§6). Each FigN/TableN function declares a Figure: the
+// campaign of scenarios the paper describes, run on the simulated
+// JAVeLEN substrate, and its projection onto paper-style tables. The
+// cmd/jtpsim CLI and the repository benchmarks are thin wrappers over
+// this package.
 //
 // Transports are never named in the assembly code: every protocol under
 // test reaches the harness through the internal/transport driver
@@ -167,22 +168,11 @@ type NodeEvent struct {
 	Down bool
 }
 
-// Hooks lets figure code attach probes before the run starts.
+// Hooks lets a caller attach a probe (a packet tracer, an invariant
+// checker) before the run starts.
 type Hooks struct {
 	// Network runs after the network is built and started.
 	Network func(nw *node.Network)
-	// JTPConn runs for each JTP connection after construction, keyed by
-	// flow index.
-	JTPConn func(i int, conn *core.Connection)
-	// Plugin runs for each node's iJTP plugin (JTP/JNC runs only).
-	Plugin func(id packet.NodeID, pl *ijtp.Plugin)
-}
-
-// empty reports whether no probes are attached. Engine recycling is
-// gated on it — a hook may leak connections (and so engine references)
-// to the caller — so every field added to Hooks MUST be checked here.
-func (h Hooks) empty() bool {
-	return h.Network == nil && h.JTPConn == nil && h.Plugin == nil
 }
 
 // scheduledFlow guards a dialed transport flow against double-start
@@ -253,15 +243,15 @@ func Run(sc Scenario) (*metrics.RunRecord, error) { return RunWithHooks(sc, Hook
 // RunWithHooks executes the scenario with probes attached. Hook-free runs
 // recycle their engine: once Run has collected the record nothing can
 // reach the substrate, so the engine (its event slab in particular) goes
-// back to the pool for the worker's next run. Runs with hooks — figure
-// probes may retain connections — keep their engine for the GC.
+// back to the pool for the worker's next run. Runs with a hook — it may
+// retain the network — keep their engine for the GC.
 func RunWithHooks(sc Scenario, hooks Hooks) (*metrics.RunRecord, error) {
 	b, err := BuildScenario(sc, hooks)
 	if err != nil {
 		return nil, err
 	}
 	rec := b.Run()
-	if hooks.empty() {
+	if hooks.Network == nil {
 		eng := b.sub.Engine
 		b.sub = nil
 		// Drop the pending-event handlers now, not at the next acquire:
@@ -271,16 +261,6 @@ func RunWithHooks(sc Scenario, hooks Hooks) (*metrics.RunRecord, error) {
 		enginePool.Put(eng)
 	}
 	return rec, nil
-}
-
-// must unwraps a Run/RunWithHooks result for scenarios whose validity
-// is static — figure code with compile-time protocol constants. Any
-// error there is a programming bug, so it panics.
-func must(rec *metrics.RunRecord, err error) *metrics.RunRecord {
-	if err != nil {
-		panic(err.Error()) // already "experiments:"-prefixed
-	}
-	return rec
 }
 
 // Assemble builds the scenario's network without starting it: it
@@ -398,14 +378,6 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 		return nil, err
 	}
 	eng, nw, drv := sub.Engine, sub.Network, sub.Driver
-	if hooks.Plugin != nil {
-		if pp, ok := drv.(interface{ Plugins() []*ijtp.Plugin }); ok {
-			for _, pl := range pp.Plugins() {
-				hooks.Plugin(pl.ID(), pl)
-			}
-		}
-	}
-
 	sub.Start()
 	for _, ev := range sc.Events {
 		ev := ev
@@ -447,11 +419,6 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 		fl, err := drv.OpenFlow(tSpec)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenario %q: flow %d (%s): %w", sc.Name, i, drv.Name(), err)
-		}
-		if hooks.JTPConn != nil {
-			if cc, ok := fl.(interface{ Conn() *core.Connection }); ok {
-				hooks.JTPConn(i, cc.Conn())
-			}
 		}
 		sf := &scheduledFlow{flow: fl}
 		b.flows = append(b.flows, sf)
@@ -576,6 +543,9 @@ func (b *BuiltScenario) Run() *metrics.RunRecord {
 		rec.CacheHits = ns.CacheHits
 		rec.CacheInserts = ns.CacheInserts
 	}
+	if pp, ok := b.sub.Driver.(pluginHost); ok {
+		rec.AttemptBudgets = attemptBudgets(pp.Plugins())
+	}
 	for _, sf := range b.flows {
 		rec.Flows = append(rec.Flows, sf.flow.Stats())
 	}
@@ -584,6 +554,23 @@ func (b *BuiltScenario) Run() *metrics.RunRecord {
 		rec.Telemetry = b.sc.Obs.Snapshot()
 	}
 	return rec
+}
+
+// pluginHost is a driver that installs iJTP plugins (JTP and JNC).
+type pluginHost interface{ Plugins() []*ijtp.Plugin }
+
+// attemptBudgets copies each node's granted-attempts histogram, in node
+// id order (plugins install in node id order), into one backing array.
+func attemptBudgets(pls []*ijtp.Plugin) [][]uint64 {
+	buckets := len(ijtp.Counters{}.Granted)
+	flat := make([]uint64, len(pls)*buckets)
+	out := make([][]uint64, len(pls))
+	for i, pl := range pls {
+		out[i] = flat[i*buckets : (i+1)*buckets : (i+1)*buckets]
+		g := pl.Counters().Granted
+		copy(out[i], g[:])
+	}
+	return out
 }
 
 // collectObs adds the end-of-run telemetry to the registry: everything
@@ -634,7 +621,7 @@ func (b *BuiltScenario) collectObs(reg *obs.Registry) {
 	reg.Counter("energy_rx_events").Add(rxN)
 
 	// iJTP soft state, per cache replacement policy (JTP/JNC runs only).
-	if pp, ok := b.sub.Driver.(interface{ Plugins() []*ijtp.Plugin }); ok {
+	if pp, ok := b.sub.Driver.(pluginHost); ok {
 		for _, pl := range pp.Plugins() {
 			c := pl.Counters()
 			reg.Counter("ijtp_cache_served").Add(c.CacheServed)

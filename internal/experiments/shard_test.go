@@ -98,3 +98,46 @@ func TestBatchCheckpointResumeMatchesClean(t *testing.T) {
 		t.Fatalf("resumed run differs from plain run:\n%s\nvs\n%s", got, wantCSV)
 	}
 }
+
+// TestOneRunFiguresShardAndParEquivalence holds table1, fig3c, fig5 and
+// fig8, the figures of one run per cell, to the campaign contract:
+// their tables render the same bytes at par 1 and par 4, and from the
+// merge of shards 0/2 and 1/2 as from the unsharded run.
+func TestOneRunFiguresShardAndParEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fig  Figure
+	}{
+		{"table1", Table1()},
+		{"fig3c", Fig3c(fig3cTestCfg())},
+		{"fig5", Fig5(fig5TestCfg())},
+		{"fig8", Fig8(fig8TestCfg())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := figureCSV(t, tc.fig, workers(1))
+			if got := figureCSV(t, tc.fig, workers(4)); !bytes.Equal(got, want) {
+				t.Fatalf("par 4 differs from par 1:\n%s\nvs\n%s", got, want)
+			}
+			dir := t.TempDir()
+			var files []*campaign.ShardFile
+			for i := 0; i < 2; i++ {
+				opt := workers(2)
+				opt.Shard = campaign.Shard{Index: i, Of: 2}
+				opt.ShardOut = filepath.Join(dir, fmt.Sprintf("s%d.json", i))
+				figureReport(t, tc.fig, opt)
+				f, err := campaign.ReadShardFile(opt.ShardOut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			merged, err := campaign.MergeReports(files...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tablesCSV(tc.fig.Tables(merged)...); !bytes.Equal(got, want) {
+				t.Fatalf("merged shards differ from the unsharded run:\n%s\nvs\n%s", got, want)
+			}
+		})
+	}
+}

@@ -2,7 +2,18 @@ package experiments
 
 import (
 	"testing"
+
+	"github.com/javelen/jtp/internal/metrics"
 )
+
+// must unwraps a Run result for a scenario that is valid by
+// construction: any error is a bug in the test.
+func must(rec *metrics.RunRecord, err error) *metrics.RunRecord {
+	if err != nil {
+		panic(err.Error()) // already "experiments:"-prefixed
+	}
+	return rec
+}
 
 // TestSmokeJTPLinearTransfer runs one fixed-size JTP transfer over a
 // 5-node chain and checks it completes with full reliability.

@@ -122,6 +122,20 @@ func table2Scenario(proto Protocol, cfg Table2Config, seed int64) Scenario {
 	}
 }
 
+// Table1 is Table 1, the default parameter values, as a one-cell
+// Figure. Its one run is the cheapest valid scenario, two idle nodes
+// for a second; the table does not read it.
+func Table1() Figure {
+	return Figure{
+		Matrix: campaign.Matrix{Name: "table1"},
+		Scenario: func(_ campaign.Cell, seed int64) Scenario {
+			return Scenario{Name: "table1", Proto: JTP, Nodes: 2, Seconds: 1, Seed: seed}
+		},
+		Sample: func(*metrics.RunRecord) campaign.Sample { return campaign.Sample{} },
+		Tables: func(*campaign.Report) []*metrics.Table { return []*metrics.Table{Defaults()} },
+	}
+}
+
 // Defaults renders Table 1: the default parameter values.
 func Defaults() *metrics.Table {
 	t := metrics.NewTable("Table 1: parameters' default value", "parameter", "value")

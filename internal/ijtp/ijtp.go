@@ -128,6 +128,11 @@ type Counters struct {
 	AlreadyRecovered uint64
 	// DeadlineDrops counts real-time packets dropped past their deadline.
 	DeadlineDrops uint64
+	// Granted is the histogram of the attempt budgets granted to DATA
+	// packets on their first transmission at this node (Fig 3(c)):
+	// Granted[m] packets got m attempts. Budgets of len(Granted)-1 or
+	// more share the last bucket.
+	Granted [8]uint64
 }
 
 // Plugin is one node's iJTP instance. Install it on the node's MAC.
@@ -145,10 +150,6 @@ type Plugin struct {
 	// dropped instead of consuming further transmissions (§2.1.1's
 	// deadline field).
 	Clock func() float64
-
-	// OnSetAttempts, when non-nil, observes every per-packet attempt
-	// computation: Fig 3(c) plots exactly this value over time.
-	OnSetAttempts func(p *packet.Packet, attempts int)
 }
 
 // New returns the plugin for node id.
@@ -309,9 +310,7 @@ func (pl *Plugin) PreXmit(fr *mac.Frame, link mac.LinkInfo) mac.Verdict {
 		}
 		attempts := MaxAttemptsFor(q, lossRate, pl.cfg.MaxAttempts)
 		fr.MaxAttempts = attempts
-		if pl.OnSetAttempts != nil {
-			pl.OnSetAttempts(p, attempts)
-		}
+		pl.count.Granted[min(attempts, len(pl.count.Granted)-1)]++
 		// Achieved per-link success with the granted attempts:
 		// q_i = 1 − p^M_i (footnote 6).
 		if !pl.cfg.StaticTolerance {

@@ -188,15 +188,13 @@ func TestPreXmitZeroBudgetUnlimited(t *testing.T) {
 
 func TestPreXmitSetsAttemptsAndTolerance(t *testing.T) {
 	pl := New(1, Defaults(), fakeView{hops: 2}, nil)
-	var observed int
-	pl.OnSetAttempts = func(_ *packet.Packet, a int) { observed = a }
 	p := dataPkt(1) // lt = 0.2, 2 hops remain
 	fr := &mac.Frame{Seg: p, MaxAttempts: 1}
 	link := mac.LinkInfo{FirstAttempt: true, AttemptCost: 1e-4, LossRate: 0.3, AvailRate: 5}
 	pl.PreXmit(fr, link)
 	// q = (0.8)^(1/2) ≈ 0.894; with p=0.3: m = ceil(log(0.106)/log(0.3)) = 2.
-	if fr.MaxAttempts != 2 || observed != 2 {
-		t.Fatalf("attempts = %d (observed %d), want 2", fr.MaxAttempts, observed)
+	if g := pl.Counters().Granted; fr.MaxAttempts != 2 || g != [8]uint64{2: 1} {
+		t.Fatalf("attempts = %d (granted %v), want 2", fr.MaxAttempts, g)
 	}
 	// qi = 1−0.3² = 0.91 > q, so downstream tolerance loosens relative
 	// to naive split but keeps the e2e invariant: lt' = 1−0.8/0.91.

@@ -39,6 +39,9 @@ type FlowRecord struct {
 	Duplicates uint64
 	// Reception is the per-delivery time series (V=1 per unique packet).
 	Reception *stats.Series
+	// RateShifts are the instants, in seconds, at which the receiver's
+	// path monitor declared a persistent rate change (JTP only; Fig 8).
+	RateShifts []float64
 }
 
 // ActiveSeconds returns the flow's active time: start to completion, or
@@ -99,6 +102,11 @@ type RunRecord struct {
 	CacheHits uint64
 	// CacheInserts counts cache insertions across the system.
 	CacheInserts uint64
+	// AttemptBudgets is, per node id, the histogram of the link-layer
+	// attempt budgets iJTP granted DATA packets on their first
+	// transmission there (Fig 3(c)): AttemptBudgets[n][m] packets got m
+	// attempts at node n. Nil when the run's protocol has no iJTP.
+	AttemptBudgets [][]uint64
 	// Telemetry is the run's obs-registry snapshot when the run executed
 	// with telemetry attached (nil otherwise). Keys follow the obs naming
 	// scheme; values merge across runs per obs.Merge.
