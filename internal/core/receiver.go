@@ -71,9 +71,6 @@ type Receiver struct {
 	feedbackFn sim.Handler
 
 	stats ReceiverStats
-
-	// OnDeliver fires on every unique in-order-agnostic delivery.
-	OnDeliver func(seq uint32, at sim.Time)
 }
 
 // NewReceiver builds (but does not start) the destination side.
@@ -100,9 +97,6 @@ func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
 // Rate returns the controller's current mandated sending rate.
 func (r *Receiver) Rate() float64 { return r.rate }
-
-// RateMonitor exposes the path monitor (tests).
-func (r *Receiver) RateMonitor() *flipflop.Filter { return r.rateMon }
 
 // EnergyMonitor exposes the per-packet energy monitor.
 func (r *Receiver) EnergyMonitor() *flipflop.Filter { return r.energyMon }
@@ -167,9 +161,6 @@ func (r *Receiver) processData(p *packet.Packet) {
 		r.owed = slices.Delete(r.owed, i, i+1)
 	}
 	r.Take(p.Seq, p.PayloadLen)
-	if r.OnDeliver != nil {
-		r.OnDeliver(p.Seq, now)
-	}
 	r.advanceCum()
 	r.checkDone()
 }

@@ -175,27 +175,12 @@ type Hooks struct {
 	Network func(nw *node.Network)
 }
 
-// scheduledFlow guards a dialed transport flow against double-start
-// (a StopAt flow may be re-scheduled by figure code).
-type scheduledFlow struct {
-	flow    transport.Flow
-	started bool
-}
-
-func (s *scheduledFlow) start() {
-	if s.started {
-		return
-	}
-	s.started = true
-	s.flow.Start()
-}
-
 // BuiltScenario is a fully assembled run: substrate started, driver
 // attached, flows dialed and scheduled. Run advances time and collects.
 type BuiltScenario struct {
 	sc    Scenario
 	sub   *Substrate
-	flows []*scheduledFlow
+	flows []transport.Flow
 }
 
 // Substrate is an assembled network that has not started: the engine,
@@ -420,10 +405,8 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenario %q: flow %d (%s): %w", sc.Name, i, drv.Name(), err)
 		}
-		sf := &scheduledFlow{flow: fl}
-		b.flows = append(b.flows, sf)
-
-		eng.Schedule(sim.DurationOf(spec.StartAt), sf.start)
+		b.flows = append(b.flows, fl)
+		eng.Schedule(sim.DurationOf(spec.StartAt), fl.Start)
 		if spec.StopAt > spec.StartAt && spec.StopAt > 0 {
 			eng.Schedule(sim.DurationOf(spec.StopAt), fl.Stop)
 		}
@@ -506,13 +489,7 @@ func (sc *Scenario) validateNetwork() error {
 func (b *BuiltScenario) Engine() *sim.Engine { return b.sub.Engine }
 
 // Flows returns the dialed transport flows in scenario order.
-func (b *BuiltScenario) Flows() []transport.Flow {
-	out := make([]transport.Flow, len(b.flows))
-	for i, sf := range b.flows {
-		out[i] = sf.flow
-	}
-	return out
-}
+func (b *BuiltScenario) Flows() []transport.Flow { return b.flows }
 
 // Run advances virtual time to the scenario's end and aggregates the
 // RunRecord from the network, the driver's in-network counters, and the
@@ -546,8 +523,8 @@ func (b *BuiltScenario) Run() *metrics.RunRecord {
 	if pp, ok := b.sub.Driver.(pluginHost); ok {
 		rec.AttemptBudgets = attemptBudgets(pp.Plugins())
 	}
-	for _, sf := range b.flows {
-		rec.Flows = append(rec.Flows, sf.flow.Stats())
+	for _, fl := range b.flows {
+		rec.Flows = append(rec.Flows, fl.Stats())
 	}
 	if b.sc.Obs != nil {
 		b.collectObs(b.sc.Obs)
