@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -524,6 +525,16 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 			t.Errorf("%s: resume accepted", name)
 		}
 	}
+	renamed := m
+	renamed.Name = "other"
+	if _, err := Execute(context.Background(), renamed, Options{Checkpoint: ck}, seededRun); err == nil {
+		t.Error("different campaign name: resume accepted")
+	}
+	revalued := m
+	revalued.Axes = []Axis{m.Axes[0], {Name: "nodes", Values: Ints(2, 4, 6, 10)}}
+	if _, err := Execute(context.Background(), revalued, Options{Checkpoint: ck}, seededRun); err == nil {
+		t.Error("different axis value: resume accepted")
+	}
 	m2 := m
 	m2.BaseSeed++
 	if _, err := Execute(context.Background(), m2, Options{Checkpoint: ck}, seededRun); err == nil {
@@ -533,5 +544,64 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	m3.Runs++
 	if _, err := Execute(context.Background(), m3, Options{Checkpoint: ck}, seededRun); err == nil {
 		t.Error("different runs: resume accepted")
+	}
+}
+
+// TestCheckpointFrontierIsRuns pins the fold-frontier invariant every
+// checkpoint obeys: folding is strictly in order, so the frontier equals
+// the folded run count, which equals the sum of the per-cell run counts.
+// It reads every periodic checkpoint (one per fold) from inside
+// OnResult, and the final one after Execute returns, for whole and
+// sharded executions, cold and resumed after a kill.
+func TestCheckpointFrontierIsRuns(t *testing.T) {
+	m := testMatrix()
+	for _, sh := range []Shard{{0, 1}, {1, 3}, {2, 3}} {
+		for _, killAt := range []int{0, 3, 17, 41, 58} {
+			ck := filepath.Join(t.TempDir(), "ck.json")
+			seen := 0
+			check := func(when string) {
+				t.Helper()
+				data, err := os.ReadFile(ck)
+				if os.IsNotExist(err) {
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				var cp Checkpoint
+				if err := json.Unmarshal(data, &cp); err != nil {
+					t.Fatalf("shard %s kill %d %s: %v", sh, killAt, when, err)
+				}
+				sum := 0
+				for _, c := range cp.State.Cells {
+					sum += c.Runs
+				}
+				if cp.NextSeq != cp.State.Runs || cp.State.Runs != sum {
+					t.Fatalf("shard %s kill %d %s: nextSeq %d, runs %d, Σ cell runs %d",
+						sh, killAt, when, cp.NextSeq, cp.State.Runs, sum)
+				}
+				seen++
+			}
+			for _, phase := range []string{"killed", "resumed"} {
+				ctx, cancel := context.WithCancel(context.Background())
+				fn := shardedTelRun
+				if phase == "killed" {
+					fn = cancelAtRun(cancel, killAt)
+				}
+				opt := Options{
+					Workers: 2, Shard: sh, Checkpoint: ck, CheckpointEvery: 1,
+					OnResult: func(RunSpec, Sample, error) { check(phase + " periodic") },
+				}
+				_, err := Execute(ctx, m, opt, fn)
+				cancel()
+				if phase == "resumed" && err != nil {
+					t.Fatalf("shard %s kill %d: resume: %v", sh, killAt, err)
+				}
+				check(phase + " final")
+			}
+			if seen < 2 {
+				t.Fatalf("shard %s kill %d: read only %d checkpoints", sh, killAt, seen)
+			}
+		}
 	}
 }
