@@ -6,7 +6,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 )
 
 // EWMA is an exponentially weighted moving average with weight alpha in
@@ -242,65 +241,4 @@ func (s *Series) Between(t0, t1 float64) *Series {
 		}
 	}
 	return out
-}
-
-// Bin aggregates the series into fixed-width time bins, averaging values in
-// each bin. Used to produce the "short-term average" curves of Fig 5.
-func (s *Series) Bin(width float64) *Series {
-	out := &Series{Name: s.Name}
-	if len(s.Samples) == 0 || width <= 0 {
-		return out
-	}
-	start := s.Samples[0].T
-	var sum float64
-	var n int
-	edge := start + width
-	for _, x := range s.Samples {
-		for x.T >= edge {
-			if n > 0 {
-				out.Samples = append(out.Samples, Sample{edge - width/2, sum / float64(n)})
-			}
-			sum, n = 0, 0
-			edge += width
-		}
-		sum += x.V
-		n++
-	}
-	if n > 0 {
-		out.Samples = append(out.Samples, Sample{edge - width/2, sum / float64(n)})
-	}
-	return out
-}
-
-// CumulativeMean returns a series whose value at each sample is the running
-// mean of all values so far ("long-term average" curves of Fig 5).
-func (s *Series) CumulativeMean() *Series {
-	out := &Series{Name: s.Name}
-	sum := 0.0
-	for i, x := range s.Samples {
-		sum += x.V
-		out.Samples = append(out.Samples, Sample{x.T, sum / float64(i+1)})
-	}
-	return out
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the sample values using
-// nearest-rank on a sorted copy. Returns 0 for an empty series.
-func (s *Series) Quantile(q float64) float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	vals := make([]float64, len(s.Samples))
-	for i, x := range s.Samples {
-		vals[i] = x.V
-	}
-	sort.Float64s(vals)
-	idx := int(q * float64(len(vals)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(vals) {
-		idx = len(vals) - 1
-	}
-	return vals[idx]
 }

@@ -147,56 +147,3 @@ func TestSeriesBasics(t *testing.T) {
 		t.Fatalf("Between failed: %+v", sub.Samples)
 	}
 }
-
-func TestSeriesBin(t *testing.T) {
-	var s Series
-	for i := 0; i < 10; i++ {
-		s.Add(float64(i), float64(i))
-	}
-	b := s.Bin(5)
-	if b.Len() != 2 {
-		t.Fatalf("Bin len = %d, want 2", b.Len())
-	}
-	if b.Samples[0].V != 2 { // mean of 0..4
-		t.Fatalf("first bin mean = %v", b.Samples[0].V)
-	}
-	if b.Samples[1].V != 7 { // mean of 5..9
-		t.Fatalf("second bin mean = %v", b.Samples[1].V)
-	}
-	if (&Series{}).Bin(5).Len() != 0 {
-		t.Fatal("empty series Bin should be empty")
-	}
-}
-
-func TestSeriesCumulativeMean(t *testing.T) {
-	var s Series
-	s.Add(0, 2)
-	s.Add(1, 4)
-	s.Add(2, 6)
-	c := s.CumulativeMean()
-	want := []float64{2, 3, 4}
-	for i, w := range want {
-		if c.Samples[i].V != w {
-			t.Fatalf("cum[%d] = %v, want %v", i, c.Samples[i].V, w)
-		}
-	}
-}
-
-func TestSeriesQuantile(t *testing.T) {
-	var s Series
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i), float64(i))
-	}
-	if q := s.Quantile(0.5); q < 49 || q > 52 {
-		t.Fatalf("median = %v", q)
-	}
-	if q := s.Quantile(0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := s.Quantile(1); q != 100 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if (&Series{}).Quantile(0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-}
