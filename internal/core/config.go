@@ -76,19 +76,13 @@ type Config struct {
 	// the path monitor (§5.1).
 	RateMonitor, EnergyMonitor flipflop.Config
 
-	// SourceBackoff enables the fairness back-off of §4.2. Disabling it
-	// reproduces the "JTP without Backoff" runs of Fig 5.
-	SourceBackoff bool
-	// DisableBackoff exists so that the zero-value Config keeps the
-	// paper's default (back-off on): Defaults sets SourceBackoff = true;
-	// experiments flip this instead when ablating.
+	// DisableBackoff turns off the fairness back-off of §4.2, for the
+	// "JTP without Backoff" runs of Fig 5. The zero value keeps the
+	// paper's default, back-off on.
 	DisableBackoff bool
 
-	// RequestRetransmissions, when false, makes the receiver never SNACK
-	// (a UDP-like flow, as flow 1 of Fig 5). Defaults to true.
-	RequestRetransmissions bool
-	// DisableRetransmissions is the zero-value-friendly switch mirroring
-	// DisableBackoff.
+	// DisableRetransmissions makes the receiver never SNACK (a UDP-like
+	// flow, as flow 1 of Fig 5). The zero value keeps retransmissions on.
 	DisableRetransmissions bool
 
 	// AckPad is extra on-air bytes added to every ACK to emulate the
@@ -129,24 +123,22 @@ const (
 // given endpoints. Fully reliable (loss tolerance 0), unbounded stream.
 func Defaults(flow packet.FlowID, src, dst packet.NodeID) Config {
 	return Config{
-		Config:                 transport.Defaults(flow, src, dst),
-		PayloadLen:             DefaultPayloadLen,
-		MinRate:                0.1,
-		KI:                     0.3,
-		KD:                     0.85,
-		Delta:                  0.5,
-		Beta:                   3.0,
-		InitialEnergyBudget:    0.05,
-		TLowerBound:            DefaultTLowerBound,
-		FeedbackN:              2,
-		MinFeedbackGap:         4.0,
-		SnackRetry:             5.0,
-		RateMonitor:            flipflop.Defaults(),
-		EnergyMonitor:          flipflop.Defaults(),
-		SourceBackoff:          true,
-		RequestRetransmissions: true,
-		AckPad:                 DefaultAckPad,
-		TimeoutFactor:          2.0,
+		Config:              transport.Defaults(flow, src, dst),
+		PayloadLen:          DefaultPayloadLen,
+		MinRate:             0.1,
+		KI:                  0.3,
+		KD:                  0.85,
+		Delta:               0.5,
+		Beta:                3.0,
+		InitialEnergyBudget: 0.05,
+		TLowerBound:         DefaultTLowerBound,
+		FeedbackN:           2,
+		MinFeedbackGap:      4.0,
+		SnackRetry:          5.0,
+		RateMonitor:         flipflop.Defaults(),
+		EnergyMonitor:       flipflop.Defaults(),
+		AckPad:              DefaultAckPad,
+		TimeoutFactor:       2.0,
 	}
 }
 
@@ -195,8 +187,6 @@ func (c Config) withDefaults() Config {
 	if c.InitialEnergyBudget == 0 {
 		c.InitialEnergyBudget = d.InitialEnergyBudget
 	}
-	c.SourceBackoff = !c.DisableBackoff
-	c.RequestRetransmissions = !c.DisableRetransmissions
 	return c
 }
 

@@ -49,19 +49,16 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.PayloadLen+packet.DataHeaderSize != DefaultPacketSize {
 		t.Fatalf("payload %d + header != 800", cfg.PayloadLen)
 	}
-	if !cfg.SourceBackoff || !cfg.RequestRetransmissions {
+	if cfg.DisableBackoff || cfg.DisableRetransmissions {
 		t.Fatal("paper defaults: backoff and retransmissions on")
 	}
 	if cfg.Beta <= 1 {
 		t.Fatal("β must exceed 1 (§5.2.4)")
 	}
-	// Zero-value switches keep defaults on through withDefaults.
+	// A zero-value config gets the paper's gains through withDefaults.
 	var partial Config
 	partial.Flow, partial.Src, partial.Dst = 2, 0, 3
 	wd := partial.withDefaults()
-	if !wd.SourceBackoff || !wd.RequestRetransmissions {
-		t.Fatal("zero-value config lost paper defaults")
-	}
 	if wd.KI <= 0 || wd.KI >= 1 || wd.KD <= 0 || wd.KD >= 1 {
 		t.Fatal("controller gains out of Eq 9/10 ranges")
 	}

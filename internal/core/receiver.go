@@ -231,7 +231,7 @@ const snackGrace = 2
 // never be recovered (the SNACK field only describes gaps below the
 // highest arrival).
 func (r *Receiver) buildSnack(rs []packet.SeqRange) []packet.SeqRange {
-	if !r.cfg.RequestRetransmissions {
+	if r.cfg.DisableRetransmissions {
 		return rs
 	}
 	const maxSnackRanges = 64

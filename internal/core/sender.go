@@ -168,7 +168,7 @@ func (s *Sender) processAck(ack *packet.Packet) {
 	// so t_b = N/r.
 	if n := info.RecoveredCount(); n > 0 {
 		s.stats.RecoveredReported += uint64(n)
-		if s.cfg.SourceBackoff {
+		if !s.cfg.DisableBackoff {
 			now := s.Eng.Now()
 			tb := float64(n) / s.Rate()
 			base := now
