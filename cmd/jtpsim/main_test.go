@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/javelen/jtp/internal/campaign"
 )
 
 // runCaptured runs the CLI on args and returns its exit code and stderr.
@@ -118,5 +121,26 @@ func TestExpAllCSVParses(t *testing.T) {
 	// three, and fig5, fig6, fig8, table1 and table2 one each.
 	if blocks != 20 {
 		t.Errorf("%d tables, want 20", blocks)
+	}
+}
+
+// TestMergeRefusesMidRunCheckpoint: a checkpoint is a shard file, so
+// `jtpsim merge` reads one, but it must refuse to fold one that holds
+// only part of its shard's runs, and name that shard.
+func TestMergeRefusesMidRunCheckpoint(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	m := campaign.Matrix{Name: "mid", Axes: []campaign.Axis{{Name: "x", Values: campaign.Ints(1, 2, 3)}}, Runs: 4}
+	ctx, cancel := context.WithCancel(context.Background())
+	campaign.Execute(ctx, m, campaign.Options{Workers: 1, Shard: campaign.Shard{Index: 1, Of: 2}, Checkpoint: ck},
+		func(ctx context.Context, spec campaign.RunSpec) (campaign.Sample, error) {
+			if spec.Index == 10 {
+				cancel()
+			}
+			return campaign.Sample{"v": float64(spec.Run)}, ctx.Err()
+		})
+	cancel()
+	code, msg := runCaptured(t, []string{"merge", ck})
+	if want := "shard 1/2 is incomplete"; code == 0 || !strings.Contains(msg, want) {
+		t.Fatalf("merge of a mid-run checkpoint: exit %d, stderr %q; want non-zero and %q", code, msg, want)
 	}
 }

@@ -13,11 +13,14 @@ package main
 // machines. -shard-out writes the shard's versioned result file when the
 // slice completes; `jtpsim merge` folds a complete set of shard files
 // into one report that is byte-identical to the unsharded run's.
-// -checkpoint makes progress durable: the fold frontier is persisted
-// atomically as the campaign runs and once more on SIGINT/SIGTERM, and
-// rerunning the same command auto-resumes from it — a killed shard loses
-// at most the runs inside the reorder window, and those rerun with the
-// same seeds.
+// -checkpoint makes progress durable. A checkpoint is the shard file
+// written before the slice completes; its run count is the fold
+// frontier. It is written durably as the campaign runs and once more on
+// SIGINT/SIGTERM, and rerunning the same command auto-resumes from it —
+// a killed shard loses at most the runs inside the reorder window, and
+// those rerun with the same seeds. A completed slice's final checkpoint
+// equals its -shard-out file byte for byte; `jtpsim merge` refuses a
+// checkpoint whose slice is not complete.
 
 import (
 	"flag"

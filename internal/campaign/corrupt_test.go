@@ -18,8 +18,9 @@ import (
 )
 
 // corruptions maps a name to a mutation of a valid checkpoint file.
-// Each produces damage a torn write, disk-full, or stray editor could:
-// the loader must classify all of them as ErrCorruptCheckpoint.
+// Each produces damage a torn write, disk-full, stray editor or older
+// build could: the reader must classify all of them as
+// ErrCorruptShardFile.
 var corruptions = map[string]func(t *testing.T, path string){
 	"empty": func(t *testing.T, path string) {
 		if err := os.WriteFile(path, nil, 0o644); err != nil {
@@ -27,7 +28,7 @@ var corruptions = map[string]func(t *testing.T, path string){
 		}
 	},
 	"garbage": func(t *testing.T, path string) {
-		if err := os.WriteFile(path, []byte("{\"version\":1,\"nextS"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte("{\"version\":2,\"runs"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	},
@@ -43,16 +44,24 @@ var corruptions = map[string]func(t *testing.T, path string){
 	"frontier out of range": func(t *testing.T, path string) {
 		// Valid JSON, valid fingerprint — but a fold frontier beyond the
 		// campaign. Resuming it would skip work or index out of bounds.
-		rewriteCheckpoint(t, path, func(m map[string]any) { m["nextSeq"] = 1 << 20 })
+		rewriteCheckpoint(t, path, func(m map[string]any) { m["runs"] = 1 << 20 })
 	},
 	"negative frontier": func(t *testing.T, path string) {
-		rewriteCheckpoint(t, path, func(m map[string]any) { m["nextSeq"] = -3 })
+		rewriteCheckpoint(t, path, func(m map[string]any) { m["runs"] = -3 })
 	},
 	"state shape mismatch": func(t *testing.T, path string) {
-		rewriteCheckpoint(t, path, func(m map[string]any) {
-			state := m["state"].(map[string]any)
-			state["numCells"] = 999
-		})
+		rewriteCheckpoint(t, path, func(m map[string]any) { m["numCells"] = 999 })
+	},
+	"version 1 checkpoint": func(t *testing.T, path string) {
+		// A mid-run checkpoint written by the build before checkpoints
+		// became shard files: {version, fingerprint, nextSeq, state}.
+		data, err := os.ReadFile(filepath.Join("testdata", "v1-checkpoint.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	},
 }
 
@@ -99,16 +108,9 @@ func TestCheckpointCorruptionColdStart(t *testing.T) {
 			}
 			corrupt(t, ck)
 
-			// The loader must classify the damage as corruption...
-			if _, err := LoadCheckpoint(ck); err == nil {
-				// Geometry damage parses fine; Execute's validate pass
-				// catches it instead. Only raw-decode damage must fail
-				// here.
-				if name == "empty" || name == "garbage" || name == "truncated" {
-					t.Fatalf("LoadCheckpoint accepted %s damage", name)
-				}
-			} else if !errors.Is(err, ErrCorruptCheckpoint) {
-				t.Fatalf("LoadCheckpoint: err = %v, want ErrCorruptCheckpoint", err)
+			// The reader must classify the damage as corruption...
+			if _, err := ReadShardFile(ck); !errors.Is(err, ErrCorruptShardFile) {
+				t.Fatalf("ReadShardFile: err = %v, want ErrCorruptShardFile", err)
 			}
 
 			// ...and Execute must warn, cold-start, and still be exact.
@@ -134,9 +136,10 @@ func TestCheckpointCorruptionColdStart(t *testing.T) {
 }
 
 // TestMergeFailureModes is the table-driven contract for merge
-// validation: a duplicate shard index, overlapping cell ranges, and
-// mismatched matrix fingerprints must each produce a descriptive error
-// from MergeReports and MergeAvailable alike.
+// validation: a duplicate shard index, overlapping cell ranges (a file
+// holding cells its shard does not own), mismatched matrix fingerprints
+// and an incomplete shard must each produce a descriptive error from
+// MergeReports and MergeAvailable alike.
 func TestMergeFailureModes(t *testing.T) {
 	mk := func(m Matrix, i, of int) *ShardFile {
 		rep, err := Execute(context.Background(), m, Options{Shard: Shard{i, of}}, seededRun)
@@ -159,14 +162,24 @@ func TestMergeFailureModes(t *testing.T) {
 	relabeled := mk(m, 0, 3)
 	relabeled.Shard = Shard{1, 3}
 
+	// Shard 1 killed partway: a valid mid-run checkpoint, not a result.
+	ctx, cancel := context.WithCancel(context.Background())
+	part, _ := Execute(ctx, m, Options{Workers: 1, Shard: Shard{1, 3}}, cancelAtRun(cancel, 27))
+	cancel()
+	partial := BuildShardFile(part)
+	if err := partial.check(); err != nil || partial.Runs == 0 || partial.Runs >= partial.ownedRuns() {
+		t.Fatalf("mid-run shard file: %d of %d runs, check %v", partial.Runs, partial.ownedRuns(), err)
+	}
+
 	cases := []struct {
 		name    string
 		files   []*ShardFile
 		wantErr string
 	}{
 		{"duplicate shard index", []*ShardFile{s0, s1, s1}, "duplicate shard"},
-		{"overlapping cell ranges", []*ShardFile{s0, relabeled, s2}, "both claim cell"},
+		{"overlapping cell ranges", []*ShardFile{s0, relabeled, s2}, "expected owned cell 4, found cell 0"},
 		{"mismatched matrix fingerprints", []*ShardFile{s0, sOther, s2}, "matrix fingerprint"},
+		{"incomplete shard", []*ShardFile{s0, partial, s2}, "shard 1/3 is incomplete"},
 	}
 	for _, tc := range cases {
 		t.Run(strings.ReplaceAll(tc.name, " ", "_"), func(t *testing.T) {

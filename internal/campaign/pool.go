@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -47,10 +48,11 @@ type Options struct {
 	// matrix (see Shard). The zero value runs the whole matrix.
 	Shard Shard
 	// Checkpoint, when non-empty, enables durable checkpoint/resume at
-	// this path: Execute auto-resumes from an existing checkpoint
-	// (validating its fingerprint against the matrix and shard), writes
-	// the fold frontier atomically every CheckpointEvery folds or
-	// CheckpointInterval of wall clock, and writes a final checkpoint
+	// this path. A checkpoint is the shard's ShardFile written before
+	// the shard finishes; its Runs is the fold frontier. Execute
+	// auto-resumes from an existing checkpoint (refusing one of another
+	// fingerprint or shard), writes it durably every CheckpointEvery
+	// folds or CheckpointInterval of wall clock, and writes a final one
 	// before returning — including on cancellation, so a killed shard
 	// loses at most the in-window runs.
 	Checkpoint string
@@ -187,34 +189,28 @@ func Execute(ctx context.Context, m Matrix, opt Options, fn RunFunc) (*Report, e
 
 	// Resume: restore the fold frontier and aggregate state from an
 	// existing checkpoint for this exact campaign and shard. A corrupt
-	// checkpoint (torn write, disk full, truncation) degrades to a cold
-	// start with a warning — never a panic, never a wrong resume. A
-	// fingerprint mismatch stays a hard error: the file is intact, it
-	// just belongs to a different campaign, and cold-starting over it
-	// would silently clobber someone else's progress.
+	// checkpoint (torn write, disk full, truncation, another version)
+	// degrades to a cold start with a warning — never a panic, never a
+	// wrong resume. A fingerprint or shard mismatch stays a hard error:
+	// the file is intact, it just belongs to a different campaign, and
+	// cold-starting over it would silently clobber someone else's
+	// progress.
 	startSeq := 0
-	var fingerprint string
 	if opt.Checkpoint != "" {
-		fingerprint = campaignFingerprint(&m, opt.Shard, specs)
-		cp, err := LoadCheckpoint(opt.Checkpoint)
-		if err != nil {
-			if !errors.Is(err, ErrCorruptCheckpoint) {
-				return nil, err
-			}
-			opt.warnf("campaign: %v; starting this shard cold", err)
-			cp = nil
+		f, err := ReadShardFile(opt.Checkpoint)
+		if err == nil && (f.Fingerprint != rep.Fingerprint || f.Shard.norm() != rep.Shard) {
+			return nil, fmt.Errorf("campaign: checkpoint %s was written by a different campaign, seed schedule, or shard; refusing to resume", opt.Checkpoint)
 		}
-		if cp != nil {
-			if cp.Fingerprint != fingerprint {
-				return nil, fmt.Errorf("campaign: checkpoint %s was written by a different campaign, seed schedule, or shard; refusing to resume", opt.Checkpoint)
-			}
-			if err := cp.validate(m.NumCells(), len(m.Axes), m.runsPerCell(), len(specs)); err != nil {
-				opt.warnf("campaign: checkpoint %s: %v; starting this shard cold", opt.Checkpoint, err)
-				cp = nil
+		if err == nil {
+			if startSeq, err = f.restore(rep); err != nil {
+				err = fmt.Errorf("campaign: %s: %w", opt.Checkpoint, err)
 			}
 		}
-		if cp != nil {
-			startSeq = cp.restore(rep)
+		switch {
+		case errors.Is(err, ErrCorruptShardFile):
+			opt.warnf("%v; starting this shard cold", err)
+		case err != nil && !errors.Is(err, fs.ErrNotExist):
+			return nil, err
 		}
 	}
 
@@ -237,7 +233,6 @@ func Execute(ctx context.Context, m Matrix, opt Options, fn RunFunc) (*Report, e
 		onResult:   opt.OnResult,
 		onProgress: opt.OnProgress,
 		ckPath:     opt.Checkpoint,
-		ckPrint:    fingerprint,
 		ckEvery:    opt.checkpointEvery(),
 		ckInterval: opt.checkpointInterval(),
 	}
@@ -302,7 +297,6 @@ dispatch:
 	// checkpoint, and emit the shard result file when complete.
 	agg.mu.Lock()
 	rep.Interrupted = agg.interrupted
-	frontier := agg.frontierLocked()
 	stopped := agg.stopped
 	ckErr := agg.ckErr
 	agg.mu.Unlock()
@@ -315,12 +309,13 @@ dispatch:
 	}
 
 	if opt.Checkpoint != "" && ckErr == nil {
-		ckErr = writeCheckpoint(opt.Checkpoint, fingerprint, frontier, rep)
+		ckErr = WriteShardFile(opt.Checkpoint, rep)
 	}
 	if dispatchErr == nil {
 		dispatchErr = ckErr
 	}
-	if dispatchErr == nil && frontier == len(specs) && opt.ShardOut != "" {
+	// No error left means every run folded: the shard is complete.
+	if dispatchErr == nil && opt.ShardOut != "" {
 		dispatchErr = WriteShardFile(opt.ShardOut, rep)
 	}
 	return rep, dispatchErr
@@ -360,7 +355,6 @@ type aggregator struct {
 	failures    int
 	interrupted int  // results discarded because the campaign was cancelled
 	stopped     bool // a cancelled run reached the fold frontier; fold is frozen
-	frontier    int  // frozen fold frontier (valid when stopped)
 	pending     map[int]foldItem
 	released    chan struct{}
 	onResult    func(RunSpec, Sample, error)
@@ -369,7 +363,6 @@ type aggregator struct {
 	cellWall    []float64 // cumulative run wall seconds per cell
 
 	ckPath     string
-	ckPrint    string
 	ckEvery    int
 	ckInterval time.Duration
 	ckLast     time.Time
@@ -386,15 +379,6 @@ func (a *aggregator) interruptedRun(err error) bool {
 		return false
 	}
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// frontierLocked returns the durable fold frontier: where folding
-// actually stopped, immune to the post-cancellation discard advance.
-func (a *aggregator) frontierLocked() int {
-	if a.stopped {
-		return a.frontier
-	}
-	return a.next
 }
 
 // deliver accepts one completed run from a worker and folds every
@@ -415,10 +399,7 @@ func (a *aggregator) deliver(seq int, spec RunSpec, s Sample, err error, wall fl
 		}
 		delete(a.pending, a.next)
 		if a.stopped || a.interruptedRun(item.err) {
-			if !a.stopped {
-				a.stopped = true
-				a.frontier = a.next
-			}
+			a.stopped = true
 			a.interrupted++
 			a.next++
 			a.released <- struct{}{}
@@ -455,7 +436,7 @@ func (a *aggregator) maybeCheckpoint() {
 	}
 	a.ckFolds = 0
 	a.ckLast = time.Now()
-	a.ckErr = writeCheckpoint(a.ckPath, a.ckPrint, a.next, a.rep)
+	a.ckErr = WriteShardFile(a.ckPath, a.rep)
 }
 
 // progress assembles the Progress tick for a just-folded run. Called

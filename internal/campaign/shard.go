@@ -1,11 +1,15 @@
 package campaign
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -102,16 +106,36 @@ func (s Shard) filterSpecs(specs []RunSpec, numCells, runsPerCell int) []RunSpec
 	return specs[lo*runsPerCell : hi*runsPerCell]
 }
 
-// ShardFileVersion is the current shard result / checkpoint state
-// schema version. Readers reject other versions.
-const ShardFileVersion = 1
+// ShardFileVersion is the current shard file schema version. Version 2
+// made the checkpoint a shard file. Readers treat any other version as
+// corrupt state: a checkpoint from another build cold-starts, and merge
+// refuses it.
+const ShardFileVersion = 2
 
-// ShardFile is the exported, versioned result format one shard writes
-// and `campaign.MergeReports` (CLI: `jtpsim merge`) folds back into a
-// single Report. It is self-contained: everything needed to rebuild the
-// merged report — axis names, per-cell axis values (in canonical
-// FormatValue form), and each cell's exact stats.Running state — rides
-// in the file, so merging needs no access to the original matrix.
+// ErrCorruptShardFile marks a shard file that exists but cannot be
+// trusted: an empty file, torn or truncated JSON, another schema
+// version, or state that is structurally impossible (see check).
+// Execute treats a corrupt checkpoint as a cold start with a warning,
+// since re-running the shard from scratch is always correct and
+// resuming from garbage never is. Merge fails on it. A fingerprint or
+// shard mismatch is not corruption: that file is intact and belongs to
+// another campaign, so resuming over it stays a hard error.
+var ErrCorruptShardFile = errors.New("corrupt shard file")
+
+// ShardFile is the one on-disk form of a campaign's state. A shard
+// writes it with -shard-out when it completes, and `campaign.MergeReports`
+// (CLI: `jtpsim merge`) folds a set of them back into a single Report.
+// A checkpoint is the same file written before the shard finishes.
+// It is self-contained: axis names, per-cell axis values (in canonical
+// FormatValue form), and each cell's exact stats.Running state ride in
+// the file, so merging needs no access to the original matrix.
+//
+// The fold-frontier invariant: folding is strictly in order over the
+// shard's cell-major run list, so Runs is the frontier. Every run
+// before it is folded and no run at or after it is. Resuming restores
+// the cells and dispatches the run list from Runs. Re-executed runs
+// reuse their deterministic seeds, so a resumed campaign's final report
+// is byte-identical to an uninterrupted one.
 type ShardFile struct {
 	// Version is ShardFileVersion; readers reject anything else.
 	Version int `json:"version"`
@@ -120,22 +144,23 @@ type ShardFile struct {
 	Campaign string   `json:"campaign"`
 	Axes     []string `json:"axes"`
 	// Fingerprint is the shard-independent campaign identity hash (see
-	// Report.Fingerprint). Merge refuses shard sets whose non-empty
-	// fingerprints disagree; empty (files from older builds) skips the
-	// check.
-	Fingerprint string `json:"fingerprint,omitempty"`
+	// Report.Fingerprint). Merge refuses shard sets whose fingerprints
+	// disagree, and Execute refuses to resume a checkpoint of another
+	// fingerprint.
+	Fingerprint string `json:"fingerprint"`
 	// Shard is this file's coordinates; merge requires one file per
 	// index of a single Of.
 	Shard Shard `json:"shard"`
 	// NumCells and RunsPerCell describe the full (unsharded) matrix.
 	NumCells    int `json:"numCells"`
 	RunsPerCell int `json:"runsPerCell"`
-	// Runs/Failures/Interrupted are this shard's folded totals.
-	Runs        int `json:"runs"`
-	Failures    int `json:"failures,omitempty"`
-	Interrupted int `json:"interrupted,omitempty"`
+	// Runs and Failures are this shard's folded totals. Runs is also
+	// the fold frontier; it is below the shard's owned runs only in a
+	// mid-run checkpoint.
+	Runs     int `json:"runs"`
+	Failures int `json:"failures,omitempty"`
 	// Cells holds every cell this shard owns (including zero-run cells
-	// of an interrupted shard), in ascending cell index order.
+	// of an unfinished shard), in ascending cell index order.
 	Cells []ShardCell `json:"cells"`
 }
 
@@ -220,7 +245,6 @@ func BuildShardFile(rep *Report) *ShardFile {
 		RunsPerCell: rep.RunsPerCell,
 		Runs:        rep.Runs,
 		Failures:    rep.Failures,
-		Interrupted: rep.Interrupted,
 		Cells:       make([]ShardCell, 0, hi-lo),
 	}
 	for ci := lo; ci < hi; ci++ {
@@ -229,31 +253,128 @@ func BuildShardFile(rep *Report) *ShardFile {
 	return f
 }
 
-// WriteShardFile atomically writes the report's shard result file
-// (indented JSON via a same-directory temp file + rename).
+// WriteShardFile durably writes the report's shard file as indented
+// JSON (see WriteFileAtomic). Shard results and checkpoints both go
+// through it, so a completed shard's final checkpoint is byte-identical
+// to its result file.
 func WriteShardFile(path string, rep *Report) error {
 	data, err := json.MarshalIndent(BuildShardFile(rep), "", "  ")
 	if err != nil {
 		return fmt.Errorf("campaign: shard file: %w", err)
 	}
-	return writeFileAtomic(path, append(data, '\n'))
+	if err := WriteFileAtomic(path, append(data, '\n')); err != nil {
+		return fmt.Errorf("campaign: shard file: %w", err)
+	}
+	return nil
 }
 
-// ReadShardFile reads and version-checks one shard result file.
+// ReadShardFile reads and checks one shard file, a result or a
+// checkpoint. A missing file returns an error wrapping fs.ErrNotExist.
+// A file that is empty, does not parse, has another version, or fails
+// check returns an error wrapping ErrCorruptShardFile.
 func ReadShardFile(path string) (*ShardFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: shard file: %w", err)
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
+	f, err := parseShardFile(data)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %s: %w", path, err)
+	}
+	return f, nil
+}
+
+// parseShardFile decodes and checks shard file content.
+func parseShardFile(data []byte) (*ShardFile, error) {
 	var f ShardFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("campaign: shard file %s: %w", path, err)
+	if len(data) == 0 {
+		return nil, fmt.Errorf("empty file: %w", ErrCorruptShardFile)
 	}
-	if f.Version != ShardFileVersion {
-		return nil, fmt.Errorf("campaign: shard file %s: version %d, this build reads %d",
-			path, f.Version, ShardFileVersion)
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("%v: %w", err, ErrCorruptShardFile)
+	}
+	if err := f.check(); err != nil {
+		return nil, err
 	}
 	return &f, nil
+}
+
+// check verifies what a shard file must satisfy on its own, whoever
+// wrote it: the current version, a valid shard of a non-empty matrix,
+// exactly the cells that shard owns in ascending order, one value per
+// axis in each, and the per-cell counts the fold frontier implies.
+// After Runs in-order folds over the shard's cell-major run list, the
+// k-th owned cell holds min(RunsPerCell, Runs − k·RunsPerCell) runs,
+// none once that is negative, and Runs never exceeds the owned runs.
+// The cells' failures sum to Failures. A file that passes restores into
+// a report of its geometry without an index error. Every violation
+// wraps ErrCorruptShardFile.
+func (f *ShardFile) check() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf(format+": %w", append(args, ErrCorruptShardFile)...)
+	}
+	if f.Version != ShardFileVersion {
+		return bad("version %d, this build reads %d", f.Version, ShardFileVersion)
+	}
+	sh := f.Shard.norm()
+	if err := sh.Validate(); err != nil {
+		return bad("%v", err)
+	}
+	if f.NumCells < 1 || f.RunsPerCell < 1 {
+		return bad("matrix of %d cells × %d runs", f.NumCells, f.RunsPerCell)
+	}
+	lo, hi := sh.CellRange(f.NumCells)
+	if lo < 0 || lo > hi || hi > f.NumCells || len(f.Cells) != hi-lo {
+		return bad("shard %s owns cells [%d,%d), file has %d cells", sh, lo, hi, len(f.Cells))
+	}
+	if f.Runs < 0 || f.Runs > f.ownedRuns() {
+		return bad("shard %s folded %d runs, owns %d", sh, f.Runs, f.ownedRuns())
+	}
+	failures := 0
+	for k := range f.Cells {
+		c := &f.Cells[k]
+		want := min(f.RunsPerCell, max(0, f.Runs-k*f.RunsPerCell))
+		switch {
+		case c.Index != lo+k:
+			return bad("expected owned cell %d, found cell %d", lo+k, c.Index)
+		case len(c.Values) != len(f.Axes):
+			return bad("cell %d has %d values for %d axes", c.Index, len(c.Values), len(f.Axes))
+		case c.Runs != want:
+			return bad("cell %d holds %d runs, frontier %d implies %d", c.Index, c.Runs, f.Runs, want)
+		case c.Failures < 0 || c.Failures > c.Runs:
+			return bad("cell %d has %d failures in %d runs", c.Index, c.Failures, c.Runs)
+		}
+		failures += c.Failures
+	}
+	if failures != f.Failures {
+		return bad("cells hold %d failures, file says %d", failures, f.Failures)
+	}
+	return nil
+}
+
+// ownedRuns is the number of runs the file's shard owns.
+func (f *ShardFile) ownedRuns() int {
+	lo, hi := f.Shard.CellRange(f.NumCells)
+	return (hi - lo) * f.RunsPerCell
+}
+
+// restore loads a checked shard file into a fresh report of the same
+// campaign (from newReport) and returns the fold frontier to resume
+// from. A geometry that disagrees with the report's is damage the
+// fingerprint did not cover: it wraps ErrCorruptShardFile and leaves
+// the report untouched.
+func (f *ShardFile) restore(rep *Report) (int, error) {
+	if f.NumCells != len(rep.Cells) || f.RunsPerCell != rep.RunsPerCell || len(f.Axes) != len(rep.Axes) {
+		return 0, fmt.Errorf("geometry %d×%d over %d axes, campaign is %d×%d over %d: %w",
+			f.NumCells, f.RunsPerCell, len(f.Axes), len(rep.Cells), rep.RunsPerCell, len(rep.Axes), ErrCorruptShardFile)
+	}
+	rep.Runs = f.Runs
+	rep.Failures = f.Failures
+	for i := range f.Cells {
+		sc := &f.Cells[i]
+		sc.restoreInto(rep.Cells[sc.Index])
+	}
+	return f.Runs, nil
 }
 
 // MergeGaps accounts for the shards absent from a partial merge: which
@@ -282,29 +403,22 @@ func (g *MergeGaps) Complete() bool { return len(g.Missing) == 0 }
 // Table/CSV/JSON output is byte-identical to the unsharded run's — the
 // merge only re-assembles disjoint state, every float round-trips
 // bit-exactly through stats.RunningState, and cell axis values render
-// through FormatValue on both paths. Shards interrupted mid-campaign
-// merge too (their zero-run cells stay zero-run, Interrupted sums), so
-// partial sweeps still produce a coherent partial report.
+// through FormatValue on both paths.
 //
-// Validation is strict: a duplicate shard index, two files claiming the
-// same cell (overlapping cell ranges), a campaign/axis/shape mismatch,
-// or disagreeing matrix fingerprints each return a descriptive error —
-// these only arise from mixing files of different campaigns or from
-// corruption, and folding them would produce silently wrong aggregates.
+// Validation is strict. Each file must pass check and hold all its
+// shard's runs (a mid-run checkpoint does not). Across files, a
+// duplicate shard index, a campaign/axis/shape mismatch, or disagreeing
+// matrix fingerprints each return a descriptive error: these only arise
+// from mixing files of different campaigns or from corruption, and
+// folding them would produce silently wrong aggregates.
 func MergeReports(files ...*ShardFile) (*Report, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("campaign: merge: no shard files")
-	}
-	of := files[0].Shard.norm().Of
-	if len(files) != of {
-		return nil, fmt.Errorf("campaign: merge: got %d files for %d shards", len(files), of)
-	}
 	rep, gaps, err := MergeAvailable(files...)
 	if err != nil {
 		return nil, err
 	}
-	for _, i := range gaps.Missing {
-		return nil, fmt.Errorf("campaign: merge: missing shard %d/%d", i, of)
+	if !gaps.Complete() {
+		return nil, fmt.Errorf("campaign: merge: got %d files for %d shards, missing shard %d/%d",
+			len(files), gaps.Of, gaps.Missing[0], gaps.Of)
 	}
 	return rep, nil
 }
@@ -325,12 +439,15 @@ func MergeAvailable(files ...*ShardFile) (*Report, *MergeGaps, error) {
 	}
 	first := files[0]
 	of := first.Shard.norm().Of
-	fingerprint := ""
 	seen := make([]bool, of)
 	for _, f := range files {
-		if f.Version != ShardFileVersion {
-			return nil, nil, fmt.Errorf("campaign: merge: shard file version %d, this build reads %d",
-				f.Version, ShardFileVersion)
+		sh := f.Shard.norm()
+		if err := f.check(); err != nil {
+			return nil, nil, fmt.Errorf("campaign: merge: shard %s: %w", sh, err)
+		}
+		if f.Runs < f.ownedRuns() {
+			return nil, nil, fmt.Errorf("campaign: merge: shard %s is incomplete: %d of its %d runs folded (a mid-run checkpoint?)",
+				sh, f.Runs, f.ownedRuns())
 		}
 		if f.Campaign != first.Campaign {
 			return nil, nil, fmt.Errorf("campaign: merge: campaign %q vs %q", f.Campaign, first.Campaign)
@@ -342,15 +459,10 @@ func MergeAvailable(files ...*ShardFile) (*Report, *MergeGaps, error) {
 			return nil, nil, fmt.Errorf("campaign: merge: matrix shape mismatch (%d×%d vs %d×%d cells×runs)",
 				f.NumCells, f.RunsPerCell, first.NumCells, first.RunsPerCell)
 		}
-		if f.Fingerprint != "" {
-			if fingerprint == "" {
-				fingerprint = f.Fingerprint
-			} else if f.Fingerprint != fingerprint {
-				return nil, nil, fmt.Errorf("campaign: merge: shard %s has matrix fingerprint %.12s…, other shards have %.12s… (same-named campaigns with different seeds or axis values?)",
-					f.Shard.norm(), f.Fingerprint, fingerprint)
-			}
+		if f.Fingerprint != first.Fingerprint {
+			return nil, nil, fmt.Errorf("campaign: merge: shard %s has matrix fingerprint %.12s…, shard %s has %.12s… (same-named campaigns with different seeds or axis values?)",
+				sh, f.Fingerprint, first.Shard.norm(), first.Fingerprint)
 		}
-		sh := f.Shard.norm()
 		if sh.Of != of {
 			return nil, nil, fmt.Errorf("campaign: merge: shard %s does not belong to a %d-way split", sh, of)
 		}
@@ -360,45 +472,32 @@ func MergeAvailable(files ...*ShardFile) (*Report, *MergeGaps, error) {
 		seen[sh.Index] = true
 	}
 
-	// Merge in ascending shard index order for deterministic traversal.
-	sorted := append([]*ShardFile{}, files...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Shard.norm().Index < sorted[j].Shard.norm().Index
-	})
-
+	// Each checked file holds exactly its own shard's cells and the
+	// indices are distinct, so the files' cells are disjoint: collect
+	// them by cell index, which also orders them.
 	rep := &Report{
 		Name:        first.Campaign,
 		Axes:        first.Axes,
 		RunsPerCell: first.RunsPerCell,
-		Fingerprint: fingerprint,
+		Fingerprint: first.Fingerprint,
 	}
 	cells := make([]*CellResult, first.NumCells)
-	owner := make([]*ShardFile, first.NumCells)
-	for _, f := range sorted {
+	for _, f := range files {
 		rep.Runs += f.Runs
 		rep.Failures += f.Failures
-		rep.Interrupted += f.Interrupted
 		for i := range f.Cells {
 			sc := &f.Cells[i]
-			if sc.Index < 0 || sc.Index >= first.NumCells {
-				return nil, nil, fmt.Errorf("campaign: merge: shard %s cell index %d outside [0,%d)",
-					f.Shard.norm(), sc.Index, first.NumCells)
-			}
-			if len(sc.Values) != len(first.Axes) {
-				return nil, nil, fmt.Errorf("campaign: merge: shard %s cell %d has %d values for %d axes",
-					f.Shard.norm(), sc.Index, len(sc.Values), len(first.Axes))
-			}
-			if prev := owner[sc.Index]; prev != nil {
-				return nil, nil, fmt.Errorf("campaign: merge: shards %s and %s both claim cell %d (overlapping cell ranges; mixed or corrupt shard set)",
-					prev.Shard.norm(), f.Shard.norm(), sc.Index)
-			}
-			owner[sc.Index] = f
 			c := &CellResult{
 				Cell: cellFromStrings(first.Axes, sc.Values),
 				obs:  map[string]*stats.Running{},
 			}
 			sc.restoreInto(c)
 			cells[sc.Index] = c
+		}
+	}
+	for _, c := range cells {
+		if c != nil {
+			rep.Cells = append(rep.Cells, c)
 		}
 	}
 
@@ -410,21 +509,6 @@ func MergeAvailable(files ...*ShardFile) (*Report, *MergeGaps, error) {
 			gaps.MissingCells += hi - lo
 			gaps.MissingRuns += (hi - lo) * first.RunsPerCell
 		}
-	}
-	// A present shard that failed to cover one of its own cells is
-	// corruption, not a gap: cell-granular shard files always carry
-	// every owned cell, even zero-run ones.
-	for i, c := range cells {
-		if c == nil {
-			// Inverse of CellRange: the owning shard of cell i is the
-			// largest idx with idx*numCells/of <= i.
-			idx := ((i+1)*of - 1) / first.NumCells
-			if sh := (Shard{Index: idx, Of: of}); seen[idx] && sh.selects(i, first.NumCells) {
-				return nil, nil, fmt.Errorf("campaign: merge: shard %s did not cover its cell %d (corrupt shard set)", sh, i)
-			}
-			continue
-		}
-		rep.Cells = append(rep.Cells, c)
 	}
 	return rep, gaps, nil
 }
@@ -440,33 +524,78 @@ func cellFromStrings(names []string, values []string) Cell {
 	return Cell{names: names, values: vs}
 }
 
-// writeFileAtomic writes data to path via a same-directory temp file,
-// fsync, and rename, so readers (and crash recovery) only ever observe
-// the old or the complete new content.
-func writeFileAtomic(path string, data []byte) error {
+// matrixFingerprint hashes the shard-independent campaign identity:
+// name, axes (names and canonical values), runs per cell and the FULL
+// expanded (index, cell, run, seed) list, which captures BaseSeed and
+// any custom SeedFn. Every shard of the same campaign derives the same
+// value. Execute stamps it into the Report and refuses to resume a
+// checkpoint that carries another; shard files carry it, and merge
+// refuses shard files whose fingerprints disagree.
+func matrixFingerprint(m *Matrix, all []RunSpec) string {
+	h := sha256.New()
+	var buf [8]byte
+	wInt := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	wStr := func(s string) {
+		wInt(int64(len(s)))
+		io.WriteString(h, s)
+	}
+	wStr(m.Name)
+	wInt(int64(len(m.Axes)))
+	for _, ax := range m.Axes {
+		wStr(ax.Name)
+		wInt(int64(len(ax.Values)))
+		for _, v := range ax.Values {
+			wStr(FormatValue(v))
+		}
+	}
+	wInt(int64(m.runsPerCell()))
+	wInt(int64(len(all)))
+	for i := range all {
+		wInt(int64(all[i].Index))
+		wInt(int64(all[i].CellIndex))
+		wInt(int64(all[i].Run))
+		wInt(all[i].Seed)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// WriteFileAtomic replaces path with data so that a reader, or a
+// restart after a crash or power loss, sees either the old content or
+// all of the new: it writes a temp file in the same directory, fsyncs
+// it, renames it over path, and fsyncs the directory so the rename
+// itself is durable. On failure before the rename the temp file is
+// removed. Shard files, checkpoints and the coordinator's journal all
+// go through it.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
+	return err
 }

@@ -254,11 +254,12 @@ func TestMergeReportsValidation(t *testing.T) {
 func TestShardFileVersionRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.json")
-	if err := os.WriteFile(path, []byte(`{"version": 2, "campaign": "x"}`), 0o644); err != nil {
+	data := fmt.Sprintf(`{"version": %d, "campaign": "x"}`, ShardFileVersion+1)
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadShardFile(path); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version 2 accepted: %v", err)
+		t.Fatalf("version %d accepted: %v", ShardFileVersion+1, err)
 	}
 }
 
@@ -499,6 +500,13 @@ func TestCheckpointShardedResume(t *testing.T) {
 		if files[i], err = ReadShardFile(out); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
+		// A checkpoint is a shard file: the completed shard's final
+		// checkpoint is its result file, byte for byte.
+		ckData, err1 := os.ReadFile(ck)
+		outData, err2 := os.ReadFile(out)
+		if err1 != nil || err2 != nil || !bytes.Equal(ckData, outData) {
+			t.Fatalf("shard %d: final checkpoint differs from shard file (%v, %v)", i, err1, err2)
+		}
 	}
 	merged, err := MergeReports(files...)
 	if err != nil {
@@ -568,17 +576,17 @@ func TestCheckpointFrontierIsRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var cp Checkpoint
+				var cp ShardFile
 				if err := json.Unmarshal(data, &cp); err != nil {
 					t.Fatalf("shard %s kill %d %s: %v", sh, killAt, when, err)
 				}
 				sum := 0
-				for _, c := range cp.State.Cells {
+				for _, c := range cp.Cells {
 					sum += c.Runs
 				}
-				if cp.NextSeq != cp.State.Runs || cp.State.Runs != sum {
-					t.Fatalf("shard %s kill %d %s: nextSeq %d, runs %d, Σ cell runs %d",
-						sh, killAt, when, cp.NextSeq, cp.State.Runs, sum)
+				if cp.Runs != sum {
+					t.Fatalf("shard %s kill %d %s: runs %d, Σ cell runs %d",
+						sh, killAt, when, cp.Runs, sum)
 				}
 				seen++
 			}
@@ -603,5 +611,31 @@ func TestCheckpointFrontierIsRuns(t *testing.T) {
 				t.Fatalf("shard %s kill %d: read only %d checkpoints", sh, killAt, seen)
 			}
 		}
+	}
+}
+
+// TestWriteFileAtomicLeavesNoTemp: the durable write replaces the
+// target and leaves no temp file behind, whether it succeeds or its
+// rename fails (here because the target is a directory).
+func TestWriteFileAtomicLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	for _, content := range []string{"old", "new"} {
+		if err := WriteFileAtomic(path, []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("content %q, %v; want %q", got, err, "new")
+	}
+	target := filepath.Join(dir, "taken")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("x")); err == nil {
+		t.Fatal("rename over a directory succeeded")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, ".*.tmp*")); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
 	}
 }

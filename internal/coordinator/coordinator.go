@@ -414,8 +414,8 @@ func (c *Coordinator) restoreShardTable() error {
 			// The previous coordinator died with workers in flight; the
 			// relaunch resumes from the shard's checkpoint.
 			s.attempts = e.Attempts
-			if cp, cerr := campaign.LoadCheckpoint(c.checkpointPath(i)); cerr == nil && cp != nil {
-				c.logf("shard %d was running when the previous coordinator died; will resume from fold frontier %d", i, cp.NextSeq)
+			if cp, cerr := campaign.ReadShardFile(c.checkpointPath(i)); cerr == nil {
+				c.logf("shard %d was running when the previous coordinator died; will resume from fold frontier %d", i, cp.Runs)
 			}
 		}
 	}
@@ -806,7 +806,7 @@ func (c *Coordinator) persistJournal() error {
 	if err != nil {
 		return fmt.Errorf("coordinator: journal: %w", err)
 	}
-	if err := writeFileAtomic(c.journalPath(), data); err != nil {
+	if err := campaign.WriteFileAtomic(c.journalPath(), data); err != nil {
 		return fmt.Errorf("coordinator: journal: %w", err)
 	}
 	return nil
