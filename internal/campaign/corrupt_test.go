@@ -135,6 +135,37 @@ func TestCheckpointCorruptionColdStart(t *testing.T) {
 	}
 }
 
+// TestCheckpointGeometryColdStart: damage can leave a sharded checkpoint
+// passing check under a wrong matrix size (shard 0/3 owns cells [0,4)
+// of 12 cells and of 13 alike). A file whose geometry disagrees with
+// its campaign's is never resumed: Execute warns and cold-starts to the
+// clean bytes.
+func TestCheckpointGeometryColdStart(t *testing.T) {
+	m := testMatrix()
+	dir := t.TempDir()
+	ck, out, clean := filepath.Join(dir, "ck.json"), filepath.Join(dir, "out.json"), filepath.Join(dir, "clean.json")
+	sh := Shard{0, 3}
+	if _, err := Execute(context.Background(), m, Options{Shard: sh, Checkpoint: ck, ShardOut: clean}, shardedTelRun); err != nil {
+		t.Fatal(err)
+	}
+	rewriteCheckpoint(t, ck, func(m map[string]any) { m["numCells"] = 13 })
+	if _, err := ReadShardFile(ck); err != nil {
+		t.Fatalf("damaged file no longer passes check, so this test covers nothing: %v", err)
+	}
+	var warnings []string
+	if _, err := Execute(context.Background(), m, Options{
+		Shard: sh, Checkpoint: ck, ShardOut: out,
+		Warn: func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) },
+	}, shardedTelRun); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := os.ReadFile(clean)
+	got, _ := os.ReadFile(out)
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "geometry") || !bytes.Equal(got, want) {
+		t.Fatalf("warnings %q; shard file equals the clean one: %v", warnings, bytes.Equal(got, want))
+	}
+}
+
 // TestMergeFailureModes is the table-driven contract for merge
 // validation: a duplicate shard index, overlapping cell ranges (a file
 // holding cells its shard does not own), mismatched matrix fingerprints

@@ -92,12 +92,6 @@ func (s Shard) CellRange(numCells int) (lo, hi int) {
 	return s.Index * numCells / s.Of, (s.Index + 1) * numCells / s.Of
 }
 
-// selects reports whether the shard owns the given cell.
-func (s Shard) selects(cellIndex, numCells int) bool {
-	lo, hi := s.CellRange(numCells)
-	return cellIndex >= lo && cellIndex < hi
-}
-
 // filterSpecs returns the sub-slice of the expanded run list this shard
 // executes. Because expansion is cell-major and the cell range is
 // contiguous, the result is a contiguous window of specs.
@@ -106,10 +100,9 @@ func (s Shard) filterSpecs(specs []RunSpec, numCells, runsPerCell int) []RunSpec
 	return specs[lo*runsPerCell : hi*runsPerCell]
 }
 
-// ShardFileVersion is the current shard file schema version. Version 2
-// made the checkpoint a shard file. Readers treat any other version as
-// corrupt state: a checkpoint from another build cold-starts, and merge
-// refuses it.
+// ShardFileVersion is the current shard file schema version. Readers
+// treat any other version as corrupt state: a checkpoint from another
+// build cold-starts, and merge refuses the file.
 const ShardFileVersion = 2
 
 // ErrCorruptShardFile marks a shard file that exists but cannot be
