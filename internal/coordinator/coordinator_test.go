@@ -345,6 +345,65 @@ func TestCoordinatorCorruptJournal(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRefusesOtherShardCount reruns a complete out-dir with
+// a different shard count: its shard files belong to another split, so
+// the coordinator must refuse before launching any worker.
+func TestCoordinatorRefusesOtherShardCount(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestCoordinator(t, dir, 2, 2)
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	logs := func() map[string]int64 {
+		paths, err := filepath.Glob(filepath.Join(dir, "shard-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := map[string]int64{}
+		for _, p := range paths {
+			st, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes[filepath.Base(p)] = st.Size()
+		}
+		return sizes
+	}
+	before := logs()
+	c2 := newTestCoordinator(t, dir, 3, 2)
+	if _, err := c2.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "different campaign") {
+		t.Fatalf("err = %v, want a refusal naming a different campaign", err)
+	}
+	if after := logs(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("worker logs changed from %v to %v: a worker launched", before, after)
+	}
+}
+
+// TestCoordinatorGarbledShardFile garbles one shard's result file after
+// a complete run: the rerun must redo that shard and still converge to
+// the byte-identical merged report.
+func TestCoordinatorGarbledShardFile(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestCoordinator(t, dir, 2, 2)
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shard-001.json"), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2 := newTestCoordinator(t, dir, 2, 2)
+	res, err := c2.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Done) != 2 {
+		t.Fatalf("done=%v failed=%v", res.Done, res.Failed)
+	}
+	if got, want := res.Report.CSV(), referenceCSV(t); got != want {
+		t.Errorf("merged CSV differs after a garbled shard file")
+	}
+}
+
 // TestCoordinatorJournalIdentityMismatch refuses to reuse an out-dir
 // across campaigns: a journal written for different worker args is a
 // hard error, not a silent fresh start.
