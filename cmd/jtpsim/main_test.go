@@ -144,3 +144,42 @@ func TestMergeRefusesMidRunCheckpoint(t *testing.T) {
 		t.Fatalf("merge of a mid-run checkpoint: exit %d, stderr %q; want non-zero and %q", code, msg, want)
 	}
 }
+
+// TestResumeRefusesOtherRunLength: the fingerprint covers a batch's
+// non-axis settings, so a checkpoint written at one -seconds does not
+// resume under another.
+func TestResumeRefusesOtherRunLength(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "m.json")
+	if err := os.WriteFile(spec, []byte(`{"name": "len", "nodes": [3], "runs": 1, "flows": 1, "warmup": 5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(dir, "ck.json")
+	if code, msg := runCaptured(t, []string{"batch", "-matrix", spec, "-seconds", "40", "-checkpoint", ck}); code != 0 {
+		t.Fatalf("first run: exit %d: %s", code, msg)
+	}
+	code, msg := runCaptured(t, []string{"batch", "-matrix", spec, "-seconds", "200", "-checkpoint", ck})
+	if want := "different campaign"; code == 0 || !strings.Contains(msg, want) {
+		t.Fatalf("resume at another -seconds: exit %d, stderr %q; want non-zero and %q", code, msg, want)
+	}
+}
+
+// TestMergeRefusesMixedScales: shards of one figure run at different
+// -scale values are different campaigns, and merge says so by naming
+// the fingerprint.
+func TestMergeRefusesMixedScales(t *testing.T) {
+	dir := t.TempDir()
+	s0, s1 := filepath.Join(dir, "s0.json"), filepath.Join(dir, "s1.json")
+	for _, args := range [][]string{
+		{"-exp", "fig5", "-scale", "0.2", "-shard", "0/2", "-shard-out", s0},
+		{"-exp", "fig5", "-scale", "0.4", "-shard", "1/2", "-shard-out", s1},
+	} {
+		if code, _, msg := runOutputs(t, args); code != 0 {
+			t.Fatalf("jtpsim %v: exit %d: %s", args, code, msg)
+		}
+	}
+	code, msg := runCaptured(t, []string{"merge", s0, s1})
+	if want := "fingerprint"; code == 0 || !strings.Contains(msg, want) {
+		t.Fatalf("merge of mixed scales: exit %d, stderr %q; want non-zero and %q", code, msg, want)
+	}
+}

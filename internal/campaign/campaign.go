@@ -15,6 +15,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -214,6 +215,13 @@ type Matrix struct {
 	BaseSeed int64
 	// SeedFn overrides the default seed derivation when non-nil.
 	SeedFn SeedFunc
+	// Config is the campaign's non-axis run configuration: run length,
+	// flow counts, transfer sizes, everything a run reads besides its
+	// cell and seed. The fingerprint hashes its JSON encoding, so two
+	// campaigns that differ only here (a -scale, a -seconds) never
+	// resume or merge into each other. Validate rejects a Config that
+	// does not encode.
+	Config any
 }
 
 // AddAxis appends an axis and returns the matrix for chaining.
@@ -243,6 +251,9 @@ func (m *Matrix) Validate() error {
 		if len(ax.Values) == 0 {
 			return fmt.Errorf("campaign: axis %q has no values", ax.Name)
 		}
+	}
+	if _, err := json.Marshal(m.Config); err != nil {
+		return fmt.Errorf("campaign: config: %w", err)
 	}
 	return nil
 }

@@ -55,14 +55,26 @@ var corruptions = map[string]func(t *testing.T, path string){
 	"version 1 checkpoint": func(t *testing.T, path string) {
 		// A mid-run checkpoint written by the build before checkpoints
 		// became shard files: {version, fingerprint, nextSeq, state}.
-		data, err := os.ReadFile(filepath.Join("testdata", "v1-checkpoint.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		copyFixture(t, "v1-checkpoint.json", path)
 	},
+	"version 2 checkpoint": func(t *testing.T, path string) {
+		// A mid-run checkpoint of this campaign written by the build
+		// before fingerprints covered Matrix.Config: its fingerprint
+		// differs, so only the version check keeps it from a hard refusal.
+		copyFixture(t, "v2-checkpoint.json", path)
+	},
+}
+
+// copyFixture copies testdata/name to path.
+func copyFixture(t *testing.T, name, path string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // rewriteCheckpoint round-trips the checkpoint JSON through a generic

@@ -26,7 +26,7 @@ func FuzzReadShardFile(f *testing.F) {
 	ctx, cancel := context.WithCancel(context.Background())
 	Execute(ctx, m, Options{Workers: 1, Checkpoint: ck, CheckpointEvery: 4}, cancelAtRun(cancel, 23))
 	cancel()
-	for i, path := range []string{out, ck, filepath.Join("testdata", "v1-checkpoint.json")} {
+	for i, path := range []string{out, ck, filepath.Join("testdata", "v1-checkpoint.json"), filepath.Join("testdata", "v2-checkpoint.json")} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

@@ -102,8 +102,11 @@ func (s Shard) filterSpecs(specs []RunSpec, numCells, runsPerCell int) []RunSpec
 
 // ShardFileVersion is the current shard file schema version. Readers
 // treat any other version as corrupt state: a checkpoint from another
-// build cold-starts, and merge refuses the file.
-const ShardFileVersion = 2
+// build cold-starts, and merge refuses the file. Version 3 fingerprints
+// cover Matrix.Config, so a version 2 checkpoint of the same campaign
+// carries another fingerprint; the version check makes it cold-start
+// instead of being refused as a foreign campaign.
+const ShardFileVersion = 3
 
 // ErrCorruptShardFile marks a shard file that exists but cannot be
 // trusted: an empty file, torn or truncated JSON, another schema
@@ -453,7 +456,7 @@ func MergeAvailable(files ...*ShardFile) (*Report, *MergeGaps, error) {
 				f.NumCells, f.RunsPerCell, first.NumCells, first.RunsPerCell)
 		}
 		if f.Fingerprint != first.Fingerprint {
-			return nil, nil, fmt.Errorf("campaign: merge: shard %s has matrix fingerprint %.12s…, shard %s has %.12s… (same-named campaigns with different seeds or axis values?)",
+			return nil, nil, fmt.Errorf("campaign: merge: shard %s has matrix fingerprint %.12s…, shard %s has %.12s… (same-named campaigns with different seeds, axis values or settings?)",
 				sh, f.Fingerprint, first.Shard.norm(), first.Fingerprint)
 		}
 		if sh.Of != of {
@@ -517,13 +520,19 @@ func cellFromStrings(names []string, values []string) Cell {
 	return Cell{names: names, values: vs}
 }
 
+// Fingerprint returns the campaign's identity hash (see
+// matrixFingerprint): the value Execute stamps into its Report and into
+// every shard file and checkpoint it writes.
+func (m *Matrix) Fingerprint() string { return matrixFingerprint(m, m.Expand()) }
+
 // matrixFingerprint hashes the shard-independent campaign identity:
-// name, axes (names and canonical values), runs per cell and the FULL
+// name, axes (names and canonical values), runs per cell, the FULL
 // expanded (index, cell, run, seed) list, which captures BaseSeed and
-// any custom SeedFn. Every shard of the same campaign derives the same
-// value. Execute stamps it into the Report and refuses to resume a
-// checkpoint that carries another; shard files carry it, and merge
-// refuses shard files whose fingerprints disagree.
+// any custom SeedFn, and the JSON encoding of Config. Every shard of
+// the same campaign derives the same value. Execute stamps it into the
+// Report and refuses to resume a checkpoint that carries another; shard
+// files carry it, and merge refuses shard files whose fingerprints
+// disagree.
 func matrixFingerprint(m *Matrix, all []RunSpec) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -552,6 +561,9 @@ func matrixFingerprint(m *Matrix, all []RunSpec) string {
 		wInt(int64(all[i].Run))
 		wInt(all[i].Seed)
 	}
+	// Validate has checked that Config encodes.
+	cfg, _ := json.Marshal(m.Config)
+	wStr(string(cfg))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

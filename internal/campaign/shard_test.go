@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -552,6 +553,21 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	m3.Runs++
 	if _, err := Execute(context.Background(), m3, Options{Checkpoint: ck}, seededRun); err == nil {
 		t.Error("different runs: resume accepted")
+	}
+	reconfigured := m
+	reconfigured.Config = struct{ Seconds float64 }{200}
+	if _, err := Execute(context.Background(), reconfigured, Options{Checkpoint: ck}, seededRun); err == nil {
+		t.Error("different config: resume accepted")
+	}
+}
+
+// TestMatrixConfigMustEncode: a Config the fingerprint cannot hash is a
+// malformed matrix, refused before anything runs.
+func TestMatrixConfigMustEncode(t *testing.T) {
+	m := testMatrix()
+	m.Config = struct{ Seconds float64 }{math.NaN()}
+	if _, err := Execute(context.Background(), m, Options{}, seededRun); err == nil || !strings.Contains(err.Error(), "config") {
+		t.Fatalf("err = %v, want a config error", err)
 	}
 }
 

@@ -249,7 +249,10 @@ func channelProfile(s string) (channel.Config, error) {
 // report column order) is fixed: proto, netSize, speed, lossTol,
 // cachePolicy, channel. With a workloads axis the netSize axis is
 // replaced by the workload-name axis: proto, workload, speed, lossTol,
-// cachePolicy, channel.
+// cachePolicy, channel. The matrix's Config is a copy of the spec, so
+// the campaign fingerprint covers every setting a run reads (seconds,
+// flows, warmup, workloads, ...); call it on the defaulted spec with
+// its overrides applied, as Execute does.
 func (b *BatchSpec) Matrix() campaign.Matrix {
 	second := campaign.Axis{Name: "netSize", Values: campaign.Ints(b.Nodes...)}
 	if len(b.Workloads) > 0 {
@@ -271,6 +274,7 @@ func (b *BatchSpec) Matrix() campaign.Matrix {
 		},
 		Runs:     b.Runs,
 		BaseSeed: b.Seed,
+		Config:   *b,
 	}
 }
 

@@ -50,7 +50,8 @@ func Fig10Defaults(scale float64) Fig10Config {
 func Fig10(cfg Fig10Config) Figure {
 	return Figure{
 		Matrix: campaign.Matrix{
-			Name: "fig10",
+			Name:   "fig10",
+			Config: cfg,
 			Axes: []campaign.Axis{
 				{Name: "proto", Values: protocolValues(cfg.Protocols)},
 				{Name: "netSize", Values: campaign.Ints(cfg.Sizes...)},

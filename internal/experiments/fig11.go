@@ -50,7 +50,8 @@ func Fig11Defaults(scale float64) Fig11Config {
 func Fig11(cfg Fig11Config) Figure {
 	return Figure{
 		Matrix: campaign.Matrix{
-			Name: "fig11",
+			Name:   "fig11",
+			Config: cfg,
 			Axes: []campaign.Axis{
 				{Name: "proto", Values: protocolValues(cfg.Protocols)},
 				{Name: "speed", Values: campaign.Floats(cfg.Speeds...)},

@@ -56,7 +56,8 @@ func Fig3Defaults(scale float64) Fig3Config {
 func Fig3(cfg Fig3Config) Figure {
 	return Figure{
 		Matrix: campaign.Matrix{
-			Name: "fig3",
+			Name:   "fig3",
+			Config: cfg,
 			Axes: []campaign.Axis{
 				{Name: "lossTol", Values: campaign.Floats(cfg.Tolerances...)},
 				{Name: "netSize", Values: campaign.Ints(cfg.Sizes...)},
@@ -147,6 +148,7 @@ func Fig3c(cfg Fig3cConfig) Figure {
 	return Figure{
 		Matrix: campaign.Matrix{
 			Name:   "fig3c",
+			Config: cfg,
 			Axes:   []campaign.Axis{{Name: "lossTol", Values: campaign.Floats(0.10, 0.20)}},
 			SeedFn: runSeeds(cfg.Seed, 0),
 		},

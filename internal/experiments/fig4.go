@@ -67,7 +67,8 @@ func Fig4(cfg Fig4Config) Figure {
 	}
 	return Figure{
 		Matrix: campaign.Matrix{
-			Name: "fig4",
+			Name:   "fig4",
+			Config: cfg,
 			Axes: []campaign.Axis{
 				{Name: "proto", Values: protocolValues([]Protocol{JTP, JNC})},
 				{Name: "netSize", Values: campaign.Ints(sizes...)},

@@ -45,6 +45,7 @@ func Fig5(cfg Fig5Config) Figure {
 	return Figure{
 		Matrix: campaign.Matrix{
 			Name:   "fig5",
+			Config: cfg,
 			Axes:   []campaign.Axis{{Name: "backoff", Values: []any{true, false}}},
 			SeedFn: runSeeds(cfg.Seed, 0),
 		},

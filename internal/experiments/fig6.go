@@ -50,7 +50,8 @@ func Fig6Defaults(scale float64) Fig6Config {
 func Fig6(cfg Fig6Config) Figure {
 	return Figure{
 		Matrix: campaign.Matrix{
-			Name: "fig6",
+			Name:   "fig6",
+			Config: cfg,
 			Axes: []campaign.Axis{
 				{Name: "netSize", Values: campaign.Ints(cfg.Sizes...)},
 				{Name: "feedback", Values: campaign.Floats(append([]float64{0}, cfg.ConstantRates...)...)},

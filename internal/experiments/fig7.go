@@ -68,6 +68,7 @@ func Fig7(cfg Fig7Config) Figure {
 	return Figure{
 		Matrix: campaign.Matrix{
 			Name:   "fig7",
+			Config: cfg,
 			Axes:   []campaign.Axis{{Name: "feedback", Values: campaign.Floats(append([]float64{0}, cfg.Rates...)...)}},
 			Runs:   cfg.Runs,
 			SeedFn: runSeeds(cfg.Seed, 2711),

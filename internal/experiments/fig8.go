@@ -46,7 +46,7 @@ func Fig8(cfg Fig8Config) Figure {
 		{"after", cfg.Flow2End + 50, cfg.Seconds},
 	}
 	return Figure{
-		Matrix: campaign.Matrix{Name: "fig8", SeedFn: runSeeds(cfg.Seed, 0)},
+		Matrix: campaign.Matrix{Name: "fig8", SeedFn: runSeeds(cfg.Seed, 0), Config: cfg},
 		Scenario: func(_ campaign.Cell, seed int64) Scenario {
 			return Scenario{
 				Name:    "fig8",

@@ -59,7 +59,8 @@ func Fig9Defaults(scale float64) Fig9Config {
 func Fig9(cfg Fig9Config) Figure {
 	return Figure{
 		Matrix: campaign.Matrix{
-			Name: "fig9",
+			Name:   "fig9",
+			Config: cfg,
 			Axes: []campaign.Axis{
 				{Name: "proto", Values: protocolValues(cfg.Protocols)},
 				{Name: "netSize", Values: campaign.Ints(cfg.Sizes...)},

@@ -57,6 +57,7 @@ func Table2(cfg Table2Config) Figure {
 	return Figure{
 		Matrix: campaign.Matrix{
 			Name:   "table2",
+			Config: cfg,
 			Axes:   []campaign.Axis{{Name: "proto", Values: protocolValues(cfg.Protocols)}},
 			Runs:   cfg.Runs,
 			SeedFn: runSeeds(cfg.Seed, 9677),
