@@ -3,20 +3,26 @@ package main
 // jtpsim coord: the fault-tolerant shard coordinator. It splits a
 // campaign into N shards, runs each as a supervised child jtpsim worker
 // on a bounded process pool, restarts crashed or hung workers from their
-// checkpoints with backoff, journals its own state so it can itself be
-// killed and resumed, and auto-merges the shard files into a report
-// byte-identical to the unsharded run's:
+// checkpoints with backoff, and auto-merges the shard files into a
+// report byte-identical to the unsharded run's. It keeps no state of its
+// own: the shard files and checkpoints in -out are the state, so the
+// coordinator itself can be killed and resumed:
 //
 //	jtpsim coord -shards 8 -workers 4 -matrix sweep.json -out sweep.d
 //	jtpsim coord -shards 4 -exp fig9 -scale 0.05 -out fig9.d -csv
 //	jtpsim coord ... -chaos 0.5 -chaos-seed 7   # fault injection
 //
 // Interrupting the coordinator (or SIGKILLing it) and rerunning the same
-// command resumes: done shards are trusted (their result files are
-// re-validated), in-flight shards relaunch from their checkpoints.
-// When shards exhaust their retry budget the coordinator still finishes
-// the rest, emits a partial merge with explicit missing-shard
-// accounting, and exits non-zero.
+// command resumes: a shard whose result file passes validation and
+// carries this campaign's fingerprint is done, and every other shard
+// relaunches from its checkpoint. -par, -workers and the supervision
+// flags may change between runs; the campaign flags (-matrix and its
+// overrides, or -exp, -scale and -seed) may not: a shard file of
+// another campaign in -out is refused before any worker launches. The
+// campaign is loaded and checked before anything is written, so a bad
+// -matrix fails at once. When shards exhaust their retry budget the
+// coordinator still finishes the rest, emits a partial merge with
+// explicit missing-shard accounting, and exits non-zero.
 
 import (
 	"context"
@@ -28,28 +34,29 @@ import (
 	"strings"
 	"time"
 
+	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/coordinator"
 	"github.com/javelen/jtp/internal/experiments"
 	"github.com/javelen/jtp/internal/obs"
 )
 
 func coordMain(args []string) int {
-	var o options
-	fs := flag.NewFlagSet("coord", flag.ExitOnError)
 	var (
-		matrixPath = fs.String("matrix", "", "JSON scenario matrix to shard (batch mode)")
+		o  options
+		bf batchFlags
+	)
+	fs := flag.NewFlagSet("coord", flag.ExitOnError)
+	bf.register(fs)
+	var (
 		expID      = fs.String("exp", "", "figure experiment id to shard (alternative to -matrix)")
 		scale      = fs.Float64("scale", 0.25, "scale for -exp workers")
-		runs       = fs.Int("runs", 0, "override the matrix's runs per cell (batch mode)")
-		seconds    = fs.Float64("seconds", 0, "override the matrix's virtual run length (batch mode)")
-		seed       = fs.Int64("seed", 0, "base seed override for the workers")
 		shards     = fs.Int("shards", 0, "number of campaign shards (required, >= 1)")
 		workers    = fs.Int("workers", 0, "concurrent worker processes (0 = min(shards, CPUs))")
-		outDir     = fs.String("out", "", "coordination directory for shard files, checkpoints, status, logs, journal (required)")
+		outDir     = fs.String("out", "", "coordination directory: shard results, checkpoints, status files and logs; rerunning over it resumes (required)")
 		retries    = fs.Int("retries", 3, "restarts each shard may consume before failing permanently")
 		backoff    = fs.Duration("backoff", 500*time.Millisecond, "restart backoff base (doubles per attempt, plus jitter)")
 		backoffMax = fs.Duration("backoff-max", 15*time.Second, "restart backoff cap")
-		stall      = fs.Duration("stall-timeout", 2*time.Minute, "declare a worker dead when neither its heartbeat nor its checkpoint advances for this long")
+		stall      = fs.Duration("stall-timeout", 2*time.Minute, "declare a worker dead when its heartbeat frontier does not advance for this long")
 		ckInterval = fs.Duration("checkpoint-interval", 2*time.Second, "worker periodic checkpoint interval (short, so crashed workers lose little)")
 		chaos      = fs.Float64("chaos", 0, "fault injection: per-second probability of SIGKILLing each running worker")
 		chaosSeed  = fs.Int64("chaos-seed", 0, "seed for the chaos kill schedule and backoff jitter")
@@ -62,20 +69,32 @@ func coordMain(args []string) int {
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve pprof/expvar with live coordinator state (jtpsim_coord) on this address")
 	fs.Parse(args)
 
-	if (*matrixPath == "") == (*expID == "") {
+	if (bf.matrix == "") == (*expID == "") {
 		fmt.Fprintln(os.Stderr, "jtpsim coord: exactly one of -matrix or -exp is required")
 		return 2
 	}
-	// With -exp the merged report is rendered as the figure's tables.
-	var fig *experiments.Figure
+	// The campaign the workers run, and their command line: this binary
+	// in batch or figure mode, with a short checkpoint interval so a
+	// killed worker re-executes little. The coordinator appends the
+	// per-shard flags per launch. With -exp the merged report is
+	// rendered as the figure's tables.
+	var (
+		m          campaign.Matrix
+		workerArgs []string
+		fig        *experiments.Figure
+	)
 	if *expID != "" {
 		e, ok := lookupExperiment(*expID)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "jtpsim coord: unknown experiment %q (try jtpsim -list)\n", *expID)
 			return 2
 		}
-		f := e.figure(*scale, *seed)
-		fig = &f
+		f := e.figure(*scale, bf.seed)
+		fig, m = &f, f.Matrix
+		workerArgs = []string{"-exp", *expID, "-scale", fmt.Sprint(*scale)}
+		if bf.seed != 0 {
+			workerArgs = append(workerArgs, "-seed", fmt.Sprint(bf.seed))
+		}
 	}
 	if *shards < 1 {
 		fmt.Fprintln(os.Stderr, "jtpsim coord: -shards N (>= 1) is required")
@@ -85,29 +104,18 @@ func coordMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "jtpsim coord: -out <dir> is required")
 		return 2
 	}
+	if bf.matrix != "" {
+		spec, err := bf.load()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "jtpsim coord: %v\n", err)
+			return 1
+		}
+		m, workerArgs = spec.Matrix(), bf.args()
+	}
 	self, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jtpsim coord: %v\n", err)
 		return 1
-	}
-
-	// The worker command line: this binary, in batch or figure mode,
-	// with a short checkpoint interval so a killed worker re-executes
-	// little. The coordinator appends the per-shard flags per launch.
-	var workerArgs []string
-	if *matrixPath != "" {
-		workerArgs = []string{"batch", "-matrix", *matrixPath}
-		if *runs > 0 {
-			workerArgs = append(workerArgs, "-runs", fmt.Sprint(*runs))
-		}
-		if *seconds > 0 {
-			workerArgs = append(workerArgs, "-seconds", fmt.Sprint(*seconds))
-		}
-	} else {
-		workerArgs = []string{"-exp", *expID, "-scale", fmt.Sprint(*scale)}
-	}
-	if *seed != 0 {
-		workerArgs = append(workerArgs, "-seed", fmt.Sprint(*seed))
 	}
 	workerArgs = append(workerArgs,
 		"-par", fmt.Sprint(o.par),
@@ -119,6 +127,7 @@ func coordMain(args []string) int {
 	cfg := coordinator.Config{
 		WorkerBin:     self,
 		WorkerArgs:    workerArgs,
+		Matrix:        m,
 		Shards:        *shards,
 		Workers:       *workers,
 		OutDir:        *outDir,
@@ -149,9 +158,9 @@ func coordMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "jtpsim coord: debug server on http://%s/debug/vars (jtpsim_coord)\n", bound)
 	}
 
-	// First SIGINT/SIGTERM: stop workers gracefully (they checkpoint),
-	// journal, and exit — rerunning the same command resumes. Second:
-	// force quit 130.
+	// First SIGINT/SIGTERM: stop workers gracefully (they checkpoint)
+	// and exit — rerunning the same command resumes. Second: force quit
+	// 130.
 	ctx, stop := watchSignals(context.Background())
 	defer stop()
 

@@ -287,20 +287,20 @@ func expMain(args []string) int {
 // batchMain runs a user-declared scenario matrix: jtpsim batch -matrix
 // file.json [-par N] [-runs N] [-seconds S] [-csv|-json] [-v].
 func batchMain(args []string) int {
-	var o options
-	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	var (
-		matrixPath = fs.String("matrix", "", "path to the JSON scenario matrix (required)")
-		runs       = fs.Int("runs", 0, "override the spec's runs per cell")
-		seconds    = fs.Float64("seconds", 0, "override the spec's virtual run length")
-		seed       = fs.Int64("seed", 0, "override the spec's base seed")
-		asJSON     = fs.Bool("json", false, "emit the aggregate report as JSON")
-		verbose    = fs.Bool("v", false, "log each completed run to stderr")
+		o  options
+		bf batchFlags
+	)
+	fs := flag.NewFlagSet("batch", flag.ExitOnError)
+	bf.register(fs)
+	var (
+		asJSON  = fs.Bool("json", false, "emit the aggregate report as JSON")
+		verbose = fs.Bool("v", false, "log each completed run to stderr")
 	)
 	o.campaignFlags(fs)
 	fs.Parse(args)
 
-	if *matrixPath == "" {
+	if bf.matrix == "" {
 		fmt.Fprintln(os.Stderr, "jtpsim batch: -matrix <file.json> is required")
 		fs.SetOutput(os.Stderr)
 		fs.PrintDefaults()
@@ -308,24 +308,10 @@ func batchMain(args []string) int {
 			strings.Join(experiments.RegisteredProtocols(), ", "))
 		return 2
 	}
-	data, err := os.ReadFile(*matrixPath)
+	spec, err := bf.load()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", err)
 		return 1
-	}
-	spec, err := experiments.ParseBatchSpec(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", err)
-		return 1
-	}
-	if *runs > 0 {
-		spec.Runs = *runs
-	}
-	if *seconds > 0 {
-		spec.Seconds = *seconds
-	}
-	if *seed != 0 {
-		spec.Seed = *seed
 	}
 
 	opt, ctx, stop, err := o.start()
@@ -389,6 +375,61 @@ func batchMain(args []string) int {
 		return 1
 	}
 	return 0
+}
+
+// batchFlags pick a batch campaign: the matrix file and the overrides
+// applied to it. batch runs the spec they load; coord hands that spec's
+// Matrix to the coordinator and passes the same flags to its workers,
+// so the coordinator judges the out-dir by the campaign the workers run.
+type batchFlags struct {
+	matrix  string
+	runs    int
+	seconds float64
+	seed    int64
+}
+
+func (b *batchFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&b.matrix, "matrix", "", "path to the JSON scenario matrix")
+	fs.IntVar(&b.runs, "runs", 0, "override the spec's runs per cell")
+	fs.Float64Var(&b.seconds, "seconds", 0, "override the spec's virtual run length")
+	fs.Int64Var(&b.seed, "seed", 0, "override the campaign's base seed")
+}
+
+// load reads and validates the matrix file and applies the overrides.
+func (b *batchFlags) load() (*experiments.BatchSpec, error) {
+	data, err := os.ReadFile(b.matrix)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := experiments.ParseBatchSpec(data)
+	if err != nil {
+		return nil, err
+	}
+	if b.runs > 0 {
+		spec.Runs = b.runs
+	}
+	if b.seconds > 0 {
+		spec.Seconds = b.seconds
+	}
+	if b.seed != 0 {
+		spec.Seed = b.seed
+	}
+	return spec, nil
+}
+
+// args renders the flags as a batch command line.
+func (b *batchFlags) args() []string {
+	args := []string{"batch", "-matrix", b.matrix}
+	if b.runs > 0 {
+		args = append(args, "-runs", fmt.Sprint(b.runs))
+	}
+	if b.seconds > 0 {
+		args = append(args, "-seconds", fmt.Sprint(b.seconds))
+	}
+	if b.seed != 0 {
+		args = append(args, "-seed", fmt.Sprint(b.seed))
+	}
+	return args
 }
 
 func registry() []experiment {

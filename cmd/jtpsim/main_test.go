@@ -183,3 +183,27 @@ func TestMergeRefusesMixedScales(t *testing.T) {
 		t.Fatalf("merge of mixed scales: exit %d, stderr %q; want non-zero and %q", code, msg, want)
 	}
 }
+
+// TestCoordChecksMatrixBeforeLaunch: coord loads its campaign as batch
+// does, before it writes anything, so a missing or invalid -matrix fails
+// at once with the real error instead of crash-looping workers.
+func TestCoordChecksMatrixBeforeLaunch(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"protocols": ["nope"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ matrix, want string }{
+		{filepath.Join(dir, "missing.json"), "no such file"},
+		{bad, `unknown protocol "nope"`},
+	} {
+		out := filepath.Join(dir, "out")
+		code, msg := runCaptured(t, []string{"coord", "-matrix", tc.matrix, "-shards", "2", "-out", out, "-q"})
+		if code != 1 || !strings.Contains(msg, tc.want) {
+			t.Errorf("coord -matrix %s: exit %d, stderr %q; want exit 1 and %q", tc.matrix, code, msg, tc.want)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("coord -matrix %s created its out-dir (%v)", tc.matrix, err)
+		}
+	}
+}

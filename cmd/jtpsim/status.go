@@ -3,8 +3,8 @@ package main
 // Worker-side heartbeat protocol for `jtpsim coord`: with -status FILE a
 // campaign worker appends rate-limited coordinator.StatusFrame lines
 // (fold frontier, total, failures, runs/sec) so the supervising
-// coordinator can tell a live shard from a hung one without parsing logs
-// or guessing from checkpoint mtimes alone.
+// coordinator can tell a live shard from a hung one without parsing
+// logs. The frames are its only liveness signal.
 //
 // The same file hosts the fault-injection knob: when the
 // JTPSIM_CHAOS_EXIT_AT environment variable is set ("SEQ" for every
@@ -26,8 +26,11 @@ import (
 	"github.com/javelen/jtp/internal/experiments"
 )
 
-// statusFrameInterval rate-limits heartbeat appends; the final frame
-// (Done == Total) always writes.
+// statusFrameInterval rate-limits heartbeat appends: while runs fold, a
+// frame is written at the first fold at least this long after the last
+// one, and the final frame (Done == Total) always writes. Checkpoints
+// are written only at folds too, so a worker whose checkpoint advances
+// also advances its frames.
 const statusFrameInterval = 250 * time.Millisecond
 
 // startStatusWriter opens the -status sink, arms the chaos knob, and

@@ -250,7 +250,7 @@ func BuildShardFile(rep *Report) *ShardFile {
 }
 
 // WriteShardFile durably writes the report's shard file as indented
-// JSON (see WriteFileAtomic). Shard results and checkpoints both go
+// JSON (see writeFileAtomic). Shard results and checkpoints both go
 // through it, so a completed shard's final checkpoint is byte-identical
 // to its result file.
 func WriteShardFile(path string, rep *Report) error {
@@ -258,7 +258,7 @@ func WriteShardFile(path string, rep *Report) error {
 	if err != nil {
 		return fmt.Errorf("campaign: shard file: %w", err)
 	}
-	if err := WriteFileAtomic(path, append(data, '\n')); err != nil {
+	if err := writeFileAtomic(path, append(data, '\n')); err != nil {
 		return fmt.Errorf("campaign: shard file: %w", err)
 	}
 	return nil
@@ -567,14 +567,13 @@ func matrixFingerprint(m *Matrix, all []RunSpec) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// WriteFileAtomic replaces path with data so that a reader, or a
+// writeFileAtomic replaces path with data so that a reader, or a
 // restart after a crash or power loss, sees either the old content or
 // all of the new: it writes a temp file in the same directory, fsyncs
 // it, renames it over path, and fsyncs the directory so the rename
 // itself is durable. On failure before the rename the temp file is
-// removed. Shard files, checkpoints and the coordinator's journal all
-// go through it.
-func WriteFileAtomic(path string, data []byte) error {
+// removed. Shard files and checkpoints go through it.
+func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {

@@ -637,7 +637,7 @@ func TestWriteFileAtomicLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
 	for _, content := range []string{"old", "new"} {
-		if err := WriteFileAtomic(path, []byte(content)); err != nil {
+		if err := writeFileAtomic(path, []byte(content)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -648,7 +648,7 @@ func TestWriteFileAtomicLeavesNoTemp(t *testing.T) {
 	if err := os.Mkdir(target, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(target, []byte("x")); err == nil {
+	if err := writeFileAtomic(target, []byte("x")); err == nil {
 		t.Fatal("rename over a directory succeeded")
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, ".*.tmp*")); len(tmps) != 0 {

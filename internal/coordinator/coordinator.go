@@ -9,9 +9,8 @@
 //
 //   - Liveness: workers append heartbeat frames (fold frontier, rate)
 //     to a per-shard status file; the coordinator declares a shard dead
-//     on process exit ≠ 0 OR when neither the frontier nor the
-//     checkpoint mtime advances for StallTimeout — catching stuck
-//     workers, not just crashed ones.
+//     on process exit ≠ 0 OR when the frontier does not advance for
+//     StallTimeout — catching stuck workers, not just crashed ones.
 //   - Restart: dead shards relaunch with exponential backoff + jitter
 //     under a per-shard retry budget, resuming from their
 //     fingerprint-guarded checkpoint so only the uncheckpointed tail
@@ -20,10 +19,13 @@
 //     failed; the rest of the campaign completes, and the merge step
 //     folds what exists with explicit missing-shard accounting
 //     (campaign.MergeAvailable).
-//   - Crash-safe coordinator state: the shard table journals atomically
-//     on every transition, so a SIGKILLed coordinator resumes — done
-//     shards stay done, running shards rewind to pending and resume
-//     from their checkpoints.
+//   - The out-dir is the state: the coordinator keeps none of its own.
+//     A restarted coordinator reads each shard's result file and
+//     checkpoint: a result of this campaign (same fingerprint, same
+//     shard i/N) means done, anything else relaunches and resumes from
+//     its checkpoint, and a file of another campaign is refused before
+//     any worker launches. So a SIGKILLed coordinator resumes by
+//     rerunning the same command.
 //   - Auto-merge: when every shard completes, the shard files fold via
 //     campaign.MergeReports under its byte-identity contract — the
 //     merged report equals the unsharded run's, faults and all.
@@ -36,16 +38,15 @@ package coordinator
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -61,13 +62,16 @@ type Config struct {
 	// appends -shard/-shard-out/-checkpoint/-status per launch.
 	WorkerBin  string
 	WorkerArgs []string
+	// Matrix is the campaign the workers run. Its fingerprint decides
+	// which files in OutDir belong to this campaign.
+	Matrix campaign.Matrix
 	// Shards is the number of campaign shards (N of -shard i/N).
 	Shards int
 	// Workers bounds concurrently running worker processes; <= 0 means
 	// min(Shards, GOMAXPROCS).
 	Workers int
 	// OutDir holds every coordination artifact: shard result files,
-	// checkpoints, status files, worker logs, and the journal.
+	// checkpoints, status files and worker logs.
 	OutDir string
 	// RetryBudget is the number of restarts each shard may consume
 	// beyond its first launch (0 = one attempt, no retries); < 0 means
@@ -78,9 +82,9 @@ type Config struct {
 	// Defaults: 500ms / 15s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// StallTimeout declares a running shard dead when neither its
-	// status-frame frontier nor its checkpoint mtime advances for this
-	// long (a hung worker, not just a crashed one); <= 0 means 2m.
+	// StallTimeout declares a running shard dead when its status-frame
+	// frontier does not advance for this long (a hung worker, not just
+	// a crashed one); <= 0 means 2m.
 	StallTimeout time.Duration
 	// Poll is the supervision tick (liveness checks, chaos, backoff
 	// expiry); <= 0 means 200ms.
@@ -186,7 +190,6 @@ type shardRun struct {
 	lastSeq      int
 	lastTotal    int
 	lastRate     float64
-	lastCkMod    time.Time
 }
 
 // ShardStatus is one shard's externally visible state (Snapshot, final
@@ -280,6 +283,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.ChaosKillRate < 0 {
 		return nil, fmt.Errorf("coordinator: negative chaos kill rate %g", cfg.ChaosKillRate)
 	}
+	if err := cfg.Matrix.Validate(); err != nil {
+		return nil, fmt.Errorf("coordinator: %w", err)
+	}
 	if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
 		return nil, fmt.Errorf("coordinator: %w", err)
 	}
@@ -303,21 +309,15 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Artifact paths inside OutDir.
+// Artifact paths inside OutDir: shard-007.json and so on.
 
-func (c *Coordinator) journalPath() string { return filepath.Join(c.cfg.OutDir, "coord.journal.json") }
-func (c *Coordinator) shardOutPath(i int) string {
-	return filepath.Join(c.cfg.OutDir, shardFileName(".json", i))
+func (c *Coordinator) shardPath(i int, kind string) string {
+	return filepath.Join(c.cfg.OutDir, fmt.Sprintf("shard-%03d%s", i, kind))
 }
-func (c *Coordinator) checkpointPath(i int) string {
-	return filepath.Join(c.cfg.OutDir, shardFileName(".ck.json", i))
-}
-func (c *Coordinator) statusPath(i int) string {
-	return filepath.Join(c.cfg.OutDir, shardFileName(".status.jsonl", i))
-}
-func (c *Coordinator) logPath(i int) string {
-	return filepath.Join(c.cfg.OutDir, shardFileName(".log", i))
-}
+func (c *Coordinator) shardOutPath(i int) string   { return c.shardPath(i, ".json") }
+func (c *Coordinator) checkpointPath(i int) string { return c.shardPath(i, ".ck.json") }
+func (c *Coordinator) statusPath(i int) string     { return c.shardPath(i, ".status.jsonl") }
+func (c *Coordinator) logPath(i int) string        { return c.shardPath(i, ".log") }
 
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Log != nil {
@@ -327,19 +327,16 @@ func (c *Coordinator) logf(format string, args ...any) {
 
 // Run drives every shard to done or failed, then merges. It returns a
 // Result even on error when any supervision happened: on ctx
-// cancellation the result classifies unfinished shards as interrupted
-// and the journal allows a later invocation to resume.
+// cancellation the result classifies unfinished shards as interrupted,
+// and their checkpoints let a later invocation resume.
 func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 	if err := c.restoreShardTable(); err != nil {
-		return nil, err
-	}
-	if err := c.persistJournal(); err != nil {
 		return nil, err
 	}
 
 	ticker := time.NewTicker(c.cfg.poll())
 	defer ticker.Stop()
-	var supErr error   // first infrastructure error (journal write), fatal
+	var supErr error   // first infrastructure error (worker log), fatal
 	cancelled := false // ctx cancelled before the campaign finished
 
 loop:
@@ -353,7 +350,7 @@ loop:
 			cancelled = true
 			break loop
 		case ev := <-c.events:
-			supErr = c.handleExit(ev)
+			c.handleExit(ev)
 		case <-ticker.C:
 			c.superviseTick()
 		}
@@ -373,62 +370,49 @@ loop:
 	}
 }
 
-// restoreShardTable builds the in-memory shard table, resuming from an
-// existing journal when the out-dir holds one for this campaign.
+// restoreShardTable builds the shard table from OutDir, the only state
+// a coordinator resumes from: a shard whose result file is of this
+// campaign is done, and every other shard is pending, its worker
+// resuming from its checkpoint. A running shard's retry budget restarts
+// with the coordinator, as a failed shard's does. A readable result or
+// checkpoint of another campaign or shard split is refused before any
+// worker launches, as merge refuses it. A corrupt one is ignored: the
+// shard runs again, its worker cold-starting over a corrupt checkpoint.
 func (c *Coordinator) restoreShardTable() error {
-	identity := journalIdentity(c.cfg.WorkerArgs, c.cfg.Shards)
-	j, err := loadJournal(c.journalPath(), identity, c.cfg.Shards)
-	if err != nil {
-		if !isCorrupt(err) {
-			return err
+	fingerprint := c.cfg.Matrix.Fingerprint()
+	shards := make([]*shardRun, c.cfg.Shards)
+	for i := range shards {
+		shards[i] = &shardRun{index: i, state: statePending}
+		want := campaign.Shard{Index: i, Of: c.cfg.Shards}
+		var files [2]*campaign.ShardFile // result, checkpoint
+		for k, path := range []string{c.shardOutPath(i), c.checkpointPath(i)} {
+			f, err := campaign.ReadShardFile(path)
+			switch {
+			case errors.Is(err, fs.ErrNotExist):
+			case err != nil:
+				c.logf("shard %d: ignoring an unusable file: %v", i, err)
+			case f.Fingerprint != fingerprint || f.Shard.String() != want.String():
+				return fmt.Errorf("coordinator: %s belongs to a different campaign (shard %s, fingerprint %.12s…; this is shard %s, fingerprint %.12s…); use a fresh -out directory",
+					path, f.Shard, f.Fingerprint, want, fingerprint)
+			default:
+				files[k] = f
+			}
 		}
-		c.logf("%v; starting with a fresh shard table (per-shard checkpoints still resume)", err)
-		j = nil
+		switch result, ck := files[0], files[1]; {
+		case result != nil:
+			shards[i].state = stateDone
+		case ck != nil:
+			c.logf("shard %d will resume from fold frontier %d", i, ck.Runs)
+		}
 	}
-
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.shards = make([]*shardRun, c.cfg.Shards)
-	for i := range c.shards {
-		s := &shardRun{index: i, state: statePending, anchor: time.Now()}
-		c.shards[i] = s
-		if j == nil {
-			continue
-		}
-		e := &j.Shards[i]
-		switch e.State {
-		case "done":
-			// Trust but verify: the merged report depends on this file.
-			if _, ferr := campaign.ReadShardFile(c.shardOutPath(i)); ferr == nil {
-				s.state = stateDone
-				s.attempts = e.Attempts
-			} else {
-				c.logf("journal says shard %d is done but its result file is unusable (%v); re-running", i, ferr)
-			}
-		case "failed":
-			// A new coordinator invocation grants failed shards a fresh
-			// retry budget: rerunning `jtpsim coord` after a partial
-			// result means "try again".
-			c.logf("shard %d failed in a previous run (%s); retrying with a fresh budget", i, e.LastError)
-		case "running":
-			// The previous coordinator died with workers in flight; the
-			// relaunch resumes from the shard's checkpoint.
-			s.attempts = e.Attempts
-			if cp, cerr := campaign.ReadShardFile(c.checkpointPath(i)); cerr == nil {
-				c.logf("shard %d was running when the previous coordinator died; will resume from fold frontier %d", i, cp.Runs)
-			}
-		}
-	}
+	c.shards = shards
+	c.mu.Unlock()
 	return nil
 }
 
-// isCorrupt reports whether err wraps a tolerated-corruption sentinel.
-func isCorrupt(err error) bool {
-	return errors.Is(err, ErrCorruptJournal)
-}
-
 // launchEligible starts pending shards whose backoff expired while
-// worker slots are free, journaling each transition.
+// worker slots are free.
 func (c *Coordinator) launchEligible() error {
 	c.mu.Lock()
 	now := time.Now()
@@ -494,7 +478,8 @@ func (c *Coordinator) launch(s *shardRun) error {
 		// Exec failure (binary gone, fd exhaustion): treated like an
 		// instant worker death so the retry budget applies.
 		c.logf("shard %d attempt %d failed to start: %v", s.index, attempt, err)
-		return c.markDead(s, fmt.Sprintf("failed to start: %v", err))
+		c.markDead(s, fmt.Sprintf("failed to start: %v", err))
+		return nil
 	}
 	c.logf("shard %d/%d launched (attempt %d/%d, pid %d)",
 		s.index, c.cfg.Shards, attempt, c.cfg.retryBudget()+1, cmd.Process.Pid)
@@ -504,13 +489,13 @@ func (c *Coordinator) launch(s *shardRun) error {
 		logf.Close()
 		c.events <- exitEvent{index: idx, err: werr}
 	}()
-	return c.persistJournal()
+	return nil
 }
 
 // handleExit classifies one worker exit: clean completion with a valid
 // shard file is done; anything else is a death that consumes retry
 // budget.
-func (c *Coordinator) handleExit(ev exitEvent) error {
+func (c *Coordinator) handleExit(ev exitEvent) {
 	c.mu.Lock()
 	s := c.shards[ev.index]
 	killReason := s.killReason
@@ -519,7 +504,8 @@ func (c *Coordinator) handleExit(ev exitEvent) error {
 
 	if ev.err == nil {
 		if _, ferr := campaign.ReadShardFile(c.shardOutPath(ev.index)); ferr != nil {
-			return c.markDead(s, fmt.Sprintf("exited 0 without a valid shard file: %v", ferr))
+			c.markDead(s, fmt.Sprintf("exited 0 without a valid shard file: %v", ferr))
+			return
 		}
 		c.mu.Lock()
 		s.state = stateDone
@@ -527,18 +513,18 @@ func (c *Coordinator) handleExit(ev exitEvent) error {
 		attempts := s.attempts
 		c.mu.Unlock()
 		c.logf("shard %d done (attempt %d)", ev.index, attempts)
-		return c.persistJournal()
+		return
 	}
 	reason := fmt.Sprintf("worker died: %v", ev.err)
 	if killReason != "" {
 		reason = killReason
 	}
-	return c.markDead(s, reason)
+	c.markDead(s, reason)
 }
 
 // markDead books a shard death: dead-detection counter, retry budget,
-// exponential backoff with jitter (or permanent failure), journal.
-func (c *Coordinator) markDead(s *shardRun, reason string) error {
+// exponential backoff with jitter (or permanent failure).
+func (c *Coordinator) markDead(s *shardRun, reason string) {
 	c.mu.Lock()
 	s.lastError = reason
 	s.proc = nil
@@ -550,7 +536,7 @@ func (c *Coordinator) markDead(s *shardRun, reason string) error {
 		s.state = stateFailed
 		c.mu.Unlock()
 		c.logf("shard %d FAILED permanently after %d attempts (%s)", s.index, s.attempts, reason)
-		return c.persistJournal()
+		return
 	}
 	// Exponential backoff with up-to-50% jitter, capped.
 	d := c.cfg.backoffBase() << (s.attempts - 1)
@@ -565,11 +551,10 @@ func (c *Coordinator) markDead(s *shardRun, reason string) error {
 	}
 	c.mu.Unlock()
 	c.logf("shard %d died (%s); restart %d/%d in %s", s.index, reason, s.attempts, budget, d.Round(time.Millisecond))
-	return c.persistJournal()
 }
 
 // superviseTick runs the periodic checks on every running shard:
-// heartbeat/checkpoint progress, stall detection, and chaos injection.
+// heartbeat progress, stall detection, and chaos injection.
 func (c *Coordinator) superviseTick() {
 	now := time.Now()
 	chaosP := c.cfg.ChaosKillRate * c.cfg.poll().Seconds()
@@ -580,8 +565,9 @@ func (c *Coordinator) superviseTick() {
 		if s.state != stateRunning || s.proc == nil {
 			continue
 		}
-		// Progress: a new status frame frontier or a fresher checkpoint
-		// both reset the liveness anchor.
+		// Progress: a new status frame frontier resets the liveness
+		// anchor. Workers write a frame at least every 250 ms of folds,
+		// and checkpoints are written only at folds.
 		if fr, ok := ReadLastFrame(c.statusPath(s.index)); ok {
 			if fr.Seq > s.lastSeq {
 				s.lastSeq = fr.Seq
@@ -590,19 +576,13 @@ func (c *Coordinator) superviseTick() {
 			s.lastTotal = fr.Total
 			s.lastRate = fr.RunsPerSec
 		}
-		if st, err := os.Stat(c.checkpointPath(s.index)); err == nil {
-			if st.ModTime().After(s.lastCkMod) {
-				s.lastCkMod = st.ModTime()
-				s.anchor = now
-			}
-		}
 		age := now.Sub(s.anchor)
 		if c.gaugeHBAge != nil {
 			c.gaugeHBAge.Update(uint64(age.Milliseconds()))
 		}
 		if age > c.cfg.stallTimeout() {
-			// Stuck, not crashed: no frontier movement, no checkpoint
-			// growth. SIGKILL and let the exit path restart it.
+			// Stuck, not crashed: no frontier movement. SIGKILL and let
+			// the exit path restart it.
 			s.killReason = fmt.Sprintf("stalled: no progress for %s (frontier %d)", age.Round(time.Second), s.lastSeq)
 			if c.ctrStall != nil {
 				c.ctrStall.Inc()
@@ -646,13 +626,7 @@ func (c *Coordinator) shutdownWorkers() {
 		select {
 		case ev := <-c.events:
 			c.mu.Lock()
-			s := c.shards[ev.index]
-			s.proc = nil
-			// Rewind to pending so a resumed coordinator relaunches it;
-			// its checkpoint preserves the progress.
-			if s.state == stateRunning {
-				s.state = statePending
-			}
+			c.shards[ev.index].proc = nil
 			c.mu.Unlock()
 			running--
 		case <-grace:
@@ -667,7 +641,6 @@ func (c *Coordinator) shutdownWorkers() {
 			grace = time.After(5 * time.Second)
 		}
 	}
-	c.persistJournal()
 }
 
 // allTerminal reports whether every shard is done or failed.
@@ -705,10 +678,16 @@ func (c *Coordinator) finalize() (*Result, error) {
 	c.mu.Unlock()
 
 	if len(res.Done) == 0 {
-		// Nothing to merge; account every shard as missing.
-		res.Gaps = &campaign.MergeGaps{Of: c.cfg.Shards}
-		res.Gaps.Missing = append(append([]int{}, res.Failed...), res.Interrupted...)
-		sort.Ints(res.Gaps.Missing)
+		// Nothing to merge: every shard, and so every cell and run of
+		// the matrix, is missing.
+		res.Gaps = &campaign.MergeGaps{
+			Of:           c.cfg.Shards,
+			MissingCells: c.cfg.Matrix.NumCells(),
+			MissingRuns:  c.cfg.Matrix.NumRuns(),
+		}
+		for i := range c.cfg.Shards {
+			res.Gaps.Missing = append(res.Gaps.Missing, i)
+		}
 		return res, nil
 	}
 
@@ -784,30 +763,4 @@ func (c *Coordinator) statusTableLocked() []ShardStatus {
 		out[i] = st
 	}
 	return out
-}
-
-// persistJournal writes the shard table atomically.
-func (c *Coordinator) persistJournal() error {
-	c.mu.Lock()
-	j := Journal{
-		Version:  JournalVersion,
-		Identity: journalIdentity(c.cfg.WorkerArgs, c.cfg.Shards),
-		Shards:   make([]JournalShard, len(c.shards)),
-	}
-	for i, s := range c.shards {
-		state := s.state.String()
-		if s.state == statePending && s.attempts > 0 {
-			state = "pending" // backoff persists as pending
-		}
-		j.Shards[i] = JournalShard{Index: i, State: state, Attempts: s.attempts, LastError: s.lastError}
-	}
-	c.mu.Unlock()
-	data, err := json.MarshalIndent(&j, "", "  ")
-	if err != nil {
-		return fmt.Errorf("coordinator: journal: %w", err)
-	}
-	if err := campaign.WriteFileAtomic(c.journalPath(), data); err != nil {
-		return fmt.Errorf("coordinator: journal: %w", err)
-	}
-	return nil
 }

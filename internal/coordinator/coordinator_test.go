@@ -150,6 +150,7 @@ func newTestCoordinator(t *testing.T, dir string, shards, workers int, env ...st
 	cfg := Config{
 		WorkerBin:    os.Args[0],
 		WorkerArgs:   []string{"-test.run=TestHelperWorker", "--"},
+		Matrix:       helperMatrix(),
 		Shards:       shards,
 		Workers:      workers,
 		OutDir:       dir,
@@ -280,7 +281,7 @@ func TestCoordinatorStallKill(t *testing.T) {
 }
 
 // TestCoordinatorResumeAfterCancel cancels a run mid-flight, then drives
-// a second coordinator over the same out-dir to completion: the journal
+// a second coordinator over the same out-dir to completion: the out-dir
 // must classify the unfinished shards, and the final merge must be
 // byte-identical to the unsharded run.
 func TestCoordinatorResumeAfterCancel(t *testing.T) {
@@ -315,36 +316,6 @@ func TestCoordinatorResumeAfterCancel(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCorruptJournal garbles the journal between two runs:
-// the second coordinator must warn, rebuild a fresh shard table, and
-// still converge to the byte-identical merged report.
-func TestCoordinatorCorruptJournal(t *testing.T) {
-	dir := t.TempDir()
-	c := newTestCoordinator(t, dir, 2, 2)
-	if _, err := c.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "coord.journal.json"), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var log strings.Builder
-	c2 := newTestCoordinator(t, dir, 2, 2)
-	c2.cfg.Log = &log
-	res, err := c2.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Done) != 2 {
-		t.Fatalf("done=%v failed=%v", res.Done, res.Failed)
-	}
-	if !strings.Contains(log.String(), "fresh shard table") {
-		t.Errorf("no corrupt-journal warning in log:\n%s", log.String())
-	}
-	if got, want := res.Report.CSV(), referenceCSV(t); got != want {
-		t.Errorf("merged CSV differs after corrupt-journal recovery")
-	}
-}
-
 // TestCoordinatorRefusesOtherShardCount reruns a complete out-dir with
 // a different shard count: its shard files belong to another split, so
 // the coordinator must refuse before launching any worker.
@@ -354,28 +325,35 @@ func TestCoordinatorRefusesOtherShardCount(t *testing.T) {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	logs := func() map[string]int64 {
+	requireRefusedBeforeLaunch(t, dir, newTestCoordinator(t, dir, 3, 2))
+}
+
+// requireRefusedBeforeLaunch runs c over dir, a complete out-dir of
+// another campaign: Run must refuse it naming a different campaign, and
+// no worker may launch, so the worker logs stay as they were.
+func requireRefusedBeforeLaunch(t *testing.T, dir string, c *Coordinator) {
+	t.Helper()
+	logs := func() string {
 		paths, err := filepath.Glob(filepath.Join(dir, "shard-*.log"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes := map[string]int64{}
+		var b strings.Builder
 		for _, p := range paths {
 			st, err := os.Stat(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sizes[filepath.Base(p)] = st.Size()
+			fmt.Fprintf(&b, "%s:%d ", filepath.Base(p), st.Size())
 		}
-		return sizes
+		return b.String()
 	}
 	before := logs()
-	c2 := newTestCoordinator(t, dir, 3, 2)
-	if _, err := c2.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "different campaign") {
+	if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("err = %v, want a refusal naming a different campaign", err)
 	}
-	if after := logs(); fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Fatalf("worker logs changed from %v to %v: a worker launched", before, after)
+	if after := logs(); after != before {
+		t.Fatalf("worker logs changed from %q to %q: a worker launched", before, after)
 	}
 }
 
@@ -405,18 +383,52 @@ func TestCoordinatorGarbledShardFile(t *testing.T) {
 }
 
 // TestCoordinatorJournalIdentityMismatch refuses to reuse an out-dir
-// across campaigns: a journal written for different worker args is a
-// hard error, not a silent fresh start.
+// across campaigns: result files of a matrix with another base seed are
+// a hard error before any launch, not a silent fresh start. Other
+// worker arguments over the same matrix (say a different -par) are the
+// same campaign and resume.
 func TestCoordinatorJournalIdentityMismatch(t *testing.T) {
 	dir := t.TempDir()
 	c := newTestCoordinator(t, dir, 2, 2)
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	c2 := newTestCoordinator(t, dir, 2, 2)
-	c2.cfg.WorkerArgs = []string{"-test.run=TestHelperWorker", "--", "-different"}
-	if _, err := c2.Run(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "different campaign") {
-		t.Fatalf("err = %v, want identity-mismatch refusal", err)
+	reseeded := newTestCoordinator(t, dir, 2, 2)
+	reseeded.cfg.Matrix.BaseSeed++
+	requireRefusedBeforeLaunch(t, dir, reseeded)
+
+	// Shard 1 must run again, under the new arguments.
+	if err := os.Remove(filepath.Join(dir, "shard-001.json")); err != nil {
+		t.Fatal(err)
+	}
+	rerun := newTestCoordinator(t, dir, 2, 2)
+	rerun.cfg.WorkerArgs = []string{"-test.run=TestHelperWorker", "-test.count=1", "--"}
+	res, err := rerun.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Done) != 2 || res.Table[1].Attempts != 1 {
+		t.Fatalf("done=%v table=%+v, want both done and shard 1 relaunched once", res.Done, res.Table)
+	}
+	if got, want := res.Report.CSV(), referenceCSV(t); got != want {
+		t.Errorf("merged CSV differs after a resume with other worker arguments")
+	}
+}
+
+// TestCoordinatorGapsWhenNothingCompletes: when no shard completes the
+// partial result still accounts every missing cell and run. Here no
+// worker can even start.
+func TestCoordinatorGapsWhenNothingCompletes(t *testing.T) {
+	c := newTestCoordinator(t, t.TempDir(), 2, 2)
+	c.cfg.WorkerBin = filepath.Join(t.TempDir(), "no-such-worker")
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != 2 || res.Report != nil {
+		t.Fatalf("failed=%v report=%v, want both shards failed and no report", res.Failed, res.Report)
+	}
+	if g := res.Gaps; fmt.Sprint(g.Missing) != "[0 1]" || g.MissingCells != 8 || g.MissingRuns != 32 {
+		t.Fatalf("gaps = %+v, want shards [0 1], 8 cells, 32 runs", g)
 	}
 }
