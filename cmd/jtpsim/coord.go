@@ -13,16 +13,13 @@ package main
 //	jtpsim coord ... -chaos 0.5 -chaos-seed 7   # fault injection
 //
 // Interrupting the coordinator (or SIGKILLing it) and rerunning the same
-// command resumes: a shard whose result file passes validation and
-// carries this campaign's fingerprint is done, and every other shard
-// relaunches from its checkpoint. -par, -workers and the supervision
-// flags may change between runs; the campaign flags (-matrix and its
-// overrides, or -exp, -scale and -seed) may not: a shard file of
-// another campaign in -out is refused before any worker launches. The
-// campaign is loaded and checked before anything is written, so a bad
-// -matrix fails at once. When shards exhaust their retry budget the
-// coordinator still finishes the rest, emits a partial merge with
-// explicit missing-shard accounting, and exits non-zero.
+// command resumes: a shard whose result file carries this campaign's
+// fingerprint is done, every other shard relaunches from its checkpoint,
+// and a shard file of another campaign is refused before any worker
+// launches. -par, -workers and the supervision flags may change between
+// runs. When shards exhaust their retry budget the coordinator still
+// finishes the rest, emits a partial merge with explicit missing-shard
+// accounting, and exits non-zero.
 
 import (
 	"context"
@@ -91,10 +88,7 @@ func coordMain(args []string) int {
 		}
 		f := e.figure(*scale, bf.seed)
 		fig, m = &f, f.Matrix
-		workerArgs = []string{"-exp", *expID, "-scale", fmt.Sprint(*scale)}
-		if bf.seed != 0 {
-			workerArgs = append(workerArgs, "-seed", fmt.Sprint(bf.seed))
-		}
+		workerArgs = []string{"-exp", *expID, "-scale", fmt.Sprint(*scale), "-seed", fmt.Sprint(bf.seed)}
 	}
 	if *shards < 1 {
 		fmt.Fprintln(os.Stderr, "jtpsim coord: -shards N (>= 1) is required")
@@ -105,12 +99,15 @@ func coordMain(args []string) int {
 		return 2
 	}
 	if bf.matrix != "" {
+		// Loaded before anything is written: a bad -matrix fails here.
 		spec, err := bf.load()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jtpsim coord: %v\n", err)
 			return 1
 		}
-		m, workerArgs = spec.Matrix(), bf.args()
+		m = spec.Matrix()
+		workerArgs = []string{"batch", "-matrix", bf.matrix,
+			"-runs", fmt.Sprint(bf.runs), "-seconds", fmt.Sprint(bf.seconds), "-seed", fmt.Sprint(bf.seed)}
 	}
 	self, err := os.Executable()
 	if err != nil {

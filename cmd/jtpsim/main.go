@@ -377,10 +377,9 @@ func batchMain(args []string) int {
 	return 0
 }
 
-// batchFlags pick a batch campaign: the matrix file and the overrides
-// applied to it. batch runs the spec they load; coord hands that spec's
-// Matrix to the coordinator and passes the same flags to its workers,
-// so the coordinator judges the out-dir by the campaign the workers run.
+// batchFlags pick a batch campaign: the matrix file and its overrides.
+// batch runs the spec they load; coord hands that spec's Matrix to the
+// coordinator and passes the same flags to its workers.
 type batchFlags struct {
 	matrix  string
 	runs    int
@@ -415,21 +414,6 @@ func (b *batchFlags) load() (*experiments.BatchSpec, error) {
 		spec.Seed = b.seed
 	}
 	return spec, nil
-}
-
-// args renders the flags as a batch command line.
-func (b *batchFlags) args() []string {
-	args := []string{"batch", "-matrix", b.matrix}
-	if b.runs > 0 {
-		args = append(args, "-runs", fmt.Sprint(b.runs))
-	}
-	if b.seconds > 0 {
-		args = append(args, "-seconds", fmt.Sprint(b.seconds))
-	}
-	if b.seed != 0 {
-		args = append(args, "-seed", fmt.Sprint(b.seed))
-	}
-	return args
 }
 
 func registry() []experiment {

@@ -626,7 +626,13 @@ func (c *Coordinator) shutdownWorkers() {
 		select {
 		case ev := <-c.events:
 			c.mu.Lock()
-			c.shards[ev.index].proc = nil
+			s := c.shards[ev.index]
+			s.proc = nil
+			// Its process is gone: the final table shows it pending, and
+			// its checkpoint resumes it next time.
+			if s.state == stateRunning {
+				s.state = statePending
+			}
 			c.mu.Unlock()
 			running--
 		case <-grace:
