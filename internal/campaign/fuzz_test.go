@@ -13,8 +13,8 @@ import (
 // never panic and reject only with ErrCorruptShardFile; a file they
 // accept restores into a fresh report of its geometry without an index
 // error, renders, and re-exports as a file that passes check again.
-// The seeds are a real shard result, a real mid-run checkpoint and a
-// checkpoint of the previous schema version.
+// The seeds are a real shard result, a real mid-run checkpoint and
+// checkpoints of the two previous schema versions.
 func FuzzReadShardFile(f *testing.F) {
 	dir := f.TempDir()
 	m := testMatrix()
