@@ -270,3 +270,29 @@ func TestGoldenWorkloadCampaign(t *testing.T) {
 	}
 	checkGolden(t, "workload-campaign.csv", []byte(rep.CSV()))
 }
+
+// TestGoldenRoutingWide pins routing on fields wider than the figure
+// goldens reach: a 400-node grid, where equal-length paths tie
+// everywhere and the next hop rests on the tie-break, carrying 16 random
+// pairs, and a 256-node random field with 16 flows into one sink. Any
+// change to which neighbor a router picks moves these bytes.
+func TestGoldenRoutingWide(t *testing.T) {
+	spec := &BatchSpec{
+		Name:      "golden-routing-wide",
+		Protocols: []string{string(JTP), string(TCP)},
+		Workloads: []workload.Spec{
+			{Family: workload.Grid, Nodes: 400, Traffic: workload.Pairs, Flows: 16, TotalPackets: 100, Seconds: 600},
+			{Family: workload.RGG, Nodes: 256, Traffic: workload.Sink, Flows: 16, TotalPackets: 100, Seconds: 600},
+		},
+		Runs: 2,
+		Seed: 11,
+	}
+	rep, err := spec.Execute(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "routing-wide.csv", []byte(rep.CSV()))
+}
