@@ -572,6 +572,7 @@ func (b *BuiltScenario) collectObs(reg *obs.Registry) {
 	reg.Counter("route_bfs_computes").Add(rs.Computes)
 	reg.Counter("route_cache_hits").Add(rs.Hits)
 	reg.Counter("route_cache_evictions").Add(rs.Recycled)
+	reg.Counter("route_views_consulted").Add(rs.Consulted)
 	reg.Counter("route_views_unconsulted").Add(rs.Unconsulted)
 	reg.Counter("route_adj_captures").Add(rs.Captures)
 	reg.Gauge("route_adj_snapshots").Update(rs.SnapshotsHWM)

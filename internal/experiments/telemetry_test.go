@@ -86,7 +86,7 @@ func TestTelemetryReportCounters(t *testing.T) {
 	wantPositive := []string{
 		"sim_events_scheduled", "sim_events_fired",
 		"mac_enqueues", "mac_tx_attempts", "mac_tx_success",
-		"route_fills", "route_bfs_computes", "route_adj_captures", "route_adj_snapshots_hwm",
+		"route_fills", "route_views_consulted", "route_bfs_computes", "route_adj_captures", "route_adj_snapshots_hwm",
 		"pool_gets", "pool_puts",
 		"energy_tx_nj", "energy_tx_events",
 	}
@@ -104,18 +104,24 @@ func TestTelemetryReportCounters(t *testing.T) {
 		if hwm := c.Telemetry["sim_heap_depth_hwm"]; hwm <= 0 || hwm > 10000 {
 			t.Errorf("cell %v: sim_heap_depth_hwm = %v, not a plausible maximum", c.Cell.Key(), hwm)
 		}
-		// Refresh accounting: a fill is a compute, a hit, unconsulted, or
-		// still pending at the end of the run — never two of them — and the
-		// evictions and the unconsulted count are part of the schema even
-		// when zero.
-		for _, k := range []string{"route_cache_hits", "route_cache_evictions", "route_views_unconsulted"} {
+		// Refresh accounting: a fill is a hit, consulted, unconsulted, or
+		// still pending at the end of the run (at most one per router) —
+		// never two of them — and the evictions and the unconsulted count
+		// are part of the schema even when zero. Trees are started at
+		// most once per destination per snapshot.
+		for _, k := range []string{"route_cache_hits", "route_cache_evictions", "route_views_consulted", "route_views_unconsulted"} {
 			if _, ok := c.Telemetry[k]; !ok {
 				t.Errorf("cell %v: %s missing", c.Cell.Key(), k)
 			}
 		}
 		tel := c.Telemetry
-		if tel["route_bfs_computes"]+tel["route_views_unconsulted"]+tel["route_cache_hits"] > tel["route_fills"] {
+		const nodes = 5
+		ended := tel["route_cache_hits"] + tel["route_views_consulted"] + tel["route_views_unconsulted"]
+		if ended > tel["route_fills"] || tel["route_fills"]-ended > float64(nodes*c.Runs) {
 			t.Errorf("cell %v: route accounting inconsistent: %v", c.Cell.Key(), tel)
+		}
+		if tel["route_bfs_computes"] > nodes*tel["route_adj_captures"] {
+			t.Errorf("cell %v: more trees than destinations per snapshot: %v", c.Cell.Key(), tel)
 		}
 		if tel["route_adj_captures"] > tel["route_fills"] || tel["route_adj_snapshots_hwm"] > tel["route_adj_captures"] {
 			t.Errorf("cell %v: snapshot accounting inconsistent: %v", c.Cell.Key(), tel)

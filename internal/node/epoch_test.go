@@ -37,10 +37,37 @@ func (d bruteDir) Linked(a, b packet.NodeID) bool {
 	return d2 <= rng*rng
 }
 
+// bruteViews is the full view from every node, computed by a
+// source-rooted BFS over the brute-force oracle right now.
+func bruteViews(nw *Network) []*routing.View {
+	c := routing.NewCache(bruteDir{nw})
+	views := make([]*routing.View, nw.N())
+	for i := range views {
+		views[i] = c.Fill(nil, packet.NodeID(i), 0)
+	}
+	return views
+}
+
+// requireRouterMatchesView compares a router's NextHop and HopsTo for
+// every destination against a full view.
+func requireRouterMatchesView(t *testing.T, tag string, src packet.NodeID, r *routing.Router, want *routing.View, n int) {
+	t.Helper()
+	for j := 0; j < n; j++ {
+		dst := packet.NodeID(j)
+		gh, wh := r.HopsTo(dst), want.Hops(dst)
+		gn, gok := r.NextHop(dst)
+		wn, wok := want.NextHop(dst)
+		if gh != wh || gok != wok || (gok && gn != wn) {
+			t.Fatalf("%s: src %v dst %v: router hops=%d next=%v,%v; brute force hops=%d next=%v,%v",
+				tag, src, dst, gh, gn, gok, wh, wn, wok)
+		}
+	}
+}
+
 // checkAgainstBrute compares the network's cached substrate — Linked,
 // Neighbors, and every router's freshly adopted view — against the
 // brute-force oracle.
-func checkAgainstBrute(t *testing.T, tag string, eng *sim.Engine, nw *Network) {
+func checkAgainstBrute(t *testing.T, tag string, nw *Network) {
 	t.Helper()
 	brute := bruteDir{nw}
 	n := nw.N()
@@ -67,24 +94,14 @@ func checkAgainstBrute(t *testing.T, tag string, eng *sim.Engine, nw *Network) {
 			}
 		}
 	}
-	// Every router refreshes now (epoch-cached path) and must match an
-	// uncached reference BFS over the brute-force oracle.
+	// Every router refreshes now (epoch-cached path) and must match a
+	// full source-rooted BFS over the brute-force oracle.
+	views := bruteViews(nw)
 	for i := 0; i < n; i++ {
 		src := packet.NodeID(i)
 		r := nw.Node(src).Router
 		r.Refresh()
-		ref := routing.New(eng, src, routing.NewCache(brute), routing.Config{})
-		ref.Refresh()
-		for j := 0; j < n; j++ {
-			dst := packet.NodeID(j)
-			gh, wh := r.HopsTo(dst), ref.HopsTo(dst)
-			gn, gok := r.NextHop(dst)
-			wn, wok := ref.NextHop(dst)
-			if gh != wh || gok != wok || (gok && gn != wn) {
-				t.Fatalf("%s: src %v dst %v: cached hops=%d next=%v,%v; uncached hops=%d next=%v,%v",
-					tag, src, dst, gh, gn, gok, wh, wn, wok)
-			}
-		}
+		requireRouterMatchesView(t, tag, src, r, views[i], n)
 	}
 }
 
@@ -93,7 +110,6 @@ func checkAgainstBrute(t *testing.T, tag string, eng *sim.Engine, nw *Network) {
 // next to reference views computed on the spot by BFS over the
 // brute-force oracle.
 type deferredViews struct {
-	at     sim.Time
 	probes []*routing.Router
 	refs   []*routing.View
 }
@@ -101,39 +117,21 @@ type deferredViews struct {
 // pinDeferred refreshes one probe per source over the network's shared
 // snapshot cache and takes the brute-force reference views, now.
 func pinDeferred(eng *sim.Engine, nw *Network) deferredViews {
-	d := deferredViews{at: eng.Now()}
+	d := deferredViews{refs: bruteViews(nw)}
 	for i := 0; i < nw.N(); i++ {
-		src := packet.NodeID(i)
-		probe := routing.New(eng, src, nw.Views(), routing.Config{})
+		probe := routing.New(eng, packet.NodeID(i), nw.Views(), routing.Config{})
 		probe.Start()
 		d.probes = append(d.probes, probe)
-		ref := routing.New(eng, src, routing.NewCache(bruteDir{nw}), routing.Config{})
-		ref.Start()
-		d.refs = append(d.refs, ref.View())
 	}
 	return d
 }
 
 // check consults the probes for the first time — however far link state
-// has moved on since — and requires the views of the refresh instant,
-// stamped with it.
+// has moved on since — and requires the routes of the refresh instant.
 func (d deferredViews) check(t *testing.T, tag string) {
 	t.Helper()
 	for i, probe := range d.probes {
-		ref := d.refs[i]
-		for j := range d.probes {
-			dst := packet.NodeID(j)
-			gh, wh := probe.HopsTo(dst), ref.Hops(dst)
-			gn, gok := probe.NextHop(dst)
-			wn, wok := ref.NextHop(dst)
-			if gh != wh || gok != wok || (gok && gn != wn) {
-				t.Fatalf("%s: src %d dst %v: deferred hops=%d next=%v,%v; at refresh time hops=%d next=%v,%v",
-					tag, i, dst, gh, gn, gok, wh, wn, wok)
-			}
-		}
-		if at := probe.View().UpdatedAt; at != d.at {
-			t.Fatalf("%s: src %d: deferred view stamped %v, want the refresh time %v", tag, i, at, d.at)
-		}
+		requireRouterMatchesView(t, tag, packet.NodeID(i), probe, d.refs[i], len(d.probes))
 	}
 }
 
@@ -143,7 +141,9 @@ func (d deferredViews) check(t *testing.T, tag string) {
 // adjacency and the views computed from the shared snapshot cache must be
 // element-identical to brute-force recomputation, both when consulted at
 // the refresh and when first consulted a step later, after mobility,
-// failures and battery deaths have moved the link-state version on.
+// failures and battery deaths have moved the link-state version on. The
+// reference is a source-rooted BFS over the brute-force oracle; the
+// routers read destination-rooted trees.
 func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 	families := []struct {
 		name  string
@@ -179,7 +179,7 @@ func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 				mob := mobility.New(eng, tp, tp.Field, mobility.Defaults(5))
 				nw.Start()
 				mob.Start()
-				checkAgainstBrute(t, fam.name+"/start", eng, nw)
+				checkAgainstBrute(t, fam.name+"/start", nw)
 				bumped := 0
 				for step := 0; step < 4; step++ {
 					pinned, ver := pinDeferred(eng, nw), nw.Version()
@@ -194,7 +194,7 @@ func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 					case 3:
 						nw.SetDown(packet.NodeID(n-1), false)
 					}
-					checkAgainstBrute(t, fam.name+"/step", eng, nw)
+					checkAgainstBrute(t, fam.name+"/step", nw)
 					if nw.Version() != ver {
 						bumped++
 					}
@@ -203,14 +203,125 @@ func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 				if bumped < 3 {
 					t.Fatalf("only %d of 4 steps moved the link-state version; the deferred check needs bumps", bumped)
 				}
-				// Everything pinned was consulted or is released by Stop:
-				// no refresh is left pending, so the accounting closes.
+				// Every probe was read; once every node's router reads
+				// its last refresh too, no refresh is left pending, so
+				// each was exactly one of hit, consulted or unconsulted.
 				nw.Stop()
-				if st := nw.Views().Stats(); st.Computes+st.Hits+st.Unconsulted != st.Fills {
-					t.Fatalf("pins outlive Stop: %+v", st)
+				for i := 0; i < n; i++ {
+					nw.Node(packet.NodeID(i)).Router.HopsTo(0)
+				}
+				if st := nw.Views().Stats(); st.Hits+st.Consulted+st.Unconsulted != st.Fills {
+					t.Fatalf("refresh accounting does not close: %+v", st)
 				}
 			})
 		}
+	}
+}
+
+// requireSymmetric checks the precondition routing reads routes under:
+// v is among u's neighbors exactly when u is among v's, for every pair.
+func requireSymmetric(t *testing.T, tag string, nw *Network) {
+	t.Helper()
+	n := nw.N()
+	linked := make([][]bool, n)
+	for u := range linked {
+		linked[u] = make([]bool, n)
+		for _, v := range nw.Neighbors(packet.NodeID(u)) {
+			linked[u][v] = true
+		}
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if linked[u][v] != linked[v][u] {
+				t.Fatalf("%s: %d in Neighbors(%d) is %v, %d in Neighbors(%d) is %v",
+					tag, v, u, linked[u][v], u, v, linked[v][u])
+			}
+		}
+	}
+}
+
+// TestNeighborsSymmetric guards the routing.Directory precondition:
+// routers read a route from a tree grown at its destination, which is the
+// shortest path from the router only if every link can be walked both
+// ways. Mobility steps, a failure and its revival, and a battery death in
+// a budgeted run must all leave the neighbor relation symmetric.
+func TestNeighborsSymmetric(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		eng := sim.NewEngine(seed)
+		tp, ok := topology.Random(30, 100, rand.New(rand.NewSource(seed)), 200)
+		if !ok {
+			t.Fatal("rgg generation failed")
+		}
+		budgets := make([]float64, tp.N())
+		budgets[2] = 0.004 // dies once charged past the headroom
+		nw := New(eng, Config{
+			Topo:    tp,
+			Channel: channel.Defaults(),
+			MAC:     mac.Defaults(),
+			Routing: routing.Defaults(),
+			Energy:  energy.JAVeLEN(),
+			Budgets: budgets,
+		})
+		mob := mobility.New(eng, tp, tp.Field, mobility.Config{Speed: 10, MeanLegDistance: 47, MeanPause: 1, Step: 100 * sim.Millisecond})
+		nw.Start()
+		mob.Start()
+		requireSymmetric(t, "start", nw)
+		for step := 0; step < 8; step++ {
+			eng.RunFor(500 * sim.Millisecond)
+			switch step {
+			case 2:
+				nw.SetDown(5, true)
+			case 4:
+				nw.Node(2).Meter.ChargeTx(1.0)
+			case 6:
+				nw.SetDown(5, false)
+			}
+			requireSymmetric(t, "step", nw)
+		}
+		if !nw.BudgetExhausted(2) || len(nw.Neighbors(2)) != 0 {
+			t.Fatalf("seed %d: node 2's battery death did not take it off the graph", seed)
+		}
+	}
+}
+
+// TestSnapshotsBoundedUnderMobility pins the memory bound of routers
+// keeping their snapshot until they refresh at another version: the
+// versions routers hold were all read within one maximal refresh
+// interval, UpdatePeriod+UpdateJitter/2, and the link state moves at most
+// once per mobility step, so at most ⌈(UpdatePeriod+UpdateJitter/2)/Step⌉
+// + 2 snapshots are retained at once (the +2 covers the version current
+// when the window opened and the cache's current one).
+func TestSnapshotsBoundedUnderMobility(t *testing.T) {
+	eng := sim.NewEngine(3)
+	tp, ok := topology.Random(40, 100, rand.New(rand.NewSource(3)), 200)
+	if !ok {
+		t.Fatal("rgg generation failed")
+	}
+	cfg := routing.Defaults()
+	mcfg := mobility.Config{Speed: 10, MeanLegDistance: 47, MeanPause: 1, Step: 100 * sim.Millisecond}
+	nw := New(eng, Config{
+		Topo:    tp,
+		Channel: channel.Defaults(),
+		MAC:     mac.Defaults(),
+		Routing: cfg,
+		Energy:  energy.JAVeLEN(),
+	})
+	mobility.New(eng, tp, tp.Field, mcfg).Start()
+	nw.Start()
+	for i := 0; i < 300; i++ {
+		eng.RunFor(100 * sim.Millisecond)
+		// Consult some routers, so held snapshots carry trees.
+		r := nw.Node(packet.NodeID(i % nw.N())).Router
+		r.NextHop(packet.NodeID((i * 7) % nw.N()))
+	}
+	window := cfg.UpdatePeriod + cfg.UpdateJitter/2
+	bound := uint64((window+mcfg.Step-1)/mcfg.Step) + 2
+	st := nw.Views().Stats()
+	if st.SnapshotsHWM > bound {
+		t.Fatalf("%d snapshots retained at once, bound %d: %+v", st.SnapshotsHWM, bound, st)
+	}
+	if st.SnapshotsHWM < bound/2 {
+		t.Fatalf("only %d snapshots retained at once; the case needs the link state moving every step: %+v", st.SnapshotsHWM, st)
 	}
 }
 
@@ -237,10 +348,9 @@ func TestAllocsRouterRefreshEpochCached(t *testing.T) {
 
 // TestAllocsRouterTickMoveTickConsult pins the steady state of the
 // deferred path under mobility — a refresh, a move that changes some
-// neighbor set, a refresh that supersedes the unconsulted one and
-// captures the new version's adjacency, and the consult that runs the
-// BFS: recycled snapshot arrays and double-buffered views, zero
-// allocations.
+// neighbor set, a refresh that releases the old version and captures the
+// new version's adjacency, and the consult that starts and grows a tree
+// on it: snapshots recycled with their tree arrays, zero allocations.
 func TestAllocsRouterTickMoveTickConsult(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tp := topology.GridN(49, 80)
@@ -274,13 +384,39 @@ func TestAllocsRouterTickMoveTickConsult(t *testing.T) {
 	}
 	before := nw.Views().Stats()
 	for i := 0; i < 4; i++ {
-		cycle() // warm both views and both alternating snapshots
+		cycle() // warm the recycled snapshots and their trees
 	}
 	if st := nw.Views().Stats(); st.Captures != before.Captures+4 || st.Computes != before.Computes+4 {
-		t.Fatalf("each cycle must capture and compute once: %+v after %+v", st, before)
+		t.Fatalf("each cycle must capture once and start one tree: %+v after %+v", st, before)
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("tick, move, tick, consult allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestAllocsRouterConsult pins the per-packet cost of routing: a consult
+// whose destination tree already reaches the router is a lookup and a
+// scan of the router's neighbor row — zero allocations.
+func TestAllocsRouterConsult(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nw := New(eng, Config{
+		Topo:    topology.GridN(49, 80),
+		Channel: channel.Defaults(),
+		MAC:     mac.Defaults(),
+		Routing: routing.Defaults(),
+		Energy:  energy.JAVeLEN(),
+	})
+	nw.Start()
+	eng.RunFor(2 * sim.Second)
+	r := nw.Node(10).Router
+	consult := func() {
+		if _, ok := r.NextHop(48); !ok || r.HopsTo(0) < 1 {
+			t.Fatal("no route across the grid")
+		}
+	}
+	consult()
+	if allocs := testing.AllocsPerRun(200, consult); allocs != 0 {
+		t.Fatalf("a consult of grown trees allocates %.1f/op, want 0", allocs)
 	}
 }
 

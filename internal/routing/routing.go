@@ -3,17 +3,20 @@
 // algorithm [29], that provides each node with a local, possibly
 // inaccurate, view of the network's topology").
 //
-// Each node keeps its own View — a snapshot of the connectivity graph with
-// shortest-path next hops and hop counts — refreshed on an independent
-// jittered timer. Under mobility, views go stale between refreshes,
-// reproducing the paper's "topological views at the nodes are typically
-// not accurate": iJTP's per-hop loss-tolerance computation (§3) and its
-// re-encoding of the tolerance field are what keep the end-to-end
-// reliability target intact despite that inaccuracy.
+// Each node holds its own view — the connectivity graph of the link-state
+// version it last adopted — refreshed on an independent jittered timer.
+// Under mobility, views go stale between refreshes, reproducing the
+// paper's "topological views at the nodes are typically not accurate":
+// iJTP's per-hop loss-tolerance computation (§3) and its re-encoding of
+// the tolerance field are what keep the end-to-end reliability target
+// intact despite that inaccuracy.
 //
-// A refresh only pins the adjacency of the current link-state version;
-// shortest paths are computed over it the first time a packet consults
-// the view, so a refresh nobody consults costs O(1) (see Cache).
+// A refresh only pins the adjacency snapshot of the current version.
+// Routes are read from trees rooted at destinations and grown on that
+// snapshot when a packet asks: every router that adopted one version
+// shares one tree per destination, grown only as far as the farthest
+// router that has asked, so a refresh nobody consults costs O(1) and a
+// router pays nothing for the destinations it never carries (see Cache).
 //
 // The full flooding protocol of [29] is not simulated; its *effect* — a
 // periodically refreshed, possibly stale local view — is. Routing control
@@ -30,6 +33,11 @@ import (
 // Directory is the oracle the routers snapshot their views from: node
 // positions and radio range. The node package implements it over the
 // topology and channel.
+//
+// Linked must be symmetric: Linked(a, b) == Linked(b, a) at every
+// instant. Routers read a route from a tree grown from its destination,
+// which equals the shortest path from the router only when every link
+// can be walked both ways.
 type Directory interface {
 	// N returns the number of nodes.
 	N() int
@@ -66,8 +74,9 @@ type VersionedDirectory interface {
 	Version() uint64
 }
 
-// View is one node's snapshot of the topology: next hops and hop counts
-// for every destination.
+// View is the full-view oracle: next hops and hop counts from one source
+// to every destination, computed by Cache.Fill. Routers do not use it;
+// probes and tests check them against it.
 type View struct {
 	// UpdatedAt is the virtual time of the snapshot.
 	UpdatedAt sim.Time
@@ -96,12 +105,24 @@ func (v *View) Hops(dst packet.NodeID) int {
 }
 
 // adjacency is the connectivity graph of one link-state version in CSR
-// form: node u's neighbors, ascending, are nbr[off[u]:off[u+1]].
+// form — node u's neighbors, ascending, are nbr[off[u]:off[u+1]] — with
+// the destination trees grown on it.
 type adjacency struct {
 	version uint64
 	refs    int // routers (and running Fills) holding it pinned
 	off     []int32
 	nbr     []packet.NodeID
+	// treeAt[dst] is 1 + the index in trees of the tree rooted at dst, 0
+	// while no router has asked for dst. trees[:live] are in use; the
+	// rest are arrays kept for the next trees started.
+	treeAt []int32
+	trees  []tree
+	live   int
+}
+
+// row returns u's neighbors in ascending id order.
+func (a *adjacency) row(u packet.NodeID) []packet.NodeID {
+	return a.nbr[a.off[u]:a.off[int(u)+1]] // u+1 would wrap at the uint16 id ceiling
 }
 
 // bfs computes shortest paths from src into v (nil allocates), visiting
@@ -124,7 +145,7 @@ func (a *adjacency) bfs(v *View, queue []packet.NodeID, src packet.NodeID, at si
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
 		h, first := v.hops[u]+1, v.next[u]
-		for _, id := range a.nbr[a.off[u]:a.off[int(u)+1]] { // u+1 would wrap at the uint16 id ceiling
+		for _, id := range a.row(u) {
 			if v.hops[id] >= 0 {
 				continue
 			}
@@ -139,40 +160,101 @@ func (a *adjacency) bfs(v *View, queue []packet.NodeID, src packet.NodeID, at si
 	return v
 }
 
+// tree is a breadth-first search rooted at one destination, stopped
+// wherever the last router that asked was found and resumable from there.
+type tree struct {
+	root packet.NodeID
+	// dist[u] is u's hop count to root, -1 while u is undiscovered.
+	dist []int32
+	// queue holds the discovered nodes in discovery order; queue[next:]
+	// are not expanded yet.
+	queue []packet.NodeID
+	next  int
+}
+
+// reach grows t over a until id is discovered or root's component is
+// exhausted (id unreachable). BFS discovers every node of level L−1
+// before any of level L, so once id is found at level L every neighbor
+// of id on a shortest path to root already holds its distance L−1.
+func (t *tree) reach(a *adjacency, id packet.NodeID) {
+	for t.dist[id] < 0 && t.next < len(t.queue) {
+		u := t.queue[t.next]
+		t.next++
+		h := t.dist[u] + 1
+		for _, w := range a.row(u) {
+			if t.dist[w] < 0 {
+				t.dist[w] = h
+				t.queue = append(t.queue, w)
+			}
+		}
+	}
+}
+
+// start begins the tree rooted at dst, in recycled arrays when there
+// are some, and counts it in st.Computes.
+func (a *adjacency) start(dst packet.NodeID, st *Stats) *tree {
+	n := len(a.treeAt)
+	if a.live == len(a.trees) {
+		a.trees = append(a.trees, tree{})
+	}
+	t := &a.trees[a.live]
+	a.live++
+	a.treeAt[dst] = int32(a.live)
+	if cap(t.dist) < n {
+		t.dist, t.queue = make([]int32, n), make([]packet.NodeID, 0, n)
+	}
+	t.dist = t.dist[:n]
+	for i := range t.dist {
+		t.dist[i] = -1
+	}
+	t.root, t.dist[dst], t.next = dst, 0, 0
+	t.queue = append(t.queue[:0], dst)
+	st.Computes++
+	return t
+}
+
 // Stats is the cache's accounting, all exact counts. Every refresh is a
-// fill and ends as exactly one of: a hit (the held view was computed at
-// that version), a compute (a packet consulted it), unconsulted, or — at
-// most one per router — still pending when the run ends.
+// fill and ends as exactly one of: a hit (the router already held that
+// version's snapshot), consulted (a packet read it), unconsulted (a
+// refresh at another version came first), or pending (adopted and not
+// read yet, at most one per router).
 type Stats struct {
-	Fills       uint64 // refreshes plus direct Fill calls
-	Computes    uint64 // BFS executions
-	Hits        uint64 // refreshes served by restamping the held view
-	Unconsulted uint64 // refreshes never consulted
-	Captures    uint64 // adjacency snapshots captured from the directory
-	Recycled    uint64 // snapshots released to the free list
+	Fills       uint64 // refreshes
+	Hits        uint64 // refreshes at the version the router already held
+	Consulted   uint64 // refreshes a packet read
+	Unconsulted uint64 // refreshes superseded before any packet read them
+	// Computes counts trees started: one per destination asked for per
+	// snapshot, plus one full source tree per Fill.
+	Computes uint64
+	Captures uint64 // adjacency snapshots captured from the directory
+	Recycled uint64 // snapshots released to the free list
 	// SnapshotsHWM is the most snapshots retained at once (the current
 	// version's plus every older one still pinned): the memory bound.
 	SnapshotsHWM uint64
 }
 
-// Cache holds the adjacency snapshots all routers of one network compute
-// their views from. A router's refresh does not run a BFS: it pins the
-// snapshot of the directory's current link-state version and remembers
-// when; the BFS runs over the pinned snapshot when the view is first
-// consulted. Ownership rules:
+// Cache holds the adjacency snapshots all routers of one network route
+// over. A router's refresh pins the snapshot of the directory's current
+// link-state version; a router's consult grows, on that snapshot, the
+// tree rooted at the destination asked for. Ownership rules:
 //
 //   - The cache owns every snapshot. One is captured — a single walk of
 //     the directory's neighbor lists — on the first pin of a version,
 //     right after the Version call that reported it, so it is exactly
 //     that version's adjacency; later pins share it by reference count.
-//     Once unpinned and superseded, its arrays go to the free list and
-//     the next capture overwrites them.
-//   - Routers own their views. Every BFS at one version reads the same
-//     adjacency, so a view computed late is element-identical to one
-//     computed at the refresh, whose time it is stamped with; a router
-//     holding a stale view (the paper's semantics) never sees a capture.
+//     A router keeps its pin until it refreshes at another version. Once
+//     unpinned and superseded, a snapshot goes to the free list with its
+//     tree arrays, and the next capture overwrites them.
+//   - Snapshots own their trees, at most one per destination, shared by
+//     every router pinning that version. Every consult at one version
+//     reads the same adjacency, so a route read late is the route of the
+//     refresh; a router holding a stale snapshot (the paper's semantics)
+//     never sees a capture.
 //   - Sharing is keyed on VersionedDirectory.Version. A directory without
 //     version reporting gets a new snapshot per refresh.
+//
+// Memory is O(versions·(V+E) + trees·N): the distinct versions routers
+// hold, and the destinations asked for on each.
 type Cache struct {
 	dir   Directory
 	vdir  VersionedDirectory // nil: no sharing across refreshes
@@ -182,7 +264,7 @@ type Cache struct {
 	// version lasts even with no pins so the next refresh shares it.
 	cur   *adjacency
 	free  []*adjacency
-	queue []packet.NodeID // BFS queue
+	queue []packet.NodeID // Fill's BFS queue
 	stats Stats
 }
 
@@ -238,8 +320,9 @@ func (c *Cache) recycle(a *adjacency) {
 }
 
 // capture copies the directory's current adjacency into a recycled (or
-// new) snapshot. Both flavours enumerate each node's neighbors in
-// ascending id order — exactly the deterministic visit order BFS needs.
+// new) snapshot with no trees. Both flavours enumerate each node's
+// neighbors in ascending id order — exactly the deterministic visit
+// order the searches need.
 func (c *Cache) capture(ver uint64) *adjacency {
 	var a *adjacency
 	if k := len(c.free); k > 0 {
@@ -263,8 +346,12 @@ func (c *Cache) capture(ver uint64) *adjacency {
 		}
 		a.off = append(a.off, int32(len(a.nbr)))
 	}
-	if cap(c.queue) < n {
-		c.queue = make([]packet.NodeID, 0, n)
+	for _, t := range a.trees[:a.live] {
+		a.treeAt[t.root] = 0
+	}
+	a.live = 0
+	if len(a.treeAt) != n {
+		a.treeAt = make([]int32, n)
 	}
 	c.stats.Captures++
 	if live := c.stats.Captures - c.stats.Recycled; live > c.stats.SnapshotsHWM {
@@ -273,19 +360,18 @@ func (c *Cache) capture(ver uint64) *adjacency {
 	return a
 }
 
-// compute runs the BFS from src over pinned snapshot a and unpins it.
-func (c *Cache) compute(v *View, a *adjacency, src packet.NodeID, at sim.Time) *View {
+// Fill computes the current full view from src into v (nil allocates,
+// buffers are reused) immediately — pin, BFS, unpin — stamped with at.
+// It is the oracle routers are checked against, and the cold-path probe.
+func (c *Cache) Fill(v *View, src packet.NodeID, at sim.Time) *View {
+	a := c.pin(c.version())
+	if n := len(a.off) - 1; cap(c.queue) < n {
+		c.queue = make([]packet.NodeID, 0, n)
+	}
 	v = a.bfs(v, c.queue, src, at)
 	c.stats.Computes++
 	c.unpin(a)
 	return v
-}
-
-// Fill computes the current view from src into v (nil allocates, buffers
-// are reused) immediately — pin, BFS, unpin — stamped with at.
-func (c *Cache) Fill(v *View, src packet.NodeID, at sim.Time) *View {
-	c.stats.Fills++
-	return c.compute(v, c.pin(c.version()), src, at)
 }
 
 // Config parameterizes the routing layer.
@@ -309,16 +395,12 @@ type Router struct {
 	cache *Cache
 	eng   *sim.Engine
 	cfg   Config
-	// view is the last computed view, at link-state version viewVer; spare
-	// is the double buffer the next compute writes into (readers may hold
-	// view only until then).
-	view, spare *View
-	viewVer     uint64
-	// pend, when non-nil, is the snapshot pinned by a refresh (at pendAt)
-	// that no packet has consulted yet; it supersedes view.
-	pend   *adjacency
-	pendAt sim.Time
-	tick   *sim.Ticker
+	// snap is the snapshot of the version adopted at the last refresh,
+	// pinned until a refresh at another version; consulted says whether a
+	// packet has read it since.
+	snap      *adjacency
+	consulted bool
+	tick      *sim.Ticker
 }
 
 // New returns a router for node id over the cache's directory. All
@@ -336,79 +418,87 @@ func (r *Router) Start() {
 	}
 }
 
-// Stop halts periodic refresh and releases a refresh no packet has
-// consulted yet; the router keeps answering from its last computed view.
+// Stop halts periodic refresh; the router keeps answering from the view
+// it adopted last.
 func (r *Router) Stop() {
 	if r.tick != nil {
 		r.tick.Stop()
 	}
-	r.drop()
 }
 
-// drop releases a pending, never consulted refresh.
-func (r *Router) drop() {
-	if r.pend != nil {
-		r.cache.stats.Unconsulted++
-		r.cache.unpin(r.pend)
-		r.pend = nil
-	}
-}
-
-// Refresh adopts the directory's current link state now: later consults
-// see the view a BFS at this instant would produce, stamped with this
-// instant. The directory's version is read here, on the timer's schedule,
-// but no BFS runs: a held view computed at this version is restamped,
-// otherwise the version's snapshot is pinned for the first consult.
+// Refresh adopts the directory's current link-state version now: later
+// consults see the routes a search at this instant would find. The
+// version is read here, on the timer's schedule, but nothing is searched:
+// a router already holding this version keeps it, otherwise it releases
+// its old snapshot and pins this version's.
 func (r *Router) Refresh() {
-	now := r.eng.Now()
 	c := r.cache
 	c.stats.Fills++
-	r.drop()
 	ver := c.version()
-	if r.view != nil && r.viewVer == ver {
+	if r.snap != nil && r.snap.version == ver {
 		c.stats.Hits++
-		r.view.UpdatedAt = now
 		return
 	}
-	r.pend, r.pendAt = c.pin(ver), now
+	if r.snap != nil {
+		if !r.consulted {
+			c.stats.Unconsulted++
+		}
+		c.unpin(r.snap) // first, so a sole holder's arrays serve the capture
+	}
+	r.snap, r.consulted = c.pin(ver), false
 }
 
-// settle computes the pending refresh a consult is about to read.
-func (r *Router) settle() {
-	next := r.cache.compute(r.spare, r.pend, r.id, r.pendAt)
-	r.spare, r.view, r.viewVer = r.view, next, r.pend.version
-	r.pend = nil
+// consult marks the adopted refresh read and returns dst's tree over its
+// snapshot, grown until it holds this router's distance to dst; nil if
+// no view is adopted yet or dst is out of range.
+func (r *Router) consult(dst packet.NodeID) *tree {
+	a := r.snap
+	if a == nil || int(dst) >= len(a.treeAt) {
+		return nil
+	}
+	if !r.consulted {
+		r.consulted = true
+		r.cache.stats.Consulted++
+	}
+	var t *tree
+	if i := a.treeAt[dst]; i > 0 {
+		t = &a.trees[i-1]
+	} else {
+		t = a.start(dst, &r.cache.stats)
+	}
+	if t.dist[r.id] < 0 {
+		t.reach(a, r.id)
+	}
+	return t
 }
 
 // NextHop returns the next hop toward dst according to this node's
-// current (possibly stale) view.
+// current (possibly stale) view: the smallest-id neighbor one hop closer
+// to dst — the hop a search from this node visiting neighbors in
+// ascending id order would pick.
 func (r *Router) NextHop(dst packet.NodeID) (packet.NodeID, bool) {
 	if dst == r.id {
 		return r.id, true
 	}
-	if r.pend != nil {
-		r.settle()
+	t := r.consult(dst)
+	if t == nil || t.dist[r.id] < 0 {
+		return 0, false
 	}
-	return r.view.NextHop(dst)
+	h := t.dist[r.id] - 1
+	for _, w := range r.snap.row(r.id) {
+		if t.dist[w] == h {
+			return w, true
+		}
+	}
+	panic("routing: asymmetric adjacency: no neighbor on the path found from the destination")
 }
 
 // HopsTo returns this node's estimate of the remaining path length to
 // dst — the H_i of §3 — or -1 if dst is unreachable in the current view.
 func (r *Router) HopsTo(dst packet.NodeID) int {
-	if r.pend != nil {
-		r.settle()
+	t := r.consult(dst)
+	if t == nil {
+		return -1
 	}
-	return r.view.Hops(dst)
-}
-
-// View returns the current view (for tests and tracing), computing it if
-// the last refresh is still pending. Views are double-buffered, not
-// immutable: the returned pointer is restamped by a refresh at an
-// unchanged version and rewritten in place by the second-next compute, so
-// callers comparing routes across refreshes must copy what they need.
-func (r *Router) View() *View {
-	if r.pend != nil {
-		r.settle()
-	}
-	return r.view
+	return int(t.dist[r.id])
 }

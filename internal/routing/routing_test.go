@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/javelen/jtp/internal/packet"
@@ -163,12 +164,12 @@ func TestDeterministicTieBreak(t *testing.T) {
 }
 
 func TestViewSnapshotAccessors(t *testing.T) {
-	eng := sim.NewEngine(1)
-	r := New(eng, 0, NewCache(chain(3)), Config{})
-	r.Start()
-	v := r.View()
-	if v == nil || v.Hops(2) != 2 {
+	v := NewCache(chain(3)).Fill(nil, 0, 7)
+	if v == nil || v.Hops(2) != 2 || v.UpdatedAt != 7 {
 		t.Fatal("view accessor broken")
+	}
+	if nh, ok := v.NextHop(2); !ok || nh != 1 {
+		t.Fatalf("view next hop to 2 = %v,%v", nh, ok)
 	}
 	var nilView *View
 	if _, ok := nilView.NextHop(1); ok {
@@ -250,6 +251,38 @@ type plainDir struct{ d Directory }
 func (p plainDir) N() int                         { return p.d.N() }
 func (p plainDir) Linked(a, b packet.NodeID) bool { return p.d.Linked(a, b) }
 
+// requireAccounting checks that every refresh routers made over c ended
+// as exactly one of hit, consulted, unconsulted or pending, where pending
+// is a router holding a snapshot no packet has read yet.
+func requireAccounting(t *testing.T, c *Cache, rs ...*Router) {
+	t.Helper()
+	var pending uint64
+	for _, r := range rs {
+		if r.snap != nil && !r.consulted {
+			pending++
+		}
+	}
+	if st := c.Stats(); st.Hits+st.Consulted+st.Unconsulted+pending != st.Fills {
+		t.Fatalf("refresh accounting: %+v with %d pending, want hits+consulted+unconsulted+pending = fills", st, pending)
+	}
+}
+
+// requireRouterMatchesView compares a router's answers with a full view
+// over all destinations.
+func requireRouterMatchesView(t *testing.T, tag string, n int, r *Router, want *View) {
+	t.Helper()
+	for w := 0; w < n; w++ {
+		dst := packet.NodeID(w)
+		gh, wh := r.HopsTo(dst), want.Hops(dst)
+		gn, gok := r.NextHop(dst)
+		wn, wok := want.NextHop(dst)
+		if gh != wh || gok != wok || (gok && gn != wn) {
+			t.Fatalf("%s: router %v dst %v: got hops=%d next=%v,%v want hops=%d next=%v,%v",
+				tag, r.id, dst, gh, gn, gok, wh, wn, wok)
+		}
+	}
+}
+
 // requireViewsEqual compares two views element-wise over all
 // destinations.
 func requireViewsEqual(t *testing.T, tag string, n int, got, want *View) {
@@ -297,8 +330,9 @@ func TestNeighborBFSMatchesScanBFS(t *testing.T) {
 
 // TestCacheMemoizesWithinVersion pins what one link-state version shares:
 // the adjacency is captured once however many sources fill or refresh,
-// a router whose view was computed at the current version is restamped
-// instead of recomputed, and a version bump costs one new capture.
+// each destination's tree is started once however many routers ask, a
+// refresh at the version a router holds is a hit that keeps snapshot and
+// trees, and a version bump costs one new capture and new trees.
 func TestCacheMemoizesWithinVersion(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := &verDir{gridDir: chain(6)}
@@ -310,32 +344,69 @@ func TestCacheMemoizesWithinVersion(t *testing.T) {
 	}
 	r := New(eng, 0, c, Config{})
 	r.Start()
-	requireViewsEqual(t, "router vs fill", d.N(), r.View(), v1)
-	// Same version: the refresh is a hit — no BFS, the adoption time moves.
+	requireRouterMatchesView(t, "router vs fill", d.N(), r, v1)
+	if st := c.Stats(); st.Computes != 2+6 || st.Consulted != 1 {
+		t.Fatalf("one router asking for six destinations: %+v, want six trees and one consulted refresh", st)
+	}
+	// Same version: the refresh is a hit and the trees stay.
 	eng.RunFor(sim.Second)
 	before := c.Stats()
-	held := r.View()
 	r.Refresh()
+	requireRouterMatchesView(t, "after a hit", d.N(), r, v1)
 	st := c.Stats()
 	if st.Computes != before.Computes || st.Hits != before.Hits+1 || st.Captures != 1 {
 		t.Fatalf("refresh at an unchanged version: %+v after %+v, want one more hit only", st, before)
 	}
-	if r.View() != held || held.UpdatedAt != eng.Now() {
-		t.Fatal("a hit must restamp the held view with the refresh time")
+	// Another router at this version reads the same trees.
+	r3 := New(eng, 3, c, Config{})
+	r3.Start()
+	if nh, ok := r3.NextHop(5); !ok || nh != 4 || r3.HopsTo(0) != 3 {
+		t.Fatalf("r3: next hop to 5 = %v,%v, hops to 0 = %d", nh, ok, r3.HopsTo(0))
 	}
-	// A version bump is one new capture, and the next consult recomputes.
+	if c.Stats().Computes != before.Computes {
+		t.Fatal("a second router at one version started its own trees")
+	}
+	// A version bump is one new capture, and the next consult grows a new
+	// tree on it.
 	d.unlink(4, 5)
 	d.ver++
 	r.Refresh()
 	if h := r.HopsTo(5); h != -1 {
-		t.Fatalf("recompute missed the topology change, hops=%d", h)
+		t.Fatalf("the new version's tree missed the topology change, hops=%d", h)
 	}
 	if st := c.Stats(); st.Captures != 2 || st.Computes != before.Computes+1 {
-		t.Fatalf("after version bump: %+v, want 2 captures and one more compute", st)
+		t.Fatalf("after version bump: %+v, want 2 captures and one more tree", st)
+	}
+	// r3 still holds the old version, and its trees.
+	if h := r3.HopsTo(5); h != 2 {
+		t.Fatalf("r3 lost its view of the old version, hops=%d", h)
 	}
 	// Views handed out by Fill are the caller's: nothing rewrote them.
 	if v1.Hops(5) != 5 {
 		t.Fatal("a later capture mutated a previously filled view")
+	}
+	requireAccounting(t, c, r, r3)
+}
+
+// TestTreeGrowsOnlyAsFarAsAsked pins the laziness: a destination's tree
+// stops growing once the asking router is found, and resumes from there
+// for a router farther away.
+func TestTreeGrowsOnlyAsFarAsAsked(t *testing.T) {
+	eng := sim.NewEngine(1)
+	d := &verDir{gridDir: chain(8)}
+	c := NewCache(d)
+	near, far := New(eng, 1, c, Config{}), New(eng, 6, c, Config{})
+	near.Start()
+	far.Start()
+	if nh, ok := near.NextHop(0); !ok || nh != 0 {
+		t.Fatalf("near: next hop %v,%v", nh, ok)
+	}
+	tr := &c.cur.trees[c.cur.treeAt[0]-1]
+	if len(tr.queue) != 2 || tr.dist[2] != -1 {
+		t.Fatalf("tree to 0 discovered %v for a router one hop away, want only 0 and 1", tr.queue)
+	}
+	if h := far.HopsTo(0); h != 6 || len(tr.queue) != 7 || c.Stats().Computes != 1 {
+		t.Fatalf("far: hops=%d, tree discovered %v, %d trees", h, tr.queue, c.Stats().Computes)
 	}
 }
 
@@ -398,26 +469,27 @@ func TestSharedCacheAcrossRouters(t *testing.T) {
 	if h := r2.HopsTo(4); h != 2 {
 		t.Fatalf("r2 should still hold its stale view, hops=%d", h)
 	}
-	// r4 never consulted its start-time view: the deferred BFS must run
-	// over the adjacency of its refresh, not today's, stamped back then.
-	if h := r4.HopsTo(0); h != 4 {
-		t.Fatalf("r4's deferred view saw a later topology, hops=%d", h)
+	// r4 never consulted its start-time view: its tree must grow over the
+	// adjacency of its refresh, not today's.
+	if nh, ok := r4.NextHop(0); !ok || nh != 3 || r4.HopsTo(0) != 4 {
+		t.Fatalf("r4's deferred view saw a later topology: next=%v,%v hops=%d", nh, ok, r4.HopsTo(0))
 	}
-	if at := r4.View().UpdatedAt; at != 0 {
-		t.Fatalf("r4's view stamped %v, want its refresh time 0", at)
+	if c.live() != 2 {
+		t.Fatalf("live=%d, want the stale and the current snapshot", c.live())
 	}
 	r2.Refresh()
 	if h := r2.HopsTo(4); h != -1 {
 		t.Fatal("r2 refresh should adopt the new snapshot")
 	}
+	requireAccounting(t, c, r0, r2, r4)
 }
 
 // TestCacheEvictsSupersededVersions pins the snapshot lifetime, the
-// memory bound under mobility: a superseded version's snapshot lives
-// exactly as long as some router still has it pinned, retained snapshots
-// never exceed the distinct versions pinned (plus the current one), a
-// released snapshot's arrays serve the next capture, and Stop releases
-// what a router still holds.
+// memory bound under mobility: a router keeps its snapshot pinned, read
+// or not, until it refreshes at another version; a superseded snapshot
+// lives exactly as long as some router still pins it; retained snapshots
+// never exceed the distinct versions pinned (plus the current one); and
+// a released snapshot's arrays, trees included, serve the next capture.
 func TestCacheEvictsSupersededVersions(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := &verDir{gridDir: chain(8)}
@@ -432,55 +504,122 @@ func TestCacheEvictsSupersededVersions(t *testing.T) {
 	if st := c.Stats(); st.Captures != 1 || st.Recycled != 0 || v0.refs != 4 {
 		t.Fatalf("four routers at one version: %+v refs=%d, want one shared snapshot", st, v0.refs)
 	}
+	// Router 0 reads version 0 and grows a tree on it.
+	if h := rs[0].HopsTo(7); h != 7 {
+		t.Fatalf("hops=%d", h)
+	}
 	// Three more versions; router i refreshes at version i, so each of
 	// the four versions is pinned by exactly one router.
 	for i := 1; i < 4; i++ {
 		d.ver++
 		rs[i].Refresh()
 	}
-	if st := c.Stats(); c.live() != 4 || st.SnapshotsHWM != 4 || st.Recycled != 0 {
-		t.Fatalf("live=%d %+v, want 4 pinned versions retained", c.live(), st)
+	if st := c.Stats(); c.live() != 4 || st.SnapshotsHWM != 4 || st.Recycled != 0 || st.Unconsulted != 3 {
+		t.Fatalf("live=%d %+v, want 4 pinned versions retained and 3 refreshes superseded unread", c.live(), st)
 	}
-	// Consulting releases the pin: version 0's snapshot is superseded and
-	// now unpinned, so it is recycled; version 3's is current and stays.
-	if h := rs[0].HopsTo(7); h != 7 {
-		t.Fatalf("hops=%d", h)
+	// Reading does not release: version 0 still answers for router 0.
+	if h := rs[0].HopsTo(7); h != 7 || c.live() != 4 {
+		t.Fatalf("hops=%d live=%d", h, c.live())
 	}
-	rs[3].HopsTo(7)
-	if st := c.Stats(); st.Recycled != 1 || c.live() != 3 || len(c.free) != 1 || c.free[0] != v0 {
-		t.Fatalf("live=%d free=%d %+v, want version 0's snapshot recycled alone", c.live(), len(c.free), st)
+	// A refresh at the current version releases version 0: superseded and
+	// unpinned, it is recycled. A refresh at the version held is a hit.
+	rs[0].Refresh()
+	rs[3].Refresh()
+	if st := c.Stats(); st.Recycled != 1 || c.live() != 3 || len(c.free) != 1 || c.free[0] != v0 || st.Hits != 1 {
+		t.Fatalf("live=%d free=%d %+v, want version 0's snapshot recycled alone and one hit", c.live(), len(c.free), st)
 	}
-	// The next capture supersedes version 3's unpinned snapshot and takes
-	// its arrays straight back, and serves correctly.
-	v3 := c.cur
+	// The next capture takes version 0's arrays straight back, with no
+	// trees left on them, and serves correctly.
 	d.unlink(6, 7)
 	d.ver++
 	rs[0].Refresh()
-	if c.cur != v3 || v3.version != d.ver || len(c.free) != 1 || c.Stats().Captures != 5 {
-		t.Fatal("capture did not reuse a recycled snapshot")
+	if c.cur != v0 || v0.version != d.ver || v0.live != 0 || len(c.free) != 0 || c.Stats().Captures != 5 {
+		t.Fatal("capture did not reuse the recycled snapshot")
 	}
 	if h := rs[0].HopsTo(7); h != -1 {
-		t.Fatalf("recycled-snapshot view wrong: hops(7)=%d", h)
+		t.Fatalf("recycled-snapshot tree wrong: hops(7)=%d", h)
 	}
-	// Stop releases the pins of the two routers never consulted (three
-	// start-time refreshes were already superseded unconsulted above): only
-	// the current version's snapshot remains, with no references.
+	// Versions 1 and 2 are pinned by routers 1 and 2, version 3 by router
+	// 3, the current one by router 0.
+	if c.live() != 4 || c.Stats().SnapshotsHWM != 4 {
+		t.Fatalf("live=%d, want 4", c.live())
+	}
+	requireAccounting(t, c, rs...)
 	for _, r := range rs {
-		r.Stop()
+		r.HopsTo(0)
 	}
-	st := c.Stats()
-	if c.live() != 1 || c.cur.refs != 0 || st.Unconsulted != 5 || st.SnapshotsHWM != 4 {
-		t.Fatalf("after Stop: live=%d refs=%d %+v", c.live(), c.cur.refs, st)
+	if st := c.Stats(); st.Hits+st.Consulted+st.Unconsulted != st.Fills {
+		t.Fatalf("every router read its view, yet %+v leaves refreshes pending", st)
 	}
-	if st.Computes+st.Unconsulted+st.Hits != st.Fills {
-		t.Fatalf("every refresh is a compute, a hit or unconsulted once nothing is pending: %+v", st)
+}
+
+// TestTreesMatchFullViews is the equivalence property of destination
+// trees. Over random undirected graphs — several components, isolated
+// nodes, ids on both sides of 255/256 — every router's NextHop and HopsTo
+// for every destination must equal the full view Fill computes from that
+// router over the same snapshot. The pairs are asked in a random order,
+// so how far a tree has grown when a router asks depends on who asked
+// before; the answer must not.
+func TestTreesMatchFullViews(t *testing.T) {
+	eng := sim.NewEngine(1)
+	for seed := int64(1); seed <= 4; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		n := 250 + rnd.Intn(50)
+		d := &verDir{gridDir: newDir(n)}
+		parts := 1 + rnd.Intn(3)
+		part := make([]int, n)
+		for i := range part {
+			part[i] = rnd.Intn(parts)
+			if rnd.Float64() < 0.05 {
+				part[i] = -1 - i // isolated: a part of its own
+			}
+		}
+		p := 5 * float64(parts) / float64(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if part[i] == part[j] && rnd.Float64() < p {
+					d.link(packet.NodeID(i), packet.NodeID(j))
+				}
+			}
+		}
+		c := NewCache(d)
+		rs := make([]*Router, n)
+		views := make([]*View, n)
+		for i := range rs {
+			rs[i] = New(eng, packet.NodeID(i), c, Config{})
+			rs[i].Start()
+			views[i] = c.Fill(nil, packet.NodeID(i), 0)
+		}
+		for _, k := range rnd.Perm(n * n) {
+			r, dst, want := rs[k/n], packet.NodeID(k%n), views[k/n]
+			nextFirst := rnd.Intn(2) == 0
+			var gn packet.NodeID
+			var gok bool
+			if nextFirst {
+				gn, gok = r.NextHop(dst)
+			}
+			gh := r.HopsTo(dst)
+			if !nextFirst {
+				gn, gok = r.NextHop(dst)
+			}
+			wn, wok := want.NextHop(dst)
+			if wh := want.Hops(dst); gh != wh || gok != wok || (gok && gn != wn) {
+				t.Fatalf("seed %d: router %d dst %v: got hops=%d next=%v,%v; full view hops=%d next=%v,%v",
+					seed, k/n, dst, gh, gn, gok, wh, wn, wok)
+			}
+		}
+		if st := c.Stats(); st.Captures != 1 || st.Computes != uint64(2*n) {
+			t.Fatalf("seed %d: %+v, want one capture, n full views and one tree per destination", seed, st)
+		}
+		requireAccounting(t, c, rs...)
 	}
 }
 
 var sinkHop packet.NodeID
 
-// BenchmarkRouterNextHop is the consult fast path: a settled periodic
-// router pays one pending check before the view read.
+// BenchmarkRouterNextHop is the consult fast path: the trees already
+// reach the router, so a consult is a tree lookup and a scan of the
+// router's neighbor row.
 func BenchmarkRouterNextHop(b *testing.B) {
 	eng := sim.NewEngine(1)
 	r := New(eng, 0, NewCache(&verDir{gridDir: chain(64)}), Defaults())
