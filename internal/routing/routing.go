@@ -163,7 +163,6 @@ func (a *adjacency) bfs(v *View, queue []packet.NodeID, src packet.NodeID, at si
 // tree is a breadth-first search rooted at one destination, stopped
 // wherever the last router that asked was found and resumable from there.
 type tree struct {
-	root packet.NodeID
 	// dist[u] is u's hop count to root, -1 while u is undiscovered.
 	dist []int32
 	// queue holds the discovered nodes in discovery order; queue[next:]
@@ -207,7 +206,7 @@ func (a *adjacency) start(dst packet.NodeID, st *Stats) *tree {
 	for i := range t.dist {
 		t.dist[i] = -1
 	}
-	t.root, t.dist[dst], t.next = dst, 0, 0
+	t.dist[dst], t.next = 0, 0
 	t.queue = append(t.queue[:0], dst)
 	st.Computes++
 	return t
@@ -346,13 +345,7 @@ func (c *Cache) capture(ver uint64) *adjacency {
 		}
 		a.off = append(a.off, int32(len(a.nbr)))
 	}
-	for _, t := range a.trees[:a.live] {
-		a.treeAt[t.root] = 0
-	}
-	a.live = 0
-	if len(a.treeAt) != n {
-		a.treeAt = make([]int32, n)
-	}
+	a.treeAt, a.live = append(a.treeAt[:0], make([]int32, n)...), 0
 	c.stats.Captures++
 	if live := c.stats.Captures - c.stats.Recycled; live > c.stats.SnapshotsHWM {
 		c.stats.SnapshotsHWM = live
