@@ -20,7 +20,6 @@ import (
 	"github.com/javelen/jtp/internal/flipflop"
 	"github.com/javelen/jtp/internal/ijtp"
 	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/sim"
 )
 
@@ -200,66 +199,6 @@ func BenchmarkAblationGains(b *testing.B) {
 
 // ---- Micro-benchmarks --------------------------------------------------
 
-// BenchmarkPacketEncode measures the wire codec on a feedback-carrying
-// packet (the largest header).
-func BenchmarkPacketEncode(b *testing.B) {
-	p := &packet.Packet{
-		Type: packet.Ack, Src: 1, Dst: 2, Flow: 3,
-		AvailRate: 2.5, LossTol: 0.1,
-		Ack: &packet.AckInfo{
-			CumAck: 100, Rate: 3.5, EnergyBudget: 0.02, SenderTimeout: 10,
-			Snack:     []packet.SeqRange{{First: 101, Last: 105}, {First: 110, Last: 112}},
-			Recovered: []packet.SeqRange{{First: 107, Last: 108}},
-		},
-	}
-	buf := make([]byte, 0, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = p.Encode(buf[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPacketDecode measures parsing the same packet.
-func BenchmarkPacketDecode(b *testing.B) {
-	p := &packet.Packet{
-		Type: packet.Ack, Src: 1, Dst: 2, Flow: 3,
-		Ack: &packet.AckInfo{
-			CumAck: 100, Rate: 3.5,
-			Snack: []packet.SeqRange{{First: 101, Last: 105}},
-		},
-	}
-	buf, err := p.Encode(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := packet.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCacheInsertLookup measures the LRU cache under a mixed
-// insert/lookup load at Table 1 capacity.
-func BenchmarkCacheInsertLookup(b *testing.B) {
-	c := cache.New(1000)
-	p := &packet.Packet{Type: packet.Data, Src: 1, Dst: 2, Flow: 1, PayloadLen: 772}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Seq = uint32(i)
-		c.Insert(p)
-		c.Lookup(cache.Key{Src: 1, Dst: 2, Flow: 1, Seq: uint32(i / 2)})
-	}
-}
-
 // BenchmarkFlipflopObserve measures the path-monitor filter per sample.
 func BenchmarkFlipflopObserve(b *testing.B) {
 	f := flipflop.New(flipflop.Defaults())
@@ -267,26 +206,6 @@ func BenchmarkFlipflopObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Observe(10 + float64(i%7))
-	}
-}
-
-// BenchmarkEngineEvents measures raw discrete-event throughput
-// (steady-state: 0 allocs/op on the slab kernel).
-func BenchmarkEngineEvents(b *testing.B) {
-	eng := sim.NewEngine(1)
-	var fn func()
-	n := 0
-	fn = func() {
-		n++
-		if n < b.N {
-			eng.Schedule(sim.Microsecond, fn)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Schedule(sim.Microsecond, fn)
-	if err := eng.Drain(); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -301,30 +220,6 @@ func BenchmarkEngineStopChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ref.Stop()
 		ref = eng.Schedule(sim.Second, fn)
-	}
-}
-
-// BenchmarkPacketDecodeInto measures the pooled decode path with a
-// reused packet (0 allocs/op, vs Decode which allocates per call).
-func BenchmarkPacketDecodeInto(b *testing.B) {
-	p := &packet.Packet{
-		Type: packet.Ack, Src: 1, Dst: 2, Flow: 3,
-		Ack: &packet.AckInfo{
-			CumAck: 100, Rate: 3.5,
-			Snack: []packet.SeqRange{{First: 101, Last: 105}},
-		},
-	}
-	buf, err := p.Encode(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var dst packet.Packet
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dst.DecodeInto(buf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -200,9 +200,6 @@ func (c *Cache) removeSlot(i int32) {
 // Policy returns the replacement policy in use.
 func (c *Cache) Policy() Policy { return c.policy }
 
-// Capacity returns the configured capacity.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Len returns the number of cached packets.
 func (c *Cache) Len() int { return len(c.items) }
 
@@ -264,42 +261,6 @@ func (c *Cache) Contains(k Key) bool {
 	return ok
 }
 
-// Remove deletes an entry if present (e.g. on flow teardown).
-func (c *Cache) Remove(k Key) bool {
-	i, ok := c.items[k]
-	if !ok {
-		return false
-	}
-	c.removeSlot(i)
-	return true
-}
-
-// RemoveFlow deletes every entry belonging to the given flow and returns
-// how many were removed. Caches are soft state; this models expiry on
-// connection close.
-func (c *Cache) RemoveFlow(src, dst packet.NodeID, flow packet.FlowID) int {
-	n := 0
-	for i := c.head; i >= 0; {
-		next := c.entries[i].next
-		k := c.entries[i].key
-		if k.Src == src && k.Dst == dst && k.Flow == flow {
-			c.removeSlot(i)
-			n++
-		}
-		i = next
-	}
-	return n
-}
-
-// Clear empties the cache.
-func (c *Cache) Clear() {
-	for i := c.head; i >= 0; {
-		next := c.entries[i].next
-		c.removeSlot(i)
-		i = next
-	}
-}
-
 // evict removes one entry according to the policy.
 func (c *Cache) evict() {
 	victim := int32(-1)
@@ -335,12 +296,4 @@ func (c *Cache) evict() {
 	}
 	c.removeSlot(victim)
 	c.stats.Evictions++
-}
-
-// OldestKey returns the key that would be evicted next, for tests.
-func (c *Cache) OldestKey() (Key, bool) {
-	if c.tail < 0 {
-		return Key{}, false
-	}
-	return c.entries[c.tail].key, true
 }

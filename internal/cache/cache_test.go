@@ -80,38 +80,6 @@ func TestZeroCapacityDisabled(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := New(5)
-	c.Insert(pkt(1, 1))
-	if !c.Remove(KeyOf(pkt(1, 1))) {
-		t.Fatal("remove existing failed")
-	}
-	if c.Remove(KeyOf(pkt(1, 1))) {
-		t.Fatal("double remove succeeded")
-	}
-	if c.Len() != 0 {
-		t.Fatal("len after remove")
-	}
-}
-
-func TestRemoveFlow(t *testing.T) {
-	c := New(10)
-	for seq := uint32(0); seq < 4; seq++ {
-		c.Insert(pkt(1, seq))
-		c.Insert(pkt(2, seq))
-	}
-	n := c.RemoveFlow(1, 2, 1)
-	if n != 4 {
-		t.Fatalf("removed %d, want 4", n)
-	}
-	if c.Len() != 4 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	if c.Contains(KeyOf(pkt(1, 0))) || !c.Contains(KeyOf(pkt(2, 0))) {
-		t.Fatal("wrong flow removed")
-	}
-}
-
 func TestFlowIsolation(t *testing.T) {
 	c := New(10)
 	c.Insert(pkt(1, 7))
@@ -120,28 +88,6 @@ func TestFlowIsolation(t *testing.T) {
 	}
 	if _, ok := c.Lookup(Key{Src: 9, Dst: 2, Flow: 1, Seq: 7}); ok {
 		t.Fatal("src not part of the key")
-	}
-}
-
-func TestClear(t *testing.T) {
-	c := New(5)
-	c.Insert(pkt(1, 1))
-	c.Clear()
-	if c.Len() != 0 || c.Contains(KeyOf(pkt(1, 1))) {
-		t.Fatal("Clear incomplete")
-	}
-}
-
-func TestOldestKey(t *testing.T) {
-	c := New(5)
-	if _, ok := c.OldestKey(); ok {
-		t.Fatal("empty cache has an oldest key")
-	}
-	c.Insert(pkt(1, 1))
-	c.Insert(pkt(1, 2))
-	k, ok := c.OldestKey()
-	if !ok || k.Seq != 1 {
-		t.Fatalf("oldest = %+v", k)
 	}
 }
 

@@ -224,12 +224,6 @@ type Matrix struct {
 	Config any
 }
 
-// AddAxis appends an axis and returns the matrix for chaining.
-func (m *Matrix) AddAxis(name string, values ...any) *Matrix {
-	m.Axes = append(m.Axes, Axis{Name: name, Values: values})
-	return m
-}
-
 // Validate reports structural problems: empty axes, duplicate axis
 // names, or a negative run count — the malformed matrices that would
 // otherwise expand to a silently empty (or wrong-sized) campaign.

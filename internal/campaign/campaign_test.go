@@ -229,8 +229,8 @@ func TestTableAndCSVShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := rep.Table("t")
-	if tbl.Rows() != 12 {
-		t.Fatalf("table rows = %d, want 12", tbl.Rows())
+	if rows := bytes.Count([]byte(tbl.CSV()), []byte("\n")) - 1; rows != 12 { // less the header
+		t.Fatalf("table rows = %d, want 12", rows)
 	}
 	csv := rep.CSV("energy")
 	var lines int

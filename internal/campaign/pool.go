@@ -28,11 +28,6 @@ type RunFunc func(ctx context.Context, spec RunSpec) (Sample, error)
 type Options struct {
 	// Workers is the worker-pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Window bounds how far execution may run ahead of in-order
-	// aggregation, in runs; <= 0 means 4×Workers. A bounded window keeps
-	// the out-of-order buffer O(workers), so campaign memory stays
-	// O(cells), never O(runs).
-	Window int
 	// OnResult, when non-nil, observes every folded run result. It is
 	// invoked in ascending fold order under the aggregation lock, so
 	// callers get a deterministic progress stream without locking.
@@ -118,17 +113,6 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// window resolves the reorder window.
-func (o Options) window(workers int) int {
-	if o.Window > 0 {
-		if o.Window < workers {
-			return workers
-		}
-		return o.Window
-	}
-	return 4 * workers
-}
-
 // checkpointEvery resolves the periodic checkpoint fold count.
 func (o Options) checkpointEvery() int {
 	if o.CheckpointEvery > 0 {
@@ -161,9 +145,9 @@ type workItem struct {
 //
 // Determinism: results are folded strictly in dispatch order — a result
 // that arrives early waits in a bounded reorder buffer — so the report
-// is byte-identical for any Workers/Window setting, including
-// Workers=1. Worker admission is throttled by the same window, bounding
-// in-flight plus buffered results to Window runs.
+// is byte-identical for any Workers setting, including Workers=1.
+// Worker admission is throttled by the same window, bounding in-flight
+// plus buffered results to 4×Workers runs.
 //
 // Cancellation: runs that return the campaign context's cancellation
 // error are classified as interrupted, not failed — they (and any
@@ -219,7 +203,10 @@ func Execute(ctx context.Context, m Matrix, opt Options, fn RunFunc) (*Report, e
 	if nw > remaining {
 		nw = remaining
 	}
-	window := opt.window(nw)
+	// The reorder window bounds how far execution may run ahead of
+	// in-order aggregation: 4 runs per worker keeps the out-of-order
+	// buffer O(workers), so campaign memory stays O(cells), never O(runs).
+	window := 4 * nw
 
 	agg := &aggregator{
 		ctx:        ctx,

@@ -177,16 +177,6 @@ func (c *Channel) drawSojourn(bad bool) sim.Duration {
 	return sim.DurationOf(d)
 }
 
-// LossProb returns the current per-transmission loss probability on the
-// a→b link.
-func (c *Channel) LossProb(a, b packet.NodeID) float64 {
-	st := c.state(a, b)
-	if st.bad {
-		return c.cfg.BadLoss
-	}
-	return c.cfg.GoodLoss
-}
-
 // Bad reports whether the link is currently in the bad state.
 func (c *Channel) Bad(a, b packet.NodeID) bool { return c.state(a, b).bad }
 
@@ -197,9 +187,8 @@ func (c *Channel) Bad(a, b packet.NodeID) bool { return c.state(a, b).bad }
 // flip time has passed.
 func (c *Channel) TransmitOK(a, b packet.NodeID) bool {
 	// The Bernoulli draw happens before the lazy state advance (which may
-	// itself consume sojourn draws) — the order the original
-	// `Float64() >= LossProb()` expression evaluated in, kept so seeded
-	// runs reproduce bit-for-bit.
+	// itself consume sojourn draws), the order the channel has always
+	// drawn in, kept so seeded runs reproduce bit-for-bit.
 	u := c.eng.Rand().Float64()
 	thr := c.cfg.GoodLoss
 	if c.state(a, b).bad {
@@ -209,18 +198,9 @@ func (c *Channel) TransmitOK(a, b packet.NodeID) bool {
 }
 
 // ForceState pins the a↔b link to the given state until the next natural
-// flip; used in tests and the Fig 3(c) link-quality trace.
+// flip. Only tests call it, to hold a link in one state.
 func (c *Channel) ForceState(a, b packet.NodeID, bad bool, hold sim.Duration) {
 	st := c.state(a, b)
 	st.bad = bad
 	st.changeAt = c.eng.Now().Add(hold)
-}
-
-// ExpectedLoss returns the long-run average loss probability of a link,
-// the quantity a MAC-layer estimator converges to.
-func (c *Channel) ExpectedLoss() float64 {
-	if c.cfg.Static {
-		return c.cfg.GoodLoss
-	}
-	return c.cfg.BadFraction*c.cfg.BadLoss + (1-c.cfg.BadFraction)*c.cfg.GoodLoss
 }

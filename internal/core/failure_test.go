@@ -20,7 +20,7 @@ func gridNet(t *testing.T, seed int64) (*sim.Engine, *node.Network) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	nw := node.New(eng, node.Config{
-		Topo:    topology.Grid(3, 3, 75),
+		Topo:    topology.GridN(9, 75),
 		Channel: cleanChannel(),
 		MAC:     mac.Defaults(),
 		Routing: routing.Defaults(), // periodic refresh notices failures

@@ -106,14 +106,13 @@ func (e Event) String() string {
 // Filter is a flip-flop filter for one path metric. The zero value is not
 // ready; construct with New.
 type Filter struct {
-	cfg     Config
-	mean    float64
-	rng     float64 // R̄, EWMA of |x_i − x_{i−1}|
-	last    float64
-	n       int
-	run     int // consecutive outliers
-	mode    Mode
-	samples int
+	cfg  Config
+	mean float64
+	rng  float64 // R̄, EWMA of |x_i − x_{i−1}|
+	last float64
+	n    int
+	run  int // consecutive outliers
+	mode Mode
 }
 
 // New returns a filter with the given configuration. Invalid fields fall
@@ -141,17 +140,8 @@ func New(cfg Config) *Filter {
 // Mean returns the current EWMA estimate x̄.
 func (f *Filter) Mean() float64 { return f.mean }
 
-// Range returns the current moving-range EWMA R̄.
-func (f *Filter) Range() float64 { return f.rng }
-
-// Mode returns the active filter mode.
-func (f *Filter) Mode() Mode { return f.mode }
-
 // Primed reports whether the filter has seen at least one sample.
 func (f *Filter) Primed() bool { return f.n > 0 }
-
-// Samples returns the number of samples observed.
-func (f *Filter) Samples() int { return f.samples }
 
 // Limits returns the current lower and upper control limits. Before the
 // filter is primed both are zero.
@@ -187,7 +177,6 @@ func (f *Filter) UCL() float64 {
 //   - after a shift the agile filter is used until a sample falls back
 //     inside the limits, when the monitor flips back to the stable filter.
 func (f *Filter) Observe(x float64) Event {
-	f.samples++
 	if f.n == 0 {
 		f.mean = x
 		f.rng = x / 2
@@ -246,11 +235,4 @@ func (f *Filter) Observe(x float64) Event {
 		return Shift
 	}
 	return Outlier
-}
-
-// Reset returns the filter to its unprimed state, keeping the configuration.
-func (f *Filter) Reset() {
-	f.mean, f.rng, f.last = 0, 0, 0
-	f.n, f.run, f.samples = 0, 0, 0
-	f.mode = Stable
 }

@@ -18,8 +18,8 @@ func TestFirstSampleInitializes(t *testing.T) {
 	if f.Mean() != 10 {
 		t.Fatalf("x̄ init = %v, want x0", f.Mean())
 	}
-	if f.Range() != 5 {
-		t.Fatalf("R̄ init = %v, want x0/2", f.Range())
+	if f.rng != 5 {
+		t.Fatalf("R̄ init = %v, want x0/2", f.rng)
 	}
 }
 
@@ -48,7 +48,7 @@ func TestStableFiltering(t *testing.T) {
 			t.Fatalf("stable stream produced a shift at sample %d", i)
 		}
 	}
-	if f.Mode() != Stable {
+	if f.mode != Stable {
 		t.Fatal("mode should remain stable")
 	}
 	if m := f.Mean(); m < 10 || m > 10.5 {
@@ -80,7 +80,7 @@ func TestShiftDetectionAndAgileCatchup(t *testing.T) {
 	if steps != cfg.OutlierRun {
 		t.Fatalf("shift after %d samples, want OutlierRun=%d", steps, cfg.OutlierRun)
 	}
-	if f.Mode() != Agile {
+	if f.mode != Agile {
 		t.Fatal("mode should be agile after shift")
 	}
 	// Agile filter must catch up quickly.
@@ -91,8 +91,8 @@ func TestShiftDetectionAndAgileCatchup(t *testing.T) {
 		t.Fatalf("agile catch-up too slow: mean %v (was %v)", f.Mean(), before)
 	}
 	// And flip back to stable once samples are in limits again.
-	if f.Mode() != Stable {
-		t.Fatalf("mode after catch-up = %v, want stable", f.Mode())
+	if f.mode != Stable {
+		t.Fatalf("mode after catch-up = %v, want stable", f.mode)
 	}
 }
 
@@ -138,16 +138,6 @@ func TestModeString(t *testing.T) {
 	}
 	if InLimits.String() != "in-limits" || Outlier.String() != "outlier" || Shift.String() != "shift" {
 		t.Fatal("event names wrong")
-	}
-}
-
-func TestReset(t *testing.T) {
-	f := New(Defaults())
-	f.Observe(5)
-	f.Observe(6)
-	f.Reset()
-	if f.Primed() || f.Samples() != 0 || f.Mean() != 0 {
-		t.Fatal("Reset incomplete")
 	}
 }
 

@@ -21,12 +21,6 @@ func (p Point) Sub(q Point) Vec { return Vec{p.X - q.X, p.Y - q.Y} }
 // Add offsets the point by v.
 func (p Point) Add(v Vec) Point { return Point{p.X + v.X, p.Y + v.Y} }
 
-// Dist returns the Euclidean distance between p and q in meters.
-func (p Point) Dist(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Hypot(dx, dy)
-}
-
 // Dist2 returns the squared distance, avoiding the square root when only
 // comparisons are needed (e.g. range checks on every slot).
 func (p Point) Dist2(q Point) float64 {
@@ -71,20 +65,10 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the vertical extent of the field.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Contains reports whether p lies within the rectangle (inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Clamp returns the nearest point to p inside the rectangle.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
 		X: math.Max(r.Min.X, math.Min(r.Max.X, p.X)),
 		Y: math.Max(r.Min.Y, math.Min(r.Max.Y, p.Y)),
 	}
-}
-
-// Lerp linearly interpolates from p to q: t=0 yields p, t=1 yields q.
-func Lerp(p, q Point, t float64) Point {
-	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
 }

@@ -9,9 +9,6 @@ import (
 func TestDist(t *testing.T) {
 	a := Point{0, 0}
 	b := Point{3, 4}
-	if d := a.Dist(b); d != 5 {
-		t.Fatalf("Dist = %v, want 5", d)
-	}
 	if d2 := a.Dist2(b); d2 != 25 {
 		t.Fatalf("Dist2 = %v, want 25", d2)
 	}
@@ -27,7 +24,7 @@ func TestDistSymmetryProperty(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		a := Point{bound(ax), bound(ay)}
 		b := Point{bound(bx), bound(by)}
-		return math.Abs(a.Dist(b)-b.Dist(a)) < 1e-9
+		return a.Dist2(b) == b.Dist2(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -68,11 +65,14 @@ func TestRect(t *testing.T) {
 	if r.Width() != 10 || r.Height() != 10 {
 		t.Fatalf("square dims: %v x %v", r.Width(), r.Height())
 	}
-	if !r.Contains(Point{5, 5}) || !r.Contains(Point{0, 0}) || !r.Contains(Point{10, 10}) {
-		t.Fatal("Contains failed on interior/boundary")
+	// Clamp fixes exactly the points of the closed rectangle.
+	for _, p := range []Point{{5, 5}, {0, 0}, {10, 10}} {
+		if r.Clamp(p) != p {
+			t.Fatalf("Clamp moved %v, inside the field", p)
+		}
 	}
-	if r.Contains(Point{10.001, 5}) {
-		t.Fatal("Contains accepted exterior point")
+	if p := (Point{10.001, 5}); r.Clamp(p) == p {
+		t.Fatal("Clamp kept an exterior point")
 	}
 }
 
@@ -80,7 +80,7 @@ func TestClampProperty(t *testing.T) {
 	r := Square(100)
 	f := func(x, y float64) bool {
 		p := r.Clamp(Point{x, y})
-		return r.Contains(p)
+		return p.X >= 0 && p.X <= 100 && p.Y >= 0 && p.Y <= 100
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -92,17 +92,6 @@ func TestClampIdempotentOnInterior(t *testing.T) {
 	p := Point{42, 17}
 	if r.Clamp(p) != p {
 		t.Fatal("Clamp moved an interior point")
-	}
-}
-
-func TestLerp(t *testing.T) {
-	a, b := Point{0, 0}, Point{10, 20}
-	if Lerp(a, b, 0) != a || Lerp(a, b, 1) != b {
-		t.Fatal("Lerp endpoints wrong")
-	}
-	mid := Lerp(a, b, 0.5)
-	if mid.X != 5 || mid.Y != 10 {
-		t.Fatalf("Lerp midpoint = %v", mid)
 	}
 }
 

@@ -414,9 +414,6 @@ func (m *MAC) EnqueueFront(seg Segment, nextHop packet.NodeID) bool {
 	return true
 }
 
-// QueueLen returns the number of frames waiting.
-func (m *MAC) QueueLen() int { return m.qlen }
-
 // link returns (creating if needed) the stats for a neighbor.
 func (m *MAC) link(to packet.NodeID) *linkStats {
 	ls, ok := m.links[to]
@@ -633,7 +630,6 @@ type Scheduler struct {
 	macs  []*MAC
 	perm  []int
 	pos   int
-	tick  *sim.Ticker
 	slots uint64
 }
 
@@ -655,26 +651,11 @@ func NewScheduler(eng *sim.Engine, slot sim.Duration, macs []*MAC) *Scheduler {
 // Start begins slot processing.
 func (s *Scheduler) Start() {
 	s.shuffle()
-	s.tick = s.eng.NewTicker(s.slot, s.onSlot)
-}
-
-// Stop halts slot processing.
-func (s *Scheduler) Stop() {
-	if s.tick != nil {
-		s.tick.Stop()
-	}
+	s.eng.NewTicker(s.slot, s.onSlot)
 }
 
 // Slots returns the number of slots elapsed.
 func (s *Scheduler) Slots() uint64 { return s.slots }
-
-// SlotDuration returns the configured slot length.
-func (s *Scheduler) SlotDuration() sim.Duration { return s.slot }
-
-// PerNodeSlotRate returns each node's transmit opportunities per second.
-func (s *Scheduler) PerNodeSlotRate() float64 {
-	return 1.0 / (s.slot.Seconds() * float64(len(s.macs)))
-}
 
 func (s *Scheduler) shuffle() {
 	r := s.eng.Rand()

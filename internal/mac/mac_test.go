@@ -70,7 +70,7 @@ func TestEnqueueAndDeliver(t *testing.T) {
 	if !m0.Enqueue(seg, 1) {
 		t.Fatal("enqueue failed")
 	}
-	if m0.QueueLen() != 1 {
+	if m0.qlen != 1 {
 		t.Fatal("queue length")
 	}
 	m0.OwnSlot()
@@ -80,7 +80,7 @@ func TestEnqueueAndDeliver(t *testing.T) {
 	if env.delivered[0].Seg != seg {
 		t.Fatal("wrong segment delivered")
 	}
-	if m0.QueueLen() != 0 {
+	if m0.qlen != 0 {
 		t.Fatal("frame not dequeued after success")
 	}
 }
@@ -98,7 +98,7 @@ func TestRetryThenDrop(t *testing.T) {
 	m0.Enqueue(seg, 1)
 	def := m0.Config().DefaultAttempts
 	for i := 0; i < def; i++ {
-		if m0.QueueLen() != 1 {
+		if m0.qlen != 1 {
 			t.Fatalf("frame should stay queued until attempts exhaust (i=%d)", i)
 		}
 		m0.OwnSlot()
@@ -236,7 +236,7 @@ func TestLossEstimatorTracks(t *testing.T) {
 			env.failNext = 1
 		}
 		m0.Enqueue(&stubSeg{size: 1, dst: 1}, 1)
-		for m0.QueueLen() > 0 {
+		for m0.qlen > 0 {
 			m0.OwnSlot()
 		}
 	}
@@ -304,7 +304,6 @@ func TestSchedulerRoundRobinFairness(t *testing.T) {
 	sched := NewScheduler(eng, Defaults().SlotDuration, macs)
 	sched.Start()
 	eng.RunFor(40 * sim.Second) // 1600 slots / 4 nodes = 400 each
-	sched.Stop()
 	for i, c := range slotCounts {
 		if c < 10 {
 			t.Fatalf("node %d starved: %d slots", i, c)
@@ -335,7 +334,7 @@ func TestSchedulerSlotRate(t *testing.T) {
 	}
 	s := NewScheduler(eng, 25*sim.Millisecond, macs)
 	want := 1.0 / (0.025 * 8)
-	if r := s.PerNodeSlotRate(); r != want {
+	if r := macs[0].ownSlotRate; r != want {
 		t.Fatalf("per-node slot rate %v, want %v", r, want)
 	}
 	s.Start()
@@ -366,7 +365,7 @@ func TestAvgAttemptsNormalization(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		env.failNext = 2
 		m0.Enqueue(&stubSeg{size: 1, dst: 1}, 1)
-		for m0.QueueLen() > 0 {
+		for m0.qlen > 0 {
 			m0.OwnSlot()
 		}
 	}
@@ -407,8 +406,8 @@ func TestRingQueueWrapAndFrontOrdering(t *testing.T) {
 			next = 0
 		}
 	}
-	if m0.QueueLen() != 0 {
-		t.Fatalf("queue not drained: %d", m0.QueueLen())
+	if m0.qlen != 0 {
+		t.Fatalf("queue not drained: %d", m0.qlen)
 	}
 }
 
@@ -451,7 +450,7 @@ func TestAllocsOwnSlotObserved(t *testing.T) {
 	if reg.Counter("mac_enqueues").Value() == 0 {
 		t.Fatal("telemetry registry saw no enqueues")
 	}
-	if reg.Histogram("mac_frame_attempts").Count() == 0 {
+	if reg.Snapshot()["mac_frame_attempts_count"] == 0 {
 		t.Fatal("telemetry registry saw no frame completions")
 	}
 }

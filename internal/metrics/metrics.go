@@ -109,7 +109,7 @@ type RunRecord struct {
 	AttemptBudgets [][]uint64
 	// Telemetry is the run's obs-registry snapshot when the run executed
 	// with telemetry attached (nil otherwise). Keys follow the obs naming
-	// scheme; values merge across runs per obs.Merge.
+	// scheme; values merge across runs per obs.IsMax.
 	Telemetry map[string]uint64
 	// Flows are the per-flow records.
 	Flows []*FlowRecord
@@ -227,9 +227,6 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // CSV renders the table as comma-separated values (header + rows; the
 // title is omitted). Cells containing commas, quotes, or either newline

@@ -82,8 +82,8 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("line count = %d:\n%s", len(lines), out)
 	}
 	// Columns align: every data line at least as wide as the longest cell.
-	if tb.Rows() != 2 {
-		t.Fatalf("Rows() = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 }
 

@@ -44,22 +44,11 @@ func Defaults(speed float64) Config {
 // Model moves every node of a topology according to independent random
 // waypoint processes. Construct with New and call Start.
 type Model struct {
-	cfg  Config
-	eng  *sim.Engine
-	topo interface {
-		N() int
-		Position(packet.NodeID) geom.Point
-		SetPosition(packet.NodeID, geom.Point)
-	}
+	cfg   Config
+	eng   *sim.Engine
+	topo  Topo
 	field geom.Rect
 	walk  []walker
-	tick  *sim.Ticker
-	// OnMove, when non-nil, is invoked after each batch position update
-	// that changed at least one position — steps where every walker was
-	// paused are silent. The routing layer hooks it to notice topology
-	// changes promptly in tests (production routing re-reads positions on
-	// its own timer).
-	OnMove func()
 }
 
 type walker struct {
@@ -93,27 +82,19 @@ func (m *Model) Start() {
 		pause := m.eng.Rand().ExpFloat64() * m.cfg.MeanPause
 		m.walk[i] = walker{pauseTo: now.Add(sim.DurationOf(pause))}
 	}
-	m.tick = m.eng.NewTicker(m.cfg.Step, m.step)
-}
-
-// Stop halts movement.
-func (m *Model) Stop() {
-	if m.tick != nil {
-		m.tick.Stop()
-	}
+	m.eng.NewTicker(m.cfg.Step, m.step)
 }
 
 // step advances every walker by one interval. Each walker that acts this
-// step reads its position exactly once, and OnMove only fires when some
-// position actually changed — a step where every walker sat out its pause
-// signals nothing (and leaves the topology's position epoch untouched).
+// step reads its position exactly once, and a walker sitting out its
+// pause writes nothing, so an all-paused step leaves the topology's
+// position epoch untouched.
 func (m *Model) step() {
 	if m.cfg.Speed <= 0 {
 		return
 	}
 	now := m.eng.Now()
 	stepDist := m.cfg.Speed * m.cfg.Step.Seconds()
-	moved := false
 	for i := range m.walk {
 		w := &m.walk[i]
 		if !w.moving && now < w.pauseTo {
@@ -132,7 +113,6 @@ func (m *Model) step() {
 			// back onto the walker's own position moves nothing.
 			if w.target != pos {
 				m.topo.SetPosition(id, w.target)
-				moved = true
 			}
 			w.moving = false
 			pause := m.eng.Rand().ExpFloat64() * m.cfg.MeanPause
@@ -140,10 +120,6 @@ func (m *Model) step() {
 			continue
 		}
 		m.topo.SetPosition(id, pos.Add(to.Unit().Scale(stepDist)))
-		moved = true
-	}
-	if moved && m.OnMove != nil {
-		m.OnMove()
 	}
 }
 

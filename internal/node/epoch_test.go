@@ -206,7 +206,6 @@ func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 				// Every probe was read; once every node's router reads
 				// its last refresh too, no refresh is left pending, so
 				// each was exactly one of hit, consulted or unconsulted.
-				nw.Stop()
 				for i := 0; i < n; i++ {
 					nw.Node(packet.NodeID(i)).Router.HopsTo(0)
 				}

@@ -97,9 +97,6 @@ type Node struct {
 	net       *Network
 }
 
-// Endpoints returns the number of registered transport endpoints.
-func (n *Node) Endpoints() int { return len(n.endpoints) }
-
 // Counters returns the node's drop counters.
 func (n *Node) Counters() Counters { return n.count }
 
@@ -152,9 +149,6 @@ type Network struct {
 	// and terminal consumers recycle into it (see packet.Pool for the
 	// ownership rules). New always creates it.
 	pool *packet.Pool
-
-	// DropHook, when non-nil, observes every MAC-level frame drop.
-	DropHook func(at packet.NodeID, fr *mac.Frame, reason mac.DropReason)
 
 	// Tracer, when non-nil, records packet-lifecycle events (origination,
 	// forwarding, delivery, drops) for debugging and analysis.
@@ -213,9 +207,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		nd.Router = routing.New(eng, id, nw.views, cfg.Routing)
 		nd.MAC.Drops = func(fr *mac.Frame, reason mac.DropReason) {
 			nw.traceSeg(id, trace.Drop, fr.Seg, reason.String())
-			if nw.DropHook != nil {
-				nw.DropHook(id, fr, reason)
-			}
 		}
 		macs[i] = nd.MAC
 		nw.nodes[i] = nd
@@ -747,14 +738,6 @@ func (nw *Network) Start() {
 		nd.Router.Start()
 	}
 	nw.sched.Start()
-}
-
-// Stop halts the schedule and routing timers.
-func (nw *Network) Stop() {
-	for _, nd := range nw.nodes {
-		nd.Router.Stop()
-	}
-	nw.sched.Stop()
 }
 
 // TotalEnergy sums all node meters in joules.

@@ -10,6 +10,7 @@ import (
 	"github.com/javelen/jtp/internal/routing"
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/topology"
+	"github.com/javelen/jtp/internal/trace"
 )
 
 // perfectChannel removes stochastic loss so forwarding tests are exact.
@@ -67,10 +68,10 @@ func TestMultiHopForwardingAndDelivery(t *testing.T) {
 		t.Fatalf("last hop = %v, want 3", s.from[0])
 	}
 	// The loop-backstop counter increments once per forwarding decision:
-	// 3 intermediate nodes on a 4-link path.
+	// 3 intermediate nodes on a 4-link path, so the next is the 4th.
 	p := s.got[0].(*packet.Packet)
-	if p.Hops() != 3 {
-		t.Fatalf("forward count = %d, want 3", p.Hops())
+	if n := p.AddHop(); n != 4 {
+		t.Fatalf("forward count = %d, want 3", n-1)
 	}
 }
 
@@ -188,7 +189,9 @@ func TestTTLBackstop(t *testing.T) {
 	}
 }
 
-func TestDropHookObservesMACDrops(t *testing.T) {
+// TestTracerObservesMACDrops pins the MAC drop wiring: a frame that
+// exhausts its retries reaches the network's tracer with its reason.
+func TestTracerObservesMACDrops(t *testing.T) {
 	eng := sim.NewEngine(2)
 	cfg := channel.Defaults()
 	cfg.GoodLoss = 1.0 // every transmission fails
@@ -199,17 +202,18 @@ func TestDropHookObservesMACDrops(t *testing.T) {
 		MAC:     mac.Defaults(),
 		Energy:  energy.JAVeLEN(),
 	})
-	var drops int
-	nw.DropHook = func(at packet.NodeID, fr *mac.Frame, reason mac.DropReason) {
-		if reason == mac.DropRetries {
-			drops++
-		}
-	}
+	nw.Tracer = trace.New(64)
 	nw.Start()
 	nw.SendFrom(0, dataSeg(0, 1, 1, 0))
 	eng.RunFor(10 * sim.Second)
+	var drops int
+	for _, e := range nw.Tracer.Events() {
+		if e.Kind == trace.Drop && e.Node == 0 && e.Detail == mac.DropRetries.String() {
+			drops++
+		}
+	}
 	if drops != 1 {
-		t.Fatalf("drop hook saw %d retry drops", drops)
+		t.Fatalf("tracer saw %d retry drops", drops)
 	}
 }
 
@@ -226,9 +230,6 @@ func TestStringAndAccessors(t *testing.T) {
 	}
 	if nw.Scheduler() == nil || nw.Channel() == nil || nw.Topology() == nil || nw.Engine() == nil {
 		t.Fatal("nil subsystem accessor")
-	}
-	if nw.Node(0).Endpoints() != 0 {
-		t.Fatal("fresh node has endpoints")
 	}
 }
 

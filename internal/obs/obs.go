@@ -14,24 +14,21 @@
 //     the exact disabled path with no configuration plumbing.
 //   - Values are updated atomically. Every exported aggregate is commutative:
 //     counters and histogram counts/sums add, gauges and histogram maxima
-//     take maxima, so snapshots merge in any order. Campaign workers
-//     each own a private Registry; per-run Snapshots are merged by
-//     the campaign's deterministic in-order fold, which is what makes
-//     concurrent readers (expvar) race-free — they only ever see folded
-//     aggregates.
+//     take maxima (IsMax tells which), so snapshots merge in any order.
+//     Campaign workers each own a private Registry; per-run Snapshots
+//     are merged by the campaign's deterministic in-order fold, which is
+//     what makes concurrent readers (expvar) race-free — they only ever
+//     see folded aggregates.
 //
 // Snapshot flattens everything into a map[string]uint64: a counter
 // exports its name, a gauge exports "<name>_hwm" (its high-water mark),
 // and a histogram exports "<name>_count", "<name>_sum" and "<name>_max".
-// Merge folds one snapshot into another by name: "_hwm"/"_max" keys take
-// the maximum, everything else sums — so merging per-run snapshots
-// yields exactly the aggregate a single shared registry would have seen.
+// Merging snapshots by name, "_hwm"/"_max" keys by maximum and everything
+// else by sum, yields exactly the aggregate a single shared registry
+// would have seen. Tests read instruments through Snapshot too.
 package obs
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing event count. The zero value is
 // ready; a nil *Counter ignores all writes (disabled telemetry).
@@ -61,35 +58,23 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge tracks an instantaneous level and its high-water mark (queue
-// depth, heap depth). A nil *Gauge ignores all writes. Only the
-// high-water mark is exported in snapshots; the instantaneous level is a
-// last-writer-wins convenience for live inspection.
+// Gauge tracks the high-water mark of a level (queue depth, heap depth).
+// A nil *Gauge ignores all writes.
 type Gauge struct {
-	v   atomic.Uint64
 	hwm atomic.Uint64
 }
 
-// Update sets the current level, advancing the high-water mark.
+// Update reports the current level, advancing the high-water mark.
 func (g *Gauge) Update(v uint64) {
 	if g == nil {
 		return
 	}
-	g.v.Store(v)
 	for {
 		cur := g.hwm.Load()
 		if v <= cur || g.hwm.CompareAndSwap(cur, v) {
 			return
 		}
 	}
-}
-
-// Value returns the current level (0 on a nil gauge).
-func (g *Gauge) Value() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // HighWater returns the maximum level ever Updated (0 on a nil gauge).
@@ -100,15 +85,12 @@ func (g *Gauge) HighWater() uint64 {
 	return g.hwm.Load()
 }
 
-// Histogram summarizes a value distribution: count, sum, max, and
-// power-of-two buckets (bucket i counts observations v with
-// 2^(i-1) <= v < 2^i; bucket 0 counts v <= 1). A nil *Histogram ignores
-// all writes.
+// Histogram summarizes a value distribution by count, sum and max. A nil
+// *Histogram ignores all writes.
 type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	max     atomic.Uint64
-	buckets [16]atomic.Uint64
+	count atomic.Uint64
+	sum   atomic.Uint64
+	max   atomic.Uint64
 }
 
 // Observe records one value.
@@ -121,47 +103,9 @@ func (h *Histogram) Observe(v uint64) {
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
+			return
 		}
 	}
-	b := 0
-	for x := v; x > 1 && b < len(h.buckets)-1; x >>= 1 {
-		b++
-	}
-	h.buckets[b].Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Max returns the largest observed value.
-func (h *Histogram) Max() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.max.Load()
-}
-
-// Bucket returns the i-th power-of-two bucket count (tests and live
-// inspection; buckets are not exported in snapshots).
-func (h *Histogram) Bucket(i int) uint64 {
-	if h == nil || i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i].Load()
 }
 
 // Registry is a create-or-get directory of named instruments. The zero
@@ -257,41 +201,10 @@ func (r *Registry) SnapshotInto(m map[string]uint64) {
 	}
 }
 
-// Names returns every snapshot key the registry would emit, sorted
-// (deterministic column sets for reports).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // IsMax reports whether a snapshot key merges by maximum rather than by
 // sum: gauge high-water marks and histogram maxima.
 func IsMax(name string) bool {
 	return hasSuffix(name, "_hwm") || hasSuffix(name, "_max")
-}
-
-// Merge folds snapshot src into dst: "_hwm"/"_max" keys take the
-// maximum, all other keys sum. Merging per-run snapshots in any order
-// yields the same result, but the campaign folds them in run order
-// anyway (determinism is structural, not incidental).
-func Merge(dst, src map[string]uint64) {
-	for k, v := range src {
-		if IsMax(k) {
-			if v > dst[k] {
-				dst[k] = v
-			}
-			continue
-		}
-		dst[k] += v
-	}
 }
 
 // hasSuffix avoids importing strings (the package is dependency-free so

@@ -10,11 +10,11 @@ func TestDeadlineRoundTrip(t *testing.T) {
 	p.Flags |= FlagDeadline
 	p.Deadline = 1234.567
 	p.Quantize()
-	buf, err := p.Encode(nil)
+	buf, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, n, err := Decode(buf)
+	q, n, err := decode(buf)
 	if err != nil || n != len(buf) {
 		t.Fatalf("decode: %v n=%d/%d", err, n, len(buf))
 	}
@@ -34,12 +34,12 @@ func TestDeadlineSizeAccounting(t *testing.T) {
 	if p.Size() != base+DeadlineExtSize {
 		t.Fatalf("deadline extension not counted: %d vs %d", p.Size(), base)
 	}
-	buf, err := p.Encode(nil)
+	buf, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != p.EncodedSize() {
-		t.Fatalf("encoded %d, EncodedSize %d", len(buf), p.EncodedSize())
+	if len(buf) != p.Size()-p.Pad {
+		t.Fatalf("encoded %d, Size()-Pad %d", len(buf), p.Size()-p.Pad)
 	}
 }
 
@@ -50,11 +50,11 @@ func TestDeadlineWithoutFlagNotEncoded(t *testing.T) {
 	if p.Deadline != 0 {
 		t.Fatal("Quantize should clear an unflagged deadline (wire truth)")
 	}
-	buf, err := p.Encode(nil)
+	buf, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _, err := Decode(buf)
+	q, _, err := decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestDeadlineTruncatedBuffer(t *testing.T) {
 	p.PayloadLen = 0
 	p.Flags |= FlagDeadline
 	p.Deadline = 5
-	buf, err := p.Encode(nil)
+	buf, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decode(buf[:DataHeaderSize+1]); err != ErrShortBuffer {
+	if _, _, err := decode(buf[:DataHeaderSize+1]); err != ErrShortBuffer {
 		t.Fatalf("truncated deadline ext: %v", err)
 	}
 }

@@ -1,10 +1,11 @@
 // Package packet defines the JTP packet formats of Fig 2 of the paper and
 // the addressing types shared by every layer of the stack.
 //
-// Inside the simulator packets travel as *Packet structs for speed, but the
-// package also provides the real binary wire codec (Encode/Decode) used by
-// the examples and validated by round-trip property tests — this is the
-// "shared code" of §6 that would run unchanged on real radios.
+// Inside the simulator packets travel as *Packet structs, and energy is
+// charged by Size(), which counts the header constants below. The package
+// also keeps the binary wire codec (AppendEncode/DecodeInto) that would
+// run on real radios; the simulator never calls it. Round-trip tests and
+// the benchmark's packet probe do.
 //
 // Wire layout (big endian), mirroring the optimized header of Fig 2(a):
 //
@@ -46,10 +47,6 @@ type NodeID uint16
 
 // String formats the id as "n<k>".
 func (id NodeID) String() string { return fmt.Sprintf("n%d", uint16(id)) }
-
-// Broadcast is the all-nodes address. The reproduction's transports are all
-// unicast; Broadcast appears only in routing-layer tests.
-const Broadcast NodeID = 0xFFFF
 
 // FlowID identifies a transport connection end to end.
 type FlowID uint16
@@ -155,15 +152,6 @@ type AckInfo struct {
 	Recovered []SeqRange
 }
 
-// SnackCount returns the total number of sequence numbers in the SNACK set.
-func (a *AckInfo) SnackCount() int {
-	n := 0
-	for _, r := range a.Snack {
-		n += r.Count()
-	}
-	return n
-}
-
 // RecoveredCount returns the total number of locally recovered packets.
 func (a *AckInfo) RecoveredCount() int {
 	n := 0
@@ -174,7 +162,7 @@ func (a *AckInfo) RecoveredCount() int {
 }
 
 // Packet is a JTP packet. Inside the simulator it is passed by pointer;
-// Encode serializes it to the wire format above.
+// AppendEncode serializes it to the wire format above.
 type Packet struct {
 	Type  Type
 	Flags uint8
@@ -247,9 +235,6 @@ func (p *Packet) AddHop() int {
 	p.hops++
 	return p.hops
 }
-
-// Hops returns the number of links traversed so far in the simulator.
-func (p *Packet) Hops() int { return p.hops }
 
 // Source returns the originating node (Segment interface).
 func (p *Packet) Source() NodeID { return p.Src }
@@ -358,9 +343,9 @@ func encodeTimeout(t float64) uint32 {
 func decodeTimeout(v uint32) float64 { return float64(v) * timeoutUnit }
 
 // Quantize rounds the packet's analog fields to their wire resolution, so
-// that Encode followed by Decode reproduces the packet exactly. The
-// simulator calls this where wire fidelity matters; tests rely on it for
-// round-trip properties.
+// that AppendEncode followed by DecodeInto reproduces the packet exactly.
+// The simulator never calls it; round-trip tests and the benchmark's
+// packet probe do.
 func (p *Packet) Quantize() {
 	p.AvailRate = decodeRate(encodeRate(p.AvailRate))
 	p.LossTol = decodeLoss(encodeLoss(p.LossTol))
@@ -377,16 +362,6 @@ func (p *Packet) Quantize() {
 		p.Ack.SenderTimeout = decodeTimeout(encodeTimeout(p.Ack.SenderTimeout))
 	}
 }
-
-// EncodedSize returns the number of bytes Encode will produce: the wire
-// representation, which excludes Pad (padding exists only for on-air
-// energy accounting).
-func (p *Packet) EncodedSize() int { return p.Size() - p.Pad }
-
-// Encode appends the wire representation to dst and returns the extended
-// slice. It is a synonym for AppendEncode, kept for callers that predate
-// the pooled codec paths.
-func (p *Packet) Encode(dst []byte) ([]byte, error) { return p.AppendEncode(dst) }
 
 // AppendEncode appends the wire representation to dst and returns the
 // extended slice. Payload bytes are zero-filled (the simulator carries no
@@ -461,17 +436,6 @@ func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 // block. The codec infers it from the type: ACK packets always carry one.
 func hasAckBlock(t Type) bool { return t == Ack }
 
-// Decode parses one packet from buf, returning a freshly allocated packet
-// and the number of bytes consumed.
-func Decode(buf []byte) (*Packet, int, error) {
-	p := new(Packet)
-	n, err := p.DecodeInto(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p, n, nil
-}
-
 // DecodeInto parses one packet from buf into p, overwriting every field,
 // and returns the number of bytes consumed. The receiver's existing
 // AckInfo block and SNACK/recovered range capacity are reused, so a
@@ -479,7 +443,7 @@ func Decode(buf []byte) (*Packet, int, error) {
 // with zero allocations once buffers have reached their steady-state
 // sizes. Shape changes forfeit the reuse: decoding a DATA image drops
 // the AckInfo block, and an empty SNACK/recovered set decodes to a nil
-// slice (Decode parity), releasing that capacity. On error p is left in
+// slice, releasing that capacity. On error p is left in
 // an unspecified state.
 func (p *Packet) DecodeInto(buf []byte) (int, error) {
 	if len(buf) < DataHeaderSize {
@@ -579,8 +543,8 @@ func (p *Packet) DecodeInto(buf []byte) (int, error) {
 // points above, because the in-network caches store and serve clones,
 // never the traversing packet itself. Packets that drop inside the
 // network (retry exhaustion, queue overflow, plugin veto) are deliberately
-// NOT recycled — drop hooks and tracers may still observe them — and are
-// reclaimed by the garbage collector as before.
+// NOT recycled — the MAC drop callback and tracers may still observe
+// them — and are reclaimed by the garbage collector as before.
 //
 // Pool is not safe for concurrent use; like the Engine it belongs to a
 // single simulation goroutine. The zero value is ready to use, and a nil
@@ -588,7 +552,7 @@ func (p *Packet) DecodeInto(buf []byte) (int, error) {
 // holding no pool needs no branch. (internal/pool.FreeList is the
 // generic sibling for transports with standalone segment types; Pool stays
 // hand-rolled because it recycles a paired Packet+AckInfo with detach
-// logic and Decode-parity constraints on the range slices.)
+// logic and DecodeInto-parity constraints on the range slices.)
 type Pool struct {
 	pkts []*Packet
 	acks []*AckInfo
@@ -685,49 +649,6 @@ func (p *Packet) CloneInto(dst *Packet, pl *Pool) {
 	ack.Snack = append(snack, p.Ack.Snack...)
 	ack.Recovered = append(recovered, p.Ack.Recovered...)
 	dst.Ack = ack
-}
-
-// RangesFromSeqs compresses a sorted-or-unsorted set of sequence numbers
-// into minimal inclusive ranges. Duplicates are tolerated.
-func RangesFromSeqs(seqs []uint32) []SeqRange {
-	if len(seqs) == 0 {
-		return nil
-	}
-	sorted := append([]uint32(nil), seqs...)
-	// insertion sort: SNACK sets are small (tens of entries)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	var out []SeqRange
-	cur := SeqRange{First: sorted[0], Last: sorted[0]}
-	for _, s := range sorted[1:] {
-		switch {
-		case s == cur.Last || s == cur.Last+1:
-			if s > cur.Last {
-				cur.Last = s
-			}
-		default:
-			out = append(out, cur)
-			cur = SeqRange{First: s, Last: s}
-		}
-	}
-	return append(out, cur)
-}
-
-// SeqsFromRanges expands ranges back into the covered sequence numbers.
-func SeqsFromRanges(ranges []SeqRange) []uint32 {
-	var out []uint32
-	for _, r := range ranges {
-		for s := r.First; ; s++ {
-			out = append(out, s)
-			if s == r.Last {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // RangesContain reports whether seq is covered by any of the ranges.

@@ -21,8 +21,8 @@ func roundTripPacket() *Packet {
 	}
 }
 
-// TestDecodeIntoMatchesDecode pins that the pooled decode path parses
-// exactly like the allocating one, including buffer reuse across packets
+// TestDecodeIntoMatchesDecode pins that decoding into a reused packet
+// parses exactly like decoding into a fresh one, including buffer reuse across packets
 // of different shapes.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	ack := roundTripPacket()
@@ -37,7 +37,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wn, err := Decode(buf)
+		want, wn, err := decode(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,10 +46,10 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gn != wn {
-			t.Fatalf("consumed %d bytes, Decode consumed %d", gn, wn)
+			t.Fatalf("consumed %d bytes, a fresh decode consumed %d", gn, wn)
 		}
 		if !reflect.DeepEqual(&reused, want) {
-			t.Fatalf("DecodeInto diverged from Decode:\n got %+v\nwant %+v", &reused, want)
+			t.Fatalf("DecodeInto diverged from a fresh decode:\n got %+v\nwant %+v", &reused, want)
 		}
 	}
 }

@@ -393,7 +393,6 @@ type Router struct {
 	// packet has read it since.
 	snap      *adjacency
 	consulted bool
-	tick      *sim.Ticker
 }
 
 // New returns a router for node id over the cache's directory. All
@@ -407,15 +406,7 @@ func New(eng *sim.Engine, id packet.NodeID, c *Cache, cfg Config) *Router {
 func (r *Router) Start() {
 	r.Refresh()
 	if r.cfg.UpdatePeriod > 0 {
-		r.tick = r.eng.NewJitteredTicker(r.cfg.UpdatePeriod, r.cfg.UpdateJitter, r.Refresh)
-	}
-}
-
-// Stop halts periodic refresh; the router keeps answering from the view
-// it adopted last.
-func (r *Router) Stop() {
-	if r.tick != nil {
-		r.tick.Stop()
+		r.eng.NewJitteredTicker(r.cfg.UpdatePeriod, r.cfg.UpdateJitter, r.Refresh)
 	}
 }
 

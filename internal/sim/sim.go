@@ -46,7 +46,6 @@ const (
 	Microsecond          = 1000 * Nanosecond
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
-	Minute               = 60 * Second
 )
 
 // Seconds reports the time as a float64 number of seconds. Intended for
@@ -250,10 +249,6 @@ func (e *Engine) cancel(slot int32, gen uint32) bool {
 // remain queued and a subsequent RunUntil resumes them; only Reset
 // discards them. TestEngineStopSemantics pins this contract.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called since the last run (or
-// run entry) cleared it.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // RunUntil executes events in order until the queue is empty or the next
 // event is later than end. Virtual time is left at end (or at the last

@@ -210,8 +210,8 @@ func TestEngineStopSemantics(t *testing.T) {
 	if len(fired) != 1 || fired[0] != 1 {
 		t.Fatalf("fired = %v, want [1] (Stop halts the loop)", fired)
 	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false immediately after a stopped run")
+	if !e.stopped {
+		t.Fatal("stop flag clear immediately after a stopped run")
 	}
 	if e.PendingEvents() != 1 {
 		t.Fatalf("PendingEvents = %d, want 1 (Stop leaves events queued)", e.PendingEvents())
@@ -222,8 +222,8 @@ func TestEngineStopSemantics(t *testing.T) {
 	if len(fired) != 2 || fired[1] != 2 {
 		t.Fatalf("fired = %v, want [1 2] (next run resumes pending events)", fired)
 	}
-	if e.Stopped() {
-		t.Fatal("Stopped() = true after a run that was never stopped")
+	if e.stopped {
+		t.Fatal("stop flag set after a run that was never stopped")
 	}
 
 	// A Stop issued between runs is erased by the next run's entry.

@@ -102,7 +102,7 @@ func (r *tickerRig) drain(limit uint64) {
 
 func (r *tickerRig) note(op string) {
 	r.log = append(r.log, fmt.Sprintf("%s: now=%d executed=%d pending=%d seq=%d stopped=%v",
-		op, r.e.Now(), r.e.Executed, r.e.PendingEvents(), r.e.q.seq, r.e.Stopped()))
+		op, r.e.Now(), r.e.Executed, r.e.PendingEvents(), r.e.q.seq, r.e.stopped))
 }
 
 // checkTickerEquivalence runs program with real tickers and with the heap
@@ -126,9 +126,6 @@ func checkTickerEquivalence(t *testing.T, seed int64, program func(r *tickerRig)
 	}
 	if g, w := got.reg.Snapshot(), want.reg.Snapshot(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("seed %d: telemetry %v, reference %v", seed, g, w)
-	}
-	if g, w := got.reg.Gauge("sim_heap_depth").Value(), want.reg.Gauge("sim_heap_depth").Value(); g != w {
-		t.Fatalf("seed %d: last heap depth %d, reference %d", seed, g, w)
 	}
 }
 

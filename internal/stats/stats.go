@@ -122,45 +122,6 @@ func Restore(s RunningState) Running {
 	return Running{n: s.N, mean: s.Mean, m2: s.M2, min: s.Min, max: s.Max, sum: s.Sum}
 }
 
-// Merge folds another accumulator into r using the pairwise
-// count/mean/M2 combination of Chan, Golub & LeVeque (1979): for
-// partitions a, b with δ = mean_b − mean_a,
-//
-//	n    = n_a + n_b
-//	mean = mean_a + δ·n_b/n
-//	M2   = M2_a + M2_b + δ²·n_a·n_b/n
-//
-// Merging with an empty side is bit-exact (it copies the other side
-// verbatim). Merging two non-empty partitions is mathematically equal
-// to folding one concatenated stream but not bit-identical to it —
-// Welford's per-sample update evaluates the same quantity in a
-// different floating-point order — so results are statistically
-// identical (within a few ulps). Campaign sharding assigns whole cells
-// to shards precisely so that byte-exact merges never need the
-// non-empty×non-empty path.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	na, nb := float64(r.n), float64(o.n)
-	n := na + nb
-	delta := o.mean - r.mean
-	r.mean += delta * nb / n
-	r.m2 += o.m2 + delta*delta*na*nb/n
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.sum += o.sum
-	r.n += o.n
-}
-
 // Variance returns the unbiased sample variance (zero for n < 2).
 func (r *Running) Variance() float64 {
 	if r.n < 2 {

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -145,5 +147,52 @@ func TestSeriesBasics(t *testing.T) {
 	sub := s.Between(1.5, 3)
 	if sub.Len() != 1 || sub.Samples[0].V != 20 {
 		t.Fatalf("Between failed: %+v", sub.Samples)
+	}
+}
+
+// foldAll returns a Running fed the samples one at a time.
+func foldAll(xs []float64) Running {
+	var r Running
+	for _, x := range xs {
+		r.Add(x)
+	}
+	return r
+}
+
+// TestStateRoundTrip pins the export/restore contract: State→Restore
+// reproduces the accumulator bit-for-bit, through JSON too.
+func TestStateRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(40)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = (rng.Float64() - 0.3) * math.Pow(10, float64(rng.Intn(12)-6))
+		}
+		r := foldAll(xs)
+		st := r.State()
+
+		data, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back RunningState
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != st {
+			t.Fatalf("trial %d: JSON round trip changed state: %+v vs %+v", trial, back, st)
+		}
+
+		got := Restore(back)
+		if got != r {
+			t.Fatalf("trial %d: Restore(State()) = %+v, want %+v", trial, got, r)
+		}
+		// Continuing to fold after restore behaves like the original.
+		r.Add(1.5)
+		got.Add(1.5)
+		if got != r {
+			t.Fatalf("trial %d: post-restore fold diverged", trial)
+		}
 	}
 }

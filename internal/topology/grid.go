@@ -100,9 +100,6 @@ func NewSpatialGrid(t *Topology, side float64) *SpatialGrid {
 	return g
 }
 
-// Side returns the cell side in meters.
-func (g *SpatialGrid) Side() float64 { return g.side }
-
 // Rebuild re-buckets every node from the topology's current positions,
 // reusing the existing buckets and map. It forgets every cell, emptied or
 // not, and every cached neighborhood.

@@ -143,8 +143,8 @@ func TestSpatialGridAdjacencyElementIdentical(t *testing.T) {
 						}
 						if mrng.Intn(4) == 0 {
 							// Exactly on a cell corner (multiples of the side).
-							p.X = float64(mrng.Intn(7)-3) * g.Side()
-							p.Y = float64(mrng.Intn(7)-3) * g.Side()
+							p.X = float64(mrng.Intn(7)-3) * gridSideFor(r)
+							p.Y = float64(mrng.Intn(7)-3) * gridSideFor(r)
 						}
 						tp.SetPosition(id, p)
 						g.Move(id)

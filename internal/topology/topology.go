@@ -97,15 +97,6 @@ func (t *Topology) Epoch() uint64 {
 // nodes' rows; anything older needs a full rebuild.
 func (t *Topology) LastDelta() []packet.NodeID { return t.folded }
 
-// IDs returns all node ids in order.
-func (t *Topology) IDs() []packet.NodeID {
-	ids := make([]packet.NodeID, t.N())
-	for i := range ids {
-		ids[i] = packet.NodeID(i)
-	}
-	return ids
-}
-
 // Clone returns a deep copy (mobility mutates positions in place). The
 // clone starts at epoch zero with an empty delta — epoch state is an
 // observation of mutation history, not part of the layout.
@@ -134,24 +125,6 @@ func Linear(n int, spacing float64) *Topology {
 	}
 	for i := 0; i < n; i++ {
 		t.Pos[i] = geom.Point{X: float64(i) * spacing, Y: 0}
-	}
-	return t
-}
-
-// Grid places nodes on a rows×cols lattice with the given spacing.
-func Grid(rows, cols int, spacing float64) *Topology {
-	if rows < 1 || cols < 1 {
-		panic("topology: Grid needs positive dimensions")
-	}
-	t := &Topology{
-		Field: geom.Rect{Min: geom.Point{},
-			Max: geom.Point{X: spacing * float64(cols), Y: spacing * float64(rows)}},
-		Pos: make([]geom.Point, 0, rows*cols),
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			t.Pos = append(t.Pos, geom.Point{X: float64(c) * spacing, Y: float64(r) * spacing})
-		}
 	}
 	return t
 }

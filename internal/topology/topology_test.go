@@ -34,7 +34,7 @@ func TestLinear(t *testing.T) {
 }
 
 func TestGrid(t *testing.T) {
-	tp := Grid(3, 4, 50)
+	tp := GridN(12, 50) // 3 rows of 4
 	if tp.N() != 12 {
 		t.Fatalf("N = %d", tp.N())
 	}
@@ -111,14 +111,20 @@ func TestFieldSideGrowth(t *testing.T) {
 	}
 }
 
+// TestIDs pins the node ID space: IDs are dense 0..N()-1 in placement
+// order, each addressable through Position, and String reports the count.
 func TestIDs(t *testing.T) {
 	tp := Linear(3, 10)
-	ids := tp.IDs()
-	if len(ids) != 3 || ids[0] != 0 || ids[2] != 2 {
-		t.Fatalf("IDs = %v", ids)
+	if tp.N() != 3 {
+		t.Fatalf("N = %d", tp.N())
 	}
-	if tp.String() == "" {
-		t.Fatal("String empty")
+	for id := packet.NodeID(0); int(id) < tp.N(); id++ {
+		if p := tp.Position(id); p.X != float64(id)*10 {
+			t.Fatalf("node %d at %v", id, p)
+		}
+	}
+	if s := tp.String(); s != "topology(n=3, field=30x10m)" {
+		t.Fatalf("String = %q", s)
 	}
 }
 

@@ -87,8 +87,6 @@ type Tracer struct {
 	ring  []Event
 	next  int
 	count uint64
-	// Filter, when non-nil, keeps only events it returns true for.
-	Filter func(Event) bool
 }
 
 // New returns a tracer retaining the last n events.
@@ -101,9 +99,6 @@ func New(n int) *Tracer {
 
 // Add records an event, evicting the oldest when full.
 func (t *Tracer) Add(e Event) {
-	if t.Filter != nil && !t.Filter(e) {
-		return
-	}
 	t.count++
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, e)
@@ -116,8 +111,8 @@ func (t *Tracer) Add(e Event) {
 // Len returns the number of retained events.
 func (t *Tracer) Len() int { return len(t.ring) }
 
-// Total returns the number of events ever recorded (including evicted
-// and before filtering rejected ones are not counted).
+// Total returns the number of events ever recorded, evicted ones
+// included.
 func (t *Tracer) Total() uint64 { return t.count }
 
 // Events returns the retained events in chronological order.
@@ -184,15 +179,4 @@ func (t *Tracer) Summary() string {
 		}
 	}
 	return b.String()
-}
-
-// FlowEvents filters the retained events to one flow.
-func (t *Tracer) FlowEvents(flow packet.FlowID) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if e.Flow == flow {
-			out = append(out, e)
-		}
-	}
-	return out
 }

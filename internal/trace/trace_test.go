@@ -39,16 +39,6 @@ func TestPartialRing(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	tr := New(10)
-	tr.Filter = func(e Event) bool { return e.Kind == Drop }
-	tr.Add(ev(1, Transmit, 1))
-	tr.Add(ev(2, Drop, 2))
-	if tr.Len() != 1 || tr.Events()[0].Kind != Drop {
-		t.Fatal("filter not applied")
-	}
-}
-
 func TestDumpAndSummary(t *testing.T) {
 	tr := New(10)
 	tr.Add(ev(1.5, Transmit, 7))
@@ -65,16 +55,6 @@ func TestDumpAndSummary(t *testing.T) {
 	sum := tr.Summary()
 	if !strings.Contains(sum, "drop") || !strings.Contains(sum, "2") {
 		t.Fatalf("summary:\n%s", sum)
-	}
-}
-
-func TestFlowEvents(t *testing.T) {
-	tr := New(10)
-	tr.Add(Event{Flow: 1, Kind: Deliver})
-	tr.Add(Event{Flow: 2, Kind: Deliver})
-	tr.Add(Event{Flow: 1, Kind: Drop})
-	if n := len(tr.FlowEvents(1)); n != 2 {
-		t.Fatalf("flow 1 events = %d", n)
 	}
 }
 

@@ -97,10 +97,6 @@ type Source struct {
 	// paceFn and timerFn are bound once, so re-arming a timer does not
 	// allocate a closure per packet.
 	paceFn, timerFn sim.Handler
-
-	// OnComplete, when non-nil, fires once when a fixed-size transfer
-	// completes.
-	OnComplete func(at sim.Time)
 }
 
 // Open readies the source to send for proto at cfg's initial rate,
@@ -216,9 +212,6 @@ func (s *Source) Finish() bool {
 	s.stats.CompletedAt = s.Eng.Now()
 	s.paceRef.Stop()
 	s.timerRef.Stop()
-	if s.OnComplete != nil {
-		s.OnComplete(s.stats.CompletedAt)
-	}
 	return true
 }
 
@@ -265,10 +258,6 @@ type Sink struct {
 	stats     *SinkStats
 	proto     node.Transport
 	reception stats.Series // one sample per unique delivery (V=1)
-
-	// OnComplete, when non-nil, fires once when a fixed-size transfer
-	// completes.
-	OnComplete func(at sim.Time)
 }
 
 // Open readies the sink to receive for proto, counting into st (which
@@ -330,16 +319,13 @@ func (k *Sink) Covered() bool {
 	return k.TotalPackets > 0 && int(k.Got.Lo()) >= k.TotalPackets
 }
 
-// Complete marks a fixed-size transfer complete now, runs final (the
-// protocol's last feedback), then fires OnComplete.
+// Complete marks a fixed-size transfer complete now and runs final (the
+// protocol's last feedback).
 func (k *Sink) Complete(final func()) {
 	k.done = true
 	k.stats.Completed = true
 	k.stats.CompletedAt = k.Eng.Now()
 	final()
-	if k.OnComplete != nil {
-		k.OnComplete(k.stats.CompletedAt)
-	}
 }
 
 // Record adds the sink's delivery counters to a flow record (Endpoint).

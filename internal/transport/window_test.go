@@ -59,9 +59,23 @@ func collect(w *Window, from, to uint32, members bool) []packet.SeqRange {
 	return rs
 }
 
+// seqRuns is the model of Runs: ascending sequence numbers compressed
+// into maximal inclusive ranges.
+func seqRuns(seqs []uint32) []packet.SeqRange {
+	var out []packet.SeqRange
+	for _, s := range seqs {
+		if n := len(out); n > 0 && out[n-1].Last+1 == s {
+			out[n-1].Last = s
+		} else {
+			out = append(out, packet.SeqRange{First: s, Last: s})
+		}
+	}
+	return out
+}
+
 // FuzzWindow drives a Window and a RetxQueue with the same operations
 // as their map-based models and requires identical answers: membership,
-// the sliding lower edge, ordered runs (against packet.RangesFromSeqs),
+// the sliding lower edge, ordered runs (against seqRuns),
 // AppendSeq's capped ranges, and the queue's order and deduplication.
 // Operands reach a few thousand above the lower edge, so the rings wrap,
 // grow and shed words.
@@ -98,7 +112,7 @@ func FuzzWindow(f *testing.F) {
 						seqs = append(seqs, s)
 					}
 				}
-				want := packet.RangesFromSeqs(seqs)
+				want := seqRuns(seqs)
 				if got := collect(&w, from, to, members); !slices.Equal(got, want) {
 					t.Fatalf("op %d: Runs(%d, %d, %v) = %v, model %v", i, from, to, members, got, want)
 				}
