@@ -124,9 +124,6 @@ func New(eng *sim.Engine, cfg Config) *Channel {
 	return c
 }
 
-// Config returns the channel configuration.
-func (c *Channel) Config() Config { return c.cfg }
-
 // InRange reports whether two positions are within radio range.
 func (c *Channel) InRange(d2 float64) bool {
 	return d2 <= c.range2

@@ -368,7 +368,7 @@ func TestStrings(t *testing.T) {
 	if c.Sender.String() == "" || c.Receiver.String() == "" {
 		t.Fatal("String() empty")
 	}
-	if c.Sender.Config().Flow != 1 || c.Receiver.Config().Flow != 1 {
+	if c.Sender.cfg.Flow != 1 || c.Receiver.cfg.Flow != 1 {
 		t.Fatal("config accessor")
 	}
 }

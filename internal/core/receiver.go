@@ -89,9 +89,6 @@ func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 	return r
 }
 
-// Config returns the connection configuration (with defaults applied).
-func (r *Receiver) Config() Config { return r.cfg }
-
 // Stats returns a copy of the receiver counters.
 func (r *Receiver) Stats() ReceiverStats { return r.stats }
 

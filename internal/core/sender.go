@@ -57,9 +57,6 @@ func NewSender(nw *node.Network, cfg Config) *Sender {
 	return s
 }
 
-// Config returns the connection configuration (with defaults applied).
-func (s *Sender) Config() Config { return s.cfg }
-
 // Stats returns a copy of the sender counters.
 func (s *Sender) Stats() SenderStats { return s.stats }
 

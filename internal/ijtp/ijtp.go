@@ -176,9 +176,6 @@ func New(id packet.NodeID, cfg Config, view PathView, forward Forwarder) *Plugin
 // Cache exposes the node's cache (tests and metrics).
 func (pl *Plugin) Cache() *cache.Cache { return pl.cache }
 
-// ID returns the node this plugin is installed on.
-func (pl *Plugin) ID() packet.NodeID { return pl.id }
-
 // Counters returns a copy of the activity counters.
 func (pl *Plugin) Counters() Counters { return pl.count }
 

@@ -322,12 +322,6 @@ func New(eng *sim.Engine, id packet.NodeID, cfg Config, model energy.Model, mete
 	return m
 }
 
-// ID returns the node this MAC belongs to.
-func (m *MAC) ID() packet.NodeID { return m.id }
-
-// Config returns the MAC configuration.
-func (m *MAC) Config() Config { return m.cfg }
-
 // AddPlugin installs a PreXmit/PostRcv plugin. Plugins run in
 // installation order.
 func (m *MAC) AddPlugin(p Plugin) { m.plugins = append(m.plugins, p) }

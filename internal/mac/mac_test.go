@@ -96,7 +96,7 @@ func TestRetryThenDrop(t *testing.T) {
 	}
 	seg := &stubSeg{size: 100, dst: 1}
 	m0.Enqueue(seg, 1)
-	def := m0.Config().DefaultAttempts
+	def := m0.cfg.DefaultAttempts
 	for i := 0; i < def; i++ {
 		if m0.qlen != 1 {
 			t.Fatalf("frame should stay queued until attempts exhaust (i=%d)", i)
