@@ -31,6 +31,7 @@ var exportAllowlist = map[string]string{
 	"obs.Gauge.HighWater":          "TestAllocsScheduleSteadyStateObserved reads the heap-depth high-water mark",
 	"routing.View.Hops":            "TestViewSnapshotAccessors reads the full-view oracle behind Cache.Fill",
 	"sim.Engine.Drain":             "TestDrain and the other sim tests run the queue dry",
+	"sim.source.Int63":             "TestSourceMatchesMathRand draws it through rand.Rand, which reaches it only via the rand.Source interface",
 }
 
 // stdInterfaceMethods are method names the standard library calls

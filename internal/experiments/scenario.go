@@ -209,8 +209,10 @@ func (s *Substrate) Start() {
 // enginePool recycles simulation engines (and their event slabs) across
 // runs. Campaign workers churn through thousands of runs; reusing one
 // warm engine per worker instead of reallocating slab + heap per run is
-// the "per-worker scratch arena" of the perf refactor. Engine.Reset
-// reproduces NewEngine exactly, so pooling cannot perturb determinism.
+// the "per-worker scratch arena" of the perf refactor. An engine is
+// cleared when it comes back (Engine.Clear: no reseed) and reseeded once
+// when it goes out; Engine.Reset reproduces NewEngine exactly, so pooling
+// cannot perturb determinism.
 var enginePool = sync.Pool{New: func() any { return sim.NewEngine(0) }}
 
 // acquireEngine returns a reset engine seeded for one run.
@@ -242,7 +244,8 @@ func RunWithHooks(sc Scenario, hooks Hooks) (*metrics.RunRecord, error) {
 		// Drop the pending-event handlers now, not at the next acquire:
 		// they close over the whole finished network graph, which would
 		// otherwise stay reachable while the engine sits in the pool.
-		eng.Reset(0)
+		// acquireEngine reseeds, so this does not.
+		eng.Clear()
 		enginePool.Put(eng)
 	}
 	return rec, nil

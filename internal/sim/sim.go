@@ -19,9 +19,9 @@
 // cancelled, and cancellation (EventRef.Stop) removes the event from the
 // heap eagerly instead of leaving a tombstone to pop at its timestamp.
 // EventRef is a generation-checked handle into the slab, so Stop and
-// Pending stay safe after the slot has been recycled. Engine.Reset rewinds
-// an engine for reuse across runs (campaign workers) without reallocating
-// the slab.
+// Pending stay safe after the slot has been recycled. Engine.Clear and
+// Engine.Reset (Clear plus a reseed) rewind an engine for reuse across
+// runs (campaign workers) without reallocating the slab.
 package sim
 
 import (
@@ -125,7 +125,6 @@ func (r EventRef) Pending() bool {
 // Engine is a discrete-event simulation engine; one goroutine owns it.
 type Engine struct {
 	now     Time
-	seed    int64
 	rng     *rand.Rand
 	stopped bool
 
@@ -137,7 +136,7 @@ type Engine struct {
 
 	// The bounds of the run in progress, for inline ticks: RunUntil's end,
 	// or Drain's unbounded horizon and the Executed count at its cap.
-	// Reset clears them.
+	// Clear clears them.
 	horizon Time
 	execCap uint64
 
@@ -153,16 +152,17 @@ type Engine struct {
 // NewEngine returns an engine whose random source is seeded with seed.
 // The same seed always reproduces the same run.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	src := new(source)
+	src.Seed(seed)
+	return &Engine{rng: rand.New(src)}
 }
 
-// Reset rewinds the engine to the state NewEngine(seed) would produce,
-// but keeps the event slab, free-list and heap capacity, so campaign
-// workers can reuse one engine across many runs without reallocating.
-// Every still-pending event is cancelled (its slot generation is bumped,
-// so EventRefs held across the reset turn inert) and all handler
-// references are dropped.
-func (e *Engine) Reset(seed int64) {
+// Clear rewinds the engine to time zero with an empty queue, keeping the
+// event slab, free-list and heap capacity and leaving the random stream
+// where it stands. Pending events are cancelled (EventRefs held across the
+// clear turn inert), every handler reference is dropped and telemetry is
+// detached, so a pooled engine keeps no finished run alive.
+func (e *Engine) Clear() {
 	e.q.reset()
 	e.now = 0
 	e.stopped = false
@@ -174,14 +174,19 @@ func (e *Engine) Reset(seed int64) {
 	e.obsFired = nil
 	e.obsStopped = nil
 	e.obsHeapDepth = nil
-	e.seed = seed
+}
+
+// Reset clears the engine and reseeds it, leaving it in the state
+// NewEngine(seed) would produce.
+func (e *Engine) Reset(seed int64) {
+	e.Clear()
 	e.rng.Seed(seed)
 }
 
 // Observe attaches kernel telemetry to reg: counters for events
 // scheduled, fired and stopped, and a high-water gauge for heap depth.
-// Observing a nil registry detaches (all handles become no-ops). Reset
-// also detaches, so pooled engines start each run silent.
+// Observing a nil registry detaches (all handles become no-ops). Clear
+// and Reset also detach, so pooled engines start each run silent.
 func (e *Engine) Observe(reg *obs.Registry) {
 	e.obsScheduled = reg.Counter("sim_events_scheduled")
 	e.obsFired = reg.Counter("sim_events_fired")
@@ -246,8 +251,8 @@ func (e *Engine) cancel(slot int32, gen uint32) bool {
 // clear it on entry, so a Stop only terminates the loop that is currently
 // executing (or the next one entered before any event fires — a Stop
 // issued between runs is erased by the next run's entry). Pending events
-// remain queued and a subsequent RunUntil resumes them; only Reset
-// discards them. TestEngineStopSemantics pins this contract.
+// remain queued and a subsequent RunUntil resumes them; only Clear and
+// Reset discard them. TestEngineStopSemantics pins this contract.
 func (e *Engine) Stop() { e.stopped = true }
 
 // RunUntil executes events in order until the queue is empty or the next

@@ -488,12 +488,15 @@ func TestHeapOrderRandomized(t *testing.T) {
 	}
 }
 
-// TestResetReproducesFreshEngine pins Engine.Reset: a reset engine must be
-// indistinguishable from a new one — same RNG stream, same event order,
-// same clock — while stale refs from before the reset stay inert. The
-// engine is reset after a stopped ticker run and a capped drain, and the
-// tickers created after the reset must trace (clock, RNG draw, Executed,
-// PendingEvents) as they do on a fresh engine.
+// TestResetReproducesFreshEngine pins Engine.Clear and Engine.Reset. The
+// engine is dirtied by a stopped ticker run and a capped drain, then
+// cleared as a pooled engine is when its run ends: the queue is empty,
+// refs from before the clear are inert, and the random stream goes on
+// from where it stood, so Clear neither draws nor reseeds. The cleared
+// engine is then reset: it must be indistinguishable from a new one —
+// same RNG stream, same event order, same clock — so the tickers created
+// after the reset trace (clock, RNG draw, Executed, PendingEvents) as
+// they do on a fresh engine.
 func TestResetReproducesFreshEngine(t *testing.T) {
 	trace := func(e *Engine) []float64 {
 		var vals []float64
@@ -508,29 +511,49 @@ func TestResetReproducesFreshEngine(t *testing.T) {
 	}
 	fresh := trace(NewEngine(42))
 
-	reused := NewEngine(7)
-	leftover := reused.Schedule(500*Second, func() {})
-	trace(reused) // dirty the slab and RNG
-	n := 0
-	reused.NewTicker(Millisecond, func() {
-		if n++; n == 10 {
-			reused.Stop()
+	dirty := func(e *Engine) EventRef {
+		leftover := e.Schedule(500*Second, func() {})
+		trace(e) // dirty the slab and RNG
+		n := 0
+		e.NewTicker(Millisecond, func() {
+			if n++; n == 10 {
+				e.Stop()
+			}
+		})
+		e.RunUntil(Time(20 * Second)) // stopped inside a tick
+		if err := e.drain(100); err == nil {
+			t.Fatal("drain of a live ticker returned nil")
 		}
-	})
-	reused.RunUntil(Time(20 * Second)) // stopped inside a tick
-	if err := reused.drain(100); err == nil {
-		t.Fatal("drain of a live ticker returned nil")
+		return leftover
 	}
+	reused, twin := NewEngine(7), NewEngine(7)
+	leftover := dirty(reused)
+	dirty(twin)
+	reused.Clear()
+	if reused.Now() != 0 || reused.PendingEvents() != 0 || reused.Executed != 0 {
+		t.Fatalf("Clear left state: now=%v pending=%d executed=%d",
+			reused.Now(), reused.PendingEvents(), reused.Executed)
+	}
+	if leftover.Pending() {
+		t.Fatal("pre-clear ref still pending")
+	}
+	if leftover.Stop() {
+		t.Fatal("pre-clear ref Stop reported true")
+	}
+	for i := 0; i < 16; i++ {
+		if got, want := reused.Rand().Uint64(), twin.Rand().Uint64(); got != want {
+			t.Fatalf("Clear moved the random stream: draw %d is %#x, want %#x", i, got, want)
+		}
+	}
+
+	between := reused.Schedule(Second, func() {})
 	reused.Reset(42)
 	if reused.Now() != 0 || reused.PendingEvents() != 0 || reused.Executed != 0 {
 		t.Fatalf("Reset left state: now=%v pending=%d executed=%d",
 			reused.Now(), reused.PendingEvents(), reused.Executed)
 	}
-	if leftover.Pending() {
-		t.Fatal("pre-reset ref still pending")
-	}
-	if leftover.Stop() {
-		t.Fatal("pre-reset ref Stop reported true")
+	if between.Pending() || between.Stop() {
+		t.Fatal("pre-reset ref is not inert")
 	}
 	again := trace(reused)
 	if len(fresh) != len(again) {
@@ -539,6 +562,29 @@ func TestResetReproducesFreshEngine(t *testing.T) {
 	for i := range fresh {
 		if fresh[i] != again[i] {
 			t.Fatalf("reset run diverged at %d: %v vs %v", i, again[i], fresh[i])
+		}
+	}
+}
+
+// TestAllocsClearAndReset guards the pool's two per-run calls: clearing a
+// used engine and reseeding it allocate nothing.
+func TestAllocsClearAndReset(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	seed := int64(0)
+	for name, call := range map[string]func(){
+		"Clear": e.Clear,
+		"Reset": func() { seed++; e.Reset(seed) },
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 32; i++ {
+				e.Schedule(Duration(i)*Millisecond, fn)
+			}
+			e.RunFor(10 * Millisecond)
+			call()
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f allocs/op, want 0", name, allocs)
 		}
 	}
 }
