@@ -572,19 +572,22 @@ func TestAllocsClearAndReset(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
 	seed := int64(0)
-	for name, call := range map[string]func(){
-		"Clear": e.Clear,
-		"Reset": func() { seed++; e.Reset(seed) },
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Clear", e.Clear},
+		{"Reset", func() { seed++; e.Reset(seed) }},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
 			for i := 0; i < 32; i++ {
 				e.Schedule(Duration(i)*Millisecond, fn)
 			}
 			e.RunFor(10 * Millisecond)
-			call()
+			c.call()
 		})
 		if allocs != 0 {
-			t.Errorf("%s allocates %.1f allocs/op, want 0", name, allocs)
+			t.Errorf("%s allocates %.1f allocs/op, want 0", c.name, allocs)
 		}
 	}
 }
