@@ -228,7 +228,8 @@ func BenchmarkEngineStopChurn(b *testing.B) {
 func BenchmarkSimulatedSecond(b *testing.B) {
 	rec := experiments.Scenario{
 		Name: "bench-stack", Proto: experiments.JTP, Topo: experiments.Linear,
-		Nodes: 8, Seconds: float64(b.N), Seed: 1,
+		// At least 3 s, so both flows start even at b.N = 1.
+		Nodes: 8, Seconds: max(float64(b.N), 3), Seed: 1,
 		Flows: []experiments.FlowSpec{
 			{Src: 0, Dst: 7, StartAt: 1},
 			{Src: 7, Dst: 0, StartAt: 2},

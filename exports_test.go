@@ -27,7 +27,6 @@ var exportAllowlist = map[string]string{
 	"channel.Channel.ForceState":   "TestSymmetricLinkState and TestLossProbStates hold a link in one state",
 	"ijtp.UniformTarget":           "BenchmarkAblationTargetStrategy runs it as an ablation arm; it is the zero-value default",
 	"mac.Scheduler.Slots":          "TestSchedulerSlotRate counts the slots elapsed",
-	"node.Network.ResetMeters":     "TestEnergyMetered checks the end-of-warm-up reset",
 	"obs.Gauge.HighWater":          "TestAllocsScheduleSteadyStateObserved reads the heap-depth high-water mark",
 	"routing.View.Hops":            "TestViewSnapshotAccessors reads the full-view oracle behind Cache.Fill",
 	"sim.Engine.Drain":             "TestDrain and the other sim tests run the queue dry",

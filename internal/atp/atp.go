@@ -118,9 +118,6 @@ func NewSender(nw *node.Network, cfg transport.Config, segs *pool.FreeList[Segme
 	return s
 }
 
-// Stats returns a copy of the counters.
-func (s *Sender) Stats() SenderStats { return s.stats }
-
 // Start binds and begins pacing.
 func (s *Sender) Start() {
 	s.Source.Start()
@@ -217,9 +214,6 @@ func NewReceiver(nw *node.Network, cfg transport.Config, segs *pool.FreeList[Seg
 	r.Open(nw, cfg, r, &r.stats.SinkStats)
 	return r
 }
-
-// Stats returns a copy of the counters.
-func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
 // Start binds and begins the constant feedback clock.
 func (r *Receiver) Start() {

@@ -63,7 +63,7 @@ func TestCleanTransfer(t *testing.T) {
 	conn.Start()
 	eng.RunFor(400 * sim.Second)
 	if !conn.Done() {
-		t.Fatalf("clean atp transfer incomplete: %+v", conn.Receiver.Stats())
+		t.Fatalf("clean atp transfer incomplete: %+v", conn.Receiver.stats)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestFeedbackSilenceHalvesRate(t *testing.T) {
 	if s.Rate() >= 8 {
 		t.Fatalf("silent feedback path: rate still %v", s.Rate())
 	}
-	if s.Stats().TimeoutBackoffs == 0 {
+	if s.stats.TimeoutBackoffs == 0 {
 		t.Fatal("no timeout backoffs")
 	}
 }
@@ -108,7 +108,7 @@ func TestConstantFeedbackClock(t *testing.T) {
 	conn := Dial(nw, cfg)
 	conn.Start()
 	eng.RunFor(100 * sim.Second)
-	fb := conn.Receiver.Stats().FeedbackSent
+	fb := conn.Receiver.stats.FeedbackSent
 	// 100s / 3s ≈ 33 epochs.
 	if fb < 25 || fb > 40 {
 		t.Fatalf("feedback count = %d over 100s at 1/3s", fb)
@@ -162,9 +162,9 @@ func TestLossyTransferCompletes(t *testing.T) {
 	conn.Start()
 	eng.RunFor(3000 * sim.Second)
 	if !conn.Done() {
-		t.Fatalf("lossy atp transfer incomplete: %+v", conn.Receiver.Stats())
+		t.Fatalf("lossy atp transfer incomplete: %+v", conn.Receiver.stats)
 	}
-	if conn.Sender.Stats().Retransmissions == 0 {
+	if conn.Sender.stats.Retransmissions == 0 {
 		t.Fatal("single-attempt lossy path must need e2e retransmissions")
 	}
 }
@@ -207,7 +207,7 @@ func TestSenderRefusesUnsentTail(t *testing.T) {
 	s.Deliver(&Segment{Kind: Feedback, FbRate: cfg.InitialRate, Wire: transport.Wire{Src: 2, Dst: 0, Flow: 1, CumAck: 0,
 		Ranges: []packet.SeqRange{{First: 1, Last: 1}, {First: next + 5, Last: next + 7}}}}, 1)
 	eng.RunFor(10 * sim.Second)
-	if rtx := s.Stats().Retransmissions; rtx != 1 {
+	if rtx := s.stats.Retransmissions; rtx != 1 {
 		t.Fatalf("%d retransmissions, want 1 (seq 1 only)", rtx)
 	}
 }

@@ -200,9 +200,6 @@ func (c *Cache) removeSlot(i int32) {
 // Policy returns the replacement policy in use.
 func (c *Cache) Policy() Policy { return c.policy }
 
-// Len returns the number of cached packets.
-func (c *Cache) Len() int { return len(c.items) }
-
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -252,13 +249,6 @@ func (c *Cache) Lookup(k Key) (*packet.Packet, bool) {
 	}
 	c.stats.Hits++
 	return c.clone(c.entries[i].pkt), true
-}
-
-// Contains reports whether the key is cached without touching recency or
-// stats.
-func (c *Cache) Contains(k Key) bool {
-	_, ok := c.items[k]
-	return ok
 }
 
 // evict removes one entry according to the policy.

@@ -46,7 +46,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("least recently manipulated entry survived")
 	}
 	for _, seq := range []uint32{0, 2, 3} {
-		if !c.Contains(KeyOf(pkt(1, seq))) {
+		if _, ok := c.items[KeyOf(pkt(1, seq))]; !ok {
 			t.Fatalf("seq %d evicted wrongly", seq)
 		}
 	}
@@ -61,7 +61,7 @@ func TestReinsertRefreshes(t *testing.T) {
 	c.Insert(pkt(1, 1))
 	c.Insert(pkt(1, 0)) // refresh 0; now 1 is oldest
 	c.Insert(pkt(1, 2)) // evicts 1
-	if c.Contains(KeyOf(pkt(1, 1))) {
+	if _, ok := c.items[KeyOf(pkt(1, 1))]; ok {
 		t.Fatal("refreshed entry not moved to front")
 	}
 	if c.Stats().Updates != 1 {
@@ -72,7 +72,7 @@ func TestReinsertRefreshes(t *testing.T) {
 func TestZeroCapacityDisabled(t *testing.T) {
 	c := New(0)
 	c.Insert(pkt(1, 1))
-	if c.Len() != 0 {
+	if len(c.items) != 0 {
 		t.Fatal("zero-capacity cache stored a packet")
 	}
 	if _, ok := c.Lookup(KeyOf(pkt(1, 1))); ok {
@@ -103,12 +103,12 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			case 2:
 				c.Lookup(KeyOf(pkt(1, seq)))
 			}
-			if c.Len() > capacity {
+			if len(c.items) > capacity {
 				return false
 			}
 		}
 		st := c.Stats()
-		return int(st.Inserts)-int(st.Evictions) == c.Len()-countRemoved(c)
+		return int(st.Inserts)-int(st.Evictions) == len(c.items)-countRemoved(c)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

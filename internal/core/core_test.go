@@ -93,7 +93,7 @@ func TestCleanPathTransfer(t *testing.T) {
 	if !conn.Done() {
 		t.Fatalf("clean transfer incomplete: %v / %v", conn.Sender, conn.Receiver)
 	}
-	ss, rs := conn.Sender.Stats(), conn.Receiver.Stats()
+	ss, rs := conn.Sender.stats, conn.Receiver.stats
 	if ss.Retransmissions != 0 {
 		t.Fatalf("clean path caused %d source rtx", ss.Retransmissions)
 	}
@@ -114,7 +114,7 @@ func TestRateConvergesUpward(t *testing.T) {
 	if r := conn.Receiver.Rate(); r <= cfg.InitialRate {
 		t.Fatalf("PI² controller never raised the rate: %.2f", r)
 	}
-	if got := conn.Receiver.Stats().UniqueReceived; got < 200 {
+	if got := conn.Receiver.stats.UniqueReceived; got < 200 {
 		t.Fatalf("stream delivered only %d in 400s", got)
 	}
 }
@@ -128,7 +128,7 @@ func TestLossToleranceSkipsRecovery(t *testing.T) {
 	conn := Dial(nw, cfg)
 	conn.Start()
 	eng.RunFor(600 * sim.Second)
-	rs := conn.Receiver.Stats()
+	rs := conn.Receiver.stats
 	if !rs.Completed {
 		t.Fatalf("jtp20 transfer incomplete: %d/100", rs.UniqueReceived)
 	}
@@ -160,7 +160,7 @@ func TestSenderTimeoutBacksOff(t *testing.T) {
 	if s.Rate() >= 10*0.85 {
 		t.Fatalf("sender rate %.2f did not back off without feedback", s.Rate())
 	}
-	if s.Stats().TimeoutBackoffs == 0 {
+	if s.stats.TimeoutBackoffs == 0 {
 		t.Fatal("no timeout backoffs recorded")
 	}
 }
@@ -173,7 +173,7 @@ func TestBackoffPausesPacing(t *testing.T) {
 	r.Start()
 	s.Start()
 	eng.RunFor(20 * sim.Second)
-	sentBefore := s.Stats().DataSent
+	sentBefore := s.stats.DataSent
 
 	// Deliver a forged ACK reporting 10 locally recovered packets.
 	ack := &packet.Packet{
@@ -186,20 +186,20 @@ func TestBackoffPausesPacing(t *testing.T) {
 		},
 	}
 	s.Deliver(ack, 1)
-	if s.Stats().RecoveredReported != 10 {
-		t.Fatalf("recovered reported = %d", s.Stats().RecoveredReported)
+	if s.stats.RecoveredReported != 10 {
+		t.Fatalf("recovered reported = %d", s.stats.RecoveredReported)
 	}
-	if s.Stats().BackoffTime <= 0 {
+	if s.stats.BackoffTime <= 0 {
 		t.Fatal("no backoff applied")
 	}
 	// During the next ~9 s the sender must stay quiet.
 	eng.RunFor(8 * sim.Second)
-	if sent := s.Stats().DataSent; sent > sentBefore+1 {
+	if sent := s.stats.DataSent; sent > sentBefore+1 {
 		t.Fatalf("sender kept pacing during backoff: %d -> %d", sentBefore, sent)
 	}
 	// After the pause it resumes.
 	eng.RunFor(60 * sim.Second)
-	if sent := s.Stats().DataSent; sent <= sentBefore+1 {
+	if sent := s.stats.DataSent; sent <= sentBefore+1 {
 		t.Fatalf("sender never resumed after backoff: %d", sent)
 	}
 }
@@ -219,7 +219,7 @@ func TestBackoffDisabled(t *testing.T) {
 		},
 	}
 	s.Deliver(ack, 1)
-	if s.Stats().BackoffTime != 0 {
+	if s.stats.BackoffTime != 0 {
 		t.Fatal("backoff applied despite DisableBackoff")
 	}
 }
@@ -233,11 +233,11 @@ func TestUDPLikeFlowNeverSnacks(t *testing.T) {
 	conn := Dial(nw, cfg)
 	conn.Start()
 	eng.RunFor(400 * sim.Second)
-	rs := conn.Receiver.Stats()
+	rs := conn.Receiver.stats
 	if rs.SnackRequested != 0 {
 		t.Fatalf("UDP-like flow requested %d retransmissions", rs.SnackRequested)
 	}
-	if ss := conn.Sender.Stats(); ss.Retransmissions != 0 {
+	if ss := conn.Sender.stats; ss.Retransmissions != 0 {
 		t.Fatalf("UDP-like flow source-retransmitted %d", ss.Retransmissions)
 	}
 	if rs.UniqueReceived == 0 {
@@ -252,7 +252,7 @@ func TestConstantFeedbackMode(t *testing.T) {
 	conn := Dial(nw, cfg)
 	conn.Start()
 	eng.RunFor(100 * sim.Second)
-	rs := conn.Receiver.Stats()
+	rs := conn.Receiver.stats
 	// ~50 ACKs expected in 100 s; allow slack for startup.
 	if rs.AcksSent < 35 || rs.AcksSent > 55 {
 		t.Fatalf("constant-rate acks = %d over 100s at 0.5/s", rs.AcksSent)
@@ -268,7 +268,7 @@ func TestVariableFeedbackIsSparse(t *testing.T) {
 	conn := Dial(nw, cfg)
 	conn.Start()
 	eng.RunFor(200 * sim.Second)
-	rs := conn.Receiver.Stats()
+	rs := conn.Receiver.stats
 	// On a clean, stable path feedback should be near the 10 s lower
 	// bound: ~20 ACKs in 200 s, far fewer than delivered packets.
 	if rs.AcksSent > 30 {
@@ -285,12 +285,12 @@ func TestEnergyBudgetPropagates(t *testing.T) {
 	conn := Dial(nw, cfg)
 	conn.Start()
 	eng.RunFor(120 * sim.Second)
-	if !conn.Receiver.EnergyMonitor().Primed() {
+	if !conn.Receiver.energyMon.Primed() {
 		t.Fatal("energy monitor never primed")
 	}
 	// After feedback, the sender's budget must reflect β·UCL, not the
 	// initial default.
-	wantMin := conn.Receiver.EnergyMonitor().Mean()
+	wantMin := conn.Receiver.energyMon.Mean()
 	if wantMin <= 0 {
 		t.Fatal("no energy samples")
 	}
@@ -314,7 +314,7 @@ func TestTailLossRecovered(t *testing.T) {
 	eng.RunFor(2500 * sim.Second)
 	if !conn.Receiver.Done() {
 		t.Fatalf("transfer with tail loss never completed: %d/40",
-			conn.Receiver.Stats().UniqueReceived)
+			conn.Receiver.stats.UniqueReceived)
 	}
 }
 
@@ -327,7 +327,7 @@ func TestReceiverForgivenessAccounting(t *testing.T) {
 	conn := Dial(nw, cfg)
 	conn.Start()
 	eng.RunFor(1500 * sim.Second)
-	rs := conn.Receiver.Stats()
+	rs := conn.Receiver.stats
 	if rs.Forgiven > 15 {
 		t.Fatalf("forgave %d misses, allowance is 15", rs.Forgiven)
 	}
@@ -394,7 +394,7 @@ func TestForgivenThenLateCountsOnce(t *testing.T) {
 		r.Deliver(dataPkt(seq), 1)
 	}
 	r.sendFeedback(false) // allowance int(0.5·6) = 3 forgives 2, 3, 4
-	if rs := r.Stats(); rs.Forgiven != 3 {
+	if rs := r.stats; rs.Forgiven != 3 {
 		t.Fatalf("forgave %d, want 3", rs.Forgiven)
 	}
 	steps := []struct {
@@ -411,7 +411,7 @@ func TestForgivenThenLateCountsOnce(t *testing.T) {
 	}
 	for _, st := range steps {
 		r.Deliver(dataPkt(st.seq), 1)
-		if rs := r.Stats(); rs.UniqueReceived != st.unique || rs.Duplicates != st.dup {
+		if rs := r.stats; rs.UniqueReceived != st.unique || rs.Duplicates != st.dup {
 			t.Fatalf("after seq %d: unique %d dup %d, want %d and %d",
 				st.seq, rs.UniqueReceived, rs.Duplicates, st.unique, st.dup)
 		}
@@ -439,7 +439,7 @@ func TestSenderQueuesSnackedTail(t *testing.T) {
 		Snack: []packet.SeqRange{{First: 1, Last: 1}, {First: next + 5, Last: next + 7}},
 	}}, 1)
 	eng.RunFor(10 * sim.Second)
-	if rtx := s.Stats().Retransmissions; rtx != 4 {
+	if rtx := s.stats.Retransmissions; rtx != 4 {
 		t.Fatalf("%d source retransmissions, want 4 (seq 1 and the three-packet tail)", rtx)
 	}
 }
@@ -465,18 +465,18 @@ func TestCompletionAckCarriesNoSnack(t *testing.T) {
 	for _, seq := range []uint32{2, 4, 5, 8} {
 		r.Deliver(dataPkt(seq), 1) // 2 arrives late; 6 and 7 never do
 	}
-	before := r.Stats()
+	before := r.stats
 	if before.Forgiven != 1 || before.Completed {
 		t.Fatalf("set-up: forgiven %d, completed %v", before.Forgiven, before.Completed)
 	}
 	r.Deliver(dataPkt(9), 1) // the eighth unique packet completes the transfer
-	if rs := r.Stats(); !rs.Completed || rs.SnackRequested != before.SnackRequested {
+	if rs := r.stats; !rs.Completed || rs.SnackRequested != before.SnackRequested {
 		t.Fatalf("completion ACK requested %d packets (completed %v), want none",
 			rs.SnackRequested-before.SnackRequested, rs.Completed)
 	}
 	eng.RunFor(sim.DurationOf(cfg.SnackRetry + cfg.MinFeedbackGap))
 	r.Deliver(dataPkt(5), 1) // a duplicate re-sends the final ACK
-	if rs := r.Stats(); rs.AcksSent != before.AcksSent+2 || rs.SnackRequested != before.SnackRequested {
+	if rs := r.stats; rs.AcksSent != before.AcksSent+2 || rs.SnackRequested != before.SnackRequested {
 		t.Fatalf("%d ACKs after completion requested %d packets, want 2 ACKs requesting none",
 			rs.AcksSent-before.AcksSent, rs.SnackRequested-before.SnackRequested)
 	}

@@ -28,8 +28,6 @@ type driver struct {
 	plugins []*ijtp.Plugin
 }
 
-func (d *driver) Name() string { return d.name }
-
 // Attach installs one iJTP plugin per node, configured from the
 // scenario-level knobs; plugin installation order is node-id order, so
 // runs stay deterministic.

@@ -54,11 +54,11 @@ func TestTransferSurvivesNodeFailure(t *testing.T) {
 
 	eng.RunFor(1000 * sim.Second)
 	if !conn.Done() {
-		rs := conn.Receiver.Stats()
+		rs := conn.Receiver.stats
 		t.Fatalf("transfer did not survive node failure: %d/200 delivered, cum-done=%v",
 			rs.UniqueReceived, rs.Completed)
 	}
-	if nw.Down(4) != true {
+	if nw.TransmitsAllowed(4) {
 		t.Fatal("failure flag lost")
 	}
 	// The failed node must have stopped participating.
@@ -122,13 +122,13 @@ func TestPartitionStallsThenRecovers(t *testing.T) {
 	if conn.Done() {
 		t.Fatal("transfer completed across a partition")
 	}
-	delivered := conn.Receiver.Stats().UniqueReceived
+	delivered := conn.Receiver.stats.UniqueReceived
 
 	nw.SetDown(1, false)
 	eng.RunFor(2000 * sim.Second)
 	if !conn.Done() {
 		t.Fatalf("transfer did not recover after revival: %d then %d/150",
-			delivered, conn.Receiver.Stats().UniqueReceived)
+			delivered, conn.Receiver.stats.UniqueReceived)
 	}
 }
 

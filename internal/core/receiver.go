@@ -89,14 +89,8 @@ func NewReceiver(nw *node.Network, cfg Config) *Receiver {
 	return r
 }
 
-// Stats returns a copy of the receiver counters.
-func (r *Receiver) Stats() ReceiverStats { return r.stats }
-
 // Rate returns the controller's current mandated sending rate.
 func (r *Receiver) Rate() float64 { return r.rate }
-
-// EnergyMonitor exposes the per-packet energy monitor.
-func (r *Receiver) EnergyMonitor() *flipflop.Filter { return r.energyMon }
 
 // Stop halts feedback and unbinds.
 func (r *Receiver) Stop() {

@@ -57,9 +57,6 @@ func NewSender(nw *node.Network, cfg Config) *Sender {
 	return s
 }
 
-// Stats returns a copy of the sender counters.
-func (s *Sender) Stats() SenderStats { return s.stats }
-
 // Start binds the sender to its node and begins pacing.
 func (s *Sender) Start() {
 	if s.started {

@@ -103,9 +103,6 @@ func (mt *Meter) TxCount() uint64 { return mt.txCount }
 // RxCount returns the number of link-layer receptions charged.
 func (mt *Meter) RxCount() uint64 { return mt.rxCount }
 
-// Reset zeroes the meter (used at the end of warm-up periods).
-func (mt *Meter) Reset() { *mt = Meter{} }
-
 // String formats the meter in millijoules.
 func (mt *Meter) String() string {
 	return fmt.Sprintf("tx=%.3fmJ(%d) rx=%.3fmJ(%d)", mt.tx*1e3, mt.txCount, mt.rx*1e3, mt.rxCount)

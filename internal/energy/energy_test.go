@@ -81,8 +81,4 @@ func TestMeter(t *testing.T) {
 	if mt.String() == "" {
 		t.Fatal("String empty")
 	}
-	mt.Reset()
-	if mt.Total() != 0 || mt.TxCount() != 0 {
-		t.Fatal("Reset incomplete")
-	}
 }

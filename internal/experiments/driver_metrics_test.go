@@ -69,7 +69,7 @@ func TestEveryDriverPopulatesFlowRecord(t *testing.T) {
 			// A fresh snapshot of the live flow must agree with the run's
 			// record, and the goodput the public API derives from it with
 			// the delivered bytes.
-			fl := b.Flows()[0]
+			fl := b.flows[0]
 			if now := fl.Stats(); now.UniqueDelivered != fr.UniqueDelivered ||
 				now.SourceRetransmissions != fr.SourceRetransmissions {
 				t.Errorf("Flow.Stats() delivered %d, source rtx %d; record says %d, %d",

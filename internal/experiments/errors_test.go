@@ -78,8 +78,8 @@ func TestAssemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.Driver.Name() != "tcp" || sub.Network.N() != 8 {
-		t.Fatalf("substrate: driver %q, %d nodes", sub.Driver.Name(), sub.Network.N())
+	if sub.Driver == nil || sub.Network.N() != 8 {
+		t.Fatalf("substrate: driver %v, %d nodes", sub.Driver, sub.Network.N())
 	}
 	if n := sub.Engine.PendingEvents(); n != 0 {
 		t.Fatalf("%d events pending before Start", n)

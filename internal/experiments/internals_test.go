@@ -97,7 +97,7 @@ func TestScenarioFlowOverrides(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, fl := b.Engine(), b.Flows()[0]
+		eng, fl := b.Engine(), b.flows[0]
 		for _, secs := range []uint64{2, 120} {
 			eng.RunUntil(sim.Time(sim.Duration(1+secs) * sim.Second))
 			fr := fl.Stats()

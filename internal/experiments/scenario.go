@@ -341,7 +341,7 @@ func Assemble(sc Scenario) (*Substrate, error) {
 		}
 	}
 	if err := drv.Attach(nw, netCfg); err != nil {
-		return nil, fmt.Errorf("experiments: scenario %q: attaching %s: %w", sc.Name, drv.Name(), err)
+		return nil, fmt.Errorf("experiments: scenario %q: attaching %s: %w", sc.Name, sc.Proto, err)
 	}
 
 	sub := &Substrate{Engine: eng, Network: nw, Driver: drv, NetConfig: netCfg, radioRange: chCfg.Range}
@@ -406,7 +406,7 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 
 		fl, err := drv.OpenFlow(tSpec)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: flow %d (%s): %w", sc.Name, i, drv.Name(), err)
+			return nil, fmt.Errorf("experiments: scenario %q: flow %d (%s): %w", sc.Name, i, sc.Proto, err)
 		}
 		b.flows = append(b.flows, fl)
 		eng.Schedule(sim.DurationOf(spec.StartAt), fl.Start)
@@ -490,9 +490,6 @@ func (sc *Scenario) validateNetwork() error {
 
 // Engine returns the scenario's simulation engine (perf harness probes).
 func (b *BuiltScenario) Engine() *sim.Engine { return b.sub.Engine }
-
-// Flows returns the dialed transport flows in scenario order.
-func (b *BuiltScenario) Flows() []transport.Flow { return b.flows }
 
 // Run advances virtual time to the scenario's end and aggregates the
 // RunRecord from the network, the driver's in-network counters, and the

@@ -67,8 +67,6 @@ func NewObs(reg *obs.Registry) Obs {
 type Segment interface {
 	// Size returns the on-air size in bytes.
 	Size() int
-	// Source returns the end-to-end originating node.
-	Source() packet.NodeID
 	// Dest returns the end-to-end destination node.
 	Dest() packet.NodeID
 }

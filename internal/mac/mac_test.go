@@ -11,13 +11,12 @@ import (
 
 // stubSeg is a minimal transport segment for MAC tests.
 type stubSeg struct {
-	size     int
-	src, dst packet.NodeID
+	size int
+	dst  packet.NodeID
 }
 
-func (s *stubSeg) Size() int             { return s.size }
-func (s *stubSeg) Source() packet.NodeID { return s.src }
-func (s *stubSeg) Dest() packet.NodeID   { return s.dst }
+func (s *stubSeg) Size() int           { return s.size }
+func (s *stubSeg) Dest() packet.NodeID { return s.dst }
 
 // stubEnv controls loss deterministically and records deliveries.
 type stubEnv struct {
@@ -66,7 +65,7 @@ func build(t *testing.T) (*sim.Engine, *stubEnv, *MAC, *MAC) {
 
 func TestEnqueueAndDeliver(t *testing.T) {
 	_, env, m0, _ := build(t)
-	seg := &stubSeg{size: 100, src: 0, dst: 1}
+	seg := &stubSeg{size: 100, dst: 1}
 	if !m0.Enqueue(seg, 1) {
 		t.Fatal("enqueue failed")
 	}
@@ -416,7 +415,7 @@ func TestRingQueueWrapAndFrontOrdering(t *testing.T) {
 // slot must both be allocation-free.
 func TestAllocsOwnSlot(t *testing.T) {
 	_, _, m0, _ := build(t)
-	seg := &stubSeg{size: 100, src: 0, dst: 1}
+	seg := &stubSeg{size: 100, dst: 1}
 	// Warm the frame free-list and link stats.
 	m0.Enqueue(seg, 1)
 	m0.OwnSlot()
@@ -436,7 +435,7 @@ func TestAllocsOwnSlotObserved(t *testing.T) {
 	_, _, m0, _ := build(t)
 	reg := obs.New()
 	m0.Observe(NewObs(reg))
-	seg := &stubSeg{size: 100, src: 0, dst: 1}
+	seg := &stubSeg{size: 100, dst: 1}
 	m0.Enqueue(seg, 1)
 	m0.OwnSlot()
 	allocs := testing.AllocsPerRun(1000, func() {

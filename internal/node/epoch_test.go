@@ -28,12 +28,12 @@ func (d bruteDir) N() int { return d.nw.N() }
 
 func (d bruteDir) Linked(a, b packet.NodeID) bool {
 	nw := d.nw
-	if a == b || nw.Down(a) || nw.Down(b) || nw.BudgetExhausted(a) || nw.BudgetExhausted(b) {
+	if a == b || nw.down[a] || nw.down[b] || nw.BudgetExhausted(a) || nw.BudgetExhausted(b) {
 		return false
 	}
 	tp := nw.Topology()
 	d2 := tp.Position(a).Dist2(tp.Position(b))
-	rng := nw.Channel().Range()
+	rng := nw.chann.Range()
 	return d2 <= rng*rng
 }
 

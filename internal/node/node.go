@@ -97,9 +97,6 @@ type Node struct {
 	net       *Network
 }
 
-// Counters returns the node's drop counters.
-func (n *Node) Counters() Counters { return n.count }
-
 // Network owns the engine-coupled state of one simulated network.
 type Network struct {
 	eng     *sim.Engine
@@ -245,14 +242,8 @@ func (nw *Network) Observe(reg *obs.Registry) {
 // end-of-run telemetry collection.
 func (nw *Network) LinkVersion() uint64 { return nw.linkVer }
 
-// Channel returns the wireless channel.
-func (nw *Network) Channel() *channel.Channel { return nw.chann }
-
 // Topology returns the (live) topology.
 func (nw *Network) Topology() *topology.Topology { return nw.topo }
-
-// Scheduler returns the TDMA scheduler.
-func (nw *Network) Scheduler() *mac.Scheduler { return nw.sched }
 
 // Views returns the shared routing snapshot cache (telemetry, tests and
 // diagnostics).
@@ -537,7 +528,7 @@ func (nw *Network) Version() uint64 {
 
 // refreshDeadBits rescans budget exhaustion into a bitmap and advances
 // the link-state version when it differs from the last scan (battery
-// deaths since the previous Version call, or revivals via ResetMeters).
+// deaths since the previous Version call).
 func (nw *Network) refreshDeadBits() {
 	n := nw.topo.N()
 	words := (n + 63) / 64
@@ -591,10 +582,6 @@ func (nw *Network) ExhaustedNodes() int {
 	return dead
 }
 
-// Budgets returns the configured per-node energy budgets (nil when the
-// network is unconstrained).
-func (nw *Network) Budgets() []float64 { return nw.budgets }
-
 // SetDown fails or revives a node. A failed node stops receiving,
 // transmitting and routing; routers notice at their next view refresh —
 // the "intermediate node failure" case of §2 for which occasional
@@ -616,9 +603,6 @@ func (nw *Network) SetDown(id packet.NodeID, down bool) {
 		nw.nodes[int(id)].MAC.ClearQueue()
 	}
 }
-
-// Down reports whether a node is failed.
-func (nw *Network) Down(id packet.NodeID) bool { return nw.down[int(id)] }
 
 // TransmitOK draws a loss trial on a live link (mac.Env).
 func (nw *Network) TransmitOK(from, to packet.NodeID) bool {
@@ -756,13 +740,6 @@ func (nw *Network) PerNodeEnergy() []float64 {
 		out[i] = nd.Meter.Total()
 	}
 	return out
-}
-
-// ResetMeters zeroes all energy meters (end of warm-up).
-func (nw *Network) ResetMeters() {
-	for _, nd := range nw.nodes {
-		nd.Meter.Reset()
-	}
 }
 
 // QueueDrops sums MAC queue overflow drops across nodes (Fig 7(b)).

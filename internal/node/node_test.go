@@ -140,10 +140,6 @@ func TestEnergyMetered(t *testing.T) {
 			t.Fatalf("node %d metered zero", i)
 		}
 	}
-	nw.ResetMeters()
-	if nw.TotalEnergy() != 0 {
-		t.Fatal("ResetMeters incomplete")
-	}
 }
 
 func TestSendFromFrontPriority(t *testing.T) {
@@ -228,7 +224,7 @@ func TestStringAndAccessors(t *testing.T) {
 	if len(nw.Nodes()) != 3 {
 		t.Fatal("nodes accessor")
 	}
-	if nw.Scheduler() == nil || nw.Channel() == nil || nw.Topology() == nil || nw.Engine() == nil {
+	if nw.Topology() == nil || nw.Engine() == nil {
 		t.Fatal("nil subsystem accessor")
 	}
 }
@@ -271,8 +267,8 @@ func TestEnergyBudgetKillsNode(t *testing.T) {
 	if nw.BudgetExhausted(0) || nw.BudgetExhausted(2) {
 		t.Fatal("unlimited-budget node reported exhausted")
 	}
-	if len(nw.Budgets()) != 3 {
-		t.Fatalf("Budgets() = %v", nw.Budgets())
+	if len(nw.budgets) != 3 {
+		t.Fatalf("budgets = %v", nw.budgets)
 	}
 }
 

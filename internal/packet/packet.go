@@ -236,9 +236,6 @@ func (p *Packet) AddHop() int {
 	return p.hops
 }
 
-// Source returns the originating node (Segment interface).
-func (p *Packet) Source() NodeID { return p.Src }
-
 // Dest returns the final destination (Segment interface).
 func (p *Packet) Dest() NodeID { return p.Dst }
 

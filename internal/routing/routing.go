@@ -26,6 +26,8 @@
 package routing
 
 import (
+	"slices"
+
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/sim"
 )
@@ -345,7 +347,8 @@ func (c *Cache) capture(ver uint64) *adjacency {
 		}
 		a.off = append(a.off, int32(len(a.nbr)))
 	}
-	a.treeAt, a.live = append(a.treeAt[:0], make([]int32, n)...), 0
+	a.treeAt, a.live = slices.Grow(a.treeAt[:0], n)[:n], 0
+	clear(a.treeAt)
 	c.stats.Captures++
 	if live := c.stats.Captures - c.stats.Recycled; live > c.stats.SnapshotsHWM {
 		c.stats.SnapshotsHWM = live

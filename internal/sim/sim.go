@@ -124,9 +124,8 @@ func (r EventRef) Pending() bool {
 
 // Engine is a discrete-event simulation engine; one goroutine owns it.
 type Engine struct {
-	now     Time
-	rng     *rand.Rand
-	stopped bool
+	now Time
+	rng *rand.Rand
 
 	q eventQueue
 
@@ -165,7 +164,6 @@ func NewEngine(seed int64) *Engine {
 func (e *Engine) Clear() {
 	e.q.reset()
 	e.now = 0
-	e.stopped = false
 	e.Executed = 0
 	e.horizon, e.execCap = 0, 0
 	// Pooled engines outlive the registry they were observed with; detach
@@ -245,23 +243,12 @@ func (e *Engine) cancel(slot int32, gen uint32) bool {
 	return true
 }
 
-// Stop halts the run loop after the currently executing handler returns.
-//
-// The flag is NOT sticky across runs: RunUntil, RunFor and Drain each
-// clear it on entry, so a Stop only terminates the loop that is currently
-// executing (or the next one entered before any event fires — a Stop
-// issued between runs is erased by the next run's entry). Pending events
-// remain queued and a subsequent RunUntil resumes them; only Clear and
-// Reset discard them. TestEngineStopSemantics pins this contract.
-func (e *Engine) Stop() { e.stopped = true }
-
 // RunUntil executes events in order until the queue is empty or the next
 // event is later than end. Virtual time is left at end (or at the last
 // event's time, whichever is larger) so repeated calls advance monotonically.
 func (e *Engine) RunUntil(end Time) {
-	e.stopped = false
 	e.horizon, e.execCap = end, math.MaxUint64
-	for len(e.q.heap) > 0 && !e.stopped {
+	for len(e.q.heap) > 0 {
 		top := e.q.heap[0]
 		if top.at > end {
 			break
@@ -296,9 +283,8 @@ func (e *Engine) Drain() error { return e.drain(DrainEventCap) }
 
 // drain is Drain with the cap as a parameter, so a test can reach it.
 func (e *Engine) drain(limit uint64) error {
-	e.stopped = false
 	e.horizon, e.execCap = math.MaxInt64, e.Executed+limit
-	for len(e.q.heap) > 0 && !e.stopped {
+	for len(e.q.heap) > 0 {
 		if e.Executed >= e.execCap {
 			return fmt.Errorf("sim: Drain exceeded %d events with %d still pending (self-rescheduling handler?)", limit, e.PendingEvents())
 		}
@@ -315,13 +301,13 @@ func (e *Engine) drain(limit uint64) error {
 }
 
 // fireInline lets a tick due at `at` run now, in its ticker's handler,
-// when nothing can precede it: the run is not stopped, at lies within the
-// run's horizon and event budget, and every queued event is strictly
-// later (one at the same instant has the lower sequence number and wins,
-// so the tick goes through the queue). It accounts the tick as a push and
+// when nothing can precede it: at lies within the run's horizon and
+// event budget, and every queued event is strictly later (one at the
+// same instant has the lower sequence number and wins, so the tick goes
+// through the queue). It accounts the tick as a push and
 // a pop would and advances the clock.
 func (e *Engine) fireInline(at Time) bool {
-	if e.stopped || at > e.horizon || e.Executed >= e.execCap ||
+	if at > e.horizon || e.Executed >= e.execCap ||
 		len(e.q.heap) > 0 && e.q.heap[0].at <= at {
 		return false
 	}

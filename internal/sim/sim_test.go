@@ -105,21 +105,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestStopHaltsLoop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	e.Schedule(Second, func() { count++; e.Stop() })
-	e.Schedule(2*Second, func() { count++ })
-	e.RunUntil(Time(10 * Second))
-	if count != 1 {
-		t.Fatalf("Stop did not halt the loop, count=%d", count)
-	}
-	e.RunUntil(Time(10 * Second))
-	if count != 2 {
-		t.Fatalf("resume after Stop failed, count=%d", count)
-	}
-}
-
 func TestTicker(t *testing.T) {
 	e := NewEngine(1)
 	ticks := 0
@@ -197,49 +182,8 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestEngineStopSemantics pins the documented Stop contract: the flag is
-// not sticky across runs — RunUntil and Drain clear it on entry — and
-// pending events survive a Stop to be resumed by the next run.
-func TestEngineStopSemantics(t *testing.T) {
-	e := NewEngine(1)
-	var fired []int
-	e.Schedule(1*Second, func() { fired = append(fired, 1); e.Stop() })
-	e.Schedule(2*Second, func() { fired = append(fired, 2) })
-
-	e.RunUntil(Time(10 * Second))
-	if len(fired) != 1 || fired[0] != 1 {
-		t.Fatalf("fired = %v, want [1] (Stop halts the loop)", fired)
-	}
-	if !e.stopped {
-		t.Fatal("stop flag clear immediately after a stopped run")
-	}
-	if e.PendingEvents() != 1 {
-		t.Fatalf("PendingEvents = %d, want 1 (Stop leaves events queued)", e.PendingEvents())
-	}
-
-	// A fresh run clears the flag and resumes the queued event.
-	e.RunUntil(Time(10 * Second))
-	if len(fired) != 2 || fired[1] != 2 {
-		t.Fatalf("fired = %v, want [1 2] (next run resumes pending events)", fired)
-	}
-	if e.stopped {
-		t.Fatal("stop flag set after a run that was never stopped")
-	}
-
-	// A Stop issued between runs is erased by the next run's entry.
-	e.Stop()
-	ran := false
-	e.Schedule(1*Second, func() { ran = true })
-	e.RunUntil(Time(20 * Second))
-	if !ran {
-		t.Fatal("a between-runs Stop must not survive RunUntil's entry")
-	}
-}
-
-// TestDrainEventCap pins the two Drain exits that stay below the cap: a
-// finite queue drains to nil, and a Stop inside a self-rescheduling chain
-// ends the drain with nil (not the cap error) and the chain's next link
-// still queued. TestDrainCapReturnsError covers the cap itself.
+// TestDrainEventCap pins Drain's exit below the cap: a finite queue
+// drains to nil. TestDrainCapReturnsError covers the cap itself.
 func TestDrainEventCap(t *testing.T) {
 	e := NewEngine(1)
 	n := 0
@@ -249,25 +193,6 @@ func TestDrainEventCap(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("n = %d, want 1", n)
-	}
-	var reschedule func()
-	count := 0
-	reschedule = func() {
-		count++
-		if count == 1000 {
-			e.Stop()
-		}
-		e.Schedule(Millisecond, reschedule)
-	}
-	e.Schedule(Millisecond, reschedule)
-	if err := e.Drain(); err != nil {
-		t.Fatalf("stopped Drain must not report the cap: %v", err)
-	}
-	if count != 1000 {
-		t.Fatalf("count = %d, want 1000", count)
-	}
-	if e.PendingEvents() != 1 {
-		t.Fatalf("PendingEvents = %d, want 1 (the chain's next link stays queued)", e.PendingEvents())
 	}
 }
 
@@ -489,14 +414,14 @@ func TestHeapOrderRandomized(t *testing.T) {
 }
 
 // TestResetReproducesFreshEngine pins Engine.Clear and Engine.Reset. The
-// engine is dirtied by a stopped ticker run and a capped drain, then
-// cleared as a pooled engine is when its run ends: the queue is empty,
-// refs from before the clear are inert, and the random stream goes on
-// from where it stood, so Clear neither draws nor reseeds. The cleared
-// engine is then reset: it must be indistinguishable from a new one —
-// same RNG stream, same event order, same clock — so the tickers created
-// after the reset trace (clock, RNG draw, Executed, PendingEvents) as
-// they do on a fresh engine.
+// engine is dirtied by a ticker run to a mid-period horizon and a capped
+// drain, then cleared as a pooled engine is when its run ends: the queue
+// is empty, refs from before the clear are inert, and the random stream
+// goes on from where it stood, so Clear neither draws nor reseeds. The
+// cleared engine is then reset: it must be indistinguishable from a new
+// one — same RNG stream, same event order, same clock — so the tickers
+// created after the reset trace (clock, RNG draw, Executed,
+// PendingEvents) as they do on a fresh engine.
 func TestResetReproducesFreshEngine(t *testing.T) {
 	trace := func(e *Engine) []float64 {
 		var vals []float64
@@ -514,13 +439,8 @@ func TestResetReproducesFreshEngine(t *testing.T) {
 	dirty := func(e *Engine) EventRef {
 		leftover := e.Schedule(500*Second, func() {})
 		trace(e) // dirty the slab and RNG
-		n := 0
-		e.NewTicker(Millisecond, func() {
-			if n++; n == 10 {
-				e.Stop()
-			}
-		})
-		e.RunUntil(Time(20 * Second)) // stopped inside a tick
+		e.NewTicker(Millisecond, func() {})
+		e.RunFor(10*Millisecond + Millisecond/2) // a horizon between two ticks
 		if err := e.drain(100); err == nil {
 			t.Fatal("drain of a live ticker returned nil")
 		}

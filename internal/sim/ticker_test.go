@@ -101,8 +101,8 @@ func (r *tickerRig) drain(limit uint64) {
 }
 
 func (r *tickerRig) note(op string) {
-	r.log = append(r.log, fmt.Sprintf("%s: now=%d executed=%d pending=%d seq=%d stopped=%v",
-		op, r.e.Now(), r.e.Executed, r.e.PendingEvents(), r.e.q.seq, r.e.stopped))
+	r.log = append(r.log, fmt.Sprintf("%s: now=%d executed=%d pending=%d seq=%d",
+		op, r.e.Now(), r.e.Executed, r.e.PendingEvents(), r.e.q.seq))
 }
 
 // checkTickerEquivalence runs program with real tickers and with the heap
@@ -171,21 +171,6 @@ func TestTickerMatchesSelfRescheduledEvent(t *testing.T) {
 			r.runUntil(Time(9 * p))
 			r.runUntil(Time(20 * p))
 		},
-		"Engine.Stop inside fn": func(r *tickerRig) {
-			n := 0
-			r.every(p, 0, func() {
-				n++
-				r.hit(100)
-				if n%4 == 0 {
-					r.e.Stop()
-				}
-			})
-			r.runUntil(Time(10 * p))
-			r.runUntil(Time(10 * p))
-			r.runUntil(Time(30 * p))
-			r.drain(100)
-			r.drain(3)
-		},
 		"Ticker.Stop inside fn and from another handler": func(r *tickerRig) {
 			var a stopper
 			na := 0
@@ -233,10 +218,10 @@ func TestTickerMatchesSelfRescheduledEvent(t *testing.T) {
 }
 
 // randomTickerProgram mixes tickers (jittered or not, created up front or
-// by a handler), one-shot events on and off tick instants, Engine.Stop,
-// Ticker.Stop, run horizons on and off tick instants and capped drains.
-// Its choices come from its own source, drawn in handler order, so both
-// rigs see the same program as long as they run handlers in the same order.
+// by a handler), one-shot events on and off tick instants, Ticker.Stop,
+// run horizons on and off tick instants and capped drains. Its choices
+// come from its own source, drawn in handler order, so both rigs see the
+// same program as long as they run handlers in the same order.
 func randomTickerProgram(seed int64) func(r *tickerRig) {
 	return func(r *tickerRig) {
 		prog := rand.New(rand.NewSource(seed))
@@ -272,8 +257,6 @@ func randomTickerProgram(seed int64) func(r *tickerRig) {
 			switch x := prog.Intn(50); {
 			case x < 8:
 				newEvent()
-			case x == 8:
-				r.e.Stop()
 			case x == 9 && self >= 0:
 				tickers[self].Stop()
 			case x == 10:

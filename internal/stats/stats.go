@@ -35,20 +35,11 @@ func (e *EWMA) Add(sample float64) float64 {
 // Value returns the current estimate (zero if unprimed).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Primed reports whether at least one sample has been folded in.
-func (e *EWMA) Primed() bool { return e.primed }
-
 // Set forces the estimate, marking the filter primed. Used when switching
 // between the stable and agile filters of the flip-flop monitor.
 func (e *EWMA) Set(v float64) {
 	e.value = v
 	e.primed = true
-}
-
-// Reset returns the filter to the unprimed state.
-func (e *EWMA) Reset() {
-	e.value = 0
-	e.primed = false
 }
 
 // Running accumulates count/mean/variance with Welford's algorithm.

@@ -10,7 +10,7 @@ import (
 
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
-	if e.Primed() {
+	if e.primed {
 		t.Fatal("fresh EWMA should be unprimed")
 	}
 	if v := e.Add(10); v != 10 {
@@ -20,12 +20,8 @@ func TestEWMA(t *testing.T) {
 		t.Fatalf("second sample: %v, want 15", v)
 	}
 	e.Set(100)
-	if e.Value() != 100 {
+	if e.Value() != 100 || !e.primed {
 		t.Fatal("Set failed")
-	}
-	e.Reset()
-	if e.Primed() || e.Value() != 0 {
-		t.Fatal("Reset failed")
 	}
 }
 

@@ -139,9 +139,6 @@ func NewSender(nw *node.Network, cfg transport.Config, segs *pool.FreeList[Segme
 	return s
 }
 
-// Stats returns a copy of the counters.
-func (s *Sender) Stats() SenderStats { return s.stats }
-
 // Ready lets the source send whenever pacing fires (transport.Sender).
 func (s *Sender) Ready() bool { return true }
 
@@ -348,9 +345,6 @@ func NewReceiver(nw *node.Network, cfg transport.Config, segs *pool.FreeList[Seg
 	}
 	return r
 }
-
-// Stats returns a copy of the counters.
-func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
 // Stop unbinds.
 func (r *Receiver) Stop() {

@@ -94,9 +94,9 @@ func TestCleanTransfer(t *testing.T) {
 	conn.Start()
 	eng.RunFor(300 * sim.Second)
 	if !conn.Done() {
-		t.Fatalf("clean tcp transfer incomplete: %+v", conn.Receiver.Stats())
+		t.Fatalf("clean tcp transfer incomplete: %+v", conn.Receiver.stats)
 	}
-	if rtx := conn.Sender.Stats().Retransmissions; rtx != 0 {
+	if rtx := conn.Sender.stats.Retransmissions; rtx != 0 {
 		t.Fatalf("clean path retransmissions: %d", rtx)
 	}
 }
@@ -108,7 +108,7 @@ func TestDelayedAckRatio(t *testing.T) {
 	conn := Dial(nw, cfg)
 	conn.Start()
 	eng.RunFor(400 * sim.Second)
-	rs := conn.Receiver.Stats()
+	rs := conn.Receiver.stats
 	if !rs.Completed {
 		t.Fatal("incomplete")
 	}
@@ -127,9 +127,9 @@ func TestLossyTransferCompletes(t *testing.T) {
 	eng.RunFor(3000 * sim.Second)
 	if !conn.Done() {
 		t.Fatalf("lossy tcp transfer incomplete: recv %+v sender %+v",
-			conn.Receiver.Stats(), conn.Sender.Stats())
+			conn.Receiver.stats, conn.Sender.stats)
 	}
-	if conn.Sender.Stats().Retransmissions == 0 {
+	if conn.Sender.stats.Retransmissions == 0 {
 		t.Fatal("lossy single-attempt path needs e2e retransmissions")
 	}
 }
@@ -144,9 +144,9 @@ func TestRTOBackoffResets(t *testing.T) {
 	eng.RunFor(2 * sim.Second)
 	base := s.rto()
 	eng.RunFor(60 * sim.Second)
-	if s.Stats().RTOs == 0 || s.rto() <= base {
+	if s.stats.RTOs == 0 || s.rto() <= base {
 		t.Fatalf("%d RTOs moved the RTO from %.1f s to %.1f s; backoff did not raise it",
-			s.Stats().RTOs, base, s.rto())
+			s.stats.RTOs, base, s.rto())
 	}
 	if s.rto() > 16 {
 		t.Fatal("RTO cap exceeded")
@@ -165,8 +165,8 @@ func TestSackTriggersFastRetransmit(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 	eng.RunFor(3500 * sim.Millisecond) // seqs 0..3 out, one per second
-	if s.NextSeq != 4 || s.Stats().Retransmissions != 0 {
-		t.Fatalf("nextSeq %d after %d retransmissions, want 4 and 0", s.NextSeq, s.Stats().Retransmissions)
+	if s.NextSeq != 4 || s.stats.Retransmissions != 0 {
+		t.Fatalf("nextSeq %d after %d retransmissions, want 4 and 0", s.NextSeq, s.stats.Retransmissions)
 	}
 	// Seq 0 lost, 1..3 SACKed: the hole is retransmitted at the next
 	// pacing slot, well before the RTO.
@@ -175,7 +175,7 @@ func TestSackTriggersFastRetransmit(t *testing.T) {
 		Ranges: []packet.SeqRange{{First: 1, Last: 3}},
 	}}, 1)
 	eng.RunFor(sim.Second)
-	if rtx, rtos := s.Stats().Retransmissions, s.Stats().RTOs; rtx != 1 || rtos != 0 {
+	if rtx, rtos := s.stats.Retransmissions, s.stats.RTOs; rtx != 1 || rtos != 0 {
 		t.Fatalf("%d retransmissions and %d RTOs, want 1 fast retransmission", rtx, rtos)
 	}
 }
@@ -213,7 +213,7 @@ func TestInflightSpansUnacked(t *testing.T) {
 	if !conn.Done() {
 		t.Fatal("lossy transfer incomplete")
 	}
-	if s.Stats().Retransmissions == 0 {
+	if s.stats.Retransmissions == 0 {
 		t.Fatal("no loss exercised")
 	}
 }
@@ -225,10 +225,10 @@ func TestReceiverImmediateAckOnOutOfOrder(t *testing.T) {
 	r.Start()
 	defer r.Stop()
 	r.Deliver(&Segment{Kind: Data, Wire: transport.Wire{Src: 0, Dst: 2, Flow: 1, Seq: 0, PayloadLen: 10}}, 1)
-	acks0 := r.Stats().AcksSent
+	acks0 := r.stats.AcksSent
 	// Gap: seq 2 arrives before 1 → immediate dup-ack-style feedback.
 	r.Deliver(&Segment{Kind: Data, Wire: transport.Wire{Src: 0, Dst: 2, Flow: 1, Seq: 2, PayloadLen: 10}}, 1)
-	if r.Stats().AcksSent != acks0+1 {
+	if r.stats.AcksSent != acks0+1 {
 		t.Fatal("out-of-order arrival should ACK immediately")
 	}
 	_ = eng

@@ -33,9 +33,6 @@ type Wire struct {
 // Size returns the on-air size (mac.Segment).
 func (w *Wire) Size() int { return HeaderSize + w.PayloadLen + RangeSize*len(w.Ranges) }
 
-// Source returns the originating endpoint (mac.Segment).
-func (w *Wire) Source() packet.NodeID { return w.Src }
-
 // Dest returns the destination endpoint (mac.Segment).
 func (w *Wire) Dest() packet.NodeID { return w.Dst }
 
@@ -101,8 +98,6 @@ type e2eDriver struct {
 	open    func(*node.Network, FlowSpec) Flow
 	nw      *node.Network
 }
-
-func (d *e2eDriver) Name() string { return d.name }
 
 func (d *e2eDriver) Attach(nw *node.Network, _ NetConfig) error {
 	if d.nw != nil {

@@ -277,10 +277,6 @@ func (k *Sink) Stop() { k.Net.Unbind(k.Dst, k.Flow) }
 // Done reports whether a fixed-size transfer completed.
 func (k *Sink) Done() bool { return k.done }
 
-// Reception returns the delivery time series (one sample per unique
-// packet) for throughput plots.
-func (k *Sink) Reception() *stats.Series { return &k.reception }
-
 // Arrive counts one DATA arrival.
 func (k *Sink) Arrive() {
 	k.stats.DataReceived++

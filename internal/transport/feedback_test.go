@@ -8,7 +8,6 @@ import (
 
 	"github.com/javelen/jtp/internal/atp"
 	"github.com/javelen/jtp/internal/channel"
-	"github.com/javelen/jtp/internal/core"
 	"github.com/javelen/jtp/internal/energy"
 	"github.com/javelen/jtp/internal/mac"
 	"github.com/javelen/jtp/internal/node"
@@ -33,28 +32,9 @@ type feedbackTap struct {
 }
 
 func (ft *feedbackTap) PreXmit(fr *mac.Frame, _ mac.LinkInfo) mac.Verdict {
-	if fr.Attempts > 0 || fr.Seg.Source() != ft.at {
-		return mac.Continue
-	}
-	var cum uint32
-	var ranges []packet.SeqRange
-	switch s := fr.Seg.(type) {
-	case *packet.Packet:
-		if s.Type != packet.Ack || s.Ack == nil {
-			return mac.Continue
-		}
-		cum, ranges = s.Ack.CumAck, s.Ack.Snack
-	case *atp.Segment:
-		if s.Kind != atp.Feedback {
-			return mac.Continue
-		}
-		cum, ranges = s.CumAck, s.Ranges
-	case *tcpsack.Segment:
-		if s.Kind != tcpsack.Ack {
-			return mac.Continue
-		}
-		cum, ranges = s.CumAck, s.Ranges
-	default:
+	src, ok := segSrc(fr.Seg)
+	cum, ranges, fb := feedback(fr.Seg)
+	if fr.Attempts > 0 || !ok || src != ft.at || !fb {
 		return mac.Continue
 	}
 	ft.n++
@@ -64,19 +44,56 @@ func (ft *feedbackTap) PreXmit(fr *mac.Frame, _ mac.LinkInfo) mac.Verdict {
 
 func (ft *feedbackTap) PostRcv(*mac.Frame, mac.LinkInfo) {}
 
+// segSrc returns the end-to-end source of a JTP, ATP or TCP-SACK segment.
+func segSrc(seg mac.Segment) (packet.NodeID, bool) {
+	switch s := seg.(type) {
+	case *packet.Packet:
+		return s.Src, true
+	case *atp.Segment:
+		return s.Src, true
+	case *tcpsack.Segment:
+		return s.Src, true
+	}
+	return 0, false
+}
+
+// feedback returns the cumulative ACK and the SNACK/SACK range list of a
+// JTP, ATP or TCP-SACK feedback segment.
+func feedback(seg mac.Segment) (cum uint32, ranges []packet.SeqRange, ok bool) {
+	switch s := seg.(type) {
+	case *packet.Packet:
+		if s.Type == packet.Ack && s.Ack != nil {
+			return s.Ack.CumAck, s.Ack.Snack, true
+		}
+	case *atp.Segment:
+		if s.Kind == atp.Feedback {
+			return s.CumAck, s.Ranges, true
+		}
+	case *tcpsack.Segment:
+		if s.Kind == tcpsack.Ack {
+			return s.CumAck, s.Ranges, true
+		}
+	}
+	return 0, nil, false
+}
+
 // dataTap is a MAC plugin on the data source's node that hashes every
 // DATA packet the source originates, at its first transmission attempt:
 // the time, the sequence number, the retransmission flag and the
-// on-air size.
+// on-air size. It also notes when the source's transfer completes: at
+// the first feedback to arrive whose cumulative ACK covers all total
+// packets.
 type dataTap struct {
-	at  packet.NodeID
-	eng *sim.Engine
-	h   hash.Hash
-	n   int
+	at          packet.NodeID
+	eng         *sim.Engine
+	h           hash.Hash
+	n           int
+	total       uint32
+	completedAt sim.Time
 }
 
 func (dt *dataTap) PreXmit(fr *mac.Frame, _ mac.LinkInfo) mac.Verdict {
-	if fr.Attempts > 0 || fr.Seg.Source() != dt.at {
+	if src, ok := segSrc(fr.Seg); fr.Attempts > 0 || !ok || src != dt.at {
 		return mac.Continue
 	}
 	var seq uint32
@@ -105,22 +122,10 @@ func (dt *dataTap) PreXmit(fr *mac.Frame, _ mac.LinkInfo) mac.Verdict {
 	return mac.Continue
 }
 
-func (dt *dataTap) PostRcv(*mac.Frame, mac.LinkInfo) {}
-
-// senderCompletedAt returns when the flow's source learned its transfer
-// completed.
-func senderCompletedAt(t *testing.T, fl transport.Flow) sim.Time {
-	t.Helper()
-	switch c := fl.(type) {
-	case interface{ Conn() *core.Connection }:
-		return c.Conn().Sender.Stats().CompletedAt
-	case interface{ Conn() *atp.Connection }:
-		return c.Conn().Sender.Stats().CompletedAt
-	case interface{ Conn() *tcpsack.Connection }:
-		return c.Conn().Sender.Stats().CompletedAt
+func (dt *dataTap) PostRcv(fr *mac.Frame, _ mac.LinkInfo) {
+	if cum, _, ok := feedback(fr.Seg); ok && cum >= dt.total && dt.completedAt == 0 {
+		dt.completedAt = dt.eng.Now()
 	}
-	t.Fatalf("flow %T exposes no known connection", fl)
-	return 0
 }
 
 // feedbackDigest runs one fixed-size transfer over a lossy chain
@@ -155,7 +160,7 @@ func transferDigests(t *testing.T, proto string, lossTolerance float64, nodes, p
 	dst := packet.NodeID(nodes - 1)
 	tap := &feedbackTap{at: dst, eng: eng, h: sha256.New()}
 	nw.Node(dst).MAC.AddPlugin(tap)
-	data := &dataTap{at: 0, eng: eng, h: sha256.New()}
+	data := &dataTap{at: 0, eng: eng, h: sha256.New(), total: uint32(packets)}
 	nw.Node(0).MAC.AddPlugin(data)
 	nw.Start()
 	fl, err := drv.OpenFlow(transport.FlowSpec{Flow: 1, Src: 0, Dst: dst, TotalPackets: packets, LossTolerance: lossTolerance})
@@ -167,7 +172,7 @@ func transferDigests(t *testing.T, proto string, lossTolerance float64, nodes, p
 	if !fl.Done() {
 		t.Fatalf("%s: transfer incomplete: %+v", proto, fl.Stats())
 	}
-	fmt.Fprintf(data.h, "completed %d\n", senderCompletedAt(t, fl))
+	fmt.Fprintf(data.h, "completed %d\n", data.completedAt)
 	return fmt.Sprintf("%x", tap.h.Sum(nil)), fmt.Sprintf("%x", data.h.Sum(nil)), tap.n, data.n
 }
 

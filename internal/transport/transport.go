@@ -105,8 +105,6 @@ type Flow interface {
 // created per run via its registered Factory and is only used from the
 // run's (single-threaded) simulation context.
 type Driver interface {
-	// Name is the registered protocol name ("jtp", "tcp", ...).
-	Name() string
 	// Attach installs the protocol's per-node in-network machinery on a
 	// built network, before traffic starts. It must be called exactly
 	// once, before OpenFlow.
