@@ -108,14 +108,30 @@ func New(capacity int) *Cache { return NewWithPolicy(capacity, LRU, 1) }
 
 // NewWithPolicy returns a cache with the given replacement policy. The
 // seed drives the Random policy deterministically (pass the node id).
+// A zero-capacity cache stores nothing, so it gets no index.
 func NewWithPolicy(capacity int, policy Policy, seed int64) *Cache {
-	return &Cache{
-		capacity: capacity,
-		policy:   policy,
-		head:     -1,
-		tail:     -1,
-		items:    make(map[Key]int32),
-		seed:     seed,
+	c := &Cache{capacity: capacity, policy: policy, head: -1, tail: -1, seed: seed}
+	if capacity > 0 {
+		c.items = make(map[Key]int32)
+	}
+	return c
+}
+
+// Clear empties the cache and zeroes its accounting, as NewWithPolicy
+// left it: stored clones go back to the attached pool, the slab and
+// index keep their storage, and a Random policy's stream restarts from
+// its seed.
+func (c *Cache) Clear() {
+	for i := c.head; i >= 0; i = c.entries[i].next {
+		c.pool.Put(c.entries[i].pkt)
+	}
+	clear(c.entries)
+	c.entries, c.freeSlot = c.entries[:0], c.freeSlot[:0]
+	c.head, c.tail = -1, -1
+	clear(c.items)
+	c.stats = Stats{}
+	if c.rng != nil {
+		c.rng.Seed(c.seed)
 	}
 }
 

@@ -81,16 +81,17 @@ func keyFor(a, b packet.NodeID) linkKey {
 // evaluated lazily: when the link is queried at time t, sojourn periods
 // are drawn forward until they cover t. This costs nothing for idle links.
 type linkState struct {
-	bad       bool
-	changeAt  sim.Time // time of the next state flip
-	everQuery bool
+	bad      bool
+	changeAt sim.Time // time of the next state flip
 }
 
 // Channel owns the link states and answers loss-probability queries.
 type Channel struct {
 	cfg Config
 	eng *sim.Engine
-	lk  map[linkKey]*linkState
+	// lk indexes links, the states of the links queried so far, by pair.
+	lk    map[linkKey]int32
+	links []linkState
 
 	// Precomputed Gilbert-Elliott parameters. The per-transmission fast
 	// path (TransmitOK) is one RNG draw compared against one of two
@@ -106,7 +107,7 @@ func New(eng *sim.Engine, cfg Config) *Channel {
 	if cfg.Range <= 0 {
 		cfg.Range = Defaults().Range
 	}
-	c := &Channel{cfg: cfg, eng: eng, lk: make(map[linkKey]*linkState)}
+	c := &Channel{cfg: cfg, eng: eng, lk: make(map[linkKey]int32)}
 	c.range2 = cfg.Range * cfg.Range
 	meanBad := cfg.MeanBadPeriod
 	if meanBad <= 0 {
@@ -132,20 +133,31 @@ func (c *Channel) InRange(d2 float64) bool {
 // Range returns the radio range in meters.
 func (c *Channel) Range() float64 { return c.cfg.Range }
 
-// state returns the link's Gilbert-Elliott state advanced to now.
+// Clear forgets every link state, keeping the storage, so the next run
+// on the engine draws each link's state afresh as a new channel would.
+func (c *Channel) Clear() {
+	clear(c.lk)
+	c.links = c.links[:0]
+}
+
+// state returns the link's Gilbert-Elliott state advanced to now. The
+// pointer is valid until the next state call.
 func (c *Channel) state(a, b packet.NodeID) *linkState {
 	k := keyFor(a, b)
-	st, ok := c.lk[k]
+	i, ok := c.lk[k]
 	if !ok {
-		st = &linkState{}
+		var st linkState
 		// Initialize from the stationary distribution so warm-up isn't
 		// needed for the loss process itself.
 		if !c.cfg.Static && c.eng.Rand().Float64() < c.cfg.BadFraction {
 			st.bad = true
 		}
 		st.changeAt = c.eng.Now().Add(c.drawSojourn(st.bad))
-		c.lk[k] = st
+		i = int32(len(c.links))
+		c.links = append(c.links, st)
+		c.lk[k] = i
 	}
+	st := &c.links[i]
 	if c.cfg.Static {
 		st.bad = false
 		return st

@@ -116,13 +116,13 @@ func requireSameReport(t *testing.T, label string, got, want *campaign.Report) {
 
 // TestNoPackageStateInExperiments pins that campaigns take their
 // configuration as arguments: the package declares no package-level
-// variable but error sentinels, `var _ I = …` assertions and the engine
-// pool, so no campaign can configure another through the package. The
+// variable but error sentinels, `var _ I = …` assertions and the
+// substrate pool, so no campaign can configure another through the package. The
 // same holds for cmd/jtpsim, which keeps one invocation's flags and
 // sinks in one options value; its only package-level variable is the
 // process-wide expvar publication, debugVars.
 func TestNoPackageStateInExperiments(t *testing.T) {
-	for dir, allowed := range map[string]string{".": "enginePool", "../../cmd/jtpsim": "debugVars"} {
+	for dir, allowed := range map[string]string{".": "substrates", "../../cmd/jtpsim": "debugVars"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("%s: no Go files (err %v)", dir, err)

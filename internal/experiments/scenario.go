@@ -181,6 +181,8 @@ type BuiltScenario struct {
 	sc    Scenario
 	sub   *Substrate
 	flows []transport.Flow
+	// pooled: Run hands the substrate back to the pool (hook-free builds).
+	pooled bool
 }
 
 // Substrate is an assembled network that has not started: the engine,
@@ -196,6 +198,24 @@ type Substrate struct {
 
 	mob        *mobility.Model
 	radioRange float64 // the configured channel range, for endpoint picks
+	shape      shape   // what the network was built from; zero if unkeyed
+}
+
+// shape is everything Assemble builds a network's structure from. Two
+// scenarios of one shape differ only in what a run installs afresh —
+// seed, topology, budget values, flows, events — so a substrate built
+// for one, cleared, serves the other. The zero shape matches nothing.
+type shape struct {
+	proto    Protocol
+	nodes    int
+	channel  channel.Config
+	mac      mac.Config
+	routing  routing.Config
+	cacheCap int
+	policy   cache.Policy
+	tLower   float64
+	budgets  bool
+	observed bool
 }
 
 // Start launches routing and the TDMA schedule, then mobility.
@@ -206,21 +226,15 @@ func (s *Substrate) Start() {
 	}
 }
 
-// enginePool recycles simulation engines (and their event slabs) across
-// runs. Campaign workers churn through thousands of runs; reusing one
-// warm engine per worker instead of reallocating slab + heap per run is
-// the "per-worker scratch arena" of the perf refactor. An engine is
-// cleared when it comes back (Engine.Clear: no reseed) and reseeded once
-// when it goes out; Engine.Reset reproduces NewEngine exactly, so pooling
-// cannot perturb determinism.
-var enginePool = sync.Pool{New: func() any { return sim.NewEngine(0) }}
-
-// acquireEngine returns a reset engine seeded for one run.
-func acquireEngine(seed int64) *sim.Engine {
-	eng := enginePool.Get().(*sim.Engine)
-	eng.Reset(seed)
-	return eng
-}
+// substrates recycles the substrates of hook-free runs, about one per
+// campaign worker (sync.Pool keeps one per P). A worker churns through
+// thousands of runs, mostly of one cell and so of one shape: the next
+// run of the substrate's shape clears it and installs its own topology
+// instead of building a network, and a run of another shape keeps only
+// its engine and drops the rest. Every layer's Clear restores what its
+// constructor built and Engine.Reset reproduces NewEngine, so a cleared
+// substrate runs exactly like a new one (TestPooledRunMatchesFresh).
+var substrates sync.Pool
 
 // Run executes the scenario and aggregates a RunRecord. It returns an
 // error for invalid scenarios — notably a protocol with no registered
@@ -228,27 +242,14 @@ func acquireEngine(seed int64) *sim.Engine {
 func Run(sc Scenario) (*metrics.RunRecord, error) { return RunWithHooks(sc, Hooks{}) }
 
 // RunWithHooks executes the scenario with probes attached. Hook-free runs
-// recycle their engine: once Run has collected the record nothing can
-// reach the substrate, so the engine (its event slab in particular) goes
-// back to the pool for the worker's next run. Runs with a hook — it may
-// retain the network — keep their engine for the GC.
+// recycle their substrate (see BuildScenario); runs with a hook — it may
+// retain the network — build their own and leave it to the GC.
 func RunWithHooks(sc Scenario, hooks Hooks) (*metrics.RunRecord, error) {
 	b, err := BuildScenario(sc, hooks)
 	if err != nil {
 		return nil, err
 	}
-	rec := b.Run()
-	if hooks.Network == nil {
-		eng := b.sub.Engine
-		b.sub = nil
-		// Drop the pending-event handlers now, not at the next acquire:
-		// they close over the whole finished network graph, which would
-		// otherwise stay reachable while the engine sits in the pool.
-		// acquireEngine reseeds, so this does not.
-		eng.Clear()
-		enginePool.Put(eng)
-	}
-	return rec, nil
+	return b.Run(), nil
 }
 
 // Assemble builds the scenario's network without starting it: it
@@ -257,38 +258,44 @@ func RunWithHooks(sc Scenario, hooks Hooks) (*metrics.RunRecord, error) {
 // the driver and arms mobility. It is the one place a network is
 // assembled; BuildScenario and the public jtp facade both call it. The
 // run fields (Seconds, Flows, Events) are BuildScenario's to check.
-func Assemble(sc Scenario) (*Substrate, error) {
-	// The driver is resolved first so an unknown protocol fails before
-	// any simulation state exists.
-	drv, err := transport.New(string(sc.Proto))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: scenario %q: %w", sc.Name, err)
-	}
+func Assemble(sc Scenario) (*Substrate, error) { return assemble(sc, nil) }
+
+// assemble is Assemble on a recycled substrate, old (nil for none). If
+// old has the scenario's shape, its layers are cleared and take the
+// scenario's topology in place of a new network; otherwise only its
+// engine is kept.
+func assemble(sc Scenario, old *Substrate) (*Substrate, error) {
 	if sc.Explicit != nil {
 		sc.Nodes = sc.Explicit.N()
+	}
+	chCfg, macCfg, rtCfg := sc.layerConfigs()
+	key := sc.shape(chCfg, macCfg, rtCfg)
+	reuse := old != nil && key != (shape{}) && old.shape == key
+	// The driver is resolved first so an unknown protocol fails before
+	// any simulation state exists. A reused substrate has its driver.
+	var drv transport.Driver
+	if !reuse {
+		var err error
+		if drv, err = transport.New(string(sc.Proto)); err != nil {
+			return nil, fmt.Errorf("experiments: scenario %q: %w", sc.Name, err)
+		}
 	}
 	if err := sc.validateNetwork(); err != nil {
 		return nil, err
 	}
 
-	eng := acquireEngine(sc.Seed)
+	var eng *sim.Engine
+	if old != nil {
+		eng = old.Engine
+		eng.Reset(sc.Seed)
+	} else {
+		eng = sim.NewEngine(sc.Seed)
+	}
 	if sc.Obs != nil {
 		eng.Observe(sc.Obs)
 	}
 
 	// ---- Substrate -------------------------------------------------
-	chCfg := channel.Defaults()
-	if sc.Channel != nil {
-		chCfg = *sc.Channel
-	}
-	macCfg := mac.Defaults()
-	if sc.MAC != nil {
-		macCfg = *sc.MAC
-	}
-	if sc.MaxAttempts > 0 {
-		macCfg.MaxAttempts = sc.MaxAttempts
-	}
-
 	spacing := sc.LinearSpacing
 	if spacing <= 0 {
 		spacing = 80
@@ -309,51 +316,89 @@ func Assemble(sc Scenario) (*Substrate, error) {
 		return nil, fmt.Errorf("experiments: unknown topology kind %d", sc.Topo)
 	}
 
-	rtCfg := routing.Config{}
-	if sc.MobilitySpeed > 0 {
-		rtCfg = routing.Defaults()
-	}
+	var sub *Substrate
+	if reuse {
+		sub = old
+		sub.Network.Clear(topo, sc.EnergyBudgets)
+	} else {
+		nw := node.New(eng, node.Config{
+			Topo:    topo,
+			Channel: chCfg,
+			MAC:     macCfg,
+			Routing: rtCfg,
+			Energy:  energy.JAVeLEN(),
+			Budgets: sc.EnergyBudgets,
+		})
 
-	nw := node.New(eng, node.Config{
-		Topo:    topo,
-		Channel: chCfg,
-		MAC:     macCfg,
-		Routing: rtCfg,
-		Energy:  energy.JAVeLEN(),
-		Budgets: sc.EnergyBudgets,
-	})
-	if sc.Obs != nil {
-		nw.Observe(sc.Obs)
-	}
-
-	// ---- Protocol plumbing -----------------------------------------
-	netCfg := transport.NetConfig{
-		MaxAttempts:   macCfg.MaxAttempts,
-		CacheCapacity: sc.CacheCapacity,
-		CachePolicy:   sc.CachePolicy,
-		TLowerBound:   sc.TLowerBound,
-	}
-	if tune := sc.IJTPTune; tune != nil {
-		netCfg.Tune = func(cfg any) {
-			if c, ok := cfg.(*ijtp.Config); ok {
-				tune(c)
+		// ---- Protocol plumbing -------------------------------------
+		netCfg := transport.NetConfig{
+			MaxAttempts:   macCfg.MaxAttempts,
+			CacheCapacity: sc.CacheCapacity,
+			CachePolicy:   sc.CachePolicy,
+			TLowerBound:   sc.TLowerBound,
+		}
+		if tune := sc.IJTPTune; tune != nil {
+			netCfg.Tune = func(cfg any) {
+				if c, ok := cfg.(*ijtp.Config); ok {
+					tune(c)
+				}
 			}
 		}
+		if err := drv.Attach(nw, netCfg); err != nil {
+			return nil, fmt.Errorf("experiments: scenario %q: attaching %s: %w", sc.Name, sc.Proto, err)
+		}
+		sub = &Substrate{Engine: eng, Network: nw, Driver: drv, NetConfig: netCfg, radioRange: chCfg.Range, shape: key}
 	}
-	if err := drv.Attach(nw, netCfg); err != nil {
-		return nil, fmt.Errorf("experiments: scenario %q: attaching %s: %w", sc.Name, sc.Proto, err)
+	if sc.Obs != nil {
+		sub.Network.Observe(sc.Obs)
 	}
-
-	sub := &Substrate{Engine: eng, Network: nw, Driver: drv, NetConfig: netCfg, radioRange: chCfg.Range}
+	sub.mob = nil
 	if sc.MobilitySpeed > 0 {
 		sub.mob = mobility.New(eng, topo, topo.Field, mobility.Defaults(sc.MobilitySpeed))
 	}
 	return sub, nil
 }
 
+// layerConfigs resolves the channel, MAC and routing configurations the
+// scenario's network is built with.
+func (sc *Scenario) layerConfigs() (channel.Config, mac.Config, routing.Config) {
+	chCfg := channel.Defaults()
+	if sc.Channel != nil {
+		chCfg = *sc.Channel
+	}
+	macCfg := mac.Defaults()
+	if sc.MAC != nil {
+		macCfg = *sc.MAC
+	}
+	if sc.MaxAttempts > 0 {
+		macCfg.MaxAttempts = sc.MaxAttempts
+	}
+	rtCfg := routing.Config{}
+	if sc.MobilitySpeed > 0 {
+		rtCfg = routing.Defaults()
+	}
+	return chCfg, macCfg, rtCfg
+}
+
+// shape keys the network the scenario builds. A plugin tune function
+// cannot be compared, so a scenario with one gets the zero shape and
+// always builds.
+func (sc *Scenario) shape(chCfg channel.Config, macCfg mac.Config, rtCfg routing.Config) shape {
+	if sc.IJTPTune != nil {
+		return shape{}
+	}
+	return shape{
+		proto: sc.Proto, nodes: sc.Nodes,
+		channel: chCfg, mac: macCfg, routing: rtCfg,
+		cacheCap: sc.CacheCapacity, policy: sc.CachePolicy, tLower: sc.TLowerBound,
+		budgets: len(sc.EnergyBudgets) > 0, observed: sc.Obs != nil,
+	}
+}
+
 // BuildScenario validates the scenario, assembles and starts its
 // network, schedules the node events, and dials + schedules every flow.
-// The returned BuiltScenario is ready to Run.
+// The returned BuiltScenario is ready to Run. Without a hook it is
+// assembled on the worker's recycled substrate, which Run hands back.
 func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 	if sc.Explicit != nil {
 		sc.Nodes = sc.Explicit.N()
@@ -361,7 +406,17 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	sub, err := Assemble(sc)
+	var old *Substrate
+	if hooks.Network == nil {
+		old, _ = substrates.Get().(*Substrate)
+	}
+	return build(sc, hooks, old)
+}
+
+// build is BuildScenario on the recycled substrate old (nil for none),
+// after validation.
+func build(sc Scenario, hooks Hooks, old *Substrate) (*BuiltScenario, error) {
+	sub, err := assemble(sc, old)
 	if err != nil {
 		return nil, err
 	}
@@ -378,7 +433,7 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 	}
 
 	// ---- Flows -------------------------------------------------------
-	b := &BuiltScenario{sc: sc, sub: sub}
+	b := &BuiltScenario{sc: sc, sub: sub, pooled: hooks.Network == nil}
 	for i, spec := range sc.Flows {
 		src, dst := pickEndpoints(spec, sc, eng, nw.Topology(), sub.radioRange)
 		spec.Src, spec.Dst = src, dst
@@ -488,13 +543,30 @@ func (sc *Scenario) validateNetwork() error {
 	return nil
 }
 
-// Engine returns the scenario's simulation engine (perf harness probes).
+// Engine returns the scenario's simulation engine (perf harness probes),
+// until Run.
 func (b *BuiltScenario) Engine() *sim.Engine { return b.sub.Engine }
 
 // Run advances virtual time to the scenario's end and aggregates the
 // RunRecord from the network, the driver's in-network counters, and the
-// per-flow records.
+// per-flow records. It runs once: a hook-free build's substrate then
+// goes back to the pool for the worker's next run.
 func (b *BuiltScenario) Run() *metrics.RunRecord {
+	rec := b.collect()
+	if b.pooled {
+		// Drop the pending-event handlers now, not at the next reuse:
+		// they close over the finished run's flows, which would
+		// otherwise stay reachable while the substrate sits in the pool.
+		b.sub.Engine.Clear()
+		b.sub.mob = nil
+		substrates.Put(b.sub)
+		b.sub = nil
+	}
+	return rec
+}
+
+// collect runs the scenario to its end and aggregates the record.
+func (b *BuiltScenario) collect() *metrics.RunRecord {
 	b.sub.Engine.RunUntil(sim.Time(sim.DurationOf(b.sc.Seconds)))
 
 	rec := &metrics.RunRecord{

@@ -173,6 +173,13 @@ func New(id packet.NodeID, cfg Config, view PathView, forward Forwarder) *Plugin
 	}
 }
 
+// Clear zeroes the counters and empties the cache, for another run on
+// the same node (mac.MAC.Clear calls it).
+func (pl *Plugin) Clear() {
+	pl.count = Counters{}
+	pl.cache.Clear()
+}
+
 // Cache exposes the node's cache (tests and metrics).
 func (pl *Plugin) Cache() *cache.Cache { return pl.cache }
 

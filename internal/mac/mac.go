@@ -249,9 +249,11 @@ type MAC struct {
 	meter   *energy.Meter
 	plugins []Plugin
 
-	// queue is a fixed-capacity ring buffer of QueueCap frames: head is
-	// the next frame to transmit, frames push at the tail (or, for cache
-	// retransmissions, at the head) with no copying or allocation.
+	// queue is a ring buffer of frames: head is the next frame to
+	// transmit, frames push at the tail (or, for cache retransmissions,
+	// at the head) with no copying. It is allocated on the first enqueue
+	// and doubles when full, up to QueueCap frames, so a node that never
+	// queues deeply never holds QueueCap slots.
 	queue []*Frame
 	qhead int
 	qlen  int
@@ -260,6 +262,7 @@ type MAC struct {
 	// allocates no frames.
 	frFree []*Frame
 
+	// links holds the per-neighbor stats, created primed on first use.
 	links map[packet.NodeID]*linkStats
 
 	idleFrac    stats.EWMA // fraction of owned slots with nothing to send
@@ -272,13 +275,12 @@ type MAC struct {
 	Drops func(fr *Frame, reason DropReason)
 
 	// Counters for metrics.
-	txAttempts   uint64
-	txSuccess    uint64
-	rxFrames     uint64
-	queueDrops   uint64
-	retryDrops   uint64
-	pluginDrops  uint64
-	noRouteDrops uint64
+	txAttempts  uint64
+	txSuccess   uint64
+	rxFrames    uint64
+	queueDrops  uint64
+	retryDrops  uint64
+	pluginDrops uint64
 
 	// obs holds the shared telemetry bundle (see Observe). The zero value
 	// is disabled; every site is one nil-check when telemetry is off.
@@ -303,21 +305,46 @@ func New(eng *sim.Engine, id packet.NodeID, cfg Config, model energy.Model, mete
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = Defaults().QueueCap
 	}
-	m := &MAC{
-		id:    id,
-		cfg:   cfg,
-		eng:   eng,
-		env:   env,
-		model: model,
-		meter: meter,
-		queue: make([]*Frame, cfg.QueueCap),
-		links: make(map[packet.NodeID]*linkStats),
-	}
-	m.idleFrac = *stats.NewEWMA(cfg.IdleAlpha)
-	m.idleFrac.Set(1)
-	m.avgAttempts = *stats.NewEWMA(cfg.AttemptsAlpha)
-	m.avgAttempts.Set(1)
+	m := &MAC{id: id, cfg: cfg, eng: eng, env: env, model: model, meter: meter}
+	m.primeEstimators()
 	return m
+}
+
+// primeEstimators sets the node-wide estimators to their priors: every
+// owned slot idle, one attempt per frame.
+func (m *MAC) primeEstimators() {
+	m.idleFrac = *stats.NewEWMA(m.cfg.IdleAlpha)
+	m.idleFrac.Set(1)
+	m.avgAttempts = *stats.NewEWMA(m.cfg.AttemptsAlpha)
+	m.avgAttempts.Set(1)
+}
+
+// primeLink sets a link's loss estimate to the radio's nominal loss.
+func (m *MAC) primeLink(ls *linkStats) {
+	ls.loss = *stats.NewEWMA(m.cfg.LossAlpha)
+	ls.loss.Set(m.cfg.PrimeLoss)
+}
+
+// Clear returns the MAC to the state New left it in, for another run on
+// the same node: the queue is emptied, counters zeroed, estimators
+// re-primed and telemetry detached. Plugins stay installed, and those
+// with state of their own (a Clear method) are cleared too. The queue,
+// the frame free-list and the per-link entries keep their storage; an
+// entry re-primed is what a first lookup would create.
+func (m *MAC) Clear() {
+	for _, p := range m.plugins {
+		if c, ok := p.(interface{ Clear() }); ok {
+			c.Clear()
+		}
+	}
+	m.ClearQueue()
+	for _, ls := range m.links {
+		m.primeLink(ls)
+	}
+	m.primeEstimators()
+	m.txAttempts, m.txSuccess, m.rxFrames = 0, 0, 0
+	m.queueDrops, m.retryDrops, m.pluginDrops = 0, 0, 0
+	m.obs = Obs{}
 }
 
 // AddPlugin installs a PreXmit/PostRcv plugin. Plugins run in
@@ -369,6 +396,19 @@ func (m *MAC) dropFull(seg Segment, nextHop packet.NodeID) {
 	}
 }
 
+// makeRoom grows a full ring to twice its size (at least 8 frames, at
+// most QueueCap), unrolling it so the head lands at index 0. Callers
+// have checked qlen < QueueCap.
+func (m *MAC) makeRoom() {
+	if m.qlen < len(m.queue) {
+		return
+	}
+	q := make([]*Frame, min(max(2*len(m.queue), 8), m.cfg.QueueCap))
+	k := copy(q, m.queue[m.qhead:])
+	copy(q[k:], m.queue[:m.qhead])
+	m.queue, m.qhead = q, 0
+}
+
 // Enqueue queues a segment for transmission to nextHop. It reports false
 // (and counts a queue drop) when the queue is full.
 func (m *MAC) Enqueue(seg Segment, nextHop packet.NodeID) bool {
@@ -376,6 +416,7 @@ func (m *MAC) Enqueue(seg Segment, nextHop packet.NodeID) bool {
 		m.dropFull(seg, nextHop)
 		return false
 	}
+	m.makeRoom()
 	tail := m.qhead + m.qlen
 	if tail >= len(m.queue) {
 		tail -= len(m.queue)
@@ -395,6 +436,7 @@ func (m *MAC) EnqueueFront(seg Segment, nextHop packet.NodeID) bool {
 		m.dropFull(seg, nextHop)
 		return false
 	}
+	m.makeRoom()
 	m.qhead--
 	if m.qhead < 0 {
 		m.qhead += len(m.queue)
@@ -410,8 +452,11 @@ func (m *MAC) EnqueueFront(seg Segment, nextHop packet.NodeID) bool {
 func (m *MAC) link(to packet.NodeID) *linkStats {
 	ls, ok := m.links[to]
 	if !ok {
-		ls = &linkStats{loss: *stats.NewEWMA(m.cfg.LossAlpha)}
-		ls.loss.Set(m.cfg.PrimeLoss)
+		if m.links == nil {
+			m.links = make(map[packet.NodeID]*linkStats)
+		}
+		ls = new(linkStats)
+		m.primeLink(ls)
 		m.links[to] = ls
 	}
 	return ls
@@ -638,6 +683,15 @@ func NewScheduler(eng *sim.Engine, slot sim.Duration, macs []*MAC) *Scheduler {
 		m.ownSlotRate = rate
 	}
 	return s
+}
+
+// Clear rewinds the schedule to the state NewScheduler left it in:
+// slot count zero and the identity permutation, which Start shuffles.
+func (s *Scheduler) Clear() {
+	for i := range s.perm {
+		s.perm[i] = i
+	}
+	s.pos, s.slots = 0, 0
 }
 
 // Start begins slot processing.

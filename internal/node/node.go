@@ -92,7 +92,7 @@ type Node struct {
 	MAC    *mac.MAC
 	Router *routing.Router
 
-	endpoints map[packet.FlowID]Transport
+	endpoints map[packet.FlowID]Transport // allocated on the first Bind
 	count     Counters
 	net       *Network
 }
@@ -136,7 +136,8 @@ type Network struct {
 	// battery deaths (and meter resets) between refreshes.
 	deadBits []uint64
 	// nbrScratch backs the filtered Neighbors result while any node is
-	// down or battery-dead; valid until the next Neighbors call.
+	// down or battery-dead (allocated then); valid until the next
+	// Neighbors call.
 	nbrScratch []packet.NodeID
 	// views is the network-wide adjacency-snapshot cache all routers
 	// compute their views from.
@@ -193,13 +194,12 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	}
 	n := cfg.Topo.N()
 	nw.down = make([]bool, n)
-	nw.nbrScratch = make([]packet.NodeID, 0, n)
 	nw.views = routing.NewCache(nw)
 	macs := make([]*mac.MAC, n)
 	nw.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
 		id := packet.NodeID(i)
-		nd := &Node{ID: id, endpoints: make(map[packet.FlowID]Transport), net: nw}
+		nd := &Node{ID: id, net: nw}
 		nd.MAC = mac.New(eng, id, cfg.MAC, cfg.Energy, &nd.Meter, nw)
 		nd.Router = routing.New(eng, id, nw.views, cfg.Routing)
 		nd.MAC.Drops = func(fr *mac.Frame, reason mac.DropReason) {
@@ -210,6 +210,42 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	}
 	nw.sched = mac.NewScheduler(eng, cfg.MAC.SlotDuration, macs)
 	return nw
+}
+
+// Clear returns the network to the state New left it in, over topo and
+// budgets, for another run on its engine (which the caller clears or
+// resets too). topo must have the network's node count, and budgets
+// none or one entry per node. Node liveness, the link snapshot, link
+// states, routing views, MAC queues, counters and estimators, energy
+// meters, endpoint bindings and telemetry handles all reset; the MAC
+// plugins stay installed and are cleared with their MACs, and
+// free-lists, buffers and the packet pool stay warm.
+func (nw *Network) Clear(topo *topology.Topology, budgets []float64) {
+	n := len(nw.nodes)
+	if topo.N() != n || (len(budgets) != 0 && len(budgets) != n) {
+		panic(fmt.Sprintf("node: Clear over %d nodes and %d budgets for a %d-node network", topo.N(), len(budgets), n))
+	}
+	nw.cfg.Topo, nw.cfg.Budgets = topo, budgets
+	nw.topo, nw.budgets = topo, budgets
+	nw.chann.Clear()
+	nw.started = false
+	clear(nw.down)
+	nw.downCount = 0
+	nw.snap.built = false
+	nw.obsRowsPatched, nw.obsPatchEpochs, nw.obsSnapRebuilds = nil, nil, nil
+	nw.linkVer = 0
+	clear(nw.deadBits)
+	for _, nd := range nw.nodes {
+		nd.Meter = energy.Meter{}
+		nd.MAC.Clear()
+		nd.Router.Clear()
+		clear(nd.endpoints)
+		nd.count = Counters{}
+	}
+	nw.views.Clear() // after the routers have unpinned their snapshots
+	nw.sched.Clear()
+	nw.pool.Clear() // last: the plugins' caches return their clones first
+	nw.Tracer = nil
 }
 
 // Engine returns the simulation engine the network runs on.
@@ -315,7 +351,7 @@ func (nw *Network) rebuildSnap(epoch uint64) {
 	if s.grid == nil {
 		s.grid = topology.NewSpatialGrid(nw.topo, nw.chann.Range())
 	} else {
-		s.grid.Rebuild()
+		s.grid.Rebuild(nw.topo)
 	}
 	if cap(s.rows) < n {
 		s.rows = make([][]packet.NodeID, n)
@@ -671,7 +707,11 @@ func (n *Node) forward(seg mac.Segment) {
 // Bind registers a transport endpoint for a flow on a node. Delivery is
 // keyed on (node, flow); both ends of a connection bind the same flow id.
 func (nw *Network) Bind(id packet.NodeID, flow packet.FlowID, tr Transport) {
-	nw.nodes[int(id)].endpoints[flow] = tr
+	nd := nw.nodes[int(id)]
+	if nd.endpoints == nil {
+		nd.endpoints = make(map[packet.FlowID]Transport)
+	}
+	nd.endpoints[flow] = tr
 }
 
 // Unbind removes a flow endpoint.

@@ -553,6 +553,10 @@ func (p *Packet) DecodeInto(buf []byte) (int, error) {
 type Pool struct {
 	pkts []*Packet
 	acks []*AckInfo
+	// held counts the packets at the bottom of pkts that were put before
+	// the last Clear. The list is a stack, so every packet put since sits
+	// above them.
+	held int
 
 	// Reuse accounting for telemetry, read once per run via Stats. Plain
 	// counters: the pool is single-goroutine like the Engine.
@@ -561,23 +565,38 @@ type Pool struct {
 	misses uint64
 }
 
+// Clear zeroes the reuse counters and marks the packets on the list as
+// held over, keeping them for later Gets. Until the next Clear, Stats
+// counts as a miss every Get that no packet put since Clear could serve
+// — exactly the Gets a new, empty pool would have missed — so the
+// counters describe one run whatever ran on the pool before it.
+func (pl *Pool) Clear() {
+	pl.gets, pl.puts, pl.misses = 0, 0, 0
+	pl.held = len(pl.pkts)
+}
+
 // Get returns a zeroed packet, recycled when the free-list is non-empty.
 func (pl *Pool) Get() *Packet {
 	if pl == nil {
 		return new(Packet)
 	}
 	pl.gets++
-	if len(pl.pkts) == 0 {
+	n := len(pl.pkts)
+	if n == pl.held {
 		pl.misses++
-		return new(Packet)
+		if n == 0 {
+			return new(Packet)
+		}
+		pl.held--
 	}
-	p := pl.pkts[len(pl.pkts)-1]
-	pl.pkts = pl.pkts[:len(pl.pkts)-1]
+	p := pl.pkts[n-1]
+	pl.pkts = pl.pkts[:n-1]
 	return p
 }
 
-// Stats returns the pool's reuse counters: packet Gets, Puts, and Gets
-// that missed the free-list (heap allocations). Zeros on a nil pool.
+// Stats returns the pool's reuse counters since the last Clear: packet
+// Gets, Puts, and Gets that missed the packets put since (see Clear).
+// Zeros on a nil pool.
 func (pl *Pool) Stats() (gets, puts, misses uint64) {
 	if pl == nil {
 		return 0, 0, 0

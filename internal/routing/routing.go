@@ -282,6 +282,19 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
+// Clear forgets every snapshot and zeroes the accounting, keeping the
+// snapshots' arrays on the free list for the next captures. Every
+// router over the cache must have been cleared first, so nothing is
+// pinned; the next refresh captures afresh, as on a new cache.
+func (c *Cache) Clear() {
+	if c.cur != nil {
+		c.free = append(c.free, c.cur)
+		c.cur = nil
+	}
+	c.reads = 0
+	c.stats = Stats{}
+}
+
 // version reads the directory's link-state version. An unversioned
 // directory gets a new one per read, so no two refreshes share anything.
 func (c *Cache) version() uint64 {
@@ -402,6 +415,15 @@ type Router struct {
 // routers of one network share one cache.
 func New(eng *sim.Engine, id packet.NodeID, c *Cache, cfg Config) *Router {
 	return &Router{id: id, cache: c, eng: eng, cfg: cfg}
+}
+
+// Clear releases the router's view, leaving it as New did: nothing
+// adopted until Start.
+func (r *Router) Clear() {
+	if r.snap != nil {
+		r.cache.unpin(r.snap)
+	}
+	r.snap, r.consulted = nil, false
 }
 
 // Start adopts the initial view and, for a positive update period,

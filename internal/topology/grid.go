@@ -89,21 +89,18 @@ func NewSpatialGrid(t *Topology, side float64) *SpatialGrid {
 	if side <= 0 {
 		side = 1
 	}
-	n := t.N()
-	g := &SpatialGrid{
-		t:     t,
-		side:  side,
-		cells: make(map[uint64]int32, n/2+1),
-		nodes: make([]gridNode, n),
-	}
-	g.Rebuild()
+	g := &SpatialGrid{side: side, cells: make(map[uint64]int32, t.N()/2+1)}
+	g.Rebuild(t)
 	return g
 }
 
-// Rebuild re-buckets every node from the topology's current positions,
-// reusing the existing buckets and map. It forgets every cell, emptied or
-// not, and every cached neighborhood.
-func (g *SpatialGrid) Rebuild() {
+// Rebuild indexes t — the grid's topology or another one — and buckets
+// every node from its current positions, reusing the existing buckets,
+// map and per-node storage. It forgets every cell, emptied or not, and
+// every cached neighborhood.
+func (g *SpatialGrid) Rebuild(t *Topology) {
+	g.t = t
+	g.nodes = slices.Grow(g.nodes[:0], t.N())[:t.N()]
 	clear(g.cells)
 	for i := range g.buckets {
 		g.buckets[i].nodes = g.buckets[i].nodes[:0]
