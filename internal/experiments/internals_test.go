@@ -167,6 +167,33 @@ func TestAllocsIdleChainSecond(t *testing.T) {
 	}
 }
 
+// raceEnabled reports a race-detector build (race_test.go), whose
+// sync.Pool drops a random quarter of its Puts.
+var raceEnabled bool
+
+// TestAllocsPooledChainRun pins the per-run fixed cost a campaign worker
+// pays once its substrate is warm: one hook-free run of a 4-node JTP
+// chain moving 20 packets, on the substrate the previous run of its
+// shape left, allocates at most 31 times (the flow's endpoints, its
+// record, the topology and the run record). It was 185 when every run
+// built its network.
+func TestAllocsPooledChainRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops recycled substrates at random")
+	}
+	sc := Scenario{
+		Name: "pooled-chain", Proto: JTP, Topo: Linear, Nodes: 4, Seconds: 10, Seed: 1,
+		Flows: []FlowSpec{{Src: 0, Dst: 3, StartAt: 1, TotalPackets: 20}},
+	}
+	for i := 0; i < 3; i++ { // warm the substrate, its free lists and pools
+		must(Run(sc))
+	}
+	const max = 31
+	if allocs := testing.AllocsPerRun(100, func() { must(Run(sc)) }); allocs > max {
+		t.Fatalf("a pooled chain run allocates %.0f times, want ≤ %d", allocs, max)
+	}
+}
+
 // TestAllocsWarmFlowSecond pins each transport's steady state: one
 // virtual second of a warm, unbounded flow on a 4-node default-channel
 // chain allocates no more than it did when the endpoints first shared a
