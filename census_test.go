@@ -62,10 +62,12 @@ github.com/javelen/jtp/internal/a/a.go:%d:	NowCovered		50.0%%
 github.com/javelen/jtp/internal/a/a.go:%d:	Bare			0.0%%
 github.com/javelen/jtp/internal/a/a.go:%d:	Unkind			0.0%%
 github.com/javelen/jtp/internal/a/a.go:%d:	Untested		0.0%%
+github.com/javelen/jtp/internal/a/a.go:%d:	Conn			0.0%%
+github.com/javelen/jtp/internal/a/a.go:%d:	Conn			0.0%%
 github.com/javelen/jtp/cmd/x/main.go:%d:	usage			0.0%%
 github.com/javelen/jtp/jtp.go:%d:		Facade			0.0%%
 total:					(statements)		61.0%%
-`, line, line+5, line+9, line+12, line+20, line+30, line+31, line+32, line, line)
+`, line, line+5, line+9, line+12, line+20, line+30, line+31, line+32, line+40, line+41, line, line)
 	}
 	list := `# comment lines and blank lines are skipped
 
@@ -77,9 +79,11 @@ internal/a/a.go Unkind  because: it is handy
 internal/a/a.go Untested  test seam/oracle + test: TestMissing reads it
 cmd/x/main.go usage  diagnostic: prints the usage
 internal/a/a.go Listed  diagnostic: twice
+internal/a/a.go Conn  interface method: two generic types' Conn methods
 `
 	tests := map[string]bool{"TestListed": true}
 	want := []string{
+		"internal/a/a.go:52: Conn has the census key of line 51 (a generic type's method is printed without its receiver); rename one, or one entry covers both",
 		"internal/a/a.go:16: T.Unlisted is at 0% and testdata/unreached.txt does not list it",
 		`unreached.txt:4: internal/a/a.go NowCovered is covered now; delete the entry`,
 		`unreached.txt:5: internal/a/a.go Gone names no function of the census; delete the entry`,
@@ -94,8 +98,9 @@ internal/a/a.go Listed  diagnostic: twice
 	}
 
 	// Keys carry no line number: shifting every function down the file
-	// moves only the position of the one unlisted function.
-	want[0] = "internal/a/a.go:56: T.Unlisted is at 0% and testdata/unreached.txt does not list it"
+	// moves only the positions of the key clash and the unlisted function.
+	want[0] = "internal/a/a.go:92: Conn has the census key of line 91 (a generic type's method is printed without its receiver); rename one, or one entry covers both"
+	want[1] = "internal/a/a.go:56: T.Unlisted is at 0% and testdata/unreached.txt does not list it"
 	got = checkCensus(funcs(51), list, tests)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("shifted problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -117,16 +122,21 @@ internal/a/a.go Listed  diagnostic: twice
 
 // checkCensus returns one line per disagreement between the census
 // funcs (`go tool covdata func` output) and the unreached list, in the
-// order: unlisted functions (by census line), then entries (by line).
-// A function's key is its file, relative to the module, and its name as
-// the census prints it, receiver included and pointer star dropped; the
-// line number is not part of it. Only internal/ and cmd/ are censused,
-// and a String method is exempt: fmt reaches it, and a diagnostic
-// string no command prints is still a diagnostic.
+// order: key clashes, then unlisted functions (both by census line),
+// then entries (by line). A function's key is its file, relative
+// to the module, and its name as the census prints it, receiver
+// included and pointer star dropped; the line number is not part of it.
+// The census prints a generic type's method without its receiver, so
+// two functions of one file may share a key, and then one entry would
+// cover both: that is a disagreement too. Only internal/ and cmd/ are
+// censused, and a String method is exempt: fmt reaches it, and a
+// diagnostic string no command prints is still a diagnostic.
 func checkCensus(funcs, list string, tests map[string]bool) []string {
 	zero, covered := map[string]bool{}, map[string]bool{}
 	type fn struct{ key, pos, name string }
 	var unreached []fn
+	var unlisted []string
+	seen := map[string]string{} // key → the census line it was first on
 	for _, line := range strings.Split(funcs, "\n") {
 		f := strings.Fields(line)
 		if len(f) != 3 || !strings.HasSuffix(f[2], "%") {
@@ -139,6 +149,11 @@ func checkCensus(funcs, list string, tests map[string]bool) []string {
 		}
 		name := strings.TrimPrefix(f[1], "*")
 		key := file + " " + name
+		if first, dup := seen[key]; dup {
+			unlisted = append(unlisted, fmt.Sprintf("%s:%s: %s has the census key of line %s (a generic type's method is printed without its receiver); rename one, or one entry covers both", file, ln, name, first))
+		} else {
+			seen[key] = ln
+		}
 		if f[2] != "0.0%" {
 			covered[key] = true
 			continue
@@ -180,7 +195,6 @@ func checkCensus(funcs, list string, tests map[string]bool) []string {
 		}
 	}
 
-	var unlisted []string
 	for _, u := range unreached {
 		if !listed[u.key] {
 			unlisted = append(unlisted, fmt.Sprintf("%s: %s is at 0%% and testdata/unreached.txt does not list it", u.pos, u.name))

@@ -12,10 +12,15 @@ type Endpoint interface {
 	Record(fr *metrics.FlowRecord)
 }
 
-// Conn bundles both ends of one connection.
+// Conn bundles both ends of one connection. Opened for a FlowSpec by
+// NewFlow, it is the Flow; probes that know the protocol they selected
+// assert the Flow back to the protocol's *Conn.
 type Conn[S, R Endpoint] struct {
 	Sender   S
 	Receiver R
+
+	proto string // NewFlow's protocol name and spec, for Stats
+	spec  FlowSpec
 }
 
 // Start starts the receiver, then the sender, so the first packet finds
@@ -34,33 +39,23 @@ func (c *Conn[S, R]) Stop() {
 // Done reports whether a fixed-size transfer completed end to end.
 func (c *Conn[S, R]) Done() bool { return c.Sender.Done() && c.Receiver.Done() }
 
-// NewFlow adapts a connection opened for spec to the Flow interface. The
-// returned flow's Conn method exposes the connection to probes that know
-// the protocol they selected.
-func NewFlow[S, R Endpoint](proto string, spec FlowSpec, c *Conn[S, R]) Flow {
-	return &connFlow[S, R]{proto: proto, spec: spec, conn: c}
-}
-
-type connFlow[S, R Endpoint] struct {
-	proto string
-	spec  FlowSpec
-	conn  *Conn[S, R]
-}
-
-func (f *connFlow[S, R]) Start()            { f.conn.Start() }
-func (f *connFlow[S, R]) Stop()             { f.conn.Stop() }
-func (f *connFlow[S, R]) Done() bool        { return f.conn.Done() }
-func (f *connFlow[S, R]) Conn() *Conn[S, R] { return f.conn }
-
-func (f *connFlow[S, R]) Stats() *metrics.FlowRecord {
+// Stats snapshots the connection as the record of the flow NewFlow
+// opened it for (Flow).
+func (c *Conn[S, R]) Stats() *metrics.FlowRecord {
 	fr := &metrics.FlowRecord{
-		Proto:   f.proto,
-		Flow:    uint16(f.spec.Flow),
-		Src:     uint16(f.spec.Src),
-		Dst:     uint16(f.spec.Dst),
-		StartAt: f.spec.StartAt,
+		Proto:   c.proto,
+		Flow:    uint16(c.spec.Flow),
+		Src:     uint16(c.spec.Src),
+		Dst:     uint16(c.spec.Dst),
+		StartAt: c.spec.StartAt,
 	}
-	f.conn.Sender.Record(fr)
-	f.conn.Receiver.Record(fr)
+	c.Sender.Record(fr)
+	c.Receiver.Record(fr)
 	return fr
+}
+
+// NewFlow adapts a connection opened for spec to the Flow interface.
+func NewFlow[S, R Endpoint](proto string, spec FlowSpec, c *Conn[S, R]) Flow {
+	c.proto, c.spec = proto, spec
+	return c
 }

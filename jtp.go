@@ -491,8 +491,8 @@ func (f *Flow) AcksSent() uint64 { return f.Stats().AcksSent }
 // Rate returns the receiver-mandated sending rate in packets/s. It is
 // JTP-specific and returns 0 for baseline protocols.
 func (f *Flow) Rate() float64 {
-	if cc, ok := f.tf.(interface{ Conn() *core.Connection }); ok {
-		return cc.Conn().Receiver.Rate()
+	if cc, ok := f.tf.(*core.Connection); ok {
+		return cc.Receiver.Rate()
 	}
 	return 0
 }
