@@ -352,7 +352,6 @@ func assemble(sc Scenario, old *Substrate) (*Substrate, error) {
 	if sc.Obs != nil {
 		sub.Network.Observe(sc.Obs)
 	}
-	sub.mob = nil
 	if sc.MobilitySpeed > 0 {
 		sub.mob = mobility.New(eng, topo, topo.Field, mobility.Defaults(sc.MobilitySpeed))
 	}
@@ -558,7 +557,6 @@ func (b *BuiltScenario) Run() *metrics.RunRecord {
 		// they close over the finished run's flows, which would
 		// otherwise stay reachable while the substrate sits in the pool.
 		b.sub.Engine.Clear()
-		b.sub.mob = nil
 		substrates.Put(b.sub)
 		b.sub = nil
 	}

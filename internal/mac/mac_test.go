@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/javelen/jtp/internal/energy"
@@ -407,6 +408,51 @@ func TestRingQueueWrapAndFrontOrdering(t *testing.T) {
 	}
 	if m0.qlen != 0 {
 		t.Fatalf("queue not drained: %d", m0.qlen)
+	}
+}
+
+// TestRingQueueGrowsInOrder drives the lazily grown ring against a
+// slice model: random enqueues at either end and transmissions keep the
+// head mid-ring as the ring doubles from 8 to QueueCap, and every frame
+// must leave in model order, with overflow dropped at QueueCap.
+func TestRingQueueGrowsInOrder(t *testing.T) {
+	_, env, m0, _ := build(t)
+	if m0.queue != nil {
+		t.Fatal("New allocated the queue before the first enqueue")
+	}
+	rng := rand.New(rand.NewSource(3))
+	var model []Segment
+	drops := uint64(0)
+	for step := 0; step < 5000; step++ {
+		seg := &stubSeg{size: step, dst: 1}
+		switch r := rng.Intn(10); {
+		case r < 4:
+			if m0.Enqueue(seg, 1) {
+				model = append(model, seg)
+			} else {
+				drops++
+			}
+		case r < 6:
+			if m0.EnqueueFront(seg, 1) {
+				model = append([]Segment{seg}, model...)
+			} else {
+				drops++
+			}
+		default:
+			m0.OwnSlot()
+			if len(model) > 0 {
+				if got := env.delivered[len(env.delivered)-1].Seg; got != model[0] {
+					t.Fatalf("step %d: sent %v, want %v", step, got, model[0])
+				}
+				model = model[1:]
+			}
+		}
+		if m0.qlen != len(model) || len(m0.queue) > m0.cfg.QueueCap {
+			t.Fatalf("step %d: %d queued in a ring of %d, model holds %d", step, m0.qlen, len(m0.queue), len(model))
+		}
+	}
+	if len(m0.queue) != m0.cfg.QueueCap || drops == 0 || m0.QueueDrops() != drops {
+		t.Fatalf("ring %d of %d, %d drops counted of %d: the queue never filled", len(m0.queue), m0.cfg.QueueCap, m0.QueueDrops(), drops)
 	}
 }
 
