@@ -9,6 +9,7 @@ import (
 	"github.com/javelen/jtp/internal/cache"
 	"github.com/javelen/jtp/internal/channel"
 	"github.com/javelen/jtp/internal/mac"
+	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/transport"
@@ -108,7 +109,7 @@ func pooledCases() []pooledCase {
 
 // recordBytes is a run's record as JSON: every exported field, floats
 // in their shortest exact form.
-func recordBytes(t testing.TB, sc Scenario, run func(Scenario) (any, error)) []byte {
+func recordBytes(t testing.TB, sc Scenario, run func(Scenario) (*metrics.RunRecord, error)) []byte {
 	t.Helper()
 	rec, err := run(sc)
 	if err != nil {
@@ -123,12 +124,9 @@ func recordBytes(t testing.TB, sc Scenario, run func(Scenario) (any, error)) []b
 
 // runFresh runs sc on a network built for it alone: a run with a hook
 // never takes a recycled substrate.
-func runFresh(sc Scenario) (any, error) {
+func runFresh(sc Scenario) (*metrics.RunRecord, error) {
 	return RunWithHooks(sc, Hooks{Network: func(*node.Network) {}})
 }
-
-// runPlain runs sc the way campaign workers do.
-func runPlain(sc Scenario) (any, error) { return Run(sc) }
 
 // otherShape returns a scenario no substrate built for sc fits: another
 // protocol on a longer chain over the other channel.
@@ -198,9 +196,9 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			const seed = 11
 			want := recordBytes(t, c.make(seed), runFresh)
-			recordBytes(t, otherShape(c.make(seed)), runPlain)
-			recordBytes(t, c.make(seed+100), runPlain)
-			got := recordBytes(t, c.make(seed), runPlain)
+			recordBytes(t, otherShape(c.make(seed)), Run)
+			recordBytes(t, c.make(seed+100), Run)
+			got := recordBytes(t, c.make(seed), Run)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("pooled run differs from a fresh build:\n got %s\nwant %s", got, want)
 			}
