@@ -2,9 +2,13 @@ package jtp
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -45,7 +49,7 @@ func TestCoverageCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range checkCensus(string(funcs), string(list), tests) {
+	for _, p := range checkCensus(string(funcs), string(list), tests, os.DirFS(".")) {
 		t.Error(p)
 	}
 }
@@ -64,6 +68,9 @@ github.com/javelen/jtp/internal/a/a.go:%d:	Unkind			0.0%%
 github.com/javelen/jtp/internal/a/a.go:%d:	Untested		0.0%%
 github.com/javelen/jtp/internal/a/a.go:%d:	Conn			0.0%%
 github.com/javelen/jtp/internal/a/a.go:%d:	Conn			0.0%%
+github.com/javelen/jtp/internal/a/b.go:4:	Noop			0.0%%
+github.com/javelen/jtp/internal/a/b.go:6:	T.Hook			0.0%%
+github.com/javelen/jtp/internal/a/b.go:10:	Work			0.0%%
 github.com/javelen/jtp/cmd/x/main.go:%d:	usage			0.0%%
 github.com/javelen/jtp/jtp.go:%d:		Facade			0.0%%
 total:					(statements)		61.0%%
@@ -80,19 +87,35 @@ internal/a/a.go Untested  test seam/oracle + test: TestMissing reads it
 cmd/x/main.go usage  diagnostic: prints the usage
 internal/a/a.go Listed  diagnostic: twice
 internal/a/a.go Conn  interface method: two generic types' Conn methods
+internal/a/b.go Noop  interface method: mac.Plugin
 `
+	// b.go's functions with no statements are exempt wherever they sit;
+	// Work, which has one, is not.
+	src := fstest.MapFS{"internal/a/b.go": {Data: []byte(`package a
+
+// Noop does nothing.
+func Noop() {}
+
+func (T) Hook() {
+	// A comment is not a statement.
+}
+
+func Work() { Noop() }
+`)}}
 	tests := map[string]bool{"TestListed": true}
 	want := []string{
 		"internal/a/a.go:52: Conn has the census key of line 51 (a generic type's method is printed without its receiver); rename one, or one entry covers both",
 		"internal/a/a.go:16: T.Unlisted is at 0% and testdata/unreached.txt does not list it",
+		"internal/a/b.go:10: Work is at 0% and testdata/unreached.txt does not list it",
 		`unreached.txt:4: internal/a/a.go NowCovered is covered now; delete the entry`,
 		`unreached.txt:5: internal/a/a.go Gone names no function of the census; delete the entry`,
 		`unreached.txt:6: internal/a/a.go Bare: no reason; want one of ["diagnostic" "failure path + test" "test seam/oracle + test" "interface method" "facade reach" "bench probe" "pending ROADMAP item"], a colon and what needs it`,
 		`unreached.txt:7: internal/a/a.go Unkind: no reason; want one of ["diagnostic" "failure path + test" "test seam/oracle + test" "interface method" "facade reach" "bench probe" "pending ROADMAP item"], a colon and what needs it`,
 		`unreached.txt:8: internal/a/a.go Untested: reason "test seam/oracle + test: TestMissing reads it" names no test declared in a _test.go file`,
 		`unreached.txt:10: internal/a/a.go Listed is listed twice`,
+		`unreached.txt:12: internal/a/b.go Noop names no function of the census; delete the entry`,
 	}
-	got := checkCensus(funcs(11), list, tests)
+	got := checkCensus(funcs(11), list, tests, src)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
@@ -101,7 +124,7 @@ internal/a/a.go Conn  interface method: two generic types' Conn methods
 	// moves only the positions of the key clash and the unlisted function.
 	want[0] = "internal/a/a.go:92: Conn has the census key of line 91 (a generic type's method is printed without its receiver); rename one, or one entry covers both"
 	want[1] = "internal/a/a.go:56: T.Unlisted is at 0% and testdata/unreached.txt does not list it"
-	got = checkCensus(funcs(51), list, tests)
+	got = checkCensus(funcs(51), list, tests, src)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("shifted problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
@@ -129,9 +152,22 @@ internal/a/a.go Conn  interface method: two generic types' Conn methods
 // The census prints a generic type's method without its receiver, so
 // two functions of one file may share a key, and then one entry would
 // cover both: that is a disagreement too. Only internal/ and cmd/ are
-// censused, and a String method is exempt: fmt reaches it, and a
-// diagnostic string no command prints is still a diagnostic.
-func checkCensus(funcs, list string, tests map[string]bool) []string {
+// censused, and two kinds of function are exempt. A String method: fmt
+// reaches it, and a diagnostic string no command prints is still a
+// diagnostic. A function with no statements, found by parsing its file
+// in src: the census has no statement to count it by, so it reads 0%
+// whether or not it runs.
+func checkCensus(funcs, list string, tests map[string]bool, src fs.FS) []string {
+	empty := map[string]map[int]bool{} // file → lines of its empty functions
+	isEmpty := func(file, ln string) bool {
+		lines, ok := empty[file]
+		if !ok {
+			lines = emptyFuncs(src, file)
+			empty[file] = lines
+		}
+		n, _ := strconv.Atoi(ln)
+		return lines[n]
+	}
 	zero, covered := map[string]bool{}, map[string]bool{}
 	type fn struct{ key, pos, name string }
 	var unreached []fn
@@ -158,7 +194,7 @@ func checkCensus(funcs, list string, tests map[string]bool) []string {
 			covered[key] = true
 			continue
 		}
-		if name == "String" || strings.HasSuffix(name, ".String") {
+		if name == "String" || strings.HasSuffix(name, ".String") || isEmpty(file, ln) {
 			continue
 		}
 		zero[key] = true
@@ -201,6 +237,28 @@ func checkCensus(funcs, list string, tests map[string]bool) []string {
 		}
 	}
 	return append(unlisted, entries...)
+}
+
+// emptyFuncs returns the lines, as the census prints them (the line of
+// the func keyword), of the functions in file that have a body with no
+// statements. A file that cannot be read or parsed exempts nothing.
+func emptyFuncs(src fs.FS, file string) map[int]bool {
+	text, err := fs.ReadFile(src, file)
+	if err != nil {
+		return nil
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, text, parser.SkipObjectResolution)
+	if err != nil {
+		return nil
+	}
+	lines := map[int]bool{}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && len(fd.Body.List) == 0 {
+			lines[fset.Position(fd.Pos()).Line] = true
+		}
+	}
+	return lines
 }
 
 // checkReason says what is wrong with an entry's reason, or "" if it is

@@ -25,7 +25,6 @@ var exportAllowlist = map[string]string{
 	"campaign.Report.TelemetryCSV": "TestGoldenFig9Telemetry pins its output in fig9.telemetry.csv",
 	"channel.Channel.Bad":          "TestSymmetricLinkState and TestMeanBadPeriod read the link state",
 	"channel.Channel.ForceState":   "TestSymmetricLinkState and TestLossProbStates hold a link in one state",
-	"ijtp.UniformTarget":           "BenchmarkAblationTargetStrategy runs it as an ablation arm; it is the zero-value default",
 	"mac.Scheduler.Slots":          "TestSchedulerSlotRate counts the slots elapsed",
 	"obs.Gauge.HighWater":          "TestAllocsScheduleSteadyStateObserved reads the heap-depth high-water mark",
 	"routing.View.Hops":            "TestViewSnapshotAccessors reads the full-view oracle behind Cache.Fill",

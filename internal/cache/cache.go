@@ -11,7 +11,7 @@
 // cache/memory management" as ongoing work (§8); this package implements
 // those extensions as alternative policies: FIFO, Random, and
 // EnergyAware (keep the packets the network has invested the most energy
-// in). The ablation benchmarks compare them.
+// in). A batch matrix's cachePolicies axis compares them.
 package cache
 
 import (

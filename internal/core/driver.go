@@ -49,9 +49,6 @@ func (d *driver) Attach(nw *node.Network, nc transport.NetConfig) error {
 		iCfg.CacheEnabled = false
 	}
 	iCfg.CachePolicy = nc.CachePolicy
-	if nc.Tune != nil {
-		nc.Tune(&iCfg)
-	}
 	eng := nw.Engine()
 	for _, nd := range nw.Nodes() {
 		id := nd.ID
@@ -100,9 +97,6 @@ func (d *driver) OpenFlow(spec transport.FlowSpec) (transport.Flow, error) {
 	cfg.DeadlineAfter = spec.DeadlineAfter
 	if d.net.TLowerBound > 0 {
 		cfg.TLowerBound = d.net.TLowerBound
-	}
-	if spec.Tune != nil {
-		spec.Tune(&cfg)
 	}
 	if spec.InitialRate > 0 {
 		cfg.InitialRate = spec.InitialRate

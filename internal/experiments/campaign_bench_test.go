@@ -37,3 +37,23 @@ func BenchmarkFig9Campaign(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimulatedSecond measures how fast the full stack simulates
+// one virtual second of a busy 8-node chain (events, MAC, iJTP, caches).
+func BenchmarkSimulatedSecond(b *testing.B) {
+	rec := Scenario{
+		Name: "bench-stack", Proto: JTP, Topo: Linear,
+		// At least 3 s, so both flows start even at b.N = 1.
+		Nodes: 8, Seconds: max(float64(b.N), 3), Seed: 1,
+		Flows: []FlowSpec{
+			{Src: 0, Dst: 7, StartAt: 1},
+			{Src: 7, Dst: 0, StartAt: 2},
+		},
+	}
+	b.ResetTimer()
+	out := must(Run(rec))
+	b.StopTimer()
+	if out.TotalEnergy <= 0 && b.N > 30 {
+		b.Fatal("stack benchmark did nothing")
+	}
+}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"github.com/javelen/jtp/internal/campaign"
-	"github.com/javelen/jtp/internal/core"
 	"github.com/javelen/jtp/internal/mac"
 	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/sim"
@@ -113,10 +112,15 @@ func fig7Scenario(cfg Fig7Config, fbRate float64, seed int64) Scenario {
 	// The long-lived flow is a large fixed transfer spanning most of the
 	// run, so the data volume is the same in every cell and the energy
 	// difference across cells is the feedback traffic itself.
+	// Every flow's rate is capped near the slow MAC's per-node share so
+	// the data volume is comparable across feedback regimes and the ACK
+	// energy difference is what the experiment measures.
 	flows := []FlowSpec{{
 		Src: 0, Dst: n - 1, StartAt: 50,
 		TotalPackets:         cfg.LongPackets,
 		ConstantFeedbackRate: fbRate,
+		InitialRate:          1.6,
+		MaxRate:              1.6,
 	}}
 	// Short-lived flows arrive in overlapping pairs spread over the run:
 	// each pair's onset is a sharp congestion event the long-lived
@@ -135,6 +139,7 @@ func fig7Scenario(cfg Fig7Config, fbRate float64, seed int64) Scenario {
 			StartAt:      200 + float64(pair)*span + float64(i%2)*5,
 			TotalPackets: cfg.ShortPackets,
 			InitialRate:  1.2,
+			MaxRate:      1.6,
 		})
 	}
 	macCfg := mac.Defaults()
@@ -153,12 +158,5 @@ func fig7Scenario(cfg Fig7Config, fbRate float64, seed int64) Scenario {
 		Seed:    seed,
 		MAC:     &macCfg,
 		Flows:   flows,
-		// Cap rates near the slow MAC's per-node share so the data
-		// volume is comparable across feedback regimes and the ACK
-		// energy difference is what the experiment measures.
-		JTPTune: func(c *core.Config) {
-			c.MaxRate = 1.6
-			c.InitialRate = 1.6
-		},
 	}
 }

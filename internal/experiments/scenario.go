@@ -18,7 +18,6 @@ import (
 
 	"github.com/javelen/jtp/internal/cache"
 	"github.com/javelen/jtp/internal/channel"
-	"github.com/javelen/jtp/internal/core"
 	"github.com/javelen/jtp/internal/energy"
 	"github.com/javelen/jtp/internal/ijtp"
 	"github.com/javelen/jtp/internal/mac"
@@ -141,12 +140,6 @@ type Scenario struct {
 	MaxAttempts int
 	// TLowerBound overrides Table 1's 10 s feedback lower bound when > 0.
 	TLowerBound float64
-	// JTPTune applies scenario-specific controller settings to every JTP
-	// connection config just before dialing.
-	JTPTune func(cfg *core.Config)
-	// IJTPTune applies scenario-specific settings to the per-node iJTP
-	// plugin configuration (ablation knobs).
-	IJTPTune func(cfg *ijtp.Config)
 
 	// Obs, when non-nil, attaches run telemetry: the kernel and MAC write
 	// live counters into it during the run, and Run adds the end-of-run
@@ -198,13 +191,13 @@ type Substrate struct {
 
 	mob        *mobility.Model
 	radioRange float64 // the configured channel range, for endpoint picks
-	shape      shape   // what the network was built from; zero if unkeyed
+	shape      shape   // what the network was built from
 }
 
 // shape is everything Assemble builds a network's structure from. Two
 // scenarios of one shape differ only in what a run installs afresh —
 // seed, topology, budget values, flows, events — so a substrate built
-// for one, cleared, serves the other. The zero shape matches nothing.
+// for one, cleared, serves the other.
 type shape struct {
 	proto    Protocol
 	nodes    int
@@ -270,7 +263,7 @@ func assemble(sc Scenario, old *Substrate) (*Substrate, error) {
 	}
 	chCfg, macCfg, rtCfg := sc.layerConfigs()
 	key := sc.shape(chCfg, macCfg, rtCfg)
-	reuse := old != nil && key != (shape{}) && old.shape == key
+	reuse := old != nil && old.shape == key
 	// The driver is resolved first so an unknown protocol fails before
 	// any simulation state exists. A reused substrate has its driver.
 	var drv transport.Driver
@@ -337,13 +330,6 @@ func assemble(sc Scenario, old *Substrate) (*Substrate, error) {
 			CachePolicy:   sc.CachePolicy,
 			TLowerBound:   sc.TLowerBound,
 		}
-		if tune := sc.IJTPTune; tune != nil {
-			netCfg.Tune = func(cfg any) {
-				if c, ok := cfg.(*ijtp.Config); ok {
-					tune(c)
-				}
-			}
-		}
 		if err := drv.Attach(nw, netCfg); err != nil {
 			return nil, fmt.Errorf("experiments: scenario %q: attaching %s: %w", sc.Name, sc.Proto, err)
 		}
@@ -379,13 +365,8 @@ func (sc *Scenario) layerConfigs() (channel.Config, mac.Config, routing.Config) 
 	return chCfg, macCfg, rtCfg
 }
 
-// shape keys the network the scenario builds. A plugin tune function
-// cannot be compared, so a scenario with one gets the zero shape and
-// always builds.
+// shape keys the network the scenario builds.
 func (sc *Scenario) shape(chCfg channel.Config, macCfg mac.Config, rtCfg routing.Config) shape {
-	if sc.IJTPTune != nil {
-		return shape{}
-	}
 	return shape{
 		proto: sc.Proto, nodes: sc.Nodes,
 		channel: chCfg, mac: macCfg, routing: rtCfg,
@@ -449,13 +430,6 @@ func build(sc Scenario, hooks Hooks, old *Substrate) (*BuiltScenario, error) {
 			ConstantFeedbackRate:   spec.ConstantFeedbackRate,
 			InitialRate:            spec.InitialRate,
 			MaxRate:                spec.MaxRate,
-		}
-		if tune := sc.JTPTune; tune != nil {
-			tSpec.Tune = func(cfg any) {
-				if c, ok := cfg.(*core.Config); ok {
-					tune(c)
-				}
-			}
 		}
 
 		fl, err := drv.OpenFlow(tSpec)

@@ -166,3 +166,13 @@ func TestLimitsOrderedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkFlipflopObserve measures the path-monitor filter per sample.
+func BenchmarkFlipflopObserve(b *testing.B) {
+	f := New(Defaults())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Observe(10 + float64(i%7))
+	}
+}

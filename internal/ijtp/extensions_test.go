@@ -1,9 +1,7 @@
 package ijtp
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"github.com/javelen/jtp/internal/mac"
 	"github.com/javelen/jtp/internal/packet"
@@ -39,114 +37,6 @@ func TestDeadlineIgnoredWithoutClock(t *testing.T) {
 	fr := &mac.Frame{Seg: p, MaxAttempts: 1}
 	if pl.PreXmit(fr, mac.LinkInfo{FirstAttempt: true, AttemptCost: 1e-6, LossRate: 0.1, AvailRate: 5}) != mac.Continue {
 		t.Fatal("deadline enforced without a clock")
-	}
-}
-
-func TestLoadAwareTarget(t *testing.T) {
-	q := 0.9
-	// Idle node (avail = slot share): stricter target.
-	idle := LoadAwareTargetFor(q, 5, 5)
-	if idle <= q {
-		t.Fatalf("idle node target %.4f should exceed uniform %.4f", idle, q)
-	}
-	// Saturated node: laxer target.
-	busy := LoadAwareTargetFor(q, 0.5, 5)
-	if busy >= q {
-		t.Fatalf("busy node target %.4f should be below uniform %.4f", busy, q)
-	}
-	// Degenerate inputs unchanged.
-	if LoadAwareTargetFor(q, 1, 0) != q || LoadAwareTargetFor(1, 1, 5) != 1 {
-		t.Fatal("degenerate inputs must pass through")
-	}
-}
-
-func TestLoadAwareBoundsProperty(t *testing.T) {
-	prop := func(qRaw, avail, share float64) bool {
-		q := 0.01 + math.Mod(math.Abs(qRaw), 0.98)
-		a := math.Mod(math.Abs(avail), 100)
-		s := math.Mod(math.Abs(share), 100)
-		if math.IsNaN(q) || math.IsNaN(a) || math.IsNaN(s) {
-			return true
-		}
-		out := LoadAwareTargetFor(q, a, s)
-		// Always a valid probability, and within the α∈[0.5,1.5] band:
-		// q² ≤ out ≤ q^(2/3).
-		return out > 0 && out < 1 &&
-			out >= q*q-1e-12 && out <= math.Pow(q, 2.0/3.0)+1e-12
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadAwareCompositionStillMeetsTolerance(t *testing.T) {
-	// The §3 invariant must survive the alternative strategy: Eq (3)
-	// re-encoding with achieved q_i keeps the end-to-end tolerance even
-	// when per-hop targets are bent by load.
-	prop := func(ltRaw float64, hRaw uint8, pRaw, loadRaw float64) bool {
-		lt := 0.01 + math.Mod(math.Abs(ltRaw), 0.4)
-		h := 1 + int(hRaw%8)
-		p := 0.01 + math.Mod(math.Abs(pRaw), 0.5)
-		if math.IsNaN(lt) || math.IsNaN(p) {
-			return true
-		}
-		const maxAttempts = 50
-		e2eSuccess := 1.0
-		remaining := lt
-		load := math.Mod(math.Abs(loadRaw), 5)
-		if math.IsNaN(load) {
-			load = 1
-		}
-		for hop := 0; hop < h; hop++ {
-			q := PerHopTarget(remaining, h-hop)
-			// Each hop has a different (derived) load.
-			avail := math.Mod(load*float64(hop+1), 5)
-			bent := LoadAwareTargetFor(q, avail, 5)
-			// Same rule as the plugin: the final hop never relaxes.
-			if h-hop <= 1 && bent < q {
-				bent = q
-			}
-			q = bent
-			m := MaxAttemptsFor(q, p, maxAttempts)
-			qi := 1 - math.Pow(p, float64(m))
-			e2eSuccess *= qi
-			remaining = UpdateLossTolerance(remaining, qi)
-		}
-		return 1-e2eSuccess <= lt+1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadAwareStrategyInPlugin(t *testing.T) {
-	cfg := Defaults()
-	cfg.Strategy = LoadAwareTarget
-	plIdle := New(1, cfg, fakeView{hops: 2}, nil)
-	plBusy := New(2, cfg, fakeView{hops: 2}, nil)
-
-	mk := func() (*packet.Packet, *mac.Frame) {
-		p := dataPkt(1) // lt = 0.2
-		return p, &mac.Frame{Seg: p, MaxAttempts: 1}
-	}
-	// Idle node: avail == share.
-	p1, fr1 := mk()
-	plIdle.PreXmit(fr1, mac.LinkInfo{FirstAttempt: true, AttemptCost: 1e-6,
-		LossRate: 0.3, AvailRate: 5, SlotShare: 5})
-	// Saturated node: avail << share.
-	p2, fr2 := mk()
-	plBusy.PreXmit(fr2, mac.LinkInfo{FirstAttempt: true, AttemptCost: 1e-6,
-		LossRate: 0.3, AvailRate: 0.5, SlotShare: 5})
-	if fr1.MaxAttempts < fr2.MaxAttempts {
-		t.Fatalf("idle node committed fewer attempts (%d) than the busy one (%d)",
-			fr1.MaxAttempts, fr2.MaxAttempts)
-	}
-	// The idle node's stricter effort leaves more tolerance downstream.
-	if p1.LossTol < p2.LossTol-1e-12 {
-		t.Fatalf("idle-node residual tolerance %.4f < busy %.4f", p1.LossTol, p2.LossTol)
-	}
-	if UniformTarget.String() != "uniform" || LoadAwareTarget.String() != "load-aware" {
-		t.Fatal("strategy names")
 	}
 }
 

@@ -46,60 +46,10 @@ type Config struct {
 	// MinLossRate floors the link-loss estimate used in Eq (2) so a
 	// perfectly clean link still yields a finite attempt computation.
 	MinLossRate float64
-	// StaticTolerance disables the Eq (3) re-encoding of the loss
-	// tolerance field: every hop computes its target from the original
-	// end-to-end tolerance and its own view of the remaining path. This
-	// is an ablation knob (DESIGN.md §4); the paper's protocol re-encodes
-	// so left-over attempts are not spent downstream.
-	StaticTolerance bool
 	// CachePolicy selects the cache replacement strategy. The paper uses
 	// LRU and leaves other strategies to future work (§4, §8); see the
 	// cache package.
 	CachePolicy cache.Policy
-	// Strategy selects how per-hop success targets are derived from the
-	// loss tolerance.
-	Strategy TargetStrategy
-}
-
-// TargetStrategy selects the per-link success-target computation of §3.
-type TargetStrategy int
-
-const (
-	// UniformTarget assigns the same q to every link (Eq 4) — the
-	// strategy the paper evaluates.
-	UniformTarget TargetStrategy = iota
-	// LoadAwareTarget implements §3's suggested alternative, "imposing
-	// higher successful delivery requirement on less loaded links": a
-	// lightly loaded node takes a stricter target (and so more of the
-	// retransmission burden), a congested one a laxer target. The Eq (3)
-	// re-encoding keeps the end-to-end tolerance intact either way.
-	LoadAwareTarget
-)
-
-// String names the strategy.
-func (s TargetStrategy) String() string {
-	if s == LoadAwareTarget {
-		return "load-aware"
-	}
-	return "uniform"
-}
-
-// LoadAwareTargetFor bends the uniform target by the node's load:
-// q' = q^(1/α) with α = 0.5 + avail/slotShare, clamped to [0.5, 1.5].
-// The effective available rate tops out at the slot share, so a fully
-// idle node gets α = 1.5 and commits to a stricter target (q' > q),
-// while a saturated node (α → 0.5) relaxes toward q² — §3's "higher
-// successful delivery requirement on less loaded links". The Eq (3)
-// re-encoding downstream absorbs either deviation.
-func LoadAwareTargetFor(q, avail, slotShare float64) float64 {
-	if slotShare <= 0 || q <= 0 || q >= 1 || math.IsNaN(avail) || avail < 0 {
-		return q
-	}
-	alpha := 0.5 + avail/slotShare
-	if alpha > 1.5 {
-		alpha = 1.5
-	}
-	return math.Pow(q, 1/alpha)
 }
 
 // Defaults returns the Table 1 configuration: MAX_ATTEMPTS 5, caching on
@@ -302,25 +252,13 @@ func (pl *Plugin) PreXmit(fr *mac.Frame, link mac.LinkInfo) mac.Verdict {
 			h = 1
 		}
 		q := PerHopTarget(p.LossTol, h)
-		if pl.cfg.Strategy == LoadAwareTarget {
-			bent := LoadAwareTargetFor(q, link.AvailRate, link.SlotShare)
-			// The final hop has no downstream hops to delegate relaxed
-			// effort to; it may strengthen but never weaken its target,
-			// or the end-to-end tolerance would be violated.
-			if h <= 1 && bent < q {
-				bent = q
-			}
-			q = bent
-		}
 		attempts := MaxAttemptsFor(q, lossRate, pl.cfg.MaxAttempts)
 		fr.MaxAttempts = attempts
 		pl.count.Granted[min(attempts, len(pl.count.Granted)-1)]++
 		// Achieved per-link success with the granted attempts:
 		// q_i = 1 − p^M_i (footnote 6).
-		if !pl.cfg.StaticTolerance {
-			qi := 1 - math.Pow(lossRate, float64(attempts))
-			p.LossTol = UpdateLossTolerance(p.LossTol, qi)
-		}
+		qi := 1 - math.Pow(lossRate, float64(attempts))
+		p.LossTol = UpdateLossTolerance(p.LossTol, qi)
 	}
 
 	// 10–12: stamp the minimum effective available rate along the path.

@@ -101,10 +101,6 @@ type LinkInfo struct {
 	// packets/s, already normalized by the average number of link-layer
 	// attempts per packet (§2.1.1's getAvailableRate / AvLinkLayerAttempts).
 	AvailRate float64
-	// SlotShare is this node's total transmit-opportunity rate in
-	// packets/s (its TDMA share); AvailRate/SlotShare measures how
-	// lightly loaded the node is.
-	SlotShare float64
 }
 
 // Plugin observes and modifies frames at the air interface. iJTP is the
@@ -520,7 +516,6 @@ func (m *MAC) linkInfo(fr *Frame) LinkInfo {
 		AttemptCost:  m.model.TxCost(size) + m.model.RxCost(size),
 		LossRate:     fr.ls.loss.Value(),
 		AvailRate:    m.EffectiveAvailRate(),
-		SlotShare:    m.ownSlotRate,
 	}
 }
 
@@ -646,7 +641,6 @@ func (m *MAC) receive(fr *Frame) {
 		AttemptCost: m.model.TxCost(fr.Seg.Size()) + m.model.RxCost(fr.Seg.Size()),
 		LossRate:    m.LinkLossRate(fr.From),
 		AvailRate:   m.EffectiveAvailRate(),
-		SlotShare:   m.ownSlotRate,
 	}
 	for _, p := range m.plugins {
 		p.PostRcv(fr, info)

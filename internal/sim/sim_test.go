@@ -572,3 +572,17 @@ func TestAllocsScheduleSteadyStateObserved(t *testing.T) {
 		t.Fatalf("heap depth hwm = %d, want >= 64", reg.Gauge("sim_heap_depth").HighWater())
 	}
 }
+
+// BenchmarkEngineStopChurn measures the cancel/re-arm path every pacing
+// timer exercises per packet (eager removal, 0 allocs/op).
+func BenchmarkEngineStopChurn(b *testing.B) {
+	eng := NewEngine(1)
+	fn := func() {}
+	ref := eng.Schedule(Second, fn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ref.Stop()
+		ref = eng.Schedule(Second, fn)
+	}
+}

@@ -60,11 +60,6 @@ type FlowSpec struct {
 	// DeadlineAfter, when positive, marks packets worthless this many
 	// seconds after first transmission.
 	DeadlineAfter float64
-	// Tune, when non-nil, receives a pointer to JTP's connection config
-	// (*core.Config, for "jtp" and "jnc") just before dialing, after the
-	// spec fields above and before the rate overrides. The baselines
-	// have no tunable config: their §6.1 parameters are constants.
-	Tune func(cfg any)
 }
 
 // NetConfig carries the scenario-level knobs a driver may consult when
@@ -81,9 +76,6 @@ type NetConfig struct {
 	// TLowerBound overrides the feedback-interval lower bound in
 	// seconds when > 0. Ignored by protocols without one.
 	TLowerBound float64
-	// Tune, when non-nil, receives a pointer to the driver's concrete
-	// per-node plugin config just before installation.
-	Tune func(cfg any)
 }
 
 // Flow is one transport connection under test: uniform lifecycle control
