@@ -261,6 +261,41 @@ func emptyFuncs(src fs.FS, file string) map[int]bool {
 	return lines
 }
 
+// TestEmptyFuncs checks which functions the census exempts as empty: a
+// body with no statements, even with a comment in it, is empty; a
+// function with a statement, or declared without a body, is not; and a
+// file that cannot be read or parsed exempts nothing.
+func TestEmptyFuncs(t *testing.T) {
+	src := fstest.MapFS{
+		"a.go": {Data: []byte(`package a
+
+func Noop() {}
+
+func (T) Hook() {
+	// A comment is not a statement.
+}
+
+func asm()
+
+func Work() {
+	f := func() {}
+	f()
+}
+`)},
+		"bad.go": {Data: []byte("package a\n\nfunc Broken() {\n")},
+	}
+	got := emptyFuncs(src, "a.go")
+	if len(got) != 2 || !got[3] || !got[5] {
+		t.Errorf("a.go: empty lines %v, want 3 and 5", got)
+	}
+	if got := emptyFuncs(src, "bad.go"); len(got) != 0 {
+		t.Errorf("bad.go: empty lines %v, want none", got)
+	}
+	if got := emptyFuncs(src, "missing.go"); len(got) != 0 {
+		t.Errorf("missing.go: empty lines %v, want none", got)
+	}
+}
+
 // checkReason says what is wrong with an entry's reason, or "" if it is
 // of a named kind and, where the kind asks for one, names a declared test.
 func checkReason(reason string, tests map[string]bool) string {

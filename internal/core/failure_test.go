@@ -12,6 +12,7 @@ import (
 	"github.com/javelen/jtp/internal/routing"
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/topology"
+	"github.com/javelen/jtp/internal/transport"
 )
 
 // gridNet builds a 3x3 grid with periodic routing refresh so failures
@@ -140,5 +141,46 @@ func TestChannelDefaultsUsedByFailureTests(t *testing.T) {
 	}
 	if channel.Defaults().BadLoss <= channel.Defaults().GoodLoss {
 		t.Fatal("default channel must have a worse bad state")
+	}
+}
+
+// TestOpenFlowRateOverrides checks that a flow's InitialRate and MaxRate
+// reach the connection's config through the driver, and that a zero
+// leaves the Table 1 default: FlowSpec is how a scenario sets a flow's
+// rates.
+func TestOpenFlowRateOverrides(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nw := node.New(eng, node.Config{
+		Topo:    topology.Linear(4, 80),
+		Channel: cleanChannel(),
+		MAC:     mac.Defaults(),
+		Energy:  energy.JAVeLEN(),
+	})
+	drv, err := transport.New("jtp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drv.Attach(nw, transport.NetConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	def := Defaults(1, 0, 3)
+	for _, c := range []struct {
+		name              string
+		initial, max      float64
+		wantInit, wantMax float64
+	}{
+		{"defaults", 0, 0, def.InitialRate, def.MaxRate},
+		{"both", 1.6, 1.6, 1.6, 1.6},
+		{"max only", 0, 1.6, def.InitialRate, 1.6},
+	} {
+		fl, err := drv.OpenFlow(transport.FlowSpec{Flow: 1, Src: 0, Dst: 3, InitialRate: c.initial, MaxRate: c.max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := fl.(*Connection).Receiver
+		if r.cfg.InitialRate != c.wantInit || r.cfg.MaxRate != c.wantMax || r.Rate() != c.wantInit {
+			t.Errorf("%s: initial %v, max %v, rate %v; want %v, %v, %v", c.name,
+				r.cfg.InitialRate, r.cfg.MaxRate, r.Rate(), c.wantInit, c.wantMax, c.wantInit)
+		}
 	}
 }

@@ -228,3 +228,23 @@ func TestAllocsWarmFlowSecond(t *testing.T) {
 		})
 	}
 }
+
+// TestFig7FlowRateCaps pins fig7's rate caps near the slow MAC's
+// per-node share: the long-lived flow starts and stays at 1.6 packets/s
+// at most, and each short flow starts at 1.2 under the same ceiling.
+func TestFig7FlowRateCaps(t *testing.T) {
+	cfg := Fig7Defaults(0.25)
+	sc := fig7Scenario(cfg, 0.1, cfg.Seed)
+	if len(sc.Flows) != 1+cfg.ShortFlows {
+		t.Fatalf("%d flows, want %d", len(sc.Flows), 1+cfg.ShortFlows)
+	}
+	for i, f := range sc.Flows {
+		want := 1.2
+		if i == 0 {
+			want = 1.6
+		}
+		if f.InitialRate != want || f.MaxRate != 1.6 {
+			t.Errorf("flow %d: initial %v, max %v; want %v, 1.6", i, f.InitialRate, f.MaxRate, want)
+		}
+	}
+}

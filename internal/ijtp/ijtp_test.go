@@ -353,3 +353,53 @@ type otherSeg struct{}
 
 func (otherSeg) Size() int           { return 10 }
 func (otherSeg) Dest() packet.NodeID { return 1 }
+
+// TestPreXmitTargetIgnoresLoad pins Eq (4) as the only per-hop target:
+// an idle node and a saturated one with the same loss, tolerance and
+// remaining hops grant the same attempts and re-encode the same
+// tolerance.
+func TestPreXmitTargetIgnoresLoad(t *testing.T) {
+	var attempts [2]int
+	var tol [2]float64
+	for i, avail := range []float64{5, 0.05} {
+		pl := New(1, Defaults(), fakeView{hops: 2}, nil)
+		p := dataPkt(1)
+		fr := &mac.Frame{Seg: p, MaxAttempts: 1}
+		pl.PreXmit(fr, mac.LinkInfo{FirstAttempt: true, AttemptCost: 1e-4, LossRate: 0.3, AvailRate: avail})
+		attempts[i], tol[i] = fr.MaxAttempts, p.LossTol
+	}
+	if attempts[0] != 2 || attempts[1] != 2 || tol[0] != tol[1] {
+		t.Fatalf("idle: %d attempts, lt %v; saturated: %d attempts, lt %v; want 2 each and equal lt",
+			attempts[0], tol[0], attempts[1], tol[1])
+	}
+}
+
+// TestPluginChainMeetsTolerance runs one packet through a chain of
+// plugins, one per hop, each seeing the hops that remain: the attempts
+// they grant, with the tolerance each re-encodes by Eq (3) for the next,
+// meet the end-to-end tolerance.
+func TestPluginChainMeetsTolerance(t *testing.T) {
+	cfg := Defaults()
+	cfg.MaxAttempts = 50 // uncapped regime: the target must be met exactly
+	prop := func(ltRaw float64, hRaw uint8, pRaw float64) bool {
+		lt := 0.01 + math.Mod(math.Abs(ltRaw), 0.4)
+		h := 1 + int(hRaw%8)
+		loss := 0.01 + math.Mod(math.Abs(pRaw), 0.5)
+		if math.IsNaN(lt) || math.IsNaN(loss) {
+			return true
+		}
+		p := dataPkt(1)
+		p.LossTol = lt
+		e2eSuccess := 1.0
+		for hop := 0; hop < h; hop++ {
+			pl := New(packet.NodeID(hop), cfg, fakeView{hops: h - hop}, nil)
+			fr := &mac.Frame{Seg: p, MaxAttempts: 1}
+			pl.PreXmit(fr, mac.LinkInfo{FirstAttempt: true, AttemptCost: 1e-6, LossRate: loss, AvailRate: 5})
+			e2eSuccess *= 1 - math.Pow(loss, float64(fr.MaxAttempts))
+		}
+		return 1-e2eSuccess <= lt+1e-9
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
