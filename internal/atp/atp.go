@@ -93,7 +93,7 @@ func (RateStamper) PreXmit(fr *mac.Frame, link mac.LinkInfo) mac.Verdict {
 }
 
 // PostRcv is a no-op (mac.Plugin).
-func (RateStamper) PostRcv(*mac.Frame, mac.LinkInfo) {}
+func (RateStamper) PostRcv(*mac.Frame) {}
 
 // SenderStats tallies source-side activity.
 type SenderStats struct {

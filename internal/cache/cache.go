@@ -15,6 +15,7 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"github.com/javelen/jtp/internal/packet"
@@ -83,14 +84,22 @@ type Stats struct {
 // container/list implementation maintained). At capacity, every insert
 // recycles the evicted slot — and, when a packet pool is attached, the
 // evicted clone — so a warm cache inserts with zero allocations.
+//
+// The index is an open-addressed table with linear probing: each cell
+// holds a slab index plus one (0 = empty), a probe compares the key the
+// slab entry already stores, and deletion shifts the rest of the probe
+// run back, so there are no tombstones. The table doubles at load ½ as
+// the cache fills, so a cache that never fills never holds a
+// capacity-sized table. Eviction order never depends on the table.
 type Cache struct {
 	capacity int
 	policy   Policy
 	entries  []entry // slab; list links are slab indices
 	freeSlot []int32
-	head     int32 // most recently manipulated, -1 when empty
-	tail     int32 // least recently manipulated, -1 when empty
-	items    map[Key]int32
+	head     int32   // most recently manipulated, -1 when empty
+	tail     int32   // least recently manipulated, -1 when empty
+	index    []int32 // open-addressed: slab index + 1, 0 = empty
+	live     int     // keys in index
 	stats    Stats
 	seed     int64        // Random policy only; rng is built on first draw
 	rng      *rand.Rand   // Random policy only
@@ -108,13 +117,10 @@ func New(capacity int) *Cache { return NewWithPolicy(capacity, LRU, 1) }
 
 // NewWithPolicy returns a cache with the given replacement policy. The
 // seed drives the Random policy deterministically (pass the node id).
-// A zero-capacity cache stores nothing, so it gets no index.
+// The index is allocated on the first insert, so a zero-capacity cache
+// never gets one.
 func NewWithPolicy(capacity int, policy Policy, seed int64) *Cache {
-	c := &Cache{capacity: capacity, policy: policy, head: -1, tail: -1, seed: seed}
-	if capacity > 0 {
-		c.items = make(map[Key]int32)
-	}
-	return c
+	return &Cache{capacity: capacity, policy: policy, head: -1, tail: -1, seed: seed}
 }
 
 // Clear empties the cache and zeroes its accounting, as NewWithPolicy
@@ -128,7 +134,8 @@ func (c *Cache) Clear() {
 	clear(c.entries)
 	c.entries, c.freeSlot = c.entries[:0], c.freeSlot[:0]
 	c.head, c.tail = -1, -1
-	clear(c.items)
+	clear(c.index)
+	c.live = 0
 	c.stats = Stats{}
 	if c.rng != nil {
 		c.rng.Seed(c.seed)
@@ -147,6 +154,83 @@ func (c *Cache) clone(p *packet.Packet) *packet.Packet {
 	q := c.pool.Get()
 	p.CloneInto(q, c.pool)
 	return q
+}
+
+// ---- open-addressed index over the slab ------------------------------
+
+// slot returns k's home cell in an index of len(c.index) = 2^bits cells:
+// Fibonacci hashing of the endpoints and flow packed above the sequence
+// number.
+func (c *Cache) slot(k Key) int {
+	h := uint64(k.Src)<<48 | uint64(k.Dst)<<32 | uint64(k.Flow)<<16
+	h ^= uint64(k.Seq)
+	h *= 0x9E3779B97F4A7C15
+	return int(h >> (64 - bits.TrailingZeros(uint(len(c.index)))))
+}
+
+// find returns k's slab index, or -1 when k is not cached.
+func (c *Cache) find(k Key) int32 {
+	if c.live == 0 {
+		return -1
+	}
+	mask := len(c.index) - 1
+	for j := c.slot(k); ; j = (j + 1) & mask {
+		s := c.index[j]
+		if s == 0 {
+			return -1
+		}
+		if c.entries[s-1].key == k {
+			return s - 1
+		}
+	}
+}
+
+// indexAdd records slab index i under its key, which must not be
+// indexed yet, doubling the table first if it would pass load ½.
+func (c *Cache) indexAdd(i int32) {
+	if 2*(c.live+1) > len(c.index) {
+		old := c.index
+		c.index = make([]int32, max(16, 2*len(old)))
+		for _, s := range old {
+			if s != 0 {
+				c.place(s)
+			}
+		}
+	}
+	c.place(i + 1)
+	c.live++
+}
+
+// place puts cell value s (slab index + 1) in the first empty cell of
+// its key's probe run.
+func (c *Cache) place(s int32) {
+	mask := len(c.index) - 1
+	j := c.slot(c.entries[s-1].key)
+	for c.index[j] != 0 {
+		j = (j + 1) & mask
+	}
+	c.index[j] = s
+}
+
+// indexRemove drops slab index i, which must be indexed, and shifts the
+// rest of its probe run back so every key stays reachable from its home
+// cell without a tombstone.
+func (c *Cache) indexRemove(i int32) {
+	mask := len(c.index) - 1
+	j := c.slot(c.entries[i].key)
+	for c.index[j] != i+1 {
+		j = (j + 1) & mask
+	}
+	for k := (j + 1) & mask; c.index[k] != 0; k = (k + 1) & mask {
+		// The key in cell k may fill the hole at j only if j lies on its
+		// probe path, from its home cell up to k.
+		if home := c.slot(c.entries[c.index[k]-1].key); (k-j)&mask <= (k-home)&mask {
+			c.index[j] = c.index[k]
+			j = k
+		}
+	}
+	c.index[j] = 0
+	c.live--
 }
 
 // ---- intrusive list over the slab ------------------------------------
@@ -204,8 +288,8 @@ func (c *Cache) moveToFront(i int32) {
 // slot to the free-list.
 func (c *Cache) removeSlot(i int32) {
 	c.unlink(i)
+	c.indexRemove(i)
 	e := &c.entries[i]
-	delete(c.items, e.key)
 	if c.pool != nil {
 		c.pool.Put(e.pkt)
 	}
@@ -227,7 +311,7 @@ func (c *Cache) Insert(p *packet.Packet) {
 		return
 	}
 	k := KeyOf(p)
-	if i, ok := c.items[k]; ok {
+	if i := c.find(k); i >= 0 {
 		e := &c.entries[i]
 		if c.pool != nil {
 			c.pool.Put(e.pkt)
@@ -239,14 +323,14 @@ func (c *Cache) Insert(p *packet.Packet) {
 		c.stats.Updates++
 		return
 	}
-	for len(c.items) >= c.capacity {
+	for c.live >= c.capacity {
 		c.evict()
 	}
 	i := c.alloc()
 	c.entries[i].key = k
 	c.entries[i].pkt = c.clone(p)
 	c.pushFront(i)
-	c.items[k] = i
+	c.indexAdd(i)
 	c.stats.Inserts++
 }
 
@@ -255,8 +339,8 @@ func (c *Cache) Insert(p *packet.Packet) {
 // packet just served for one SNACK is likely to be requested again if
 // the retransmission is lost.
 func (c *Cache) Lookup(k Key) (*packet.Packet, bool) {
-	i, ok := c.items[k]
-	if !ok {
+	i := c.find(k)
+	if i < 0 {
 		c.stats.Misses++
 		return nil, false
 	}
@@ -279,7 +363,7 @@ func (c *Cache) evict() {
 		if c.rng == nil {
 			c.rng = rand.New(rand.NewSource(c.seed))
 		}
-		idx := c.rng.Intn(len(c.items))
+		idx := c.rng.Intn(c.live)
 		victim = c.head
 		for i := 0; i < idx; i++ {
 			victim = c.entries[victim].next

@@ -13,6 +13,10 @@ func pkt(flow packet.FlowID, seq uint32) *packet.Packet {
 	}
 }
 
+// held reports whether flow 1's packet seq is cached, without counting
+// a lookup or touching recency.
+func held(c *Cache, seq uint32) bool { return c.find(KeyOf(pkt(1, seq))) >= 0 }
+
 func TestInsertLookup(t *testing.T) {
 	c := New(10)
 	p := pkt(1, 5)
@@ -46,7 +50,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("least recently manipulated entry survived")
 	}
 	for _, seq := range []uint32{0, 2, 3} {
-		if _, ok := c.items[KeyOf(pkt(1, seq))]; !ok {
+		if !held(c, seq) {
 			t.Fatalf("seq %d evicted wrongly", seq)
 		}
 	}
@@ -61,7 +65,7 @@ func TestReinsertRefreshes(t *testing.T) {
 	c.Insert(pkt(1, 1))
 	c.Insert(pkt(1, 0)) // refresh 0; now 1 is oldest
 	c.Insert(pkt(1, 2)) // evicts 1
-	if _, ok := c.items[KeyOf(pkt(1, 1))]; ok {
+	if held(c, 1) {
 		t.Fatal("refreshed entry not moved to front")
 	}
 	if c.Stats().Updates != 1 {
@@ -72,7 +76,7 @@ func TestReinsertRefreshes(t *testing.T) {
 func TestZeroCapacityDisabled(t *testing.T) {
 	c := New(0)
 	c.Insert(pkt(1, 1))
-	if len(c.items) != 0 {
+	if c.live != 0 {
 		t.Fatal("zero-capacity cache stored a packet")
 	}
 	if _, ok := c.Lookup(KeyOf(pkt(1, 1))); ok {
@@ -103,12 +107,12 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			case 2:
 				c.Lookup(KeyOf(pkt(1, seq)))
 			}
-			if len(c.items) > capacity {
+			if c.live > capacity {
 				return false
 			}
 		}
 		st := c.Stats()
-		return int(st.Inserts)-int(st.Evictions) == len(c.items)-countRemoved(c)
+		return int(st.Inserts)-int(st.Evictions) == c.live-countRemoved(c)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -127,5 +131,27 @@ func TestHitMissStats(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestAllocsCacheInsertWarm pins the per-packet cost of caching: once a
+// pooled cache is full, every insert evicts a slot and a clone and reuses
+// both, and the index has stopped growing.
+func TestAllocsCacheInsertWarm(t *testing.T) {
+	const capacity = 1000
+	c := New(capacity)
+	c.SetPool(new(packet.Pool))
+	p := pkt(1, 0)
+	for ; p.Seq < 2*capacity; p.Seq++ {
+		c.Insert(p)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		c.Insert(p)
+		p.Seq++
+	}); got != 0 {
+		t.Fatalf("warm Insert at capacity: %v allocs, want 0", got)
+	}
+	if st := c.Stats(); st.Evictions != st.Inserts-capacity {
+		t.Fatalf("stats %+v: not evicting at capacity", st)
 	}
 }

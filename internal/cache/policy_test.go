@@ -20,10 +20,10 @@ func TestFIFOEvictsInsertionOrder(t *testing.T) {
 	// Touch seq 0; FIFO must ignore recency.
 	c.Lookup(KeyOf(pkt(1, 0)))
 	c.Insert(pkt(1, 3)) // evicts 0, the oldest inserted
-	if _, ok := c.items[KeyOf(pkt(1, 0))]; ok {
+	if held(c, 0) {
 		t.Fatal("FIFO kept the oldest insertion after a lookup")
 	}
-	if _, ok := c.items[KeyOf(pkt(1, 1))]; !ok {
+	if !held(c, 1) {
 		t.Fatal("FIFO evicted the wrong entry")
 	}
 }
@@ -34,11 +34,11 @@ func TestEnergyAwareKeepsExpensivePackets(t *testing.T) {
 	c.Insert(energyPkt(1, 0.001)) // cheap
 	c.Insert(energyPkt(2, 0.015))
 	c.Insert(energyPkt(3, 0.020)) // evicts seq 1 (least invested)
-	if _, ok := c.items[KeyOf(pkt(1, 1))]; ok {
+	if held(c, 1) {
 		t.Fatal("energy-aware policy evicted an expensive packet over a cheap one")
 	}
 	for _, seq := range []uint32{0, 2, 3} {
-		if _, ok := c.items[KeyOf(pkt(1, seq))]; !ok {
+		if !held(c, seq) {
 			t.Fatalf("seq %d wrongly evicted", seq)
 		}
 	}
@@ -53,7 +53,7 @@ func TestRandomPolicyDeterministicPerSeed(t *testing.T) {
 		c.Insert(pkt(1, 3))
 		out := make([]bool, 4)
 		for seq := uint32(0); seq < 4; seq++ {
-			_, out[seq] = c.items[KeyOf(pkt(1, seq))]
+			out[seq] = held(c, seq)
 		}
 		return out
 	}
@@ -86,7 +86,7 @@ func TestRandomPolicySpreadsEvictions(t *testing.T) {
 		}
 		c.Insert(pkt(1, 3))
 		for seq := uint32(0); seq < 3; seq++ {
-			if _, ok := c.items[KeyOf(pkt(1, seq))]; !ok {
+			if !held(c, seq) {
 				victims[seq] = true
 			}
 		}
@@ -115,12 +115,12 @@ func TestPoliciesRespectCapacity(t *testing.T) {
 		c := NewWithPolicy(5, pol, 3)
 		for seq := uint32(0); seq < 100; seq++ {
 			c.Insert(energyPkt(seq, float64(seq)*1e-4))
-			if len(c.items) > 5 {
-				t.Fatalf("%v exceeded capacity: %d", pol, len(c.items))
+			if c.live > 5 {
+				t.Fatalf("%v exceeded capacity: %d", pol, c.live)
 			}
 		}
-		if len(c.items) != 5 {
-			t.Fatalf("%v not full after 100 inserts: %d", pol, len(c.items))
+		if c.live != 5 {
+			t.Fatalf("%v not full after 100 inserts: %d", pol, c.live)
 		}
 	}
 }

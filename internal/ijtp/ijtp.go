@@ -183,6 +183,21 @@ func PerHopTarget(lt float64, h int) float64 {
 	return math.Pow(1-lt, 1/float64(h))
 }
 
+// powInt returns x^n for n ≥ 0 by square-and-multiply over the bits of
+// n, low bit first, which is math.Pow's own order for an integer
+// exponent: scaling by powers of two changes no rounding, so for normal x
+// and a normal result the bits equal math.Pow(x, float64(n)).
+func powInt(x float64, n int) float64 {
+	r := 1.0
+	for ; n != 0; n >>= 1 {
+		if n&1 == 1 {
+			r *= x
+		}
+		x *= x
+	}
+	return r
+}
+
 // UpdateLossTolerance computes lt_{i+1} of Eq (3) from the incoming
 // tolerance and the success probability q_i actually achieved on this
 // link, so "any left-over attempts do not get used downstream":
@@ -257,7 +272,7 @@ func (pl *Plugin) PreXmit(fr *mac.Frame, link mac.LinkInfo) mac.Verdict {
 		pl.count.Granted[min(attempts, len(pl.count.Granted)-1)]++
 		// Achieved per-link success with the granted attempts:
 		// q_i = 1 − p^M_i (footnote 6).
-		qi := 1 - math.Pow(lossRate, float64(attempts))
+		qi := 1 - powInt(lossRate, attempts)
 		p.LossTol = UpdateLossTolerance(p.LossTol, qi)
 	}
 
@@ -270,7 +285,7 @@ func (pl *Plugin) PreXmit(fr *mac.Frame, link mac.LinkInfo) mac.Verdict {
 
 // PostRcv is Algorithm 2. It runs after every reception of a JTP packet
 // at this node.
-func (pl *Plugin) PostRcv(fr *mac.Frame, link mac.LinkInfo) {
+func (pl *Plugin) PostRcv(fr *mac.Frame) {
 	p, ok := fr.Seg.(*packet.Packet)
 	if !ok {
 		return

@@ -2,6 +2,7 @@ package ijtp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,32 @@ func TestPerHopTarget(t *testing.T) {
 	}
 	if PerHopTarget(0.2, 0) != PerHopTarget(0.2, 1) {
 		t.Error("h<1 should clamp to 1")
+	}
+}
+
+// TestPowIntMatchesMathPow pins PreXmit's q_i = 1 − p^M to the bits
+// math.Pow gave: every attempt budget up to 16, at loss rates on a grid
+// over [MinLossRate, 1] and at 10^6 seeded draws, half uniform and half
+// log-uniform so small rates are as well covered as large ones.
+func TestPowIntMatchesMathPow(t *testing.T) {
+	lo := Defaults().MinLossRate
+	check := func(x float64, n int) {
+		if got, want := powInt(x, n), math.Pow(x, float64(n)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("powInt(%v, %d) = %v, math.Pow %v", x, n, got, want)
+		}
+	}
+	for n := 1; n <= 16; n++ {
+		for i := 0; i <= 1000; i++ {
+			check(lo+(1-lo)*float64(i)/1000, n)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		x := lo + (1-lo)*rng.Float64()
+		if i%2 == 1 {
+			x = math.Pow(lo, rng.Float64())
+		}
+		check(x, 1+i%16)
 	}
 }
 
@@ -234,13 +261,13 @@ func TestAckFramesGetFullEffort(t *testing.T) {
 func TestPostRcvCachesData(t *testing.T) {
 	pl := New(1, Defaults(), fakeView{hops: 2}, nil)
 	p := dataPkt(7)
-	pl.PostRcv(&mac.Frame{Seg: p}, mac.LinkInfo{})
+	pl.PostRcv(&mac.Frame{Seg: p})
 	if pl.Cache().Stats().Inserts != 1 {
 		t.Fatal("traversing data not cached")
 	}
 	// The destination itself does not cache.
 	plDst := New(9, Defaults(), fakeView{hops: 0}, nil)
-	plDst.PostRcv(&mac.Frame{Seg: dataPkt(8)}, mac.LinkInfo{})
+	plDst.PostRcv(&mac.Frame{Seg: dataPkt(8)})
 	if plDst.Cache().Stats().Inserts != 0 {
 		t.Fatal("destination cached its own delivery")
 	}
@@ -253,12 +280,12 @@ func TestServeSnackFromCache(t *testing.T) {
 		return true
 	})
 	// Cache packets 5 and 6 as they traverse.
-	pl.PostRcv(&mac.Frame{Seg: dataPkt(5)}, mac.LinkInfo{})
-	pl.PostRcv(&mac.Frame{Seg: dataPkt(6)}, mac.LinkInfo{})
+	pl.PostRcv(&mac.Frame{Seg: dataPkt(5)})
+	pl.PostRcv(&mac.Frame{Seg: dataPkt(6)})
 
 	// An ACK (dst→src) requests 4..6.
 	a := ackPkt([]packet.SeqRange{{First: 4, Last: 6}})
-	pl.PostRcv(&mac.Frame{Seg: a}, mac.LinkInfo{})
+	pl.PostRcv(&mac.Frame{Seg: a})
 
 	if len(forwarded) != 2 {
 		t.Fatalf("forwarded %d packets, want 2", len(forwarded))
@@ -292,10 +319,10 @@ func TestNoDoubleRecovery(t *testing.T) {
 		forwarded++
 		return true
 	})
-	pl.PostRcv(&mac.Frame{Seg: dataPkt(5)}, mac.LinkInfo{})
+	pl.PostRcv(&mac.Frame{Seg: dataPkt(5)})
 	a := ackPkt([]packet.SeqRange{{First: 5, Last: 5}})
 	a.Ack.Recovered = []packet.SeqRange{{First: 5, Last: 5}}
-	pl.PostRcv(&mac.Frame{Seg: a}, mac.LinkInfo{})
+	pl.PostRcv(&mac.Frame{Seg: a})
 	if forwarded != 0 {
 		t.Fatal("retransmitted a packet another cache already recovered")
 	}
@@ -312,12 +339,12 @@ func TestCachingDisabledJNC(t *testing.T) {
 		forwarded++
 		return true
 	})
-	pl.PostRcv(&mac.Frame{Seg: dataPkt(5)}, mac.LinkInfo{})
+	pl.PostRcv(&mac.Frame{Seg: dataPkt(5)})
 	if pl.Cache().Stats().Inserts != 0 {
 		t.Fatal("JNC cached a packet")
 	}
 	a := ackPkt([]packet.SeqRange{{First: 5, Last: 5}})
-	pl.PostRcv(&mac.Frame{Seg: a}, mac.LinkInfo{})
+	pl.PostRcv(&mac.Frame{Seg: a})
 	if forwarded != 0 {
 		t.Fatal("JNC served a SNACK")
 	}
@@ -343,7 +370,7 @@ func TestNonJTPSegmentsIgnored(t *testing.T) {
 	if pl.PreXmit(fr, mac.LinkInfo{}) != mac.Continue {
 		t.Fatal("foreign segment vetoed")
 	}
-	pl.PostRcv(fr, mac.LinkInfo{})
+	pl.PostRcv(fr)
 	if pl.Cache().Stats().Inserts != 0 {
 		t.Fatal("foreign segment cached")
 	}

@@ -82,9 +82,10 @@ const (
 	Drop
 )
 
-// LinkInfo is the cross-layer context handed to plugins: the hop and the
-// MAC-layer estimates iJTP needs for Algorithms 1 and 2, all of them the
-// MAC's own state and the energy model's costs.
+// LinkInfo is PreXmit's cross-layer context: the hop and the MAC-layer
+// estimates iJTP's Algorithm 1 needs, all of them the MAC's own state and
+// the energy model's costs. It is built once per transmission attempt,
+// and only when a plugin is installed.
 type LinkInfo struct {
 	// From and To identify the single hop being attempted.
 	From, To packet.NodeID
@@ -111,8 +112,10 @@ type Plugin interface {
 	// segment (header stamping) and frame retry budget.
 	PreXmit(fr *Frame, link LinkInfo) Verdict
 	// PostRcv runs immediately after a successful reception at the
-	// receiving node, before the frame is handed up the stack.
-	PostRcv(fr *Frame, link LinkInfo)
+	// receiving node, before the frame is handed up the stack. The frame
+	// is its only context: iJTP's Algorithm 2 reads nothing but the
+	// segment.
+	PostRcv(fr *Frame)
 }
 
 // DropReason classifies frame drops for metrics.
@@ -160,7 +163,7 @@ type Frame struct {
 	Enqueued sim.Time
 
 	// ls caches the transmitter's per-link stats for To, resolved once at
-	// enqueue so transmission attempts skip the neighbor map.
+	// enqueue so transmission attempts skip the neighbor scan.
 	ls *linkStats
 }
 
@@ -258,8 +261,12 @@ type MAC struct {
 	// allocates no frames.
 	frFree []*Frame
 
-	// links holds the per-neighbor stats, created primed on first use.
-	links map[packet.NodeID]*linkStats
+	// linkIDs[i] is the neighbor whose stats are links[i], created primed
+	// on first use. A node talks to a handful of neighbors, so a linear
+	// scan beats hashing; the entries are pointers so a frame's ls stays
+	// valid as the lists grow.
+	linkIDs []packet.NodeID
+	links   []*linkStats
 
 	idleFrac    stats.EWMA // fraction of owned slots with nothing to send
 	avgAttempts stats.EWMA // attempts per completed frame
@@ -444,25 +451,20 @@ func (m *MAC) EnqueueFront(seg Segment, nextHop packet.NodeID) bool {
 	return true
 }
 
-// link returns (creating if needed) the stats for a neighbor.
-func (m *MAC) link(to packet.NodeID) *linkStats {
-	ls, ok := m.links[to]
-	if !ok {
-		if m.links == nil {
-			m.links = make(map[packet.NodeID]*linkStats)
-		}
-		ls = new(linkStats)
-		m.primeLink(ls)
-		m.links[to] = ls
-	}
-	return ls
-}
-
-// LinkLossRate returns the current loss estimate toward a neighbor
-// (Algorithm 1's getLinkLossRate). Estimates are primed with the nominal
+// link returns (creating if needed) the stats for a neighbor. Its loss
+// estimate is Algorithm 1's getLinkLossRate, primed with the nominal
 // radio loss before any traffic is observed.
-func (m *MAC) LinkLossRate(to packet.NodeID) float64 {
-	return m.link(to).loss.Value()
+func (m *MAC) link(to packet.NodeID) *linkStats {
+	for i, id := range m.linkIDs {
+		if id == to {
+			return m.links[i]
+		}
+	}
+	ls := new(linkStats)
+	m.primeLink(ls)
+	m.linkIDs = append(m.linkIDs, to)
+	m.links = append(m.links, ls)
+	return ls
 }
 
 // AvailableRate returns this node's raw available transmission rate in
@@ -632,18 +634,8 @@ func (m *MAC) popHead() *Frame {
 func (m *MAC) receive(fr *Frame) {
 	m.meter.ChargeRx(m.model.RxCost(fr.Seg.Size()))
 	m.rxFrames++
-	if len(m.plugins) == 0 { // LinkInfo is plugin context; skip it when nobody reads it
-		return
-	}
-	info := LinkInfo{
-		From:        fr.From,
-		To:          m.id,
-		AttemptCost: m.model.TxCost(fr.Seg.Size()) + m.model.RxCost(fr.Seg.Size()),
-		LossRate:    m.LinkLossRate(fr.From),
-		AvailRate:   m.EffectiveAvailRate(),
-	}
 	for _, p := range m.plugins {
-		p.PostRcv(fr, info)
+		p.PostRcv(fr)
 	}
 }
 

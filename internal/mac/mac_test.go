@@ -130,8 +130,7 @@ func TestPluginControlsAttempts(t *testing.T) {
 }
 
 type pluginFunc struct {
-	pre  func(*Frame, LinkInfo) Verdict
-	post func(*Frame, LinkInfo)
+	pre func(*Frame, LinkInfo) Verdict
 }
 
 func (p pluginFunc) PreXmit(fr *Frame, l LinkInfo) Verdict {
@@ -140,11 +139,7 @@ func (p pluginFunc) PreXmit(fr *Frame, l LinkInfo) Verdict {
 	}
 	return p.pre(fr, l)
 }
-func (p pluginFunc) PostRcv(fr *Frame, l LinkInfo) {
-	if p.post != nil {
-		p.post(fr, l)
-	}
-}
+func (p pluginFunc) PostRcv(*Frame) {}
 
 func TestPluginVeto(t *testing.T) {
 	_, env, m0, _ := build(t)
@@ -226,7 +221,7 @@ func TestIdleSlotRaisesAvailRate(t *testing.T) {
 
 func TestLossEstimatorTracks(t *testing.T) {
 	_, env, m0, _ := build(t)
-	prime := m0.LinkLossRate(1)
+	prime := m0.link(1).loss.Value()
 	if prime != Defaults().PrimeLoss {
 		t.Fatalf("primed loss = %v", prime)
 	}
@@ -240,7 +235,7 @@ func TestLossEstimatorTracks(t *testing.T) {
 			m0.OwnSlot()
 		}
 	}
-	got := m0.LinkLossRate(1)
+	got := m0.link(1).loss.Value()
 	if got < 0.3 || got > 0.7 {
 		t.Fatalf("loss estimate %.3f after 50%% failures", got)
 	}

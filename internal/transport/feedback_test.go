@@ -42,7 +42,7 @@ func (ft *feedbackTap) PreXmit(fr *mac.Frame, _ mac.LinkInfo) mac.Verdict {
 	return mac.Continue
 }
 
-func (ft *feedbackTap) PostRcv(*mac.Frame, mac.LinkInfo) {}
+func (ft *feedbackTap) PostRcv(*mac.Frame) {}
 
 // segSrc returns the end-to-end source of a JTP, ATP or TCP-SACK segment.
 func segSrc(seg mac.Segment) (packet.NodeID, bool) {
@@ -122,7 +122,7 @@ func (dt *dataTap) PreXmit(fr *mac.Frame, _ mac.LinkInfo) mac.Verdict {
 	return mac.Continue
 }
 
-func (dt *dataTap) PostRcv(fr *mac.Frame, _ mac.LinkInfo) {
+func (dt *dataTap) PostRcv(fr *mac.Frame) {
 	if cum, _, ok := feedback(fr.Seg); ok && cum >= dt.total && dt.completedAt == 0 {
 		dt.completedAt = dt.eng.Now()
 	}
