@@ -39,16 +39,6 @@ func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
 // Scale multiplies the vector by s.
 func (v Vec) Scale(s float64) Vec { return Vec{v.X * s, v.Y * s} }
 
-// Unit returns the unit vector in v's direction. The zero vector maps to
-// the zero vector.
-func (v Vec) Unit() Vec {
-	l := v.Len()
-	if l == 0 {
-		return Vec{}
-	}
-	return Vec{v.X / l, v.Y / l}
-}
-
 // Rect is an axis-aligned rectangle, the boundary of the simulation field.
 type Rect struct {
 	Min, Max Point

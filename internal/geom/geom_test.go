@@ -36,13 +36,6 @@ func TestVec(t *testing.T) {
 	if v.Len() != 5 {
 		t.Fatalf("Len = %v", v.Len())
 	}
-	u := v.Unit()
-	if math.Abs(u.Len()-1) > 1e-12 {
-		t.Fatalf("Unit length = %v", u.Len())
-	}
-	if (Vec{}).Unit() != (Vec{}) {
-		t.Fatal("zero vector Unit should stay zero")
-	}
 	s := v.Scale(2)
 	if s.X != 6 || s.Y != 8 {
 		t.Fatalf("Scale = %v", s)

@@ -119,7 +119,8 @@ func (m *Model) step() {
 			w.pauseTo = now.Add(sim.DurationOf(pause))
 			continue
 		}
-		m.topo.SetPosition(id, pos.Add(to.Unit().Scale(stepDist)))
+		// to/d is the unit heading, from the Hypot already taken (d > 0).
+		m.topo.SetPosition(id, pos.Add(geom.Vec{X: to.X / d, Y: to.Y / d}.Scale(stepDist)))
 	}
 }
 

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -525,29 +526,33 @@ func TestAllocsLinkPatchCellCrossing(t *testing.T) {
 
 // BenchmarkLinkPatchMobile measures the link-state patch under the
 // paper's mobility: a 96-node random field, random-waypoint walkers at
-// 5 m/s (100 s mean pause), one 100 ms mobility step and one Version per
-// op, so each op patches the rows of the nodes that moved.
+// 1 and 5 m/s (100 s mean pause), one 100 ms mobility step and one
+// Version per op, so each op patches the rows of the nodes that moved.
 func BenchmarkLinkPatchMobile(b *testing.B) {
-	tp, ok := topology.Random(96, 100, rand.New(rand.NewSource(1)), 200)
-	if !ok {
-		b.Fatal("rgg generation failed")
-	}
-	eng := sim.NewEngine(1)
-	nw := New(eng, Config{
-		Topo:    tp,
-		Channel: channel.Defaults(),
-		MAC:     mac.Defaults(),
-		Routing: routing.Defaults(),
-		Energy:  energy.JAVeLEN(),
-	})
-	cfg := mobility.Defaults(5)
-	mobility.New(eng, tp, tp.Field, cfg).Start()
-	nw.Version()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.RunFor(cfg.Step)
-		nw.Version()
+	for _, speed := range []float64{1, 5} {
+		b.Run(fmt.Sprintf("speed=%g", speed), func(b *testing.B) {
+			tp, ok := topology.Random(96, 100, rand.New(rand.NewSource(1)), 200)
+			if !ok {
+				b.Fatal("rgg generation failed")
+			}
+			eng := sim.NewEngine(1)
+			nw := New(eng, Config{
+				Topo:    tp,
+				Channel: channel.Defaults(),
+				MAC:     mac.Defaults(),
+				Routing: routing.Defaults(),
+				Energy:  energy.JAVeLEN(),
+			})
+			cfg := mobility.Defaults(speed)
+			mobility.New(eng, tp, tp.Field, cfg).Start()
+			nw.Version()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.RunFor(cfg.Step)
+				nw.Version()
+			}
+		})
 	}
 }
 
@@ -601,13 +606,13 @@ func checkRowsAgainstRebuild(t *testing.T, nw *Network, seed int64, step int) {
 }
 
 // TestPartiallyPatchedSnapshotRowsMatchRebuild is the row check for
-// patchRow alone. Random-waypoint mobility moves (nearly) every node each
-// tick in 2.5 m steps, so the test above goes through the whole-row
-// refill whenever no node pauses and hardly ever crosses a grid cell.
-// Here a handful of nodes jump per step (up to ±75 m on 100 m cells, so
-// cells are crossed and edges appear and vanish) and every step is on the
-// merge-walk path: the mover's own row and every mirrored neighbor entry
-// must equal a fresh build.
+// patchRow's merge-walk. Random-waypoint mobility moves (nearly) every
+// node each tick in 2.5 m steps, so the test above hardly ever crosses a
+// grid cell and mostly re-tests skinned rows. Here a handful of nodes
+// jump per step (up to ±75 m on 100 m cells, so cells are crossed and
+// edges appear and vanish), each jump outruns every skin, and every
+// mover re-gathers: the mover's own row and every mirrored neighbor
+// entry must equal a fresh build.
 func TestPartiallyPatchedSnapshotRowsMatchRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -13,10 +13,12 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/javelen/jtp/internal/channel"
 	"github.com/javelen/jtp/internal/energy"
+	"github.com/javelen/jtp/internal/geom"
 	"github.com/javelen/jtp/internal/mac"
 	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/packet"
@@ -314,7 +316,25 @@ type linkSnapshot struct {
 	// steady-state capacity and stop allocating.
 	rows [][]packet.NodeID
 	cand []packet.NodeID // scratch: gatherRow's candidates and result
+	// The patch path's Verlet skin (see patchRow): travel sums each patch
+	// fold's largest displacement. A rebuild clears skinReady and the
+	// next patch resets every skin, so static networks never pay for it.
+	skinReady bool
+	travel    float64
+	skin      []rowSkin
+	gathers   uint64 // rows the patch path re-gathered (tests)
 }
+
+// rowSkin is one node's skin, recorded when the patch path gathers its row.
+type rowSkin struct {
+	last    geom.Point      // position at the last patch fold
+	at, far float64         // travel then; least |d − R| outside near, border included
+	near    []packet.NodeID // candidates with |d − R| < skinWidth
+}
+
+// skinMargin covers rounding: travel rounds up at every fold, and every
+// other term, each below 10⁶ m, is off by less than 10⁻⁹ m.
+const skinWidth, skinMargin = 4.0, 1e-6
 
 // row returns a's geometric neighbor list.
 func (s *linkSnapshot) row(a packet.NodeID) []packet.NodeID {
@@ -359,8 +379,9 @@ func (nw *Network) rebuildSnap(epoch uint64) {
 		s.rows = s.rows[:n]
 	}
 	for i := 0; i < n; i++ {
-		s.rows[i] = append(s.rows[i][:0], nw.gatherRow(packet.NodeID(i))...)
+		s.rows[i] = append(s.rows[i][:0], nw.gatherRow(packet.NodeID(i), nil)...)
 	}
+	s.skinReady = false
 	s.built = true
 	s.epoch = epoch
 	nw.linkVer++
@@ -371,16 +392,28 @@ func (nw *Network) rebuildSnap(epoch uint64) {
 // buffer: gather the 3×3 cell candidates, keep the in-range ones, sort
 // ascending. The membership predicate (squared distance against the
 // squared range) is exactly the one an all-pairs pass uses, so rows are
-// element-identical to the brute-force O(n²) derivation. The result is
-// valid until the next gatherRow.
-func (nw *Network) gatherRow(m packet.NodeID) []packet.NodeID {
+// element-identical to the brute-force O(n²) derivation. A non-nil sk
+// receives m's skin. The result is valid until the next gatherRow.
+func (nw *Network) gatherRow(m packet.NodeID, sk *rowSkin) []packet.NodeID {
 	s := &nw.snap
 	pos := nw.topo.Pos
 	pm := pos[int(m)]
 	cand := s.grid.AppendCandidates(s.cand[:0], m)
+	if sk != nil {
+		sk.at, sk.far, sk.near = s.travel, s.grid.BorderDist(m), sk.near[:0]
+	}
+	r := nw.chann.Range()
 	k := 0
 	for _, j := range cand {
-		if j != m && nw.chann.InRange(pm.Dist2(pos[int(j)])) {
+		d2 := pm.Dist2(pos[int(j)])
+		if sk != nil && j != m {
+			if g := math.Abs(math.Sqrt(d2) - r); g < skinWidth {
+				sk.near = append(sk.near, j)
+			} else {
+				sk.far = min(sk.far, g)
+			}
+		}
+		if j != m && nw.chann.InRange(d2) {
 			cand[k] = j
 			k++
 		}
@@ -393,41 +426,36 @@ func (nw *Network) gatherRow(m packet.NodeID) []packet.NodeID {
 
 // patchSnap brings the snapshot one epoch forward by re-deriving only
 // the moved nodes' rows. Every changed edge has a moved endpoint, so
-// re-bucketing the movers, refilling their rows, and mirroring the
-// inserts and removes into their neighbors' rows restores exactly the
-// state a full rebuild would produce — at O(moved·deg) instead of
+// re-bucketing the movers, bringing their rows current, and mirroring
+// the inserts and removes into their neighbors' rows restores exactly
+// the state a full rebuild would produce — at O(moved·deg) instead of
 // O(V+E). The link-state version bumps only if some neighbor
 // set changed; pure within-range drift leaves every held routing
 // view valid.
 func (nw *Network) patchSnap(epoch uint64, moved []packet.NodeID) {
 	s := &nw.snap
+	pos := nw.topo.Pos
+	if !s.skinReady { // far = 0: every mover gathers, so travel restarts
+		s.skin = slices.Grow(s.skin[:0], s.n)[:s.n]
+		for i := range s.skin {
+			s.skin[i] = rowSkin{last: pos[i], near: s.skin[i].near[:0]}
+		}
+		s.travel, s.skinReady = 0, true
+	}
 	// Re-bucket first: rows are derived from the grid, and a candidate
 	// gather must see every mover at its new cell.
+	step2 := 0.0
 	for _, id := range moved {
 		s.grid.Move(id)
+		sk := &s.skin[int(id)]
+		step2 = max(step2, pos[int(id)].Dist2(sk.last))
+		sk.last = pos[int(id)]
 	}
+	s.travel = math.Nextafter(s.travel+math.Sqrt(step2), math.Inf(1))
 	changed := false
-	if len(moved) == s.n {
-		// Whole-network folds (random-waypoint moves every node every
-		// tick) re-derive every row below, so the mirrored bookkeeping
-		// patchRow does per edge — find the neighbor's row, splice the
-		// reverse entry — is overwritten the moment that neighbor's own
-		// refill runs. Refill each row directly and detect set changes by
-		// comparing against the previous row: the final state and the
-		// version-bump verdict are exactly the mirror path's, without any
-		// findNbr searches or row splices.
-		for _, id := range moved {
-			cand := nw.gatherRow(id)
-			if row := s.rows[int(id)]; !slices.Equal(row, cand) {
-				s.rows[int(id)] = append(row[:0], cand...)
-				changed = true
-			}
-		}
-	} else {
-		for _, id := range moved {
-			if nw.patchRow(id) {
-				changed = true
-			}
+	for _, id := range moved {
+		if nw.patchRow(id) {
+			changed = true
 		}
 	}
 	s.epoch = epoch
@@ -438,12 +466,21 @@ func (nw *Network) patchSnap(epoch uint64, moved []packet.NodeID) {
 	nw.obsPatchEpochs.Inc()
 }
 
-// patchRow re-derives node m's row after a move and mirrors the edge
+// patchRow brings node m's row current after a move and mirrors the edge
 // differences into the affected neighbors' rows. Reports whether any
 // neighbor set changed (m's or a neighbor's — they change together).
+//
+// No node has moved more than D = travel − at since m's row was gathered,
+// so while 2D < far no pair of m's outside near can have crossed the
+// range, and re-testing the near pairs alone is exact.
 func (nw *Network) patchRow(m packet.NodeID) bool {
 	s := &nw.snap
-	cand := nw.gatherRow(m)
+	sk := &s.skin[int(m)]
+	if 2*(s.travel-sk.at) < sk.far-skinMargin {
+		return nw.retestNear(m, sk.near)
+	}
+	s.gathers++
+	cand := nw.gatherRow(m, sk)
 
 	// Merge-walk old vs new: removed neighbors lose their mirrored entry,
 	// added ones gain it, and a neighbor in both sets costs nothing. m's
@@ -468,6 +505,30 @@ func (nw *Network) patchRow(m packet.NodeID) bool {
 	}
 	if changed {
 		s.rows[int(m)] = append(old[:0], cand...)
+	}
+	return changed
+}
+
+// retestNear splices each of m's near pairs that crossed the range into
+// both rows; a pair another mover's patch already spliced reads as unchanged.
+func (nw *Network) retestNear(m packet.NodeID, near []packet.NodeID) bool {
+	s := &nw.snap
+	pos := nw.topo.Pos
+	pm := pos[int(m)]
+	changed := false
+	for _, j := range near {
+		in := nw.chann.InRange(pm.Dist2(pos[int(j)]))
+		if in == (s.findNbr(m, j) >= 0) {
+			continue
+		}
+		if in {
+			s.insertEdge(m, j)
+			s.insertEdge(j, m)
+		} else {
+			s.removeEdge(m, j)
+			s.removeEdge(j, m)
+		}
+		changed = true
 	}
 	return changed
 }

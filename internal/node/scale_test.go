@@ -16,8 +16,9 @@ import (
 
 // TestLinkStateLinearAt65536 is the addressing-ceiling guard: a started
 // network at the full uint16 id space, taken through a snapshot build,
-// a whole-network refill, a single-row patch and a route computed from
-// the last id, must retain O(V+E) memory. Bytes per node are compared
+// a fold that moves every node (and so allocates every row's skin), a
+// single-row patch and a route computed from the last id, must retain
+// O(V+E) memory. Bytes per node are compared
 // between 16,384 and 65,536 nodes — anything n×n (a link bitset alone is
 // 8 KB per node at 65,536) quadruples between the two — and the BFS from
 // node 65,535 catches id arithmetic that wraps at the ceiling.
@@ -43,7 +44,7 @@ func TestLinkStateLinearAt65536(t *testing.T) {
 			p := tp.Pos[i]
 			tp.SetPosition(packet.NodeID(i), geom.Point{X: p.X + 0.5, Y: p.Y})
 		}
-		nw.Version() // every node moved: the refill path
+		nw.Version() // every node moved: every row patched
 		last := packet.NodeID(n - 1)
 		p := tp.Position(last)
 		tp.SetPosition(last, geom.Point{X: p.X, Y: p.Y + 0.5})

@@ -160,6 +160,15 @@ func (g *SpatialGrid) Move(id packet.NodeID) bool {
 	return true
 }
 
+// BorderDist returns id's distance to the nearest edge of its current
+// cell. Every node outside id's 3×3 neighborhood is at least one cell
+// side plus this distance away from id.
+func (g *SpatialGrid) BorderDist(id packet.NodeID) float64 {
+	p, key := g.t.Pos[int(id)], g.nodes[int(id)].cellKey
+	x0, y0 := float64(int32(uint32(key>>32)))*g.side, float64(int32(uint32(key)))*g.side
+	return min(p.X-x0, x0+g.side-p.X, p.Y-y0, y0+g.side-p.Y)
+}
+
 // AppendCandidates appends every node bucketed in the 3×3 cell
 // neighborhood of id's current cell — a complete superset of id's
 // in-range neighbors, id itself included — to buf and returns it.

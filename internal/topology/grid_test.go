@@ -246,3 +246,37 @@ func TestEpochFoldAndLastDelta(t *testing.T) {
 		t.Fatalf("second LastDelta = %v, want [0]", d)
 	}
 }
+
+// TestBorderDistBoundsOutsideBlock pins the bound the link snapshot's
+// skin relies on: every node outside a node's 3×3 neighborhood is at
+// least one cell side plus BorderDist away, and BorderDist is 0 for a
+// node on a cell border and never negative.
+func TestBorderDistBoundsOutsideBlock(t *testing.T) {
+	const side = 100.0
+	rng := rand.New(rand.NewSource(1))
+	pos := make([]geom.Point, 200)
+	for i := range pos {
+		pos[i] = geom.Point{X: 1000*rng.Float64() - 500, Y: 1000*rng.Float64() - 500}
+	}
+	pos[0], pos[1] = geom.Point{X: 200, Y: 50}, geom.Point{X: -100, Y: -350}
+	tp := FromPositions(pos, 0)
+	g := NewSpatialGrid(tp, side)
+	if d0, d1 := g.BorderDist(0), g.BorderDist(1); d0 != 0 || d1 != 0 {
+		t.Fatalf("BorderDist on a cell border = %v, %v, want 0", d0, d1)
+	}
+	var cand []packet.NodeID
+	for i := range pos {
+		id := packet.NodeID(i)
+		b := g.BorderDist(id)
+		if b < 0 || b > side/2 {
+			t.Fatalf("node %d at %v: BorderDist %v outside [0, %v]", i, pos[i], b, side/2)
+		}
+		cand = g.AppendCandidates(cand[:0], id)
+		for j := range pos {
+			if !slices.Contains(cand, packet.NodeID(j)) && pos[i].Dist2(pos[j]) < (side+b)*(side+b) {
+				t.Fatalf("node %d outside node %d's block is %v away, under side + BorderDist = %v",
+					j, i, pos[i].Sub(pos[j]).Len(), side+b)
+			}
+		}
+	}
+}
