@@ -36,8 +36,9 @@
 //
 // Scale multiplies run counts, durations and transfer sizes relative to
 // the paper's full setup (scale 1 reproduces the paper's run counts:
-// 20 runs × 2500 s for Fig 9, etc.). The shapes are stable well below
-// full scale; the defaults here favor minutes over hours.
+// 20 runs × 2500 s for Fig 9, etc.). The whole paper at scale 1 takes
+// about 10 s of wall time on two cores; the default of 0.25 is for a
+// quick look at the shapes, which are stable well below full scale.
 //
 // Batch mode reads a JSON matrix (see experiments.BatchSpec) crossing
 // protocol × network size × mobility speed × loss tolerance × cache
@@ -59,6 +60,7 @@ import (
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/experiments"
 	"github.com/javelen/jtp/internal/metrics"
+	"github.com/javelen/jtp/internal/transport/drivers"
 )
 
 // options is one invocation's configuration — the flags of its mode —
@@ -232,7 +234,7 @@ func expMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "campaign telemetry: [-telemetry out.jsonl] [-progress] [-debug-addr :8484]")
 		fmt.Fprintln(os.Stderr, "campaign sharding: [-shard i/N] [-shard-out file.json] [-checkpoint ck.json]")
 		fmt.Fprintf(os.Stderr, "registered protocols: %s\n",
-			strings.Join(experiments.RegisteredProtocols(), ", "))
+			strings.Join(drivers.Names(), ", "))
 		if !*list {
 			// No experiment named: usage error.
 			return 2
@@ -305,7 +307,7 @@ func batchMain(args []string) int {
 		fs.SetOutput(os.Stderr)
 		fs.PrintDefaults()
 		fmt.Fprintf(os.Stderr, "matrix \"protocols\" accepts any registered driver: %s\n",
-			strings.Join(experiments.RegisteredProtocols(), ", "))
+			strings.Join(drivers.Names(), ", "))
 		return 2
 	}
 	spec, err := bf.load()

@@ -9,9 +9,9 @@
 // The top-level package is the public API: build a simulated network,
 // open transport connections with per-flow reliability (loss
 // tolerance), run virtual time forward, and read energy/goodput
-// metrics. Flows run JTP by default; any registered transport driver
-// (see Protocols: "jtp", "jnc", "tcp", "atp", ...) can be selected
-// per network or per flow, so baselines run on the same substrate.
+// metrics. Flows run JTP by default; any of the transport drivers
+// (see Protocols: "atp", "jnc", "jtp", "tcp") can be selected per
+// network or per flow, so baselines run on the same substrate.
 //
 //	sim, err := jtp.NewSim(jtp.SimConfig{Nodes: 5, Topology: jtp.LinearTopology})
 //	if err != nil { ... }

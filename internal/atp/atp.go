@@ -27,8 +27,6 @@ import (
 	"github.com/javelen/jtp/internal/transport"
 )
 
-func init() { transport.RegisterBaseline("atp", InstallStampers, Dial) }
-
 // Kind discriminates ATP segment types.
 type Kind uint8
 

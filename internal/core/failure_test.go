@@ -156,13 +156,7 @@ func TestOpenFlowRateOverrides(t *testing.T) {
 		MAC:     mac.Defaults(),
 		Energy:  energy.JAVeLEN(),
 	})
-	drv, err := transport.New("jtp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := drv.Attach(nw, transport.NetConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	drv := Driver("jtp", true)(nw, transport.NetConfig{})
 	def := Defaults(1, 0, 3)
 	for _, c := range []struct {
 		name              string
@@ -173,10 +167,7 @@ func TestOpenFlowRateOverrides(t *testing.T) {
 		{"both", 1.6, 1.6, 1.6, 1.6},
 		{"max only", 0, 1.6, def.InitialRate, 1.6},
 	} {
-		fl, err := drv.OpenFlow(transport.FlowSpec{Flow: 1, Src: 0, Dst: 3, InitialRate: c.initial, MaxRate: c.max})
-		if err != nil {
-			t.Fatal(err)
-		}
+		fl := drv.OpenFlow(transport.FlowSpec{Flow: 1, Src: 0, Dst: 3, InitialRate: c.initial, MaxRate: c.max})
 		r := fl.(*Connection).Receiver
 		if r.cfg.InitialRate != c.wantInit || r.cfg.MaxRate != c.wantMax || r.Rate() != c.wantInit {
 			t.Errorf("%s: initial %v, max %v, rate %v; want %v, %v, %v", c.name,

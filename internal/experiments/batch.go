@@ -9,7 +9,7 @@ import (
 	"github.com/javelen/jtp/internal/cache"
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/channel"
-	"github.com/javelen/jtp/internal/transport"
+	"github.com/javelen/jtp/internal/transport/drivers"
 	"github.com/javelen/jtp/internal/workload"
 )
 
@@ -32,8 +32,8 @@ import (
 type BatchSpec struct {
 	// Name labels the campaign (default "batch").
 	Name string `json:"name"`
-	// Protocols axis: any registered transport driver name — see
-	// RegisteredProtocols() (default ["jtp"]).
+	// Protocols axis: any transport driver name — see drivers.Names()
+	// (default ["jtp"]).
 	Protocols []string `json:"protocols"`
 	// Topology pins the layout: "linear" (default) or "random".
 	// Ignored when Workloads is set.
@@ -146,9 +146,9 @@ func (b *BatchSpec) validate() error {
 		return fmt.Errorf("batch: negative warmup %g", *b.Warmup)
 	}
 	for _, p := range b.Protocols {
-		if !transport.Registered(p) {
+		if _, err := drivers.Lookup(p); err != nil {
 			return fmt.Errorf("batch: unknown protocol %q (registered: %s)",
-				p, strings.Join(transport.Names(), "/"))
+				p, strings.Join(drivers.Names(), "/"))
 		}
 	}
 	switch b.Topology {
@@ -182,6 +182,27 @@ func (b *BatchSpec) validate() error {
 	for _, ch := range b.Channels {
 		if _, err := channelProfile(ch); err != nil {
 			return err
+		}
+	}
+	// A repeated value would run two cells under one key.
+	for _, ax := range []struct {
+		name   string
+		values []any
+	}{
+		{"protocols", campaign.Strings(b.Protocols...)},
+		{"nodes", campaign.Ints(b.Nodes...)},
+		{"mobilitySpeeds", campaign.Floats(b.MobilitySpeeds...)},
+		{"lossTolerances", campaign.Floats(b.LossTolerances...)},
+		{"cachePolicies", campaign.Strings(b.CachePolicies...)},
+		{"channels", campaign.Strings(b.Channels...)},
+	} {
+		labels := map[string]bool{}
+		for _, v := range ax.values {
+			label := campaign.FormatValue(v)
+			if labels[label] {
+				return fmt.Errorf("batch: %s: repeated value %q", ax.name, label)
+			}
+			labels[label] = true
 		}
 	}
 	if b.TotalPackets < 0 {

@@ -5,15 +5,16 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/javelen/jtp/internal/transport/drivers"
 	"github.com/javelen/jtp/internal/workload"
 )
 
 // workloadBatchSpec returns a small driver × family matrix (every
-// registered protocol over all four generated topology families).
+// protocol over all four generated topology families).
 func workloadBatchSpec() *BatchSpec {
 	return &BatchSpec{
 		Name:      "wl-test",
-		Protocols: RegisteredProtocols(),
+		Protocols: drivers.Names(),
 		Workloads: []workload.Spec{
 			{Family: workload.Chain, Nodes: 5, Traffic: workload.Single, TotalPackets: 30, Seconds: 200},
 			{Family: workload.Grid, Nodes: 9, Traffic: workload.Sink, Flows: 2, TotalPackets: 20, Seconds: 200},
@@ -46,7 +47,7 @@ func TestWorkloadBatchWorkerInvariance(t *testing.T) {
 }
 
 // TestWorkloadBatchAxes: the matrix replaces the netSize axis with the
-// workload axis and crosses it with every registered protocol.
+// workload axis and crosses it with every protocol.
 func TestWorkloadBatchAxes(t *testing.T) {
 	spec := workloadBatchSpec()
 	spec.applyDefaults()
@@ -58,7 +59,7 @@ func TestWorkloadBatchAxes(t *testing.T) {
 	if names[0] != "proto" || names[1] != "workload" {
 		t.Fatalf("axes = %v, want proto then workload", names)
 	}
-	wantCells := len(RegisteredProtocols()) * 4
+	wantCells := len(drivers.Names()) * 4
 	if m.NumCells() != wantCells {
 		t.Fatalf("%d cells, want %d (drivers × families)", m.NumCells(), wantCells)
 	}
@@ -82,5 +83,27 @@ func TestWorkloadBatchDuplicateNamesRejected(t *testing.T) {
 	}`))
 	if err == nil || !strings.Contains(err.Error(), "duplicate name") {
 		t.Fatalf("duplicate workload names: err = %v", err)
+	}
+}
+
+// TestBatchRepeatedAxisValueRejected: a value repeated on an axis would
+// run two cells under one key. Values that render to the same label
+// repeat too (1 and 1.0 are both "1").
+func TestBatchRepeatedAxisValueRejected(t *testing.T) {
+	for _, c := range []struct{ axis, values, label string }{
+		{"protocols", `["jtp", "tcp", "jtp"]`, `"jtp"`},
+		{"nodes", `[3, 3]`, `"3"`},
+		{"mobilitySpeeds", `[0, 1, 1.0]`, `"1"`},
+		{"lossTolerances", `[0.1, 0.10]`, `"0.1"`},
+		{"cachePolicies", `["lru", "off", "off"]`, `"off"`},
+		{"channels", `["clean", "clean"]`, `"clean"`},
+	} {
+		_, err := ParseBatchSpec([]byte(`{"` + c.axis + `": ` + c.values + `, "runs": 2, "seconds": 150}`))
+		if err == nil || !strings.Contains(err.Error(), c.axis) || !strings.Contains(err.Error(), c.label) {
+			t.Errorf("%s %s: err = %v, want one naming the axis and %s", c.axis, c.values, err, c.label)
+		}
+	}
+	if _, err := ParseBatchSpec([]byte(`{"protocols": ["jtp", "jnc"], "nodes": [3, 4], "mobilitySpeeds": [0, 1]}`)); err != nil {
+		t.Errorf("distinct axis values rejected: %v", err)
 	}
 }

@@ -6,15 +6,16 @@ import (
 	"testing"
 
 	"github.com/javelen/jtp/internal/transport"
+	"github.com/javelen/jtp/internal/transport/drivers"
 )
 
-// TestEveryDriverPopulatesFlowRecord runs every registered transport
-// driver on the same 5-node linear chain and asserts the uniform
+// TestEveryDriverPopulatesFlowRecord runs every transport driver on
+// the same 5-node linear chain and asserts the uniform
 // Flow.Stats() contract: delivered counts, goodput inputs and source
 // retransmission accounting are populated consistently, so campaign
 // observables mean the same thing for every protocol.
 func TestEveryDriverPopulatesFlowRecord(t *testing.T) {
-	for _, proto := range transport.Names() {
+	for _, proto := range drivers.Names() {
 		t.Run(proto, func(t *testing.T) {
 			const total = 40
 			b, err := BuildScenario(Scenario{
@@ -107,13 +108,13 @@ func TestRunUnknownProtocolError(t *testing.T) {
 }
 
 // TestBatchUnknownProtocolListsRegistered checks batch validation
-// derives its protocol set from the registry (no hand-maintained list).
+// derives its protocol set from drivers.Names (no hand-maintained list).
 func TestBatchUnknownProtocolListsRegistered(t *testing.T) {
 	_, err := ParseBatchSpec([]byte(`{"protocols":["carrier-pigeon"]}`))
 	if err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
-	for _, name := range transport.Names() {
+	for _, name := range drivers.Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("batch error %q does not list registered protocol %q", err, name)
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/javelen/jtp/internal/metrics"
+	"github.com/javelen/jtp/internal/transport/drivers"
 	"github.com/javelen/jtp/internal/workload"
 )
 
@@ -242,14 +243,14 @@ func TestGoldenTable2(t *testing.T) {
 }
 
 // TestGoldenWorkloadCampaign pins a full generated-workload campaign:
-// every registered driver over all four topology families, including a
+// every driver over all four topology families, including a
 // budget-constrained churning star. The CSV must be byte-identical at
 // any worker count (campaign determinism) and across PRs (workload
 // generation determinism).
 func TestGoldenWorkloadCampaign(t *testing.T) {
 	spec := &BatchSpec{
 		Name:      "golden-workloads",
-		Protocols: RegisteredProtocols(),
+		Protocols: drivers.Names(),
 		Workloads: []workload.Spec{
 			{Family: workload.Chain, Nodes: 6, Traffic: workload.Single, TotalPackets: 40, Seconds: 250},
 			{Family: workload.Grid, Nodes: 9, Traffic: workload.Sink, Flows: 3, TotalPackets: 30, Seconds: 250},

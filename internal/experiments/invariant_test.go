@@ -8,6 +8,7 @@ import (
 	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/sim"
+	"github.com/javelen/jtp/internal/transport/drivers"
 	"github.com/javelen/jtp/internal/workload"
 )
 
@@ -29,7 +30,7 @@ func invariantWorkloads() []*workload.Spec {
 	return specs
 }
 
-// TestInvariant runs every registered transport driver over every
+// TestInvariant runs every transport driver over every
 // generated topology family at several seeds (the driver × workload
 // matrix, ~50 runs) and checks the conservation laws no protocol may
 // break, whatever its mechanisms:
@@ -44,7 +45,7 @@ func invariantWorkloads() []*workload.Spec {
 //     to its declared loss tolerance (no completion with missing
 //     bytes).
 func TestInvariant(t *testing.T) {
-	for _, proto := range RegisteredProtocols() {
+	for _, proto := range drivers.Names() {
 		for _, wl := range invariantWorkloads() {
 			for seed := int64(1); seed <= 3; seed++ {
 				proto, wl, seed := proto, wl, seed

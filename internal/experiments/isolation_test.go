@@ -3,12 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -112,63 +108,4 @@ func requireSameReport(t *testing.T, label string, got, want *campaign.Report) {
 	if got.CSV() != want.CSV() || !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatalf("%s: report differs from its solo run:\n%s\nvs\n%s", label, gotJSON, wantJSON)
 	}
-}
-
-// TestNoPackageStateInExperiments pins that campaigns take their
-// configuration as arguments: the package declares no package-level
-// variable but error sentinels, `var _ I = …` assertions and the
-// substrate pool, so no campaign can configure another through the package. The
-// same holds for cmd/jtpsim, which keeps one invocation's flags and
-// sinks in one options value; its only package-level variable is the
-// process-wide expvar publication, debugVars.
-func TestNoPackageStateInExperiments(t *testing.T) {
-	for dir, allowed := range map[string]string{".": "substrates", "../../cmd/jtpsim": "debugVars"} {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("%s: no Go files (err %v)", dir, err)
-		}
-		fset := token.NewFileSet()
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.VAR {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					vs := spec.(*ast.ValueSpec)
-					for i, name := range vs.Names {
-						if name.Name != "_" && name.Name != allowed && !isErrorSentinel(vs, i) {
-							t.Errorf("%s: package-level var %s", fset.Position(name.Pos()), name.Name)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// isErrorSentinel reports whether the i-th name of vs is an err-named
-// variable initialised by errors.New or fmt.Errorf.
-func isErrorSentinel(vs *ast.ValueSpec, i int) bool {
-	name := vs.Names[i].Name
-	if !strings.HasPrefix(name, "err") && !strings.HasPrefix(name, "Err") || i >= len(vs.Values) {
-		return false
-	}
-	call, ok := vs.Values[i].(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && (pkg.Name == "errors" && sel.Sel.Name == "New" || pkg.Name == "fmt" && sel.Sel.Name == "Errorf")
 }

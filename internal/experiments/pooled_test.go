@@ -12,7 +12,7 @@ import (
 	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/obs"
-	"github.com/javelen/jtp/internal/transport"
+	"github.com/javelen/jtp/internal/transport/drivers"
 )
 
 // pooledCase describes one scenario of the fresh-against-reused guard:
@@ -40,13 +40,13 @@ func pooledChain(proto Protocol, nodes int, seed int64) Scenario {
 	}
 }
 
-// pooledCases covers every registered driver on both channels across
-// the loss-tolerance and cache axes, plus, per driver, a mobile random
+// pooledCases covers every driver on both channels across the
+// loss-tolerance and cache axes, plus, per driver, a mobile random
 // field, a node that fails and revives, energy budgets, queues that
 // overflow and telemetry.
 func pooledCases() []pooledCase {
 	var cases []pooledCase
-	for _, name := range transport.Names() {
+	for _, name := range drivers.Names() {
 		proto := Protocol(name)
 		for _, clean := range []bool{false, true} {
 			for _, lt := range []float64{0, 0.2} {
@@ -131,7 +131,7 @@ func runFresh(sc Scenario) (*metrics.RunRecord, error) {
 // otherShape returns a scenario no substrate built for sc fits: another
 // protocol on a longer chain over the other channel.
 func otherShape(sc Scenario) Scenario {
-	names := transport.Names()
+	names := drivers.Names()
 	proto := Protocol(names[0])
 	for i, n := range names {
 		if Protocol(n) == sc.Proto {
@@ -211,7 +211,7 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 // or mobile field of 2–8 nodes, channel, loss tolerance, cache policy
 // and, optionally, a node that fails and revives.
 func fuzzScenario(proto, nodes uint8, clean bool, lossTol, policy uint8, mobile bool, down uint8, seed int64) Scenario {
-	names := transport.Names()
+	names := drivers.Names()
 	n := 2 + int(nodes)%7
 	sc := pooledChain(Protocol(names[int(proto)%len(names)]), n, seed)
 	sc.Flows[0].LossTolerance = float64(lossTol%4) / 10

@@ -6,10 +6,9 @@
 // this package.
 //
 // Transports are never named in the assembly code: every protocol under
-// test reaches the harness through the internal/transport driver
-// registry, so adding a protocol package (and listing it in
-// internal/transport/drivers) makes it available to every figure
-// campaign and batch matrix here.
+// test reaches the harness through internal/transport/drivers, so a
+// protocol added there is available to every figure campaign and batch
+// matrix here.
 package experiments
 
 import (
@@ -30,11 +29,11 @@ import (
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/topology"
 	"github.com/javelen/jtp/internal/transport"
-	_ "github.com/javelen/jtp/internal/transport/drivers" // register built-in protocols
+	"github.com/javelen/jtp/internal/transport/drivers"
 )
 
-// Protocol selects the transport under test by its registered driver
-// name. Any name in transport.Names() is valid.
+// Protocol selects the transport under test by its driver name. Any
+// name in drivers.Names() is valid.
 type Protocol string
 
 // Protocols compared in §6 (the built-in drivers).
@@ -48,11 +47,6 @@ const (
 	// ATP is the explicit-rate, constant-feedback baseline.
 	ATP Protocol = "atp"
 )
-
-// RegisteredProtocols returns the registered driver names, sorted. CLI
-// listings and validation errors derive from it, so they never drift
-// from the actual driver set.
-func RegisteredProtocols() []string { return transport.Names() }
 
 // TopoKind selects the layout.
 type TopoKind int
@@ -179,13 +173,13 @@ type BuiltScenario struct {
 }
 
 // Substrate is an assembled network that has not started: the engine,
-// the network with the scenario's protocol driver attached, and the
+// the network with the scenario's protocol driver built on it, and the
 // mobility model armed but idle. Assemble builds it; Start launches it.
 type Substrate struct {
 	Engine  *sim.Engine
 	Network *node.Network
-	// Driver is the scenario protocol's driver, attached to Network
-	// with NetConfig; further drivers may attach with the same config.
+	// Driver is the scenario protocol's driver, built on Network with
+	// NetConfig; further drivers may be built with the same config.
 	Driver    transport.Driver
 	NetConfig transport.NetConfig
 
@@ -230,8 +224,8 @@ func (s *Substrate) Start() {
 var substrates sync.Pool
 
 // Run executes the scenario and aggregates a RunRecord. It returns an
-// error for invalid scenarios — notably a protocol with no registered
-// driver — instead of panicking.
+// error for invalid scenarios — notably an unknown protocol — instead
+// of panicking.
 func Run(sc Scenario) (*metrics.RunRecord, error) { return RunWithHooks(sc, Hooks{}) }
 
 // RunWithHooks executes the scenario with probes attached. Hook-free runs
@@ -246,11 +240,11 @@ func RunWithHooks(sc Scenario, hooks Hooks) (*metrics.RunRecord, error) {
 }
 
 // Assemble builds the scenario's network without starting it: it
-// resolves the protocol driver from the transport registry, validates
-// the network fields, lays out the topology, builds the nodes, attaches
-// the driver and arms mobility. It is the one place a network is
-// assembled; BuildScenario and the public jtp facade both call it. The
-// run fields (Seconds, Flows, Events) are BuildScenario's to check.
+// resolves the protocol's driver factory, validates the network fields,
+// lays out the topology, builds the nodes, builds the driver on them
+// and arms mobility. It is the one place a network is assembled;
+// BuildScenario and the public jtp facade both call it. The run fields
+// (Seconds, Flows, Events) are BuildScenario's to check.
 func Assemble(sc Scenario) (*Substrate, error) { return assemble(sc, nil) }
 
 // assemble is Assemble on a recycled substrate, old (nil for none). If
@@ -264,12 +258,13 @@ func assemble(sc Scenario, old *Substrate) (*Substrate, error) {
 	chCfg, macCfg, rtCfg := sc.layerConfigs()
 	key := sc.shape(chCfg, macCfg, rtCfg)
 	reuse := old != nil && old.shape == key
-	// The driver is resolved first so an unknown protocol fails before
-	// any simulation state exists. A reused substrate has its driver.
-	var drv transport.Driver
+	// The driver's factory is resolved first so an unknown protocol
+	// fails before any simulation state exists. A reused substrate has
+	// its driver.
+	var newDriver transport.Factory
 	if !reuse {
 		var err error
-		if drv, err = transport.New(string(sc.Proto)); err != nil {
+		if newDriver, err = drivers.Lookup(string(sc.Proto)); err != nil {
 			return nil, fmt.Errorf("experiments: scenario %q: %w", sc.Name, err)
 		}
 	}
@@ -330,10 +325,7 @@ func assemble(sc Scenario, old *Substrate) (*Substrate, error) {
 			CachePolicy:   sc.CachePolicy,
 			TLowerBound:   sc.TLowerBound,
 		}
-		if err := drv.Attach(nw, netCfg); err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: attaching %s: %w", sc.Name, sc.Proto, err)
-		}
-		sub = &Substrate{Engine: eng, Network: nw, Driver: drv, NetConfig: netCfg, radioRange: chCfg.Range, shape: key}
+		sub = &Substrate{Engine: eng, Network: nw, Driver: newDriver(nw, netCfg), NetConfig: netCfg, radioRange: chCfg.Range, shape: key}
 	}
 	if sc.Obs != nil {
 		sub.Network.Observe(sc.Obs)
@@ -432,10 +424,7 @@ func build(sc Scenario, hooks Hooks, old *Substrate) (*BuiltScenario, error) {
 			MaxRate:                spec.MaxRate,
 		}
 
-		fl, err := drv.OpenFlow(tSpec)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: flow %d (%s): %w", sc.Name, i, sc.Proto, err)
-		}
+		fl := drv.OpenFlow(tSpec)
 		b.flows = append(b.flows, fl)
 		eng.Schedule(sim.DurationOf(spec.StartAt), fl.Start)
 		if spec.StopAt > spec.StartAt && spec.StopAt > 0 {

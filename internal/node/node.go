@@ -6,9 +6,9 @@
 // The package is transport-agnostic: protocols deliver segments via the
 // Transport interface and originate traffic through SendFrom, exactly
 // the "shared substrate, different transport" comparison setup of §6.1.
-// Which protocols exist is not known here — each registers a driver with
-// internal/transport, and the driver's Attach installs any per-node
-// machinery (MAC plugins) it needs.
+// Which protocols exist is not known here — each protocol's
+// transport.Factory installs any per-node machinery (MAC plugins) it
+// needs as it builds the driver.
 package node
 
 import (

@@ -25,8 +25,6 @@ import (
 	"github.com/javelen/jtp/internal/transport"
 )
 
-func init() { transport.RegisterBaseline("tcp", nil, Dial) }
-
 // Kind discriminates TCP segment types.
 type Kind uint8
 

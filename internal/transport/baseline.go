@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"github.com/javelen/jtp/internal/node"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/pool"
@@ -71,14 +69,17 @@ func Dial[T any, P segment[T], S, R Endpoint](nw *node.Network, cfg Config,
 	return &Conn[S, R]{Sender: newSender(nw, cfg, segs), Receiver: newReceiver(nw, cfg, segs)}
 }
 
-// RegisterBaseline registers an end-to-end baseline under name. Its
-// driver runs install (when non-nil) once on the network it attaches
-// to, and dials each flow from Defaults with the FlowSpec's transfer
-// length and rate overrides. The baselines are always fully reliable, so
-// a FlowSpec's reliability knobs do not apply.
-func RegisterBaseline[S, R Endpoint](name string, install func(*node.Network), dial func(*node.Network, Config) *Conn[S, R]) {
-	MustRegister(name, func() Driver {
-		return &e2eDriver{name: name, install: install, open: func(nw *node.Network, spec FlowSpec) Flow {
+// Baseline is the Factory of an end-to-end baseline. Its driver runs
+// install (when non-nil) once on the network it is built on, and dials
+// each flow from Defaults with the FlowSpec's transfer length and rate
+// overrides. The baselines are always fully reliable, so a FlowSpec's
+// reliability knobs do not apply.
+func Baseline[S, R Endpoint](name string, install func(*node.Network), dial func(*node.Network, Config) *Conn[S, R]) Factory {
+	return func(nw *node.Network, _ NetConfig) Driver {
+		if install != nil {
+			install(nw)
+		}
+		return openFunc(func(spec FlowSpec) Flow {
 			cfg := Defaults(spec.Flow, spec.Src, spec.Dst)
 			cfg.TotalPackets = spec.TotalPackets
 			if spec.InitialRate > 0 {
@@ -88,31 +89,11 @@ func RegisterBaseline[S, R Endpoint](name string, install func(*node.Network), d
 				cfg.MaxRate = spec.MaxRate
 			}
 			return NewFlow(name, spec, dial(nw, cfg))
-		}}
-	})
+		})
+	}
 }
 
-type e2eDriver struct {
-	name    string
-	install func(*node.Network)
-	open    func(*node.Network, FlowSpec) Flow
-	nw      *node.Network
-}
+// openFunc is a Driver that is only its OpenFlow.
+type openFunc func(FlowSpec) Flow
 
-func (d *e2eDriver) Attach(nw *node.Network, _ NetConfig) error {
-	if d.nw != nil {
-		return fmt.Errorf("transport: driver %q already attached", d.name)
-	}
-	d.nw = nw
-	if d.install != nil {
-		d.install(nw)
-	}
-	return nil
-}
-
-func (d *e2eDriver) OpenFlow(spec FlowSpec) (Flow, error) {
-	if d.nw == nil {
-		return nil, fmt.Errorf("transport: driver %q not attached", d.name)
-	}
-	return d.open(d.nw, spec), nil
-}
+func (f openFunc) OpenFlow(spec FlowSpec) Flow { return f(spec) }

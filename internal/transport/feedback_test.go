@@ -17,7 +17,7 @@ import (
 	"github.com/javelen/jtp/internal/tcpsack"
 	"github.com/javelen/jtp/internal/topology"
 	"github.com/javelen/jtp/internal/transport"
-	_ "github.com/javelen/jtp/internal/transport/drivers"
+	"github.com/javelen/jtp/internal/transport/drivers"
 )
 
 // feedbackTap is a MAC plugin on the data receiver's node that hashes
@@ -150,23 +150,18 @@ func transferDigests(t *testing.T, proto string, lossTolerance float64, nodes, p
 		Routing: routing.Config{},
 		Energy:  energy.JAVeLEN(),
 	})
-	drv, err := transport.New(proto)
+	newDriver, err := drivers.Lookup(proto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := drv.Attach(nw, transport.NetConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	drv := newDriver(nw, transport.NetConfig{})
 	dst := packet.NodeID(nodes - 1)
 	tap := &feedbackTap{at: dst, eng: eng, h: sha256.New()}
 	nw.Node(dst).MAC.AddPlugin(tap)
 	data := &dataTap{at: 0, eng: eng, h: sha256.New(), total: uint32(packets)}
 	nw.Node(0).MAC.AddPlugin(data)
 	nw.Start()
-	fl, err := drv.OpenFlow(transport.FlowSpec{Flow: 1, Src: 0, Dst: dst, TotalPackets: packets, LossTolerance: lossTolerance})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl := drv.OpenFlow(transport.FlowSpec{Flow: 1, Src: 0, Dst: dst, TotalPackets: packets, LossTolerance: lossTolerance})
 	fl.Start()
 	eng.RunFor(5000 * sim.Second)
 	if !fl.Done() {

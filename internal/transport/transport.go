@@ -1,29 +1,30 @@
-// Package transport defines the pluggable transport-driver layer: the
-// Driver and Flow interfaces every protocol under test implements, and
-// the name→factory registry that makes "which transport" an open,
-// runtime-selected axis instead of a compile-time enum.
+// Package transport defines the transport-driver layer: the Driver and
+// Flow interfaces every protocol under test implements, and the Factory
+// that builds a Driver on a network.
 //
-// A Driver is instantiated once per simulation run. Attach installs the
-// protocol's in-network machinery on a built (not yet started) network —
-// iJTP caching/attempt-control plugins for JTP, rate stampers for ATP,
+// A Factory builds a protocol's driver on a built (not yet started)
+// network, installing the protocol's in-network machinery as it does so
+// — iJTP caching/attempt-control plugins for JTP, rate stampers for ATP,
 // nothing for plain end-to-end protocols. OpenFlow then dials one flow;
 // the returned Flow exposes uniform lifecycle control and a
 // protocol-independent metrics.FlowRecord, so the experiment harness,
 // the batch campaign engine and the public jtp API never switch on the
 // protocol name.
 //
-// Protocol packages register their drivers from init; importing
-// internal/transport/drivers pulls in every built-in protocol.
+// The protocol set is closed: internal/transport/drivers maps the four
+// names of the paper's comparison to their factories.
 //
 // The package also holds what the protocols share: Source and Sink, the
 // paced sending end and the counting receiving end every protocol's
 // endpoints embed; Window, Ring and RetxQueue, their bounded sequence
 // bookkeeping; Conn and NewFlow, which turn two endpoints into a Flow;
 // and, for the end-to-end baselines, the Wire segment format, Dial and
-// RegisterBaseline.
+// Baseline.
 package transport
 
 import (
+	"errors"
+
 	"github.com/javelen/jtp/internal/cache"
 	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
@@ -93,17 +94,22 @@ type Flow interface {
 	Stats() *metrics.FlowRecord
 }
 
-// Driver is one transport protocol's adapter. A Driver instance is
-// created per run via its registered Factory and is only used from the
+// Driver is one transport protocol's adapter on one network. It is
+// built per run by its protocol's Factory and is only used from the
 // run's (single-threaded) simulation context.
 type Driver interface {
-	// Attach installs the protocol's per-node in-network machinery on a
-	// built network, before traffic starts. It must be called exactly
-	// once, before OpenFlow.
-	Attach(nw *node.Network, cfg NetConfig) error
-	// OpenFlow dials one flow on the attached network.
-	OpenFlow(spec FlowSpec) (Flow, error)
+	// OpenFlow dials one flow on the driver's network.
+	OpenFlow(spec FlowSpec) Flow
 }
+
+// Factory builds a protocol's driver on a built network, before traffic
+// starts: it installs the protocol's per-node in-network machinery,
+// configured from cfg, and returns the driver that dials its flows.
+type Factory func(nw *node.Network, cfg NetConfig) Driver
+
+// ErrUnknownProtocol is wrapped by lookups of a name outside the
+// protocol set. Callers match with errors.Is.
+var ErrUnknownProtocol = errors.New("transport: unknown protocol")
 
 // NetStats aggregates a driver's in-network counters for a run.
 type NetStats struct {
@@ -121,18 +127,6 @@ type NetStats struct {
 // without such machinery simply don't implement it.
 type NetReporter interface {
 	NetStats() NetStats
-}
-
-// Exclusive is implemented by drivers whose Attach installs in-network
-// machinery that acts on the protocol family's packets regardless of
-// which driver instance installed it — attaching two such drivers with
-// the same key on one network would double-process every packet (the
-// iJTP plugins of "jtp" and "jnc" would each charge energy and answer
-// SNACKs). Hosts that attach multiple drivers to one network must
-// refuse a second driver with an already-attached key.
-type Exclusive interface {
-	// ExclusiveKey names the shared in-network machinery ("ijtp").
-	ExclusiveKey() string
 }
 
 // GoodputNow returns a flow's delivered bits per second of active time

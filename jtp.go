@@ -16,6 +16,7 @@ import (
 	"github.com/javelen/jtp/internal/topology"
 	"github.com/javelen/jtp/internal/trace"
 	"github.com/javelen/jtp/internal/transport"
+	"github.com/javelen/jtp/internal/transport/drivers"
 )
 
 // TopologyKind selects how nodes are laid out.
@@ -99,15 +100,14 @@ type SimConfig struct {
 	// CachePolicy selects the cache replacement strategy (default LRU).
 	CachePolicy CachePolicy
 	// Protocol selects the default transport driver for flows opened on
-	// this network (default "jtp"). Any registered driver name works:
-	// "jtp", "jnc", "tcp", "atp", or protocols added by future driver
-	// packages; see Protocols for the full set. Per-flow overrides go
-	// through FlowConfig.Protocol.
+	// this network (default "jtp"): one of "atp", "jnc", "jtp" and
+	// "tcp", the set Protocols returns. Per-flow overrides go through
+	// FlowConfig.Protocol.
 	Protocol string
 }
 
-// Protocols returns the registered transport driver names, sorted.
-func Protocols() []string { return transport.Names() }
+// Protocols returns the transport driver names, sorted.
+func Protocols() []string { return drivers.Names() }
 
 // FlowConfig opens one JTP connection.
 type FlowConfig struct {
@@ -148,12 +148,12 @@ type FlowConfig struct {
 	Protocol string
 }
 
-// Sim is a simulated JAVeLEN network; flows of any registered transport
-// protocol run on it (JTP by default).
+// Sim is a simulated JAVeLEN network; flows of any of the transport
+// protocols run on it (JTP by default).
 type Sim struct {
 	sub      *experiments.Substrate
 	proto    string                      // default flow protocol
-	drivers  map[string]transport.Driver // attached drivers by name
+	attached map[string]transport.Driver // built drivers by name
 	flows    []*Flow
 	nextFlow packet.FlowID
 	started  bool
@@ -228,37 +228,34 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	return &Sim{
 		sub:      sub,
 		proto:    proto,
-		drivers:  map[string]transport.Driver{proto: sub.Driver},
+		attached: map[string]transport.Driver{proto: sub.Driver},
 		nextFlow: 1,
 	}, nil
 }
 
-// driver returns the attached driver for a protocol, instantiating and
-// attaching it from the registry on first use. Every attached driver
-// shares the Sim's network and scenario-level knobs. Drivers whose
-// in-network machinery is exclusive (jtp vs jnc: both would install a
-// full iJTP plugin set that double-processes every JTP packet) are
-// refused when a conflicting driver is already attached.
+// driver returns the Sim's driver for a protocol, building it on the
+// Sim's network on first use. Every driver shares the network and the
+// scenario-level knobs. "jtp" and "jnc" both install the iJTP plugin
+// set, which would process every JTP packet twice, so the second of
+// them is refused before anything is installed.
 func (s *Sim) driver(name string) (transport.Driver, error) {
-	if d, ok := s.drivers[name]; ok {
+	if d, ok := s.attached[name]; ok {
 		return d, nil
 	}
-	d, err := transport.New(name)
+	newDriver, err := drivers.Lookup(name)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	if ex, ok := d.(transport.Exclusive); ok {
-		for prev, pd := range s.drivers {
-			if pex, ok := pd.(transport.Exclusive); ok && pex.ExclusiveKey() == ex.ExclusiveKey() {
-				return nil, fmt.Errorf("%w: protocol %q conflicts with already-attached %q (both install %s in-network machinery)",
-					ErrBadConfig, name, prev, ex.ExclusiveKey())
+	if drivers.IJTP(name) {
+		for prev := range s.attached {
+			if drivers.IJTP(prev) {
+				return nil, fmt.Errorf("%w: protocol %q conflicts with already-attached %q (both install ijtp in-network machinery)",
+					ErrBadConfig, name, prev)
 			}
 		}
 	}
-	if err := d.Attach(s.sub.Network, s.sub.NetConfig); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	s.drivers[name] = d
+	d := newDriver(s.sub.Network, s.sub.NetConfig)
+	s.attached[name] = d
 	return d, nil
 }
 
@@ -309,10 +306,7 @@ func (s *Sim) OpenFlow(cfg FlowConfig) (*Flow, error) {
 		DeadlineAfter:          cfg.DeadlineSeconds,
 	}
 	s.nextFlow++
-	tf, err := drv.OpenFlow(spec)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
+	tf := drv.OpenFlow(spec)
 
 	f := &Flow{tf: tf, proto: proto, cfg: cfg, sim: s}
 	s.flows = append(s.flows, f)
@@ -440,7 +434,7 @@ func (s *Sim) QueueDrops() uint64 { return s.sub.Network.QueueDrops() }
 // CacheHits returns in-network cache recoveries across the network.
 func (s *Sim) CacheHits() uint64 {
 	var sum uint64
-	for _, d := range s.drivers {
+	for _, d := range s.attached {
 		if nr, ok := d.(transport.NetReporter); ok {
 			sum += nr.NetStats().CacheHits
 		}

@@ -2,6 +2,7 @@ package jtp_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/javelen/jtp"
@@ -107,16 +108,10 @@ func TestExclusiveProtocolsDoNotMix(t *testing.T) {
 	}
 }
 
-// TestProtocolsListsBuiltins checks the public enumeration covers the
-// paper's comparison set.
+// TestProtocolsListsBuiltins checks the public enumeration is exactly
+// the paper's comparison set.
 func TestProtocolsListsBuiltins(t *testing.T) {
-	have := map[string]bool{}
-	for _, p := range jtp.Protocols() {
-		have[p] = true
-	}
-	for _, want := range []string{"jtp", "jnc", "tcp", "atp"} {
-		if !have[want] {
-			t.Errorf("Protocols() = %v is missing %q", jtp.Protocols(), want)
-		}
+	if got, want := jtp.Protocols(), []string{"atp", "jnc", "jtp", "tcp"}; !slices.Equal(got, want) {
+		t.Errorf("Protocols() = %v, want %v", got, want)
 	}
 }
