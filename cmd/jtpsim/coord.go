@@ -34,7 +34,6 @@ import (
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/coordinator"
 	"github.com/javelen/jtp/internal/experiments"
-	"github.com/javelen/jtp/internal/obs"
 )
 
 func coordMain(args []string) int {
@@ -119,7 +118,6 @@ func coordMain(args []string) int {
 		"-checkpoint-interval", ckInterval.String(),
 	)
 
-	reg := obs.New()
 	var logw = os.Stderr
 	cfg := coordinator.Config{
 		WorkerBin:     self,
@@ -135,7 +133,6 @@ func coordMain(args []string) int {
 		Poll:          *poll,
 		ChaosKillRate: *chaos,
 		ChaosSeed:     *chaosSeed,
-		Obs:           reg,
 	}
 	if !*quiet {
 		cfg.Log = logw

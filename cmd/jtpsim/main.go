@@ -78,6 +78,8 @@ type options struct {
 	checkpoint   string         // -checkpoint
 	checkpointIv time.Duration  // -checkpoint-interval
 	status       string         // -status
+	verbose      bool           // batch -v
+	runs         int            // the campaign's run count, for -v lines
 
 	statusFile      *os.File
 	statusLastWrite time.Time
@@ -139,11 +141,33 @@ func (o *options) start() (opt experiments.Options, ctx context.Context, stop fu
 		o.stopProfiles()
 	}
 	if err = o.startProfiles(); err == nil {
-		if err = o.startStatusWriter(&opt); err == nil {
+		if err = o.startStatusWriter(opt.Shard.Index); err == nil {
 			err = o.startTelemetry(&opt)
 		}
 	}
+	if o.verbose || o.status != "" || opt.Telemetry || o.progress {
+		opt.OnProgress = o.onProgress
+	}
 	return opt, ctx, stop, err
+}
+
+// onProgress is the campaign's one progress hook, called once per folded
+// run in fold order. It writes the -v line, then the telemetry line, the
+// /debug/vars fold and the -progress ticker, then the -status frame —
+// last, so a chaos exit there leaves this run's telemetry line written.
+func (o *options) onProgress(p campaign.Progress) {
+	if o.verbose {
+		status := "ok"
+		if p.Err != nil {
+			status = "FAIL: " + p.Err.Error()
+		}
+		fmt.Fprintf(os.Stderr, "  [%d/%d] %s run=%d seed=%d %s\n",
+			p.Spec.Index+1, o.runs, p.Spec.Cell.Key(), p.Spec.Run, p.Spec.Seed, status)
+	}
+	o.onCampaignProgress(p)
+	if o.statusFile != nil {
+		o.onStatusProgress(p)
+	}
 }
 
 // cancelled reports a campaign the first signal interrupted: how much
@@ -295,10 +319,8 @@ func batchMain(args []string) int {
 	)
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	bf.register(fs)
-	var (
-		asJSON  = fs.Bool("json", false, "emit the aggregate report as JSON")
-		verbose = fs.Bool("v", false, "log each completed run to stderr")
-	)
+	asJSON := fs.Bool("json", false, "emit the aggregate report as JSON")
+	fs.BoolVar(&o.verbose, "v", false, "log each completed run to stderr")
 	o.campaignFlags(fs)
 	fs.Parse(args)
 
@@ -316,13 +338,14 @@ func batchMain(args []string) int {
 		return 1
 	}
 
+	m := spec.Matrix()
+	o.runs = m.NumRuns()
 	opt, ctx, stop, err := o.start()
 	defer stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jtpsim batch: %v\n", err)
 		return 1
 	}
-	m := spec.Matrix()
 	fmt.Fprintf(os.Stderr, "jtpsim batch: %s: %d cells × %d runs = %d simulations\n",
 		spec.Name, m.NumCells(), spec.Runs, m.NumRuns())
 	if opt.Shard.Enabled() {
@@ -330,18 +353,6 @@ func batchMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "jtpsim batch: shard %s: cells [%d,%d), %d simulations\n",
 			opt.Shard, lo, hi, (hi-lo)*spec.Runs)
 	}
-	if *verbose {
-		total := m.NumRuns()
-		opt.OnResult = func(s campaign.RunSpec, _ campaign.Sample, err error) {
-			status := "ok"
-			if err != nil {
-				status = "FAIL: " + err.Error()
-			}
-			fmt.Fprintf(os.Stderr, "  [%d/%d] %s run=%d seed=%d %s\n",
-				s.Index+1, total, s.Cell.Key(), s.Run, s.Seed, status)
-		}
-	}
-
 	// On cancellation the partial report is still emitted, after the
 	// final checkpoint write.
 	rep, err := spec.Execute(ctx, opt)

@@ -23,7 +23,6 @@ import (
 
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/coordinator"
-	"github.com/javelen/jtp/internal/experiments"
 )
 
 // statusFrameInterval rate-limits heartbeat appends: while runs fold, a
@@ -33,10 +32,9 @@ import (
 // also advances its frames.
 const statusFrameInterval = 250 * time.Millisecond
 
-// startStatusWriter opens the -status sink, arms the chaos knob, and
-// chains the heartbeat hook onto opt.OnProgress ahead of startTelemetry
-// (which composes rather than replaces a present hook).
-func (o *options) startStatusWriter(opt *experiments.Options) error {
+// startStatusWriter opens the -status sink and arms the chaos knob for
+// the worker's shard; onProgress writes the frames.
+func (o *options) startStatusWriter(shardIndex int) error {
 	if o.status == "" {
 		return nil
 	}
@@ -45,17 +43,7 @@ func (o *options) startStatusWriter(opt *experiments.Options) error {
 		return fmt.Errorf("status: %w", err)
 	}
 	o.statusFile = f
-	if err := o.armChaosExit(opt.Shard.Index); err != nil {
-		return err
-	}
-	prev := opt.OnProgress
-	opt.OnProgress = func(p campaign.Progress) {
-		if prev != nil {
-			prev(p)
-		}
-		o.onStatusProgress(p)
-	}
-	return nil
+	return o.armChaosExit(shardIndex)
 }
 
 // armChaosExit parses JTPSIM_CHAOS_EXIT_AT ("SEQ" or "SHARD:SEQ") into

@@ -69,8 +69,9 @@ type telemetryLine struct {
 	Counters    map[string]float64 `json:"counters,omitempty"`
 }
 
-// startTelemetry opens the sinks selected by the flags and wires them
-// into opt. Call stopSinks (deferred) to flush.
+// startTelemetry opens the sinks selected by the flags and turns on run
+// telemetry in opt when they consume it. Call stopSinks (deferred) to
+// flush.
 func (o *options) startTelemetry(opt *experiments.Options) error {
 	if o.telemetry != "" {
 		f, err := os.Create(o.telemetry)
@@ -91,19 +92,6 @@ func (o *options) startTelemetry(opt *experiments.Options) error {
 	// consumes the counters; a bare -progress ticker needs just the
 	// stream itself.
 	opt.Telemetry = o.telemetry != "" || o.debugAddr != ""
-	if opt.Telemetry || o.progress {
-		// Compose with any hook already chained (the -status heartbeat
-		// writer); telemetry first, so a chaos suicide in the status hook
-		// still sees this run's telemetry line flushed.
-		if prev := opt.OnProgress; prev != nil {
-			opt.OnProgress = func(p campaign.Progress) {
-				o.onCampaignProgress(p)
-				prev(p)
-			}
-		} else {
-			opt.OnProgress = o.onCampaignProgress
-		}
-	}
 	return nil
 }
 
@@ -154,15 +142,7 @@ func (o *options) onCampaignProgress(p campaign.Progress) {
 		st.Counters = map[string]float64{}
 	}
 	for k, v := range counters {
-		if obs.IsMax(k) {
-			if v > st.Counters[k] {
-				st.Counters[k] = v
-			} else if _, ok := st.Counters[k]; !ok {
-				st.Counters[k] = v
-			}
-		} else {
-			st.Counters[k] += v
-		}
+		obs.Fold(st.Counters, k, v)
 	}
 	st.Unlock()
 

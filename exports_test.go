@@ -26,7 +26,6 @@ var exportAllowlist = map[string]string{
 	"channel.Channel.Bad":          "TestSymmetricLinkState and TestMeanBadPeriod read the link state",
 	"channel.Channel.ForceState":   "TestSymmetricLinkState and TestLossProbStates hold a link in one state",
 	"mac.Scheduler.Slots":          "TestSchedulerSlotRate counts the slots elapsed",
-	"obs.Gauge.HighWater":          "TestAllocsScheduleSteadyStateObserved reads the heap-depth high-water mark",
 	"routing.View.Hops":            "TestViewSnapshotAccessors reads the full-view oracle behind Cache.Fill",
 	"sim.Engine.Drain":             "TestDrain and the other sim tests run the queue dry",
 	"sim.source.Int63":             "TestSourceMatchesMathRand draws it through rand.Rand, which reaches it only via the rand.Source interface",

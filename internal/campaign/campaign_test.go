@@ -201,13 +201,15 @@ func TestValidateRejectsBadMatrices(t *testing.T) {
 	}
 }
 
-func TestOnResultStreamsInOrder(t *testing.T) {
+// TestOnProgressStreamsResultsInOrder: every folded result reaches
+// OnProgress once, in ascending run order, at any worker count.
+func TestOnProgressStreamsResultsInOrder(t *testing.T) {
 	m := testMatrix()
 	var indices []int
 	_, err := Execute(context.Background(), m, Options{
 		Workers: 6,
-		OnResult: func(spec RunSpec, _ Sample, _ error) {
-			indices = append(indices, spec.Index)
+		OnProgress: func(p Progress) {
+			indices = append(indices, p.Spec.Index)
 		},
 	}, seededRun)
 	if err != nil {
@@ -218,7 +220,7 @@ func TestOnResultStreamsInOrder(t *testing.T) {
 	}
 	for i, idx := range indices {
 		if idx != i {
-			t.Fatalf("OnResult out of order at %d: got index %d", i, idx)
+			t.Fatalf("OnProgress out of order at %d: got index %d", i, idx)
 		}
 	}
 }

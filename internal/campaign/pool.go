@@ -28,15 +28,12 @@ type RunFunc func(ctx context.Context, spec RunSpec) (Sample, error)
 type Options struct {
 	// Workers is the worker-pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// OnResult, when non-nil, observes every folded run result. It is
-	// invoked in ascending fold order under the aggregation lock, so
-	// callers get a deterministic progress stream without locking.
-	// Results discarded by cancellation (see Report.Interrupted) are not
-	// observed — they never fold, and rerun on resume.
-	OnResult func(spec RunSpec, s Sample, err error)
-	// OnProgress, when non-nil, observes campaign progress: one call per
-	// run, after OnResult, in the same deterministic fold order and under
-	// the same lock. Wall-clock timing is only measured when OnProgress is
+	// OnProgress, when non-nil, observes every folded run result and the
+	// campaign's progress: one call per run, in ascending fold order under
+	// the aggregation lock, so callers get a deterministic stream without
+	// locking. Results discarded by cancellation (see
+	// Report.Interrupted) are not observed — they never fold, and rerun
+	// on resume. Wall-clock timing is only measured when OnProgress is
 	// set; it never influences the simulation or the report.
 	OnProgress func(p Progress)
 	// Shard restricts execution to one deterministic slice of the
@@ -83,7 +80,7 @@ type Progress struct {
 	// Campaign is the matrix name.
 	Campaign string
 	// Spec identifies the run that just folded; Sample and Err are its
-	// result, exactly as passed to OnResult.
+	// result, exactly as the run returned them.
 	Spec   RunSpec
 	Sample Sample
 	Err    error
@@ -217,7 +214,6 @@ func Execute(ctx context.Context, m Matrix, opt Options, fn RunFunc) (*Report, e
 		failures:   rep.Failures,
 		pending:    make(map[int]foldItem, window),
 		released:   make(chan struct{}, window),
-		onResult:   opt.OnResult,
 		onProgress: opt.OnProgress,
 		ckPath:     opt.Checkpoint,
 		ckEvery:    opt.checkpointEvery(),
@@ -344,7 +340,6 @@ type aggregator struct {
 	stopped     bool // a cancelled run reached the fold frontier; fold is frozen
 	pending     map[int]foldItem
 	released    chan struct{}
-	onResult    func(RunSpec, Sample, error)
 	onProgress  func(Progress)
 	start       time.Time // campaign start (set only when onProgress != nil)
 	cellWall    []float64 // cumulative run wall seconds per cell
@@ -395,9 +390,6 @@ func (a *aggregator) deliver(seq int, spec RunSpec, s Sample, err error, wall fl
 		a.rep.fold(item.spec, item.s, item.err)
 		if item.err != nil {
 			a.failures++
-		}
-		if a.onResult != nil {
-			a.onResult(item.spec, item.s, item.err)
 		}
 		a.next++
 		if a.onProgress != nil {

@@ -90,21 +90,13 @@ func (c *CellResult) fold(s Sample, err error) {
 }
 
 // foldTelemetry merges one telemetry value (key already stripped of
-// TelemetryPrefix) using obs merge semantics. Each key folds
-// independently, so sample map iteration order cannot affect the result.
+// TelemetryPrefix) by obs.Fold. Each key folds independently, so sample
+// map iteration order cannot affect the result.
 func (c *CellResult) foldTelemetry(k string, v float64) {
 	if c.Telemetry == nil {
 		c.Telemetry = map[string]float64{}
 	}
-	if obs.IsMax(k) {
-		if v > c.Telemetry[k] {
-			c.Telemetry[k] = v
-		} else if _, ok := c.Telemetry[k]; !ok {
-			c.Telemetry[k] = v
-		}
-		return
-	}
-	c.Telemetry[k] += v
+	obs.Fold(c.Telemetry, k, v)
 }
 
 // Report is a campaign's aggregate outcome: one CellResult per matrix

@@ -575,7 +575,7 @@ func TestMatrixConfigMustEncode(t *testing.T) {
 // checkpoint obeys: folding is strictly in order, so the frontier equals
 // the folded run count, which equals the sum of the per-cell run counts.
 // It reads every periodic checkpoint (one per fold) from inside
-// OnResult, and the final one after Execute returns, for whole and
+// OnProgress, and the final one after Execute returns, for whole and
 // sharded executions, cold and resumed after a kill.
 func TestCheckpointFrontierIsRuns(t *testing.T) {
 	m := testMatrix()
@@ -614,7 +614,7 @@ func TestCheckpointFrontierIsRuns(t *testing.T) {
 				}
 				opt := Options{
 					Workers: 2, Shard: sh, Checkpoint: ck, CheckpointEvery: 1,
-					OnResult: func(RunSpec, Sample, error) { check(phase + " periodic") },
+					OnProgress: func(Progress) { check(phase + " periodic") },
 				}
 				_, err := Execute(ctx, m, opt, fn)
 				cancel()

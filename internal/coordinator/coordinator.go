@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"github.com/javelen/jtp/internal/campaign"
-	"github.com/javelen/jtp/internal/obs"
 )
 
 // Config tunes a coordinator run.
@@ -100,11 +99,6 @@ type Config struct {
 	// Log, when non-nil, receives the coordinator's event log (one line
 	// per launch/death/backoff/merge).
 	Log io.Writer
-	// Obs, when non-nil, receives the coordinator counters:
-	// coord_shard_restarts, coord_shard_dead_detections,
-	// coord_backoff_ms_total, coord_heartbeat_age_ms_hwm,
-	// coord_chaos_kills, coord_stall_kills.
-	Obs *obs.Registry
 }
 
 func (c *Config) workers() int {
@@ -232,7 +226,7 @@ type Result struct {
 	Done, Failed, Interrupted []int
 	// Table is the final per-shard supervision state.
 	Table []ShardStatus
-	// Counters snapshots the coordinator's obs registry.
+	// Counters snapshots the coordinator's supervision counters.
 	Counters map[string]uint64
 }
 
@@ -257,12 +251,9 @@ type Coordinator struct {
 	events chan exitEvent
 	rng    *rand.Rand
 
-	ctrRestarts *obs.Counter
-	ctrDead     *obs.Counter
-	ctrBackoff  *obs.Counter
-	ctrChaos    *obs.Counter
-	ctrStall    *obs.Counter
-	gaugeHBAge  *obs.Gauge
+	// Supervision counters, guarded by mu (see countersLocked).
+	restarts, deadDetections, backoffMs     uint64
+	chaosKills, stallKills, heartbeatAgeHWM uint64
 }
 
 // New validates the configuration and prepares (but does not start) a
@@ -298,15 +289,19 @@ func New(cfg Config) (*Coordinator, error) {
 		events: make(chan exitEvent, cfg.Shards),
 		rng:    rand.New(rand.NewSource(seed)),
 	}
-	if cfg.Obs != nil {
-		c.ctrRestarts = cfg.Obs.Counter("coord_shard_restarts")
-		c.ctrDead = cfg.Obs.Counter("coord_shard_dead_detections")
-		c.ctrBackoff = cfg.Obs.Counter("coord_backoff_ms_total")
-		c.ctrChaos = cfg.Obs.Counter("coord_chaos_kills")
-		c.ctrStall = cfg.Obs.Counter("coord_stall_kills")
-		c.gaugeHBAge = cfg.Obs.Gauge("coord_heartbeat_age_ms")
-	}
 	return c, nil
+}
+
+// countersLocked snapshots the supervision counters; callers hold c.mu.
+func (c *Coordinator) countersLocked() map[string]uint64 {
+	return map[string]uint64{
+		"coord_shard_restarts":        c.restarts,
+		"coord_shard_dead_detections": c.deadDetections,
+		"coord_backoff_ms_total":      c.backoffMs,
+		"coord_heartbeat_age_ms_hwm":  c.heartbeatAgeHWM,
+		"coord_chaos_kills":           c.chaosKills,
+		"coord_stall_kills":           c.stallKills,
+	}
 }
 
 // Artifact paths inside OutDir: shard-007.json and so on.
@@ -461,8 +456,8 @@ func (c *Coordinator) launch(s *shardRun) error {
 	c.mu.Lock()
 	s.attempts++
 	attempt := s.attempts
-	if attempt > 1 && c.ctrRestarts != nil {
-		c.ctrRestarts.Inc()
+	if attempt > 1 {
+		c.restarts++
 	}
 	err = cmd.Start()
 	if err == nil {
@@ -528,9 +523,7 @@ func (c *Coordinator) markDead(s *shardRun, reason string) {
 	c.mu.Lock()
 	s.lastError = reason
 	s.proc = nil
-	if c.ctrDead != nil {
-		c.ctrDead.Inc()
-	}
+	c.deadDetections++
 	budget := c.cfg.retryBudget()
 	if s.attempts >= budget+1 {
 		s.state = stateFailed
@@ -546,9 +539,7 @@ func (c *Coordinator) markDead(s *shardRun, reason string) {
 	d += time.Duration(c.rng.Int63n(int64(d)/2 + 1))
 	s.state = statePending
 	s.backoffUntil = time.Now().Add(d)
-	if c.ctrBackoff != nil {
-		c.ctrBackoff.Add(uint64(d.Milliseconds()))
-	}
+	c.backoffMs += uint64(d.Milliseconds())
 	c.mu.Unlock()
 	c.logf("shard %d died (%s); restart %d/%d in %s", s.index, reason, s.attempts, budget, d.Round(time.Millisecond))
 }
@@ -577,25 +568,19 @@ func (c *Coordinator) superviseTick() {
 			s.lastRate = fr.RunsPerSec
 		}
 		age := now.Sub(s.anchor)
-		if c.gaugeHBAge != nil {
-			c.gaugeHBAge.Update(uint64(age.Milliseconds()))
-		}
+		c.heartbeatAgeHWM = max(c.heartbeatAgeHWM, uint64(age.Milliseconds()))
 		if age > c.cfg.stallTimeout() {
 			// Stuck, not crashed: no frontier movement. SIGKILL and let
 			// the exit path restart it.
 			s.killReason = fmt.Sprintf("stalled: no progress for %s (frontier %d)", age.Round(time.Second), s.lastSeq)
-			if c.ctrStall != nil {
-				c.ctrStall.Inc()
-			}
+			c.stallKills++
 			c.logf("shard %d %s; killing pid %d", s.index, s.killReason, s.proc.Pid)
 			s.proc.Kill()
 			continue
 		}
 		if chaosP > 0 && c.rng.Float64() < chaosP {
 			s.killReason = "chaos: injected SIGKILL"
-			if c.ctrChaos != nil {
-				c.ctrChaos.Inc()
-			}
+			c.chaosKills++
 			c.logf("shard %d chaos kill (pid %d, frontier %d)", s.index, s.proc.Pid, s.lastSeq)
 			s.proc.Kill()
 		}
@@ -678,9 +663,7 @@ func (c *Coordinator) finalize() (*Result, error) {
 		}
 	}
 	res.Table = c.statusTableLocked()
-	if c.cfg.Obs != nil {
-		res.Counters = c.cfg.Obs.Snapshot()
-	}
+	res.Counters = c.countersLocked()
 	c.mu.Unlock()
 
 	if len(res.Done) == 0 {
@@ -743,9 +726,7 @@ func (c *Coordinator) Snapshot() Snapshot {
 			snap.Failed++
 		}
 	}
-	if c.cfg.Obs != nil {
-		snap.Counters = c.cfg.Obs.Snapshot()
-	}
+	snap.Counters = c.countersLocked()
 	return snap
 }
 

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"github.com/javelen/jtp/internal/campaign"
-	"github.com/javelen/jtp/internal/obs"
 )
 
 // helperMatrix is the campaign both the helper workers and the
@@ -161,7 +160,6 @@ func newTestCoordinator(t *testing.T, dir string, shards, workers int, env ...st
 		Poll:         20 * time.Millisecond,
 		ChaosSeed:    42,
 		Env:          append([]string{"COORD_HELPER=1"}, env...),
-		Obs:          obs.New(),
 	}
 	c, err := New(cfg)
 	if err != nil {

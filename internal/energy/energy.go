@@ -70,23 +70,15 @@ func (m Model) RxCost(bytes int) float64 {
 // experiments can report both totals (Fig 3a, 7a) and per-node fairness
 // (Fig 4b). The zero value is ready to use.
 type Meter struct {
-	tx      float64
-	rx      float64
-	txCount uint64
-	rxCount uint64
+	tx float64
+	rx float64
 }
 
 // ChargeTx records one transmission's cost in joules.
-func (mt *Meter) ChargeTx(j float64) {
-	mt.tx += j
-	mt.txCount++
-}
+func (mt *Meter) ChargeTx(j float64) { mt.tx += j }
 
 // ChargeRx records one reception's cost in joules.
-func (mt *Meter) ChargeRx(j float64) {
-	mt.rx += j
-	mt.rxCount++
-}
+func (mt *Meter) ChargeRx(j float64) { mt.rx += j }
 
 // Total returns all joules consumed.
 func (mt *Meter) Total() float64 { return mt.tx + mt.rx }
@@ -97,13 +89,7 @@ func (mt *Meter) Tx() float64 { return mt.tx }
 // Rx returns joules spent receiving.
 func (mt *Meter) Rx() float64 { return mt.rx }
 
-// TxCount returns the number of link-layer transmissions charged.
-func (mt *Meter) TxCount() uint64 { return mt.txCount }
-
-// RxCount returns the number of link-layer receptions charged.
-func (mt *Meter) RxCount() uint64 { return mt.rxCount }
-
 // String formats the meter in millijoules.
 func (mt *Meter) String() string {
-	return fmt.Sprintf("tx=%.3fmJ(%d) rx=%.3fmJ(%d)", mt.tx*1e3, mt.txCount, mt.rx*1e3, mt.rxCount)
+	return fmt.Sprintf("tx=%.3fmJ rx=%.3fmJ", mt.tx*1e3, mt.rx*1e3)
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/obs"
 )
 
 // Observable names shared by the figure campaigns and batch mode.
@@ -29,8 +28,8 @@ const (
 // argument, so campaigns with different options can share a process.
 type Options struct {
 	campaign.Options
-	// Telemetry attaches a fresh obs.Registry to every run; each run's
-	// snapshot rides its Sample under campaign.TelemetryPrefix and folds
+	// Telemetry collects every run's telemetry (Scenario.Telemetry); each
+	// run's map rides its Sample under campaign.TelemetryPrefix and folds
 	// into the report's Telemetry aggregates. The observable aggregates —
 	// and therefore tables, CSVs and goldens — are byte-identical either
 	// way.
@@ -75,11 +74,7 @@ func execute(ctx context.Context, m campaign.Matrix, opt Options,
 		if err != nil {
 			return nil, err
 		}
-		if opt.Telemetry {
-			// A registry of the run's own: a recycled one would export the
-			// instruments of earlier runs as zeros.
-			sc.Obs = obs.New()
-		}
+		sc.Telemetry = opt.Telemetry
 		rec, err := Run(sc)
 		if err != nil {
 			return nil, err

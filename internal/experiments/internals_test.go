@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/stats"
@@ -138,32 +137,24 @@ func TestTable2FlowCountScaling(t *testing.T) {
 // TestAllocsIdleChainSecond pins the whole assembled stack at rest: on a
 // warm 8-node JTP chain whose flow has not started yet, one virtual
 // second — TDMA scheduler ticks, slot ownership, idle accounting,
-// routing timers — allocates nothing, with telemetry off and on.
+// routing timers — allocates nothing.
 func TestAllocsIdleChainSecond(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		reg  *obs.Registry
-	}{{"unobserved", nil}, {"observed", obs.New()}} {
-		t.Run(tc.name, func(t *testing.T) {
-			b, err := BuildScenario(Scenario{
-				Name:    "idle-chain",
-				Proto:   JTP,
-				Topo:    Linear,
-				Nodes:   8,
-				Seconds: 3600,
-				Seed:    1,
-				Flows:   []FlowSpec{{Src: 0, Dst: 7, StartAt: 3000}},
-				Obs:     tc.reg,
-			}, Hooks{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := b.Engine()
-			eng.RunUntil(sim.Time(10 * sim.Second)) // warm slabs, frames, link stats
-			if allocs := testing.AllocsPerRun(100, func() { eng.RunFor(sim.Second) }); allocs != 0 {
-				t.Fatalf("an idle chain second allocates %.1f/op, want 0", allocs)
-			}
-		})
+	b, err := BuildScenario(Scenario{
+		Name:    "idle-chain",
+		Proto:   JTP,
+		Topo:    Linear,
+		Nodes:   8,
+		Seconds: 3600,
+		Seed:    1,
+		Flows:   []FlowSpec{{Src: 0, Dst: 7, StartAt: 3000}},
+	}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := b.Engine()
+	eng.RunUntil(sim.Time(10 * sim.Second)) // warm slabs, frames, link stats
+	if allocs := testing.AllocsPerRun(100, func() { eng.RunFor(sim.Second) }); allocs != 0 {
+		t.Fatalf("an idle chain second allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -11,13 +11,11 @@ import (
 	"github.com/javelen/jtp/internal/mac"
 	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/node"
-	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/transport/drivers"
 )
 
 // pooledCase describes one scenario of the fresh-against-reused guard:
-// make returns the scenario for a seed, a new value (and a new telemetry
-// registry) on every call.
+// make returns the scenario for a seed, a new value on every call.
 type pooledCase struct {
 	name string
 	make func(seed int64) Scenario
@@ -42,8 +40,8 @@ func pooledChain(proto Protocol, nodes int, seed int64) Scenario {
 
 // pooledCases covers every driver on both channels across the
 // loss-tolerance and cache axes, plus, per driver, a mobile random
-// field, a node that fails and revives, energy budgets, queues that
-// overflow and telemetry.
+// field, a node that fails and revives, energy budgets and queues that
+// overflow.
 func pooledCases() []pooledCase {
 	var cases []pooledCase
 	for _, name := range drivers.Names() {
@@ -95,11 +93,6 @@ func pooledCases() []pooledCase {
 				m.QueueCap = 6
 				sc.MAC = &m
 				sc.Flows[0] = FlowSpec{Src: 0, Dst: 3, StartAt: 1, InitialRate: 40, MaxRate: 40}
-				return sc
-			}},
-			pooledCase{name: string(proto) + "/telemetry", make: func(seed int64) Scenario {
-				sc := pooledChain(proto, 4, seed)
-				sc.Obs = obs.New()
 				return sc
 			}},
 		)
@@ -183,27 +176,41 @@ func requireReusedMatchesFresh(t *testing.T, want []byte, other, next, sc Scenar
 	}
 }
 
+// telemetryPair returns mk's scenarios for seed and for the dirtying
+// run before it, one collecting telemetry and the other not: tel says
+// which. Telemetry is no part of a substrate's shape, so the run under
+// test reuses a substrate whose last run collected the other way.
+func telemetryPair(mk func(int64) Scenario, seed int64, tel bool) (sc, next Scenario) {
+	sc, next = mk(seed), mk(seed+100)
+	sc.Telemetry, next.Telemetry = tel, !tel
+	return sc, next
+}
+
 // TestPooledRunMatchesFresh is TestResetReproducesFreshEngine one layer
 // up: a run on a recycled substrate must produce the record a freshly
-// built network produces, byte for byte. The worker first runs a
-// scenario of another shape, then one of the same shape with another
-// seed, so the run under test follows both a shape change and a dirty
-// substrate of its own shape. That sequence runs once through the
-// worker pool, as campaigns run, and once on substrates handed over
-// explicitly, so the reuse is certain.
+// built network produces, byte for byte, telemetry included. The worker
+// first runs a scenario of another shape, then one of the same shape
+// with another seed and the other telemetry setting, so the run under
+// test follows both a shape change and a dirty substrate of its own
+// shape. That sequence runs once through the worker pool, as campaigns
+// run, and once on substrates handed over explicitly, so the reuse is
+// certain; each with and without telemetry on the run under test.
 func TestPooledRunMatchesFresh(t *testing.T) {
 	for _, c := range pooledCases() {
-		t.Run(c.name, func(t *testing.T) {
-			const seed = 11
-			want := recordBytes(t, c.make(seed), runFresh)
-			recordBytes(t, otherShape(c.make(seed)), Run)
-			recordBytes(t, c.make(seed+100), Run)
-			got := recordBytes(t, c.make(seed), Run)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("pooled run differs from a fresh build:\n got %s\nwant %s", got, want)
-			}
-			requireReusedMatchesFresh(t, want, otherShape(c.make(seed)), c.make(seed+100), c.make(seed))
-		})
+		for _, tel := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/telemetry=%t", c.name, tel), func(t *testing.T) {
+				const seed = 11
+				sc, next := telemetryPair(c.make, seed, tel)
+				want := recordBytes(t, sc, runFresh)
+				recordBytes(t, otherShape(sc), Run)
+				recordBytes(t, next, Run)
+				got := recordBytes(t, sc, Run)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("pooled run differs from a fresh build:\n got %s\nwant %s", got, want)
+				}
+				requireReusedMatchesFresh(t, want, otherShape(sc), next, sc)
+			})
+		}
 	}
 }
 
@@ -238,7 +245,9 @@ func fuzzScenario(proto, nodes uint8, clean bool, lossTol, policy uint8, mobile 
 
 // FuzzPooledRunMatchesFresh draws two random shapes and requires the
 // first's run, on a substrate that ran the second shape and then the
-// first shape with another seed, to match the first's fresh run.
+// first shape with another seed, to match the first's fresh run — with
+// telemetry on the run under test and off on the one before, and the
+// reverse.
 func FuzzPooledRunMatchesFresh(f *testing.F) {
 	f.Add(uint8(0), uint8(2), false, uint8(1), uint8(0), false, uint8(0), int64(1), uint8(3), uint8(5), true)
 	f.Add(uint8(1), uint8(6), true, uint8(2), uint8(4), true, uint8(5), int64(7), uint8(1), uint8(6), false)
@@ -249,7 +258,10 @@ func FuzzPooledRunMatchesFresh(f *testing.F) {
 			return fuzzScenario(proto, nodes, clean, lossTol, policy, mobile, down, seed)
 		}
 		other := fuzzScenario(otherProto, otherNodes, !clean, lossTol, policy+1, otherMobile, 0, seed+1)
-		want := recordBytes(t, mk(seed), runFresh)
-		requireReusedMatchesFresh(t, want, other, mk(seed+100), mk(seed))
+		for _, tel := range []bool{false, true} {
+			sc, next := telemetryPair(mk, seed, tel)
+			want := recordBytes(t, sc, runFresh)
+			requireReusedMatchesFresh(t, want, other, next, sc)
+		}
 	})
 }

@@ -23,7 +23,6 @@ import (
 	"github.com/javelen/jtp/internal/metrics"
 	"github.com/javelen/jtp/internal/mobility"
 	"github.com/javelen/jtp/internal/node"
-	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/routing"
 	"github.com/javelen/jtp/internal/sim"
@@ -135,14 +134,12 @@ type Scenario struct {
 	// TLowerBound overrides Table 1's 10 s feedback lower bound when > 0.
 	TLowerBound float64
 
-	// Obs, when non-nil, attaches run telemetry: the kernel and MAC write
-	// live counters into it during the run, and Run adds the end-of-run
-	// collection (routing cache, packet pool, energy, iJTP caches) before
-	// snapshotting it into RunRecord.Telemetry. Telemetry never touches
-	// the engine RNG, so an instrumented run is bit-identical to a bare
-	// one. Campaign runs get a fresh registry each when their Options
-	// enable telemetry; Obs is for direct callers (tests, probes).
-	Obs *obs.Registry
+	// Telemetry fills RunRecord.Telemetry from the counters every layer
+	// keeps anyway, read once after time stops (see telemetry). It
+	// changes nothing the run does, so a telemetry run is bit-identical
+	// to a bare one and shares its pooled substrates. Campaign runs set
+	// it when their Options enable telemetry.
+	Telemetry bool
 }
 
 // NodeEvent is one scheduled node state change (churn schedules).
@@ -202,7 +199,6 @@ type shape struct {
 	policy   cache.Policy
 	tLower   float64
 	budgets  bool
-	observed bool
 }
 
 // Start launches routing and the TDMA schedule, then mobility.
@@ -279,9 +275,6 @@ func assemble(sc Scenario, old *Substrate) (*Substrate, error) {
 	} else {
 		eng = sim.NewEngine(sc.Seed)
 	}
-	if sc.Obs != nil {
-		eng.Observe(sc.Obs)
-	}
 
 	// ---- Substrate -------------------------------------------------
 	spacing := sc.LinearSpacing
@@ -327,9 +320,6 @@ func assemble(sc Scenario, old *Substrate) (*Substrate, error) {
 		}
 		sub = &Substrate{Engine: eng, Network: nw, Driver: newDriver(nw, netCfg), NetConfig: netCfg, radioRange: chCfg.Range, shape: key}
 	}
-	if sc.Obs != nil {
-		sub.Network.Observe(sc.Obs)
-	}
 	if sc.MobilitySpeed > 0 {
 		sub.mob = mobility.New(eng, topo, topo.Field, mobility.Defaults(sc.MobilitySpeed))
 	}
@@ -363,7 +353,7 @@ func (sc *Scenario) shape(chCfg channel.Config, macCfg mac.Config, rtCfg routing
 		proto: sc.Proto, nodes: sc.Nodes,
 		channel: chCfg, mac: macCfg, routing: rtCfg,
 		cacheCap: sc.CacheCapacity, policy: sc.CachePolicy, tLower: sc.TLowerBound,
-		budgets: len(sc.EnergyBudgets) > 0, observed: sc.Obs != nil,
+		budgets: len(sc.EnergyBudgets) > 0,
 	}
 }
 
@@ -537,15 +527,12 @@ func (b *BuiltScenario) collect() *metrics.RunRecord {
 		Seconds:       b.sc.Seconds,
 		TotalEnergy:   b.sub.Network.TotalEnergy(),
 		PerNodeEnergy: b.sub.Network.PerNodeEnergy(),
-		QueueDrops:    b.sub.Network.QueueDrops(),
 	}
+	mc := b.sub.Network.MACCounters()
+	rec.QueueDrops, rec.RetryDrops = mc.QueueDrops, mc.RetryDrops
 	if len(b.sc.EnergyBudgets) > 0 {
 		rec.EnergyBudgets = b.sc.EnergyBudgets
 		rec.BudgetDeadNodes = b.sub.Network.ExhaustedNodes()
-	}
-	for _, nd := range b.sub.Network.Nodes() {
-		_, _, _, _, retryDrops, _ := nd.MAC.Counters()
-		rec.RetryDrops += retryDrops
 	}
 	if nr, ok := b.sub.Driver.(transport.NetReporter); ok {
 		ns := nr.NetStats()
@@ -559,9 +546,8 @@ func (b *BuiltScenario) collect() *metrics.RunRecord {
 	for _, fl := range b.flows {
 		rec.Flows = append(rec.Flows, fl.Stats())
 	}
-	if b.sc.Obs != nil {
-		b.collectObs(b.sc.Obs)
-		rec.Telemetry = b.sc.Obs.Snapshot()
+	if b.sc.Telemetry {
+		rec.Telemetry = b.telemetry(mc)
 	}
 	return rec
 }
@@ -583,69 +569,87 @@ func attemptBudgets(pls []*ijtp.Plugin) [][]uint64 {
 	return out
 }
 
-// collectObs adds the end-of-run telemetry to the registry: everything
-// the substrate already counts for free (MAC counters, node drop
-// counters, routing cache, packet pool, energy meters, per-policy iJTP
-// cache stats). These reads happen once per run, after time stops, so
-// they cost the hot path nothing.
-func (b *BuiltScenario) collectObs(reg *obs.Registry) {
-	for _, nd := range b.sub.Network.Nodes() {
-		txAttempts, txSuccess, rxFrames, _, _, _ := nd.MAC.Counters()
-		reg.Counter("mac_tx_attempts").Add(txAttempts)
-		reg.Counter("mac_tx_success").Add(txSuccess)
-		reg.Counter("mac_rx_frames").Add(rxFrames)
-	}
-	nc := b.sub.Network.Counters()
-	reg.Counter("node_drops_no_route").Add(nc.NoRoute)
-	reg.Counter("node_drops_ttl").Add(nc.TTLDrops)
-	reg.Counter("node_drops_no_endpoint").Add(nc.NoEndpoint)
-
-	rs := b.sub.Network.Views().Stats()
-	reg.Counter("route_fills").Add(rs.Fills)
-	reg.Counter("route_bfs_computes").Add(rs.Computes)
-	reg.Counter("route_cache_hits").Add(rs.Hits)
-	reg.Counter("route_cache_evictions").Add(rs.Recycled)
-	reg.Counter("route_views_consulted").Add(rs.Consulted)
-	reg.Counter("route_views_unconsulted").Add(rs.Unconsulted)
-	reg.Counter("route_adj_captures").Add(rs.Captures)
-	reg.Gauge("route_adj_snapshots").Update(rs.SnapshotsHWM)
-	reg.Counter("link_state_versions").Add(b.sub.Network.LinkVersion())
-
-	gets, puts, misses := b.sub.Network.PacketPool().Stats()
-	reg.Counter("pool_gets").Add(gets)
-	reg.Counter("pool_puts").Add(puts)
-	reg.Counter("pool_misses").Add(misses)
-
-	// Energy by activity, exported uniformly in nanojoules so telemetry
-	// stays integral (obs counters are uint64).
+// telemetry builds the run's telemetry map from what the substrate
+// already counts: the kernel's events, the network-wide MAC counters mc,
+// node drops, link-state upkeep, the routing cache, the packet pool, the
+// energy meters and, for JTP and JNC, the iJTP plugins and their caches
+// by replacement policy. Values are sums over nodes, "_hwm" and "_max"
+// keys maxima (obs.IsMax). It runs once, after time stops, so the hot
+// path pays nothing for it.
+func (b *BuiltScenario) telemetry(mc mac.Counters) map[string]uint64 {
+	nw := b.sub.Network
+	ec := b.sub.Engine.Counters()
+	ls := nw.LinkStateCounters()
+	nc := nw.Counters()
+	rs := nw.Views().Stats()
+	gets, puts, misses := nw.PacketPool().Stats()
+	// Energy by activity, in nanojoules so every value stays integral.
 	var txJ, rxJ float64
-	var txN, rxN uint64
-	for _, nd := range b.sub.Network.Nodes() {
+	for _, nd := range nw.Nodes() {
 		txJ += nd.Meter.Tx()
 		rxJ += nd.Meter.Rx()
-		txN += nd.Meter.TxCount()
-		rxN += nd.Meter.RxCount()
 	}
-	reg.Counter("energy_tx_nj").Add(uint64(txJ * 1e9))
-	reg.Counter("energy_rx_nj").Add(uint64(rxJ * 1e9))
-	reg.Counter("energy_tx_events").Add(txN)
-	reg.Counter("energy_rx_events").Add(rxN)
+	t := map[string]uint64{
+		"sim_events_scheduled": ec.Scheduled,
+		"sim_events_fired":     ec.Fired,
+		"sim_events_stopped":   ec.Stopped,
+		"sim_heap_depth_hwm":   ec.HeapHWM,
 
-	// iJTP soft state, per cache replacement policy (JTP/JNC runs only).
+		"mac_tx_attempts":          mc.TxAttempts,
+		"mac_tx_success":           mc.TxSuccess,
+		"mac_rx_frames":            mc.RxFrames,
+		"mac_enqueues":             mc.Enqueues,
+		"mac_queue_depth_hwm":      mc.QueueHWM,
+		"mac_drops_queue":          mc.QueueDrops,
+		"mac_drops_retries":        mc.RetryDrops,
+		"mac_drops_plugin":         mc.PluginDrops,
+		"mac_retries":              mc.Retries,
+		"mac_frame_attempts_count": mc.TxSuccess + mc.RetryDrops,
+		"mac_frame_attempts_sum":   mc.AttemptsSum,
+		"mac_frame_attempts_max":   mc.AttemptsMax,
+
+		"linkstate_rows_patched":  ls.RowsPatched,
+		"linkstate_patch_epochs":  ls.PatchEpochs,
+		"linkstate_full_rebuilds": ls.FullRebuilds,
+		"link_state_versions":     nw.LinkVersion(),
+
+		"node_drops_no_route":    nc.NoRoute,
+		"node_drops_ttl":         nc.TTLDrops,
+		"node_drops_no_endpoint": nc.NoEndpoint,
+
+		"route_fills":             rs.Fills,
+		"route_bfs_computes":      rs.Computes,
+		"route_cache_hits":        rs.Hits,
+		"route_cache_evictions":   rs.Recycled,
+		"route_views_consulted":   rs.Consulted,
+		"route_views_unconsulted": rs.Unconsulted,
+		"route_adj_captures":      rs.Captures,
+		"route_adj_snapshots_hwm": rs.SnapshotsHWM,
+
+		"pool_gets":   gets,
+		"pool_puts":   puts,
+		"pool_misses": misses,
+
+		"energy_tx_nj":     uint64(txJ * 1e9),
+		"energy_rx_nj":     uint64(rxJ * 1e9),
+		"energy_tx_events": mc.TxAttempts, // one charge per attempt
+		"energy_rx_events": mc.RxFrames,   // one charge per reception
+	}
 	if pp, ok := b.sub.Driver.(pluginHost); ok {
 		for _, pl := range pp.Plugins() {
 			c := pl.Counters()
-			reg.Counter("ijtp_cache_served").Add(c.CacheServed)
-			reg.Counter("ijtp_energy_drops").Add(c.EnergyDrops)
+			t["ijtp_cache_served"] += c.CacheServed
+			t["ijtp_energy_drops"] += c.EnergyDrops
 			if ca := pl.Cache(); ca != nil {
 				st := ca.Stats()
 				policy := ca.Policy().String()
-				reg.Counter("cache_inserts_" + policy).Add(st.Inserts)
-				reg.Counter("cache_hits_" + policy).Add(st.Hits)
-				reg.Counter("cache_evictions_" + policy).Add(st.Evictions)
+				t["cache_inserts_"+policy] += st.Inserts
+				t["cache_hits_"+policy] += st.Hits
+				t["cache_evictions_"+policy] += st.Evictions
 			}
 		}
 	}
+	return t
 }
 
 // pickEndpoints resolves -1 endpoints to random distinct reachable nodes.

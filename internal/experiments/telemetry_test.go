@@ -11,7 +11,6 @@ import (
 
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/metrics"
-	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/workload"
 )
 
@@ -26,13 +25,11 @@ func fig9TelemetryCSV(t *testing.T, opt Options) []byte {
 	return figureCSV(t, Fig9(fig9GoldenCfg()), opt)
 }
 
-// TestTelemetryGoldenByteIdentity is the PR's core acceptance check:
-// enabling telemetry collection (a per-run obs registry attached to every
-// engine, MAC, router and pool on the hot path) must not move a single
-// byte of the scientific output, at any worker count. The collected
-// counters ride the campaign stream under the tel/ prefix and are folded
-// outside the observable aggregates, and nothing in the instrumented
-// code may touch the engine RNG or event order.
+// TestTelemetryGoldenByteIdentity: enabling telemetry collection must
+// not move a single byte of the scientific output, at any worker count.
+// The collected counters ride the campaign stream under the tel/ prefix
+// and are folded outside the observable aggregates, and collecting them
+// may not touch the engine RNG or event order.
 func TestTelemetryGoldenByteIdentity(t *testing.T) {
 	plain := fig9TelemetryCSV(t, workers(1))
 	var ticks int
@@ -132,20 +129,20 @@ func TestTelemetryReportCounters(t *testing.T) {
 	}
 }
 
-// TestTelemetryRunDeterminism: two direct runs of the same scenario with
-// fresh registries must produce identical counter snapshots — telemetry
-// is part of the deterministic output, not a wall-clock artifact.
+// TestTelemetryRunDeterminism: two direct runs of the same scenario must
+// produce identical counter maps — telemetry is part of the
+// deterministic output, not a wall-clock artifact.
 func TestTelemetryRunDeterminism(t *testing.T) {
 	run := func() map[string]uint64 {
 		sc := Scenario{
-			Name:    "tel-determinism",
-			Proto:   JTP,
-			Topo:    Linear,
-			Nodes:   4,
-			Seconds: 150,
-			Seed:    99,
-			Flows:   []FlowSpec{{Src: 0, Dst: 3, StartAt: 20}},
-			Obs:     obs.New(),
+			Name:      "tel-determinism",
+			Proto:     JTP,
+			Topo:      Linear,
+			Nodes:     4,
+			Seconds:   150,
+			Seed:      99,
+			Flows:     []FlowSpec{{Src: 0, Dst: 3, StartAt: 20}},
+			Telemetry: true,
 		}
 		rec, err := Run(sc)
 		if err != nil {
@@ -172,14 +169,13 @@ func TestTelemetryRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestTelemetryKeysIndependentOfRunHistory pins that a campaign-attached
-// registry is the run's own: a TCP run that follows a JTP run on the same
-// campaign worker reports exactly the keys (and values) it reports on an
-// explicit fresh registry — none of the JTP run's cache_*/ijtp_*
-// instruments leak in as zeros — and the same seed twice gives equal
-// snapshots. The
-// scenario is mobile, multi-flow and budget-constrained, the fullest
-// exercise of the lazily folded link substrate.
+// TestTelemetryKeysIndependentOfRunHistory pins that a run's telemetry
+// is its own: a TCP run that follows a JTP run on the same campaign
+// worker reports exactly the keys (and values) it reports when run
+// alone — none of the JTP run's cache_*/ijtp_* keys leak in as zeros —
+// and the same seed twice gives equal maps. The scenario is mobile,
+// multi-flow and budget-constrained, the fullest exercise of the lazily
+// folded link substrate.
 func TestTelemetryKeysIndependentOfRunHistory(t *testing.T) {
 	scenario := func(proto Protocol) Scenario {
 		budgets := make([]float64, 12)
@@ -203,7 +199,7 @@ func TestTelemetryKeysIndependentOfRunHistory(t *testing.T) {
 		}
 	}
 	fresh := scenario(TCP)
-	fresh.Obs = obs.New()
+	fresh.Telemetry = true
 	rec, err := Run(fresh)
 	if err != nil {
 		t.Fatal(err)
@@ -216,18 +212,18 @@ func TestTelemetryKeysIndependentOfRunHistory(t *testing.T) {
 	// One worker runs the JTP cell twice, then the TCP cell twice.
 	opt := withTelemetry(workers(1))
 	got := map[string][]map[string]float64{}
-	opt.OnResult = func(spec campaign.RunSpec, s campaign.Sample, err error) {
-		if err != nil {
-			t.Error(err)
+	opt.OnProgress = func(p campaign.Progress) {
+		if p.Err != nil {
+			t.Error(p.Err)
 			return
 		}
 		tel := map[string]float64{}
-		for k, v := range s {
+		for k, v := range p.Sample {
 			if name, ok := strings.CutPrefix(k, campaign.TelemetryPrefix); ok {
 				tel[name] = v
 			}
 		}
-		proto := spec.Cell.String("proto")
+		proto := p.Spec.Cell.String("proto")
 		got[proto] = append(got[proto], tel)
 	}
 	m := campaign.Matrix{
@@ -247,7 +243,7 @@ func TestTelemetryKeysIndependentOfRunHistory(t *testing.T) {
 	}
 	for i, tel := range got[string(TCP)] {
 		if !reflect.DeepEqual(tel, want) {
-			t.Fatalf("TCP run %d after a JTP run differs from the same run on a fresh registry:\n%s", i, telemetryDiff(want, tel))
+			t.Fatalf("TCP run %d after a JTP run differs from the same run alone:\n%s", i, telemetryDiff(want, tel))
 		}
 	}
 }

@@ -20,47 +20,10 @@ import (
 	"fmt"
 
 	"github.com/javelen/jtp/internal/energy"
-	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/sim"
 	"github.com/javelen/jtp/internal/stats"
 )
-
-// Obs is the telemetry handle bundle for the MAC layer. One bundle is
-// shared by every MAC of a network (counts are network-wide; per-run
-// attribution stays with the existing Counters accessors). The zero
-// value is disabled: all handles are nil and every write is a no-op.
-type Obs struct {
-	// Enqueues counts frames accepted into any transmit queue.
-	Enqueues *obs.Counter
-	// QueueDepth tracks the per-enqueue queue length; its high-water mark
-	// is the deepest any node's queue ever got.
-	QueueDepth *obs.Gauge
-	// DropQueue, DropRetries and DropPlugin count drops by reason.
-	DropQueue   *obs.Counter
-	DropRetries *obs.Counter
-	DropPlugin  *obs.Counter
-	// Retries counts failed attempts that left the frame queued for
-	// another transmission.
-	Retries *obs.Counter
-	// FrameAttempts observes the attempts consumed by each terminated
-	// frame (delivered or retry-dropped).
-	FrameAttempts *obs.Histogram
-}
-
-// NewObs resolves the MAC telemetry bundle against reg. A nil registry
-// yields the disabled (all-nil) bundle.
-func NewObs(reg *obs.Registry) Obs {
-	return Obs{
-		Enqueues:      reg.Counter("mac_enqueues"),
-		QueueDepth:    reg.Gauge("mac_queue_depth"),
-		DropQueue:     reg.Counter("mac_drops_queue"),
-		DropRetries:   reg.Counter("mac_drops_retries"),
-		DropPlugin:    reg.Counter("mac_drops_plugin"),
-		Retries:       reg.Counter("mac_retries"),
-		FrameAttempts: reg.Histogram("mac_frame_attempts"),
-	}
-}
 
 // Segment is a transport-layer packet carried by the MAC. JTP packets,
 // TCP-SACK segments and ATP segments all implement it.
@@ -277,17 +240,26 @@ type MAC struct {
 	// copy what they keep (the segment may be retained, the Frame not).
 	Drops func(fr *Frame, reason DropReason)
 
-	// Counters for metrics.
-	txAttempts  uint64
-	txSuccess   uint64
-	rxFrames    uint64
-	queueDrops  uint64
-	retryDrops  uint64
-	pluginDrops uint64
+	// count is the run's accounting, read by metrics and telemetry.
+	count Counters
+}
 
-	// obs holds the shared telemetry bundle (see Observe). The zero value
-	// is disabled; every site is one nil-check when telemetry is off.
-	obs Obs
+// Counters is one MAC's per-run accounting. A frame terminates when it is
+// delivered (TxSuccess) or dropped after its last attempt (RetryDrops);
+// the attempts of terminated frames sum into AttemptsSum and peak at
+// AttemptsMax.
+type Counters struct {
+	TxAttempts  uint64 // transmissions, each charged to the meter
+	TxSuccess   uint64 // frames delivered to the next hop
+	RxFrames    uint64 // frames received, each charged to the meter
+	QueueDrops  uint64 // frames refused by a full queue
+	RetryDrops  uint64 // frames dropped after their last attempt
+	PluginDrops uint64 // frames a plugin dropped before transmission
+	Enqueues    uint64 // frames accepted into the queue
+	Retries     uint64 // failed attempts that left the frame queued
+	QueueHWM    uint64 // deepest the queue got after an enqueue
+	AttemptsSum uint64 // attempts of terminated frames
+	AttemptsMax uint64 // most attempts one terminated frame took
 }
 
 // New returns a MAC for node id. The meter is shared with the node so all
@@ -329,11 +301,11 @@ func (m *MAC) primeLink(ls *linkStats) {
 }
 
 // Clear returns the MAC to the state New left it in, for another run on
-// the same node: the queue is emptied, counters zeroed, estimators
-// re-primed and telemetry detached. Plugins stay installed, and those
-// with state of their own (a Clear method) are cleared too. The queue,
-// the frame free-list and the per-link entries keep their storage; an
-// entry re-primed is what a first lookup would create.
+// the same node: the queue is emptied, counters zeroed and estimators
+// re-primed. Plugins stay installed, and those with state of their own
+// (a Clear method) are cleared too. The queue, the frame free-list and
+// the per-link entries keep their storage; an entry re-primed is what a
+// first lookup would create.
 func (m *MAC) Clear() {
 	for _, p := range m.plugins {
 		if c, ok := p.(interface{ Clear() }); ok {
@@ -345,18 +317,12 @@ func (m *MAC) Clear() {
 		m.primeLink(ls)
 	}
 	m.primeEstimators()
-	m.txAttempts, m.txSuccess, m.rxFrames = 0, 0, 0
-	m.queueDrops, m.retryDrops, m.pluginDrops = 0, 0, 0
-	m.obs = Obs{}
+	m.count = Counters{}
 }
 
 // AddPlugin installs a PreXmit/PostRcv plugin. Plugins run in
 // installation order.
 func (m *MAC) AddPlugin(p Plugin) { m.plugins = append(m.plugins, p) }
-
-// Observe attaches a telemetry bundle (typically shared across all MACs
-// of a network). The zero bundle detaches.
-func (m *MAC) Observe(o Obs) { m.obs = o }
 
 // getFrame takes a frame from the free-list (or the heap on a cold start)
 // and initializes it for one hop.
@@ -390,8 +356,7 @@ func (m *MAC) releaseFrame(fr *Frame) {
 // dropFull counts a queue-overflow drop and notifies, without retaining
 // the scratch frame.
 func (m *MAC) dropFull(seg Segment, nextHop packet.NodeID) {
-	m.queueDrops++
-	m.obs.DropQueue.Inc()
+	m.count.QueueDrops++
 	if m.Drops != nil {
 		fr := m.getFrame(seg, nextHop)
 		m.Drops(fr, DropQueue)
@@ -425,10 +390,15 @@ func (m *MAC) Enqueue(seg Segment, nextHop packet.NodeID) bool {
 		tail -= len(m.queue)
 	}
 	m.queue[tail] = m.getFrame(seg, nextHop)
-	m.qlen++
-	m.obs.Enqueues.Inc()
-	m.obs.QueueDepth.Update(uint64(m.qlen))
+	m.enqueued()
 	return true
+}
+
+// enqueued counts a frame the queue accepted.
+func (m *MAC) enqueued() {
+	m.qlen++
+	m.count.Enqueues++
+	m.count.QueueHWM = max(m.count.QueueHWM, uint64(m.qlen))
 }
 
 // EnqueueFront queues a segment ahead of everything else; iJTP uses it for
@@ -445,9 +415,7 @@ func (m *MAC) EnqueueFront(seg Segment, nextHop packet.NodeID) bool {
 		m.qhead += len(m.queue)
 	}
 	m.queue[m.qhead] = m.getFrame(seg, nextHop)
-	m.qlen++
-	m.obs.Enqueues.Inc()
-	m.obs.QueueDepth.Update(uint64(m.qlen))
+	m.enqueued()
 	return true
 }
 
@@ -500,13 +468,8 @@ func (m *MAC) EffectiveAvailRate() float64 {
 	return avail * derate
 }
 
-// Counters returns the MAC counters for metrics collection.
-func (m *MAC) Counters() (txAttempts, txSuccess, rxFrames, queueDrops, retryDrops, pluginDrops uint64) {
-	return m.txAttempts, m.txSuccess, m.rxFrames, m.queueDrops, m.retryDrops, m.pluginDrops
-}
-
-// QueueDrops returns the number of frames rejected by a full queue.
-func (m *MAC) QueueDrops() uint64 { return m.queueDrops }
+// Counters returns the MAC's per-run accounting.
+func (m *MAC) Counters() Counters { return m.count }
 
 // linkInfo builds the plugin context for the head frame.
 func (m *MAC) linkInfo(fr *Frame) LinkInfo {
@@ -556,8 +519,7 @@ func (m *MAC) OwnSlot() {
 		info := m.linkInfo(fr)
 		for _, p := range m.plugins {
 			if p.PreXmit(fr, info) == Drop {
-				m.pluginDrops++
-				m.obs.DropPlugin.Inc()
+				m.count.PluginDrops++
 				m.popHead()
 				if m.Drops != nil {
 					m.Drops(fr, DropPlugin)
@@ -571,14 +533,14 @@ func (m *MAC) OwnSlot() {
 	// Transmit: sender pays for the attempt whether or not it succeeds.
 	size := fr.Seg.Size()
 	m.meter.ChargeTx(m.model.TxCost(size))
-	m.txAttempts++
+	m.count.TxAttempts++
 	fr.Attempts++
 
 	if m.env.TransmitOK(m.id, fr.To) {
 		fr.ls.loss.Add(0)
-		m.txSuccess++
+		m.count.TxSuccess++
 		m.avgAttempts.Add(float64(fr.Attempts))
-		m.obs.FrameAttempts.Observe(uint64(fr.Attempts))
+		m.terminated(fr)
 		m.popHead()
 		m.env.DeliverUp(fr.To, fr)
 		m.releaseFrame(fr)
@@ -592,7 +554,7 @@ func (m *MAC) OwnSlot() {
 func (m *MAC) failAttempt(fr *Frame, chargeTx bool) {
 	if chargeTx {
 		m.meter.ChargeTx(m.model.TxCost(fr.Seg.Size()))
-		m.txAttempts++
+		m.count.TxAttempts++
 	}
 	fr.Attempts++
 	fr.ls.loss.Add(1)
@@ -603,17 +565,22 @@ func (m *MAC) failAttempt(fr *Frame, chargeTx bool) {
 // once attempts are exhausted.
 func (m *MAC) retryOrDrop(fr *Frame) {
 	if fr.Attempts < fr.MaxAttempts {
-		m.obs.Retries.Inc()
+		m.count.Retries++
 		return // head of queue retries on the next owned slot
 	}
-	m.retryDrops++
-	m.obs.DropRetries.Inc()
-	m.obs.FrameAttempts.Observe(uint64(fr.Attempts))
+	m.count.RetryDrops++
+	m.terminated(fr)
 	m.popHead()
 	if m.Drops != nil {
 		m.Drops(fr, DropRetries)
 	}
 	m.releaseFrame(fr)
+}
+
+// terminated accounts the attempts of a frame whose hop is over.
+func (m *MAC) terminated(fr *Frame) {
+	m.count.AttemptsSum += uint64(fr.Attempts)
+	m.count.AttemptsMax = max(m.count.AttemptsMax, uint64(fr.Attempts))
 }
 
 // popHead removes and returns the head frame in O(1) (ring buffer).
@@ -633,7 +600,7 @@ func (m *MAC) popHead() *Frame {
 // delivers the segment.
 func (m *MAC) receive(fr *Frame) {
 	m.meter.ChargeRx(m.model.RxCost(fr.Seg.Size()))
-	m.rxFrames++
+	m.count.RxFrames++
 	for _, p := range m.plugins {
 		p.PostRcv(fr)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/javelen/jtp/internal/energy"
-	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/sim"
 )
@@ -155,9 +154,8 @@ func TestPluginVeto(t *testing.T) {
 		t.Fatalf("drop reasons: %v", dropped)
 	}
 	// A vetoed frame consumes no transmit energy.
-	tx, _, _, _, _, pluginDrops := m0.Counters()
-	if tx != 0 || pluginDrops != 1 {
-		t.Fatalf("txAttempts=%d pluginDrops=%d", tx, pluginDrops)
+	if c := m0.Counters(); c.TxAttempts != 0 || c.PluginDrops != 1 {
+		t.Fatalf("txAttempts=%d pluginDrops=%d", c.TxAttempts, c.PluginDrops)
 	}
 }
 
@@ -174,8 +172,8 @@ func TestQueueOverflow(t *testing.T) {
 	if m.Enqueue(&stubSeg{size: 1, dst: 1}, 1) {
 		t.Fatal("third enqueue should overflow")
 	}
-	if m.QueueDrops() != 1 {
-		t.Fatalf("queue drops = %d", m.QueueDrops())
+	if m.Counters().QueueDrops != 1 {
+		t.Fatalf("queue drops = %d", m.Counters().QueueDrops)
 	}
 }
 
@@ -446,8 +444,8 @@ func TestRingQueueGrowsInOrder(t *testing.T) {
 			t.Fatalf("step %d: %d queued in a ring of %d, model holds %d", step, m0.qlen, len(m0.queue), len(model))
 		}
 	}
-	if len(m0.queue) != m0.cfg.QueueCap || drops == 0 || m0.QueueDrops() != drops {
-		t.Fatalf("ring %d of %d, %d drops counted of %d: the queue never filled", len(m0.queue), m0.cfg.QueueCap, m0.QueueDrops(), drops)
+	if len(m0.queue) != m0.cfg.QueueCap || drops == 0 || m0.Counters().QueueDrops != drops {
+		t.Fatalf("ring %d of %d, %d drops counted of %d: the queue never filled", len(m0.queue), m0.cfg.QueueCap, m0.Counters().QueueDrops, drops)
 	}
 }
 
@@ -470,27 +468,42 @@ func TestAllocsOwnSlot(t *testing.T) {
 	}
 }
 
-// TestAllocsOwnSlotObserved repeats the slot guard with the telemetry
-// bundle attached: all MAC counter updates are plain field increments.
-func TestAllocsOwnSlotObserved(t *testing.T) {
-	_, _, m0, _ := build(t)
-	reg := obs.New()
-	m0.Observe(NewObs(reg))
-	seg := &stubSeg{size: 100, dst: 1}
-	m0.Enqueue(seg, 1)
+// TestCounters scripts every path a MAC counts and pins the whole
+// Counters struct, then pins that Clear zeroes it.
+func TestCounters(t *testing.T) {
+	eng := sim.NewEngine(1)
+	env := newStubEnv()
+	cfg := Defaults()
+	cfg.QueueCap, cfg.DefaultAttempts = 2, 3
+	var mt0, mt1 energy.Meter
+	m0 := New(eng, 0, cfg, energy.JAVeLEN(), &mt0, env)
+	m1 := New(eng, 1, Defaults(), energy.JAVeLEN(), &mt1, env)
+	env.macs[0], env.macs[1] = m0, m1
+	for range 3 { // the third finds the queue full
+		m0.Enqueue(&stubSeg{size: 100, dst: 1}, 1)
+	}
+	env.failNext = 1 // the first frame goes through on its second attempt
 	m0.OwnSlot()
-	allocs := testing.AllocsPerRun(1000, func() {
-		m0.Enqueue(seg, 1)
+	m0.OwnSlot()
+	env.failNext = 3 // the second exhausts its three attempts
+	for range 3 {
 		m0.OwnSlot()
-		m0.OwnSlot()
-	})
-	if allocs != 0 {
-		t.Fatalf("observed MAC slot allocates %.1f allocs/op, want 0", allocs)
 	}
-	if reg.Counter("mac_enqueues").Value() == 0 {
-		t.Fatal("telemetry registry saw no enqueues")
+	m0.AddPlugin(pluginFunc{pre: func(*Frame, LinkInfo) Verdict { return Drop }})
+	m0.EnqueueFront(&stubSeg{size: 100, dst: 1}, 1)
+	m0.OwnSlot()
+	want := Counters{
+		TxAttempts: 5, TxSuccess: 1, QueueDrops: 1, RetryDrops: 1, PluginDrops: 1,
+		Enqueues: 3, Retries: 3, QueueHWM: 2, AttemptsSum: 5, AttemptsMax: 3,
 	}
-	if reg.Snapshot()["mac_frame_attempts_count"] == 0 {
-		t.Fatal("telemetry registry saw no frame completions")
+	if got := m0.Counters(); got != want {
+		t.Fatalf("sender counters %+v, want %+v", got, want)
+	}
+	if got := m1.Counters(); got != (Counters{RxFrames: 1}) {
+		t.Fatalf("receiver counters %+v, want one frame received", got)
+	}
+	m0.Clear()
+	if got := m0.Counters(); got != (Counters{}) {
+		t.Fatalf("cleared counters %+v, want zero", got)
 	}
 }

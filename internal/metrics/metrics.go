@@ -107,9 +107,9 @@ type RunRecord struct {
 	// transmission there (Fig 3(c)): AttemptBudgets[n][m] packets got m
 	// attempts at node n. Nil when the run's protocol has no iJTP.
 	AttemptBudgets [][]uint64
-	// Telemetry is the run's obs-registry snapshot when the run executed
-	// with telemetry attached (nil otherwise). Keys follow the obs naming
-	// scheme; values merge across runs per obs.IsMax.
+	// Telemetry is the run's counter map when the scenario asked for
+	// telemetry (nil otherwise), collected after time stopped from each
+	// layer's own counters. Values merge across runs per obs.Fold.
 	Telemetry map[string]uint64
 	// Flows are the per-flow records.
 	Flows []*FlowRecord

@@ -11,7 +11,6 @@ import (
 	"github.com/javelen/jtp/internal/geom"
 	"github.com/javelen/jtp/internal/mac"
 	"github.com/javelen/jtp/internal/mobility"
-	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/routing"
 	"github.com/javelen/jtp/internal/sim"
@@ -420,30 +419,6 @@ func TestAllocsRouterConsult(t *testing.T) {
 	}
 }
 
-// TestAllocsRouterRefreshObserved repeats the epoch-cached refresh guard
-// with telemetry attached to the whole network (MAC bundles via
-// Network.Observe plus the shared-cache fill accounting): the refresh
-// path must stay allocation-free with counters live.
-func TestAllocsRouterRefreshObserved(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nw := New(eng, Config{
-		Topo:    topology.GridN(49, 80),
-		Channel: channel.Defaults(),
-		MAC:     mac.Defaults(),
-		Routing: routing.Defaults(),
-		Energy:  energy.JAVeLEN(),
-	})
-	nw.Observe(obs.New())
-	nw.Start()
-	eng.RunFor(2 * sim.Second)
-	r := nw.Node(10).Router
-	r.Refresh()
-	r.Refresh()
-	if allocs := testing.AllocsPerRun(200, r.Refresh); allocs != 0 {
-		t.Fatalf("observed Router.Refresh allocates %.1f/op, want 0", allocs)
-	}
-}
-
 // TestAllocsLinkPatchWithinCell pins the steady-state incremental patch:
 // a node drifting within its grid cell, neighbor set unchanged, costs a
 // grid key compare, a candidate gather from its cached neighborhood and a
@@ -627,8 +602,6 @@ func TestPartiallyPatchedSnapshotRowsMatchRebuild(t *testing.T) {
 			Routing: routing.Defaults(),
 			Energy:  energy.JAVeLEN(),
 		})
-		reg := obs.New()
-		nw.Observe(reg)
 		v0 := nw.Version()
 		moved := 0
 		for step := 0; step < 40; step++ {
@@ -646,10 +619,9 @@ func TestPartiallyPatchedSnapshotRowsMatchRebuild(t *testing.T) {
 			nw.Version()
 			checkRowsAgainstRebuild(t, nw, seed, step)
 		}
-		snap := reg.Snapshot()
-		if snap["linkstate_full_rebuilds"] != 1 || snap["linkstate_rows_patched"] != uint64(moved) {
-			t.Fatalf("seed %d: %v full rebuilds, %v rows patched; want 1 and %d (every step on the patch path)",
-				seed, snap["linkstate_full_rebuilds"], snap["linkstate_rows_patched"], moved)
+		if c := nw.LinkStateCounters(); c.FullRebuilds != 1 || c.RowsPatched != uint64(moved) {
+			t.Fatalf("seed %d: %d full rebuilds, %d rows patched; want 1 and %d (every step on the patch path)",
+				seed, c.FullRebuilds, c.RowsPatched, moved)
 		}
 		if nw.Version() == v0 {
 			t.Fatalf("seed %d: no step changed a neighbor set; the case needs edge inserts and removes", seed)
@@ -660,8 +632,8 @@ func TestPartiallyPatchedSnapshotRowsMatchRebuild(t *testing.T) {
 // TestLinkVersionBumpsOnlyOnNeighborChange pins the spurious-BFS fix:
 // a mobility batch whose moves keep every neighbor set identical must
 // not advance the link-state version (memoized views stay valid), while
-// a batch that changes some adjacency must. The patch instruments
-// (linkstate_rows_patched / linkstate_patch_epochs) account both.
+// a batch that changes some adjacency must. The patch counters
+// (LinkStateCounters) account both.
 func TestLinkVersionBumpsOnlyOnNeighborChange(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tp := topology.GridN(16, 80)
@@ -672,8 +644,6 @@ func TestLinkVersionBumpsOnlyOnNeighborChange(t *testing.T) {
 		Routing: routing.Defaults(),
 		Energy:  energy.JAVeLEN(),
 	})
-	reg := obs.New()
-	nw.Observe(reg)
 	v0 := nw.Version()
 
 	// Within-range drift: three nodes jiggle by a meter. 80 m lattice,
@@ -685,9 +655,8 @@ func TestLinkVersionBumpsOnlyOnNeighborChange(t *testing.T) {
 	if v := nw.Version(); v != v0 {
 		t.Fatalf("version %d -> %d on a neighbor-preserving batch, want unchanged", v0, v)
 	}
-	snap := reg.Snapshot()
-	if snap["linkstate_rows_patched"] != 3 || snap["linkstate_patch_epochs"] != 1 {
-		t.Fatalf("patch instruments = %v, want 3 rows over 1 epoch", snap)
+	if c := nw.LinkStateCounters(); c.RowsPatched != 3 || c.PatchEpochs != 1 {
+		t.Fatalf("patch counters = %+v, want 3 rows over 1 epoch", c)
 	}
 
 	// Pull a corner node out of everyone's range: adjacency changed, the
@@ -699,7 +668,7 @@ func TestLinkVersionBumpsOnlyOnNeighborChange(t *testing.T) {
 	if nw.Linked(0, 1) {
 		t.Fatal("node 0 still linked after leaving")
 	}
-	if got := reg.Snapshot()["linkstate_rows_patched"]; got != 4 {
-		t.Fatalf("rows patched = %v, want 4", got)
+	if got := nw.LinkStateCounters().RowsPatched; got != 4 {
+		t.Fatalf("rows patched = %d, want 4", got)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"github.com/javelen/jtp/internal/energy"
 	"github.com/javelen/jtp/internal/geom"
 	"github.com/javelen/jtp/internal/mac"
-	"github.com/javelen/jtp/internal/obs"
 	"github.com/javelen/jtp/internal/packet"
 	"github.com/javelen/jtp/internal/routing"
 	"github.com/javelen/jtp/internal/sim"
@@ -123,12 +122,6 @@ type Network struct {
 	// the moved rows when the epoch advanced by exactly one, else by a
 	// full grid rebuild. See ensureSnap.
 	snap linkSnapshot
-	// obs handles for the incremental link-state path (nil-safe no-ops
-	// until Observe attaches a registry): rows patched across all patch
-	// epochs, number of incremental patch epochs, and full rebuilds.
-	obsRowsPatched  *obs.Counter
-	obsPatchEpochs  *obs.Counter
-	obsSnapRebuilds *obs.Counter
 	// linkVer is the link-state version for routing.VersionedDirectory:
 	// it advances when the snapshot is rebuilt, when a node fails or
 	// revives, and when the budget-exhaustion bitmap changes.
@@ -217,9 +210,9 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Clear returns the network to the state New left it in, over topo and
 // budgets, for another run on its engine (which the caller clears or
 // resets too). topo must have the network's node count, and budgets
-// none or one entry per node. Node liveness, the link snapshot, link
-// states, routing views, MAC queues, counters and estimators, energy
-// meters, endpoint bindings and telemetry handles all reset; the MAC
+// none or one entry per node. Node liveness, the link snapshot and its
+// counters, link states, routing views, MAC queues, counters and
+// estimators, energy meters and endpoint bindings all reset; the MAC
 // plugins stay installed and are cleared with their MACs, and
 // free-lists, buffers and the packet pool stay warm.
 func (nw *Network) Clear(topo *topology.Topology, budgets []float64) {
@@ -234,7 +227,7 @@ func (nw *Network) Clear(topo *topology.Topology, budgets []float64) {
 	clear(nw.down)
 	nw.downCount = 0
 	nw.snap.built = false
-	nw.obsRowsPatched, nw.obsPatchEpochs, nw.obsSnapRebuilds = nil, nil, nil
+	nw.snap.count = LinkStateCounters{}
 	nw.linkVer = 0
 	clear(nw.deadBits)
 	for _, nd := range nw.nodes {
@@ -257,22 +250,10 @@ func (nw *Network) Engine() *sim.Engine { return nw.eng }
 // transport attached to the network.
 func (nw *Network) PacketPool() *packet.Pool { return nw.pool }
 
-// Observe attaches MAC-layer telemetry to reg: one shared handle bundle
-// incremented by every node's MAC (see mac.Obs), plus the network's
-// link-state patch instruments (linkstate_rows_patched /
-// linkstate_patch_epochs / linkstate_full_rebuilds — how much of the
-// mobility load the incremental path absorbed vs full grid rebuilds).
-// A nil registry attaches the disabled bundle and nil handles,
-// detaching any previous ones.
-func (nw *Network) Observe(reg *obs.Registry) {
-	bundle := mac.NewObs(reg)
-	for _, nd := range nw.nodes {
-		nd.MAC.Observe(bundle)
-	}
-	nw.obsRowsPatched = reg.Counter("linkstate_rows_patched")
-	nw.obsPatchEpochs = reg.Counter("linkstate_patch_epochs")
-	nw.obsSnapRebuilds = reg.Counter("linkstate_full_rebuilds")
-}
+// LinkStateCounters returns how the link snapshot was kept current this
+// run: how much of the mobility load the incremental patch path absorbed
+// and how often the grid was rebuilt.
+func (nw *Network) LinkStateCounters() LinkStateCounters { return nw.snap.count }
 
 // LinkVersion returns the raw link-state version counter: the number of
 // snapshot rebuilds, liveness flips and manual up/down transitions seen
@@ -323,6 +304,14 @@ type linkSnapshot struct {
 	travel    float64
 	skin      []rowSkin
 	gathers   uint64 // rows the patch path re-gathered (tests)
+	count     LinkStateCounters
+}
+
+// LinkStateCounters is the link snapshot's per-run maintenance count.
+type LinkStateCounters struct {
+	RowsPatched  uint64 // moved rows the patch path brought current
+	PatchEpochs  uint64 // epochs brought current by patching
+	FullRebuilds uint64 // full grid rebuilds
 }
 
 // rowSkin is one node's skin, recorded when the patch path gathers its row.
@@ -385,7 +374,7 @@ func (nw *Network) rebuildSnap(epoch uint64) {
 	s.built = true
 	s.epoch = epoch
 	nw.linkVer++
-	nw.obsSnapRebuilds.Inc()
+	s.count.FullRebuilds++
 }
 
 // gatherRow derives node m's neighbor set from the grid into the scratch
@@ -462,8 +451,8 @@ func (nw *Network) patchSnap(epoch uint64, moved []packet.NodeID) {
 	if changed {
 		nw.linkVer++
 	}
-	nw.obsRowsPatched.Add(uint64(len(moved)))
-	nw.obsPatchEpochs.Inc()
+	s.count.RowsPatched += uint64(len(moved))
+	s.count.PatchEpochs++
 }
 
 // patchRow brings node m's row current after a move and mirrors the edge
@@ -844,12 +833,27 @@ func (nw *Network) PerNodeEnergy() []float64 {
 }
 
 // QueueDrops sums MAC queue overflow drops across nodes (Fig 7(b)).
-func (nw *Network) QueueDrops() uint64 {
-	var sum uint64
+func (nw *Network) QueueDrops() uint64 { return nw.MACCounters().QueueDrops }
+
+// MACCounters sums every MAC's counters over the network; the queue
+// high-water mark and the attempts maximum take the maximum instead.
+func (nw *Network) MACCounters() mac.Counters {
+	var t mac.Counters
 	for _, nd := range nw.nodes {
-		sum += nd.MAC.QueueDrops()
+		c := nd.MAC.Counters()
+		t.TxAttempts += c.TxAttempts
+		t.TxSuccess += c.TxSuccess
+		t.RxFrames += c.RxFrames
+		t.QueueDrops += c.QueueDrops
+		t.RetryDrops += c.RetryDrops
+		t.PluginDrops += c.PluginDrops
+		t.Enqueues += c.Enqueues
+		t.Retries += c.Retries
+		t.QueueHWM = max(t.QueueHWM, c.QueueHWM)
+		t.AttemptsSum += c.AttemptsSum
+		t.AttemptsMax = max(t.AttemptsMax, c.AttemptsMax)
 	}
-	return sum
+	return t
 }
 
 // Counters sums node-level drop counters.

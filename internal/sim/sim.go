@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"github.com/javelen/jtp/internal/obs"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the run.
@@ -139,13 +137,18 @@ type Engine struct {
 	horizon Time
 	execCap uint64
 
-	// Telemetry handles (see Observe). All nil when telemetry is off, so
-	// the hot path pays one nil-check per site and nothing else. Never
-	// touches the RNG and never influences event order.
-	obsScheduled *obs.Counter
-	obsFired     *obs.Counter
-	obsStopped   *obs.Counter
-	obsHeapDepth *obs.Gauge
+	// Per-run counters for Counters: events cancelled while pending, and
+	// the deepest the queue got. Clear zeroes them.
+	stopped uint64
+	heapHWM uint64
+}
+
+// Counters is the kernel's per-run event accounting.
+type Counters struct {
+	Scheduled uint64 // events scheduled, inline ticks included
+	Fired     uint64 // handlers run: Executed
+	Stopped   uint64 // pending events cancelled by EventRef.Stop
+	HeapHWM   uint64 // deepest queue, an inline tick counted as queued
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -159,19 +162,14 @@ func NewEngine(seed int64) *Engine {
 // Clear rewinds the engine to time zero with an empty queue, keeping the
 // event slab, free-list and heap capacity and leaving the random stream
 // where it stands. Pending events are cancelled (EventRefs held across the
-// clear turn inert), every handler reference is dropped and telemetry is
-// detached, so a pooled engine keeps no finished run alive.
+// clear turn inert), every handler reference is dropped and the counters
+// zeroed, so a pooled engine keeps no finished run alive.
 func (e *Engine) Clear() {
 	e.q.reset()
 	e.now = 0
 	e.Executed = 0
 	e.horizon, e.execCap = 0, 0
-	// Pooled engines outlive the registry they were observed with; detach
-	// so a recycled engine never writes into a previous run's telemetry.
-	e.obsScheduled = nil
-	e.obsFired = nil
-	e.obsStopped = nil
-	e.obsHeapDepth = nil
+	e.stopped, e.heapHWM = 0, 0
 }
 
 // Reset clears the engine and reseeds it, leaving it in the state
@@ -181,15 +179,11 @@ func (e *Engine) Reset(seed int64) {
 	e.rng.Seed(seed)
 }
 
-// Observe attaches kernel telemetry to reg: counters for events
-// scheduled, fired and stopped, and a high-water gauge for heap depth.
-// Observing a nil registry detaches (all handles become no-ops). Clear
-// and Reset also detach, so pooled engines start each run silent.
-func (e *Engine) Observe(reg *obs.Registry) {
-	e.obsScheduled = reg.Counter("sim_events_scheduled")
-	e.obsFired = reg.Counter("sim_events_fired")
-	e.obsStopped = reg.Counter("sim_events_stopped")
-	e.obsHeapDepth = reg.Gauge("sim_heap_depth")
+// Counters returns the run's event accounting since NewEngine, Clear or
+// Reset. Every event scheduled takes the queue's next sequence number,
+// so the sequence counter is the scheduled count.
+func (e *Engine) Counters() Counters {
+	return Counters{Scheduled: e.q.seq, Fired: e.Executed, Stopped: e.stopped, HeapHWM: e.heapHWM}
 }
 
 // Now returns the current virtual time.
@@ -222,8 +216,7 @@ func (e *Engine) ScheduleAt(at Time, fn Handler) EventRef {
 		at = now
 	}
 	slot := e.q.push(at, fn)
-	e.obsScheduled.Inc()
-	e.obsHeapDepth.Update(uint64(len(e.q.heap)))
+	e.heapHWM = max(e.heapHWM, uint64(len(e.q.heap)))
 	return EventRef{eng: e, slot: slot, gen: e.q.slab[slot].gen}
 }
 
@@ -239,7 +232,7 @@ func (e *Engine) cancel(slot int32, gen uint32) bool {
 	}
 	e.q.remove(int(ev.pos))
 	e.q.release(slot)
-	e.obsStopped.Inc()
+	e.stopped++
 	return true
 }
 
@@ -258,7 +251,6 @@ func (e *Engine) RunUntil(end Time) {
 		e.q.release(top.slot)
 		e.now = top.at
 		e.Executed++
-		e.obsFired.Inc()
 		fn()
 	}
 	if e.now < end {
@@ -294,7 +286,6 @@ func (e *Engine) drain(limit uint64) error {
 		e.q.release(top.slot)
 		e.now = top.at
 		e.Executed++
-		e.obsFired.Inc()
 		fn()
 	}
 	return nil
@@ -312,11 +303,9 @@ func (e *Engine) fireInline(at Time) bool {
 		return false
 	}
 	e.q.seq++
-	e.obsScheduled.Inc()
-	e.obsHeapDepth.Update(uint64(len(e.q.heap) + 1))
+	e.heapHWM = max(e.heapHWM, uint64(len(e.q.heap)+1))
 	e.now = at
 	e.Executed++
-	e.obsFired.Inc()
 	return true
 }
 

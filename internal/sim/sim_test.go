@@ -3,8 +3,6 @@ package sim
 import (
 	"strings"
 	"testing"
-
-	"github.com/javelen/jtp/internal/obs"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -546,30 +544,31 @@ func TestAllocsScheduleStopChurn(t *testing.T) {
 	}
 }
 
-// TestAllocsScheduleSteadyStateObserved repeats the steady-state guard
-// with a telemetry registry attached: counter handles are plain pointer
-// increments, so instrumentation must not change the 0-allocs contract.
-func TestAllocsScheduleSteadyStateObserved(t *testing.T) {
+// TestCounters pins the kernel's event accounting on a scripted run —
+// a cancelled event, inline ticks behind a far event — and that Clear
+// zeroes it.
+func TestCounters(t *testing.T) {
 	e := NewEngine(1)
-	reg := obs.New()
-	e.Observe(reg)
-	var fn Handler
-	fn = func() { e.Schedule(Millisecond, fn) }
-	for i := 0; i < 64; i++ {
-		e.Schedule(Millisecond, fn)
+	fn := func() {}
+	e.Schedule(Second, fn)
+	stopped := e.Schedule(2*Second, fn)
+	e.Schedule(3*Second, fn)
+	stopped.Stop()
+	e.RunUntil(Time(10 * Second))
+	if got, want := e.Counters(), (Counters{Scheduled: 3, Fired: 2, Stopped: 1, HeapHWM: 3}); got != want {
+		t.Fatalf("counters %+v, want %+v", got, want)
 	}
-	e.RunFor(Second)
-	allocs := testing.AllocsPerRun(100, func() {
-		e.RunFor(10 * Millisecond)
-	})
-	if allocs != 0 {
-		t.Fatalf("observed steady state allocates %.1f allocs/op, want 0", allocs)
+	e.Clear()
+	if got := e.Counters(); got != (Counters{}) {
+		t.Fatalf("cleared counters %+v, want zero", got)
 	}
-	if reg.Counter("sim_events_fired").Value() == 0 {
-		t.Fatal("telemetry registry saw no fired events")
-	}
-	if reg.Gauge("sim_heap_depth").HighWater() < 64 {
-		t.Fatalf("heap depth hwm = %d, want >= 64", reg.Gauge("sim_heap_depth").HighWater())
+	// Ticks at 2 s and 3 s run inline, each counted as a push and a pop;
+	// the one due at 4 s lies past the horizon and is queued.
+	e.Schedule(100*Second, fn)
+	e.NewTicker(Second, fn)
+	e.RunUntil(Time(3500 * Millisecond))
+	if got, want := e.Counters(), (Counters{Scheduled: 5, Fired: 3, HeapHWM: 2}); got != want {
+		t.Fatalf("ticker counters %+v, want %+v", got, want)
 	}
 }
 

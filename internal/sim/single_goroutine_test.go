@@ -43,8 +43,7 @@ func forEachSource(t *testing.T, pkgs []string, fn func(fset *token.FileSet, f *
 // the routing cache and every free-list rely on instead of locks: nothing
 // that runs inside one simulation starts a goroutine, communicates over a
 // channel or imports sync. Parallelism lives above a run (campaign
-// workers, shards, the coordinator); internal/obs, whose handles are
-// atomic, is deliberately not in the list.
+// workers, shards, the coordinator).
 func TestSimulationPackagesSingleGoroutine(t *testing.T) {
 	forEachSource(t, simulationPackages, func(fset *token.FileSet, f *ast.File) {
 		for _, imp := range f.Imports {

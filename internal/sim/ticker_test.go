@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"github.com/javelen/jtp/internal/obs"
 )
 
 // heapTicker is the reference a Ticker must be indistinguishable from: a
@@ -65,16 +63,13 @@ type tickHit struct {
 // everything the program can observe.
 type tickerRig struct {
 	e       *Engine
-	reg     *obs.Registry
 	viaHeap bool
 	hits    []tickHit
 	log     []string
 }
 
 func newTickerRig(seed int64, viaHeap bool) *tickerRig {
-	r := &tickerRig{e: NewEngine(seed), reg: obs.New(), viaHeap: viaHeap}
-	r.e.Observe(r.reg)
-	return r
+	return &tickerRig{e: NewEngine(seed), viaHeap: viaHeap}
 }
 
 // hit records a handler run: the clock, who ran, and one engine RNG draw
@@ -107,7 +102,7 @@ func (r *tickerRig) note(op string) {
 
 // checkTickerEquivalence runs program with real tickers and with the heap
 // reference and fails on the first observable difference: the handler
-// trace, the state after every run, and the kernel telemetry.
+// trace, the state after every run, and the kernel counters.
 func checkTickerEquivalence(t *testing.T, seed int64, program func(r *tickerRig)) {
 	t.Helper()
 	got, want := newTickerRig(seed, false), newTickerRig(seed, true)
@@ -124,16 +119,16 @@ func checkTickerEquivalence(t *testing.T, seed int64, program func(r *tickerRig)
 	if !reflect.DeepEqual(got.log, want.log) {
 		t.Fatalf("seed %d: run states differ:\n%q\nreference:\n%q", seed, got.log, want.log)
 	}
-	if g, w := got.reg.Snapshot(), want.reg.Snapshot(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("seed %d: telemetry %v, reference %v", seed, g, w)
+	if g, w := got.e.Counters(), want.e.Counters(); g != w {
+		t.Fatalf("seed %d: counters %+v, reference %+v", seed, g, w)
 	}
 }
 
 // TestTickerMatchesSelfRescheduledEvent pins that a Ticker is observably
 // the same as a handler re-arming itself through Schedule: same order,
 // same clock, same RNG stream, same Executed, PendingEvents and sequence
-// counter after every run, same sim_events_* counters and heap-depth
-// gauge. The named programs cover the cases that decide whether a tick
+// counter after every run, same kernel Counters (scheduled, fired,
+// stopped, heap high-water mark). The named programs cover the cases that decide whether a tick
 // may skip the queue; the seeded random ones mix them.
 func TestTickerMatchesSelfRescheduledEvent(t *testing.T) {
 	const p = 10 * Millisecond
