@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseShard(t *testing.T) {
@@ -627,6 +628,52 @@ func TestCheckpointFrontierIsRuns(t *testing.T) {
 				t.Fatalf("shard %s kill %d: read only %d checkpoints", sh, killAt, seen)
 			}
 		}
+	}
+}
+
+// TestCheckpointCadenceIsWallClock: with no fold count set, a shard
+// checkpoints on wall clock alone, so a shard that finishes inside its
+// CheckpointInterval writes only its final checkpoint, and that equals
+// its shard file. An explicit CheckpointEvery still bounds the folds
+// between checkpoints.
+func TestCheckpointCadenceIsWallClock(t *testing.T) {
+	m := Matrix{Name: "cadence", Axes: []Axis{{Name: "x", Values: Ints(1, 2)}}, Runs: 300, BaseSeed: 5}
+	sh := Shard{Index: 0, Of: 2} // one cell of 300 runs
+	// firstSeen runs the shard and returns the fold frontier of the
+	// first OnProgress tick that finds a checkpoint on disk (0: none).
+	// A tick comes before its fold's checkpoint, so a checkpoint written
+	// after fold k is first seen at frontier k+1.
+	firstSeen := func(every int, ck, out string) int {
+		t.Helper()
+		seen := 0
+		_, err := Execute(context.Background(), m, Options{
+			Workers: 2, Shard: sh, Checkpoint: ck, ShardOut: out,
+			CheckpointEvery: every, CheckpointInterval: time.Hour,
+			OnProgress: func(p Progress) {
+				if _, err := os.Stat(ck); seen == 0 && err == nil {
+					seen = p.Done
+				}
+			},
+		}, shardedTelRun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+
+	dir := t.TempDir()
+	ck, out := filepath.Join(dir, "ck.json"), filepath.Join(dir, "out.json")
+	if at := firstSeen(0, ck, out); at != 0 {
+		t.Fatalf("default cadence: a checkpoint existed at fold %d of %d, inside the interval", at, m.Runs)
+	}
+	ckData, err1 := os.ReadFile(ck)
+	outData, err2 := os.ReadFile(out)
+	if err1 != nil || err2 != nil || !bytes.Equal(ckData, outData) {
+		t.Fatalf("final checkpoint differs from shard file (%v, %v)", err1, err2)
+	}
+
+	if at := firstSeen(3, filepath.Join(dir, "ck3.json"), ""); at != 4 {
+		t.Fatalf("CheckpointEvery 3: first checkpoint seen at fold frontier %d, want 4 (written after fold 3)", at)
 	}
 }
 
