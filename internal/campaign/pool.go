@@ -43,13 +43,15 @@ type Options struct {
 	// this path. A checkpoint is the shard's ShardFile written before
 	// the shard finishes; its Runs is the fold frontier. Execute
 	// auto-resumes from an existing checkpoint (refusing one of another
-	// fingerprint or shard), writes it durably every CheckpointEvery
-	// folds or CheckpointInterval of wall clock, and writes a final one
-	// before returning — including on cancellation, so a killed shard
-	// loses at most the in-window runs.
+	// fingerprint or shard), writes it durably at the first fold after
+	// CheckpointInterval of wall clock (or after CheckpointEvery folds,
+	// when set), and writes a final one before returning — including on
+	// cancellation, so a killed shard loses at most the runs since its
+	// last checkpoint. A shard that finishes within one interval writes
+	// only the final checkpoint, the same bytes as its shard file.
 	Checkpoint string
-	// CheckpointEvery is the number of folds between periodic
-	// checkpoints; <= 0 means 256.
+	// CheckpointEvery, when > 0, also bounds the folds between periodic
+	// checkpoints; <= 0 means no fold-count bound.
 	CheckpointEvery int
 	// CheckpointInterval is the maximum wall-clock time between
 	// periodic checkpoints; <= 0 means 30s.
@@ -108,14 +110,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// checkpointEvery resolves the periodic checkpoint fold count.
-func (o Options) checkpointEvery() int {
-	if o.CheckpointEvery > 0 {
-		return o.CheckpointEvery
-	}
-	return 256
 }
 
 // checkpointInterval resolves the periodic checkpoint wall-clock bound.
@@ -216,7 +210,7 @@ func Execute(ctx context.Context, m Matrix, opt Options, fn RunFunc) (*Report, e
 		released:   make(chan struct{}, window),
 		onProgress: opt.OnProgress,
 		ckPath:     opt.Checkpoint,
-		ckEvery:    opt.checkpointEvery(),
+		ckEvery:    opt.CheckpointEvery,
 		ckInterval: opt.checkpointInterval(),
 	}
 	if agg.ckPath != "" {
@@ -291,15 +285,24 @@ dispatch:
 		dispatchErr = ctx.Err()
 	}
 
+	var data []byte // the final checkpoint's bytes, once encoded
 	if opt.Checkpoint != "" && ckErr == nil {
-		ckErr = WriteShardFile(opt.Checkpoint, rep)
+		if data, ckErr = encodeShardFile(rep); ckErr == nil {
+			ckErr = writeShardFile(opt.Checkpoint, data)
+		}
 	}
 	if dispatchErr == nil {
 		dispatchErr = ckErr
 	}
-	// No error left means every run folded: the shard is complete.
+	// No error left means every run folded: the shard is complete, and
+	// its shard file is the final checkpoint's bytes.
 	if dispatchErr == nil && opt.ShardOut != "" {
-		dispatchErr = WriteShardFile(opt.ShardOut, rep)
+		if data == nil {
+			data, dispatchErr = encodeShardFile(rep)
+		}
+		if dispatchErr == nil {
+			dispatchErr = writeShardFile(opt.ShardOut, data)
+		}
 	}
 	return rep, dispatchErr
 }
@@ -400,17 +403,18 @@ func (a *aggregator) deliver(seq int, spec RunSpec, s Sample, err error, wall fl
 	}
 }
 
-// maybeCheckpoint writes a periodic checkpoint when enough folds or
-// wall clock accumulated since the last one. Called under the
-// aggregation lock, so the persisted frontier exactly matches the
-// persisted aggregates; a write failure is remembered and surfaced by
-// Execute rather than silently dropping durability.
+// maybeCheckpoint writes a periodic checkpoint when the wall-clock
+// interval, or the fold count when one is set, has passed since the
+// last one. Called under the aggregation lock, so the persisted
+// frontier exactly matches the persisted aggregates; a write failure is
+// remembered and surfaced by Execute rather than silently dropping
+// durability.
 func (a *aggregator) maybeCheckpoint() {
 	if a.ckPath == "" || a.ckErr != nil {
 		return
 	}
 	a.ckFolds++
-	if a.ckFolds < a.ckEvery && time.Since(a.ckLast) < a.ckInterval {
+	if (a.ckEvery <= 0 || a.ckFolds < a.ckEvery) && time.Since(a.ckLast) < a.ckInterval {
 		return
 	}
 	a.ckFolds = 0

@@ -250,15 +250,29 @@ func BuildShardFile(rep *Report) *ShardFile {
 }
 
 // WriteShardFile durably writes the report's shard file as indented
-// JSON (see writeFileAtomic). Shard results and checkpoints both go
-// through it, so a completed shard's final checkpoint is byte-identical
-// to its result file.
+// JSON (see writeFileAtomic). Shard results and checkpoints are both
+// encoded by encodeShardFile, so a completed shard's final checkpoint
+// is byte-identical to its result file.
 func WriteShardFile(path string, rep *Report) error {
+	data, err := encodeShardFile(rep)
+	if err != nil {
+		return err
+	}
+	return writeShardFile(path, data)
+}
+
+// encodeShardFile is the content WriteShardFile writes for rep.
+func encodeShardFile(rep *Report) ([]byte, error) {
 	data, err := json.MarshalIndent(BuildShardFile(rep), "", "  ")
 	if err != nil {
-		return fmt.Errorf("campaign: shard file: %w", err)
+		return nil, fmt.Errorf("campaign: shard file: %w", err)
 	}
-	if err := writeFileAtomic(path, append(data, '\n')); err != nil {
+	return append(data, '\n'), nil
+}
+
+// writeShardFile durably writes encoded shard file content to path.
+func writeShardFile(path string, data []byte) error {
+	if err := writeFileAtomic(path, data); err != nil {
 		return fmt.Errorf("campaign: shard file: %w", err)
 	}
 	return nil

@@ -184,6 +184,7 @@ type shardRun struct {
 	lastSeq      int
 	lastTotal    int
 	lastRate     float64
+	result       *campaign.ShardFile // parsed result file, set when done
 }
 
 // ShardStatus is one shard's externally visible state (Snapshot, final
@@ -395,7 +396,7 @@ func (c *Coordinator) restoreShardTable() error {
 		}
 		switch result, ck := files[0], files[1]; {
 		case result != nil:
-			shards[i].state = stateDone
+			shards[i].state, shards[i].result = stateDone, result
 		case ck != nil:
 			c.logf("shard %d will resume from fold frontier %d", i, ck.Runs)
 		}
@@ -498,12 +499,13 @@ func (c *Coordinator) handleExit(ev exitEvent) {
 	c.mu.Unlock()
 
 	if ev.err == nil {
-		if _, ferr := campaign.ReadShardFile(c.shardOutPath(ev.index)); ferr != nil {
+		f, ferr := campaign.ReadShardFile(c.shardOutPath(ev.index))
+		if ferr != nil {
 			c.markDead(s, fmt.Sprintf("exited 0 without a valid shard file: %v", ferr))
 			return
 		}
 		c.mu.Lock()
-		s.state = stateDone
+		s.state, s.result = stateDone, f
 		s.lastError = ""
 		attempts := s.attempts
 		c.mu.Unlock()
@@ -651,11 +653,13 @@ func (c *Coordinator) allTerminal() bool {
 // finalize with them unfinished means the coordinator was cancelled.
 func (c *Coordinator) finalize() (*Result, error) {
 	res := &Result{}
+	var files []*campaign.ShardFile
 	c.mu.Lock()
 	for _, s := range c.shards {
 		switch s.state {
 		case stateDone:
 			res.Done = append(res.Done, s.index)
+			files = append(files, s.result)
 		case stateFailed:
 			res.Failed = append(res.Failed, s.index)
 		default:
@@ -680,14 +684,6 @@ func (c *Coordinator) finalize() (*Result, error) {
 		return res, nil
 	}
 
-	files := make([]*campaign.ShardFile, 0, len(res.Done))
-	for _, i := range res.Done {
-		f, err := campaign.ReadShardFile(c.shardOutPath(i))
-		if err != nil {
-			return res, fmt.Errorf("coordinator: merging: %w", err)
-		}
-		files = append(files, f)
-	}
 	if len(res.Failed) == 0 && len(res.Interrupted) == 0 {
 		rep, err := campaign.MergeReports(files...)
 		if err != nil {
