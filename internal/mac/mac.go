@@ -511,7 +511,7 @@ func (m *MAC) OwnSlot() {
 		// energy beyond the transmission itself; we model it as a failed
 		// attempt so retry exhaustion (and rerouting of later packets)
 		// takes its course.
-		m.failAttempt(fr, true)
+		m.failAttempt(fr)
 		return
 	}
 
@@ -550,12 +550,11 @@ func (m *MAC) OwnSlot() {
 	m.retryOrDrop(fr)
 }
 
-// failAttempt handles an attempt that could not reach the receiver at all.
-func (m *MAC) failAttempt(fr *Frame, chargeTx bool) {
-	if chargeTx {
-		m.meter.ChargeTx(m.model.TxCost(fr.Seg.Size()))
-		m.count.TxAttempts++
-	}
+// failAttempt charges an attempt that could not reach the receiver at
+// all.
+func (m *MAC) failAttempt(fr *Frame) {
+	m.meter.ChargeTx(m.model.TxCost(fr.Seg.Size()))
+	m.count.TxAttempts++
 	fr.Attempts++
 	fr.ls.loss.Add(1)
 	m.retryOrDrop(fr)
