@@ -285,24 +285,26 @@ dispatch:
 		dispatchErr = ctx.Err()
 	}
 
-	var data []byte // the final checkpoint's bytes, once encoded
-	if opt.Checkpoint != "" && ckErr == nil {
-		if data, ckErr = encodeShardFile(rep); ckErr == nil {
-			ckErr = writeShardFile(opt.Checkpoint, data)
+	// The final checkpoint and the shard file are the same bytes,
+	// encoded once.
+	var data []byte
+	write := func(path string) (err error) {
+		if data == nil {
+			if data, err = encodeShardFile(rep); err != nil {
+				return err
+			}
 		}
+		return writeShardFile(path, data)
+	}
+	if opt.Checkpoint != "" && ckErr == nil {
+		ckErr = write(opt.Checkpoint)
 	}
 	if dispatchErr == nil {
 		dispatchErr = ckErr
 	}
-	// No error left means every run folded: the shard is complete, and
-	// its shard file is the final checkpoint's bytes.
+	// No error left means every run folded: the shard is complete.
 	if dispatchErr == nil && opt.ShardOut != "" {
-		if data == nil {
-			data, dispatchErr = encodeShardFile(rep)
-		}
-		if dispatchErr == nil {
-			dispatchErr = writeShardFile(opt.ShardOut, data)
-		}
+		dispatchErr = write(opt.ShardOut)
 	}
 	return rep, dispatchErr
 }
