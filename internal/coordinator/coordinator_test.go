@@ -9,6 +9,8 @@ package coordinator
 //	COORD_HELPER_CRASH_AT=SEQ    crash (exit 3) at fold seq, once per shard
 //	COORD_HELPER_FAIL_SHARD=I    shard I crashes on sight, every attempt
 //	COORD_HELPER_HANG_SHARD=I    shard I hangs after one frame, once
+//	COORD_HELPER_SLOW_MS=MS      each run sleeps MS more, and checkpoints
+//	                             follow -checkpoint-interval alone
 //
 // Everything is checked against the ground truth an in-process unsharded
 // campaign.Execute produces: whatever the coordinator survives, the
@@ -81,6 +83,7 @@ func helperWorkerMain(args []string) int {
 	shardOut := fs.String("shard-out", "", "")
 	checkpoint := fs.String("checkpoint", "", "")
 	status := fs.String("status", "", "")
+	ckInterval := fs.Duration("checkpoint-interval", 0, "")
 	fs.Parse(args)
 
 	sh, err := campaign.ParseShard(*shardStr)
@@ -107,13 +110,23 @@ func helperWorkerMain(args []string) int {
 	if v := os.Getenv("COORD_HELPER_HANG_SHARD"); v != "" {
 		hangShard, _ = strconv.Atoi(v)
 	}
+	run, ckEvery := helperRun, 1 // tight frontier: a crash loses at most one fold
+	if v := os.Getenv("COORD_HELPER_SLOW_MS"); v != "" {
+		ms, _ := strconv.Atoi(v)
+		run = func(ctx context.Context, spec campaign.RunSpec) (campaign.Sample, error) {
+			time.Sleep(time.Duration(ms) * time.Millisecond)
+			return helperRun(ctx, spec)
+		}
+		ckEvery = 0
+	}
 
 	opt := campaign.Options{
-		Workers:         1,
-		Shard:           sh,
-		ShardOut:        *shardOut,
-		Checkpoint:      *checkpoint,
-		CheckpointEvery: 1, // tight frontier: a crash loses at most one fold
+		Workers:            1,
+		Shard:              sh,
+		ShardOut:           *shardOut,
+		Checkpoint:         *checkpoint,
+		CheckpointEvery:    ckEvery,
+		CheckpointInterval: *ckInterval,
 		OnProgress: func(p campaign.Progress) {
 			AppendFrame(stf, StatusFrame{Seq: p.Done, Total: p.Total, Failures: p.Failures})
 			if crashAt >= 0 && p.Done >= crashAt && stampOnce(*shardOut+".crashed") {
@@ -124,7 +137,7 @@ func helperWorkerMain(args []string) int {
 			}
 		},
 	}
-	if _, err := campaign.Execute(context.Background(), helperMatrix(), opt, helperRun); err != nil {
+	if _, err := campaign.Execute(context.Background(), helperMatrix(), opt, run); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
@@ -275,6 +288,30 @@ func TestCoordinatorStallKill(t *testing.T) {
 	}
 	if got, want := res.Report.CSV(), referenceCSV(t); got != want {
 		t.Errorf("merged CSV differs from unsharded run after stall recovery")
+	}
+}
+
+// TestCoordinatorLongCheckpointIntervalIsNoStall runs workers that
+// checkpoint once an hour and fold a run every 60 ms: a shard whose
+// checkpoint has not come due yet is live, however much longer than
+// the stall timeout it runs.
+func TestCoordinatorLongCheckpointIntervalIsNoStall(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestCoordinator(t, dir, 2, 2, "COORD_HELPER_SLOW_MS=60")
+	c.cfg.WorkerArgs = append(c.cfg.WorkerArgs, "-checkpoint-interval", "1h")
+	c.cfg.StallTimeout = 300 * time.Millisecond
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Counters["coord_stall_kills"]; n != 0 {
+		t.Errorf("coord_stall_kills = %d, want 0", n)
+	}
+	if len(res.Done) != 2 {
+		t.Fatalf("done=%v failed=%v", res.Done, res.Failed)
+	}
+	if got, want := res.Report.CSV(), referenceCSV(t); got != want {
+		t.Errorf("merged CSV differs from unsharded run")
 	}
 }
 
