@@ -48,11 +48,11 @@ func coordMain(args []string) int {
 		scale      = fs.Float64("scale", 0.25, "scale for -exp workers")
 		shards     = fs.Int("shards", 0, "number of campaign shards (required, >= 1)")
 		workers    = fs.Int("workers", 0, "concurrent worker processes (0 = min(shards, CPUs))")
-		outDir     = fs.String("out", "", "coordination directory: shard results, checkpoints, status files and logs; rerunning over it resumes (required)")
+		outDir     = fs.String("out", "", "coordination directory: shard results, checkpoints and logs; rerunning over it resumes (required)")
 		retries    = fs.Int("retries", 3, "restarts each shard may consume before failing permanently")
 		backoff    = fs.Duration("backoff", 500*time.Millisecond, "restart backoff base (doubles per attempt, plus jitter)")
 		backoffMax = fs.Duration("backoff-max", 15*time.Second, "restart backoff cap")
-		stall      = fs.Duration("stall-timeout", 2*time.Minute, "declare a worker dead when its heartbeat frontier does not advance for this long")
+		stall      = fs.Duration("stall-timeout", 2*time.Minute, "declare a worker dead when its checkpoint is not rewritten for this long after it came due")
 		ckInterval = fs.Duration("checkpoint-interval", 2*time.Second, "worker periodic checkpoint interval (short, so crashed workers lose little)")
 		chaos      = fs.Float64("chaos", 0, "fault injection: per-second probability of SIGKILLing each running worker")
 		chaosSeed  = fs.Int64("chaos-seed", 0, "seed for the chaos kill schedule and backoff jitter")
@@ -70,9 +70,9 @@ func coordMain(args []string) int {
 		return 2
 	}
 	// The campaign the workers run, and their command line: this binary
-	// in batch or figure mode, with a short checkpoint interval so a
-	// killed worker re-executes little. The coordinator appends the
-	// per-shard flags per launch. With -exp the merged report is
+	// in batch or figure mode. The coordinator appends the per-shard
+	// flags and the checkpoint interval, short so a killed worker
+	// re-executes little, per launch. With -exp the merged report is
 	// rendered as the figure's tables.
 	var (
 		m          campaign.Matrix
@@ -113,26 +113,24 @@ func coordMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "jtpsim coord: %v\n", err)
 		return 1
 	}
-	workerArgs = append(workerArgs,
-		"-par", fmt.Sprint(o.par),
-		"-checkpoint-interval", ckInterval.String(),
-	)
+	workerArgs = append(workerArgs, "-par", fmt.Sprint(o.par))
 
 	var logw = os.Stderr
 	cfg := coordinator.Config{
-		WorkerBin:     self,
-		WorkerArgs:    workerArgs,
-		Matrix:        m,
-		Shards:        *shards,
-		Workers:       *workers,
-		OutDir:        *outDir,
-		RetryBudget:   *retries,
-		BackoffBase:   *backoff,
-		BackoffMax:    *backoffMax,
-		StallTimeout:  *stall,
-		Poll:          *poll,
-		ChaosKillRate: *chaos,
-		ChaosSeed:     *chaosSeed,
+		WorkerBin:          self,
+		WorkerArgs:         workerArgs,
+		Matrix:             m,
+		Shards:             *shards,
+		Workers:            *workers,
+		OutDir:             *outDir,
+		RetryBudget:        *retries,
+		BackoffBase:        *backoff,
+		BackoffMax:         *backoffMax,
+		CheckpointInterval: *ckInterval,
+		StallTimeout:       *stall,
+		Poll:               *poll,
+		ChaosKillRate:      *chaos,
+		ChaosSeed:          *chaosSeed,
 	}
 	if !*quiet {
 		cfg.Log = logw
@@ -229,7 +227,7 @@ func printCoordSummary(res *coordinator.Result, shards int) {
 	}
 	if len(res.Counters) > 0 {
 		// The counters a robustness post-mortem wants, in one line:
-		// restarts, dead detections, total backoff, heartbeat-age HWM.
+		// restarts, dead detections, total backoff, checkpoint-age HWM.
 		keys := make([]string, 0, len(res.Counters))
 		for k := range res.Counters {
 			keys = append(keys, k)
@@ -241,8 +239,8 @@ func printCoordSummary(res *coordinator.Result, shards int) {
 			switch k {
 			case "coord_backoff_ms_total":
 				parts = append(parts, fmt.Sprintf("backoff_seconds_total=%.2f", float64(v)/1000))
-			case "coord_heartbeat_age_ms_hwm":
-				parts = append(parts, fmt.Sprintf("heartbeat_age_hwm=%.2fs", float64(v)/1000))
+			case "coord_checkpoint_age_ms_hwm":
+				parts = append(parts, fmt.Sprintf("checkpoint_age_hwm=%.2fs", float64(v)/1000))
 			default:
 				parts = append(parts, fmt.Sprintf("%s=%d", strings.TrimPrefix(k, "coord_"), v))
 			}

@@ -77,14 +77,11 @@ type options struct {
 	shardOut     string         // -shard-out
 	checkpoint   string         // -checkpoint
 	checkpointIv time.Duration  // -checkpoint-interval
-	status       string         // -status
 	verbose      bool           // batch -v
 	runs         int            // the campaign's run count, for -v lines
 
-	statusFile      *os.File
-	statusLastWrite time.Time
-	chaosArmed      bool
-	chaosExitAt     int // the fold seq an armed worker dies at
+	chaosArmed  bool
+	chaosExitAt int // the fold seq an armed worker dies at
 
 	telemetry string // -telemetry
 	progress  bool   // -progress
@@ -112,15 +109,14 @@ func (o *options) campaignFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.shardOut, "shard-out", "", "write this shard's result file here on completion (fold with 'jtpsim merge')")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "durable checkpoint file; auto-resumes when it already exists")
 	fs.DurationVar(&o.checkpointIv, "checkpoint-interval", 0, "max wall clock between periodic checkpoints (0 = campaign default)")
-	fs.StringVar(&o.status, "status", "", "append heartbeat frames (fold frontier, rate) to this file for a supervising coordinator")
 }
 
-// start opens what the campaign flags ask for — the profiles, the
-// -status and telemetry sinks — and watches SIGINT/SIGTERM. It returns
-// the campaign options and a context the first signal cancels (with
-// -checkpoint the fold frontier is persisted first, so rerunning
-// resumes; a second signal force-quits, exit 130). stop, which start
-// returns even on error, closes everything.
+// start opens what the campaign flags ask for — the profiles and the
+// telemetry sink — arms the chaos exit (see chaos.go) and watches
+// SIGINT/SIGTERM. It returns the campaign options and a context the
+// first signal cancels (with -checkpoint the fold frontier is persisted
+// first, so rerunning resumes; a second signal force-quits, exit 130).
+// stop, which start returns even on error, closes everything.
 func (o *options) start() (opt experiments.Options, ctx context.Context, stop func(), err error) {
 	opt = experiments.Options{Options: campaign.Options{
 		Workers:            o.par,
@@ -141,11 +137,11 @@ func (o *options) start() (opt experiments.Options, ctx context.Context, stop fu
 		o.stopProfiles()
 	}
 	if err = o.startProfiles(); err == nil {
-		if err = o.startStatusWriter(opt.Shard.Index); err == nil {
+		if err = o.armChaosExit(opt.Shard.Index); err == nil {
 			err = o.startTelemetry(&opt)
 		}
 	}
-	if o.verbose || o.status != "" || opt.Telemetry || o.progress {
+	if o.verbose || o.chaosArmed || opt.Telemetry || o.progress {
 		opt.OnProgress = o.onProgress
 	}
 	return opt, ctx, stop, err
@@ -153,8 +149,8 @@ func (o *options) start() (opt experiments.Options, ctx context.Context, stop fu
 
 // onProgress is the campaign's one progress hook, called once per folded
 // run in fold order. It writes the -v line, then the telemetry line, the
-// /debug/vars fold and the -progress ticker, then the -status frame —
-// last, so a chaos exit there leaves this run's telemetry line written.
+// /debug/vars fold and the -progress ticker, then fires an armed chaos
+// exit — last, so it leaves this run's telemetry line written.
 func (o *options) onProgress(p campaign.Progress) {
 	if o.verbose {
 		status := "ok"
@@ -165,8 +161,8 @@ func (o *options) onProgress(p campaign.Progress) {
 			p.Spec.Index+1, o.runs, p.Spec.Cell.Key(), p.Spec.Run, p.Spec.Seed, status)
 	}
 	o.onCampaignProgress(p)
-	if o.statusFile != nil {
-		o.onStatusProgress(p)
+	if o.chaosArmed && p.Done >= o.chaosExitAt {
+		o.chaosSuicide(p.Done)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,6 +88,23 @@ func TestUnknownSubcommandExits2(t *testing.T) {
 		if code, msg := runCaptured(t, strings.Fields(tc.args)); code != 2 || !strings.HasPrefix(msg, tc.want) {
 			t.Errorf("jtpsim %s: exit %d, stderr %q; want exit 2 and %q", tc.args, code, msg, tc.want)
 		}
+	}
+}
+
+// TestStatusFlagIsUnknown: workers report liveness through their
+// checkpoint alone, so no mode takes -status; batch rejects it as any
+// unknown flag, with exit 2. Flag errors exit the process, so the CLI
+// runs in a child copy of this test binary.
+func TestStatusFlagIsUnknown(t *testing.T) {
+	if os.Getenv("JTPSIM_TEST_RUN_CLI") == "1" {
+		os.Exit(run([]string{"batch", "-matrix", "m.json", "-status", "x"}))
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestStatusFlagIsUnknown$")
+	cmd.Env = append(os.Environ(), "JTPSIM_TEST_RUN_CLI=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -status") {
+		t.Fatalf("jtpsim batch -status x: %v, output %q; want exit 2 naming the undefined flag", err, out)
 	}
 }
 

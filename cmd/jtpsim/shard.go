@@ -32,7 +32,7 @@ import (
 
 // sharded reports whether any sharding flag is in play.
 func (o *options) sharded() bool {
-	return o.shard.Of != 0 || o.shardOut != "" || o.checkpoint != "" || o.status != ""
+	return o.shard.Of != 0 || o.shardOut != "" || o.checkpoint != ""
 }
 
 // mergeMain folds shard result files into one report: jtpsim merge

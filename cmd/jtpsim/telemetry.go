@@ -95,17 +95,13 @@ func (o *options) startTelemetry(opt *experiments.Options) error {
 	return nil
 }
 
-// stopSinks flushes and closes the telemetry and -status sinks.
+// stopSinks flushes and closes the telemetry sink.
 func (o *options) stopSinks() {
 	if o.telemetryFile != nil {
 		o.telemetryFile.Close()
 		fmt.Fprintf(os.Stderr, "jtpsim: wrote telemetry %s\n", o.telemetry)
 		o.telemetryFile = nil
 		o.telemetryEnc = nil
-	}
-	if o.statusFile != nil {
-		o.statusFile.Close()
-		o.statusFile = nil
 	}
 }
 

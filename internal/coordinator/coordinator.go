@@ -1,15 +1,16 @@
 // Package coordinator is the fault-tolerant shard coordinator behind
 // `jtpsim coord`: it expands a campaign into N shards, drives each as a
 // child jtpsim worker process (`-shard i/N -shard-out … -checkpoint …
-// -status …`) on a bounded process pool, and survives the faults a
-// multi-hour sweep will actually hit — worker crashes, hangs, OOM
-// kills, and the death of the coordinator itself.
+// -checkpoint-interval …`) on a bounded process pool, and survives the
+// faults a multi-hour sweep will actually hit — worker crashes, hangs,
+// OOM kills, and the death of the coordinator itself.
 //
 // The robustness machinery:
 //
-//   - Liveness: workers append heartbeat frames (fold frontier, rate)
-//     to a per-shard status file; the coordinator declares a shard dead
-//     on process exit ≠ 0 OR when the frontier does not advance for
+//   - Liveness: a worker rewrites its checkpoint at the first fold after
+//     each CheckpointInterval, so the checkpoint's mtime is its
+//     heartbeat; the coordinator declares a shard dead on process exit
+//     ≠ 0 OR when the mtime stands still for CheckpointInterval +
 //     StallTimeout — catching stuck workers, not just crashed ones.
 //   - Restart: dead shards relaunch with exponential backoff + jitter
 //     under a per-shard retry budget, resuming from their
@@ -58,7 +59,8 @@ type Config struct {
 	// WorkerBin is the worker executable (normally the running jtpsim
 	// binary itself); WorkerArgs is the campaign-mode prefix, e.g.
 	// ["batch", "-matrix", "m.json", "-par", "2"]. The coordinator
-	// appends -shard/-shard-out/-checkpoint/-status per launch.
+	// appends -shard/-shard-out/-checkpoint/-checkpoint-interval per
+	// launch.
 	WorkerBin  string
 	WorkerArgs []string
 	// Matrix is the campaign the workers run. Its fingerprint decides
@@ -70,7 +72,7 @@ type Config struct {
 	// min(Shards, GOMAXPROCS).
 	Workers int
 	// OutDir holds every coordination artifact: shard result files,
-	// checkpoints, status files and worker logs.
+	// checkpoints and worker logs.
 	OutDir string
 	// RetryBudget is the number of restarts each shard may consume
 	// beyond its first launch (0 = one attempt, no retries); < 0 means
@@ -81,9 +83,14 @@ type Config struct {
 	// Defaults: 500ms / 15s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// StallTimeout declares a running shard dead when its status-frame
-	// frontier does not advance for this long (a hung worker, not just
-	// a crashed one); <= 0 means 2m.
+	// CheckpointInterval is the workers' periodic checkpoint interval:
+	// a worker rewrites its checkpoint at the first fold after each
+	// one. <= 0 means 2s.
+	CheckpointInterval time.Duration
+	// StallTimeout declares a running shard dead when its checkpoint
+	// has not been rewritten for CheckpointInterval + StallTimeout, that
+	// is, no fold for StallTimeout after the checkpoint came due (a hung
+	// worker, not just a crashed one); <= 0 means 2m.
 	StallTimeout time.Duration
 	// Poll is the supervision tick (liveness checks, chaos, backoff
 	// expiry); <= 0 means 200ms.
@@ -133,6 +140,13 @@ func (c *Config) backoffMax() time.Duration {
 	return c.BackoffMax
 }
 
+func (c *Config) checkpointInterval() time.Duration {
+	if c.CheckpointInterval <= 0 {
+		return 2 * time.Second
+	}
+	return c.CheckpointInterval
+}
+
 func (c *Config) stallTimeout() time.Duration {
 	if c.StallTimeout <= 0 {
 		return 2 * time.Minute
@@ -178,26 +192,21 @@ type shardRun struct {
 	attempts     int // launches so far
 	lastError    string
 	proc         *os.Process
-	killReason   string // set before an intentional kill (chaos/stall/shutdown)
-	anchor       time.Time
+	killReason   string    // set before an intentional kill (chaos/stall/shutdown)
+	anchor       time.Time // when ckModTime last changed, or the launch
+	ckModTime    time.Time // the checkpoint's mtime at the last look
 	backoffUntil time.Time
-	lastSeq      int
-	lastTotal    int
-	lastRate     float64
 	result       *campaign.ShardFile // parsed result file, set when done
 }
 
 // ShardStatus is one shard's externally visible state (Snapshot, final
 // Result table).
 type ShardStatus struct {
-	Index          int     `json:"index"`
-	State          string  `json:"state"`
-	Attempts       int     `json:"attempts"`
-	Seq            int     `json:"seq"`
-	Total          int     `json:"total"`
-	RunsPerSec     float64 `json:"runs_per_sec"`
-	HeartbeatAgeMs int64   `json:"heartbeat_age_ms,omitempty"`
-	LastError      string  `json:"lastError,omitempty"`
+	Index           int    `json:"index"`
+	State           string `json:"state"`
+	Attempts        int    `json:"attempts"`
+	CheckpointAgeMs int64  `json:"checkpoint_age_ms,omitempty"`
+	LastError       string `json:"lastError,omitempty"`
 }
 
 // Snapshot is a point-in-time view of the coordinator, served live via
@@ -253,8 +262,8 @@ type Coordinator struct {
 	rng    *rand.Rand
 
 	// Supervision counters, guarded by mu (see countersLocked).
-	restarts, deadDetections, backoffMs     uint64
-	chaosKills, stallKills, heartbeatAgeHWM uint64
+	restarts, deadDetections, backoffMs      uint64
+	chaosKills, stallKills, checkpointAgeHWM uint64
 }
 
 // New validates the configuration and prepares (but does not start) a
@@ -299,7 +308,7 @@ func (c *Coordinator) countersLocked() map[string]uint64 {
 		"coord_shard_restarts":        c.restarts,
 		"coord_shard_dead_detections": c.deadDetections,
 		"coord_backoff_ms_total":      c.backoffMs,
-		"coord_heartbeat_age_ms_hwm":  c.heartbeatAgeHWM,
+		"coord_checkpoint_age_ms_hwm": c.checkpointAgeHWM,
 		"coord_chaos_kills":           c.chaosKills,
 		"coord_stall_kills":           c.stallKills,
 	}
@@ -312,7 +321,6 @@ func (c *Coordinator) shardPath(i int, kind string) string {
 }
 func (c *Coordinator) shardOutPath(i int) string   { return c.shardPath(i, ".json") }
 func (c *Coordinator) checkpointPath(i int) string { return c.shardPath(i, ".ck.json") }
-func (c *Coordinator) statusPath(i int) string     { return c.shardPath(i, ".status.jsonl") }
 func (c *Coordinator) logPath(i int) string        { return c.shardPath(i, ".log") }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -443,7 +451,7 @@ func (c *Coordinator) launch(s *shardRun) error {
 		"-shard", fmt.Sprintf("%d/%d", s.index, c.cfg.Shards),
 		"-shard-out", c.shardOutPath(s.index),
 		"-checkpoint", c.checkpointPath(s.index),
-		"-status", c.statusPath(s.index),
+		"-checkpoint-interval", c.cfg.checkpointInterval().String(),
 	)
 	logf, err := os.OpenFile(c.logPath(s.index), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -453,6 +461,7 @@ func (c *Coordinator) launch(s *shardRun) error {
 	cmd.Stdout = logf
 	cmd.Stderr = logf
 	cmd.Env = append(os.Environ(), c.cfg.Env...)
+	ckModTime := modTime(c.checkpointPath(s.index))
 
 	c.mu.Lock()
 	s.attempts++
@@ -465,7 +474,7 @@ func (c *Coordinator) launch(s *shardRun) error {
 		s.state = stateRunning
 		s.proc = cmd.Process
 		s.killReason = ""
-		s.anchor = time.Now()
+		s.anchor, s.ckModTime = time.Now(), ckModTime
 	}
 	c.mu.Unlock()
 
@@ -477,8 +486,12 @@ func (c *Coordinator) launch(s *shardRun) error {
 		c.markDead(s, fmt.Sprintf("failed to start: %v", err))
 		return nil
 	}
-	c.logf("shard %d/%d launched (attempt %d/%d, pid %d)",
-		s.index, c.cfg.Shards, attempt, c.cfg.retryBudget()+1, cmd.Process.Pid)
+	from := "from its checkpoint"
+	if ckModTime.IsZero() {
+		from = "cold"
+	}
+	c.logf("shard %d/%d launched (attempt %d/%d, pid %d, %s)",
+		s.index, c.cfg.Shards, attempt, c.cfg.retryBudget()+1, cmd.Process.Pid, from)
 	idx := s.index
 	go func() {
 		werr := cmd.Wait()
@@ -546,11 +559,21 @@ func (c *Coordinator) markDead(s *shardRun, reason string) {
 	c.logf("shard %d died (%s); restart %d/%d in %s", s.index, reason, s.attempts, budget, d.Round(time.Millisecond))
 }
 
+// modTime is path's mtime, or the zero time when it cannot be stat'ed.
+func modTime(path string) time.Time {
+	st, err := os.Stat(path)
+	if err != nil {
+		return time.Time{}
+	}
+	return st.ModTime()
+}
+
 // superviseTick runs the periodic checks on every running shard:
-// heartbeat progress, stall detection, and chaos injection.
+// checkpoint progress, stall detection, and chaos injection.
 func (c *Coordinator) superviseTick() {
 	now := time.Now()
 	chaosP := c.cfg.ChaosKillRate * c.cfg.poll().Seconds()
+	deadline := c.cfg.checkpointInterval() + c.cfg.stallTimeout()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -558,23 +581,17 @@ func (c *Coordinator) superviseTick() {
 		if s.state != stateRunning || s.proc == nil {
 			continue
 		}
-		// Progress: a new status frame frontier resets the liveness
-		// anchor. Workers write a frame at least every 250 ms of folds,
-		// and checkpoints are written only at folds.
-		if fr, ok := ReadLastFrame(c.statusPath(s.index)); ok {
-			if fr.Seq > s.lastSeq {
-				s.lastSeq = fr.Seq
-				s.anchor = now
-			}
-			s.lastTotal = fr.Total
-			s.lastRate = fr.RunsPerSec
+		// Progress: a rewritten checkpoint resets the liveness anchor.
+		// Workers rewrite it at the first fold after each interval.
+		if mt := modTime(c.checkpointPath(s.index)); !mt.Equal(s.ckModTime) {
+			s.ckModTime, s.anchor = mt, now
 		}
 		age := now.Sub(s.anchor)
-		c.heartbeatAgeHWM = max(c.heartbeatAgeHWM, uint64(age.Milliseconds()))
-		if age > c.cfg.stallTimeout() {
-			// Stuck, not crashed: no frontier movement. SIGKILL and let
-			// the exit path restart it.
-			s.killReason = fmt.Sprintf("stalled: no progress for %s (frontier %d)", age.Round(time.Second), s.lastSeq)
+		c.checkpointAgeHWM = max(c.checkpointAgeHWM, uint64(age.Milliseconds()))
+		if age > deadline {
+			// Stuck, not crashed: no checkpoint when one was due. SIGKILL
+			// and let the exit path restart it.
+			s.killReason = fmt.Sprintf("stalled: no checkpoint for %s", age.Round(time.Second))
 			c.stallKills++
 			c.logf("shard %d %s; killing pid %d", s.index, s.killReason, s.proc.Pid)
 			s.proc.Kill()
@@ -583,7 +600,7 @@ func (c *Coordinator) superviseTick() {
 		if chaosP > 0 && c.rng.Float64() < chaosP {
 			s.killReason = "chaos: injected SIGKILL"
 			c.chaosKills++
-			c.logf("shard %d chaos kill (pid %d, frontier %d)", s.index, s.proc.Pid, s.lastSeq)
+			c.logf("shard %d chaos kill (pid %d)", s.index, s.proc.Pid)
 			s.proc.Kill()
 		}
 	}
@@ -732,16 +749,13 @@ func (c *Coordinator) statusTableLocked() []ShardStatus {
 	out := make([]ShardStatus, len(c.shards))
 	for i, s := range c.shards {
 		st := ShardStatus{
-			Index:      s.index,
-			State:      s.state.String(),
-			Attempts:   s.attempts,
-			Seq:        s.lastSeq,
-			Total:      s.lastTotal,
-			RunsPerSec: s.lastRate,
-			LastError:  s.lastError,
+			Index:     s.index,
+			State:     s.state.String(),
+			Attempts:  s.attempts,
+			LastError: s.lastError,
 		}
 		if s.state == stateRunning {
-			st.HeartbeatAgeMs = now.Sub(s.anchor).Milliseconds()
+			st.CheckpointAgeMs = now.Sub(s.anchor).Milliseconds()
 		}
 		out[i] = st
 	}

@@ -3,12 +3,13 @@ package coordinator
 // Integration tests for the supervised worker pool, using the standard
 // helper-process pattern: the coordinator under test launches this test
 // binary (os.Args[0]) re-entrantly, and TestHelperWorker — a real tiny
-// campaign honoring the -shard/-shard-out/-checkpoint/-status contract —
-// plays the worker. Fault injection rides environment variables:
+// campaign honoring the -shard/-shard-out/-checkpoint/-checkpoint-interval
+// contract — plays the worker. Fault injection rides environment
+// variables:
 //
 //	COORD_HELPER_CRASH_AT=SEQ    crash (exit 3) at fold seq, once per shard
 //	COORD_HELPER_FAIL_SHARD=I    shard I crashes on sight, every attempt
-//	COORD_HELPER_HANG_SHARD=I    shard I hangs after one frame, once
+//	COORD_HELPER_HANG_SHARD=I    shard I hangs after one fold, once
 //	COORD_HELPER_SLOW_MS=MS      each run sleeps MS more, and checkpoints
 //	                             follow -checkpoint-interval alone
 //
@@ -82,16 +83,10 @@ func helperWorkerMain(args []string) int {
 	shardStr := fs.String("shard", "0/1", "")
 	shardOut := fs.String("shard-out", "", "")
 	checkpoint := fs.String("checkpoint", "", "")
-	status := fs.String("status", "", "")
 	ckInterval := fs.Duration("checkpoint-interval", 0, "")
 	fs.Parse(args)
 
 	sh, err := campaign.ParseShard(*shardStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	stf, err := os.OpenFile(*status, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -128,7 +123,6 @@ func helperWorkerMain(args []string) int {
 		CheckpointEvery:    ckEvery,
 		CheckpointInterval: *ckInterval,
 		OnProgress: func(p campaign.Progress) {
-			AppendFrame(stf, StatusFrame{Seq: p.Done, Total: p.Total, Failures: p.Failures})
 			if crashAt >= 0 && p.Done >= crashAt && stampOnce(*shardOut+".crashed") {
 				os.Exit(ChaosExitCode)
 			}
@@ -160,19 +154,20 @@ func stampOnce(path string) bool {
 func newTestCoordinator(t *testing.T, dir string, shards, workers int, env ...string) *Coordinator {
 	t.Helper()
 	cfg := Config{
-		WorkerBin:    os.Args[0],
-		WorkerArgs:   []string{"-test.run=TestHelperWorker", "--"},
-		Matrix:       helperMatrix(),
-		Shards:       shards,
-		Workers:      workers,
-		OutDir:       dir,
-		RetryBudget:  3,
-		BackoffBase:  10 * time.Millisecond,
-		BackoffMax:   100 * time.Millisecond,
-		StallTimeout: 5 * time.Second,
-		Poll:         20 * time.Millisecond,
-		ChaosSeed:    42,
-		Env:          append([]string{"COORD_HELPER=1"}, env...),
+		WorkerBin:          os.Args[0],
+		WorkerArgs:         []string{"-test.run=TestHelperWorker", "--"},
+		Matrix:             helperMatrix(),
+		Shards:             shards,
+		Workers:            workers,
+		OutDir:             dir,
+		RetryBudget:        3,
+		BackoffBase:        10 * time.Millisecond,
+		BackoffMax:         100 * time.Millisecond,
+		CheckpointInterval: 100 * time.Millisecond,
+		StallTimeout:       5 * time.Second,
+		Poll:               20 * time.Millisecond,
+		ChaosSeed:          42,
+		Env:                append([]string{"COORD_HELPER=1"}, env...),
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -200,6 +195,31 @@ func TestCoordinatorAllDone(t *testing.T) {
 	snap := c.Snapshot()
 	if snap.Done != 4 || snap.Running != 0 {
 		t.Errorf("snapshot %+v, want 4 done", snap)
+	}
+	for _, st := range snap.Shards {
+		if st.CheckpointAgeMs != 0 {
+			t.Errorf("done shard %d has checkpoint age %d ms, want none", st.Index, st.CheckpointAgeMs)
+		}
+	}
+	if _, ok := snap.Counters["coord_checkpoint_age_ms_hwm"]; !ok {
+		t.Errorf("snapshot counters %v lack coord_checkpoint_age_ms_hwm", snap.Counters)
+	}
+	// The out-dir holds each shard's result, checkpoint and log, and
+	// nothing else.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	var want []string
+	for i := range 4 {
+		want = append(want, fmt.Sprintf("shard-%03d.ck.json", i), fmt.Sprintf("shard-%03d.json", i), fmt.Sprintf("shard-%03d.log", i))
+	}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Errorf("out-dir holds %v, want %v", names, want)
 	}
 }
 
@@ -298,7 +318,7 @@ func TestCoordinatorStallKill(t *testing.T) {
 func TestCoordinatorLongCheckpointIntervalIsNoStall(t *testing.T) {
 	dir := t.TempDir()
 	c := newTestCoordinator(t, dir, 2, 2, "COORD_HELPER_SLOW_MS=60")
-	c.cfg.WorkerArgs = append(c.cfg.WorkerArgs, "-checkpoint-interval", "1h")
+	c.cfg.CheckpointInterval = time.Hour
 	c.cfg.StallTimeout = 300 * time.Millisecond
 	res, err := c.Run(context.Background())
 	if err != nil {

@@ -595,18 +595,17 @@ func (b *BuiltScenario) telemetry(mc mac.Counters) map[string]uint64 {
 		"sim_events_stopped":   ec.Stopped,
 		"sim_heap_depth_hwm":   ec.HeapHWM,
 
-		"mac_tx_attempts":          mc.TxAttempts,
-		"mac_tx_success":           mc.TxSuccess,
-		"mac_rx_frames":            mc.RxFrames,
-		"mac_enqueues":             mc.Enqueues,
-		"mac_queue_depth_hwm":      mc.QueueHWM,
-		"mac_drops_queue":          mc.QueueDrops,
-		"mac_drops_retries":        mc.RetryDrops,
-		"mac_drops_plugin":         mc.PluginDrops,
-		"mac_retries":              mc.Retries,
-		"mac_frame_attempts_count": mc.TxSuccess + mc.RetryDrops,
-		"mac_frame_attempts_sum":   mc.AttemptsSum,
-		"mac_frame_attempts_max":   mc.AttemptsMax,
+		"mac_tx_attempts":        mc.TxAttempts,
+		"mac_tx_success":         mc.TxSuccess,
+		"mac_rx_frames":          mc.RxFrames,
+		"mac_enqueues":           mc.Enqueues,
+		"mac_queue_depth_hwm":    mc.QueueHWM,
+		"mac_drops_queue":        mc.QueueDrops,
+		"mac_drops_retries":      mc.RetryDrops,
+		"mac_drops_plugin":       mc.PluginDrops,
+		"mac_retries":            mc.Retries,
+		"mac_frame_attempts_sum": mc.AttemptsSum,
+		"mac_frame_attempts_max": mc.AttemptsMax,
 
 		"linkstate_rows_patched":  ls.RowsPatched,
 		"linkstate_patch_epochs":  ls.PatchEpochs,
@@ -630,10 +629,8 @@ func (b *BuiltScenario) telemetry(mc mac.Counters) map[string]uint64 {
 		"pool_puts":   puts,
 		"pool_misses": misses,
 
-		"energy_tx_nj":     uint64(txJ * 1e9),
-		"energy_rx_nj":     uint64(rxJ * 1e9),
-		"energy_tx_events": mc.TxAttempts, // one charge per attempt
-		"energy_rx_events": mc.RxFrames,   // one charge per reception
+		"energy_tx_nj": uint64(txJ * 1e9),
+		"energy_rx_nj": uint64(rxJ * 1e9),
 	}
 	if pp, ok := b.sub.Driver.(pluginHost); ok {
 		for _, pl := range pp.Plugins() {

@@ -85,7 +85,7 @@ func TestTelemetryReportCounters(t *testing.T) {
 		"mac_enqueues", "mac_tx_attempts", "mac_tx_success",
 		"route_fills", "route_views_consulted", "route_bfs_computes", "route_adj_captures", "route_adj_snapshots_hwm",
 		"pool_gets", "pool_puts",
-		"energy_tx_nj", "energy_tx_events",
+		"energy_tx_nj",
 	}
 	for _, c := range rep.Cells {
 		if len(c.Telemetry) == 0 {

@@ -133,7 +133,7 @@ cat >resume-matrix.json <<'EOF'
 EOF
 "$j" batch -matrix resume-matrix.json -par 2 -csv >resume.clean.csv
 JTPSIM_CHAOS_EXIT_AT=5 fails "$j" batch -matrix resume-matrix.json -par 1 \
-	-checkpoint resume.ck.json -checkpoint-interval 1ns -status resume.status -csv
+	-checkpoint resume.ck.json -checkpoint-interval 1ns -csv
 "$j" batch -matrix resume-matrix.json -par 2 -checkpoint resume.ck.json -csv >resume.resumed.csv
 diff resume.clean.csv resume.resumed.csv
 
