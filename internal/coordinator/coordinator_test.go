@@ -335,6 +335,48 @@ func TestCoordinatorLongCheckpointIntervalIsNoStall(t *testing.T) {
 	}
 }
 
+// TestCoordinatorOldCheckpointIsNoStall resumes shards from checkpoints
+// last written a day ago: liveness counts from the launch, not from the
+// checkpoint's mtime, so a worker resumed from it is not stalled.
+func TestCoordinatorOldCheckpointIsNoStall(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestCoordinator(t, dir, 4, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(60 * time.Millisecond)
+		cancel()
+	}()
+	if _, err := c.Run(ctx); err == nil {
+		t.Skip("campaign finished before the cancel landed; nothing to resume")
+	}
+	old := time.Now().Add(-24 * time.Hour)
+	resumed := 0
+	for i := 0; i < 4; i++ {
+		if err := os.Chtimes(c.checkpointPath(i), old, old); err == nil {
+			resumed++
+		}
+	}
+	if resumed == 0 {
+		t.Skip("no shard left a checkpoint to resume from")
+	}
+
+	c2 := newTestCoordinator(t, dir, 4, 2, "COORD_HELPER_SLOW_MS=20")
+	c2.cfg.StallTimeout = 2 * time.Second
+	res, err := c2.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Counters["coord_stall_kills"]; n != 0 {
+		t.Errorf("coord_stall_kills = %d, want 0", n)
+	}
+	if len(res.Done) != 4 {
+		t.Fatalf("resume: done=%v failed=%v", res.Done, res.Failed)
+	}
+	if got, want := res.Report.CSV(), referenceCSV(t); got != want {
+		t.Errorf("merged CSV differs from unsharded run after resume")
+	}
+}
+
 // TestCoordinatorResumeAfterCancel cancels a run mid-flight, then drives
 // a second coordinator over the same out-dir to completion: the out-dir
 // must classify the unfinished shards, and the final merge must be
