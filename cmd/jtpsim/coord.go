@@ -63,7 +63,9 @@ func coordMain(args []string) int {
 	fs.BoolVar(&o.csv, "csv", false, "emit the merged report as CSV")
 	fs.IntVar(&o.par, "par", 1, "campaign worker-pool size inside each worker process")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve pprof/expvar with live coordinator state (jtpsim_coord) on this address")
-	fs.Parse(args)
+	if !parseArgs(fs, "jtpsim coord", args) {
+		return 2
+	}
 
 	if (bf.matrix == "") == (*expID == "") {
 		fmt.Fprintln(os.Stderr, "jtpsim coord: exactly one of -matrix or -exp is required")

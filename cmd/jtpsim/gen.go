@@ -41,7 +41,9 @@ func genMain(args []string) int {
 		tracePth = fs.String("trace", "", "with -run/-replay: write the packet-event trace as JSON lines to this file")
 	)
 	o.profileFlags(fs)
-	fs.Parse(args)
+	if !parseArgs(fs, "jtpsim gen", args) {
+		return 2
+	}
 	defer o.stopProfiles()
 	if err := o.startProfiles(); err != nil {
 		fmt.Fprintf(os.Stderr, "jtpsim gen: %v\n", err)

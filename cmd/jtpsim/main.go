@@ -230,6 +230,19 @@ func run(args []string) int {
 	return expMain(args)
 }
 
+// parseArgs parses args into fs for a mode that takes no positional
+// argument, and rejects one, naming it on stderr. Flag parsing stops at
+// the first word that is not a flag, so without the check every flag
+// after it would be dropped silently.
+func parseArgs(fs *flag.FlagSet, cmd string, args []string) bool {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "%s: unexpected argument %q\n", cmd, fs.Arg(0))
+		return false
+	}
+	return true
+}
+
 // expMain is the classic figure-reproduction mode.
 func expMain(args []string) int {
 	var o options
@@ -241,7 +254,9 @@ func expMain(args []string) int {
 		list  = fs.Bool("list", false, "list experiment ids and exit")
 	)
 	o.campaignFlags(fs)
-	fs.Parse(args)
+	if !parseArgs(fs, "jtpsim", args) {
+		return 2
+	}
 
 	if *list || *expID == "" {
 		fmt.Fprintln(os.Stderr, "experiments (pass -exp <id>):")
@@ -318,7 +333,9 @@ func batchMain(args []string) int {
 	asJSON := fs.Bool("json", false, "emit the aggregate report as JSON")
 	fs.BoolVar(&o.verbose, "v", false, "log each completed run to stderr")
 	o.campaignFlags(fs)
-	fs.Parse(args)
+	if !parseArgs(fs, "jtpsim batch", args) {
+		return 2
+	}
 
 	if bf.matrix == "" {
 		fmt.Fprintln(os.Stderr, "jtpsim batch: -matrix <file.json> is required")

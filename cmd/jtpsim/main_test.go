@@ -91,6 +91,26 @@ func TestUnknownSubcommandExits2(t *testing.T) {
 	}
 }
 
+// TestStrayArgumentExits2: flag parsing stops at the first word that is
+// not a flag, so a mode that takes no positional argument rejects one
+// rather than drop the flags after it (here -csv and -v).
+func TestStrayArgumentExits2(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "coord")
+	for _, tc := range []struct{ args, want string }{
+		{"-exp table1 stray -csv", `jtpsim: unexpected argument "stray"`},
+		{"batch -matrix m.json stray -v", `jtpsim batch: unexpected argument "stray"`},
+		{"coord -exp table1 -shards 1 -out " + out + " stray -csv", `jtpsim coord: unexpected argument "stray"`},
+		{"gen -family chain -nodes 3 stray -run", `jtpsim gen: unexpected argument "stray"`},
+	} {
+		if code, msg := runCaptured(t, strings.Fields(tc.args)); code != 2 || strings.TrimSpace(msg) != tc.want {
+			t.Errorf("jtpsim %s: exit %d, stderr %q; want exit 2 and %q", tc.args, code, msg, tc.want)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("coord with a stray argument touched its out-dir: %v", err)
+	}
+}
+
 // TestStatusFlagIsUnknown: workers report liveness through their
 // checkpoint alone, so no mode takes -status; batch rejects it as any
 // unknown flag, with exit 2. Flag errors exit the process, so the CLI

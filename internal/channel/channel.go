@@ -25,33 +25,34 @@ type Config struct {
 	Range float64
 	// GoodLoss is the per-transmission loss probability in the good state.
 	GoodLoss float64
-	// BadLoss is the per-transmission loss probability in the bad state.
-	BadLoss float64
-	// BadFraction is the long-run fraction of time a link spends in the
-	// bad state (paper: ≈0.10).
-	BadFraction float64
-	// MeanBadPeriod is the mean sojourn in the bad state in seconds
-	// (paper: 3 s).
-	MeanBadPeriod float64
 	// Static, when true, freezes every link in the good state — used for
 	// the Table 2 testbed scenario, where "the links are more stable and
 	// their quality is much better".
 	Static bool
 }
 
+// The bad state of §6.1.1, the same for every channel profile. It is
+// harsh enough that even MAX_ATTEMPTS transmissions fail with noticeable
+// probability (0.75⁵ ≈ 24%), which is the "temporary excessive
+// degradation in link quality" regime where in-network caching earns its
+// keep (§4).
+const (
+	// BadLoss is the per-transmission loss probability in the bad state.
+	BadLoss = 0.75
+	// BadFraction is the long-run fraction of time a link spends in the
+	// bad state (paper: ≈0.10).
+	BadFraction = 0.10
+	// MeanBadPeriod is the mean sojourn in the bad state in seconds
+	// (paper: 3 s).
+	MeanBadPeriod = 3.0
+)
+
 // Defaults returns the channel used by the simulation experiments:
-// 100 m range, 5% good-state loss, 75% bad-state loss, 10% of time bad
-// with mean bad period 3 s. The bad state is harsh enough that even
-// MAX_ATTEMPTS transmissions fail with noticeable probability
-// (0.75⁵ ≈ 24%), which is the "temporary excessive degradation in link
-// quality" regime where in-network caching earns its keep (§4).
+// 100 m range and 5% good-state loss, with the bad state above.
 func Defaults() Config {
 	return Config{
-		Range:         100,
-		GoodLoss:      0.05,
-		BadLoss:       0.75,
-		BadFraction:   0.10,
-		MeanBadPeriod: 3.0,
+		Range:    100,
+		GoodLoss: 0.05,
 	}
 }
 
@@ -109,17 +110,10 @@ func New(eng *sim.Engine, cfg Config) *Channel {
 	}
 	c := &Channel{cfg: cfg, eng: eng, lk: make(map[linkKey]int32)}
 	c.range2 = cfg.Range * cfg.Range
-	meanBad := cfg.MeanBadPeriod
-	if meanBad <= 0 {
-		meanBad = 3.0
-	}
-	f := cfg.BadFraction
-	if f <= 0 {
-		f = 0.10
-	}
-	if f >= 1 {
-		f = 0.99
-	}
+	// From variables, not the constants: Go folds a constant expression
+	// exactly, and seeded runs depend on the algebra below rounding after
+	// each step.
+	meanBad, f := float64(MeanBadPeriod), float64(BadFraction)
 	c.meanBad = meanBad
 	c.meanGood = meanBad * (1 - f) / f
 	return c
@@ -149,7 +143,7 @@ func (c *Channel) state(a, b packet.NodeID) *linkState {
 		var st linkState
 		// Initialize from the stationary distribution so warm-up isn't
 		// needed for the loss process itself.
-		if !c.cfg.Static && c.eng.Rand().Float64() < c.cfg.BadFraction {
+		if !c.cfg.Static && c.eng.Rand().Float64() < BadFraction {
 			st.bad = true
 		}
 		st.changeAt = c.eng.Now().Add(c.drawSojourn(st.bad))
@@ -201,7 +195,7 @@ func (c *Channel) TransmitOK(a, b packet.NodeID) bool {
 	u := c.eng.Rand().Float64()
 	thr := c.cfg.GoodLoss
 	if c.state(a, b).bad {
-		thr = c.cfg.BadLoss
+		thr = BadLoss
 	}
 	return u >= thr
 }

@@ -22,7 +22,7 @@ func TestLossProbStates(t *testing.T) {
 			ok++
 		}
 	}
-	if rate, want := float64(ok)/trials, 1-cfg.BadLoss; math.Abs(rate-want) > 0.01 {
+	if rate, want := float64(ok)/trials, 1-BadLoss; math.Abs(rate-want) > 0.01 {
 		t.Fatalf("bad-state success rate %.4f, want ≈%.2f", rate, want)
 	}
 }
@@ -60,8 +60,8 @@ func TestBadFractionLongRun(t *testing.T) {
 		}
 	}
 	frac := float64(bad) / samples
-	if frac < cfg.BadFraction*0.7 || frac > cfg.BadFraction*1.3 {
-		t.Fatalf("empirical bad fraction %.4f, configured %.2f", frac, cfg.BadFraction)
+	if frac < BadFraction*0.7 || frac > BadFraction*1.3 {
+		t.Fatalf("empirical bad fraction %.4f, configured %.2f", frac, BadFraction)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestExpectedLoss(t *testing.T) {
 			lost++
 		}
 	}
-	want := cfg.BadFraction*cfg.BadLoss + (1-cfg.BadFraction)*cfg.GoodLoss
+	want := BadFraction*BadLoss + (1-BadFraction)*cfg.GoodLoss
 	if rate := float64(lost) / samples; rate < want*0.8 || rate > want*1.2 {
 		t.Fatalf("long-run loss %.4f, stationary mix %.4f", rate, want)
 	}
@@ -147,7 +147,7 @@ func TestMeanBadPeriod(t *testing.T) {
 	}
 	mean /= float64(len(badSpans))
 	// 100ms sampling quantization inflates the estimate slightly.
-	if mean < cfg.MeanBadPeriod*0.7 || mean > cfg.MeanBadPeriod*1.4 {
-		t.Fatalf("mean bad period %.2fs, configured %.1fs", mean, cfg.MeanBadPeriod)
+	if mean < MeanBadPeriod*0.7 || mean > MeanBadPeriod*1.4 {
+		t.Fatalf("mean bad period %.2fs, configured %.1fs", mean, MeanBadPeriod)
 	}
 }

@@ -46,21 +46,14 @@ func cleanChannel() channel.Config {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Defaults(1, 0, 4)
-	if cfg.PayloadLen+packet.DataHeaderSize != DefaultPacketSize {
-		t.Fatalf("payload %d + header != 800", cfg.PayloadLen)
+	if DefaultPayloadLen+packet.DataHeaderSize != DefaultPacketSize {
+		t.Fatalf("payload %d + header != 800", DefaultPayloadLen)
 	}
 	if cfg.DisableBackoff || cfg.DisableRetransmissions {
 		t.Fatal("paper defaults: backoff and retransmissions on")
 	}
-	if cfg.Beta <= 1 {
+	if beta <= 1 {
 		t.Fatal("β must exceed 1 (§5.2.4)")
-	}
-	// A zero-value config gets the paper's gains through withDefaults.
-	var partial Config
-	partial.Flow, partial.Src, partial.Dst = 2, 0, 3
-	wd := partial.withDefaults()
-	if wd.KI <= 0 || wd.KI >= 1 || wd.KD <= 0 || wd.KD >= 1 {
-		t.Fatal("controller gains out of Eq 9/10 ranges")
 	}
 }
 
@@ -100,7 +93,7 @@ func TestCleanPathTransfer(t *testing.T) {
 	if rs.UniqueReceived != 30 || rs.Duplicates != 0 {
 		t.Fatalf("recv: %+v", rs)
 	}
-	if rs.DeliveredBytes != 30*uint64(cfg.PayloadLen) {
+	if rs.DeliveredBytes != 30*uint64(DefaultPayloadLen) {
 		t.Fatalf("delivered bytes %d", rs.DeliveredBytes)
 	}
 }
@@ -297,7 +290,7 @@ func TestEnergyBudgetPropagates(t *testing.T) {
 	if conn.Sender.Rate() <= 0 {
 		t.Fatal("sender rate lost")
 	}
-	if conn.Sender.energyBudget == cfg.InitialEnergyBudget {
+	if conn.Sender.energyBudget == initialEnergyBudget {
 		t.Fatal("sender budget never updated from feedback")
 	}
 }
@@ -474,7 +467,7 @@ func TestCompletionAckCarriesNoSnack(t *testing.T) {
 		t.Fatalf("completion ACK requested %d packets (completed %v), want none",
 			rs.SnackRequested-before.SnackRequested, rs.Completed)
 	}
-	eng.RunFor(sim.DurationOf(cfg.SnackRetry + cfg.MinFeedbackGap))
+	eng.RunFor(sim.DurationOf(snackRetry + minFeedbackGap))
 	r.Deliver(dataPkt(5), 1) // a duplicate re-sends the final ACK
 	if rs := r.stats; rs.AcksSent != before.AcksSent+2 || rs.SnackRequested != before.SnackRequested {
 		t.Fatalf("%d ACKs after completion requested %d packets, want 2 ACKs requesting none",

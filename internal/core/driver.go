@@ -14,18 +14,16 @@ import (
 // so runs stay deterministic.
 func Driver(name string, caching bool) transport.Factory {
 	return func(nw *node.Network, nc transport.NetConfig) transport.Driver {
-		d := &driver{name: name, nw: nw, net: nc}
+		d := &driver{name: name, nw: nw}
 		iCfg := ijtp.Defaults()
 		if nc.MaxAttempts > 0 {
 			iCfg.MaxAttempts = nc.MaxAttempts
 		}
-		if !caching {
-			iCfg.CacheEnabled = false
-		}
-		if nc.CacheCapacity > 0 {
+		switch {
+		case !caching || nc.CacheCapacity < 0:
+			iCfg.CacheCapacity = 0
+		case nc.CacheCapacity > 0:
 			iCfg.CacheCapacity = nc.CacheCapacity
-		} else if nc.CacheCapacity < 0 {
-			iCfg.CacheEnabled = false
 		}
 		iCfg.CachePolicy = nc.CachePolicy
 		eng := nw.Engine()
@@ -48,7 +46,6 @@ func Driver(name string, caching bool) transport.Factory {
 type driver struct {
 	name    string
 	nw      *node.Network
-	net     transport.NetConfig
 	plugins []*ijtp.Plugin
 }
 
@@ -76,9 +73,6 @@ func (d *driver) OpenFlow(spec transport.FlowSpec) transport.Flow {
 	cfg.DisableRetransmissions = spec.DisableRetransmissions
 	cfg.ConstantFeedbackRate = spec.ConstantFeedbackRate
 	cfg.DeadlineAfter = spec.DeadlineAfter
-	if d.net.TLowerBound > 0 {
-		cfg.TLowerBound = d.net.TLowerBound
-	}
 	if spec.InitialRate > 0 {
 		cfg.InitialRate = spec.InitialRate
 	}

@@ -139,7 +139,7 @@ func TestChannelDefaultsUsedByFailureTests(t *testing.T) {
 	if !c.Static || c.GoodLoss != 0 {
 		t.Fatal("cleanChannel must be lossless and static")
 	}
-	if channel.Defaults().BadLoss <= channel.Defaults().GoodLoss {
+	if channel.BadLoss <= channel.Defaults().GoodLoss {
 		t.Fatal("default channel must have a worse bad state")
 	}
 }

@@ -75,14 +75,13 @@ type Receiver struct {
 
 // NewReceiver builds (but does not start) the destination side.
 func NewReceiver(nw *node.Network, cfg Config) *Receiver {
-	cfg = cfg.withDefaults()
 	r := &Receiver{
 		cfg:          cfg,
 		pool:         nw.PacketPool(),
 		rate:         cfg.InitialRate,
-		energyBudget: cfg.InitialEnergyBudget,
-		rateMon:      flipflop.New(cfg.RateMonitor),
-		energyMon:    flipflop.New(cfg.EnergyMonitor),
+		energyBudget: initialEnergyBudget,
+		rateMon:      flipflop.New(),
+		energyMon:    flipflop.New(),
 	}
 	r.Open(nw, cfg.Config, r, &r.stats.SinkStats)
 	r.feedbackFn = r.regularFeedback
@@ -125,7 +124,7 @@ func (r *Receiver) processData(p *packet.Packet) {
 	// the final ACK; re-send it (rate-limited) so the connection closes.
 	if r.Done() {
 		r.Duplicate()
-		if now.Sub(r.lastFeedback).Seconds() >= r.cfg.MinFeedbackGap {
+		if now.Sub(r.lastFeedback).Seconds() >= minFeedbackGap {
 			r.sendFeedback(false)
 		}
 		return
@@ -227,7 +226,7 @@ func (r *Receiver) buildSnack(rs []packet.SeqRange) []packet.SeqRange {
 	}
 	const maxSnackRanges = 64
 	now := r.Eng.Now()
-	until := now.Add(sim.DurationOf(r.cfg.SnackRetry))
+	until := now.Add(sim.DurationOf(snackRetry))
 	// request asks for q unless it was asked for too recently: the
 	// previous request needs time to be served (by a cache or the
 	// source), or every traversing ACK would trigger duplicate recoveries.
@@ -273,9 +272,9 @@ func (r *Receiver) feedbackInterval() float64 {
 	if r.cfg.ConstantFeedbackRate > 0 {
 		return 1 / r.cfg.ConstantFeedbackRate
 	}
-	t := r.cfg.FeedbackN / r.rate
-	if t < r.cfg.TLowerBound {
-		t = r.cfg.TLowerBound
+	t := feedbackN / r.rate
+	if t < DefaultTLowerBound {
+		t = DefaultTLowerBound
 	}
 	return t
 }
@@ -295,13 +294,13 @@ func (r *Receiver) regularFeedback() {
 }
 
 // earlyFeedback sends monitor-triggered feedback, rate-limited by
-// MinFeedbackGap, and only in variable-feedback mode.
+// minFeedbackGap, and only in variable-feedback mode.
 func (r *Receiver) earlyFeedback() {
 	if r.Done() || r.cfg.ConstantFeedbackRate > 0 {
 		return
 	}
 	now := r.Eng.Now()
-	if r.stats.AcksSent > 0 && now.Sub(r.lastFeedback).Seconds() < r.cfg.MinFeedbackGap {
+	if r.stats.AcksSent > 0 && now.Sub(r.lastFeedback).Seconds() < minFeedbackGap {
 		return
 	}
 	r.stats.EarlyFeedbacks++
@@ -314,17 +313,17 @@ func (r *Receiver) earlyFeedback() {
 func (r *Receiver) updateControllers() {
 	if r.rateMon.Primed() {
 		avail := r.rateMon.Mean()
-		if avail > r.cfg.Delta {
-			r.rate += r.cfg.KI * avail / r.rate
+		if avail > delta {
+			r.rate += kI * avail / r.rate
 		} else {
-			r.rate *= r.cfg.KD
+			r.rate *= kD
 		}
-		r.rate = transport.Clamp(r.rate, r.cfg.MinRate, r.MaxRate)
+		r.rate = transport.Clamp(r.rate, minRate, r.MaxRate)
 	}
 	if r.energyMon.Primed() {
-		r.energyBudget = r.cfg.Beta * r.energyMon.UCL()
+		r.energyBudget = beta * r.energyMon.UCL()
 		if r.energyBudget <= 0 {
-			r.energyBudget = r.cfg.InitialEnergyBudget
+			r.energyBudget = initialEnergyBudget
 		}
 	}
 }
@@ -353,7 +352,7 @@ func (r *Receiver) sendFeedback(early bool) {
 	// ACKs are precious and rare: request full per-link effort
 	// (LossTol stays zero).
 	ack.AvailRate = packet.InitialAvailRate
-	ack.Pad = r.cfg.AckPad
+	ack.Pad = DefaultAckPad
 	info.CumAck = r.cumAck()
 	info.Rate = r.rate
 	info.EnergyBudget = r.energyBudget

@@ -46,14 +46,13 @@ type Sender struct {
 
 // NewSender builds (but does not start) the source side of a connection.
 func NewSender(nw *node.Network, cfg Config) *Sender {
-	cfg = cfg.withDefaults()
 	s := &Sender{
 		cfg:          cfg,
 		pool:         nw.PacketPool(),
-		energyBudget: cfg.InitialEnergyBudget,
-		feedbackT:    cfg.TLowerBound,
+		energyBudget: initialEnergyBudget,
+		feedbackT:    DefaultTLowerBound,
 	}
-	s.Open(nw, cfg.Config, cfg.MinRate, s, &s.stats.SourceStats)
+	s.Open(nw, cfg.Config, minRate, s, &s.stats.SourceStats)
 	return s
 }
 
@@ -97,7 +96,7 @@ func (s *Sender) buildData(seq uint32, retransmit bool) *packet.Packet {
 	p.AvailRate = packet.InitialAvailRate
 	p.LossTol = s.cfg.LossTolerance
 	p.EnergyBudget = s.energyBudget
-	p.PayloadLen = s.cfg.PayloadLen
+	p.PayloadLen = DefaultPayloadLen
 	if seq == 0 {
 		p.Flags |= packet.FlagFirst
 	}
@@ -192,7 +191,7 @@ func (s *Sender) processAck(ack *packet.Packet) {
 // feedback interval passes with no ACK, back off multiplicatively (§5.1 —
 // rate-based control must defend against lost feedback).
 func (s *Sender) armTimeout() {
-	d := sim.DurationOf(s.feedbackT * s.cfg.TimeoutFactor)
+	d := sim.DurationOf(s.feedbackT * timeoutFactor)
 	if d <= 0 {
 		d = sim.Second
 	}
@@ -204,7 +203,7 @@ func (s *Sender) Timeout() {
 	if s.Done() {
 		return
 	}
-	s.SetRate(s.Rate() * s.cfg.KD)
+	s.SetRate(s.Rate() * kD)
 	s.stats.TimeoutBackoffs++
 	// A fixed-size transfer with everything sent but no completion signal
 	// may have lost the final ACK: probe with a retransmission of the

@@ -131,7 +131,7 @@ func TestReceiverControllerMatchesAnalysis(t *testing.T) {
 	if r.Rate() >= risen*0.5 {
 		t.Fatalf("rate did not decay under congestion: %v (was %v)", r.Rate(), risen)
 	}
-	if r.Rate() < cfg.MinRate {
+	if r.Rate() < minRate {
 		t.Fatalf("rate fell below the floor: %v", r.Rate())
 	}
 }

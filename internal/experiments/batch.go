@@ -86,11 +86,29 @@ func ParseBatchSpec(data []byte) (*BatchSpec, error) {
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("batch: parsing matrix: %w", err)
 	}
-	b.applyDefaults()
-	if err := b.validate(); err != nil {
+	if err := b.resolve(); err != nil {
 		return nil, err
 	}
 	return &b, nil
+}
+
+// resolve rejects negative counts and sizes, fills unset fields with the
+// documented defaults and validates the result. Zero means "default", so
+// the sign is checked before the default replaces it.
+func (b *BatchSpec) resolve() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"cacheCapacity", float64(b.CacheCapacity)}, {"seconds", b.Seconds}, {"runs", float64(b.Runs)},
+		{"flows", float64(b.Flows)}, {"linearSpacing", b.LinearSpacing}, {"totalPackets", float64(b.TotalPackets)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("batch: negative %s %g", f.name, f.v)
+		}
+	}
+	b.applyDefaults()
+	return b.validate()
 }
 
 // applyDefaults fills unset fields with the documented defaults.
@@ -204,9 +222,6 @@ func (b *BatchSpec) validate() error {
 			}
 			labels[label] = true
 		}
-	}
-	if b.TotalPackets < 0 {
-		return fmt.Errorf("batch: negative totalPackets %d", b.TotalPackets)
 	}
 	seen := map[string]bool{}
 	for i := range b.Workloads {
@@ -379,8 +394,7 @@ func (b *BatchSpec) scenario(cell campaign.Cell, seed int64) (Scenario, error) {
 // validated here too, so a bad axis value fails loudly instead of
 // silently running a different scenario.
 func (b *BatchSpec) Execute(ctx context.Context, opt Options) (*campaign.Report, error) {
-	b.applyDefaults()
-	if err := b.validate(); err != nil {
+	if err := b.resolve(); err != nil {
 		return nil, err
 	}
 	return execute(ctx, b.Matrix(), opt, b.scenario, runRecordSample)

@@ -141,6 +141,13 @@ func TestBatchSpecDefaultsAndValidation(t *testing.T) {
 		`{"cachePolicies":["mru"]}`,
 		`{"channels":["underwater"]}`,
 		`{"name": }`,
+		// Zero means "default"; a negative value is an error, not a
+		// default, and not caching off under an lru label.
+		`{"cacheCapacity":-5}`,
+		`{"seconds":-5}`,
+		`{"runs":-2}`,
+		`{"flows":-1}`,
+		`{"linearSpacing":-80}`,
 	}
 	for _, js := range bad {
 		if _, err := ParseBatchSpec([]byte(js)); err == nil {

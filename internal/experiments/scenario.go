@@ -131,8 +131,6 @@ type Scenario struct {
 	CachePolicy cache.Policy
 	// MaxAttempts overrides Table 1's MAX_ATTEMPTS when > 0.
 	MaxAttempts int
-	// TLowerBound overrides Table 1's 10 s feedback lower bound when > 0.
-	TLowerBound float64
 
 	// Telemetry fills RunRecord.Telemetry from the counters every layer
 	// keeps anyway, read once after time stops (see telemetry). It
@@ -197,7 +195,6 @@ type shape struct {
 	routing  routing.Config
 	cacheCap int
 	policy   cache.Policy
-	tLower   float64
 	budgets  bool
 }
 
@@ -316,7 +313,6 @@ func assemble(sc Scenario, old *Substrate) (*Substrate, error) {
 			MaxAttempts:   macCfg.MaxAttempts,
 			CacheCapacity: sc.CacheCapacity,
 			CachePolicy:   sc.CachePolicy,
-			TLowerBound:   sc.TLowerBound,
 		}
 		sub = &Substrate{Engine: eng, Network: nw, Driver: newDriver(nw, netCfg), NetConfig: netCfg, radioRange: chCfg.Range, shape: key}
 	}
@@ -352,7 +348,7 @@ func (sc *Scenario) shape(chCfg channel.Config, macCfg mac.Config, rtCfg routing
 	return shape{
 		proto: sc.Proto, nodes: sc.Nodes,
 		channel: chCfg, mac: macCfg, routing: rtCfg,
-		cacheCap: sc.CacheCapacity, policy: sc.CachePolicy, tLower: sc.TLowerBound,
+		cacheCap: sc.CacheCapacity, policy: sc.CachePolicy,
 		budgets: len(sc.EnergyBudgets) > 0,
 	}
 }

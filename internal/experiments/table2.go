@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"fmt"
+
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/channel"
+	"github.com/javelen/jtp/internal/core"
+	"github.com/javelen/jtp/internal/energy"
+	"github.com/javelen/jtp/internal/ijtp"
+	"github.com/javelen/jtp/internal/mac"
 	"github.com/javelen/jtp/internal/metrics"
 )
 
@@ -137,18 +143,19 @@ func Table1() Figure {
 	}
 }
 
-// Defaults renders Table 1: the default parameter values.
+// Defaults renders Table 1 from the values the simulator runs with.
 func Defaults() *metrics.Table {
+	m, ch, radio := mac.Defaults(), channel.Defaults(), energy.JAVeLEN()
 	t := metrics.NewTable("Table 1: parameters' default value", "parameter", "value")
-	t.AddRow("MAX_ATTEMPTS", 5)
-	t.AddRow("JTP Pkt Size", "800 bytes")
-	t.AddRow("Cache Size", "1000 pkts")
-	t.AddRow("T_LowerBound", "10 s")
-	t.AddRow("TDMA slot", "25 ms")
-	t.AddRow("Radio data rate", "1 Mb/s")
-	t.AddRow("Tx power / fixed", "80 mW / 0.4 mJ")
-	t.AddRow("Rx power / fixed", "50 mW / 0.2 mJ")
-	t.AddRow("Link bad-state share", "10% (mean 3 s)")
-	t.AddRow("Loss good/bad state", "5% / 75%")
+	t.AddRow("MAX_ATTEMPTS", m.MaxAttempts)
+	t.AddRow("JTP Pkt Size", fmt.Sprintf("%d bytes", core.DefaultPacketSize))
+	t.AddRow("Cache Size", fmt.Sprintf("%d pkts", ijtp.Defaults().CacheCapacity))
+	t.AddRow("T_LowerBound", fmt.Sprintf("%d s", core.DefaultTLowerBound))
+	t.AddRow("TDMA slot", fmt.Sprintf("%g ms", m.SlotDuration.Seconds()*1e3))
+	t.AddRow("Radio data rate", fmt.Sprintf("%g Mb/s", radio.DataRate/1e6))
+	t.AddRow("Tx power / fixed", fmt.Sprintf("%g mW / %g mJ", radio.TxPower*1e3, radio.TxOverhead*1e3))
+	t.AddRow("Rx power / fixed", fmt.Sprintf("%g mW / %g mJ", radio.RxPower*1e3, radio.RxOverhead*1e3))
+	t.AddRow("Link bad-state share", fmt.Sprintf("%g%% (mean %g s)", channel.BadFraction*100, channel.MeanBadPeriod))
+	t.AddRow("Loss good/bad state", fmt.Sprintf("%g%% / %g%%", ch.GoodLoss*100, channel.BadLoss*100))
 	return t
 }

@@ -15,44 +15,30 @@
 // change so the destination can send early feedback.
 package flipflop
 
-// Config parameterizes a Filter. The zero value is not valid; use Defaults.
-type Config struct {
-	// StableAlpha is the EWMA weight used while the path is stable.
+// The filter's parameters (§5.1).
+const (
+	// stableAlpha is the EWMA weight used while the path is stable.
 	// Small, so short-term variation is filtered out.
-	StableAlpha float64
-	// AgileAlpha is the weight used after a persistent change is detected,
-	// so the estimate catches up with the new operating point.
-	AgileAlpha float64
-	// RangeBeta is the weight for the moving-range EWMA R̄.
-	RangeBeta float64
-	// OutlierRun is the number of consecutive out-of-limits samples that
+	stableAlpha = 0.1
+	// agileAlpha is the weight used after a persistent change is
+	// detected, so the estimate catches up with the new operating point.
+	agileAlpha = 0.5
+	// rangeBeta is the weight for the moving-range EWMA R̄.
+	rangeBeta = 0.1
+	// outlierRun is the number of consecutive out-of-limits samples that
 	// constitutes a persistent change (and triggers early feedback).
-	OutlierRun int
-	// LimitK scales the control limits: UCL/LCL = x̄ ± LimitK·R̄/1.128.
+	outlierRun = 3
+	// limitK scales the control limits: UCL/LCL = x̄ ± limitK·R̄/1.128.
 	// The paper uses the classic 3-sigma value.
-	LimitK float64
-	// MinRelRange floors R̄ at this fraction of |x̄| when computing the
+	limitK = 3
+	// minRelRange floors R̄ at this fraction of |x̄| when computing the
 	// limits. Moving-range charts assume independent samples; path
 	// metrics are heavily autocorrelated (they come from EWMAs inside
 	// the MAC), so successive differences can shrink toward zero and
 	// collapse the limits onto the mean, declaring shifts forever. The
 	// floor keeps the band no tighter than a fixed relative width.
-	MinRelRange float64
-}
-
-// Defaults returns the configuration used throughout the reproduction:
-// stable α=0.1, agile α=0.5, range β=0.1, 3 consecutive outliers, 3-sigma
-// limits.
-func Defaults() Config {
-	return Config{
-		StableAlpha: 0.1,
-		AgileAlpha:  0.5,
-		RangeBeta:   0.1,
-		OutlierRun:  3,
-		LimitK:      3,
-		MinRelRange: 0.06,
-	}
-}
+	minRelRange = 0.06
+)
 
 // d2 is the SQC constant converting a mean moving range of two
 // observations into an estimate of the process standard deviation.
@@ -84,9 +70,9 @@ const (
 	// InLimits means the sample fell inside the control limits.
 	InLimits Event = iota
 	// Outlier means the sample fell outside the limits but the run of
-	// outliers is still shorter than OutlierRun.
+	// outliers is still shorter than outlierRun.
 	Outlier
-	// Shift means this sample completed a run of OutlierRun consecutive
+	// Shift means this sample completed a run of outlierRun consecutive
 	// outliers: the path state has persistently changed and the
 	// destination should send immediate feedback.
 	Shift
@@ -103,10 +89,9 @@ func (e Event) String() string {
 	return "in-limits"
 }
 
-// Filter is a flip-flop filter for one path metric. The zero value is not
-// ready; construct with New.
+// Filter is a flip-flop filter for one path metric. The zero value is an
+// unprimed filter, as New returns.
 type Filter struct {
-	cfg  Config
 	mean float64
 	rng  float64 // R̄, EWMA of |x_i − x_{i−1}|
 	last float64
@@ -115,27 +100,8 @@ type Filter struct {
 	mode Mode
 }
 
-// New returns a filter with the given configuration. Invalid fields fall
-// back to Defaults values.
-func New(cfg Config) *Filter {
-	def := Defaults()
-	if cfg.StableAlpha <= 0 || cfg.StableAlpha > 1 {
-		cfg.StableAlpha = def.StableAlpha
-	}
-	if cfg.AgileAlpha <= 0 || cfg.AgileAlpha > 1 {
-		cfg.AgileAlpha = def.AgileAlpha
-	}
-	if cfg.RangeBeta <= 0 || cfg.RangeBeta > 1 {
-		cfg.RangeBeta = def.RangeBeta
-	}
-	if cfg.OutlierRun <= 0 {
-		cfg.OutlierRun = def.OutlierRun
-	}
-	if cfg.LimitK <= 0 {
-		cfg.LimitK = def.LimitK
-	}
-	return &Filter{cfg: cfg}
-}
+// New returns an unprimed filter.
+func New() *Filter { return &Filter{} }
 
 // Mean returns the current EWMA estimate x̄.
 func (f *Filter) Mean() float64 { return f.mean }
@@ -147,10 +113,10 @@ func (f *Filter) Primed() bool { return f.n > 0 }
 // filter is primed both are zero.
 func (f *Filter) Limits() (lcl, ucl float64) {
 	rng := f.rng
-	if floor := f.cfg.MinRelRange * abs(f.mean); rng < floor {
+	if floor := minRelRange * abs(f.mean); rng < floor {
 		rng = floor
 	}
-	w := f.cfg.LimitK * rng / d2
+	w := limitK * rng / d2
 	return f.mean - w, f.mean + w
 }
 
@@ -179,10 +145,7 @@ func (f *Filter) UCL() float64 {
 func (f *Filter) Observe(x float64) Event {
 	if f.n == 0 {
 		f.mean = x
-		f.rng = x / 2
-		if f.rng < 0 {
-			f.rng = -f.rng
-		}
+		f.rng = abs(x / 2)
 		f.last = x
 		f.n = 1
 		return InLimits
@@ -191,20 +154,16 @@ func (f *Filter) Observe(x float64) Event {
 	lcl, ucl := f.Limits()
 	inLimits := x >= lcl && x <= ucl
 
-	alpha := f.cfg.StableAlpha
+	alpha := stableAlpha
 	if f.mode == Agile {
-		alpha = f.cfg.AgileAlpha
+		alpha = agileAlpha
 	}
 
 	if inLimits {
 		// Sample agrees with the current operating point: update both
 		// EWMAs; if we were agile we have caught up, flip back to stable.
 		f.mean = (1-alpha)*f.mean + alpha*x
-		diff := x - f.last
-		if diff < 0 {
-			diff = -diff
-		}
-		f.rng = (1-f.cfg.RangeBeta)*f.rng + f.cfg.RangeBeta*diff
+		f.foldRange(x)
 		f.run = 0
 		f.mode = Stable
 		f.last = x
@@ -221,18 +180,19 @@ func (f *Filter) Observe(x float64) Event {
 	f.run++
 	f.mean = (1-alpha)*f.mean + alpha*x
 	if f.mode == Agile {
-		diff := x - f.last
-		if diff < 0 {
-			diff = -diff
-		}
-		f.rng = (1-f.cfg.RangeBeta)*f.rng + f.cfg.RangeBeta*diff
+		f.foldRange(x)
 	}
 	f.last = x
 	f.n++
-	if f.run >= f.cfg.OutlierRun {
+	if f.run >= outlierRun {
 		f.run = 0
 		f.mode = Agile
 		return Shift
 	}
 	return Outlier
+}
+
+// foldRange folds the sample's distance from the previous one into R̄.
+func (f *Filter) foldRange(x float64) {
+	f.rng = (1-rangeBeta)*f.rng + rangeBeta*abs(x-f.last)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFirstSampleInitializes(t *testing.T) {
-	f := New(Defaults())
+	f := New()
 	if f.Primed() {
 		t.Fatal("fresh filter should be unprimed")
 	}
@@ -24,7 +24,7 @@ func TestFirstSampleInitializes(t *testing.T) {
 }
 
 func TestLimitsMath(t *testing.T) {
-	f := New(Defaults())
+	f := New()
 	f.Observe(10)
 	lcl, ucl := f.Limits()
 	w := 3.0 * 5.0 / 1.128
@@ -37,7 +37,7 @@ func TestLimitsMath(t *testing.T) {
 }
 
 func TestStableFiltering(t *testing.T) {
-	f := New(Defaults())
+	f := New()
 	for i := 0; i < 100; i++ {
 		v := 10.0
 		if i%2 == 0 {
@@ -57,8 +57,7 @@ func TestStableFiltering(t *testing.T) {
 }
 
 func TestShiftDetectionAndAgileCatchup(t *testing.T) {
-	cfg := Defaults()
-	f := New(cfg)
+	f := New()
 	for i := 0; i < 50; i++ {
 		f.Observe(10 + 0.2*float64(i%2))
 	}
@@ -77,8 +76,8 @@ func TestShiftDetectionAndAgileCatchup(t *testing.T) {
 	if !sawShift {
 		t.Fatal("step change never declared a shift")
 	}
-	if steps != cfg.OutlierRun {
-		t.Fatalf("shift after %d samples, want OutlierRun=%d", steps, cfg.OutlierRun)
+	if steps != outlierRun {
+		t.Fatalf("shift after %d samples, want outlierRun=%d", steps, outlierRun)
 	}
 	if f.mode != Agile {
 		t.Fatal("mode should be agile after shift")
@@ -99,7 +98,7 @@ func TestShiftDetectionAndAgileCatchup(t *testing.T) {
 func TestNoPerpetualShiftStorm(t *testing.T) {
 	// A regime whose variance grows must eventually be re-captured by
 	// the limits instead of signalling shifts forever.
-	f := New(Defaults())
+	f := New()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
 		f.Observe(10 + rng.Float64()*0.1)
@@ -118,7 +117,7 @@ func TestNoPerpetualShiftStorm(t *testing.T) {
 }
 
 func TestOutlierRunInterrupted(t *testing.T) {
-	f := New(Config{StableAlpha: 0.1, AgileAlpha: 0.5, RangeBeta: 0.1, OutlierRun: 3, LimitK: 3})
+	f := New()
 	for i := 0; i < 20; i++ {
 		f.Observe(10 + 0.2*float64(i%2))
 	}
@@ -141,17 +140,20 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	f := New(Config{}) // all invalid -> defaults
-	f.Observe(1)
-	if f.cfg.StableAlpha != Defaults().StableAlpha || f.cfg.OutlierRun != Defaults().OutlierRun {
-		t.Fatal("invalid config fields should fall back to defaults")
+// TestRangeWeightFoldsLikeRunTime guards foldRange's 1-rangeBeta: Go
+// folds a constant expression exactly, and seeded runs depend on the
+// weight the float64 subtraction gives at run time. The two must agree
+// to the bit.
+func TestRangeWeightFoldsLikeRunTime(t *testing.T) {
+	beta := rangeBeta
+	if w := 1 - beta; w != 1-rangeBeta {
+		t.Fatalf("1-rangeBeta folds to %v, run time gives %v", 1-rangeBeta, w)
 	}
 }
 
 func TestLimitsOrderedProperty(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
-		f := New(Defaults())
+		f := New()
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < int(n)+2; i++ {
 			f.Observe(rng.Float64() * 100)
@@ -169,7 +171,7 @@ func TestLimitsOrderedProperty(t *testing.T) {
 
 // BenchmarkFlipflopObserve measures the path-monitor filter per sample.
 func BenchmarkFlipflopObserve(b *testing.B) {
-	f := New(Defaults())
+	f := New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

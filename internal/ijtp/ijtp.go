@@ -39,13 +39,9 @@ type Forwarder func(p *packet.Packet) bool
 type Config struct {
 	// MaxAttempts is MAX_ATTEMPTS of Eq (2) — the ceiling the MAC allows.
 	MaxAttempts int
-	// CacheEnabled turns in-network caching on. Off reproduces JNC (§4.1).
-	CacheEnabled bool
 	// CacheCapacity is the cache size in packets (Table 1 default: 1000).
+	// Zero turns in-network caching off, which reproduces JNC (§4.1).
 	CacheCapacity int
-	// MinLossRate floors the link-loss estimate used in Eq (2) so a
-	// perfectly clean link still yields a finite attempt computation.
-	MinLossRate float64
 	// CachePolicy selects the cache replacement strategy. The paper uses
 	// LRU and leaves other strategies to future work (§4, §8); see the
 	// cache package.
@@ -57,11 +53,13 @@ type Config struct {
 func Defaults() Config {
 	return Config{
 		MaxAttempts:   5,
-		CacheEnabled:  true,
 		CacheCapacity: 1000,
-		MinLossRate:   1e-4,
 	}
 }
+
+// minLossRate floors the link-loss estimate used in Eq (2) so a
+// perfectly clean link still yields a finite attempt computation.
+const minLossRate = 1e-4
 
 // Counters tallies plugin activity for the experiment harness.
 type Counters struct {
@@ -104,22 +102,12 @@ type Plugin struct {
 
 // New returns the plugin for node id.
 func New(id packet.NodeID, cfg Config, view PathView, forward Forwarder) *Plugin {
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = Defaults().MaxAttempts
-	}
-	if cfg.MinLossRate <= 0 {
-		cfg.MinLossRate = Defaults().MinLossRate
-	}
-	capacity := cfg.CacheCapacity
-	if !cfg.CacheEnabled {
-		capacity = 0
-	}
 	return &Plugin{
 		id:      id,
 		cfg:     cfg,
 		view:    view,
 		forward: forward,
-		cache:   cache.NewWithPolicy(capacity, cfg.CachePolicy, int64(id)+1),
+		cache:   cache.NewWithPolicy(cfg.CacheCapacity, cfg.CachePolicy, int64(id)+1),
 	}
 }
 
@@ -257,8 +245,8 @@ func (pl *Plugin) PreXmit(fr *mac.Frame, link mac.LinkInfo) mac.Verdict {
 	// tolerance for the remainder of the path.
 	if p.Type == packet.Data && link.FirstAttempt {
 		lossRate := link.LossRate
-		if lossRate < pl.cfg.MinLossRate {
-			lossRate = pl.cfg.MinLossRate
+		if lossRate < minLossRate {
+			lossRate = minLossRate
 		}
 		h := pl.view.HopsTo(p.Dst)
 		if h < 1 {
@@ -295,8 +283,9 @@ func (pl *Plugin) PostRcv(fr *mac.Frame) {
 		// cachePacket(packet): cache traversing DATA so it can be
 		// recovered locally later. The final destination does not cache
 		// (it delivers), and cache-recovered copies are re-cached so the
-		// recovery point can move downstream.
-		if pl.cfg.CacheEnabled && p.Dst != pl.id {
+		// recovery point can move downstream. A zero-capacity cache
+		// stores nothing.
+		if p.Dst != pl.id {
 			pl.cache.Insert(p)
 		}
 	case packet.Ack:
@@ -311,7 +300,7 @@ func (pl *Plugin) PostRcv(fr *mac.Frame) {
 // packet so the sender is explicitly informed of such in-network
 // retransmissions done on its behalf").
 func (pl *Plugin) serveSnack(ack *packet.Packet) {
-	if !pl.cfg.CacheEnabled || ack.Ack == nil || len(ack.Ack.Snack) == 0 {
+	if pl.cfg.CacheCapacity <= 0 || ack.Ack == nil || len(ack.Ack.Snack) == 0 {
 		return
 	}
 	// The ACK flows dst→src of the data transfer: data packets were keyed

@@ -84,10 +84,10 @@ func TestPerHopTarget(t *testing.T) {
 
 // TestPowIntMatchesMathPow pins PreXmit's q_i = 1 − p^M to the bits
 // math.Pow gave: every attempt budget up to 16, at loss rates on a grid
-// over [MinLossRate, 1] and at 10^6 seeded draws, half uniform and half
+// over [minLossRate, 1] and at 10^6 seeded draws, half uniform and half
 // log-uniform so small rates are as well covered as large ones.
 func TestPowIntMatchesMathPow(t *testing.T) {
-	lo := Defaults().MinLossRate
+	lo := minLossRate
 	check := func(x float64, n int) {
 		if got, want := powInt(x, n), math.Pow(x, float64(n)); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("powInt(%v, %d) = %v, math.Pow %v", x, n, got, want)
@@ -333,7 +333,7 @@ func TestNoDoubleRecovery(t *testing.T) {
 
 func TestCachingDisabledJNC(t *testing.T) {
 	cfg := Defaults()
-	cfg.CacheEnabled = false
+	cfg.CacheCapacity = 0
 	var forwarded int
 	pl := New(1, cfg, fakeView{hops: 2}, func(*packet.Packet) bool {
 		forwarded++

@@ -148,18 +148,22 @@ type Config struct {
 	// QueueCap is the transmit queue capacity in frames; overflow counts
 	// as a queue drop (Fig 7(b)).
 	QueueCap int
-	// LossAlpha is the EWMA weight of the per-link loss estimator.
-	LossAlpha float64
-	// IdleAlpha is the EWMA weight of the idle-slot (available rate)
-	// estimator.
-	IdleAlpha float64
-	// AttemptsAlpha is the EWMA weight of the average-attempts-per-packet
-	// estimator used to normalize available rate.
-	AttemptsAlpha float64
-	// PrimeLoss seeds the loss estimators before any samples exist
-	// (a node knows its radio's nominal link quality).
-	PrimeLoss float64
 }
+
+// The MAC's estimator parameters.
+const (
+	// lossAlpha is the EWMA weight of the per-link loss estimator.
+	lossAlpha = 0.10
+	// idleAlpha is the EWMA weight of the idle-slot (available rate)
+	// estimator.
+	idleAlpha = 0.15
+	// attemptsAlpha is the EWMA weight of the average-attempts-per-packet
+	// estimator used to normalize available rate.
+	attemptsAlpha = 0.10
+	// primeLoss seeds the loss estimators before any samples exist
+	// (a node knows its radio's nominal link quality).
+	primeLoss = 0.05
+)
 
 // Defaults returns the MAC parameters used across the reproduction:
 // 25 ms slots, MAX_ATTEMPTS 5, 64-frame queues.
@@ -169,10 +173,6 @@ func Defaults() Config {
 		MaxAttempts:     5,
 		DefaultAttempts: 1,
 		QueueCap:        64,
-		LossAlpha:       0.10,
-		IdleAlpha:       0.15,
-		AttemptsAlpha:   0.10,
-		PrimeLoss:       0.05,
 	}
 }
 
@@ -288,16 +288,16 @@ func New(eng *sim.Engine, id packet.NodeID, cfg Config, model energy.Model, mete
 // primeEstimators sets the node-wide estimators to their priors: every
 // owned slot idle, one attempt per frame.
 func (m *MAC) primeEstimators() {
-	m.idleFrac = *stats.NewEWMA(m.cfg.IdleAlpha)
+	m.idleFrac = *stats.NewEWMA(idleAlpha)
 	m.idleFrac.Set(1)
-	m.avgAttempts = *stats.NewEWMA(m.cfg.AttemptsAlpha)
+	m.avgAttempts = *stats.NewEWMA(attemptsAlpha)
 	m.avgAttempts.Set(1)
 }
 
 // primeLink sets a link's loss estimate to the radio's nominal loss.
 func (m *MAC) primeLink(ls *linkStats) {
-	ls.loss = *stats.NewEWMA(m.cfg.LossAlpha)
-	ls.loss.Set(m.cfg.PrimeLoss)
+	ls.loss = *stats.NewEWMA(lossAlpha)
+	ls.loss.Set(primeLoss)
 }
 
 // Clear returns the MAC to the state New left it in, for another run on

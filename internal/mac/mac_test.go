@@ -220,7 +220,7 @@ func TestIdleSlotRaisesAvailRate(t *testing.T) {
 func TestLossEstimatorTracks(t *testing.T) {
 	_, env, m0, _ := build(t)
 	prime := m0.link(1).loss.Value()
-	if prime != Defaults().PrimeLoss {
+	if prime != primeLoss {
 		t.Fatalf("primed loss = %v", prime)
 	}
 	// 50% failures.

@@ -74,9 +74,6 @@ type NetConfig struct {
 	CacheCapacity int
 	// CachePolicy selects the cache replacement policy.
 	CachePolicy cache.Policy
-	// TLowerBound overrides the feedback-interval lower bound in
-	// seconds when > 0. Ignored by protocols without one.
-	TLowerBound float64
 }
 
 // Flow is one transport connection under test: uniform lifecycle control
